@@ -6,8 +6,8 @@
 //	erebor-prof -tenants 64 -top 20                   # top-20 hottest stacks
 //	erebor-prof -tenants 64 -flame out.folded         # folded stacks (flamegraph.pl input)
 //	erebor-prof -tenants 64 -pprof out.pb             # pprof-compatible protobuf
-//	erebor-prof -tenants 64 -ring -flame ring.folded  # profile the ring-MMU path
-//	erebor-prof -diff base.folded ring.folded         # per-stack cycle deltas
+//	erebor-prof -exp pagefault -ring -flame ring.folded  # profile the ring-MMU path
+//	erebor-prof -diff base.folded ring.folded            # per-stack cycle deltas
 //
 // Profiling never charges the clock: a profiled run is cycle-identical to
 // the same run without -top/-flame/-pprof, and both exports are
@@ -77,7 +77,7 @@ func main() {
 	modelKB := flag.Int("model", 64, "shared model size in KiB")
 	cold := flag.Bool("cold", false, "disable warm-pool recycling")
 	forkpool := flag.Bool("forkpool", false, "serve from copy-on-write forks of a snapshot template")
-	ring := flag.Bool("ring", false, "route MMU requests through the async EMC submission ring")
+	ring := flag.Bool("ring", false, "with -exp pagefault: route MMU requests through the async EMC submission ring")
 	chaos := flag.Float64("chaos", 0, "per-class fault rate on the untrusted hop (0 disables)")
 	chaosSeed := flag.Int64("chaos-seed", 0, "fault-schedule seed (default: -seed)")
 	exp := flag.String("exp", "serve", "workload to profile: serve (multi-tenant fleet) or pagefault (lat_pagefault; honors -vcpus/-ring)")
@@ -128,7 +128,6 @@ func main() {
 		ModelBytes: *modelKB << 10,
 		Cold:       *cold,
 		ForkPool:   *forkpool,
-		RingMMU:    *ring,
 		Profile:    true,
 	}
 	if cfg.Sessions == 0 {

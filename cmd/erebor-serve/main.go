@@ -85,7 +85,6 @@ func main() {
 		"arm the SLO engine: 'default' for the stock objectives, or a spec like 'ttfc:p99<=6000000@0.01; compute:p99<=16000000'")
 	sloWindow := flag.Uint64("slo-window", 0, "SLO evaluation window in virtual cycles (0 = default)")
 	sloReport := flag.String("slo-report", "", "write the byte-deterministic SLO evaluation stream (JSONL) to this file (- for stdout; needs -slo)")
-	ring := flag.Bool("ring", false, "route MMU requests through the async EMC submission ring (one gate crossing per drain, coalesced shootdowns)")
 	flag.Parse()
 
 	cfg := serve.Config{
@@ -100,7 +99,6 @@ func main() {
 		ForkPool:   *forkpool,
 		Trace:      *tracePath != "",
 		Watchdog:   *watchdog,
-		RingMMU:    *ring,
 	}
 	if *watchdogEvery > 0 {
 		cfg.Watchdog, cfg.WatchdogEvery = true, *watchdogEvery

@@ -1,6 +1,8 @@
 package monitor
 
 import (
+	"slices"
+
 	"github.com/asterisc-release/erebor-go/internal/costs"
 	"github.com/asterisc-release/erebor-go/internal/cpu"
 	"github.com/asterisc-release/erebor-go/internal/mem"
@@ -177,224 +179,32 @@ func leafFor(f mem.Frame, flags MapFlags) paging.PTE {
 
 // EMCMapUser installs one user mapping after policy validation.
 func (mon *Monitor) EMCMapUser(c *cpu.Core, asid ASID, va paging.Addr, f mem.Frame, flags MapFlags) error {
-	return mon.gate(c, "mmu", func() error {
-		return mon.mapUserLocked(c, asid, va, f, flags)
-	})
+	return mon.userMMU(c, asid, OpMap, RingReq{Op: OpMap, VA: va, Frame: f, Flags: flags})
 }
 
 // EMCMapUserBatch installs many mappings under a single gate crossing (the
 // batched-MMU-update optimization the paper suggests for fork-heavy loads,
-// §9.1). The batch is atomic: every request is validated against the
-// mapping policy before any PTE is touched, and a commit-phase failure
-// (e.g. page-table-page exhaustion) rolls back the already-installed
-// prefix — including returning page-table pages the batch itself allocated
-// to the monitor pool. A failing batch therefore leaves the address space
-// exactly as it was, and PTEWrites counts only PTE writes that physically
-// happened (installs, their undos, and rollback PTP unlinks) — never
-// mappings that do not exist.
+// §9.1). It is one MMU transaction: the whole batch validates before any
+// PTE is touched, and a commit-phase failure (e.g. page-table-page
+// exhaustion) leaves the address space exactly as it was.
 func (mon *Monitor) EMCMapUserBatch(c *cpu.Core, asid ASID, reqs []MapReq) error {
-	return mon.gate(c, "mmu", func() error {
-		as, ok := mon.addrSpaces[asid]
-		if !ok {
-			return denied("map-user", "unknown address space %d", asid)
-		}
-		// Phase 1: validate a working copy of the whole batch, so any flag
-		// normalization the policy performs survives into the commit phase.
-		// Nothing is charged and nothing is written until every request
-		// passes.
-		work := make([]MapReq, len(reqs))
-		copy(work, reqs)
-		for i := range work {
-			r := &work[i]
-			if r.VA >= UserTop || r.VA < UserBase {
-				return denied("map-user", "va %#x outside user range", r.VA)
-			}
-			if err := mon.userFramePolicy("map-user", as, r.Frame, &r.Flags); err != nil {
-				return err
-			}
-		}
-		// Phase 2: commit the validated copy, snapshotting each slot's prior
-		// leaf and frame so a structural failure can restore the prefix in
-		// reverse order. Page-table pages allocated on behalf of this batch
-		// are tracked so rollback can release them too.
-		newPTPs := make(map[mem.Frame]bool)
-		prevHook := as.tables.OnPTPAlloc
-		as.tables.OnPTPAlloc = func(f mem.Frame) {
-			newPTPs[f] = true
-			if prevHook != nil {
-				prevHook(f)
-			}
-		}
-		defer func() { as.tables.OnPTPAlloc = prevHook }()
-		type undo struct {
-			va       paging.Addr
-			hadLeaf  bool
-			prevLeaf paging.PTE
-			hadFrame bool
-			prevF    mem.Frame
-		}
-		installed := make([]undo, 0, len(work))
-		rollback := func(failedVA paging.Addr) {
-			undone := make([]paging.Addr, 0, len(installed))
-			for i := len(installed) - 1; i >= 0; i-- {
-				u := installed[i]
-				undone = append(undone, u.va)
-				var restoreErr error
-				if u.hadLeaf {
-					restoreErr = as.tables.Map(u.va, u.prevLeaf)
-				} else {
-					restoreErr = as.tables.Unmap(u.va)
-				}
-				if restoreErr != nil {
-					// A rollback that cannot restore a leaf leaves the
-					// address space inconsistent with the monitor's
-					// bookkeeping — that must never vanish silently.
-					mon.recordViolation("map-user batch rollback: restore of va %#x failed: %v",
-						u.va, restoreErr)
-				} else {
-					mon.Stats.PTEWrites++
-					mon.M.Clock.Charge(costs.EreborPTEWriteBody)
-				}
-				if u.hadFrame {
-					as.userFrames[u.va] = u.prevF
-				} else {
-					delete(as.userFrames, u.va)
-				}
-			}
-			// With every installed leaf undone (and the failing request never
-			// mapped), any table page this batch allocated on these paths is
-			// empty again: release it so a failed batch consumes no PTP
-			// frames. Pre-existing tables are refused and left in place.
-			release := func(f mem.Frame) bool {
-				if !newPTPs[f] {
-					return false
-				}
-				mon.freePTP(f)
-				mon.Stats.PTEWrites++ // the cleared parent entry
-				mon.M.Clock.Charge(costs.EreborPTEWriteBody)
-				return true
-			}
-			_ = as.tables.Prune(failedVA, release)
-			for i := len(installed) - 1; i >= 0; i-- {
-				_ = as.tables.Prune(installed[i].va, release)
-			}
-			// Another core may have walked the tables mid-commit and cached
-			// the leaves this rollback just rewrote; one batched shootdown
-			// over every undone VA closes that window before the gate
-			// returns.
-			mon.M.Shootdown(c, as.tables.Root, undone...)
-		}
-		var stale []paging.Addr
-		for _, r := range work {
-			va := paging.PageBase(r.VA)
-			u := undo{va: va}
-			leaf := leafFor(r.Frame, r.Flags)
-			if pte, _, fault := as.tables.Walk(va); fault == nil && pte.Is(paging.Present) {
-				u.hadLeaf, u.prevLeaf = true, pte
-				if pte != leaf {
-					stale = append(stale, va)
-				}
-			}
-			u.prevF, u.hadFrame = as.userFrames[va]
-			if err := as.tables.Map(r.VA, leaf); err != nil {
-				rollback(va)
-				return err
-			}
-			mon.Stats.PTEWrites++
-			mon.M.Clock.Charge(costs.EreborPTEWriteBody)
-			as.userFrames[va] = r.Frame
-			installed = append(installed, u)
-		}
-		// One batched shootdown for every present leaf the commit replaced.
-		// First installs need none: no core can have cached a translation
-		// that never existed.
-		mon.M.Shootdown(c, as.tables.Root, stale...)
-		return nil
-	})
-}
-
-func (mon *Monitor) mapUserLocked(c *cpu.Core, asid ASID, va paging.Addr, f mem.Frame, flags MapFlags) error {
-	mon.M.Clock.Charge(costs.EreborPTEWriteBody)
-	mon.Stats.PTEWrites++
-	as, ok := mon.addrSpaces[asid]
-	if !ok {
-		return denied("map-user", "unknown address space %d", asid)
+	work := make([]RingReq, len(reqs))
+	for i, r := range reqs {
+		work[i] = RingReq{Op: OpMap, VA: r.VA, Frame: r.Frame, Flags: r.Flags}
 	}
-	if va >= UserTop || va < UserBase {
-		return denied("map-user", "va %#x outside user range", va)
-	}
-	if err := mon.userFramePolicy("map-user", as, f, &flags); err != nil {
-		return err
-	}
-	leaf := leafFor(f, flags)
-	prev, _, walkFault := as.tables.Walk(paging.PageBase(va))
-	if err := as.tables.Map(va, leaf); err != nil {
-		return err
-	}
-	// Replacing a live leaf invalidates whatever other cores cached for
-	// this page; a first install (or an identical rewrite) does not.
-	if walkFault == nil && prev.Is(paging.Present) && prev != leaf {
-		mon.M.Shootdown(c, as.tables.Root, paging.PageBase(va))
-	}
-	as.userFrames[paging.PageBase(va)] = f
-	return nil
+	return mon.userMMU(c, asid, OpMap, work...)
 }
 
 // EMCUnmapUser removes a user mapping.
 func (mon *Monitor) EMCUnmapUser(c *cpu.Core, asid ASID, va paging.Addr) error {
-	return mon.gate(c, "mmu", func() error {
-		mon.M.Clock.Charge(costs.EreborPTEWriteBody)
-		mon.Stats.PTEWrites++
-		as, ok := mon.addrSpaces[asid]
-		if !ok {
-			return denied("unmap-user", "unknown address space %d", asid)
-		}
-		base := paging.PageBase(va)
-		prev, _, walkFault := as.tables.Walk(base)
-		if err := as.tables.Unmap(base); err != nil {
-			return err
-		}
-		if walkFault == nil && prev.Is(paging.Present) {
-			mon.M.Shootdown(c, as.tables.Root, base)
-		}
-		delete(as.userFrames, base)
-		return nil
-	})
+	return mon.userMMU(c, asid, OpUnmap, RingReq{Op: OpUnmap, VA: va})
 }
 
 // EMCProtectUser rewrites the flags of an existing user mapping (mprotect).
+// Permission-identical rewrites (the common accessed/dirty refresh after a
+// fault install) leave cached translations valid and flush nothing.
 func (mon *Monitor) EMCProtectUser(c *cpu.Core, asid ASID, va paging.Addr, flags MapFlags) error {
-	return mon.gate(c, "mmu", func() error {
-		mon.M.Clock.Charge(costs.EreborPTEWriteBody)
-		mon.Stats.PTEWrites++
-		as, ok := mon.addrSpaces[asid]
-		if !ok {
-			return denied("protect-user", "unknown address space %d", asid)
-		}
-		f, ok := as.userFrames[paging.PageBase(va)]
-		if !ok {
-			return denied("protect-user", "va %#x not mapped", va)
-		}
-		if err := mon.userFramePolicy("protect-user", as, f, &flags); err != nil {
-			return err
-		}
-		base := paging.PageBase(va)
-		changed := false
-		if err := as.tables.Update(base, func(e paging.PTE) paging.PTE {
-			ne := leafFor(f, flags)
-			changed = ne != e
-			return ne
-		}); err != nil {
-			return err
-		}
-		// Permission-identical rewrites (the common accessed/dirty refresh
-		// after a fault install) leave cached translations valid; only an
-		// actual flag change must be made visible on every core.
-		if changed {
-			mon.M.Shootdown(c, as.tables.Root, base)
-		}
-		return nil
-	})
+	return mon.userMMU(c, asid, OpProtect, RingReq{Op: OpProtect, VA: va, Flags: flags})
 }
 
 // EMCReclaimUser lets the kernel's memory-pressure reclaimer unmap one
@@ -402,37 +212,233 @@ func (mon *Monitor) EMCProtectUser(c *cpu.Core, asid ASID, va paging.Addr, flags
 // region pages (§6.1: common pages are not pinned). Confined pages are
 // pinned and refuse reclamation.
 func (mon *Monitor) EMCReclaimUser(c *cpu.Core, asid ASID, va paging.Addr) error {
+	return mon.userMMU(c, asid, OpReclaim, RingReq{Op: OpReclaim, VA: va})
+}
+
+// userMMU runs reqs as one MMU transaction under one "mmu" gate crossing
+// and flushes its invalidation set. op names the EMC in denials.
+func (mon *Monitor) userMMU(c *cpu.Core, asid ASID, op MMUOp, reqs ...RingReq) error {
 	return mon.gate(c, "mmu", func() error {
-		mon.M.Clock.Charge(costs.EreborPTEWriteBody)
-		mon.Stats.PTEWrites++
 		as, ok := mon.addrSpaces[asid]
 		if !ok {
-			return denied("reclaim-user", "unknown address space %d", asid)
+			return denied(userOp(op), "unknown address space %d", asid)
 		}
-		va = paging.PageBase(va)
-		f, ok := as.userFrames[va]
-		if !ok {
-			return denied("reclaim-user", "va %#x not mapped", va)
-		}
-		meta, err := mon.M.Phys.Meta(f)
+		work, err := mon.mmuValidate(as, reqs, userOp)
 		if err != nil {
 			return err
 		}
-		if meta.Pinned {
-			return denied("reclaim-user", "frame %d is pinned (confined memory)", f)
-		}
-		if mon.commonOf(f) == nil {
-			return denied("reclaim-user", "frame %d is not common-region memory", f)
-		}
-		if err := as.tables.Unmap(va); err != nil {
+		pairs, err := mon.mmuCommit(c, as, work)
+		if err != nil {
 			return err
 		}
-		// The reclaimed frame may be handed out again immediately; no
-		// core's TLB may keep translating va to it.
-		mon.M.Shootdown(c, as.tables.Root, va)
-		delete(as.userFrames, va)
+		if len(pairs) > 0 {
+			mon.M.ShootdownBatch(c, pairs)
+		}
 		return nil
 	})
+}
+
+// userOp names a synchronous EMC in denials ("map-user", ...).
+func userOp(op MMUOp) string { return op.String() + "-user" }
+
+// --- the MMU transaction -----------------------------------------------------
+//
+// Every user-mapping EMC is one transaction over []RingReq: mmuValidate
+// checks every entry before any PTE changes, and mmuCommit applies them
+// with undo records, rolling back on failure or returning the invalidation
+// set to flush. PTEWrites and the EreborPTEWriteBody charge cover only
+// writes that happened: one per committed entry, one per undo, one per
+// pruned PTP. A denied or rolled-back transaction leaves no phantom write.
+
+// mmuValidate checks reqs against a pending view of as — the address space
+// overlaid with the transaction's earlier entries, so a protect may target
+// a page an earlier map installs — and returns the working copy mmuCommit
+// applies, so flag normalization by the policy survives into the commit.
+// name labels denials. Nothing is written or charged.
+func (mon *Monitor) mmuValidate(as *asState, reqs []RingReq, name func(MMUOp) string) ([]RingReq, error) {
+	work := slices.Clone(reqs)
+	view := make(map[paging.Addr]mem.Frame) // mem.NoFrame: unmapped
+	lookup := func(va paging.Addr) (mem.Frame, bool) {
+		f, ok := view[va]
+		if !ok {
+			f, ok = as.userFrames[va]
+		}
+		return f, ok && f != mem.NoFrame
+	}
+	for i := range work {
+		r := &work[i]
+		op := name(r.Op)
+		va := paging.PageBase(r.VA)
+		if r.VA >= UserTop || r.VA < UserBase {
+			return nil, denied(op, "va %#x outside user range", r.VA)
+		}
+		f, mapped := lookup(va)
+		if !mapped && (r.Op == OpProtect || r.Op == OpReclaim) {
+			return nil, denied(op, "va %#x not mapped", r.VA)
+		}
+		next := mem.NoFrame
+		switch r.Op {
+		case OpMap:
+			if err := mon.userFramePolicy(op, as, r.Frame, &r.Flags); err != nil {
+				return nil, err
+			}
+			next = r.Frame
+		case OpUnmap:
+		case OpProtect:
+			if err := mon.userFramePolicy(op, as, f, &r.Flags); err != nil {
+				return nil, err
+			}
+			r.Frame, next = f, f
+		case OpReclaim:
+			meta, err := mon.M.Phys.Meta(f)
+			if err != nil {
+				return nil, err
+			}
+			if meta.Pinned {
+				return nil, denied(op, "frame %d is pinned (confined memory)", f)
+			}
+			if mon.commonOf(f) == nil {
+				return nil, denied(op, "frame %d is not common-region memory", f)
+			}
+		default:
+			return nil, denied(op, "unknown MMU op %d", r.Op)
+		}
+		view[va] = next
+	}
+	return work, nil
+}
+
+// mmuUndo restores one committed entry on rollback.
+type mmuUndo struct {
+	va       paging.Addr
+	hadLeaf  bool
+	prevLeaf paging.PTE
+	hadFrame bool
+	prevF    mem.Frame
+}
+
+// mmuCommit applies entries validated by mmuValidate and returns the
+// invalidation set: one (root, VA) pair per leaf whose live translation
+// changed, deduplicated, in commit order. First installs add none: no core
+// can have cached a translation that never existed. A failure restores the
+// installed prefix in reverse, returns the PTPs the transaction allocated
+// to the monitor pool and shoots down every VA it rewrote.
+func (mon *Monitor) mmuCommit(c *cpu.Core, as *asState, work []RingReq) ([]cpu.ShootdownPair, error) {
+	var newPTPs []mem.Frame
+	prevHook := as.tables.OnPTPAlloc
+	as.tables.OnPTPAlloc = func(f mem.Frame) {
+		newPTPs = append(newPTPs, f)
+		if prevHook != nil {
+			prevHook(f)
+		}
+	}
+	defer func() { as.tables.OnPTPAlloc = prevHook }()
+
+	installed := make([]mmuUndo, 0, len(work))
+	rollback := func(failedVA paging.Addr) {
+		undone := make([]paging.Addr, 0, len(installed))
+		for i := len(installed) - 1; i >= 0; i-- {
+			u := installed[i]
+			undone = append(undone, u.va)
+			var err error
+			if u.hadLeaf {
+				err = as.tables.Map(u.va, u.prevLeaf)
+			} else {
+				err = as.tables.Unmap(u.va)
+			}
+			if err != nil {
+				// A rollback that cannot restore a leaf leaves the address
+				// space inconsistent with the monitor's bookkeeping — that
+				// must never vanish silently.
+				mon.recordViolation("MMU rollback: restore of va %#x failed: %v", u.va, err)
+			} else {
+				mon.pteWrite()
+			}
+			if u.hadFrame {
+				as.userFrames[u.va] = u.prevF
+			} else {
+				delete(as.userFrames, u.va)
+			}
+		}
+		// With every installed leaf undone (and the failing entry never
+		// applied), any table page this transaction allocated on these paths
+		// is empty again: release it so a failed transaction consumes no PTP
+		// frames. Pre-existing tables are refused and left in place.
+		release := func(f mem.Frame) bool {
+			if !slices.Contains(newPTPs, f) {
+				return false
+			}
+			mon.freePTP(f)
+			mon.pteWrite() // the cleared parent entry
+			return true
+		}
+		_ = as.tables.Prune(failedVA, release)
+		for i := len(installed) - 1; i >= 0; i-- {
+			_ = as.tables.Prune(installed[i].va, release)
+		}
+		// Another core may have walked the tables mid-commit and cached the
+		// leaves this rollback just rewrote; flush every undone VA before
+		// the gate returns.
+		if len(undone) > 0 {
+			mon.M.Shootdown(c, as.tables.Root, undone...)
+		}
+	}
+
+	var pairs []cpu.ShootdownPair
+	flush := func(va paging.Addr) {
+		if p := (cpu.ShootdownPair{Root: as.tables.Root, VA: va}); !slices.Contains(pairs, p) {
+			pairs = append(pairs, p)
+		}
+	}
+	for _, r := range work {
+		va := paging.PageBase(r.VA)
+		u := mmuUndo{va: va}
+		if pte, _, fault := as.tables.Walk(va); fault == nil && pte.Is(paging.Present) {
+			u.hadLeaf, u.prevLeaf = true, pte
+		}
+		u.prevF, u.hadFrame = as.userFrames[va]
+		var err error
+		switch r.Op {
+		case OpMap, OpProtect:
+			leaf := leafFor(r.Frame, r.Flags)
+			if r.Op == OpMap {
+				err = as.tables.Map(va, leaf)
+			} else {
+				err = as.tables.Update(va, func(paging.PTE) paging.PTE { return leaf })
+			}
+			if err == nil {
+				if u.hadLeaf && u.prevLeaf != leaf {
+					flush(va)
+				}
+				as.userFrames[va] = r.Frame
+			}
+		case OpUnmap, OpReclaim:
+			if err = as.tables.Unmap(va); err == nil {
+				// A reclaimed frame may be handed out again immediately, so
+				// reclaim flushes even if the walk faulted; a plain unmap
+				// flushes only a present leaf.
+				if u.hadLeaf || r.Op == OpReclaim {
+					flush(va)
+				}
+				delete(as.userFrames, va)
+			}
+		}
+		if err != nil {
+			rollback(va)
+			return nil, err
+		}
+		mon.pteWrite()
+		installed = append(installed, u)
+	}
+	return pairs, nil
+}
+
+// pteWrite accounts one physical PTE write of an MMU transaction.
+func (mon *Monitor) pteWrite() {
+	mon.Stats.PTEWrites++
+	mon.M.ProfEnter("monitor/pte-write")
+	mon.M.Clock.Charge(costs.EreborPTEWriteBody)
+	mon.M.ProfExit()
 }
 
 // TranslateUser walks an address space (monitor-internal and harness use).

@@ -9,14 +9,10 @@ import (
 	"github.com/asterisc-release/erebor-go/internal/trace"
 )
 
-// The async EMC submission ring (ROADMAP item 2): instead of paying one
-// gate crossing (and one shootdown broadcast) per MMU request, the kernel
-// enqueues independent map/unmap/protect/reclaim requests into a per-AS
-// ring and the monitor drains the whole batch under a single EMCRingDrain
-// gate — validate-all-then-commit semantics generalizing EMCMapUserBatch,
-// with every leaf invalidation of the drained batch coalesced into one
-// scoped shootdown set (cpu.Machine.ShootdownBatch: at most one IPI per
-// remote core per drain, versus one broadcast per leaf synchronously).
+// The async EMC submission ring: instead of paying one gate crossing (and
+// one shootdown broadcast) per MMU request, the kernel enqueues independent
+// requests into a per-AS ring and the monitor drains them as one MMU
+// transaction under a single EMCRingDrain gate.
 
 // MMUOp selects the operation of one submission-ring entry.
 type MMUOp uint8
@@ -29,23 +25,18 @@ const (
 	OpReclaim
 )
 
+var mmuOpNames = [...]string{OpMap: "map", OpUnmap: "unmap", OpProtect: "protect", OpReclaim: "reclaim"}
+
 // String names the operation (metrics label values).
 func (op MMUOp) String() string {
-	switch op {
-	case OpMap:
-		return "map"
-	case OpUnmap:
-		return "unmap"
-	case OpProtect:
-		return "protect"
-	case OpReclaim:
-		return "reclaim"
+	if int(op) < len(mmuOpNames) {
+		return mmuOpNames[op]
 	}
 	return "unknown"
 }
 
-// RingReq is one entry of the submission ring. Frame is used by OpMap only;
-// Flags by OpMap and OpProtect.
+// RingReq is one entry of the submission ring, and of every MMU
+// transaction. Frame is used by OpMap only; Flags by OpMap and OpProtect.
 type RingReq struct {
 	Op    MMUOp
 	VA    paging.Addr
@@ -61,9 +52,7 @@ const DefaultRingEntries = 128
 // SubmitRing is the kernel-filled, monitor-drained request ring of one
 // address space. The simulation models it as a slice FIFO: the kernel
 // pushes entries (charging the submit cost at the call site) and the
-// monitor consumes them atomically at drain time. A drain that fails —
-// validation or commit — leaves the entries in place so the kernel can
-// read them back and fall back to synchronous EMCs.
+// monitor consumes them atomically at drain time.
 type SubmitRing struct {
 	asid ASID
 	cap  int
@@ -78,9 +67,6 @@ func NewSubmitRing(asid ASID, capacity int) *SubmitRing {
 	}
 	return &SubmitRing{asid: asid, cap: capacity}
 }
-
-// ASID returns the address space this ring submits against.
-func (r *SubmitRing) ASID() ASID { return r.asid }
 
 // Len returns the number of pending entries.
 func (r *SubmitRing) Len() int { return len(r.reqs) }
@@ -108,19 +94,11 @@ func (r *SubmitRing) Pending() []RingReq {
 // Reset discards every queued entry.
 func (r *SubmitRing) Reset() { r.reqs = r.reqs[:0] }
 
-// EMCRingDrain consumes every queued entry of ring under one gate crossing.
-//
-// Phase 1 validates the whole batch against a pending view of the address
-// space (so an OpProtect may target a page an earlier OpMap of the same
-// batch installs); a validation failure rejects the drain before any PTE
-// is touched, leaving both the ring and the address space exactly as they
-// were. Phase 2 commits with the same snapshot-rollback discipline as
-// EMCMapUserBatch — a structural failure restores the installed prefix,
-// releases batch-allocated page-table pages, and shoots down every VA the
-// rollback rewrote. On success all leaf invalidations coalesce into one
-// ShootdownBatch (at most one IPI per remote core), the ring empties, and
-// a watchdog sweep proves no invariant window opened between validate and
-// flush.
+// EMCRingDrain consumes every queued entry of ring as one MMU transaction
+// under one gate crossing. A rejected or rolled-back drain leaves the
+// entries in place for the kernel's synchronous fallback. A committed one
+// flushes with one ShootdownBatch, empties the ring, and runs a watchdog
+// sweep proving no invariant window opened between validate and flush.
 func (mon *Monitor) EMCRingDrain(c *cpu.Core, ring *SubmitRing) error {
 	return mon.gate(c, "ring", func() error {
 		span := mon.Rec.Begin()
@@ -140,207 +118,14 @@ func (mon *Monitor) EMCRingDrain(c *cpu.Core, ring *SubmitRing) error {
 			mon.Met.Inc(metrics.FamilyEMCRingDrains, metrics.KV("outcome", "committed"))
 			return nil
 		}
-
-		// Phase 1: validate a working copy of the whole batch against a
-		// pending view (current AS state + the batch's earlier effects), so
-		// flag normalization survives into commit and intra-batch chains
-		// (map then protect the same page) validate the way they will apply.
-		// Nothing is written and nothing else is charged until every entry
-		// passes; a reject leaves the ring untouched for the producer.
-		work := make([]RingReq, ring.Len())
-		copy(work, ring.reqs)
-		type pending struct {
-			frame  mem.Frame
-			mapped bool
-		}
-		view := make(map[paging.Addr]pending)
-		lookup := func(va paging.Addr) (mem.Frame, bool) {
-			if p, ok := view[va]; ok {
-				return p.frame, p.mapped
-			}
-			f, ok := as.userFrames[va]
-			return f, ok
-		}
-		reject := func(err error) error {
+		work, err := mon.mmuValidate(as, ring.reqs, ringOp)
+		if err != nil {
 			mon.Met.Inc(metrics.FamilyEMCRingDrains, metrics.KV("outcome", "rejected"))
 			return err
 		}
-		for i := range work {
-			r := &work[i]
-			va := paging.PageBase(r.VA)
-			if r.VA >= UserTop || r.VA < UserBase {
-				return reject(denied("ring-"+r.Op.String(), "va %#x outside user range", r.VA))
-			}
-			switch r.Op {
-			case OpMap:
-				if err := mon.userFramePolicy("ring-map", as, r.Frame, &r.Flags); err != nil {
-					return reject(err)
-				}
-				view[va] = pending{frame: r.Frame, mapped: true}
-			case OpUnmap:
-				view[va] = pending{}
-			case OpProtect:
-				f, mapped := lookup(va)
-				if !mapped {
-					return reject(denied("ring-protect", "va %#x not mapped", r.VA))
-				}
-				if err := mon.userFramePolicy("ring-protect", as, f, &r.Flags); err != nil {
-					return reject(err)
-				}
-			case OpReclaim:
-				f, mapped := lookup(va)
-				if !mapped {
-					return reject(denied("ring-reclaim", "va %#x not mapped", r.VA))
-				}
-				meta, err := mon.M.Phys.Meta(f)
-				if err != nil {
-					return reject(err)
-				}
-				if meta.Pinned {
-					return reject(denied("ring-reclaim", "frame %d is pinned (confined memory)", f))
-				}
-				if mon.commonOf(f) == nil {
-					return reject(denied("ring-reclaim", "frame %d is not common-region memory", f))
-				}
-				view[va] = pending{}
-			default:
-				return reject(denied("ring-drain", "unknown ring op %d", r.Op))
-			}
-		}
-
-		// Phase 2: commit the validated copy with snapshot rollback, exactly
-		// as EMCMapUserBatch — plus op generality and flush coalescing.
-		newPTPs := make(map[mem.Frame]bool)
-		prevHook := as.tables.OnPTPAlloc
-		as.tables.OnPTPAlloc = func(f mem.Frame) {
-			newPTPs[f] = true
-			if prevHook != nil {
-				prevHook(f)
-			}
-		}
-		defer func() { as.tables.OnPTPAlloc = prevHook }()
-		type undo struct {
-			va       paging.Addr
-			hadLeaf  bool
-			prevLeaf paging.PTE
-			hadFrame bool
-			prevF    mem.Frame
-		}
-		installed := make([]undo, 0, len(work))
-		rollback := func(failedVA paging.Addr) {
-			undone := make([]paging.Addr, 0, len(installed))
-			for i := len(installed) - 1; i >= 0; i-- {
-				u := installed[i]
-				undone = append(undone, u.va)
-				var restoreErr error
-				if u.hadLeaf {
-					restoreErr = as.tables.Map(u.va, u.prevLeaf)
-				} else {
-					restoreErr = as.tables.Unmap(u.va)
-				}
-				if restoreErr != nil {
-					mon.recordViolation("ring drain rollback: restore of va %#x failed: %v",
-						u.va, restoreErr)
-				} else {
-					mon.Stats.PTEWrites++
-					mon.M.ProfEnter("monitor/pte-write")
-					mon.M.Clock.Charge(costs.EreborPTEWriteBody)
-					mon.M.ProfExit()
-				}
-				if u.hadFrame {
-					as.userFrames[u.va] = u.prevF
-				} else {
-					delete(as.userFrames, u.va)
-				}
-			}
-			release := func(f mem.Frame) bool {
-				if !newPTPs[f] {
-					return false
-				}
-				mon.freePTP(f)
-				mon.Stats.PTEWrites++ // the cleared parent entry
-				mon.M.ProfEnter("monitor/pte-write")
-				mon.M.Clock.Charge(costs.EreborPTEWriteBody)
-				mon.M.ProfExit()
-				return true
-			}
-			_ = as.tables.Prune(failedVA, release)
-			for i := len(installed) - 1; i >= 0; i-- {
-				_ = as.tables.Prune(installed[i].va, release)
-			}
-			// Cores may have cached the mid-commit leaves this rollback just
-			// rewrote; flush every undone VA before the gate returns.
-			mon.M.Shootdown(c, as.tables.Root, undone...)
-		}
-
-		// flush collects the batch's invalidation set: one (root, VA) pair
-		// per leaf whose live translation changed, deduplicated, in commit
-		// order (determinism: no map iteration).
-		var pairs []cpu.ShootdownPair
-		flushed := make(map[paging.Addr]bool)
-		flush := func(va paging.Addr) {
-			if flushed[va] {
-				return
-			}
-			flushed[va] = true
-			pairs = append(pairs, cpu.ShootdownPair{Root: as.tables.Root, VA: va})
-		}
-		opCount := [4]uint64{}
-		for _, r := range work {
-			va := paging.PageBase(r.VA)
-			u := undo{va: va}
-			if pte, _, fault := as.tables.Walk(va); fault == nil && pte.Is(paging.Present) {
-				u.hadLeaf, u.prevLeaf = true, pte
-			}
-			u.prevF, u.hadFrame = as.userFrames[va]
-			switch r.Op {
-			case OpMap:
-				leaf := leafFor(r.Frame, r.Flags)
-				if err := as.tables.Map(r.VA, leaf); err != nil {
-					rollback(va)
-					return err
-				}
-				if u.hadLeaf && u.prevLeaf != leaf {
-					flush(va)
-				}
-				as.userFrames[va] = r.Frame
-			case OpUnmap, OpReclaim:
-				if err := as.tables.Unmap(va); err != nil {
-					rollback(va)
-					return err
-				}
-				// A reclaimed frame may be handed out again immediately, so
-				// reclaim flushes even if the walk faulted; a plain unmap
-				// flushes only a present leaf.
-				if u.hadLeaf || r.Op == OpReclaim {
-					flush(va)
-				}
-				delete(as.userFrames, va)
-			case OpProtect:
-				f, ok := as.userFrames[va]
-				if !ok {
-					rollback(va)
-					return denied("ring-protect", "va %#x vanished mid-commit", r.VA)
-				}
-				changed := false
-				if err := as.tables.Update(va, func(e paging.PTE) paging.PTE {
-					ne := leafFor(f, r.Flags)
-					changed = ne != e
-					return ne
-				}); err != nil {
-					rollback(va)
-					return err
-				}
-				if changed {
-					flush(va)
-				}
-			}
-			mon.Stats.PTEWrites++
-			mon.M.ProfEnter("monitor/pte-write")
-			mon.M.Clock.Charge(costs.EreborPTEWriteBody)
-			mon.M.ProfExit()
-			opCount[r.Op]++
-			installed = append(installed, u)
+		pairs, err := mon.mmuCommit(c, as, work)
+		if err != nil {
+			return err
 		}
 
 		// One coalesced invalidation broadcast for the whole drained batch:
@@ -357,6 +142,10 @@ func (mon *Monitor) EMCRingDrain(c *cpu.Core, ring *SubmitRing) error {
 		mon.Met.SetMax(metrics.FamilyHighWater, depth,
 			metrics.KV("resource", metrics.ResourceEMCRingDepth))
 		mon.Met.Inc(metrics.FamilyEMCRingDrains, metrics.KV("outcome", "committed"))
+		var opCount [4]uint64
+		for _, r := range work {
+			opCount[r.Op]++
+		}
 		for op, n := range opCount {
 			if n > 0 {
 				mon.Met.Add(metrics.FamilyEMCRingOps, n, metrics.KV("op", MMUOp(op).String()))
@@ -373,3 +162,6 @@ func (mon *Monitor) EMCRingDrain(c *cpu.Core, ring *SubmitRing) error {
 		return nil
 	})
 }
+
+// ringOp names a drained entry in denials ("ring-map", ...).
+func ringOp(op MMUOp) string { return "ring-" + op.String() }

@@ -122,45 +122,6 @@ func TestRingDrainAppliesAndCoalescesIPIs(t *testing.T) {
 	}
 }
 
-// TestRingDrainRejectLeavesRingAndASUntouched: a validation failure anywhere
-// in the batch rejects the whole drain before any PTE is touched — the ring
-// keeps its entries (the kernel falls back to synchronous EMCs) and the
-// address space is bit-identical.
-func TestRingDrainRejectLeavesRingAndASUntouched(t *testing.T) {
-	mon, c0, asid, owner := ringTestAS(t, 2)
-	as := mon.addrSpaces[asid]
-
-	good := mustAlloc(t, mon, owner)
-	ring := NewSubmitRing(asid, 0)
-	ring.Push(RingReq{Op: OpMap, VA: 0x10_0000, Frame: good, Flags: MapFlags{Writable: true}})
-	// Protect of a page neither the AS nor the batch maps: must reject.
-	ring.Push(RingReq{Op: OpProtect, VA: 0x20_0000, Flags: MapFlags{}})
-
-	pteBefore, framesBefore := mon.Stats.PTEWrites, len(as.userFrames)
-	ipisBefore := mon.M.IPIsSent
-	if err := mon.EMCRingDrain(c0, ring); err == nil {
-		t.Fatal("drain committed despite invalid protect")
-	}
-	if ring.Len() != 2 {
-		t.Fatalf("reject consumed ring entries: %d left, want 2", ring.Len())
-	}
-	if mon.Stats.PTEWrites != pteBefore {
-		t.Fatalf("reject wrote %d PTEs", mon.Stats.PTEWrites-pteBefore)
-	}
-	if len(as.userFrames) != framesBefore {
-		t.Fatal("reject changed installed mappings")
-	}
-	if _, _, fault := as.tables.Walk(0x10_0000); fault == nil {
-		t.Fatal("rejected map is present in the tables")
-	}
-	if mon.M.IPIsSent != ipisBefore {
-		t.Fatal("reject sent shootdown IPIs")
-	}
-	if got := mon.Met.Value(metrics.FamilyEMCRingDrains, metrics.KV("outcome", "rejected")); got != 1 {
-		t.Fatalf("rejected drains metric = %d, want 1", got)
-	}
-}
-
 // TestRingDrainIntraBatchChainZeroFlush: the fault-handler pair — a fresh
 // map followed by a same-flags protect of the same page — validates through
 // the pending view and commits with an EMPTY invalidation set: no core can
@@ -187,49 +148,6 @@ func TestRingDrainIntraBatchChainZeroFlush(t *testing.T) {
 	}
 	if got := mon.Met.Value(metrics.FamilyRingCoalescedIPIs, metrics.KV("result", "sent")); got != 0 {
 		t.Fatalf("coalesced sent metric = %d, want 0", got)
-	}
-}
-
-// TestRingDrainCommitFailureRollsBack: a structural failure mid-commit
-// (page-table exhaustion) restores the installed prefix and leaves the ring
-// entries in place for the kernel's synchronous fallback.
-func TestRingDrainCommitFailureRollsBack(t *testing.T) {
-	mon, c0, asid, owner := ringTestAS(t, 2)
-	as := mon.addrSpaces[asid]
-
-	orig := mustAlloc(t, mon, owner)
-	repl := mustAlloc(t, mon, owner)
-	far := mustAlloc(t, mon, owner)
-	if err := mon.EMCMapUser(c0, asid, 0x10_0000, orig, MapFlags{Writable: true}); err != nil {
-		t.Fatal(err)
-	}
-	// Exhaust the monitor pool so the far mapping's new page-table page
-	// allocation must fail mid-commit.
-	for {
-		if _, err := mon.M.Phys.AllocRegion(RegionMonitor, mem.OwnerMonitor); err != nil {
-			break
-		}
-	}
-
-	ring := NewSubmitRing(asid, 0)
-	ring.Push(RingReq{Op: OpMap, VA: 0x10_0000, Frame: repl, Flags: MapFlags{Writable: true}})
-	ring.Push(RingReq{Op: OpMap, VA: 0x4000_0000, Frame: far, Flags: MapFlags{Writable: true}})
-
-	if err := mon.EMCRingDrain(c0, ring); err == nil {
-		t.Fatal("drain committed despite page-table exhaustion")
-	}
-	if ring.Len() != 2 {
-		t.Fatalf("failed drain consumed ring entries: %d left, want 2", ring.Len())
-	}
-	pte, _, fault := as.tables.Walk(0x10_0000)
-	if fault != nil || pte.Frame() != orig {
-		t.Fatal("rollback did not restore the overwritten leaf")
-	}
-	if as.userFrames[0x10_0000] != orig {
-		t.Fatal("rollback did not restore frame accounting")
-	}
-	if _, ok := as.userFrames[0x4000_0000]; ok {
-		t.Fatal("failed mapping left accounted")
 	}
 }
 

@@ -112,7 +112,7 @@ func TestProfileExportsDeterministic(t *testing.T) {
 // resource high watermarks.
 func TestStatuszHotStacksAndWatermarks(t *testing.T) {
 	s, err := New(Config{Tenants: 4, Sessions: 8, Seed: 5, VCPUs: 2,
-		Profile: true, RingMMU: true, Trace: true})
+		Profile: true, Trace: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -127,12 +127,6 @@ type Config struct {
 	// SLOWindow is the evaluation cadence in virtual cycles
 	// (0 = slo.DefaultWindow).
 	SLOWindow uint64
-	// RingMMU routes the kernel's MMU requests through the async EMC
-	// submission ring: independent map/unmap/protect ops queue per address
-	// space and drain under one gate crossing with shootdowns coalesced to
-	// at most one IPI per remote core per drain. Same (Seed, VCPUs, Ring),
-	// same bytes.
-	RingMMU bool
 	// Profile attaches the cycle-exact profiler: every virtual cycle charged
 	// during Run lands in exactly one (tenant, phase, mechanism-stack)
 	// bucket, conserving against the per-(tenant, phase) metrics exactly.
@@ -463,9 +457,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.Watchdog {
 		w.Mon.EnableWatchdog(cfg.WatchdogEvery)
-	}
-	if cfg.RingMMU {
-		w.Mon.RingMMU = true
 	}
 	if cfg.Egress != nil {
 		s.ledger = egress.NewLedger()
