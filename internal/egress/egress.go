@@ -27,6 +27,7 @@ package egress
 import (
 	"crypto/sha256"
 	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -185,16 +186,23 @@ func (sp *Spec) CompileFor(tenant int) *Policy {
 	return p
 }
 
-// checksum digests the compiled rule table.
+// checksum digests the compiled rule table: "tenant=<t>\n", then
+// "label\x00exact\x00prefix\n" per rule. Decide calls it on every check,
+// so it builds the digest input in one buffer instead of going through fmt.
 func (p *Policy) checksum() [sha256.Size]byte {
-	h := sha256.New()
-	fmt.Fprintf(h, "tenant=%d\n", p.tenant)
+	buf := make([]byte, 0, 256)
+	buf = append(buf, "tenant="...)
+	buf = strconv.AppendInt(buf, int64(p.tenant), 10)
+	buf = append(buf, '\n')
 	for _, r := range p.rules {
-		fmt.Fprintf(h, "%s\x00%s\x00%s\n", r.label, r.exact, r.prefix)
+		buf = append(buf, r.label...)
+		buf = append(buf, 0)
+		buf = append(buf, r.exact...)
+		buf = append(buf, 0)
+		buf = append(buf, r.prefix...)
+		buf = append(buf, '\n')
 	}
-	var sum [sha256.Size]byte
-	copy(sum[:], h.Sum(nil))
-	return sum
+	return sha256.Sum256(buf)
 }
 
 // Intact reports whether the compiled rule table still matches the seal

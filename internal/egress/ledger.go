@@ -21,12 +21,26 @@ import (
 // The ledger is append-only and deterministic: records land in pump order,
 // which is a pure function of the seed, so the JSONL export is
 // byte-identical across identically-seeded runs.
+//
+// Auditing is incremental. A record's verdict depends only on the policy
+// registered for its tenant, and policies are immutable, so each audit
+// decides just the records appended since the previous one and keeps the
+// violations found so far. Register rewinds that cache when it changes the
+// policy of a tenant whose allow records were already audited.
 type Ledger struct {
 	mu       sync.Mutex
 	records  []Record
 	policies map[int]*Policy
 	allowed  uint64
 	denied   uint64
+
+	// audited is the audit cursor: records[:audited] are decided and their
+	// violations sit in violations, in append order.
+	audited    int
+	violations []audit.Violation
+	// auditedAllow holds the tenants with an allow record in
+	// records[:audited]: re-registering one of them invalidates the cache.
+	auditedAllow map[int]bool
 }
 
 // Record is one egress decision as observed at the proxy edge.
@@ -47,19 +61,27 @@ type Record struct {
 
 // NewLedger builds an empty ledger.
 func NewLedger() *Ledger {
-	return &Ledger{policies: make(map[int]*Policy)}
+	return &Ledger{policies: make(map[int]*Policy), auditedAllow: make(map[int]bool)}
 }
 
 // Register installs tenant's compiled policy as the audit ground truth.
 // Called once per session at admission; re-registering (slot turnover to a
-// new tenant) is expected.
+// new tenant) is expected. Changing the policy of a tenant with audited
+// allow records — a replaced policy, or a first registration after an
+// egress-policy-missing record — rewinds the audit so the next
+// AuditViolations re-decides the whole log.
 func (l *Ledger) Register(tenant int, p *Policy) {
 	if l == nil {
 		return
 	}
 	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.policies[tenant] != p && l.auditedAllow[tenant] {
+		l.audited = 0
+		l.violations = nil
+		clear(l.auditedAllow)
+	}
 	l.policies[tenant] = p
-	l.mu.Unlock()
 }
 
 // PolicyFor returns the registered policy for a tenant (nil when none).
@@ -146,27 +168,28 @@ func (l *Ledger) InjectBypass() (Record, error) {
 	return rec, nil
 }
 
-// AuditViolations re-checks every allowed record against the registered
+// AuditViolations checks every allowed record against the registered
 // policies and returns a typed I8 violation for each frame that crossed the
 // proxy to a destination outside its tenant's compiled allowlist (plus one
 // for any allowed frame whose tenant has no registered policy at all).
 // Clean runs — enforcement consulted the same policy the ledger holds —
 // return nil. Order follows the append order, so watchdog output stays
-// byte-deterministic.
+// byte-deterministic. Only records appended since the previous call are
+// decided; the result is a copy of every violation found so far.
 func (l *Ledger) AuditViolations() []audit.Violation {
 	if l == nil {
 		return nil
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	var v []audit.Violation
-	for _, rec := range l.records {
+	for _, rec := range l.records[l.audited:] {
 		if rec.Verdict != VerdictAllow {
 			continue
 		}
+		l.auditedAllow[rec.Tenant] = true
 		pol := l.policies[rec.Tenant]
 		if pol == nil {
-			v = append(v, audit.Violation{
+			l.violations = append(l.violations, audit.Violation{
 				Code: audit.EgressPolicyMissing, Frame: mem.NoFrame,
 				Detail: fmt.Sprintf("frame %d to %s egressed with no policy registered for tenant %d",
 					rec.Seq, rec.Dest, rec.Tenant),
@@ -174,14 +197,18 @@ func (l *Ledger) AuditViolations() []audit.Violation {
 			continue
 		}
 		if dec := pol.Decide(Destination(rec.Dest)); !dec.Allowed {
-			v = append(v, audit.Violation{
+			l.violations = append(l.violations, audit.Violation{
 				Code: audit.EgressBypass, Frame: mem.NoFrame,
 				Detail: fmt.Sprintf("frame %d to %s crossed the proxy (reported rule %q) but tenant %d's compiled policy denies it (%s)",
 					rec.Seq, rec.Dest, rec.Rule, rec.Tenant, dec.Rule),
 			})
 		}
 	}
-	return v
+	l.audited = len(l.records)
+	if len(l.violations) == 0 {
+		return nil
+	}
+	return append([]audit.Violation(nil), l.violations...)
 }
 
 // ExportJSONL writes the decision log as JSON Lines in append order. The

@@ -6,6 +6,7 @@ package mem
 
 import (
 	"fmt"
+	"slices"
 )
 
 const (
@@ -111,6 +112,11 @@ type Physical struct {
 	regions map[string]*Region
 
 	allocated uint64 // currently-allocated frame count (all pools)
+
+	// shared indexes the frames whose FrameMeta.Shared is set, so the I6
+	// audit visits the CVM-shared frames instead of all of memory. Every
+	// write of the flag goes through setShared, which keeps it exact.
+	shared map[Frame]struct{}
 }
 
 // NewPhysical creates a physical memory of size bytes (rounded down to a
@@ -125,6 +131,7 @@ func NewPhysical(size uint64) *Physical {
 		data:    make([]byte, n*PageSize),
 		meta:    make([]FrameMeta, n),
 		regions: make(map[string]*Region),
+		shared:  make(map[Frame]struct{}),
 	}
 	// Populate the free list so that low frames are handed out first, which
 	// keeps traces readable and deterministic.
@@ -178,7 +185,7 @@ func (p *Physical) Alloc(owner Owner) (Frame, error) {
 	m := &p.meta[f]
 	m.Allocated = true
 	m.Owner = owner
-	m.Shared = false
+	p.setShared(f, false)
 	m.Pinned = false
 	m.Refs = 1
 	p.allocated++
@@ -199,7 +206,7 @@ func (p *Physical) AllocRegion(name string, owner Owner) (Frame, error) {
 	m := &p.meta[f]
 	m.Allocated = true
 	m.Owner = owner
-	m.Shared = false
+	p.setShared(f, false)
 	// Region frames can have the pin bit flipped between allocations (the
 	// monitor pins confined frames after AllocRegion and Free is not the only
 	// path that toggles it); hand the frame out unpinned like Alloc does, or
@@ -227,7 +234,7 @@ func (p *Physical) Free(f Frame) error {
 	m.Allocated = false
 	m.Owner = OwnerNone
 	m.Pinned = false
-	m.Shared = false
+	p.setShared(f, false)
 	m.Refs = 0
 	p.allocated--
 	if m.Region != "" {
@@ -277,8 +284,34 @@ func (p *Physical) SetShared(f Frame, shared bool) error {
 	if err := p.check(f); err != nil {
 		return err
 	}
-	p.meta[f].Shared = shared
+	p.setShared(f, shared)
 	return nil
+}
+
+// setShared is the only writer of FrameMeta.Shared; it updates the shared
+// index when the flag actually flips.
+func (p *Physical) setShared(f Frame, shared bool) {
+	m := &p.meta[f]
+	if m.Shared == shared {
+		return
+	}
+	m.Shared = shared
+	if shared {
+		p.shared[f] = struct{}{}
+	} else {
+		delete(p.shared, f)
+	}
+}
+
+// SharedFrames returns the CVM-shared frames in ascending order, in time
+// proportional to their number rather than to the size of memory.
+func (p *Physical) SharedFrames() []Frame {
+	out := make([]Frame, 0, len(p.shared))
+	for f := range p.shared {
+		out = append(out, f)
+	}
+	slices.Sort(out)
+	return out
 }
 
 // Bytes returns the backing slice of one frame. The slice aliases the

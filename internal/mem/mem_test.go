@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -315,5 +316,65 @@ func TestOwnerString(t *testing.T) {
 		if o.String() != want {
 			t.Errorf("%d.String() = %q, want %q", o, o.String(), want)
 		}
+	}
+}
+
+// Property: the shared-frame index always equals a brute-force scan of the
+// metadata for Shared frames, under random Alloc/AllocRegion/Free/SetShared
+// churn (including SetShared on free frames and no-op re-sets).
+func TestSharedIndexMatchesMetaScan(t *testing.T) {
+	p := NewPhysical(96 * PageSize)
+	if _, err := p.Reserve("io", 16); err != nil {
+		t.Fatal(err)
+	}
+	var live []Frame
+	check := func() bool {
+		var want []Frame
+		for f := Frame(0); uint64(f) < p.NumFrames(); f++ {
+			if m, _ := p.Meta(f); m.Shared {
+				want = append(want, f)
+			}
+		}
+		if got := p.SharedFrames(); !slices.Equal(got, want) {
+			t.Logf("index %v, scan %v", got, want)
+			return false
+		}
+		return true
+	}
+	sawShared := false
+	step := func(op uint8, arg uint16) bool {
+		switch op % 4 {
+		case 0:
+			if f, err := p.Alloc(OwnerKernel); err == nil {
+				live = append(live, f)
+			}
+		case 1:
+			if f, err := p.AllocRegion("io", OwnerDevice); err == nil {
+				live = append(live, f)
+			}
+		case 2:
+			if len(live) > 0 {
+				i := int(arg) % len(live)
+				if err := p.Free(live[i]); err != nil {
+					t.Logf("free: %v", err)
+					return false
+				}
+				live = append(live[:i], live[i+1:]...)
+			}
+		case 3:
+			// Any frame, allocated or not: the index follows the flag.
+			f := Frame(int(arg) % int(p.NumFrames()))
+			if err := p.SetShared(f, op&0x80 == 0); err != nil {
+				return false
+			}
+		}
+		sawShared = sawShared || len(p.SharedFrames()) > 0
+		return check()
+	}
+	if err := quick.Check(step, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Fatal(err)
+	}
+	if !sawShared {
+		t.Fatal("the sequence never shared a frame")
 	}
 }

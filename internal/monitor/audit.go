@@ -46,7 +46,6 @@ func (mon *Monitor) Audit() []audit.Violation {
 	}
 
 	phys := mon.M.Phys
-	n := phys.NumFrames()
 
 	// I1/I2: key assignments in the direct map.
 	for f := range mon.ptps {
@@ -138,10 +137,11 @@ func (mon *Monitor) Audit() []audit.Violation {
 		}
 	}
 
-	// I6: only shared-io frames may be CVM-shared.
-	for f := mem.Frame(0); uint64(f) < n; f++ {
+	// I6: only shared-io frames may be CVM-shared. Physical indexes the
+	// shared frames, so this visits them rather than all of memory.
+	for _, f := range phys.SharedFrames() {
 		meta, _ := phys.Meta(f)
-		if meta.Shared && meta.Region != RegionSharedIO {
+		if meta.Region != RegionSharedIO {
 			report(audit.SharedOutsideIO, f, "(%s, region %q) is CVM-shared", meta.Owner, meta.Region)
 		}
 	}

@@ -19,17 +19,18 @@ func TestAuditCleanAfterBoot(t *testing.T) {
 // auditFuzzer drives the monitor with a random but well-formed sequence of
 // EMC operations; the security invariants must hold after every step.
 type auditFuzzer struct {
-	mon    *Monitor
-	asids  []ASID
-	sbs    []SandboxID
-	frames []mem.Frame
-	vas    map[ASID]paging.Addr
-	common int
+	mon      *Monitor
+	asids    []ASID
+	sbs      []SandboxID
+	frames   []mem.Frame
+	vas      map[ASID]paging.Addr
+	common   int
+	sharedIO []mem.Frame
 }
 
 func (f *auditFuzzer) step(op uint8, t *testing.T) {
 	c := f.mon.M.Cores[0]
-	switch op % 8 {
+	switch op % 9 {
 	case 0: // new address space
 		if len(f.asids) >= 4 {
 			return
@@ -112,12 +113,25 @@ func (f *auditFuzzer) step(op uint8, t *testing.T) {
 		sb := f.sbs[0]
 		f.sbs = f.sbs[1:]
 		_ = f.mon.EMCSandboxEnd(c, sb)
+	case 8: // toggle CVM-shared on a shared-io frame, so I6 sees shared frames
+		if len(f.sharedIO) < 4 {
+			fr, err := f.mon.M.Phys.AllocRegion(RegionSharedIO, mem.OwnerDevice)
+			if err != nil {
+				return
+			}
+			f.sharedIO = append(f.sharedIO, fr)
+		}
+		fr := f.sharedIO[int(op/9)%len(f.sharedIO)]
+		meta, _ := f.mon.M.Phys.Meta(fr)
+		if err := f.mon.EMCMapGPA(c, fr, !meta.Shared); err != nil {
+			t.Fatalf("map-gpa on shared-io frame %d: %v", fr, err)
+		}
 	}
 }
 
 // confinedSandbox boots a monitor with one sandbox holding a faulted-in
 // confined frame, returning the monitor, the sandbox ID and the frame.
-func confinedSandbox(t *testing.T) (*Monitor, SandboxID, mem.Frame) {
+func confinedSandbox(t testing.TB) (*Monitor, SandboxID, mem.Frame) {
 	t.Helper()
 	mon := bootedMonitor(t)
 	c := mon.M.Cores[0]
@@ -267,13 +281,12 @@ func TestAuditTypedViolationCodes(t *testing.T) {
 func TestAuditPropertyUnderRandomOps(t *testing.T) {
 	mon := bootedMonitor(t)
 	f := &auditFuzzer{mon: mon, vas: make(map[ASID]paging.Addr)}
-	steps := 0
+	steps, sharedAudits := 0, 0
 	prop := func(op uint8) bool {
 		f.step(op, t)
 		steps++
-		// Auditing every step is O(frames); sample it.
-		if steps%8 != 0 {
-			return true
+		if len(mon.M.Phys.SharedFrames()) > 0 {
+			sharedAudits++
 		}
 		if v := mon.Audit(); len(v) != 0 {
 			t.Logf("violations after %d steps: %v", steps, v)
@@ -286,5 +299,32 @@ func TestAuditPropertyUnderRandomOps(t *testing.T) {
 	}
 	if v := mon.Audit(); len(v) != 0 {
 		t.Fatalf("final violations: %v", v)
+	}
+	if sharedAudits == 0 {
+		t.Fatal("no audit saw a CVM-shared frame: I6 never ran over a non-empty index")
+	}
+}
+
+// BenchmarkMonitorAudit times one full watchdog sweep (I1–I9) of a booted
+// monitor hosting a sandbox with faulted-in confined memory and a few
+// CVM-shared I/O frames.
+func BenchmarkMonitorAudit(b *testing.B) {
+	mon, _, _ := confinedSandbox(b)
+	c := mon.M.Cores[0]
+	for i := 0; i < 8; i++ {
+		f, err := mon.M.Phys.AllocRegion(RegionSharedIO, mem.OwnerDevice)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := mon.EMCMapGPA(c, f, true); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if v := mon.Audit(); len(v) != 0 {
+			b.Fatalf("violations: %v", v)
+		}
 	}
 }

@@ -11,7 +11,7 @@ import (
 	"github.com/asterisc-release/erebor-go/internal/tdx"
 )
 
-func bootedMonitor(t *testing.T) *Monitor {
+func bootedMonitor(t testing.TB) *Monitor {
 	t.Helper()
 	phys := mem.NewPhysical(48 << 20)
 	m := cpu.NewMachine(phys, 1, true)

@@ -50,7 +50,7 @@ type WatchdogEvent struct {
 	Severity string `json:"severity"`
 	// Code is the typed violation class (audit.Code.String()).
 	Code string `json:"code"`
-	// Invariant is the §8 invariant broken ("I1".."I8").
+	// Invariant is the invariant broken ("I1".."I9", as listed on Audit).
 	Invariant string `json:"invariant"`
 	// Frame is the physical frame involved (-1 when not frame-scoped).
 	Frame int64 `json:"frame"`
