@@ -9,10 +9,10 @@
 //	erebor-bench -exp table6        # workload execution statistics
 //	erebor-bench -exp fig10         # background server throughput
 //	erebor-bench -exp memshare      # memory-sharing savings
-//	erebor-bench -exp serve         # multi-tenant serving: warm pool vs cold
+//	erebor-bench -exp serve         # multi-tenant serving: fork pool vs cold
 //	erebor-bench -exp phases        # per-tenant session-phase cycle breakdown
 //	erebor-bench -exp egress        # deny-by-default egress enforcement under chaos
-//	erebor-bench -exp fork          # snapshot/fork turnaround: cold vs warm vs CoW fork
+//	erebor-bench -exp fork          # snapshot/fork turnaround: cold vs CoW fork
 //
 // -scale grows the workloads (1 = quick, 4 = closer to paper proportions).
 package main
@@ -309,35 +309,35 @@ func memshare(scale int) error {
 }
 
 // serveBench sweeps the multi-tenant serving path over fleet sizes,
-// comparing warm-pool recycling against cold per-session sandbox creation,
-// on vcpus simulated cores. Runs are deterministic: the same (seed, vcpus)
-// reproduces the same report bytes.
+// comparing copy-on-write forks from a snapshot template against cold
+// per-session sandbox creation, on vcpus simulated cores. Runs are
+// deterministic: the same (seed, vcpus) reproduces the same report bytes.
 func serveBench(scale, vcpus int) error {
-	fmt.Printf("%-8s %-5s %10s %14s %12s %9s      (multi-tenant serving, warm pool vs cold create, %d vCPU)\n",
-		"tenants", "mode", "sessions", "cycles/sess", "sessions/s", "recycles", vcpus)
+	fmt.Printf("%-8s %-5s %10s %14s %12s %9s      (multi-tenant serving, fork pool vs cold create, %d vCPU)\n",
+		"tenants", "mode", "sessions", "cycles/sess", "sessions/s", "forks", vcpus)
 	for _, n := range []int{1, 8, 64, 256} {
 		sessions := 2 * n * scale
 		memMB := uint64(256)
 		if n >= 64 {
 			memMB = uint64(256 + n*4)
 		}
-		for _, cold := range []bool{false, true} {
+		for _, fork := range []bool{true, false} {
 			rep, err := serve.Run(serve.Config{
-				Tenants: n, Sessions: sessions, Seed: 1, MemMB: memMB, Cold: cold, VCPUs: vcpus,
+				Tenants: n, Sessions: sessions, Seed: 1, MemMB: memMB, ForkPool: fork, VCPUs: vcpus,
 			})
 			if err != nil {
 				return err
 			}
-			if rep.Completed != sessions {
-				return fmt.Errorf("serve n=%d cold=%v: %d/%d sessions completed (%d failed)",
-					n, cold, rep.Completed, sessions, rep.Failed)
+			mode := "cold"
+			if fork {
+				mode = "fork"
 			}
-			mode := "warm"
-			if cold {
-				mode = "cold"
+			if rep.Completed != sessions {
+				return fmt.Errorf("serve n=%d %s: %d/%d sessions completed (%d failed)",
+					n, mode, rep.Completed, sessions, rep.Failed)
 			}
 			fmt.Printf("%-8d %-5s %10d %14d %12.1f %9d\n",
-				n, mode, rep.Completed, rep.CyclesPerSession, rep.SessionsPerSec, rep.Recycles)
+				n, mode, rep.Completed, rep.CyclesPerSession, rep.SessionsPerSec, rep.Forks)
 			record(fmt.Sprintf("serve/n=%d/%s/cycles_per_session", n, mode), float64(rep.CyclesPerSession), "lower")
 			record(fmt.Sprintf("serve/n=%d/%s/completed", n, mode), float64(rep.Completed), "exact")
 		}
@@ -345,17 +345,17 @@ func serveBench(scale, vcpus int) error {
 	return serveVCPUSweep(scale)
 }
 
-// phasesBench serves a warm fleet with the invariant watchdog on and prints
-// the per-tenant causal cycle breakdown: every virtual cycle of the run is
-// attributed to exactly one (tenant, phase) pair, so the table's grand total
-// reproduces the serial elapsed cycles and the difference between tenants is
-// real scheduling skew, not accounting noise.
+// phasesBench serves a fork-pool fleet with the invariant watchdog on and
+// prints the per-tenant causal cycle breakdown: every virtual cycle of the
+// run is attributed to exactly one (tenant, phase) pair, so the table's
+// grand total reproduces the serial elapsed cycles and the difference
+// between tenants is real scheduling skew, not accounting noise.
 func phasesBench(scale, vcpus int) error {
 	const tenants = 8
 	sessions := 2 * tenants * scale
 	s, err := serve.New(serve.Config{
-		Tenants: tenants, Sessions: sessions, Seed: 1, VCPUs: vcpus, Watchdog: true,
-		Trace: true,
+		Tenants: tenants, Sessions: sessions, Seed: 1, VCPUs: vcpus, ForkPool: true,
+		Watchdog: true, Trace: true,
 	})
 	if err != nil {
 		return err
@@ -395,7 +395,7 @@ func phasesBench(scale, vcpus int) error {
 	return nil
 }
 
-// egressBench serves a warm fleet under deny-by-default egress enforcement
+// egressBench serves a fork-pool fleet under deny-by-default egress enforcement
 // and sweeps the proxy-edge fault rate (frame-redirect + policy-load
 // corruption). The exfil column must stay zero at every rate: no frame ever
 // reaches a non-allowlisted destination, faults only convert would-be allows
@@ -407,7 +407,7 @@ func egressBench(scale, vcpus int) error {
 		"proxy-rate", "sessions", "allowed", "denied", "exfil", "I8", tenants, vcpus)
 	for _, rate := range []float64{0, 0.05, 0.20} {
 		cfg := serve.Config{
-			Tenants: tenants, Sessions: sessions, Seed: 1, VCPUs: vcpus,
+			Tenants: tenants, Sessions: sessions, Seed: 1, VCPUs: vcpus, ForkPool: true,
 			Watchdog: true, Egress: serve.DefaultEgressSpec(),
 		}
 		if rate > 0 {
@@ -473,14 +473,14 @@ func pagefaultBench(vcpus int) error {
 	return nil
 }
 
-// forkBench compares the three turnover modes — cold rebuild, warm-pool
-// recycling, copy-on-write fork from a snapshot template — on the figure
-// the fork pool exists to shrink: turnaround-to-first-compute, the virtual
-// cycles a tenant waits between the previous session retiring and the
-// worker's first compute step on their request. MeasureFork hard-fails on
-// any incomplete session, any non-injected watchdog violation, a template
-// whose refcounts fail to return to baseline, or a fork turnaround that is
-// not under half of warm recycling's.
+// forkBench compares the two turnover modes — cold rebuild and
+// copy-on-write fork from a snapshot template — on the figure the fork pool
+// exists to shrink: turnaround-to-first-compute, the virtual cycles a
+// tenant waits between the previous session retiring and the worker's first
+// compute step on their request. MeasureFork hard-fails on any incomplete
+// session, any non-injected watchdog violation, a template whose refcounts
+// fail to return to baseline, or a fork turnaround that is not under a
+// fifth of cold's.
 func forkBench(scale, vcpus int) error {
 	rows, err := serve.MeasureFork(scale, vcpus)
 	if err != nil {
@@ -497,27 +497,27 @@ func forkBench(scale, vcpus int) error {
 		record("fork/"+r.Mode+"/cycles_per_session", float64(r.CyclesPerSession), "lower")
 		record("fork/"+r.Mode+"/completed", float64(r.Completed), "exact")
 	}
-	cold, warm, fork := rows[0], rows[1], rows[2]
-	fmt.Printf("fork effect: cold %d -> warm %d -> fork %d cycles to first compute (%.2fx vs warm, %.2fx vs cold)\n",
-		cold.FirstComputeCycles, warm.FirstComputeCycles, fork.FirstComputeCycles,
-		float64(warm.FirstComputeCycles)/float64(fork.FirstComputeCycles),
+	cold, fork := rows[0], rows[1]
+	fmt.Printf("fork effect: cold %d -> fork %d cycles to first compute (%.2fx vs cold)\n",
+		cold.FirstComputeCycles, fork.FirstComputeCycles,
 		float64(cold.FirstComputeCycles)/float64(fork.FirstComputeCycles))
 	return nil
 }
 
-// serveVCPUSweep runs the 64-tenant warm fleet at P ∈ {1,2,4} vCPUs: slots
-// spread across cores deterministically, and the wall-clock report shows
-// per-core work overlapping (cycles/session drops as P grows).
+// serveVCPUSweep runs the 64-tenant fork-pool fleet at P ∈ {1,2,4} vCPUs:
+// slots spread across cores deterministically, and the wall-clock report
+// shows per-core work overlapping (cycles/session drops as P grows).
 func serveVCPUSweep(scale int) error {
 	const tenants = 64
 	sessions := 2 * tenants * scale
 	memMB := uint64(256 + tenants*4)
-	fmt.Printf("\n%-8s %-6s %10s %14s %12s      (vCPU sweep, 64-tenant warm fleet)\n",
+	fmt.Printf("\n%-8s %-6s %10s %14s %12s      (vCPU sweep, 64-tenant fork-pool fleet)\n",
 		"tenants", "vcpus", "sessions", "cycles/sess", "sessions/s")
 	var perSession []uint64
 	for _, p := range []int{1, 2, 4} {
 		rep, err := serve.Run(serve.Config{
 			Tenants: tenants, Sessions: sessions, Seed: 1, MemMB: memMB, VCPUs: p,
+			ForkPool: true,
 		})
 		if err != nil {
 			return err

@@ -75,8 +75,7 @@ func main() {
 	memMB := flag.Uint64("mem", 0, "CVM memory in MiB (default sized to the fleet)")
 	inputBytes := flag.Int("input", 1024, "per-tenant request bytes")
 	modelKB := flag.Int("model", 64, "shared model size in KiB")
-	cold := flag.Bool("cold", false, "disable warm-pool recycling")
-	forkpool := flag.Bool("forkpool", false, "serve from copy-on-write forks of a snapshot template")
+	forkpool := flag.Bool("forkpool", false, "serve from copy-on-write forks of a snapshot template (default: cold-boot every sandbox)")
 	ring := flag.Bool("ring", false, "with -exp pagefault: route MMU requests through the async EMC submission ring")
 	chaos := flag.Float64("chaos", 0, "per-class fault rate on the untrusted hop (0 disables)")
 	chaosSeed := flag.Int64("chaos-seed", 0, "fault-schedule seed (default: -seed)")
@@ -126,7 +125,6 @@ func main() {
 		MemMB:      *memMB,
 		InputBytes: *inputBytes,
 		ModelBytes: *modelKB << 10,
-		Cold:       *cold,
 		ForkPool:   *forkpool,
 		Profile:    true,
 	}

@@ -1,11 +1,11 @@
 // Command erebor-serve runs the multi-tenant session server on the
 // simulated Erebor platform: N concurrent remote tenants, each handled in
 // its own EREBOR-SANDBOX, all sharing one physical copy of the model bytes
-// through a common region, with finished sandbox carcasses recycled warm
-// for the next tenant.
+// through a common region. Every session gets a fresh sandbox: a cold boot
+// by default, or a copy-on-write fork of a snapshot template with
+// -forkpool.
 //
-//	erebor-serve -tenants 64 -sessions 256            # warm pool (default)
-//	erebor-serve -tenants 64 -sessions 256 -cold      # cold-create baseline
+//	erebor-serve -tenants 64 -sessions 256            # cold sandbox per session
 //	erebor-serve -tenants 64 -sessions 256 -forkpool  # CoW forks from a snapshot template
 //	erebor-serve -tenants 64 -chaos 0.05              # fault-injected fleet
 //	erebor-serve -tenants 64 -vcpus 4                 # SMP fleet, 4 cores
@@ -63,8 +63,7 @@ func main() {
 	memMB := flag.Uint64("mem", 0, "CVM memory in MiB (default sized to the fleet)")
 	inputBytes := flag.Int("input", 1024, "per-tenant request bytes")
 	modelKB := flag.Int("model", 64, "shared model size in KiB")
-	cold := flag.Bool("cold", false, "disable warm-pool recycling (cold-create every sandbox)")
-	forkpool := flag.Bool("forkpool", false, "instantiate every sandbox as a copy-on-write fork of a snapshot template (ignored with -cold)")
+	forkpool := flag.Bool("forkpool", false, "instantiate every sandbox as a copy-on-write fork of a snapshot template (default: cold-boot every sandbox)")
 	chaos := flag.Float64("chaos", 0, "per-class fault rate on the untrusted hop (0 disables)")
 	chaosSeed := flag.Int64("chaos-seed", 0, "fault-schedule seed (default: -seed)")
 	tracePath := flag.String("trace", "", "write a Chrome trace of the run to this file")
@@ -95,7 +94,6 @@ func main() {
 		MemMB:      *memMB,
 		InputBytes: *inputBytes,
 		ModelBytes: *modelKB << 10,
-		Cold:       *cold,
 		ForkPool:   *forkpool,
 		Trace:      *tracePath != "",
 		Watchdog:   *watchdog,
@@ -213,9 +211,9 @@ func main() {
 	}
 
 	if *quiet {
-		fmt.Printf("tenants=%d vcpus=%d sessions=%d completed=%d failed=%d warm=%d forked=%d recycles=%d cycles/session=%d sessions/s=%.1f\n",
+		fmt.Printf("tenants=%d vcpus=%d sessions=%d completed=%d failed=%d forked=%d cycles/session=%d sessions/s=%.1f\n",
 			rep.Tenants, rep.VCPUs, rep.Sessions, rep.Completed, rep.Failed,
-			rep.WarmSessions, rep.ForkSessions, rep.Recycles, rep.CyclesPerSession, rep.SessionsPerSec)
+			rep.ForkSessions, rep.CyclesPerSession, rep.SessionsPerSec)
 	} else {
 		os.Stdout.Write(rep.JSON())
 		fmt.Println()

@@ -122,14 +122,15 @@ type fleetConfig struct {
 	Capacity           int
 }
 
-// runFleet serves a traced multi-tenant fleet and returns the recorder
-// contents. Unlike the scripted echo session, a fleet run emits the full
-// causal forest: per-session roots, phase segments, and the monitor/kernel
-// spans under them.
+// runFleet serves a traced multi-tenant fleet on the fork pool (the
+// production fast-start path) and returns the recorder contents. Unlike the
+// scripted echo session, a fleet run emits the full causal forest:
+// per-session roots, phase segments, and the monitor/kernel spans under
+// them.
 func runFleet(cfg fleetConfig) (events []trace.Event, dropped uint64, failed int, err error) {
 	scfg := serve.Config{
 		Tenants: cfg.Tenants, Sessions: cfg.Sessions, Seed: cfg.Seed,
-		VCPUs: cfg.VCPUs, Trace: true, TraceCapacity: cfg.Capacity,
+		VCPUs: cfg.VCPUs, ForkPool: true, Trace: true, TraceCapacity: cfg.Capacity,
 	}
 	if cfg.Chaos > 0 || cfg.ChaosLatency > 0 {
 		plan := faultinject.Uniform(cfg.Seed, cfg.Chaos).

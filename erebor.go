@@ -422,8 +422,7 @@ type Stats struct {
 	// MonitorBooted reports whether the platform runs under the Erebor
 	// monitor. On a baseline (native) platform it is false and every
 	// monitor-derived field below — EMCs, EMCByKind, EMCCyclesByKind,
-	// SandboxExits, SandboxKills, SandboxRecycles, QuotesIssued, the
-	// Channel* counters and
+	// SandboxExits, SandboxKills, QuotesIssued, the Channel* counters and
 	// RuntimeViolations — is its zero value by construction, not a partial
 	// snapshot: there is no monitor to count them.
 	MonitorBooted bool `json:"monitor_booted"`
@@ -437,17 +436,13 @@ type Stats struct {
 	// Sum exactly (the recorder never charges the clock).
 	EMCCyclesByKind map[string]uint64 `json:"emc_cycles_by_kind,omitempty"`
 
-	SandboxExits uint64 `json:"sandbox_exits"`
-	SandboxKills uint64 `json:"sandbox_kills"`
-	// SandboxRecycles counts warm-pool turnovers: a finished sandbox's
-	// carcass (address space, confined PTEs, pinned frames) reissued to the
-	// next tenant under a fresh identity after zero-on-recycle scrubbing.
-	SandboxRecycles uint64 `json:"sandbox_recycles"`
-	QuotesIssued    uint64 `json:"quotes_issued"`
-	Syscalls        uint64 `json:"syscalls"`
-	PageFaults      uint64 `json:"page_faults"`
-	TimerTicks      uint64 `json:"timer_ticks"`
-	VirtualCycles   uint64 `json:"virtual_cycles"`
+	SandboxExits  uint64 `json:"sandbox_exits"`
+	SandboxKills  uint64 `json:"sandbox_kills"`
+	QuotesIssued  uint64 `json:"quotes_issued"`
+	Syscalls      uint64 `json:"syscalls"`
+	PageFaults    uint64 `json:"page_faults"`
+	TimerTicks    uint64 `json:"timer_ticks"`
+	VirtualCycles uint64 `json:"virtual_cycles"`
 
 	// Resilience counters (see DESIGN.md, "Fault model & resilience").
 	NetDrops           uint64 `json:"net_drops"`           // frames dropped at the bounded host NIC queues
@@ -496,7 +491,6 @@ func (p *Platform) Stats() Stats {
 		s.EMCCyclesByKind = p.w.Mon.EMCCyclesByKind()
 		s.SandboxExits = p.w.Mon.Stats.SandboxExits
 		s.SandboxKills = p.w.Mon.Stats.SandboxKills
-		s.SandboxRecycles = p.w.Mon.Stats.SandboxRecycles
 		s.QuotesIssued = p.w.Mon.Stats.QuotesIssued
 		s.ChannelErrors = p.w.Mon.Stats.ChannelErrors
 		s.RuntimeViolations = p.w.Mon.Stats.RuntimeViolations
@@ -577,7 +571,7 @@ var ErrNoMonitor = errors.New("erebor: no monitor on a baseline platform")
 
 // EnableWatchdog switches on the monitor's continuous invariant watchdog:
 // sweeps of the §8 security audit at the given virtual-cycle cadence
-// (0 = phase boundaries only) plus at every seal/recycle/destroy boundary.
+// (0 = phase boundaries only) plus at every seal/end/destroy boundary.
 // Sweeps read the clock but never charge it.
 func (p *Platform) EnableWatchdog(everyCycles uint64) error {
 	if p.w.Mon == nil {

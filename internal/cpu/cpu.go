@@ -364,7 +364,8 @@ func (m *Machine) ShootdownBatch(initiator *Core, pairs []ShootdownPair) int {
 
 // ShootdownRoot invalidates every cached translation of one address space
 // on every core (PCID-targeted flush) and IPIs the remote cores. Used
-// when an address space is destroyed or a sandbox is recycled.
+// when an address space is destroyed, a sandbox ends, or a sandbox is
+// frozen into a fork template.
 func (m *Machine) ShootdownRoot(initiator *Core, root mem.Frame) {
 	m.checkShootdownInitiator(initiator)
 	m.ProfEnter("cpu/shootdown/flush")

@@ -280,25 +280,6 @@ func (k *Kernel) SpawnSandboxed(name string, owner mem.Owner, budgetPages uint64
 	return t, sbid, nil
 }
 
-// RecycleSandbox hands a finished sandbox back to the monitor's warm pool:
-// the monitor scrubs the confined frames and mints a fresh SandboxID while
-// the address space, installed PTEs and pinned frames survive for the next
-// tenant. The hosting task is rebound to the new identity.
-func (k *Kernel) RecycleSandbox(t *Task) (monitor.SandboxID, error) {
-	if k.Mode != ModeErebor {
-		return 0, fmt.Errorf("kernel: sandbox recycle requires Erebor mode")
-	}
-	if t.P.Sandbox == 0 {
-		return 0, fmt.Errorf("kernel: task %q hosts no sandbox", t.Name)
-	}
-	id, err := k.Mon.EMCRecycleSandbox(k.core(), t.P.Sandbox)
-	if err != nil {
-		return 0, err
-	}
-	t.P.Sandbox = id
-	return id, nil
-}
-
 // SnapshotSandbox freezes a booted sandbox into an immutable fork template
 // and tears down the hosting task (the sandbox identity is retired by the
 // snapshot; the template owns its frames from here on). The caller keeps

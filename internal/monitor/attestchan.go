@@ -140,9 +140,10 @@ func (mon *Monitor) pumpChannel(sb *sbState) {
 }
 
 // ChannelStats aggregates the resilience-layer counters across every
-// sandbox channel — live, ended and recycled — for the platform stats
-// surface. Retired channels (warm-pool recycle, session end) contribute
-// through the monitor-wide retired aggregate.
+// sandbox channel — live and ended — for the platform stats surface. A
+// channel retires into the monitor-wide aggregate at session end; a killed
+// sandbox's channel counts from its record while the sandbox stays
+// registered, and retires when EMCDestroyAS drops that record.
 func (mon *Monitor) ChannelStats() secchan.ReliableStats {
 	total := mon.retiredChan
 	for _, sb := range mon.sandboxes {

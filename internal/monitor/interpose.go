@@ -100,8 +100,8 @@ func (mon *Monitor) handleSandboxExit(c *cpu.Core, t *cpu.Trap, sb *sbState) {
 	sb.Exits++
 	mon.Stats.SandboxExits++
 	if mon.Rec.Enabled() {
-		// Open span: kills, recycles and nested EMCs recorded while the exit
-		// is handled parent into it.
+		// Open span: kills and nested EMCs recorded while the exit is
+		// handled parent into it.
 		exitSpan := mon.Rec.Begin()
 		defer mon.Rec.EndSpan(exitSpan, trace.KindSandboxExit, trace.SandboxTrack(int(sb.id)),
 			"sandbox/"+strconv.Itoa(int(sb.id))+"/exit")

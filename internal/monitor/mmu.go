@@ -60,16 +60,19 @@ func (mon *Monitor) EMCCreateAS(c *cpu.Core, owner mem.Owner) (ASID, error) {
 	return id, err
 }
 
-// EMCDestroyAS tears down a user address space: unmaps user leaves and
-// unregisters the root. Frames are returned to the kernel's bookkeeping
-// (the kernel owns reclamation of non-confined frames).
+// EMCDestroyAS tears down a user address space: unmaps user leaves,
+// unregisters the root, retires the ended sandboxes it hosted and returns
+// its page-table pages to the monitor pool. User frames go back to the
+// kernel's bookkeeping (the kernel owns reclamation of non-confined frames).
+// Nothing of the address space outlives the call, so a server that destroys
+// every retiring worker runs any number of sessions in bounded memory.
 func (mon *Monitor) EMCDestroyAS(c *cpu.Core, asid ASID) error {
 	return mon.gate(c, "mmu", func() error {
 		as, ok := mon.addrSpaces[asid]
 		if !ok {
 			return denied("destroy-as", "unknown address space %d", asid)
 		}
-		if sb := mon.sandboxByAS(asid); sb != nil && !sb.destroyed {
+		if sb := mon.sandboxByAS(asid); sb != nil {
 			return denied("destroy-as", "address space %d hosts live sandbox %d", asid, sb.id)
 		}
 		for va := range as.userFrames {
@@ -84,6 +87,27 @@ func (mon *Monitor) EMCDestroyAS(c *cpu.Core, asid ASID) error {
 		mon.M.ShootdownRoot(c, as.tables.Root)
 		delete(mon.rootIndex, as.tables.Root)
 		delete(mon.addrSpaces, asid)
+		// A core whose CR3 still names the root (the last task it ran lived
+		// here) falls back to the kernel tables: the root frame is about to
+		// be reissued, and no core may walk it once it is.
+		for _, core := range mon.M.Cores {
+			if core.CR3Frame() == as.tables.Root {
+				core.RawWriteCR(mon.tok, cpu.CR3, uint64(mon.kernelTables.Root.Base()))
+			}
+		}
+		mon.retireSandboxesLocked(asid)
+		// The user half of the tables is this address space's own; root
+		// slots 256-511 alias the shared kernel tables and stay.
+		err := as.tables.Release(256, func(f mem.Frame) {
+			if !mon.ptps[f] {
+				mon.recordViolation("destroy-as %d: table page %d is not a registered PTP", asid, f)
+				return
+			}
+			mon.freePTP(f)
+		})
+		if err != nil {
+			mon.recordViolation("destroy-as %d: releasing page tables: %v", asid, err)
+		}
 		// Phase boundary: the root and user frames are reclaimable from here
 		// on; no stale mapping census may still reference them.
 		mon.wdPhaseSweep(TriggerDestroyAS)

@@ -89,10 +89,6 @@ type Stats struct {
 	SyscallInterpositions uint64
 	SandboxExits          uint64
 	SandboxKills          uint64
-	// SandboxRecycles counts warm-pool reissues: a finished sandbox scrubbed
-	// and handed to the next tenant with its address space, installed PTEs
-	// and pinned confined frames intact.
-	SandboxRecycles uint64
 	// SandboxSnapshots counts sandboxes frozen into fork templates, and
 	// SandboxForks counts copy-on-write instantiations from them. CowBreaks
 	// counts first-write page copies restoring exclusivity on forked pages.
@@ -247,8 +243,9 @@ type Monitor struct {
 	debugOut [][]byte
 
 	// retiredChan accumulates resilience-layer counters of channels whose
-	// sandbox was recycled or ended, so ChannelStats stays a whole-history
-	// aggregate across warm-pool reuse.
+	// sandbox ended or was retired with its address space, so ChannelStats
+	// stays a whole-history aggregate across every sandbox the monitor has
+	// torn down.
 	retiredChan secchan.ReliableStats
 
 	// violations records kernel misbehavior observed at the interpose
@@ -377,14 +374,13 @@ func (mon *Monitor) allocPTP() (mem.Frame, error) {
 	return f, nil
 }
 
-// freePTP returns a page-table page to the monitor pool (batched-map
-// rollback). The frame is deregistered, loses its PTP key in the direct map,
-// and goes back to the reserved region it came from.
+// freePTP returns a page-table page to the monitor pool (MMU rollback,
+// address-space destroy). The frame keeps its PTP key in the direct map
+// while it is free: the pool is the monitor's alone, and both of its
+// allocators re-key a frame, with a shootdown, before handing it out. So
+// freeing rewrites no direct-map leaf and needs no shootdown of its own.
 func (mon *Monitor) freePTP(f mem.Frame) {
 	delete(mon.ptps, f)
-	if mon.dirmapReady {
-		mon.keyDirectMap(f, KeyDefault)
-	}
 	_ = mon.M.Phys.Free(f)
 }
 

@@ -2,7 +2,7 @@ package monitor
 
 import (
 	"encoding/binary"
-	"fmt"
+	"slices"
 
 	"github.com/asterisc-release/erebor-go/internal/costs"
 	"github.com/asterisc-release/erebor-go/internal/cpu"
@@ -87,9 +87,10 @@ type sbState struct {
 }
 
 // sandboxByAS resolves the live sandbox hosted by an address space.
-// Destroyed carcasses are skipped: with warm-pool recycling an address
-// space outlives sandbox identities, and map-iteration order must never
-// decide which corpse wins (determinism).
+// Destroyed carcasses are skipped: an ended sandbox stays registered while
+// its address space lives on (the kernel may even convert that space
+// again) and retires with it in EMCDestroyAS, and map-iteration order must
+// never decide which corpse wins (determinism).
 func (mon *Monitor) sandboxByAS(asid ASID) *sbState {
 	for _, sb := range mon.sandboxes {
 		if sb.asid == asid && !sb.destroyed {
@@ -375,92 +376,6 @@ func (mon *Monitor) EMCKillSandbox(c *cpu.Core, id SandboxID, reason string) {
 	})
 }
 
-// EMCRecycleSandbox retires a finished sandbox and reissues its warm
-// carcass to the next tenant under a fresh identity. The expensive parts of
-// sandbox construction — the address space, the installed confined PTEs,
-// the pinned CMA frames — survive; what the next tenant must never see does
-// not: every confined frame is zeroed, registers are scrubbed, the secure
-// channel and pending input are dropped, and the single-mapping ownership
-// index is rewritten to the new identity. Returns the new SandboxID.
-//
-// The sandbox must be quiescent: recycle is refused (typed) while client
-// input is queued or an installed input has no matching output. Without
-// this precondition the untrusted kernel could transfer identity and
-// ownership to the next tenant while the previous tenant's request is
-// still executing inside the hosting task, and the stale computation's
-// output would surface on the new tenant's channel — exactly the
-// cross-tenant replay zero-on-recycle exists to rule out.
-func (mon *Monitor) EMCRecycleSandbox(c *cpu.Core, id SandboxID) (SandboxID, error) {
-	var newID SandboxID
-	err := mon.gate(c, "sandbox", func() error {
-		sb, ok := mon.sandboxes[id]
-		if !ok || sb.destroyed {
-			return denied("recycle-sandbox", "no live sandbox %d", id)
-		}
-		// A forked sandbox shares template frames: zero-on-recycle would
-		// destroy the shared image (and the scrub of its broken pages would
-		// hand the next tenant a half-template, half-zero hybrid). Forked
-		// sandboxes are destroyed and re-forked, never recycled.
-		if sb.template != 0 {
-			return denied("recycle-sandbox",
-				"sandbox %d was forked from template %d; destroy and re-fork instead",
-				id, sb.template)
-		}
-		if len(sb.pendingInput) > 0 {
-			return denied("recycle-sandbox",
-				"sandbox %d not quiescent: %d client input message(s) still queued",
-				id, len(sb.pendingInput))
-		}
-		if sb.InputMsgs > sb.OutputMsgs {
-			return denied("recycle-sandbox",
-				"sandbox %d not quiescent: request in flight (%d inputs, %d outputs)",
-				id, sb.InputMsgs, sb.OutputMsgs)
-		}
-		// Zero-on-recycle: confined frames stay allocated, pinned and
-		// mapped, but their contents are gone before re-issue.
-		mon.scrubSandbox(sb)
-		// No core may carry a translation minted under the previous tenant
-		// into the reissued sandbox: flush the address space everywhere
-		// before the new identity exists.
-		if as, ok := mon.addrSpaces[sb.asid]; ok {
-			mon.M.ShootdownRoot(c, as.tables.Root)
-		}
-		mon.retireChannel(sb)
-		mon.nextSBID++
-		newID = mon.nextSBID
-		ns := &sbState{
-			id: newID, asid: sb.asid, owner: sb.owner,
-			budgetPages: sb.budgetPages, usedPages: sb.usedPages,
-			confined: sb.confined, confinedLeaf: sb.confinedLeaf,
-			confinedFrames: sb.confinedFrames, commons: sb.commons,
-		}
-		for _, f := range ns.confinedFrames {
-			mon.confinedOwner[f] = newID
-		}
-		for name := range ns.commons {
-			cr := mon.commons[name]
-			for i := range cr.attached {
-				if cr.attached[i].sb == id {
-					cr.attached[i].sb = newID
-				}
-			}
-		}
-		// Retire the old identity completely so the per-AS index never sees
-		// two sandboxes on one address space.
-		delete(mon.sandboxes, id)
-		mon.sandboxes[newID] = ns
-		mon.Stats.SandboxRecycles++
-		mon.Rec.Emit(trace.KindSandboxRecycle, trace.SandboxTrack(int(newID)),
-			fmt.Sprintf("recycle %d->%d", id, newID))
-		// Phase boundary: the warm carcass is about to carry a new tenant
-		// identity — the single-mapping and zero-on-recycle claims must hold
-		// right here, not just at the next cadence tick.
-		mon.wdPhaseSweep(TriggerRecycle)
-		return nil
-	})
-	return newID, err
-}
-
 // retireChannel folds a sandbox channel's resilience counters into the
 // monitor-wide retired aggregate and drops the channel state.
 func (mon *Monitor) retireChannel(sb *sbState) {
@@ -475,6 +390,40 @@ func (mon *Monitor) retireChannel(sb *sbState) {
 	mon.retiredChan.Reordered += s.Reordered
 	mon.retiredChan.Retransmits += s.Retransmits
 	sb.conn = nil
+}
+
+// retireSandboxesLocked drops the records of the ended sandboxes an address
+// space hosted, once the space is destroyed. An ended sandbox freed its
+// confined frames at session end; a killed one was only scrubbed, so its
+// frames are freed here, after the destroy unmapped and flushed them. The
+// channel counters fold into the retired aggregate and the common-region
+// attachments go with the record. Records retire in ID order, so the frame
+// pool order stays deterministic.
+func (mon *Monitor) retireSandboxesLocked(asid ASID) {
+	var ids []SandboxID
+	for id, sb := range mon.sandboxes {
+		if sb.asid == asid {
+			ids = append(ids, id)
+		}
+	}
+	slices.Sort(ids)
+	for _, id := range ids {
+		sb := mon.sandboxes[id]
+		for _, f := range sb.confinedFrames {
+			if mon.confinedOwner[f] != id {
+				continue // freed at session end, maybe reissued since
+			}
+			delete(mon.confinedOwner, f)
+			_ = mon.M.Phys.SetPinned(f, false)
+			_ = mon.M.Phys.Free(f)
+		}
+		mon.retireChannel(sb)
+		for name := range sb.commons {
+			cr := mon.commons[name]
+			cr.attached = slices.DeleteFunc(cr.attached, func(at attachment) bool { return at.sb == id })
+		}
+		delete(mon.sandboxes, id)
+	}
 }
 
 // EMCSandboxEnd terminates a client session cleanly: results already sent,

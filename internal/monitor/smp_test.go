@@ -129,59 +129,6 @@ func TestUnmapShootdownClosesStaleTLB(t *testing.T) {
 	}
 }
 
-func TestRecycleSandboxFlushesEveryCore(t *testing.T) {
-	mon := bootedMonitorN(t, 2)
-	c0, c1 := mon.M.Cores[0], mon.M.Cores[1]
-	asid, err := mon.EMCCreateAS(c0, mem.OwnerTaskBase)
-	if err != nil {
-		t.Fatal(err)
-	}
-	id, err := mon.EMCCreateSandbox(c0, asid, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cva := paging.Addr(0x1_0000)
-	if err := mon.EMCDeclareConfined(c0, id, cva, 1, false); err != nil {
-		t.Fatal(err)
-	}
-	// Confined pages install lazily; fault the leaf in the way the kernel
-	// does, then let core 1 touch it so its TLB caches the translation.
-	if err := mon.EMCMapSandboxFault(c0, asid, cva, false); err != nil {
-		t.Fatal(err)
-	}
-	if err := mon.EMCSwitchAS(c1, asid); err != nil {
-		t.Fatal(err)
-	}
-	c1.SetRing(3)
-	if _, tr := c1.Access(cva, paging.Read); tr != nil {
-		t.Fatalf("confined access faulted: %v", tr)
-	}
-	c1.SetRing(0)
-	root := c1.CR3Frame()
-	if _, ok := c1.TLB().Lookup(root, cva); !ok {
-		t.Fatal("confined translation not cached on core 1")
-	}
-
-	// Recycling hands the carcass to the next tenant: no core may carry a
-	// translation minted under the previous one across the identity change.
-	newID, err := mon.EMCRecycleSandbox(c0, id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if newID == id {
-		t.Fatal("recycle did not mint a new identity")
-	}
-	if _, ok := c1.TLB().Lookup(root, cva); ok {
-		t.Fatal("core 1 carries a pre-recycle translation into the new tenant")
-	}
-	// The PTEs themselves survive (warm pool); a fresh walk re-fills.
-	c1.SetRing(3)
-	if _, tr := c1.Access(cva, paging.Read); tr != nil {
-		t.Fatalf("post-recycle access faulted: %v", tr)
-	}
-	c1.SetRing(0)
-}
-
 func TestDestroyASFlushesEveryCore(t *testing.T) {
 	mon := bootedMonitorN(t, 2)
 	c0, c1 := mon.M.Cores[0], mon.M.Cores[1]

@@ -20,7 +20,7 @@ import (
 // to a page copies it into a fresh exclusive frame (re-establishing the
 // single-mapping invariant I4 before any client data lands). A fork therefore
 // pays O(pages touched) instead of the cold boot's zero+prefault, which is
-// what makes warm-start time-to-first-compute beat even warm-pool recycling.
+// what puts a fork's time-to-first-compute far below a cold boot's.
 //
 // Invariant I9 guards the scheme: every template frame's refcount equals the
 // template's own baseline reference plus its live sharers, no shared frame is

@@ -122,8 +122,8 @@ func TestSnapshotFreezesAndRetires(t *testing.T) {
 }
 
 // TestSnapshotDenials locks the preconditions down: no client data, no
-// queued input, no live channel, no fork-of-fork — and no recycling or
-// re-snapshotting of forked sandboxes.
+// queued input, no live channel, no fork-of-fork, no template destroy
+// while a fork lives, and no fork into an occupied or unknown target.
 func TestSnapshotDenials(t *testing.T) {
 	mon := bootedMonitor(t)
 	c := mon.M.Cores[0]
@@ -150,9 +150,6 @@ func TestSnapshotDenials(t *testing.T) {
 	fasid, fsb := forkOne(t, mon, tid, mem.OwnerTaskBase+1)
 	if _, err := mon.EMCSnapshotSandbox(c, fsb, "fork-of-fork"); err == nil {
 		t.Fatal("snapshot accepted for a forked sandbox")
-	}
-	if _, err := mon.EMCRecycleSandbox(c, fsb); err == nil {
-		t.Fatal("recycle accepted for a forked sandbox (frames are CoW-shared)")
 	}
 	if err := mon.EMCDestroyTemplate(c, tid); err == nil {
 		t.Fatal("template destroyed while a fork is live")

@@ -14,16 +14,16 @@ import (
 // spot check into a runtime self-audit: sweeps run at a deterministic
 // virtual-clock cadence (checked at every EMC gate exit) and at the phase
 // boundaries where invariants are most likely to regress — sealing commons,
-// recycling a sandbox, destroying an address space, ending a session. Each
-// sweep feeds the metrics registry and a structured event log; it reads the
-// clock but never charges it, so a watchdog-on run is cycle-identical to a
-// watchdog-off run.
+// destroying an address space, ending a session, snapshotting and forking
+// a sandbox, and committing a ring drain. Each sweep feeds the metrics
+// registry and a structured event log; it reads the clock but never
+// charges it, so a watchdog-on run is cycle-identical to a watchdog-off
+// run.
 
 // Sweep trigger names (metrics label values and event-log fields).
 const (
 	TriggerCadence   = "cadence"
 	TriggerSeal      = "seal"
-	TriggerRecycle   = "recycle"
 	TriggerDestroyAS = "destroy-as"
 	TriggerEnd       = "end"
 	TriggerManual    = "manual"
@@ -130,7 +130,8 @@ func (mon *Monitor) WatchdogSweep(trigger string) {
 	mon.wdSweep(trigger)
 }
 
-// wdPhaseSweep is the phase-boundary hook (seal/recycle/destroy-as/end).
+// wdPhaseSweep is the phase-boundary hook (seal, destroy-as, end, drain,
+// snapshot, fork).
 func (mon *Monitor) wdPhaseSweep(trigger string) {
 	if mon.wd == nil {
 		return

@@ -446,6 +446,32 @@ func (t *Tables) Prune(v Addr, free func(mem.Frame) bool) error {
 	return nil
 }
 
+// Release hands every table page of the address space to free, each after
+// the tables it points to and the root last. Only root entries [0, slots)
+// are followed: under the monitor the rest alias the kernel half that every
+// address space shares. The tables must not be used afterwards.
+func (t *Tables) Release(slots int, free func(mem.Frame)) error {
+	var release func(table mem.Frame, level, n int) error
+	release = func(table mem.Frame, level, n int) error {
+		if level < Levels-1 {
+			for i := 0; i < n; i++ {
+				e, err := ReadPTE(t.Phys, entryAddr(table, i))
+				if err != nil {
+					return err
+				}
+				if e.Is(Present) {
+					if err := release(e.Frame(), level+1, EntriesPerPT); err != nil {
+						return err
+					}
+				}
+			}
+		}
+		free(table)
+		return nil
+	}
+	return release(t.Root, 0, slots)
+}
+
 // tableEmpty reports whether every entry of a table page is zero.
 func (t *Tables) tableEmpty(f mem.Frame) (bool, error) {
 	for i := 0; i < EntriesPerPT; i++ {

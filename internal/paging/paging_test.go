@@ -114,6 +114,53 @@ func TestVisitLeaves(t *testing.T) {
 	}
 }
 
+// TestReleaseFreesUserHalfOnly checks that Release visits every table page
+// reachable below the first slots root entries exactly once, children
+// before parents and the root last, and never follows an entry at or above
+// slots.
+func TestReleaseFreesUserHalfOnly(t *testing.T) {
+	p := mem.NewPhysical(256 * mem.PageSize)
+	var tables []mem.Frame
+	tb, err := New(p, func() (mem.Frame, error) {
+		f, err := p.Alloc(mem.OwnerKernel)
+		tables = append(tables, f)
+		return f, err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Two leaves sharing a PT, one in another PD, one in the kernel half.
+	for _, va := range []Addr{0x40_0000, 0x40_1000, 0x4000_0000, 0x8000_0000_0000} {
+		f, _ := p.Alloc(mem.OwnerKernel)
+		if err := tb.Map(va, Present.WithFrame(f)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	kernelPath := tables[len(tables)-3:] // the PDPT, PD and PT under slot 256
+	userTables := tables[:len(tables)-3]
+	freed := map[mem.Frame]int{}
+	var order []mem.Frame
+	if err := tb.Release(256, func(f mem.Frame) { freed[f]++; order = append(order, f) }); err != nil {
+		t.Fatal(err)
+	}
+	if len(order) != len(userTables) {
+		t.Fatalf("released %d table pages, want %d", len(order), len(userTables))
+	}
+	for _, f := range userTables {
+		if freed[f] != 1 {
+			t.Fatalf("user table %d released %d times, want 1", f, freed[f])
+		}
+	}
+	for _, f := range kernelPath {
+		if freed[f] != 0 {
+			t.Fatalf("kernel-half table %d released", f)
+		}
+	}
+	if order[len(order)-1] != tb.Root {
+		t.Fatalf("root released at position %d, want last", len(order)-1)
+	}
+}
+
 // checkCases exercises the architectural permission matrix.
 func TestCheckPermissionMatrix(t *testing.T) {
 	userRW := (Present | Writable | User | NX).WithFrame(1)

@@ -114,7 +114,7 @@ func TestEgressChaosFleet(t *testing.T) {
 	for seed := 1; seed <= seeds; seed++ {
 		plan := faultinject.Uniform(int64(seed), 0.05).WithProxyFaults(0.03, 0.02)
 		s, err := New(Config{
-			Tenants: tenants, Sessions: sessions, Seed: int64(seed),
+			Tenants: tenants, Sessions: sessions, Seed: int64(seed), ForkPool: true,
 			Chaos: &plan, Egress: DefaultEgressSpec(), Watchdog: true,
 		})
 		if err != nil {

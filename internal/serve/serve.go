@@ -1,9 +1,10 @@
 // Package serve is the multi-tenant session server: it admits many remote
 // clients over the virtual clock, runs each tenant in its own
-// EREBOR-SANDBOX, shares one physical copy of the model bytes across every
-// tenant through a common region, and recycles warm sandbox carcasses
-// (address space, installed PTEs, pinned confined frames) between tenants
-// instead of rebuilding them.
+// EREBOR-SANDBOX, and shares one physical copy of the model bytes across
+// every tenant through a common region. A sandbox never outlives its
+// session: every slot turnover destroys the worker and launches a fresh
+// one — a cold boot, or, with Config.ForkPool, a copy-on-write fork of a
+// snapshot template.
 //
 // The server is deterministic by construction: slots are ticked in index
 // order, each tick performs a bounded amount of work, all waiting is
@@ -74,20 +75,15 @@ type Config struct {
 	// HeapPages overrides each worker's confined heap (0 = sized to fit
 	// the request/response buffers).
 	HeapPages uint64
-	// Cold disables warm-pool recycling: every session tears the sandbox
-	// down completely and relaunches (the baseline the pool is measured
-	// against).
-	Cold bool
-	// ForkPool replaces sandbox construction with copy-on-write forks from
-	// a snapshot template: one worker is booted once, frozen into an
-	// immutable template (its confined image shared read-only under
-	// per-frame refcounts, invariant I9), and every slot — initial launch
-	// and every turnover — is instantiated by forking that template. A fork
-	// pays O(pages touched) instead of the cold boot's declare+zero or the
-	// warm pool's full scrub, so time-to-first-compute drops below even
-	// warm recycling. Forked sandboxes are destroyed and re-forked at
-	// turnover (the monitor refuses to recycle them); any denied fork falls
-	// back to a cold launch. Ignored when Cold is set.
+	// ForkPool selects how a slot's worker is built. Off, every session
+	// gets a cold-booted sandbox (the paper's one sandbox per session). On,
+	// one worker is booted once and frozen into an immutable template (its
+	// confined image shared read-only under per-frame refcounts, invariant
+	// I9), and every slot — initial launch and every turnover — is
+	// instantiated by forking that template. A fork pays O(pages touched)
+	// instead of the cold boot's declare+zero, so time-to-first-compute
+	// drops far below cold. Either way a turnover destroys the retiring
+	// worker first; any denied fork falls back to a cold launch.
 	ForkPool bool
 	// QueueCap bounds each relay hop (0 = secchan default).
 	QueueCap int
@@ -104,7 +100,7 @@ type Config struct {
 	TraceCapacity int
 	// Watchdog enables the monitor's continuous invariant watchdog for the
 	// run: §8 audit sweeps at WatchdogEvery-cycle cadence plus at every
-	// seal/recycle/destroy phase boundary. Sweeps never charge the clock,
+	// seal/end/destroy/fork phase boundary. Sweeps never charge the clock,
 	// so a watchdog run is cycle-identical to a watchdog-off run.
 	Watchdog bool
 	// WatchdogEvery is the sweep cadence in virtual cycles (0 = default).
@@ -187,20 +183,19 @@ func (cfg Config) withDefaults() Config {
 
 // SessionResult is the outcome of one tenant session.
 type SessionResult struct {
-	Tenant  int  `json:"tenant"`
-	Slot    int  `json:"slot"`
-	Sandbox int  `json:"sandbox"`
-	Warm    bool `json:"warm"`
+	Tenant  int `json:"tenant"`
+	Slot    int `json:"slot"`
+	Sandbox int `json:"sandbox"`
 	// Forked marks a session served by a sandbox forked copy-on-write from
 	// the snapshot template (ForkPool runs only).
 	Forked bool   `json:"forked,omitempty"`
 	Cycles uint64 `json:"cycles"`
 	// FirstCompute is the slot's turnaround-to-first-compute window: virtual
-	// cycles from the start of the slot's turnaround (teardown / recycle /
-	// relaunch of the previous carcass) to the worker's first compute step
-	// on this session's request. This is the figure the fork pool exists to
+	// cycles from the start of the slot's turnaround (teardown of the
+	// previous carcass and relaunch) to the worker's first compute step on
+	// this session's request. This is the figure the fork pool exists to
 	// shrink — it covers the setup each mode actually pays (cold: declare +
-	// zero + prefault; warm: full scrub; fork: O(pages touched) CoW breaks).
+	// zero + prefault; fork: O(pages touched) CoW breaks).
 	FirstCompute uint64 `json:"first_compute,omitempty"`
 	ReplyBytes   int    `json:"reply_bytes"`
 	Err          string `json:"err,omitempty"`
@@ -220,9 +215,7 @@ type Report struct {
 	Sessions         int     `json:"sessions"`
 	Completed        int     `json:"completed"`
 	Failed           int     `json:"failed"`
-	WarmSessions     int     `json:"warm_sessions"`
 	ColdSessions     int     `json:"cold_sessions"`
-	Recycles         uint64  `json:"recycles"`
 	Relaunches       int     `json:"relaunches"`
 	TotalCycles      uint64  `json:"total_cycles"`
 	CyclesPerSession uint64  `json:"cycles_per_session"`
@@ -230,11 +223,10 @@ type Report struct {
 	SandboxKills     uint64  `json:"sandbox_kills"`
 	ChannelRetrans   uint64  `json:"channel_retransmits"`
 	// Setup-cost instrumentation: virtual cycles spent strictly inside cold
-	// container launches, warm recycles and fork instantiations, plus the
-	// mean turnaround-to-first-compute over completed sessions. These are
-	// what the fork-pool bench compares side by side.
+	// container launches and fork instantiations, plus the mean
+	// turnaround-to-first-compute over completed sessions. These are what
+	// the fork-pool bench compares side by side.
 	LaunchCycles       uint64 `json:"launch_cycles,omitempty"`
-	RecycleCycles      uint64 `json:"recycle_cycles,omitempty"`
 	ForkCycles         uint64 `json:"fork_cycles,omitempty"`
 	FirstComputeCycles uint64 `json:"first_compute_cycles,omitempty"`
 	// Fork-pool figures (omitted when ForkPool is off, keeping legacy
@@ -284,8 +276,8 @@ type svcLane struct {
 	sink *secchan.MemPipe // world-side end (allowed frames arrive here)
 }
 
-// slot is one serving lane: a pooled sandbox container plus the session of
-// the tenant it currently serves.
+// slot is one serving lane: the sandbox container of its current worker
+// plus the session of the tenant it serves.
 type slot struct {
 	idx   int
 	owner mem.Owner
@@ -295,8 +287,7 @@ type slot struct {
 
 	state    state
 	tenant   int
-	served   int // sessions completed or failed on this slot
-	warm     bool
+	served   int  // sessions completed or failed on this slot
 	forked   bool // worker instantiated by forking the snapshot template
 	attempts int
 	backoff  uint64
@@ -322,7 +313,7 @@ type slot struct {
 	// Span identity (Config.Trace only; all zero otherwise). span is the
 	// session's root span, allocated at admission; every phase segment the
 	// slot runs parents under it, so the whole session is one tree.
-	// pendingRoot pre-allocates the *next* session's root during a cold
+	// pendingRoot pre-allocates the *next* session's root during a
 	// relaunch, so launch-phase work parents into the incoming session.
 	// phase accumulates the session's per-phase cycles for the latency
 	// histograms (flushed by the attribution cursor at each transition).
@@ -353,7 +344,6 @@ type Server struct {
 	results    []SessionResult
 	completed  int
 	failed     int
-	warmServed int
 	relaunches int
 
 	// Fork-pool state (cfg.ForkPool only): the frozen worker template every
@@ -361,7 +351,6 @@ type Server struct {
 	tmpl            monitor.TemplateID
 	forkServed      int
 	launchCycles    uint64
-	recycleCycles   uint64
 	forkCycles      uint64
 	firstComputeSum uint64
 	firstComputeN   int
@@ -414,7 +403,7 @@ type Server struct {
 // maxBackoff caps exponential growth (mirrors the harness resilient path).
 const maxBackoff = uint64(1) << 32
 
-// New boots a world, publishes the shared model, and launches one pooled
+// New boots a world, publishes the shared model, and launches one worker
 // sandbox per slot.
 func New(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
@@ -475,7 +464,7 @@ func New(cfg Config) (*Server, error) {
 	if len(cfg.SLO) > 0 {
 		s.sloEng = slo.NewEngine(cfg.SLO, cfg.SLOWindow)
 	}
-	if cfg.ForkPool && !cfg.Cold {
+	if cfg.ForkPool {
 		if err := s.buildTemplate(); err != nil {
 			return nil, fmt.Errorf("serve: fork template: %w", err)
 		}
@@ -626,10 +615,8 @@ func (s *Server) workerSpec(name string, owner mem.Owner, sl *slot) sandbox.Spec
 			in := make([]byte, maxMsg)
 			out := make([]byte, maxMsg)
 			win := make([]byte, winLen)
-			// The buffers above are allocated exactly once: the confined
-			// heap is monotonic, and this worker body survives warm
-			// recycling (only the frame *contents* are scrubbed between
-			// tenants, never the address space or the PTEs).
+			// The buffers above are allocated exactly once per worker:
+			// the confined heap is monotonic.
 			for {
 				_, n, rerr := os.ReceiveInputInto(inVA, maxMsg, 0)
 				if rerr != nil {
@@ -668,8 +655,8 @@ func (s *Server) workerSpec(name string, owner mem.Owner, sl *slot) sandbox.Spec
 // lifetime), registered as the I8 audit ground truth, and installed on
 // every lane the session may egress through.
 func (s *Server) admit(sl *slot) {
-	// Session root span: adopt the root pre-allocated by a cold relaunch
-	// (so launch work already parents here), else mint a fresh one. The
+	// Session root span: adopt the root pre-allocated by a relaunch (so
+	// launch work already parents here), else mint a fresh one. The
 	// per-phase accumulator starts empty — launch cycles happen before
 	// admission and recycle cycles after observation, so the phase-latency
 	// histograms cover in-session phases only.
@@ -1057,13 +1044,10 @@ func (s *Server) finish(sl *slot, msg []byte) {
 	}
 	s.results = append(s.results, SessionResult{
 		Tenant: sl.tenant, Slot: sl.idx, Sandbox: int(sl.c.ID),
-		Warm: sl.warm, Forked: sl.forked, Cycles: cycles,
+		Forked: sl.forked, Cycles: cycles,
 		FirstCompute: firstCompute, ReplyBytes: len(msg),
 	})
 	s.completed++
-	if sl.warm {
-		s.warmServed++
-	}
 	if sl.forked {
 		s.forkServed++
 	}
@@ -1115,7 +1099,7 @@ func (s *Server) fail(sl *slot, err error) {
 		metrics.KV("outcome", "fail"), metrics.KV("tenant", metrics.TenantLabelOf(sl.tenant)))
 	s.results = append(s.results, SessionResult{
 		Tenant: sl.tenant, Slot: sl.idx, Sandbox: int(sl.c.ID),
-		Warm: sl.warm, Forked: sl.forked, Cycles: cycles, Err: err.Error(),
+		Forked: sl.forked, Cycles: cycles, Err: err.Error(),
 	})
 	s.failed++
 	s.turnover(sl, false)
@@ -1178,16 +1162,18 @@ func (s *Server) retireEgress(sl *slot) {
 }
 
 // turnover retires the finished session and prepares the slot for its next
-// tenant: warm recycle after a clean completion, a fresh fork in ForkPool
-// mode (forked carcasses are destroyed, not recycled), cold relaunch
-// otherwise.
+// tenant: the retiring worker is destroyed and a fresh one launched — a
+// fork of the template in ForkPool mode, a cold boot otherwise. No worker
+// serves two tenants, so nothing a session leaves behind (a half-finished
+// request, coroutine-local buffers, a loop position) can reach the next
+// tenant's channel, whether the session completed or failed.
 func (s *Server) turnover(sl *slot, clean bool) {
 	// Open the next session's turnaround-to-first-compute window: everything
 	// from here to the worker's first compute step is setup the next tenant
 	// waits behind.
 	sl.turnStart = s.w.M.Clock.Now()
 	s.retireEgress(sl)
-	// The retiring tenant owns the teardown/recycle work (scrub, shootdowns,
+	// The retiring tenant owns the teardown work (scrub, shootdowns,
 	// destroy-AS) — it is the cost of *their* confidentiality cleanup.
 	s.setPhase(sl, sl.tenant, metrics.PhaseRecycle)
 	// The recycle transition above flushed the output phase, so the
@@ -1209,34 +1195,12 @@ func (s *Server) turnover(sl *slot, clean bool) {
 		return
 	}
 
-	info, _ := sl.c.Info()
-	workerAlive := sl.c.Task.State != kernel.TaskZombie
-	// Warm reissue only after a clean completion. A failed session can leave
-	// the worker suspended mid-request — its coroutine-local buffers and
-	// loop position survive recycling (only frame contents and saved
-	// registers are scrubbed) — and stepping it under the next tenant would
-	// resume the old computation and deliver the previous tenant's reply
-	// bytes over the new tenant's channel. The monitor independently
-	// refuses to recycle a non-quiescent sandbox; a denied recycle falls
-	// through to the cold path here as well. Forked workers never recycle:
-	// their frames are CoW-shared with the template (the monitor refuses),
-	// so the fork pool turns over by destroy + re-fork below.
-	if clean && !s.cfg.Cold && !sl.forked && workerAlive && !info.Destroyed {
-		rs := s.w.M.Clock.Now()
-		if newID, err := s.w.K.RecycleSandbox(sl.c.Task); err == nil {
-			s.recycleCycles += s.w.M.Clock.Now() - rs
-			sl.c.ID = newID
-			sl.warm = true
-			sl.tenant = next
-			s.admit(sl)
-			return
-		}
-	}
 	// Teardown: destroy the carcass completely. For a forked worker this
 	// releases its CoW claim — private broken pages are freed, shared frames
 	// drop their refcount back toward the template's baseline.
+	info, _ := sl.c.Info()
 	asid := sl.c.Task.P.AS.ASID
-	if workerAlive {
+	if sl.c.Task.State != kernel.TaskZombie {
 		s.w.K.KillTask(sl.c.Task, 0, "serve: cold teardown")
 	} else if !info.Destroyed {
 		_ = s.w.Mon.EMCSandboxEnd(s.w.Core(), sl.c.ID)
@@ -1262,7 +1226,6 @@ func (s *Server) turnover(sl *slot, clean bool) {
 		return
 	}
 	sl.c = c
-	sl.warm = false
 	if !sl.forked {
 		s.relaunches++
 	}
@@ -1279,11 +1242,10 @@ func (s *Server) report() *Report {
 	rep := &Report{
 		Tenants: s.cfg.Tenants, VCPUs: s.cfg.VCPUs, Sessions: s.cfg.Sessions,
 		Completed: s.completed, Failed: s.failed,
-		WarmSessions: s.warmServed,
-		ColdSessions: s.completed - s.warmServed - s.forkServed,
+		ColdSessions: s.completed - s.forkServed,
 		Relaunches:   s.relaunches,
 		TotalCycles:  total,
-		LaunchCycles: s.launchCycles, RecycleCycles: s.recycleCycles,
+		LaunchCycles: s.launchCycles,
 		ForkCycles:   s.forkCycles,
 		ForkSessions: s.forkServed,
 		Results:      s.results,
@@ -1292,7 +1254,6 @@ func (s *Server) report() *Report {
 		rep.FirstComputeCycles = s.firstComputeSum / uint64(s.firstComputeN)
 	}
 	if s.w.Mon != nil {
-		rep.Recycles = s.w.Mon.Stats.SandboxRecycles
 		rep.SandboxKills = s.w.Mon.Stats.SandboxKills
 		rep.ChannelRetrans = s.w.Mon.ChannelStats().Retransmits
 		rep.Forks = s.w.Mon.Stats.SandboxForks

@@ -7,29 +7,28 @@ import (
 	"testing"
 
 	"github.com/asterisc-release/erebor-go/internal/faultinject"
+	"github.com/asterisc-release/erebor-go/internal/monitor"
 	"github.com/asterisc-release/erebor-go/internal/secchan"
 	"github.com/asterisc-release/erebor-go/internal/trace"
 )
 
-// TestServeFaultFree: a small warm fleet serves every tenant, and slot
-// turnover goes through the recycle path rather than cold relaunch.
+// TestServeFaultFree: a small fork-pool fleet serves every tenant, and
+// every worker — initial launch and every turnover — is a fork of the
+// template rather than a cold relaunch.
 func TestServeFaultFree(t *testing.T) {
-	rep, err := Run(Config{Tenants: 4, Sessions: 12, Seed: 7})
+	rep, err := Run(Config{Tenants: 4, Sessions: 12, Seed: 7, ForkPool: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep.Completed != 12 || rep.Failed != 0 {
 		t.Fatalf("completed=%d failed=%d, want 12/0", rep.Completed, rep.Failed)
 	}
-	// Each of the 4 slots serves 3 tenants: 2 turnovers each recycle warm.
-	if rep.Recycles != 8 {
-		t.Fatalf("recycles=%d, want 8", rep.Recycles)
-	}
-	if rep.WarmSessions != 8 || rep.ColdSessions != 4 {
-		t.Fatalf("warm=%d cold=%d, want 8/4", rep.WarmSessions, rep.ColdSessions)
+	// Each of the 4 slots serves 3 tenants: 1 initial fork + 2 turnovers.
+	if rep.ForkSessions != 12 || rep.Forks != 12 {
+		t.Fatalf("forked sessions=%d forks=%d, want 12/12", rep.ForkSessions, rep.Forks)
 	}
 	if rep.Relaunches != 0 {
-		t.Fatalf("relaunches=%d on the warm path", rep.Relaunches)
+		t.Fatalf("relaunches=%d on the fork path", rep.Relaunches)
 	}
 	for _, r := range rep.Results {
 		if r.Err != "" {
@@ -45,7 +44,7 @@ func TestServeFaultFree(t *testing.T) {
 // byte-identical reports and byte-identical trace exports (Chrome +
 // Prometheus), which is what makes the serving benchmark reproducible.
 func TestServeDeterminism(t *testing.T) {
-	cfg := Config{Tenants: 16, Sessions: 48, Seed: 11, Trace: true}
+	cfg := Config{Tenants: 16, Sessions: 48, Seed: 11, ForkPool: true, Trace: true}
 	if !testing.Short() {
 		cfg.Tenants, cfg.Sessions = 64, 128
 	}
@@ -97,7 +96,7 @@ func TestServeDeterminism(t *testing.T) {
 // only, never of host scheduling.
 func TestServeSMPDeterminism(t *testing.T) {
 	for _, vcpus := range []int{2, 4} {
-		cfg := Config{Tenants: 16, Sessions: 48, Seed: 11, VCPUs: vcpus, Trace: true}
+		cfg := Config{Tenants: 16, Sessions: 48, Seed: 11, VCPUs: vcpus, ForkPool: true, Trace: true}
 
 		type capture struct {
 			report []byte
@@ -133,7 +132,7 @@ func TestServeSMPDeterminism(t *testing.T) {
 	}
 }
 
-// TestServeSMPSpeedup: spreading the 64-tenant warm fleet across more
+// TestServeSMPSpeedup: spreading the 64-tenant fork-pool fleet across more
 // vCPUs must lower the overlap-adjusted cycles/session monotonically from
 // P=1 to P=4 (the acceptance criterion for the vCPU sweep).
 func TestServeSMPSpeedup(t *testing.T) {
@@ -144,7 +143,8 @@ func TestServeSMPSpeedup(t *testing.T) {
 	memMB := uint64(256 + tenants*4)
 	var per []uint64
 	for _, p := range []int{1, 2, 4} {
-		rep, err := Run(Config{Tenants: tenants, Sessions: sessions, Seed: 1, MemMB: memMB, VCPUs: p})
+		rep, err := Run(Config{Tenants: tenants, Sessions: sessions, Seed: 1, MemMB: memMB, VCPUs: p,
+			ForkPool: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -171,6 +171,7 @@ func TestServeChaosFleetSMP(t *testing.T) {
 		plan := faultinject.Uniform(int64(seed), 0.05)
 		s, err := New(Config{
 			Tenants: tenants, Sessions: sessions, Seed: int64(seed), VCPUs: 2, Chaos: &plan,
+			ForkPool: true,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -203,7 +204,7 @@ func TestServe256Tenants(t *testing.T) {
 	if testing.Short() {
 		t.Skip("256-tenant run skipped in -short mode")
 	}
-	cfg := Config{Tenants: 256, Sessions: 256, Seed: 5, MemMB: 1024}
+	cfg := Config{Tenants: 256, Sessions: 256, Seed: 5, MemMB: 1024, ForkPool: true}
 	a, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -217,33 +218,6 @@ func TestServe256Tenants(t *testing.T) {
 	}
 	if !bytes.Equal(a.JSON(), b.JSON()) {
 		t.Fatal("256-tenant report JSON differs between identically-seeded runs")
-	}
-}
-
-// TestServeWarmBeatsCold: recycling a sandbox carcass (address space,
-// installed PTEs, pinned confined frames survive; contents are scrubbed)
-// must be cheaper per session than cold-building every sandbox.
-func TestServeWarmBeatsCold(t *testing.T) {
-	warm, err := Run(Config{Tenants: 4, Sessions: 16, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cold, err := Run(Config{Tenants: 4, Sessions: 16, Seed: 3, Cold: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if warm.Completed != 16 || cold.Completed != 16 {
-		t.Fatalf("completed warm=%d cold=%d, want 16/16", warm.Completed, cold.Completed)
-	}
-	if warm.Recycles == 0 {
-		t.Fatal("warm run performed no recycles")
-	}
-	if cold.Recycles != 0 || cold.Relaunches == 0 {
-		t.Fatalf("cold run: recycles=%d relaunches=%d, want 0/>0", cold.Recycles, cold.Relaunches)
-	}
-	if warm.CyclesPerSession >= cold.CyclesPerSession {
-		t.Fatalf("warm recycle (%d cycles/session) not cheaper than cold creation (%d)",
-			warm.CyclesPerSession, cold.CyclesPerSession)
 	}
 }
 
@@ -293,71 +267,106 @@ func TestServeSessionsInterleave(t *testing.T) {
 }
 
 // TestServeFailedSessionRelaunchesCold: a failed session must never hand
-// its slot's worker to the next tenant warm. The worker coroutine's local
-// state (request/reply buffers, loop position) survives EMCRecycleSandbox,
-// so a mid-request abort followed by a warm reissue would let the next
-// tenant's stepping resume the old computation and receive the previous
-// tenant's reply bytes. The slot must kill and relaunch instead, and the
-// following tenant must still be served correctly.
+// its slot's worker to the next tenant. The worker coroutine's local state
+// (request/reply buffers, loop position) would let the next tenant's
+// stepping resume an aborted computation and receive the previous tenant's
+// reply bytes. After a mid-request abort the slot must destroy the worker,
+// retire its sandbox, and launch a fresh one under a new sandbox identity —
+// a cold boot by default, a fresh fork of the template on the fork pool —
+// and the following tenant must be served correctly.
 func TestServeFailedSessionRelaunchesCold(t *testing.T) {
-	s, err := New(Config{Tenants: 1, Sessions: 2, Seed: 21})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sl := s.slots[0]
-	// Drive tenant 0 up to the reply wait, so its request is genuinely in
-	// flight toward the worker, then abort the session the way a receive
-	// timeout does.
-	mux := &secchan.MuxProxy{}
-	for i := 0; sl.state != stWait; i++ {
-		if i > 1000 {
-			t.Fatal("session never reached the reply wait")
+	for _, forkPool := range []bool{false, true} {
+		name := "cold"
+		if forkPool {
+			name = "fork"
 		}
-		mux.Reset()
-		mux.Add(sl.sess.Proxy)
-		mux.PumpAll(8)
-		s.tick(sl)
-		if sl.tenant != 0 {
-			t.Fatal("tenant 0 finished before the abort could be injected")
-		}
-	}
-	s.fail(sl, fmt.Errorf("serve: injected mid-request abort: %w", secchan.ErrTimeout))
+		t.Run(name, func(t *testing.T) {
+			s, err := New(Config{Tenants: 1, Sessions: 2, Seed: 21, ForkPool: forkPool})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sl := s.slots[0]
+			oldID := sl.c.ID
+			forksBefore := s.w.Mon.Stats.SandboxForks
+			// Drive tenant 0 up to the reply wait, so its request is
+			// genuinely in flight toward the worker, then abort the session
+			// the way a receive timeout does.
+			mux := &secchan.MuxProxy{}
+			for i := 0; sl.state != stWait; i++ {
+				if i > 1000 {
+					t.Fatal("session never reached the reply wait")
+				}
+				mux.Reset()
+				mux.Add(sl.sess.Proxy)
+				mux.PumpAll(8)
+				s.tick(sl)
+				if sl.tenant != 0 {
+					t.Fatal("tenant 0 finished before the abort could be injected")
+				}
+			}
+			s.fail(sl, fmt.Errorf("serve: injected mid-request abort: %w", secchan.ErrTimeout))
 
-	if sl.warm {
-		t.Fatal("slot reissued warm after a failed session")
-	}
-	if got := s.w.Mon.Stats.SandboxRecycles; got != 0 {
-		t.Fatalf("failed session recycled its sandbox %d time(s)", got)
-	}
-	if s.relaunches != 1 {
-		t.Fatalf("relaunches = %d, want 1 (cold rebuild after failure)", s.relaunches)
-	}
+			if sl.c.ID == oldID {
+				t.Fatalf("slot still runs sandbox %d after a failed session", oldID)
+			}
+			// Destroying the worker's address space retires its record.
+			if _, ok := s.w.Mon.SandboxInfo(oldID); ok {
+				t.Fatalf("failed session's sandbox %d still registered after turnover", oldID)
+			}
+			forks := s.w.Mon.Stats.SandboxForks - forksBefore
+			if forkPool {
+				if forks == 0 || !sl.forked {
+					t.Fatalf("forks +%d, forked=%v: want a fresh fork of the template", forks, sl.forked)
+				}
+			} else if forks != 0 || sl.forked || s.relaunches != 1 {
+				t.Fatalf("forks +%d, forked=%v, relaunches=%d: want one cold relaunch",
+					forks, sl.forked, s.relaunches)
+			}
 
-	// Tenant 1 now runs on the relaunched worker; finish() validates its
-	// reply byte-for-byte against tenant 1's own request, so completion
-	// here proves no cross-tenant bytes surfaced.
-	for i := 0; !sl.done; i++ {
-		if i > 100000 {
-			t.Fatal("tenant 1 never completed on the relaunched slot")
-		}
-		mux.Reset()
-		mux.Add(sl.sess.Proxy)
-		mux.PumpAll(8)
-		s.tick(sl)
-	}
-	if s.completed != 1 || s.failed != 1 {
-		t.Fatalf("completed=%d failed=%d, want 1/1", s.completed, s.failed)
-	}
-	for _, r := range s.results {
-		if r.Tenant == 1 && r.Err != "" {
-			t.Fatalf("tenant 1 failed on the relaunched slot: %s", r.Err)
-		}
+			// Tenant 1 now runs on the fresh worker; finish() validates its
+			// reply byte-for-byte against tenant 1's own request, so
+			// completion here proves no cross-tenant bytes surfaced.
+			for i := 0; !sl.done; i++ {
+				if i > 100000 {
+					t.Fatal("tenant 1 never completed on the relaunched slot")
+				}
+				mux.Reset()
+				mux.Add(sl.sess.Proxy)
+				mux.PumpAll(8)
+				s.tick(sl)
+			}
+			if s.completed != 1 || s.failed != 1 {
+				t.Fatalf("completed=%d failed=%d, want 1/1", s.completed, s.failed)
+			}
+			for _, r := range s.results {
+				if r.Tenant == 1 && r.Err != "" {
+					t.Fatalf("tenant 1 failed on the relaunched slot: %s", r.Err)
+				}
+			}
+		})
 	}
 }
 
-// TestServeChaosFleet is the chaos suite: many seeds, a full fleet, faults
-// of every class on the untrusted hop. Every session must either complete
-// or fail with a typed error, and the server must terminate — no hangs.
+// typedErr recognizes the typed failure vocabulary of the serving path.
+func typedErr(msg string) bool {
+	for _, want := range []string{
+		"timeout", "worker terminated", "worker died", "secchan:",
+		"serve:", "harness:",
+	} {
+		if strings.Contains(msg, want) {
+			return true
+		}
+	}
+	return false
+}
+
+// TestServeChaosFleet is the chaos suite on the default config — the
+// paper's cold sandbox per session, so every turnover under fault is a
+// kill or EMCSandboxEnd, EMCDestroyAS and a cold launch. Seeded fault
+// schedules of every class on the untrusted hop; every tenant is reported
+// exactly once, completing or failing typed, faults were injected, and the
+// monitor audit ends clean. TestServeForkChaosFleet runs the same suite on
+// the fork pool.
 func TestServeChaosFleet(t *testing.T) {
 	seeds := 20
 	tenants, sessions := 64, 96
@@ -383,6 +392,9 @@ func TestServeChaosFleet(t *testing.T) {
 		if len(rep.Results) != sessions {
 			t.Fatalf("seed %d: %d results, want %d", seed, len(rep.Results), sessions)
 		}
+		if rep.Forks != 0 {
+			t.Fatalf("seed %d: default config forked %d workers", seed, rep.Forks)
+		}
 		seen := make(map[int]bool, sessions)
 		for _, r := range rep.Results {
 			if seen[r.Tenant] {
@@ -399,28 +411,19 @@ func TestServeChaosFleet(t *testing.T) {
 		if got := s.inj.Counters.Total(); got == 0 {
 			t.Fatalf("seed %d: chaos run injected no faults", seed)
 		}
-	}
-}
-
-// typedErr recognizes the typed failure vocabulary of the serving path.
-func typedErr(msg string) bool {
-	for _, want := range []string{
-		"timeout", "worker terminated", "worker died", "secchan:",
-		"serve:", "harness:",
-	} {
-		if strings.Contains(msg, want) {
-			return true
+		if vs := s.World().Mon.Audit(); len(vs) != 0 {
+			t.Fatalf("seed %d: audit violations: %v", seed, vs)
 		}
 	}
-	return false
 }
 
 // TestServeChaosDrainsCleanly: after a chaos run the fleet is torn down —
-// no live sandbox retains confined memory, so no tenant's bytes can outlive
-// its session (zero-on-recycle plus scrub-on-end).
+// no slot's sandbox is still live, so no tenant's bytes can outlive its
+// session (scrub-on-end at every turnover and at the final drain), and
+// with every fork dead the template releases.
 func TestServeChaosDrainsCleanly(t *testing.T) {
 	plan := faultinject.Uniform(42, 0.08)
-	s, err := New(Config{Tenants: 8, Sessions: 24, Seed: 42, Chaos: &plan})
+	s, err := New(Config{Tenants: 8, Sessions: 24, Seed: 42, Chaos: &plan, ForkPool: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -436,11 +439,69 @@ func TestServeChaosDrainsCleanly(t *testing.T) {
 		if ok && !info.Destroyed {
 			t.Fatalf("slot %d sandbox %d still live after drain", sl.idx, sl.c.ID)
 		}
-		if ok && info.ConfinedPages != 0 && !info.Destroyed {
-			t.Fatalf("slot %d retains %d confined pages", sl.idx, info.ConfinedPages)
-		}
 	}
 	if v := s.World().Mon.Audit(); len(v) != 0 {
 		t.Fatalf("monitor audit violations after chaos drain: %v", v)
+	}
+	if err := s.ReleaseTemplate(); err != nil {
+		t.Fatalf("ReleaseTemplate after chaos drain: %v", err)
+	}
+}
+
+// TestServeColdSessionsRunInBoundedMemory: every turnover destroys the
+// retiring worker's address space, and with it the worker's page-table
+// pages and sandbox record, so the default (cold) path serves any number of
+// sessions in bounded memory. A long run on a small CVM must complete every
+// session and end in the same state as a run a tenth its length: the same
+// free frames in the monitor pool (page-table pages), in CMA (confined
+// frames) and in the general pool, and one registered sandbox per slot.
+func TestServeColdSessionsRunInBoundedMemory(t *testing.T) {
+	const tenants = 4
+	// At 32 MiB the monitor pool holds about 330 sessions' page tables, so
+	// the long run would exhaust it if turnover leaked them.
+	long := 1000
+	if testing.Short() {
+		long = 400
+	}
+	type state struct{ monitorFree, cmaFree, generalFree, records int }
+	run := func(sessions int) state {
+		s, err := New(Config{Tenants: tenants, Sessions: sessions, Seed: 13, MemMB: 32})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := s.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Completed != sessions {
+			for _, r := range rep.Results {
+				if r.Err != "" {
+					t.Fatalf("%d of %d sessions completed; tenant %d: %s", rep.Completed, sessions, r.Tenant, r.Err)
+				}
+			}
+			t.Fatalf("%d of %d sessions completed", rep.Completed, sessions)
+		}
+		mon := s.World().Mon
+		monitorPool, _ := s.World().Phys.RegionByName(monitor.RegionMonitor)
+		cma, _ := s.World().Phys.RegionByName(monitor.RegionCMA)
+		st := state{monitorFree: monitorPool.Free(), cmaFree: cma.Free(), generalFree: s.World().Phys.FreeFrames()}
+		var last monitor.SandboxID
+		for _, sl := range s.slots {
+			last = max(last, sl.c.ID)
+		}
+		for id := monitor.SandboxID(1); id <= last; id++ {
+			if _, ok := mon.SandboxInfo(id); ok {
+				st.records++
+			}
+		}
+		return st
+	}
+	short, end := run(long/10), run(long)
+	if end != short {
+		t.Fatalf("after %d sessions: %+v; after %d: %+v — state grows with run length",
+			long/10, short, long, end)
+	}
+	if end.records != tenants {
+		t.Fatalf("%d sandbox records registered after the run, want %d (one per slot)", end.records, tenants)
 	}
 }

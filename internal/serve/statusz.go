@@ -283,8 +283,8 @@ func (st *Status) healthzFailure() HealthzFailure {
 func (st *Status) WriteText(w io.Writer) {
 	fmt.Fprintf(w, "erebor-serve status\n")
 	if rep := st.Report; rep != nil {
-		fmt.Fprintf(w, "sessions: %d completed, %d failed (%d warm, %d forked, %d cold) on %d slots / %d vcpus\n",
-			rep.Completed, rep.Failed, rep.WarmSessions, rep.ForkSessions, rep.ColdSessions,
+		fmt.Fprintf(w, "sessions: %d completed, %d failed (%d forked, %d cold) on %d slots / %d vcpus\n",
+			rep.Completed, rep.Failed, rep.ForkSessions, rep.ColdSessions,
 			rep.Tenants, rep.VCPUs)
 		fmt.Fprintf(w, "cycles: %d total, %d/session\n", rep.TotalCycles, rep.CyclesPerSession)
 		if rep.ForkSessions > 0 {

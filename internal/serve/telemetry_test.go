@@ -15,16 +15,44 @@ import (
 	"github.com/asterisc-release/erebor-go/internal/paging"
 )
 
+// plantConfinedSandbox gives the monitor a bystander sandbox that holds one
+// installed, private confined frame for the rest of the run — the target
+// InjectAuditViolation aliases. No serving worker holds one at a round
+// boundary: a cold worker boots, serves and is destroyed within one tick,
+// and a fork owns no private confined frame before its first CoW break.
+func plantConfinedSandbox(t *testing.T, s *Server) {
+	t.Helper()
+	mon, c := s.World().Mon, s.World().Core()
+	asid, err := mon.EMCCreateAS(c, mem.OwnerTaskBase+200)
+	if err != nil {
+		t.Fatalf("bystander AS: %v", err)
+	}
+	sb, err := mon.EMCCreateSandbox(c, asid, 4)
+	if err != nil {
+		t.Fatalf("bystander sandbox: %v", err)
+	}
+	va := paging.Addr(0x1_0000)
+	if err := mon.EMCDeclareConfined(c, sb, va, 1, false); err != nil {
+		t.Fatalf("bystander confined page: %v", err)
+	}
+	if err := mon.EMCMapSandboxFault(c, asid, va, false); err != nil {
+		t.Fatalf("bystander fault-in: %v", err)
+	}
+}
+
 // TestWatchdogCatchesInjectedBreak seeds a deliberate invariant violation —
 // a second mapping of a confined frame, exactly what I4 forbids — in the
 // middle of a serving run and asserts the continuous watchdog reports the
 // typed code within one sweep interval of the tampering.
 func TestWatchdogCatchesInjectedBreak(t *testing.T) {
 	const every = 50_000 // tight cadence so detection latency is visible
+	// The injection aliases the planted bystander's frame: no serving
+	// worker, cold or forked, holds a private confined frame at a round hook.
 	s, err := New(Config{Tenants: 2, Sessions: 4, Seed: 3, Watchdog: true, WatchdogEvery: every})
 	if err != nil {
 		t.Fatal(err)
 	}
+	plantConfinedSandbox(t, s)
 	mon := s.World().Mon
 	var injectedAt, sweepsAtInject uint64
 	s.Hook = func(round int) {
@@ -66,8 +94,8 @@ func TestWatchdogCatchesInjectedBreak(t *testing.T) {
 		t.Fatalf("detection at cycle %d precedes injection at %d", first.Cycles, injectedAt)
 	}
 	// Detection within one sweep: the very first sweep that runs after the
-	// tampering must observe the violation (the alias persists until slot
-	// teardown removes the sandbox, so a miss would be a real audit gap).
+	// tampering must observe the violation (the bystander and its alias
+	// outlive the run, so a miss would be a real audit gap).
 	log := mon.WatchdogSweepLog()
 	if uint64(len(log)) <= sweepsAtInject {
 		t.Fatal("no sweeps ran after injection")
@@ -223,11 +251,15 @@ func TestPhaseConservation64Tenants(t *testing.T) {
 // exports and byte-identical watchdog JSONL event logs.
 func TestTelemetryDeterminism(t *testing.T) {
 	one := func() (om, jsonl []byte) {
+		// The injection aliases the planted bystander's frame: no serving
+		// worker, cold or forked, holds a private confined frame at a round
+		// hook.
 		s, err := New(Config{Tenants: 4, Sessions: 8, Seed: 9, Trace: true,
 			Watchdog: true, WatchdogEvery: 100_000})
 		if err != nil {
 			t.Fatal(err)
 		}
+		plantConfinedSandbox(t, s)
 		s.Hook = func(round int) {
 			if round == 5 {
 				if _, ierr := s.World().Mon.InjectAuditViolation(); ierr != nil {
@@ -277,8 +309,8 @@ func TestTelemetryCycleNeutral(t *testing.T) {
 }
 
 // TestWatchdogChaosFleet: the continuous watchdog rides along a 20-seed
-// chaos campaign — faults on every tenant's untrusted hop, warm recycling,
-// cold relaunches, worker kills — and never observes a single non-injected
+// chaos campaign — faults on every tenant's untrusted hop, fork-pool
+// turnovers, worker kills — and never observes a single non-injected
 // invariant violation. This is the CI health gate: hostile noise on the
 // channel must not be able to push the monitor out of its §8 envelope.
 func TestWatchdogChaosFleet(t *testing.T) {
@@ -290,7 +322,7 @@ func TestWatchdogChaosFleet(t *testing.T) {
 		plan := faultinject.Uniform(int64(seed), 0.05)
 		s, err := New(Config{
 			Tenants: tenants, Sessions: sessions, Seed: int64(seed), Chaos: &plan,
-			Watchdog: true, WatchdogEvery: 500_000,
+			ForkPool: true, Watchdog: true, WatchdogEvery: 500_000,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -67,10 +67,6 @@ const (
 	KindQuote
 	// KindViolation is a recorded runtime violation (instant).
 	KindViolation
-	// KindSandboxRecycle is a warm-pool sandbox reissue (instant, label
-	// "recycle <old>-><new>"). Appended after PR 2's kinds: the enum is
-	// append-only for golden-file stability.
-	KindSandboxRecycle
 	// KindServeSession is one complete tenant session through the serving
 	// path (span, label "serve/tenant/<n>").
 	KindServeSession
@@ -118,7 +114,6 @@ var kindNames = [numKinds]string{
 	KindFaultInject:     "fault-inject",
 	KindQuote:           "quote",
 	KindViolation:       "violation",
-	KindSandboxRecycle:  "sandbox-recycle",
 	KindServeSession:    "serve-session",
 	KindDispatch:        "dispatch",
 	KindEgress:          "egress",
@@ -145,7 +140,8 @@ const (
 	TrackClient  int32 = 3
 	// TrackServer carries the serving path's per-session spans (admission,
 	// completion); each tenant's sandbox activity additionally lands on its
-	// own SandboxTrack since recycling mints one sandbox ID per tenant.
+	// own SandboxTrack, since every session runs in a freshly launched
+	// sandbox with an ID of its own.
 	TrackServer int32 = 4
 )
 
