@@ -40,6 +40,7 @@ import (
 	"github.com/asterisc-release/erebor-go/internal/kernel"
 	"github.com/asterisc-release/erebor-go/internal/libos"
 	"github.com/asterisc-release/erebor-go/internal/mem"
+	"github.com/asterisc-release/erebor-go/internal/metrics"
 	"github.com/asterisc-release/erebor-go/internal/monitor"
 	"github.com/asterisc-release/erebor-go/internal/paging"
 	"github.com/asterisc-release/erebor-go/internal/sandbox"
@@ -528,7 +529,7 @@ func (p *Platform) TraceDropped() uint64 { return p.w.Rec.Dropped() }
 // Histograms returns the per-span log2 latency histograms keyed by span
 // label ("emc/nop", "syscall/3", "sandbox/1/exit", ...). Aggregates never
 // drop, regardless of ring capacity. Nil when tracing is disabled.
-func (p *Platform) Histograms() map[string]trace.Histogram { return p.w.Rec.Histograms() }
+func (p *Platform) Histograms() map[string]metrics.Histogram { return p.w.Rec.Histograms() }
 
 // TraceCounts returns total event tallies keyed by kind (and "kind|label"
 // for labeled events). Nil when tracing is disabled.

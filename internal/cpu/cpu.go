@@ -20,7 +20,9 @@ import (
 	"github.com/asterisc-release/erebor-go/internal/cet"
 	"github.com/asterisc-release/erebor-go/internal/costs"
 	"github.com/asterisc-release/erebor-go/internal/mem"
+	"github.com/asterisc-release/erebor-go/internal/metrics"
 	"github.com/asterisc-release/erebor-go/internal/paging"
+	"github.com/asterisc-release/erebor-go/internal/prof"
 )
 
 // Exception vectors (subset).
@@ -145,24 +147,13 @@ func (i *IDT) Set(v uint8, h Handler) { i.handlers[v] = h }
 // Get returns the handler for vector v (nil if unset).
 func (i *IDT) Get(v uint8) Handler { return i.handlers[v] }
 
-// Profiler is the hook surface a cycle profiler attaches to the machine
-// (internal/prof provides one; declared here to avoid a package cycle).
-// Enter/Exit maintain an ambient frame stack describing *what mechanism* is
-// executing; Observe sees every Charge, so the profiler attributes each
-// virtual cycle to the frame stack live at the moment it was charged.
-// Implementations must never charge the clock themselves.
-type Profiler interface {
-	Enter(frame string)
-	Exit()
-	Observe(n uint64)
-}
-
 // Clock is the machine's virtual cycle counter.
 type Clock struct {
 	cycles atomic.Uint64
-	// sink observes every Charge (profiling hook). Charge is the only way
-	// the clock advances, so a sink sees every virtual cycle exactly once.
-	sink Profiler
+	// sink is the attached cycle profiler, the clock's charge sink. Charge
+	// and ChargeFrame are the only ways the clock advances, so it sees every
+	// virtual cycle exactly once; it never charges the clock itself.
+	sink *prof.Profiler
 }
 
 // Charge advances the clock by n cycles.
@@ -170,6 +161,17 @@ func (c *Clock) Charge(n uint64) {
 	c.cycles.Add(n)
 	if c.sink != nil {
 		c.sink.Observe(n)
+	}
+}
+
+// ChargeFrame advances the clock by n cycles spent in one leaf mechanism
+// (a TLB hit, a page walk, a PTE write, a gate crossing). An attached
+// profiler attributes them to frame nested under the live frames; without
+// one it costs what Charge does.
+func (c *Clock) ChargeFrame(frame string, n uint64) {
+	c.cycles.Add(n)
+	if c.sink != nil {
+		c.sink.ObserveFrame(frame, n)
 	}
 }
 
@@ -208,12 +210,13 @@ type Machine struct {
 	// TrapCounts tallies deliveries per vector (evaluation statistics).
 	TrapCounts [256]atomic.Uint64
 
-	// ShootdownCycles accumulates the initiator-side cycles charged by the
-	// TLB shootdown protocol (invlpg/flush costs plus IPI sends; the remote
-	// handler cost is charged at delivery and attributed to the receiving
-	// core's work). The serving path diffs it across attribution points to
-	// split shootdown overhead out per tenant.
-	ShootdownCycles uint64
+	// Attr is the world's execution context (nil on a bare machine):
+	// tenant, phase, span scope, profiler frames and the attribution
+	// window. The TLB shootdown protocol adds its initiator-side cycles
+	// (invlpg/flush costs plus IPI sends) to the window's shootdown tally;
+	// the remote handler cost is charged at delivery and attributed to the
+	// receiving core's work.
+	Attr *metrics.Attr
 
 	// IPIsSent / IPIsSkipped tally the shootdown protocol's remote
 	// notifications: an IPI is sent only to a core that actually dropped a
@@ -222,31 +225,34 @@ type Machine struct {
 	// (seed, P) because TLB contents are.
 	IPIsSent    uint64
 	IPIsSkipped uint64
-
-	// Prof is the attached cycle profiler (nil when not profiling). Set via
-	// AttachProfiler; every layer pushes frames through ProfEnter/ProfExit.
-	Prof Profiler
 }
 
-// AttachProfiler wires a profiler into the machine: frames via Prof, cycle
-// observation via the clock's charge sink. Passing nil detaches.
-func (m *Machine) AttachProfiler(p Profiler) {
-	m.Prof = p
-	m.Clock.sink = p
-}
+// AttachProfiler makes p the clock's charge sink; from then on every layer's
+// PushFrame/PopFrame lands on p's context, which is the world's Attr
+// whenever p was built on it. Passing nil detaches.
+func (m *Machine) AttachProfiler(p *prof.Profiler) { m.Clock.sink = p }
 
-// ProfEnter pushes a profiler frame; no-op when no profiler is attached.
-func (m *Machine) ProfEnter(frame string) {
-	if m.Prof != nil {
-		m.Prof.Enter(frame)
+// PushFrame opens a mechanism frame around work that itself charges (a trap
+// delivery, an EMC, a dispatch slice). Frames are pushed only while a
+// profiler is attached, so an untraced run pays one nil compare.
+func (m *Machine) PushFrame(frame string) {
+	if p := m.Clock.sink; p != nil {
+		p.Context().PushFrame(frame)
 	}
 }
 
-// ProfExit pops the innermost profiler frame; no-op without a profiler.
-func (m *Machine) ProfExit() {
-	if m.Prof != nil {
-		m.Prof.Exit()
+// PopFrame closes the innermost frame (no-op without a profiler).
+func (m *Machine) PopFrame() {
+	if p := m.Clock.sink; p != nil {
+		p.Context().PopFrame()
 	}
+}
+
+// chargeShootdown charges n initiator-side shootdown cycles under frame and
+// tallies them into the context's attribution window.
+func (m *Machine) chargeShootdown(frame string, n uint64) {
+	m.Clock.ChargeFrame(frame, n)
+	m.Attr.AddShootdown(n)
 }
 
 // NewMachine creates a machine with ncores cores sharing phys.
@@ -272,8 +278,8 @@ const ShootdownDetail = "tlb-shootdown"
 // already knows their TLBs are clean of the invalidated translations.
 // Returns the number of IPIs sent.
 func (m *Machine) shootdownIPIs(initiator *Core, need []bool) int {
-	m.ProfEnter("cpu/shootdown/ipi")
-	defer m.ProfExit()
+	m.PushFrame("cpu/shootdown/ipi")
+	defer m.PopFrame()
 	sent := 0
 	for i, c := range m.Cores {
 		if c == initiator || c.idt == nil {
@@ -284,7 +290,7 @@ func (m *Machine) shootdownIPIs(initiator *Core, need []bool) int {
 			continue
 		}
 		m.Clock.Charge(costs.IPISend)
-		m.ShootdownCycles += costs.IPISend
+		m.Attr.AddShootdown(costs.IPISend)
 		m.IPIsSent++
 		c.Deliver(&Trap{Vector: VecIPI, Detail: ShootdownDetail})
 		sent++
@@ -312,10 +318,7 @@ func (m *Machine) Shootdown(initiator *Core, root mem.Frame, vas ...paging.Addr)
 	if len(vas) == 0 {
 		return
 	}
-	m.ProfEnter("cpu/shootdown/invlpg")
-	m.Clock.Charge(costs.TLBInvlPg * uint64(len(vas)))
-	m.ProfExit()
-	m.ShootdownCycles += costs.TLBInvlPg * uint64(len(vas))
+	m.chargeShootdown("cpu/shootdown/invlpg", costs.TLBInvlPg*uint64(len(vas)))
 	need := make([]bool, len(m.Cores))
 	for i, c := range m.Cores {
 		for _, va := range vas {
@@ -346,10 +349,7 @@ func (m *Machine) ShootdownBatch(initiator *Core, pairs []ShootdownPair) int {
 	if len(pairs) == 0 {
 		return 0
 	}
-	m.ProfEnter("cpu/shootdown/invlpg")
-	m.Clock.Charge(costs.TLBInvlPg * uint64(len(pairs)))
-	m.ProfExit()
-	m.ShootdownCycles += costs.TLBInvlPg * uint64(len(pairs))
+	m.chargeShootdown("cpu/shootdown/invlpg", costs.TLBInvlPg*uint64(len(pairs)))
 	need := make([]bool, len(m.Cores))
 	for i, c := range m.Cores {
 		for _, p := range pairs {
@@ -368,10 +368,7 @@ func (m *Machine) ShootdownBatch(initiator *Core, pairs []ShootdownPair) int {
 // frozen into a fork template.
 func (m *Machine) ShootdownRoot(initiator *Core, root mem.Frame) {
 	m.checkShootdownInitiator(initiator)
-	m.ProfEnter("cpu/shootdown/flush")
-	m.Clock.Charge(costs.TLBFlushAS)
-	m.ProfExit()
-	m.ShootdownCycles += costs.TLBFlushAS
+	m.chargeShootdown("cpu/shootdown/flush", costs.TLBFlushAS)
 	need := make([]bool, len(m.Cores))
 	for i, c := range m.Cores {
 		n := c.tlb.InvalidateRoot(root)
@@ -390,10 +387,7 @@ func (m *Machine) ShootdownVA(initiator *Core, vas ...paging.Addr) {
 	if len(vas) == 0 {
 		return
 	}
-	m.ProfEnter("cpu/shootdown/invlpg")
-	m.Clock.Charge(costs.TLBInvlPg * uint64(len(vas)))
-	m.ProfExit()
-	m.ShootdownCycles += costs.TLBInvlPg * uint64(len(vas))
+	m.chargeShootdown("cpu/shootdown/invlpg", costs.TLBInvlPg*uint64(len(vas)))
 	need := make([]bool, len(m.Cores))
 	for i, c := range m.Cores {
 		for _, va := range vas {
@@ -685,14 +679,10 @@ func (c *Core) Access(v paging.Addr, kind paging.AccessKind) (paging.PTE, *Trap)
 	root := c.CR3Frame()
 	pte, hit := c.tlb.Lookup(root, v)
 	if hit {
-		c.Machine.ProfEnter("cpu/tlb-hit")
-		c.Machine.Clock.Charge(costs.TLBHit)
-		c.Machine.ProfExit()
+		c.Machine.Clock.ChargeFrame("cpu/tlb-hit", costs.TLBHit)
 		c.TLBHits++
 	} else {
-		c.Machine.ProfEnter("cpu/page-walk")
-		c.Machine.Clock.Charge(costs.PageWalk)
-		c.Machine.ProfExit()
+		c.Machine.Clock.ChargeFrame("cpu/page-walk", costs.PageWalk)
 		c.TLBMisses++
 		var f *paging.Fault
 		pte, _, f = c.Tables().Walk(v)
@@ -750,9 +740,7 @@ func (c *Core) span(v paging.Addr, n int, kind paging.AccessKind, fn func(pa mem
 		if err := fn(pa, off, chunk); err != nil {
 			return &Trap{Vector: VecGP, Detail: err.Error()}
 		}
-		c.Machine.ProfEnter("cpu/copy")
-		c.Machine.Clock.Charge(costs.Copy(chunk))
-		c.Machine.ProfExit()
+		c.Machine.Clock.ChargeFrame("cpu/copy", costs.Copy(chunk))
 		v += paging.Addr(chunk)
 		off += chunk
 		n -= chunk
@@ -781,19 +769,17 @@ func (c *Core) Deliver(t *Trap) {
 	// The delivery frame wraps the handler too, so handler work (page-fault
 	// service, shootdown absorption, syscall bodies) nests causally under
 	// the trap class that invoked it.
+	frame, cost := "cpu/deliver/interrupt", uint64(costs.InterruptDelivery)
 	switch {
 	case t.Vector == VecSyscall:
 		// The syscall fast path (syscall/sysret) is cheaper than an IDT
 		// transition; entry/exit split reproduces Table 3's empty syscall.
-		c.Machine.ProfEnter("cpu/deliver/syscall")
-		c.Machine.Clock.Charge(costs.SyscallEntry)
+		frame, cost = "cpu/deliver/syscall", costs.SyscallEntry
 	case t.Vector < 32:
-		c.Machine.ProfEnter("cpu/deliver/exception")
-		c.Machine.Clock.Charge(costs.ExceptionDelivery)
-	default:
-		c.Machine.ProfEnter("cpu/deliver/interrupt")
-		c.Machine.Clock.Charge(costs.InterruptDelivery)
+		frame, cost = "cpu/deliver/exception", costs.ExceptionDelivery
 	}
+	c.Machine.PushFrame(frame)
+	c.Machine.Clock.Charge(cost)
 	prevRing := c.Ring
 	t.FromRing = prevRing
 	c.Ring = 0
@@ -802,6 +788,6 @@ func (c *Core) Deliver(t *Trap) {
 	if t.Vector == VecSyscall {
 		c.Machine.Clock.Charge(costs.SyscallExit)
 	}
-	c.Machine.ProfExit()
+	c.Machine.PopFrame()
 	c.deliverDepth--
 }

@@ -8,10 +8,10 @@ import (
 	"github.com/asterisc-release/erebor-go/internal/kernel"
 	"github.com/asterisc-release/erebor-go/internal/libos"
 	"github.com/asterisc-release/erebor-go/internal/mem"
+	"github.com/asterisc-release/erebor-go/internal/metrics"
 	"github.com/asterisc-release/erebor-go/internal/monitor"
 	"github.com/asterisc-release/erebor-go/internal/paging"
 	"github.com/asterisc-release/erebor-go/internal/sandbox"
-	"github.com/asterisc-release/erebor-go/internal/trace"
 	"github.com/asterisc-release/erebor-go/internal/workloads"
 )
 
@@ -56,7 +56,7 @@ type ScenarioResult struct {
 
 	// Hists holds the flight recorder's per-span latency histograms when
 	// ScenarioOptions.Trace was set (nil otherwise).
-	Hists map[string]trace.Histogram
+	Hists map[string]metrics.Histogram
 }
 
 // RunSeconds converts the run phase to simulated seconds.

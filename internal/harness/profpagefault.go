@@ -18,9 +18,9 @@ const PhasePagefault = "pagefault"
 // or without the async submission ring) with the cycle profiler attached,
 // and returns the profile alongside the run's whole-window cycle count.
 //
-// The attribution window wraps exactly the Schedule call: the window's
-// cycle delta is flushed to FamilyTenantPhaseCycles under (fleet,
-// "pagefault"), mirroring what the serving loop's phase cursor does, so
+// The attribution window wraps exactly the Schedule call: the context's
+// Switch flushes it to FamilyTenantPhaseCycles under (no tenant,
+// "pagefault"), the same call the serving loop switches phases with, so
 // prof.CheckConservation holds for this harness too. Diffing the ring=false
 // and ring=true profiles attributes the ring's win stack by stack: the
 // per-fault monitor/gate/entry+exit crossings and cpu/shootdown stacks
@@ -54,16 +54,11 @@ func ProfilePagefault(vcpus int, ring bool) (*prof.Profiler, uint64, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	start := w.M.Clock.Now()
 	p.Start()
-	w.Attr.Phase = PhasePagefault
+	w.Attr.Switch(metrics.NoTenant, PhasePagefault, 0)
 	w.K.Schedule()
-	w.Attr.Phase = ""
+	delta := w.Attr.Switch(metrics.NoTenant, "", 0)
 	p.Stop()
-	delta := w.M.Clock.Now() - start
-	w.Met.Add(metrics.FamilyTenantPhaseCycles, delta,
-		metrics.KV("phase", PhasePagefault),
-		metrics.KV("tenant", metrics.TenantLabelOf(metrics.NoTenant)))
 	if t.ExitReason != "" {
 		return nil, 0, fmt.Errorf("pagefault (profiled): %s", t.ExitReason)
 	}

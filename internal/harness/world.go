@@ -39,9 +39,11 @@ type World struct {
 	// holds with the registry always on).
 	Met *metrics.Registry
 
-	// Attr is the ambient (tenant, phase) attribution context the serving
-	// loop mutates; monitor gates, kernel dispatch and secure channels read
-	// it at record time. Always non-nil; Tenant is NoTenant outside serving.
+	// Attr is the world's single execution context, held by the machine
+	// (M.Attr): the (tenant, phase) the serving loop switches, the span
+	// scope, profiler frames and the attribution window. Monitor gates,
+	// kernel dispatch, secure channels, the recorder and the profiler all
+	// read it. Always non-nil; Tenant is NoTenant outside serving.
 	Attr *metrics.Attr
 
 	// Entropy is the handshake entropy source every key in this world draws
@@ -102,16 +104,16 @@ func NewWorld(cfg WorldConfig) (*World, error) {
 	m.TDX = module
 	module.MeasureBoot("firmware", firmware)
 
+	met := metrics.New()
+	m.Attr = metrics.NewAttr(met, m.Clock.Now)
 	w := &World{Phys: phys, M: m, TDX: module, Host: host, Mode: cfg.Mode,
-		Met: metrics.New(), Attr: metrics.NewAttr(), Entropy: cfg.Entropy}
+		Met: met, Attr: m.Attr, Entropy: cfg.Entropy}
 	if cfg.Trace {
 		// The recorder reads the machine clock but never charges it: a
 		// traced world and an untraced world run the same workload to the
-		// same cycle count.
-		w.Rec = trace.New(cfg.TraceCapacity, m.Clock.Now)
-		// Single-sink: the recorder's event tallies live in the registry
-		// (Counts reads back through it, so trace exports are unchanged).
-		w.Rec.SetCountStore(w.Met)
+		// same cycle count. Its event tallies live in the registry and its
+		// span scope on the context.
+		w.Rec = trace.New(cfg.TraceCapacity, m.Clock.Now, met, m.Attr)
 	}
 
 	switch cfg.Mode {
@@ -134,7 +136,6 @@ func NewWorld(cfg WorldConfig) (*World, error) {
 		// so boot-time EMCs land in the shared registry (the histogram/Stats
 		// reconciliation tests count them).
 		mon.Met = w.Met
-		mon.Attr = w.Attr
 		img := kernel.BuildKernelImage(kernel.ImageOptions{Instrumented: true})
 		if _, err := mon.LoadKernel(img); err != nil {
 			return nil, fmt.Errorf("harness: kernel load: %w", err)
@@ -144,7 +145,7 @@ func NewWorld(cfg WorldConfig) (*World, error) {
 			return nil, err
 		}
 		k.Rec = w.Rec
-		k.Met, k.Attr = w.Met, w.Attr
+		k.Met = w.Met
 		w.K = k
 
 	case kernel.ModeNative:
@@ -158,7 +159,7 @@ func NewWorld(cfg WorldConfig) (*World, error) {
 			return nil, err
 		}
 		k.Rec = w.Rec
-		k.Met, k.Attr = w.Met, w.Attr
+		k.Met = w.Met
 		w.K = k
 
 	default:

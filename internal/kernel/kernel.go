@@ -115,8 +115,9 @@ type Kernel struct {
 	// world-wide registry here). Recording never charges the virtual clock.
 	Met *metrics.Registry
 
-	// Attr is the ambient attribution context set by the serving loop; when
-	// a tenant is bound, scheduler dispatch cycles are attributed per tenant.
+	// Attr is the machine's execution context (New copies Machine.Attr);
+	// when it names a tenant, scheduler dispatch cycles are attributed per
+	// tenant.
 	Attr *metrics.Attr
 
 	Stats Stats
@@ -138,6 +139,7 @@ type Config struct {
 func New(cfg Config) (*Kernel, error) {
 	k := &Kernel{
 		M:      cfg.Machine,
+		Attr:   cfg.Machine.Attr,
 		Mode:   cfg.Mode,
 		Mon:    cfg.Monitor,
 		TDX:    cfg.TDX,

@@ -19,8 +19,8 @@ func (k *Kernel) NetSend(buf []byte) error {
 	c := k.core()
 	// The secure channel's wire costs surface here: staging copy, GHCI
 	// round trip, NIC serialization.
-	k.M.ProfEnter("kernel/net/tx")
-	defer k.M.ProfExit()
+	k.M.PushFrame("kernel/net/tx")
+	defer k.M.PopFrame()
 	need := (len(buf) + mem.PageSize - 1) / mem.PageSize
 	if need == 0 {
 		need = 1
@@ -71,8 +71,8 @@ func (k *Kernel) NetSend(buf []byte) error {
 // NetRecv pulls one frame from the host NIC, or nil when none is queued.
 func (k *Kernel) NetRecv() ([]byte, error) {
 	c := k.core()
-	k.M.ProfEnter("kernel/net/rx")
-	defer k.M.ProfExit()
+	k.M.PushFrame("kernel/net/rx")
+	defer k.M.PopFrame()
 	if h, ok := hostOf(k.TDX); ok {
 		k.Met.SetMax(metrics.FamilyHighWater, uint64(len(h.NetIn)),
 			metrics.KV("resource", metrics.ResourceNICQueue))

@@ -363,9 +363,7 @@ func (ep *ereborPriv) RingEnqueue(c *cpu.Core, as *AddrSpace, req monitor.RingRe
 		}
 	}
 	// One enqueue: write the request into the shared ring, bump the head.
-	ep.k.M.ProfEnter("kernel/ring/submit")
-	ep.k.M.Clock.Charge(costs.EreborRingSubmit)
-	ep.k.M.ProfExit()
+	ep.k.M.Clock.ChargeFrame("kernel/ring/submit", costs.EreborRingSubmit)
 	if !as.ring.Push(req) {
 		return fmt.Errorf("kernel: submission ring full after drain")
 	}

@@ -241,8 +241,8 @@ func (k *Kernel) dispatch(t *Task, c *cpu.Core) {
 	defer func() { k.curCore = nil }()
 	// Profiler frame for the whole slice: context switch, syscalls, faults
 	// and user compute all nest under kernel/dispatch.
-	k.M.ProfEnter("kernel/dispatch")
-	defer k.M.ProfExit()
+	k.M.PushFrame("kernel/dispatch")
+	defer k.M.PopFrame()
 	dispStart := k.M.Clock.Now()
 	// Open span: syscalls, faults and EMC gates inside the slice parent
 	// into the dispatch, which itself parents into the serving loop's
@@ -460,8 +460,8 @@ func (k *Kernel) handlePageFault(c *cpu.Core, tr *cpu.Trap, cur *Task) {
 	if cur == nil {
 		panic("kernel: page fault with no current task: " + tr.Error())
 	}
-	k.M.ProfEnter("kernel/page-fault")
-	defer k.M.ProfExit()
+	k.M.PushFrame("kernel/page-fault")
+	defer k.M.PopFrame()
 	k.Stats.PageFaults++
 	va := paging.PageBase(tr.Fault.Addr)
 	var vma *VMA
@@ -582,11 +582,9 @@ type Env struct {
 // Charge burns n cycles of user compute, yielding to the scheduler at
 // quantum boundaries.
 func (e *Env) Charge(n uint64) {
-	// The frame closes before the quantum check: a preemption yield must
-	// not suspend the task goroutine with a profiler frame still pushed.
-	e.K.M.ProfEnter("user/compute")
-	e.K.M.Clock.Charge(n)
-	e.K.M.ProfExit()
+	// A leaf frame: nothing stays pushed into the quantum check, so a
+	// preemption yield never suspends the task goroutine inside a frame.
+	e.K.M.Clock.ChargeFrame("user/compute", n)
 	e.checkSignals()
 	if e.K.M.Clock.Now() >= e.K.sliceEnd {
 		e.y.Yield(evPreempt{})

@@ -112,21 +112,138 @@ const (
 // NoTenant is the Attr.Tenant value meaning "no tenant context".
 const NoTenant = -1
 
-// Attr is the ambient attribution context threaded from the serving loop
-// down through secchan, the monitor's EMC gates and kernel dispatch. The
-// serving loop mutates it as its slot FSM advances; lower layers read it at
-// record time. It is deliberately a plain shared struct, not a lock: the
-// simulation is single-threaded per world, and the context changes only at
-// slot boundaries.
+// Attr is the world's single execution context: the (tenant, phase) pair
+// the machine is working for, the trace span scope, the profiler's
+// mechanism frames, the attribution window the last Switch opened and the
+// TLB-shootdown cycles charged inside it. harness.NewWorld creates one per
+// world and the machine holds it, so the serving loop, secchan, the
+// monitor's EMC gates, kernel dispatch, the flight recorder and the cycle
+// profiler all read the same one. It is a plain shared struct, not a lock:
+// the simulation is single-threaded per world.
+//
+// Nothing here charges the clock. Switch times a window by reading it, the
+// cpu package adds shootdown charges to the tally, and an attached profiler
+// observes every charge against the live (Tenant, Phase, frames) — so the
+// registry's phase attribution and the profile are two readers of one
+// context (DESIGN.md §17).
 type Attr struct {
 	// Tenant is the tenant index being served (NoTenant when none).
 	Tenant int
 	// Phase is the session phase (one of the Phase* constants, "" if none).
+	// A plain write to Tenant or Phase changes what readers see and records
+	// nothing: only Switch flushes into the registry.
 	Phase string
+
+	met *Registry
+	now func() uint64
+
+	// The attribution window the last Switch opened: its pair, its start on
+	// the clock, and the initiator-side shootdown cycles charged since. The
+	// window keeps its own pair so a plain Tenant/Phase write can neither
+	// redirect nor trigger a flush.
+	winTenant int
+	winPhase  string
+	winStart  uint64
+	shootdown uint64
+
+	// Span scope (DESIGN.md §14): the last span ID handed out and the stack
+	// of open scopes, innermost last.
+	spanNext uint64
+	scope    []uint64
+
+	// frames is the live profiler frame stack rendered as ";frame;frame..."
+	// (leading separator included so a folded prefix concatenates cleanly);
+	// lens holds the rendered length before each push, for O(1) pops.
+	frames string
+	lens   []int
 }
 
-// NewAttr returns an attribution context with no tenant bound.
-func NewAttr() *Attr { return &Attr{Tenant: NoTenant} }
+// NewAttr returns a context with no tenant bound whose attribution windows
+// flush into met (nil records nothing), timed by the clock reader now.
+func NewAttr(met *Registry, now func() uint64) *Attr {
+	return &Attr{Tenant: NoTenant, winTenant: NoTenant, met: met, now: now}
+}
+
+// Switch is the one context switch. It flushes the window the previous
+// Switch opened — its elapsed cycles into FamilyTenantPhaseCycles and its
+// shootdown cycles into FamilyShootdownCycles, under that window's pair —
+// then binds (tenant, phase), opens the next window at the current clock,
+// and makes scope the only open span (0 for none). It returns the cycles
+// flushed. Phase "" parks: the window it opens flushes nothing.
+func (a *Attr) Switch(tenant int, phase string, scope uint64) uint64 {
+	now := a.now()
+	var elapsed uint64
+	if a.winPhase != "" {
+		elapsed = now - a.winStart
+		label := TenantLabelOf(a.winTenant)
+		a.met.Add(FamilyTenantPhaseCycles, elapsed, KV("phase", a.winPhase), KV("tenant", label))
+		a.met.Add(FamilyShootdownCycles, a.shootdown, KV("tenant", label))
+	}
+	a.Tenant, a.Phase = tenant, phase
+	a.winTenant, a.winPhase, a.winStart, a.shootdown = tenant, phase, now, 0
+	a.scope = a.scope[:0]
+	if scope != 0 {
+		a.scope = append(a.scope, scope)
+	}
+	return elapsed
+}
+
+// AddShootdown adds n initiator-side TLB-shootdown cycles to the open
+// window's tally. Nil-safe: a bare machine carries no context.
+func (a *Attr) AddShootdown(n uint64) {
+	if a != nil {
+		a.shootdown += n
+	}
+}
+
+// NewSpan hands out the next span ID (1-based; 0 stays "no span"). IDs
+// advance in event order, so a (seed, P) reproduces them byte for byte.
+func (a *Attr) NewSpan() uint64 {
+	a.spanNext++
+	return a.spanNext
+}
+
+// Span is the innermost open span scope (0 when none).
+func (a *Attr) Span() uint64 {
+	if len(a.scope) == 0 {
+		return 0
+	}
+	return a.scope[len(a.scope)-1]
+}
+
+// PushSpan opens span id as the innermost scope.
+func (a *Attr) PushSpan(id uint64) { a.scope = append(a.scope, id) }
+
+// PopSpan closes the innermost scope.
+func (a *Attr) PopSpan() {
+	if len(a.scope) > 0 {
+		a.scope = a.scope[:len(a.scope)-1]
+	}
+}
+
+// SpanDepth reports the open-scope count.
+func (a *Attr) SpanDepth() int { return len(a.scope) }
+
+// PushFrame opens a profiler mechanism frame.
+func (a *Attr) PushFrame(frame string) {
+	a.lens = append(a.lens, len(a.frames))
+	a.frames += ";" + frame
+}
+
+// PopFrame closes the innermost frame. Popping an empty stack is a no-op,
+// so the pop of a frame opened before a profiler attached is harmless.
+func (a *Attr) PopFrame() {
+	if n := len(a.lens); n > 0 {
+		a.frames = a.frames[:a.lens[n-1]]
+		a.lens = a.lens[:n-1]
+	}
+}
+
+// Frames is the live frame stack rendered ";frame;frame..." ("" if empty).
+func (a *Attr) Frames() string { return a.frames }
+
+// FrameDepth reports the live frame count.
+func (a *Attr) FrameDepth() int { return len(a.lens) }
 
 // TenantLabel renders the tenant index as a metrics label value.
 func (a *Attr) TenantLabel() string {

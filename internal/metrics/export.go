@@ -3,8 +3,6 @@ package metrics
 import (
 	"fmt"
 	"io"
-
-	"github.com/asterisc-release/erebor-go/internal/trace"
 )
 
 // escape escapes a label value for the OpenMetrics text format: backslash,
@@ -90,10 +88,10 @@ func (r *Registry) ExportOpenMetrics(w io.Writer) error {
 func writeHistogram(w io.Writer, name string, s SeriesValue) error {
 	h := s.Hist
 	if h == nil {
-		h = &trace.Histogram{}
+		h = &Histogram{}
 	}
 	lo, hi := -1, -1
-	for i := 0; i < trace.NumBuckets; i++ {
+	for i := 0; i < NumBuckets; i++ {
 		if h.Buckets[i] != 0 {
 			if lo < 0 {
 				lo = i
@@ -105,7 +103,7 @@ func writeHistogram(w io.Writer, name string, s SeriesValue) error {
 	for i := lo; i >= 0 && i <= hi; i++ {
 		cum += h.Buckets[i]
 		if _, err := fmt.Fprintf(w, "%s_bucket%s %d\n",
-			name, labelString(s.Labels, KV("le", fmt.Sprint(trace.BucketUpper(i)))), cum); err != nil {
+			name, labelString(s.Labels, KV("le", fmt.Sprint(BucketUpper(i)))), cum); err != nil {
 			return err
 		}
 	}

@@ -18,17 +18,15 @@
 //     inside monitor.Stats (EMCByKind, CyclesByKind) and trace.Recorder
 //     (Counts): those surfaces now read back from a registry family.
 //
-// Histograms reuse the flight recorder's fixed log2 bucket scheme
-// (trace.Histogram), so span latencies and registry latencies digest and
-// export identically.
+// Histogram families use the fixed log2 bucket Histogram the flight
+// recorder also keeps per span, so span latencies and registry latencies
+// digest and export identically.
 package metrics
 
 import (
 	"sort"
 	"strings"
 	"sync"
-
-	"github.com/asterisc-release/erebor-go/internal/trace"
 )
 
 // Label is one key=value dimension of a series.
@@ -65,8 +63,8 @@ func (k Kind) String() string {
 // series is one labeled instrument inside a family.
 type series struct {
 	labels []Label
-	value  uint64           // counter total or gauge level
-	hist   *trace.Histogram // histogram families only
+	value  uint64     // counter total or gauge level
+	hist   *Histogram // histogram families only
 }
 
 // family groups every series of one metric name.
@@ -138,7 +136,7 @@ func (r *Registry) getSeries(name string, kind Kind, labels []Label) *series {
 	if s == nil {
 		s = &series{labels: sorted}
 		if kind == HistogramKind {
-			s.hist = &trace.Histogram{}
+			s.hist = &Histogram{}
 		}
 		fam.series[key] = s
 	}
@@ -219,7 +217,7 @@ func (r *Registry) Observe(name string, v uint64, labels ...Label) {
 }
 
 // ObserveEx adds one observation with an exemplar (a span/session ID
-// retained in the observation's bucket; see trace.Histogram.ObserveEx).
+// retained in the observation's bucket; see Histogram.ObserveEx).
 // The SLO engine reads exemplars back to link a blown objective to the
 // span tree that explains it.
 func (r *Registry) ObserveEx(name string, v, exemplar uint64, labels ...Label) {
@@ -250,19 +248,19 @@ func (r *Registry) Value(name string, labels ...Label) uint64 {
 }
 
 // Hist reads a histogram series snapshot (zero Histogram when absent).
-func (r *Registry) Hist(name string, labels ...Label) trace.Histogram {
+func (r *Registry) Hist(name string, labels ...Label) Histogram {
 	if r == nil {
-		return trace.Histogram{}
+		return Histogram{}
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	fam := r.families[name]
 	if fam == nil {
-		return trace.Histogram{}
+		return Histogram{}
 	}
 	s := fam.series[canonical(sortLabels(labels))]
 	if s == nil || s.hist == nil {
-		return trace.Histogram{}
+		return Histogram{}
 	}
 	return *s.hist
 }
@@ -271,7 +269,7 @@ func (r *Registry) Hist(name string, labels ...Label) trace.Histogram {
 type SeriesValue struct {
 	Labels []Label
 	Value  uint64
-	Hist   *trace.Histogram // histogram families only (copy)
+	Hist   *Histogram // histogram families only (copy)
 }
 
 // FamilySnapshot is one family in stable order.
@@ -363,56 +361,14 @@ func (r *Registry) CounterMap(name, labelKey string) map[string]uint64 {
 	return out
 }
 
-// TraceEventsFamily is the registry family that mirrors the flight
-// recorder's event tallies when a recorder is bound to the registry via
-// trace.Recorder.SetCountStore.
+// TraceEventsFamily is the registry family holding the flight recorder's
+// event tallies, labeled {kind, label}.
 const TraceEventsFamily = "erebor_trace_events"
-
-// AddTraceCount implements trace.CountStore: recorder event tallies land in
-// the TraceEventsFamily counter, labeled by kind and label.
-func (r *Registry) AddTraceCount(kind, label string, delta uint64) {
-	r.Add(TraceEventsFamily, delta, KV("kind", kind), KV("label", label))
-}
-
-// TraceCounts implements trace.CountStore: it reconstructs the recorder's
-// "kind|label" tally map from the TraceEventsFamily series, so a
-// registry-backed recorder's Counts (and therefore its Prometheus export)
-// are byte-identical to a standalone recorder's.
-func (r *Registry) TraceCounts() map[string]uint64 {
-	if r == nil {
-		return nil
-	}
-	series := r.Series(TraceEventsFamily)
-	out := make(map[string]uint64, len(series))
-	for _, s := range series {
-		var kind, label string
-		for _, l := range s.Labels {
-			switch l.Key {
-			case "kind":
-				kind = l.Value
-			case "label":
-				label = l.Value
-			}
-		}
-		key := kind
-		if label != "" {
-			key += "|" + label
-		}
-		out[key] = s.Value
-	}
-	return out
-}
 
 // TraceDroppedFamily is the registry family counting flight-recorder ring
 // wraparound drops (surfacing trace.Recorder.Dropped at runtime, so event
 // loss can't silently corrupt a critical-path analysis).
 const TraceDroppedFamily = "erebor_trace_dropped_events"
-
-// AddTraceDropped implements trace.DropStore: ring drops land in the
-// TraceDroppedFamily counter.
-func (r *Registry) AddTraceDropped(delta uint64) {
-	r.Add(TraceDroppedFamily, delta)
-}
 
 // Reset discards every family and series (tests; world reuse).
 func (r *Registry) Reset() {

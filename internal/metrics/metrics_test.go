@@ -3,8 +3,6 @@ package metrics
 import (
 	"strings"
 	"testing"
-
-	"github.com/asterisc-release/erebor-go/internal/trace"
 )
 
 func TestNilRegistryIsSafe(t *testing.T) {
@@ -222,24 +220,6 @@ func TestDescribedButUnwrittenFamilyOmitted(t *testing.T) {
 	}
 	if len(r.Snapshot()) != 0 {
 		t.Fatal("described-only family in snapshot")
-	}
-}
-
-func TestRegistryAsCountStore(t *testing.T) {
-	var _ trace.CountStore = (*Registry)(nil)
-	r := New()
-	r.AddTraceCount("emc", "emc/mmu", 3)
-	r.AddTraceCount("frame-send", "", 2)
-	m := r.TraceCounts()
-	if m["emc|emc/mmu"] != 3 || m["frame-send"] != 2 {
-		t.Fatalf("TraceCounts = %v", m)
-	}
-	if v := r.Value(TraceEventsFamily, KV("kind", "emc"), KV("label", "emc/mmu")); v != 3 {
-		t.Fatalf("registry family value = %d", v)
-	}
-	var nilReg *Registry
-	if m := nilReg.TraceCounts(); m != nil {
-		t.Fatalf("nil TraceCounts = %v", m)
 	}
 }
 

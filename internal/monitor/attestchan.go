@@ -94,7 +94,7 @@ func (mon *Monitor) AcceptSession(c *cpu.Core, id SandboxID, tr secchan.Transpor
 	// response) were lost — re-send retained history.
 	rc.RetransmitOnDup = true
 	rc.Rec, rc.Track = mon.Rec, trace.TrackMonitor
-	rc.Met, rc.Attr = mon.Met, mon.Attr
+	rc.Met, rc.Attr = mon.Met, mon.M.Attr
 	sb.conn = rc
 	return nil
 }

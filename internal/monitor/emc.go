@@ -48,8 +48,8 @@ func (mon *Monitor) gate(c *cpu.Core, kind string, body func() error) error {
 	// monitor/emc/<kind>, with the fixed crossing costs split out below into
 	// monitor/gate/* sub-frames so a profile diff can attribute gate-count
 	// wins (e.g. the submission ring's) to the crossings themselves.
-	mon.M.ProfEnter("monitor/emc/" + kind)
-	defer mon.M.ProfExit()
+	mon.M.PushFrame("monitor/emc/" + kind)
+	defer mon.M.PopFrame()
 	// The gate is an open span, not a retro-stamped one: anything the body
 	// records (violations, kills, nested interposes) parents into it, so a
 	// session's tree explains where its EMC cycles went.
@@ -61,9 +61,9 @@ func (mon *Monitor) gate(c *cpu.Core, kind string, body func() error) error {
 	defer func() {
 		delta := clock.Now() - gateStart
 		mon.Met.Add(metrics.FamilyEMCCycles, delta, metrics.KV("kind", kind))
-		if mon.Attr.Active() {
+		if mon.M.Attr.Active() {
 			mon.Met.Add(metrics.FamilyTenantEMCCycles, delta,
-				metrics.KV("tenant", mon.Attr.TenantLabel()), metrics.KV("kind", kind))
+				metrics.KV("tenant", mon.M.Attr.TenantLabel()), metrics.KV("kind", kind))
 		}
 		mon.Rec.EndSpan(gateSpan, trace.KindEMC, trace.TrackMonitor, "emc/"+kind)
 		// The cadence sweep runs at gate exit — the natural deterministic
@@ -71,18 +71,14 @@ func (mon *Monitor) gate(c *cpu.Core, kind string, body func() error) error {
 		// itself never charges the clock.
 		mon.wdMaybeSweep()
 	}()
-	mon.M.ProfEnter("monitor/gate/entry")
-	clock.Charge(costs.EMCEntryGate)
-	mon.M.ProfExit()
+	clock.ChargeFrame("monitor/gate/entry", costs.EMCEntryGate)
 	c.EnterMonitorMode(mon.tok)
 	c.RawWriteMSR(mon.tok, cpu.MSRPKRS, uint64(MonitorPKRS))
 	retAddr := EMCEntryAddr + 0x40 // call site's return, tracked by the shadow stack
 	if c.SStack != nil {
 		c.SStack.Call(retAddr)
 	}
-	mon.M.ProfEnter("monitor/gate/dispatch")
-	clock.Charge(costs.EMCDispatch)
-	mon.M.ProfExit()
+	clock.ChargeFrame("monitor/gate/dispatch", costs.EMCDispatch)
 
 	// Simulated mid-EMC preemption: the #INT gate must revoke monitor
 	// permissions before the OS handler runs (Fig 5c-right).
@@ -101,9 +97,7 @@ func (mon *Monitor) gate(c *cpu.Core, kind string, body func() error) error {
 		}
 	}
 	c.ExitMonitorMode(mon.tok)
-	mon.M.ProfEnter("monitor/gate/exit")
-	clock.Charge(costs.EMCExitGate)
-	mon.M.ProfExit()
+	clock.ChargeFrame("monitor/gate/exit", costs.EMCExitGate)
 	return err
 }
 
@@ -112,8 +106,8 @@ func (mon *Monitor) gate(c *cpu.Core, kind string, body func() error) error {
 // mode, run the OS handler, then restore (paper Fig 5c-right steps a/b).
 func (mon *Monitor) preemptDuringEMC(c *cpu.Core, handler func(c *cpu.Core)) {
 	clock := &mon.M.Clock
-	mon.M.ProfEnter("monitor/gate/preempt")
-	defer mon.M.ProfExit()
+	mon.M.PushFrame("monitor/gate/preempt")
+	defer mon.M.PopFrame()
 	clock.Charge(costs.InterruptDelivery + costs.InterruptGate)
 	saved := c.MSR(cpu.MSRPKRS)
 	c.RawWriteMSR(mon.tok, cpu.MSRPKRS, uint64(NormalPKRS))

@@ -460,9 +460,7 @@ func (mon *Monitor) mmuCommit(c *cpu.Core, as *asState, work []RingReq) ([]cpu.S
 // pteWrite accounts one physical PTE write of an MMU transaction.
 func (mon *Monitor) pteWrite() {
 	mon.Stats.PTEWrites++
-	mon.M.ProfEnter("monitor/pte-write")
-	mon.M.Clock.Charge(costs.EreborPTEWriteBody)
-	mon.M.ProfExit()
+	mon.M.Clock.ChargeFrame("monitor/pte-write", costs.EreborPTEWriteBody)
 }
 
 // TranslateUser walks an address space (monitor-internal and harness use).

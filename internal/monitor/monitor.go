@@ -214,11 +214,6 @@ type Monitor struct {
 	// shared registry right after Boot, before any EMC fires.
 	Met *metrics.Registry
 
-	// Attr is the ambient attribution context (tenant + session phase) set
-	// by the serving loop; when a tenant is bound, EMC gate cycles are
-	// additionally broken down per tenant. Nil outside serving.
-	Attr *metrics.Attr
-
 	// wd is the continuous invariant watchdog state (nil = disabled).
 	wd *watchdogState
 

@@ -105,10 +105,8 @@ func (mon *Monitor) EMCRingDrain(c *cpu.Core, ring *SubmitRing) error {
 		defer func() {
 			mon.Rec.EndSpan(span, trace.KindRingDrain, trace.TrackMonitor, "ring-drain")
 		}()
-		mon.M.ProfEnter("monitor/ring/drain")
-		mon.M.Clock.Charge(costs.EreborRingDrainBase +
+		mon.M.Clock.ChargeFrame("monitor/ring/drain", costs.EreborRingDrainBase+
 			costs.EreborRingDrainEntry*uint64(ring.Len()))
-		mon.M.ProfExit()
 		as, ok := mon.addrSpaces[ring.asid]
 		if !ok {
 			mon.Met.Inc(metrics.FamilyEMCRingDrains, metrics.KV("outcome", "rejected"))

@@ -285,8 +285,8 @@ func (mon *Monitor) cowBreakLocked(sb *sbState, va paging.Addr) error {
 	if !sb.cowPages[va] {
 		return denied("cow-break", "va %#x of sandbox %d is not CoW-shared", va, sb.id)
 	}
-	mon.M.ProfEnter("monitor/cow/break")
-	defer mon.M.ProfExit()
+	mon.M.PushFrame("monitor/cow/break")
+	defer mon.M.PopFrame()
 	old := sb.confined[va]
 	nf, err := mon.M.Phys.AllocRegion(RegionCMA, sb.owner)
 	if err != nil {

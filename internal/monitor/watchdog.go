@@ -152,8 +152,8 @@ func (mon *Monitor) wdSweep(trigger string) {
 	}
 	now := mon.M.Clock.Now()
 	tenant := metrics.NoTenant
-	if mon.Attr.Active() {
-		tenant = mon.Attr.Tenant
+	if mon.M.Attr.Active() {
+		tenant = mon.M.Attr.Tenant
 	}
 	for _, v := range violations {
 		severity := v.Code.Severity()

@@ -54,8 +54,8 @@ func (p *Profiler) CheckConservation(met *metrics.Registry) []string {
 	if d := p.Dropped(); d > 0 {
 		bad = append(bad, fmt.Sprintf("%d cycles observed outside any phase (dropped)", d))
 	}
-	if n := p.Depth(); n != 0 {
-		bad = append(bad, fmt.Sprintf("frame stack unbalanced: depth %d at check time", n))
+	if p != nil && p.attr.FrameDepth() != 0 {
+		bad = append(bad, fmt.Sprintf("frame stack unbalanced: depth %d at check time", p.attr.FrameDepth()))
 	}
 	sort.Strings(bad)
 	return bad

@@ -1,21 +1,23 @@
-// Package prof is the platform's deterministic cycle-exact profiler: a
-// frame-stack attribution layer over the virtual clock that rolls every
-// charged cycle up into a stack naming the mechanism that paid it.
+// Package prof is the platform's deterministic cycle-exact profiler: it
+// rolls every charged virtual cycle up into a stack naming the mechanism
+// that paid it.
 //
-// The machine's Clock.Charge is the only way virtual time advances, so the
-// profiler attaches there (cpu.Machine.AttachProfiler) and observes every
-// cycle exactly once. Each observation is attributed to the concatenation
-// of three contexts live at charge time:
+// The machine's clock is the only way virtual time advances, so the
+// profiler attaches there (cpu.Machine.AttachProfiler) as the clock's
+// charge sink and observes every cycle exactly once. It keeps no state of
+// its own about what is executing: each observation is attributed to the
+// world's execution context (metrics.Attr) as it stands at charge time,
 //
 //	tenant:<t>;phase:<ph>;<frame>;<frame>;...
 //
-// where (tenant, phase) come from the shared metrics.Attr the serving loop
-// already maintains for per-phase cycle attribution (DESIGN.md §12), and
-// the frames are an ambient mechanism stack pushed/popped by the layers
-// that charge: cpu access/copy/trap-delivery/shootdowns, the monitor's EMC
-// gates, ring drains and CoW breaks, kernel dispatch, fault handling and
-// the net pump. A charge with no frames lands on the bare (tenant, phase)
-// root — e.g. sandbox user compute.
+// where (tenant, phase) are the pair the serving loop's Switch bound
+// (DESIGN.md §12) and the frames are the mechanism stack the layers that
+// charge push on the same context while a profiler is attached: cpu trap
+// delivery and shootdown IPIs, the monitor's EMC gates and CoW breaks,
+// kernel dispatch, fault handling and the net pump. A leaf charge
+// (Clock.ChargeFrame: a TLB hit, a page walk, a PTE write, a gate crossing)
+// adds its frame for that one observation. A charge with no frames lands on
+// the bare (tenant, phase) root.
 //
 // Design constraints (DESIGN.md §17):
 //
@@ -23,7 +25,8 @@
 //     run is cycle-identical (and report-byte-identical) to a bare run.
 //   - Exact conservation: between Start and Stop, the sum of stack cycles
 //     for (t, ph) equals the metrics registry's FamilyTenantPhaseCycles
-//     delta for the same pair — both count the same Charge calls.
+//     delta for the same pair — both read the same context over the same
+//     Charge calls.
 //   - Deterministic: exports traverse sorted orders, so identically-seeded
 //     runs produce byte-identical folded text and pprof protobuf.
 //   - Nil-safe: a nil *Profiler no-ops every method, so hook sites need no
@@ -52,41 +55,40 @@ func (k Key) Label() string {
 	return "tenant:" + strconv.Itoa(k.Tenant) + ";phase:" + k.Phase
 }
 
-// Profiler accumulates cycles per (tenant, phase, frame stack). It
-// implements cpu.Profiler. The mutex keeps exports race-clean against the
-// single-threaded simulation goroutine; the hot path takes it briefly and
-// never allocates on Observe (the live stack string is maintained
-// incrementally by Enter/Exit).
+// Profiler accumulates cycles per (tenant, phase, frame stack). The mutex
+// keeps exports race-clean against the single-threaded simulation
+// goroutine; the hot path takes it briefly, and Observe allocates only for
+// a new stack (the context keeps the rendered frame stack current).
 type Profiler struct {
 	mu     sync.Mutex
 	attr   *metrics.Attr
 	active bool
 
-	// stack is the live frame stack rendered as ";frame;frame..." (leading
-	// separator included so prefix+stack concatenates cleanly); lens holds
-	// the stack-string length before each push, for O(1) pops.
-	stack string
-	lens  []int
-
 	samples map[Key]map[string]uint64
 	dropped uint64
 }
 
-// New builds a profiler reading tenant/phase from the given attribution
-// context (the world's shared *metrics.Attr). Recording starts disabled;
-// call Start at the attribution window's opening edge.
+// New builds a profiler reading tenant, phase and frames from the given
+// execution context (the world's *metrics.Attr; nil builds a private one).
+// Recording starts disabled; call Start at the attribution window's
+// opening edge.
 func New(attr *metrics.Attr) *Profiler {
 	if attr == nil {
-		attr = metrics.NewAttr()
+		attr = metrics.NewAttr(nil, nil)
 	}
 	return &Profiler{attr: attr, samples: make(map[Key]map[string]uint64)}
 }
 
+// Context is the execution context the profiler reads: the machine pushes
+// its frames there while the profiler is attached.
+func (p *Profiler) Context() *metrics.Attr { return p.attr }
+
 // Enabled reports whether the profiler is live (hook-site convenience).
 func (p *Profiler) Enabled() bool { return p != nil }
 
-// Start opens the recording window. Pair it with the attribution cursor's
-// opening setPhase so conservation against metrics holds exactly.
+// Start opens the recording window. Pair it with the context Switch that
+// opens the first attribution window so conservation against metrics holds
+// exactly.
 func (p *Profiler) Start() {
 	if p == nil {
 		return
@@ -106,47 +108,19 @@ func (p *Profiler) Stop() {
 	p.mu.Unlock()
 }
 
-// Enter pushes a mechanism frame. Frames are pushed and popped even while
-// recording is stopped, so the stack stays balanced across the Start edge.
-func (p *Profiler) Enter(frame string) {
-	if p == nil {
-		return
-	}
-	p.mu.Lock()
-	p.lens = append(p.lens, len(p.stack))
-	p.stack += ";" + frame
-	p.mu.Unlock()
-}
-
-// Exit pops the innermost frame.
-func (p *Profiler) Exit() {
-	if p == nil {
-		return
-	}
-	p.mu.Lock()
-	if n := len(p.lens); n > 0 {
-		p.stack = p.stack[:p.lens[n-1]]
-		p.lens = p.lens[:n-1]
-	}
-	p.mu.Unlock()
-}
-
-// Depth returns the live frame-stack depth (tests: balance checking).
-func (p *Profiler) Depth() int {
-	if p == nil {
-		return 0
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.lens)
-}
-
-// Observe attributes n charged cycles to the live stack. Cycles charged
-// while the attribution context names no phase fall outside the serving
+// Observe attributes n charged cycles to the context's live stack. Cycles
+// charged while the context names no phase fall outside the serving
 // window's conservation domain and are tallied in Dropped instead (zero in
 // a well-formed run: the window opens on PhaseFleet and closes at the
 // park).
-func (p *Profiler) Observe(n uint64) {
+func (p *Profiler) Observe(n uint64) { p.observe("", n) }
+
+// ObserveFrame attributes n cycles charged by one leaf mechanism: the live
+// stack with frame appended, exactly as if frame had been pushed around the
+// charge.
+func (p *Profiler) ObserveFrame(frame string, n uint64) { p.observe(frame, n) }
+
+func (p *Profiler) observe(leaf string, n uint64) {
 	if p == nil || n == 0 {
 		return
 	}
@@ -167,7 +141,11 @@ func (p *Profiler) Observe(n uint64) {
 		m = make(map[string]uint64)
 		p.samples[k] = m
 	}
-	m[p.stack] += n
+	stack := p.attr.Frames()
+	if leaf != "" {
+		stack += ";" + leaf
+	}
+	m[stack] += n
 	p.mu.Unlock()
 }
 

@@ -9,22 +9,20 @@ import (
 )
 
 func TestObserveAttributesToLiveStack(t *testing.T) {
-	attr := metrics.NewAttr()
+	attr := metrics.NewAttr(nil, nil)
 	p := New(attr)
 	p.Start()
 	attr.Tenant, attr.Phase = 3, "compute"
 	p.Observe(10) // bare root
-	p.Enter("kernel/dispatch")
+	attr.PushFrame("kernel/dispatch")
 	p.Observe(5)
-	p.Enter("cpu/tlb-hit")
-	p.Observe(1)
-	p.Exit()
+	p.ObserveFrame("cpu/tlb-hit", 1)
 	p.Observe(4)
-	p.Exit()
+	attr.PopFrame()
 	p.Stop()
 
-	if d := p.Depth(); d != 0 {
-		t.Fatalf("depth = %d after balanced enters/exits", d)
+	if d := attr.FrameDepth(); d != 0 {
+		t.Fatalf("depth = %d after balanced pushes/pops", d)
 	}
 	want := map[string]uint64{
 		"tenant:3;phase:compute":                             10,
@@ -49,7 +47,7 @@ func TestObserveAttributesToLiveStack(t *testing.T) {
 }
 
 func TestObserveOutsideWindowAndPhase(t *testing.T) {
-	attr := metrics.NewAttr()
+	attr := metrics.NewAttr(nil, nil)
 	p := New(attr)
 	attr.Phase = "compute"
 	p.Observe(7) // before Start: ignored entirely
@@ -69,12 +67,14 @@ func TestObserveOutsideWindowAndPhase(t *testing.T) {
 func TestNilProfilerIsSafe(t *testing.T) {
 	var p *Profiler
 	p.Start()
-	p.Enter("f")
 	p.Observe(5)
-	p.Exit()
+	p.ObserveFrame("f", 5)
 	p.Stop()
-	if p.Enabled() || p.Total() != 0 || p.Dropped() != 0 || p.Depth() != 0 {
+	if p.Enabled() || p.Total() != 0 || p.Dropped() != 0 {
 		t.Fatal("nil profiler not inert")
+	}
+	if bad := p.CheckConservation(metrics.New()); len(bad) != 0 {
+		t.Fatalf("nil profiler fails conservation against an empty registry: %v", bad)
 	}
 	if s := p.Samples(); s != nil {
 		t.Fatalf("nil Samples = %v", s)
@@ -85,13 +85,13 @@ func TestNilProfilerIsSafe(t *testing.T) {
 }
 
 func TestFoldedRoundTrip(t *testing.T) {
-	attr := metrics.NewAttr()
+	attr := metrics.NewAttr(nil, nil)
 	p := New(attr)
 	p.Start()
 	attr.Tenant, attr.Phase = 0, "compute"
-	p.Enter("kernel/dispatch")
+	attr.PushFrame("kernel/dispatch")
 	p.Observe(42)
-	p.Exit()
+	attr.PopFrame()
 	attr.Tenant = 1
 	p.Observe(7)
 	p.Stop()
@@ -147,7 +147,7 @@ func TestTopAndDiff(t *testing.T) {
 }
 
 func TestCheckConservation(t *testing.T) {
-	attr := metrics.NewAttr()
+	attr := metrics.NewAttr(nil, nil)
 	met := metrics.New()
 	p := New(attr)
 	p.Start()
@@ -168,17 +168,15 @@ func TestCheckConservation(t *testing.T) {
 
 func TestExportsDeterministic(t *testing.T) {
 	build := func() *Profiler {
-		attr := metrics.NewAttr()
+		attr := metrics.NewAttr(nil, nil)
 		p := New(attr)
 		p.Start()
 		for tenant := 0; tenant < 4; tenant++ {
 			attr.Tenant, attr.Phase = tenant, "compute"
-			p.Enter("kernel/dispatch")
+			attr.PushFrame("kernel/dispatch")
 			p.Observe(uint64(10 * (tenant + 1)))
-			p.Enter("cpu/page-walk")
-			p.Observe(3)
-			p.Exit()
-			p.Exit()
+			p.ObserveFrame("cpu/page-walk", 3)
+			attr.PopFrame()
 		}
 		p.Stop()
 		return p

@@ -316,7 +316,7 @@ type slot struct {
 	// pendingRoot pre-allocates the *next* session's root during a
 	// relaunch, so launch-phase work parents into the incoming session.
 	// phase accumulates the session's per-phase cycles for the latency
-	// histograms (flushed by the attribution cursor at each transition).
+	// histograms (added by setPhase at each context switch).
 	span        trace.SpanRef
 	pendingRoot trace.SpanRef
 	phase       map[string]uint64
@@ -368,19 +368,10 @@ type Server struct {
 	coreLoad []uint64
 	wall     uint64
 
-	// Attribution cursor: every virtual cycle of Run() is charged to exactly
-	// one (tenant, phase) registry series — the cursor flushes the elapsed
-	// delta to the previous pair at each transition, so per-tenant phase
-	// cycles sum to the serial total by construction. attrSD tracks
-	// Machine.ShootdownCycles to split shootdown overhead out per tenant.
-	attrTenant int
-	attrPhase  string
-	attrLast   uint64
-	attrSD     uint64
 	// attrSlot is the slot whose session the open phase belongs to (nil
 	// for fleet phases); attrSeg is the open phase-segment span the next
-	// transition will close. Both ride the same cursor so the span tree
-	// and the cycle attribution can never disagree.
+	// setPhase will close. Both move with the world context's Switch, so
+	// the span tree and the cycle attribution can never disagree.
 	attrSlot *slot
 	attrSeg  trace.SpanRef
 
@@ -437,7 +428,7 @@ func New(cfg Config) (*Server, error) {
 		winLen = len(model)
 	}
 	s := &Server{cfg: cfg, pol: cfg.Retry, w: w, model: model, win: model[:winLen],
-		coreLoad: make([]uint64, cfg.VCPUs), attrTenant: metrics.NoTenant}
+		coreLoad: make([]uint64, cfg.VCPUs)}
 	if cfg.Profile {
 		// Attached now so frame pushes stay balanced through template/slot
 		// construction; recording only runs between Run's window edges.
@@ -746,44 +737,29 @@ func phaseOf(st state) string {
 	}
 }
 
-// setPhase moves the attribution cursor: the cycles elapsed since the last
-// transition are flushed to the previous (tenant, phase) series, and the
-// ambient Attr context the monitor/kernel/secchan read is updated. Reading
-// the clock charges nothing, so attribution is cycle-neutral. phase "" parks
-// the cursor (nothing accumulates until the next setPhase).
+// setPhase is one switch of the world's execution context: Attr.Switch
+// flushes the cycles (and shootdown cycles) since the last switch to the
+// previous (tenant, phase) series and binds the new pair, which the
+// monitor, kernel, secchan and profiler read. Reading the clock charges
+// nothing, so attribution is cycle-neutral. phase "" parks (nothing
+// accumulates until the next setPhase). The slot keeps its own per-phase
+// tally for the session's phase latencies.
 //
-// The cursor also drives span causality: each contiguous (tenant, phase)
-// stretch is one KindPhase segment span parented under the slot's session
-// root (0/fleet-rooted when sl is nil), and the ambient span scope is set
-// to the open segment — so every event the monitor/kernel/secchan record
-// while the slot runs lands in exactly one session's tree. Segments that
-// covered zero cycles and recorded no children are suppressed, keeping the
-// ring to segments that explain something.
+// Each contiguous (tenant, phase) stretch is also one KindPhase segment
+// span parented under the slot's session root (0/fleet-rooted when sl is
+// nil), and the switch makes the open segment the span scope — so every
+// event the monitor/kernel/secchan record while the slot runs lands in
+// exactly one session's tree. Segments that covered zero cycles and
+// recorded no children are suppressed, keeping the ring to segments that
+// explain something.
 func (s *Server) setPhase(sl *slot, tenant int, phase string) {
-	now := s.w.M.Clock.Now()
-	if s.attrPhase != "" {
-		delta := now - s.attrLast
-		if delta > 0 {
-			s.w.Met.Add(metrics.FamilyTenantPhaseCycles, delta,
-				metrics.KV("phase", s.attrPhase),
-				metrics.KV("tenant", metrics.TenantLabelOf(s.attrTenant)))
-			if s.attrSlot != nil && s.attrSlot.phase != nil {
-				s.attrSlot.phase[s.attrPhase] += delta
-			}
-		}
-		if sd := s.w.M.ShootdownCycles; sd > s.attrSD {
-			s.w.Met.Add(metrics.FamilyShootdownCycles, sd-s.attrSD,
-				metrics.KV("tenant", metrics.TenantLabelOf(s.attrTenant)))
-		}
-		if s.attrSeg.ID != 0 && (delta > 0 || s.w.Rec.Seq() != s.attrSeg.Mark) {
-			s.w.Rec.EndSpanAt(s.attrSeg, trace.KindPhase, trace.TrackServer,
-				s.attrPhase, now)
+	prev := s.w.Attr.Phase
+	if seg := s.attrSeg; seg.ID != 0 {
+		now := s.w.M.Clock.Now()
+		if now > seg.Start || s.w.Rec.Seq() != seg.Mark {
+			s.w.Rec.EndSpanAt(seg, trace.KindPhase, trace.TrackServer, prev, now)
 		}
 	}
-	s.attrSD = s.w.M.ShootdownCycles
-	s.attrTenant, s.attrPhase, s.attrLast = tenant, phase, now
-	s.attrSlot = sl
-	s.w.Attr.Tenant, s.w.Attr.Phase = tenant, phase
 	s.attrSeg = trace.SpanRef{}
 	if phase != "" {
 		var root trace.SpanID
@@ -792,11 +768,11 @@ func (s *Server) setPhase(sl *slot, tenant int, phase string) {
 		}
 		s.attrSeg = s.w.Rec.NewSpanUnder(root)
 	}
-	if s.attrSeg.ID != 0 {
-		s.w.Rec.Spans().SetScope(s.attrSeg.ID)
-	} else {
-		s.w.Rec.Spans().SetScope()
+	elapsed := s.w.Attr.Switch(tenant, phase, uint64(s.attrSeg.ID))
+	if elapsed > 0 && s.attrSlot != nil && s.attrSlot.phase != nil {
+		s.attrSlot.phase[prev] += elapsed
 	}
+	s.attrSlot = sl
 }
 
 // Run serves every session to completion (or typed failure) and returns
@@ -816,9 +792,9 @@ func (s *Server) Run() (*Report, error) {
 		w := s.sloEng.Window()
 		s.sloNext = (clock.Now()/w + 1) * w
 	}
-	// The recording window opens with the attribution cursor and closes at
-	// its park, so profiler stack totals and FamilyTenantPhaseCycles count
-	// exactly the same Charge calls.
+	// The recording window opens with the context's first attribution
+	// window and closes at its park, so profiler stack totals and
+	// FamilyTenantPhaseCycles count exactly the same Charge calls.
 	s.prof.Start()
 	s.setPhase(nil, metrics.NoTenant, metrics.PhaseFleet)
 	for round := 0; ; round++ {
@@ -893,8 +869,9 @@ func (s *Server) Run() (*Report, error) {
 			}
 		}
 	}
-	// Park the cursor: the trailing fleet span flushes and attribution goes
-	// inert, so per-tenant phase cycles sum exactly to Run()'s elapsed total.
+	// Park the context: the trailing fleet window flushes and attribution
+	// goes inert, so per-tenant phase cycles sum exactly to Run()'s elapsed
+	// total.
 	s.setPhase(nil, metrics.NoTenant, "")
 	s.prof.Stop()
 	if s.sloEng != nil {

@@ -29,7 +29,6 @@ import (
 	"strings"
 
 	"github.com/asterisc-release/erebor-go/internal/metrics"
-	"github.com/asterisc-release/erebor-go/internal/trace"
 )
 
 // PhaseTTFC is the pseudo-phase selecting the time-to-first-compute
@@ -72,11 +71,11 @@ func (o Objective) displayName() string {
 // HistSource is where the engine reads histograms from; the metrics
 // registry implements it.
 type HistSource interface {
-	Hist(name string, labels ...metrics.Label) trace.Histogram
+	Hist(name string, labels ...metrics.Label) metrics.Histogram
 }
 
 // hist selects the objective's histogram from the source.
-func (o Objective) hist(src HistSource) trace.Histogram {
+func (o Objective) hist(src HistSource) metrics.Histogram {
 	if o.Phase == PhaseTTFC {
 		return src.Hist(metrics.FamilyTTFC)
 	}

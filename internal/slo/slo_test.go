@@ -6,14 +6,13 @@ import (
 	"testing"
 
 	"github.com/asterisc-release/erebor-go/internal/metrics"
-	"github.com/asterisc-release/erebor-go/internal/trace"
 )
 
 // fakeSrc is a canned HistSource: histograms keyed by family plus the
 // phase label ("" for ttfc).
-type fakeSrc map[string]trace.Histogram
+type fakeSrc map[string]metrics.Histogram
 
-func (f fakeSrc) Hist(name string, labels ...metrics.Label) trace.Histogram {
+func (f fakeSrc) Hist(name string, labels ...metrics.Label) metrics.Histogram {
 	key := name
 	for _, l := range labels {
 		key += "|" + l.Key + "=" + l.Value
@@ -60,7 +59,7 @@ func TestParseObjectives(t *testing.T) {
 // cumulatively; burn is the per-window delta; the verdict and the budget
 // can never disagree because both read the same bucket-granular counts.
 func TestEvaluateBudgetAndBurn(t *testing.T) {
-	var h trace.Histogram
+	var h metrics.Histogram
 	for i := 0; i < 98; i++ {
 		h.ObserveEx(1000, uint64(200+i))
 	}
@@ -119,7 +118,7 @@ func TestEvaluateBudgetAndBurn(t *testing.T) {
 
 // TestZeroBudgetAnyViolationExhausts: budget 0 means zero tolerance.
 func TestZeroBudgetAnyViolationExhausts(t *testing.T) {
-	var h trace.Histogram
+	var h metrics.Histogram
 	h.Observe(100)
 	h.Observe(1 << 16)
 	eng := NewEngine([]Objective{
@@ -137,7 +136,7 @@ func TestZeroBudgetAnyViolationExhausts(t *testing.T) {
 
 // TestCleanObjectiveStaysGreen: no violations, no burn, Met verdict.
 func TestCleanObjectiveStaysGreen(t *testing.T) {
-	var h trace.Histogram
+	var h metrics.Histogram
 	for i := 0; i < 50; i++ {
 		h.ObserveEx(900, uint64(1+i))
 	}
@@ -158,7 +157,7 @@ func TestCleanObjectiveStaysGreen(t *testing.T) {
 // byte-identical JSONL, and every line is valid JSON with fixed fields.
 func TestExportJSONLDeterministic(t *testing.T) {
 	drive := func() *Engine {
-		var h trace.Histogram
+		var h metrics.Histogram
 		eng := NewEngine([]Objective{
 			{Phase: "compute", Quantile: 0.99, Target: 512, Budget: 0.1},
 			{Phase: PhaseTTFC, Quantile: 0.5, Target: 4096, Budget: 0.01},

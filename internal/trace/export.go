@@ -5,11 +5,12 @@ import (
 	"io"
 	"sort"
 	"strconv"
+
+	"github.com/asterisc-release/erebor-go/internal/metrics"
 )
 
 // HzPerSecond mirrors costs.HzPerSecond (2.1 GHz) without importing the
-// cost model: the recorder stays dependency-free so every layer can hook
-// into it.
+// cost model.
 const HzPerSecond = 2_100_000_000
 
 // CyclesToMicros converts virtual cycles to microseconds at 2.1 GHz.
@@ -235,7 +236,7 @@ func (r *Recorder) ExportPrometheus(w io.Writer) error {
 		span := promEscape(k)
 		var cum uint64
 		lo, hi := -1, -1
-		for i := 0; i < NumBuckets; i++ {
+		for i := 0; i < metrics.NumBuckets; i++ {
 			if h.Buckets[i] != 0 {
 				if lo < 0 {
 					lo = i
@@ -246,7 +247,7 @@ func (r *Recorder) ExportPrometheus(w io.Writer) error {
 		for i := lo; i >= 0 && i <= hi; i++ {
 			cum += h.Buckets[i]
 			if _, err := fmt.Fprintf(w, "erebor_span_cycles_bucket{span=\"%s\",le=\"%d\"} %d\n",
-				span, BucketUpper(i), cum); err != nil {
+				span, metrics.BucketUpper(i), cum); err != nil {
 				return err
 			}
 		}
@@ -284,7 +285,7 @@ func (r *Recorder) Summaries() []SpanSummary {
 
 // Summarize digests a histogram snapshot (e.g. one retained from a
 // scenario run), sorted by span name.
-func Summarize(hists map[string]Histogram) []SpanSummary {
+func Summarize(hists map[string]metrics.Histogram) []SpanSummary {
 	keys := make([]string, 0, len(hists))
 	for k := range hists {
 		keys = append(keys, k)

@@ -1,86 +1,30 @@
 package trace
 
+import "github.com/asterisc-release/erebor-go/internal/metrics"
+
 // Span identity and causality (DESIGN.md §14).
 //
-// PR 2's recorder is a flat event ring: events carry a kind, a track and a
-// timestamp, but no identity, so a slow session's cycles cannot be causally
-// decomposed across serve → secchan → monitor → kernel. This file adds span
-// IDs and parent IDs threaded through an ambient context handle — the same
-// pattern as metrics.Attr: the world is single-threaded per simulation, so
-// the current scope lives in one shared handle the serve loop rewrites at
-// phase boundaries, and every hook site picks its parent up for free.
+// Events carry span IDs and parent IDs so a slow session's cycles can be
+// causally decomposed across serve → secchan → monitor → kernel. The span
+// scope lives on the world's execution context (metrics.Attr), beside the
+// tenant and phase: the serving loop's Switch makes the open phase segment
+// the scope, Begin/EndSpan push and pop around nested work, and every hook
+// site picks its parent up for free.
 //
 // The contract mirrors the rest of the recorder:
 //
-//   - Disabled is free. A nil *Recorder hands out zero SpanRefs and a nil
-//     *Ctx; every method no-ops, so untraced runs allocate nothing and stay
-//     trivially cycle-identical.
+//   - Disabled is free. A nil *Recorder hands out zero SpanRefs and touches
+//     no context, so untraced runs allocate nothing and stay trivially
+//     cycle-identical.
 //   - Tracing never charges the clock. Span begin/end only read it.
-//   - Deterministic identity. Span IDs come from a monotonic counter
-//     advanced in event order, so the same (seed, P) produces the same IDs
-//     byte-for-byte in every export.
+//   - Deterministic identity. The context hands out span IDs from a
+//     monotonic counter advanced in event order, so the same (seed, P)
+//     produces the same IDs byte-for-byte in every export.
 
 // SpanID identifies one recorded span within a run's causal forest. 0 is
 // "no span": roots have Parent 0, and events recorded outside any scope
 // carry Span/Parent 0.
 type SpanID uint64
-
-// Ctx is the ambient span-context handle: a stack of open scopes plus the
-// run-wide ID allocator. Like metrics.Attr it is a plain shared structure
-// mutated only from the simulation's single driving goroutine (the serve
-// loop rewrites the scope at phase boundaries; Begin/EndSpan push and pop
-// around nested work). All methods are nil-safe.
-type Ctx struct {
-	next  uint64
-	stack []SpanID
-}
-
-// Current is the innermost open scope (0 when none).
-func (c *Ctx) Current() SpanID {
-	if c == nil || len(c.stack) == 0 {
-		return 0
-	}
-	return c.stack[len(c.stack)-1]
-}
-
-// SetScope replaces the whole scope stack. The serve loop calls this at
-// every phase transition: [segment] while ticking a tenant, [] outside any
-// session.
-func (c *Ctx) SetScope(ids ...SpanID) {
-	if c == nil {
-		return
-	}
-	c.stack = append(c.stack[:0], ids...)
-}
-
-// Depth reports the open-scope count (diagnostics and tests).
-func (c *Ctx) Depth() int {
-	if c == nil {
-		return 0
-	}
-	return len(c.stack)
-}
-
-// alloc hands out the next span ID (1-based; 0 stays "no span").
-func (c *Ctx) alloc() SpanID {
-	if c == nil {
-		return 0
-	}
-	c.next++
-	return SpanID(c.next)
-}
-
-func (c *Ctx) push(id SpanID) {
-	if c != nil {
-		c.stack = append(c.stack, id)
-	}
-}
-
-func (c *Ctx) pop() {
-	if c != nil && len(c.stack) > 0 {
-		c.stack = c.stack[:len(c.stack)-1]
-	}
-}
 
 // SpanRef is an open span handle returned by Begin/NewSpanUnder and closed
 // by EndSpan. The zero SpanRef (from a nil recorder) is inert.
@@ -96,15 +40,6 @@ type SpanRef struct {
 	Mark uint64
 
 	pushed bool
-}
-
-// Spans returns the recorder's ambient span context (nil on a nil
-// recorder; *Ctx methods are themselves nil-safe).
-func (r *Recorder) Spans() *Ctx {
-	if r == nil {
-		return nil
-	}
-	return r.ctx
 }
 
 // Seq is the total number of events ever appended (survives wraparound).
@@ -126,12 +61,12 @@ func (r *Recorder) Begin() SpanRef {
 	if r == nil {
 		return SpanRef{}
 	}
-	ref := SpanRef{Parent: r.ctx.Current(), Start: r.now(), pushed: true}
-	ref.ID = r.ctx.alloc()
+	ref := SpanRef{Parent: SpanID(r.attr.Span()), Start: r.now(), pushed: true}
+	ref.ID = SpanID(r.attr.NewSpan())
 	r.mu.Lock()
 	ref.Mark = r.seq
 	r.mu.Unlock()
-	r.ctx.push(ref.ID)
+	r.attr.PushSpan(uint64(ref.ID))
 	return ref
 }
 
@@ -144,7 +79,7 @@ func (r *Recorder) NewSpanUnder(parent SpanID) SpanRef {
 		return SpanRef{}
 	}
 	ref := SpanRef{Parent: parent, Start: r.now()}
-	ref.ID = r.ctx.alloc()
+	ref.ID = SpanID(r.attr.NewSpan())
 	r.mu.Lock()
 	ref.Mark = r.seq
 	r.mu.Unlock()
@@ -167,7 +102,7 @@ func (r *Recorder) EndSpanAt(ref SpanRef, kind Kind, track int32, label string, 
 		return
 	}
 	if ref.pushed {
-		r.ctx.pop()
+		r.attr.PopSpan()
 	}
 	if ref.ID == 0 {
 		return
@@ -191,7 +126,7 @@ func (r *Recorder) EndSpanAt(ref SpanRef, kind Kind, track int32, label string, 
 		}
 		h := r.hists[key]
 		if h == nil {
-			h = &Histogram{}
+			h = &metrics.Histogram{}
 			r.hists[key] = h
 		}
 		h.Observe(dur)

@@ -2,6 +2,8 @@ package trace
 
 import (
 	"testing"
+
+	"github.com/asterisc-release/erebor-go/internal/metrics"
 )
 
 // testClock is a hand-cranked virtual clock for span tests.
@@ -13,7 +15,8 @@ func (c *testClock) read() uint64 { return c.now }
 // events with correct span/parent identity and durations.
 func TestSpanParenting(t *testing.T) {
 	clk := &testClock{}
-	r := New(64, clk.read)
+	attr := metrics.NewAttr(nil, clk.read)
+	r := New(64, clk.read, nil, attr)
 
 	outer := r.Begin()
 	clk.now += 100
@@ -45,8 +48,8 @@ func TestSpanParenting(t *testing.T) {
 	if outer.ID != 1 || inner.ID != 2 {
 		t.Errorf("IDs allocated %d/%d, want 1/2 (monotonic, 1-based)", outer.ID, inner.ID)
 	}
-	if r.Spans().Depth() != 0 {
-		t.Errorf("scope depth %d after balanced Begin/End, want 0", r.Spans().Depth())
+	if attr.SpanDepth() != 0 {
+		t.Errorf("scope depth %d after balanced Begin/End, want 0", attr.SpanDepth())
 	}
 }
 
@@ -55,7 +58,7 @@ func TestSpanParenting(t *testing.T) {
 // critical-path builder skips them while exports still show lineage.
 func TestEmitParentsIntoScope(t *testing.T) {
 	clk := &testClock{}
-	r := New(64, clk.read)
+	r := New(64, clk.read, nil, nil)
 
 	seg := r.Begin()
 	r.Emit(KindFrameSend, TrackClient, "seq=1")
@@ -75,28 +78,29 @@ func TestEmitParentsIntoScope(t *testing.T) {
 }
 
 // TestNewSpanUnderLeavesScopeAlone: explicit-parent spans do not push the
-// ambient stack (the serve loop owns their extent), and SetScope replaces
-// it wholesale.
+// ambient stack (the serve loop owns their extent), and the context's
+// Switch replaces it wholesale.
 func TestNewSpanUnderLeavesScopeAlone(t *testing.T) {
 	clk := &testClock{}
-	r := New(64, clk.read)
+	attr := metrics.NewAttr(nil, clk.read)
+	r := New(64, clk.read, nil, attr)
 
 	root := r.NewSpanUnder(0)
-	if r.Spans().Depth() != 0 {
-		t.Fatalf("NewSpanUnder pushed the scope stack (depth %d)", r.Spans().Depth())
+	if attr.SpanDepth() != 0 {
+		t.Fatalf("NewSpanUnder pushed the scope stack (depth %d)", attr.SpanDepth())
 	}
-	r.Spans().SetScope(root.ID)
-	if got := r.Spans().Current(); got != root.ID {
-		t.Fatalf("Current() = %d after SetScope(%d)", got, root.ID)
+	attr.Switch(0, metrics.PhaseCompute, uint64(root.ID))
+	if got := SpanID(attr.Span()); got != root.ID {
+		t.Fatalf("scope = %d after Switch to %d", got, root.ID)
 	}
 	child := r.Begin()
 	if child.Parent != root.ID {
-		t.Errorf("Begin under SetScope: parent %d, want %d", child.Parent, root.ID)
+		t.Errorf("Begin under the switched scope: parent %d, want %d", child.Parent, root.ID)
 	}
 	r.EndSpan(child, KindEMC, TrackMonitor, "emc/x")
-	r.Spans().SetScope()
-	if r.Spans().Depth() != 0 {
-		t.Errorf("SetScope() left depth %d", r.Spans().Depth())
+	attr.Switch(metrics.NoTenant, "", 0)
+	if attr.SpanDepth() != 0 {
+		t.Errorf("parking Switch left depth %d", attr.SpanDepth())
 	}
 	r.EndSpan(root, KindServeSession, TrackServer, "serve/tenant/0")
 	evs := r.Snapshot()
@@ -121,18 +125,13 @@ func TestNilRecorderSpanAPI(t *testing.T) {
 	if r.Seq() != 0 {
 		t.Error("nil recorder Seq nonzero")
 	}
-	ctx := r.Spans()
-	ctx.SetScope(1, 2)
-	if ctx.Current() != 0 || ctx.Depth() != 0 {
-		t.Error("nil Ctx retained scope")
-	}
 }
 
 // TestSeqMarkDetectsInnerEvents: SpanRef.Mark vs Seq answers "did anything
 // record inside this window" — the empty-segment suppression predicate.
 func TestSeqMarkDetectsInnerEvents(t *testing.T) {
 	clk := &testClock{}
-	r := New(64, clk.read)
+	r := New(64, clk.read, nil, nil)
 
 	empty := r.NewSpanUnder(0)
 	if r.Seq() != empty.Mark {
@@ -149,7 +148,7 @@ func TestSeqMarkDetectsInnerEvents(t *testing.T) {
 // only — they must not pollute the span-latency histograms.
 func TestPhaseSpansSkipHistogram(t *testing.T) {
 	clk := &testClock{}
-	r := New(64, clk.read)
+	r := New(64, clk.read, nil, nil)
 
 	seg := r.NewSpanUnder(0)
 	clk.now += 500
@@ -171,7 +170,7 @@ func TestPhaseSpansSkipHistogram(t *testing.T) {
 
 // TestExemplarEmptyHistogram: no observations, no exemplar — at any q.
 func TestExemplarEmptyHistogram(t *testing.T) {
-	var h Histogram
+	var h metrics.Histogram
 	for _, q := range []float64{0, 0.5, 0.99, 1} {
 		if got := h.ExemplarAt(q); got != 0 {
 			t.Errorf("empty histogram ExemplarAt(%v) = %d, want 0", q, got)
@@ -185,7 +184,7 @@ func TestExemplarEmptyHistogram(t *testing.T) {
 // TestExemplarSingleBucket: observations landing in one bucket follow
 // last-write-wins, and a zero exemplar keeps the previous one.
 func TestExemplarSingleBucket(t *testing.T) {
-	var h Histogram
+	var h metrics.Histogram
 	// 100 and 120 share bucket [64,128).
 	h.ObserveEx(100, 11)
 	h.ObserveEx(120, 22)
@@ -204,14 +203,14 @@ func TestExemplarSingleBucket(t *testing.T) {
 // the retained tail exemplar is fixed (last landing in the p99 bucket),
 // and two identically-fed histograms agree bucket-for-bucket.
 func TestExemplarTailReplacementDeterministic(t *testing.T) {
-	feed := func(h *Histogram) {
+	feed := func(h *metrics.Histogram) {
 		for i := uint64(1); i <= 98; i++ {
 			h.ObserveEx(50+i%7, 1000+i) // bulk in low buckets
 		}
 		h.ObserveEx(1<<20, 777)   // first tail observation
 		h.ObserveEx(1<<20+5, 888) // same tail bucket: replaces 777
 	}
-	var a, b Histogram
+	var a, b metrics.Histogram
 	feed(&a)
 	feed(&b)
 	if a.Exem != b.Exem {
@@ -229,7 +228,7 @@ func TestExemplarTailReplacementDeterministic(t *testing.T) {
 // t = Quantile(q), at most (1-q)·Count observations count as violations,
 // so "p99 met" and "budget intact" can never disagree.
 func TestCountAboveConsistentWithQuantile(t *testing.T) {
-	var h Histogram
+	var h metrics.Histogram
 	vals := []uint64{3, 17, 90, 90, 250, 1024, 4096, 4100, 70000, 1 << 22}
 	for i, v := range vals {
 		h.ObserveEx(v, uint64(100+i))

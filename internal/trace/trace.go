@@ -24,9 +24,9 @@
 package trace
 
 import (
-	"math"
-	"math/bits"
 	"sync"
+
+	"github.com/asterisc-release/erebor-go/internal/metrics"
 )
 
 // Kind is the event taxonomy. Keep the names stable: they appear in both
@@ -180,29 +180,6 @@ type Event struct {
 // not specify one (~64k events; a full chaos session fits comfortably).
 const DefaultCapacity = 65536
 
-// CountStore is an external sink for event tallies. When a recorder is
-// bound to one (SetCountStore), every event count is written through the
-// store instead of the recorder's internal map, and Counts reads back from
-// it — making the store the single source of truth. The metrics registry
-// implements this interface; the indirection (rather than a direct import)
-// exists because metrics depends on trace for its histograms.
-type CountStore interface {
-	// AddTraceCount adds delta to the tally for (kind, label).
-	AddTraceCount(kind, label string, delta uint64)
-	// TraceCounts snapshots every tally, keyed like Recorder.Counts
-	// ("kind" or "kind|label").
-	TraceCounts() map[string]uint64
-}
-
-// DropStore is optionally implemented by a CountStore that also wants
-// ring-wraparound drops as they happen (the metrics registry exposes them
-// as erebor_trace_dropped_events, so silent event loss is visible at
-// runtime instead of only via Dropped() after the fact).
-type DropStore interface {
-	// AddTraceDropped adds delta to the dropped-events counter.
-	AddTraceDropped(delta uint64)
-}
-
 // Recorder is the flight recorder. The zero of *Recorder (nil) is a valid,
 // permanently disabled recorder: every method is nil-safe.
 type Recorder struct {
@@ -214,29 +191,36 @@ type Recorder struct {
 	seq     uint64 // total events ever appended (monotonic)
 	dropped uint64
 
-	hists  map[string]*Histogram
-	counts map[string]uint64
-	store  CountStore
-	drops  DropStore // store's drop sink, when it implements one
+	hists map[string]*metrics.Histogram
 
-	// ctx is the ambient span scope; mutated only from the simulation's
-	// driving goroutine, like metrics.Attr (see span.go).
-	ctx *Ctx
+	// met holds the event tallies (metrics.TraceEventsFamily) and ring drops
+	// (metrics.TraceDroppedFamily); attr is the execution context that holds
+	// the span scope and hands out span IDs (see span.go). Both are the
+	// world's, shared with every other layer.
+	met  *metrics.Registry
+	attr *metrics.Attr
 }
 
 // New builds a recorder with a bounded ring of capacity events, stamping
-// events with the supplied virtual-clock reader. capacity <= 0 selects
-// DefaultCapacity.
-func New(capacity int, now func() uint64) *Recorder {
+// events with the supplied virtual-clock reader, tallying into met and
+// scoping spans on attr. capacity <= 0 selects DefaultCapacity; a nil met
+// or attr gets a private one (standalone recorders).
+func New(capacity int, now func() uint64, met *metrics.Registry, attr *metrics.Attr) *Recorder {
 	if capacity <= 0 {
 		capacity = DefaultCapacity
 	}
+	if met == nil {
+		met = metrics.New()
+	}
+	if attr == nil {
+		attr = metrics.NewAttr(met, now)
+	}
 	return &Recorder{
-		now:    now,
-		buf:    make([]Event, 0, capacity),
-		hists:  make(map[string]*Histogram),
-		counts: make(map[string]uint64),
-		ctx:    &Ctx{},
+		now:   now,
+		buf:   make([]Event, 0, capacity),
+		hists: make(map[string]*metrics.Histogram),
+		met:   met,
+		attr:  attr,
 	}
 }
 
@@ -251,35 +235,9 @@ func (r *Recorder) Now() uint64 {
 	return r.now()
 }
 
-// countKey joins kind and label for the counter map ('|' cannot appear in
-// either).
-func countKey(kind Kind, label string) string {
-	if label == "" {
-		return kind.String()
-	}
-	return kind.String() + "|" + label
-}
-
-// SetCountStore redirects event tallies to an external store (the metrics
-// registry). Wire it before the first event: counts already accumulated in
-// the internal map are not migrated.
-func (r *Recorder) SetCountStore(s CountStore) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.store = s
-	r.drops, _ = s.(DropStore)
-	r.mu.Unlock()
-}
-
 // append adds ev to the ring, overwriting the oldest event when full.
 func (r *Recorder) append(ev Event) {
-	if r.store != nil {
-		r.store.AddTraceCount(ev.Kind.String(), ev.Label, 1)
-	} else {
-		r.counts[countKey(ev.Kind, ev.Label)]++
-	}
+	r.met.Inc(metrics.TraceEventsFamily, metrics.KV("kind", ev.Kind.String()), metrics.KV("label", ev.Label))
 	r.seq++
 	if r.n < cap(r.buf) {
 		r.buf = append(r.buf, ev)
@@ -290,9 +248,7 @@ func (r *Recorder) append(ev Event) {
 	r.buf[r.start] = ev
 	r.start = (r.start + 1) % cap(r.buf)
 	r.dropped++
-	if r.drops != nil {
-		r.drops.AddTraceDropped(1)
-	}
+	r.met.Inc(metrics.TraceDroppedFamily)
 }
 
 // Emit records an instant event at the current virtual time, parented to
@@ -302,7 +258,7 @@ func (r *Recorder) Emit(kind Kind, track int32, label string) {
 	if r == nil {
 		return
 	}
-	parent := r.ctx.Current()
+	parent := SpanID(r.attr.Span())
 	r.mu.Lock()
 	r.append(Event{TS: r.now(), Kind: kind, Track: track, Label: label, Parent: parent})
 	r.mu.Unlock()
@@ -330,13 +286,13 @@ func (r *Recorder) Span(kind Kind, track int32, label string, start uint64) {
 	if key == "" {
 		key = kind.String()
 	}
-	parent := r.ctx.Current()
-	id := r.ctx.alloc()
+	parent := SpanID(r.attr.Span())
+	id := SpanID(r.attr.NewSpan())
 	r.mu.Lock()
 	r.append(Event{TS: start, Dur: dur, Kind: kind, Track: track, Label: label, Span: id, Parent: parent})
 	h := r.hists[key]
 	if h == nil {
-		h = &Histogram{}
+		h = &metrics.Histogram{}
 		r.hists[key] = h
 	}
 	h.Observe(dur)
@@ -355,7 +311,7 @@ func (r *Recorder) Len() int {
 
 // HighWater reports the ring's fill high watermark. Retention only grows
 // (wraparound recycles slots in place), so the retained-event count doubles
-// as the maximum fill ever reached; Reset clears it with everything else.
+// as the maximum fill ever reached.
 func (r *Recorder) HighWater() int { return r.Len() }
 
 // Dropped reports exactly how many events the ring discarded to wraparound.
@@ -384,213 +340,42 @@ func (r *Recorder) Snapshot() []Event {
 
 // Histograms copies the per-span latency histograms (key = span label,
 // e.g. "emc/mmu", "sandbox/1/exit", "syscall/16").
-func (r *Recorder) Histograms() map[string]Histogram {
+func (r *Recorder) Histograms() map[string]metrics.Histogram {
 	if r == nil {
 		return nil
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make(map[string]Histogram, len(r.hists))
+	out := make(map[string]metrics.Histogram, len(r.hists))
 	for k, h := range r.hists {
 		out[k] = *h
 	}
 	return out
 }
 
-// Counts copies the event tallies (key = kind or "kind|label"). When a
-// CountStore is bound, the tallies come from the store, so a registry-backed
-// recorder exports identical bytes to a standalone one.
+// Counts copies the event tallies out of the registry family that holds
+// them, keyed by kind or "kind|label".
 func (r *Recorder) Counts() map[string]uint64 {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	store := r.store
-	if store == nil {
-		out := make(map[string]uint64, len(r.counts))
-		for k, v := range r.counts {
-			out[k] = v
+	series := r.met.Series(metrics.TraceEventsFamily)
+	out := make(map[string]uint64, len(series))
+	for _, s := range series {
+		var kind, label string
+		for _, l := range s.Labels {
+			switch l.Key {
+			case "kind":
+				kind = l.Value
+			case "label":
+				label = l.Value
+			}
 		}
-		r.mu.Unlock()
-		return out
-	}
-	r.mu.Unlock()
-	// Read outside r.mu: the store has its own lock, and holding both here
-	// would order them opposite to the append path.
-	return store.TraceCounts()
-}
-
-// Reset discards events, histograms, counters and the dropped count; the
-// capacity, clock binding and count store are kept. Tallies held by a bound
-// CountStore belong to the store and are not cleared here.
-func (r *Recorder) Reset() {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.buf = r.buf[:0]
-	r.start, r.n = 0, 0
-	r.seq, r.dropped = 0, 0
-	r.hists = make(map[string]*Histogram)
-	r.counts = make(map[string]uint64)
-	r.ctx = &Ctx{}
-}
-
-// --- histogram -----------------------------------------------------------------
-
-// NumBuckets is the fixed log2 bucket count. Bucket i holds durations d
-// with bits.Len64(d) == i: bucket 0 is exactly {0}, bucket i (i >= 1) is
-// [2^(i-1), 2^i). The last bucket absorbs everything longer (2^38 cycles
-// ≈ 130 simulated seconds — far beyond any single span).
-const NumBuckets = 40
-
-// Histogram is a fixed-log2-bucket latency histogram in virtual cycles.
-//
-// Exemplars: each bucket optionally retains the identity (a span/session
-// ID) of the most recent observation that landed in it. Last-write-wins is
-// the deterministic tail-replacement rule: for a fixed observation order —
-// which the virtual clock guarantees — the retained exemplar per bucket is
-// fixed, so an exemplar in a p99 bucket links a blown SLO to one concrete
-// session's span tree.
-type Histogram struct {
-	Count   uint64
-	Sum     uint64
-	Min     uint64
-	Max     uint64
-	Buckets [NumBuckets]uint64
-	Exem    [NumBuckets]uint64
-}
-
-// bucketOf maps a duration to its bucket index.
-func bucketOf(d uint64) int {
-	i := bits.Len64(d)
-	if i >= NumBuckets {
-		i = NumBuckets - 1
-	}
-	return i
-}
-
-// BucketUpper is the inclusive upper bound of bucket i in cycles
-// (math.MaxUint64 for the overflow bucket).
-func BucketUpper(i int) uint64 {
-	if i <= 0 {
-		return 0
-	}
-	if i >= NumBuckets-1 {
-		return math.MaxUint64
-	}
-	return 1<<uint(i) - 1
-}
-
-// Observe adds one duration.
-func (h *Histogram) Observe(d uint64) {
-	if h.Count == 0 || d < h.Min {
-		h.Min = d
-	}
-	if d > h.Max {
-		h.Max = d
-	}
-	h.Count++
-	h.Sum += d
-	h.Buckets[bucketOf(d)]++
-}
-
-// ObserveEx adds one duration and retains exemplar (a span/session ID; 0
-// keeps the bucket's previous exemplar) in the duration's bucket.
-func (h *Histogram) ObserveEx(d uint64, exemplar uint64) {
-	h.Observe(d)
-	if exemplar != 0 {
-		h.Exem[bucketOf(d)] = exemplar
-	}
-}
-
-// ExemplarAt returns the exemplar retained in the bucket where quantile q
-// falls (the same bucket walk as Quantile), or 0 when that bucket holds
-// none. An empty histogram returns 0.
-func (h Histogram) ExemplarAt(q float64) uint64 {
-	if h.Count == 0 {
-		return 0
-	}
-	rank := uint64(1)
-	if q >= 1 {
-		rank = h.Count
-	} else if q > 0 {
-		rank = uint64(math.Ceil(q * float64(h.Count)))
-		if rank == 0 {
-			rank = 1
+		key := kind
+		if label != "" {
+			key += "|" + label
 		}
-	}
-	var cum uint64
-	for i := 0; i < NumBuckets; i++ {
-		cum += h.Buckets[i]
-		if cum >= rank {
-			return h.Exem[i]
-		}
-	}
-	return 0
-}
-
-// CountAbove counts observations whose bucket's effective upper bound
-// (clamped to the observed Max) exceeds threshold — the bucket-granular
-// violation count the SLO engine charges against an error budget. The rule
-// matches Quantile: Quantile(q) <= t implies at most (1-q)·Count
-// observations are counted above t.
-func (h Histogram) CountAbove(threshold uint64) uint64 {
-	var out uint64
-	for i := 0; i < NumBuckets; i++ {
-		if h.Buckets[i] == 0 {
-			continue
-		}
-		up := BucketUpper(i)
-		if up > h.Max {
-			up = h.Max
-		}
-		if up > threshold {
-			out += h.Buckets[i]
-		}
+		out[key] = s.Value
 	}
 	return out
-}
-
-// Mean is the average observed duration in cycles.
-func (h Histogram) Mean() float64 {
-	if h.Count == 0 {
-		return 0
-	}
-	return float64(h.Sum) / float64(h.Count)
-}
-
-// Quantile returns an upper bound (in cycles) for the q-quantile: the
-// inclusive upper edge of the bucket where that quantile falls, clamped to
-// the observed Max. Edge cases are fixed deterministically: an empty
-// histogram returns 0 regardless of q, q <= 0 returns Min, and q >= 1
-// returns exactly Max (the tightest upper bound for the last observation —
-// never the log2 bucket edge above it).
-func (h Histogram) Quantile(q float64) uint64 {
-	if h.Count == 0 {
-		return 0
-	}
-	if q <= 0 {
-		return h.Min
-	}
-	if q >= 1 {
-		return h.Max
-	}
-	rank := uint64(math.Ceil(q * float64(h.Count)))
-	if rank == 0 {
-		rank = 1
-	}
-	var cum uint64
-	for i := 0; i < NumBuckets; i++ {
-		cum += h.Buckets[i]
-		if cum >= rank {
-			up := BucketUpper(i)
-			if up > h.Max {
-				up = h.Max
-			}
-			return up
-		}
-	}
-	return h.Max
 }

@@ -6,6 +6,8 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"github.com/asterisc-release/erebor-go/internal/metrics"
 )
 
 // fakeClock is a hand-advanced virtual clock for unit tests.
@@ -24,7 +26,6 @@ func TestNilRecorderIsSafe(t *testing.T) {
 	}
 	r.Emit(KindEMC, TrackMonitor, "emc/nop")
 	r.Span(KindSyscall, TrackKernel, "syscall/1", 0)
-	r.Reset()
 	if r.Len() != 0 || r.Dropped() != 0 {
 		t.Fatal("nil recorder has state")
 	}
@@ -45,7 +46,7 @@ func TestNilRecorderIsSafe(t *testing.T) {
 
 func TestRingWraparoundKeepsNewest(t *testing.T) {
 	clk := &fakeClock{}
-	r := New(4, clk.now)
+	r := New(4, clk.now, nil, nil)
 	for i := 0; i < 10; i++ {
 		clk.tick(100)
 		r.Emit(KindFrameSend, TrackClient, "")
@@ -72,7 +73,7 @@ func TestRingWraparoundKeepsNewest(t *testing.T) {
 
 func TestSpanFeedsHistogram(t *testing.T) {
 	clk := &fakeClock{}
-	r := New(16, clk.now)
+	r := New(16, clk.now, nil, nil)
 	start := clk.now()
 	clk.tick(1224)
 	r.Span(KindEMC, TrackMonitor, "emc/nop", start)
@@ -99,38 +100,54 @@ func TestSpanFeedsHistogram(t *testing.T) {
 	}
 }
 
+// metrics.Histogram is the recorder's span histogram; the tests below pin
+// its bucket, quantile and exemplar rules beside the exporters that print
+// them.
+
+// bucketOf is the bucket a metrics.Histogram files duration d under.
+func bucketOf(d uint64) int {
+	var h metrics.Histogram
+	h.Observe(d)
+	for i, n := range h.Buckets {
+		if n != 0 {
+			return i
+		}
+	}
+	return -1
+}
+
 func TestBucketEdges(t *testing.T) {
 	cases := []struct {
 		d    uint64
 		want int
 	}{
 		{0, 0}, {1, 1}, {2, 2}, {3, 2}, {4, 3}, {7, 3}, {8, 4},
-		{1023, 10}, {1024, 11}, {1 << 38, NumBuckets - 1}, {math.MaxUint64, NumBuckets - 1},
+		{1023, 10}, {1024, 11}, {1 << 38, metrics.NumBuckets - 1}, {math.MaxUint64, metrics.NumBuckets - 1},
 	}
 	for _, c := range cases {
 		if got := bucketOf(c.d); got != c.want {
 			t.Errorf("bucketOf(%d) = %d, want %d", c.d, got, c.want)
 		}
 	}
-	if BucketUpper(0) != 0 {
+	if metrics.BucketUpper(0) != 0 {
 		t.Error("BucketUpper(0) != 0")
 	}
-	if BucketUpper(1) != 1 || BucketUpper(2) != 3 || BucketUpper(11) != 2047 {
+	if metrics.BucketUpper(1) != 1 || metrics.BucketUpper(2) != 3 || metrics.BucketUpper(11) != 2047 {
 		t.Error("BucketUpper inner edges wrong")
 	}
-	if BucketUpper(NumBuckets-1) != math.MaxUint64 {
+	if metrics.BucketUpper(metrics.NumBuckets-1) != math.MaxUint64 {
 		t.Error("overflow bucket upper bound")
 	}
 	// bucketOf/BucketUpper agree: every d is <= the upper bound of its bucket.
 	for _, d := range []uint64{0, 1, 5, 560, 1224, 99999, 1 << 30} {
-		if up := BucketUpper(bucketOf(d)); d > up {
+		if up := metrics.BucketUpper(bucketOf(d)); d > up {
 			t.Errorf("d=%d above its bucket upper %d", d, up)
 		}
 	}
 }
 
 func TestQuantile(t *testing.T) {
-	var h Histogram
+	var h metrics.Histogram
 	if h.Quantile(0.5) != 0 {
 		t.Fatal("empty histogram quantile != 0")
 	}
@@ -141,7 +158,7 @@ func TestQuantile(t *testing.T) {
 	}
 	h.Observe(100000)
 	p50 := h.Quantile(0.50)
-	if p50 < 100 || p50 > BucketUpper(bucketOf(100)) {
+	if p50 < 100 || p50 > metrics.BucketUpper(bucketOf(100)) {
 		t.Fatalf("p50 = %d", p50)
 	}
 	if got := h.Quantile(1.0); got != 100000 {
@@ -171,7 +188,7 @@ func fill(r *Recorder, clk *fakeClock) {
 func TestChromeExportValidAndDeterministic(t *testing.T) {
 	run := func() string {
 		clk := &fakeClock{}
-		r := New(0, clk.now)
+		r := New(0, clk.now, nil, nil)
 		fill(r, clk)
 		var buf bytes.Buffer
 		if err := r.ExportChromeTrace(&buf); err != nil {
@@ -231,7 +248,7 @@ func TestChromeExportValidAndDeterministic(t *testing.T) {
 
 func TestPrometheusExport(t *testing.T) {
 	clk := &fakeClock{}
-	r := New(0, clk.now)
+	r := New(0, clk.now, nil, nil)
 	fill(r, clk)
 	var buf bytes.Buffer
 	if err := r.ExportPrometheus(&buf); err != nil {
@@ -256,7 +273,7 @@ func TestPrometheusExport(t *testing.T) {
 
 func TestSummaries(t *testing.T) {
 	clk := &fakeClock{}
-	r := New(0, clk.now)
+	r := New(0, clk.now, nil, nil)
 	fill(r, clk)
 	s := r.Summaries()
 	if len(s) != 2 {
@@ -280,7 +297,7 @@ func TestSummaries(t *testing.T) {
 
 func TestQuantileEdgeCases(t *testing.T) {
 	// Empty histogram: every q, including the clamped extremes, is 0.
-	var empty Histogram
+	var empty metrics.Histogram
 	for _, q := range []float64{-1, 0, 0.5, 1.0, 2.0} {
 		if got := empty.Quantile(q); got != 0 {
 			t.Errorf("empty.Quantile(%v) = %d, want 0", q, got)
@@ -292,7 +309,7 @@ func TestQuantileEdgeCases(t *testing.T) {
 
 	// q=1.0 must return exactly the max observation, not its log2 bucket
 	// edge: 1224 sits in bucket [1024,2048) whose upper bound is 2047.
-	var h Histogram
+	var h metrics.Histogram
 	h.Observe(100)
 	h.Observe(1224)
 	if got := h.Quantile(1.0); got != 1224 {
@@ -307,7 +324,7 @@ func TestQuantileEdgeCases(t *testing.T) {
 
 	// Single observation: every in-range q lands on it (bucket upper bound
 	// clamped to Max).
-	var one Histogram
+	var one metrics.Histogram
 	one.Observe(7)
 	for _, q := range []float64{0.01, 0.5, 0.99, 1.0} {
 		if got := one.Quantile(q); got != 7 {
@@ -318,7 +335,7 @@ func TestQuantileEdgeCases(t *testing.T) {
 
 func TestPrometheusLabelEscaping(t *testing.T) {
 	clk := &fakeClock{}
-	r := New(0, clk.now)
+	r := New(0, clk.now, nil, nil)
 	r.Emit(KindSandboxKill, TrackMonitor, "quote\"back\\slash\nnewline")
 	var buf bytes.Buffer
 	if err := r.ExportPrometheus(&buf); err != nil {
@@ -342,7 +359,7 @@ func TestExportStableAcrossIdenticalRuns(t *testing.T) {
 	// bytes: the map traversals inside both exporters are sorted.
 	mk := func() *Recorder {
 		clk := &fakeClock{}
-		r := New(0, clk.now)
+		r := New(0, clk.now, nil, nil)
 		fill(r, clk)
 		return r
 	}
@@ -368,74 +385,44 @@ func TestExportStableAcrossIdenticalRuns(t *testing.T) {
 	}
 }
 
-// mapCountStore is a test double for the registry-backed count sink.
-type mapCountStore struct{ m map[string]uint64 }
-
-func (s *mapCountStore) AddTraceCount(kind, label string, delta uint64) {
-	if s.m == nil {
-		s.m = make(map[string]uint64)
-	}
-	key := kind
-	if label != "" {
-		key += "|" + label
-	}
-	s.m[key] += delta
-}
-
-func (s *mapCountStore) TraceCounts() map[string]uint64 {
-	out := make(map[string]uint64, len(s.m))
-	for k, v := range s.m {
-		out[k] = v
-	}
-	return out
-}
-
-func TestCountStoreBackedCounts(t *testing.T) {
-	// A store-backed recorder and a standalone one driven identically must
-	// agree on Counts() and on the Prometheus export bytes.
+// TestCountsLiveInRegistry: the recorder keeps its event tallies in the
+// registry it was built on (one erebor_trace_events series per kind and
+// label), Counts reads them back in "kind|label" form, and a recorder on a
+// shared registry exports the same bytes as a standalone one.
+func TestCountsLiveInRegistry(t *testing.T) {
 	clkA, clkB := &fakeClock{}, &fakeClock{}
-	plain := New(0, clkA.now)
-	backed := New(0, clkB.now)
-	store := &mapCountStore{}
-	backed.SetCountStore(store)
+	met := metrics.New()
+	plain := New(0, clkA.now, nil, nil)
+	shared := New(0, clkB.now, met, nil)
 	fill(plain, clkA)
-	fill(backed, clkB)
+	fill(shared, clkB)
 
-	ca, cb := plain.Counts(), backed.Counts()
+	if v := met.Value(metrics.TraceEventsFamily, metrics.KV("kind", "emc"), metrics.KV("label", "emc/nop")); v != 5 {
+		t.Fatalf("registry holds %d emc/nop events, want 5", v)
+	}
+	if v := met.Value(metrics.TraceEventsFamily, metrics.KV("kind", "frame-send"), metrics.KV("label", "")); v != 5 {
+		t.Fatalf("registry holds %d unlabeled frame-send events, want 5", v)
+	}
+	ca, cb := plain.Counts(), shared.Counts()
+	if cb["emc|emc/nop"] != 5 || cb["frame-send"] != 5 {
+		t.Fatalf("Counts = %v", cb)
+	}
 	if len(ca) != len(cb) {
 		t.Fatalf("count keys differ: %d vs %d", len(ca), len(cb))
 	}
 	for k, v := range ca {
 		if cb[k] != v {
-			t.Fatalf("count %q = %d store-backed, %d plain", k, cb[k], v)
+			t.Fatalf("count %q = %d on the shared registry, %d standalone", k, cb[k], v)
 		}
 	}
 	var pa, pb bytes.Buffer
 	if err := plain.ExportPrometheus(&pa); err != nil {
 		t.Fatal(err)
 	}
-	if err := backed.ExportPrometheus(&pb); err != nil {
+	if err := shared.ExportPrometheus(&pb); err != nil {
 		t.Fatal(err)
 	}
 	if pa.String() != pb.String() {
-		t.Fatalf("store-backed export differs:\n--- plain ---\n%s--- backed ---\n%s", pa.String(), pb.String())
-	}
-}
-
-func TestReset(t *testing.T) {
-	clk := &fakeClock{}
-	r := New(2, clk.now)
-	fill(r, clk)
-	if r.Dropped() == 0 {
-		t.Fatal("expected wraparound before reset")
-	}
-	r.Reset()
-	if r.Len() != 0 || r.Dropped() != 0 || len(r.Counts()) != 0 || len(r.Histograms()) != 0 {
-		t.Fatal("reset left state behind")
-	}
-	clk.tick(5)
-	r.Emit(KindQuote, TrackMonitor, "")
-	if r.Len() != 1 || r.Snapshot()[0].TS != clk.now() {
-		t.Fatal("recorder unusable after reset")
+		t.Fatalf("shared-registry export differs:\n--- standalone ---\n%s--- shared ---\n%s", pa.String(), pb.String())
 	}
 }
