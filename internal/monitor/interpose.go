@@ -251,11 +251,10 @@ func (mon *Monitor) sandboxFault(c *cpu.Core, t *cpu.Trap, sb *sbState) {
 
 // EMCMapSandboxFault installs the mapping for a faulting declared sandbox
 // page (confined or attached common) on the kernel's behalf, after
-// validating ownership, attachment and seal state.
+// validating ownership, attachment and seal state. A denied call writes no
+// PTE and pays only the gate.
 func (mon *Monitor) EMCMapSandboxFault(c *cpu.Core, asid ASID, va paging.Addr, write bool) error {
 	return mon.gate(c, "mmu", func() error {
-		mon.M.Clock.Charge(costs.EreborPTEWriteBody)
-		mon.Stats.PTEWrites++
 		as, ok := mon.addrSpaces[asid]
 		if !ok {
 			return denied("map-sandbox-fault", "unknown address space %d", asid)
@@ -272,6 +271,7 @@ func (mon *Monitor) EMCMapSandboxFault(c *cpu.Core, asid ASID, va paging.Addr, w
 			}
 		}
 		if leaf, ok := sb.confinedLeaf[va]; ok {
+			mon.pteWrite()
 			// Write fault on a CoW-shared page: copy, re-own and re-key the
 			// page before any byte of the write lands (the I4 single-mapping
 			// invariant is re-established here, ahead of client data).
@@ -304,6 +304,7 @@ func (mon *Monitor) EMCMapSandboxFault(c *cpu.Core, asid ASID, va paging.Addr, w
 		if writable {
 			leaf |= paging.Writable
 		}
+		mon.pteWrite()
 		if err := as.tables.Map(va, leaf); err != nil {
 			return err
 		}
@@ -410,8 +411,7 @@ func (mon *Monitor) ensurePage(sb *sbState, va paging.Addr) error {
 			return err
 		}
 		as.userFrames[va] = leaf.Frame()
-		mon.Stats.PTEWrites++
-		mon.M.Clock.Charge(costs.EreborPTEWriteBody)
+		mon.pteWrite()
 		return nil
 	}
 	return denied("ensure-page", "va %#x not declared", va)

@@ -79,9 +79,8 @@ func (mon *Monitor) EMCDestroyAS(c *cpu.Core, asid ASID) error {
 			if err := as.tables.Unmap(va); err != nil {
 				return err
 			}
-			mon.Stats.PTEWrites++
+			mon.pteWrite()
 		}
-		mon.M.Clock.Charge(uint64(len(as.userFrames)) * costs.EreborPTEWriteBody)
 		// Every translation of this address space is now stale on every
 		// core; flush them before the root (or any frame) can be reissued.
 		mon.M.ShootdownRoot(c, as.tables.Root)
@@ -457,7 +456,9 @@ func (mon *Monitor) mmuCommit(c *cpu.Core, as *asState, work []RingReq) ([]cpu.S
 	return pairs, nil
 }
 
-// pteWrite accounts one physical PTE write of an MMU transaction.
+// pteWrite accounts one physical PTE write: it counts the write and charges
+// it under monitor/pte-write. Every counted write goes through here, so the
+// frame's cycles are PTEWrites times the write's cost.
 func (mon *Monitor) pteWrite() {
 	mon.Stats.PTEWrites++
 	mon.M.Clock.ChargeFrame("monitor/pte-write", costs.EreborPTEWriteBody)

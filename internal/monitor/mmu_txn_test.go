@@ -504,22 +504,39 @@ func TestMapUserBatchPreservesPolicyFlags(t *testing.T) {
 	})
 }
 
-// TestMapUserDenialChargesNothing: a synchronous EMCMapUser denied in
-// validation charges the bare gate round trip and counts no PTE write.
-// (Its PTP-exhaustion counterpart is TestMapUserBatchRollbackReleasesPTPs/sync.)
+// TestMapUserDenialChargesNothing: a user-mapping EMC denied in validation
+// charges the bare gate round trip and counts no PTE write — a synchronous
+// EMCMapUser of a foreign frame, and an EMCMapSandboxFault on an address
+// space that hosts no sandbox. (The PTP-exhaustion counterpart is
+// TestMapUserBatchRollbackReleasesPTPs/sync.)
 func TestMapUserDenialChargesNothing(t *testing.T) {
-	mon, c, asid, _ := ringTestAS(t, 1)
-	foreign := mustAlloc(t, mon, mem.OwnerTaskBase+2)
-	pteBefore, clockBefore := mon.Stats.PTEWrites, mon.M.Clock.Now()
-	if err := mon.EMCMapUser(c, asid, 0x10_0000, foreign, MapFlags{}); err == nil {
-		t.Fatal("mapping of a foreign-owned frame was accepted")
+	cases := []struct {
+		name string
+		call func(mon *Monitor, c *cpu.Core, asid ASID, foreign mem.Frame) error
+	}{
+		{"EMCMapUser", func(mon *Monitor, c *cpu.Core, asid ASID, foreign mem.Frame) error {
+			return mon.EMCMapUser(c, asid, 0x10_0000, foreign, MapFlags{})
+		}},
+		{"EMCMapSandboxFault", func(mon *Monitor, c *cpu.Core, asid ASID, _ mem.Frame) error {
+			return mon.EMCMapSandboxFault(c, asid, 0x10_0000, true)
+		}},
 	}
-	if got := mon.Stats.PTEWrites - pteBefore; got != 0 {
-		t.Fatalf("denied EMCMapUser counted %d PTE writes", got)
-	}
-	if got := mon.M.Clock.Now() - clockBefore; got != costs.EMCRoundTrip {
-		t.Fatalf("denied EMCMapUser cost %d cycles, want the bare gate round trip %d",
-			got, costs.EMCRoundTrip)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			mon, c, asid, _ := ringTestAS(t, 1)
+			foreign := mustAlloc(t, mon, mem.OwnerTaskBase+2)
+			pteBefore, clockBefore := mon.Stats.PTEWrites, mon.M.Clock.Now()
+			if err := tc.call(mon, c, asid, foreign); err == nil {
+				t.Fatal("the invalid request was accepted")
+			}
+			if got := mon.Stats.PTEWrites - pteBefore; got != 0 {
+				t.Fatalf("denied %s counted %d PTE writes", tc.name, got)
+			}
+			if got := mon.M.Clock.Now() - clockBefore; got != costs.EMCRoundTrip {
+				t.Fatalf("denied %s cost %d cycles, want the bare gate round trip %d",
+					tc.name, got, costs.EMCRoundTrip)
+			}
+		})
 	}
 }
 

@@ -307,8 +307,7 @@ func (mon *Monitor) sealCommons(c *cpu.Core, sb *sbState) {
 				}); err != nil {
 					continue // not yet faulted in; will map read-only
 				}
-				mon.Stats.PTEWrites++
-				mon.M.Clock.Charge(costs.EreborPTEWriteBody)
+				mon.pteWrite()
 				if changed {
 					stale = append(stale, va)
 				}
@@ -460,8 +459,7 @@ func (mon *Monitor) endSandboxLocked(c *cpu.Core, sb *sbState, reason string) {
 		if as != nil {
 			_ = as.tables.Unmap(va)
 			delete(as.userFrames, va)
-			mon.Stats.PTEWrites++
-			mon.M.Clock.Charge(costs.EreborPTEWriteBody)
+			mon.pteWrite()
 		}
 		delete(mon.confinedOwner, f)
 		_ = mon.M.Phys.SetPinned(f, false)

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/asterisc-release/erebor-go/internal/costs"
 	"github.com/asterisc-release/erebor-go/internal/metrics"
 	"github.com/asterisc-release/erebor-go/internal/slo"
 )
@@ -30,6 +31,35 @@ func TestProfiledRunCycleNeutral(t *testing.T) {
 	bare, profiled := run(false), run(true)
 	if !bytes.Equal(bare, profiled) {
 		t.Fatalf("profiling perturbed the run:\nbare:     %s\nprofiled: %s", bare, profiled)
+	}
+}
+
+// Every PTE write the monitor counts during a profiled fork-pool run — fault
+// installs, fork instantiation, CoW breaks, teardown — is charged under
+// monitor/pte-write and nowhere else, so the frame's cycles are exactly the
+// count times the write's cost.
+func TestPTEWriteFrameMatchesCount(t *testing.T) {
+	s, err := New(Config{Tenants: 4, Sessions: 8, Seed: 7, VCPUs: 2, ForkPool: true, Profile: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mon := s.World().Mon
+	before := mon.Stats.PTEWrites
+	if _, err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	writes := mon.Stats.PTEWrites - before
+	if writes == 0 {
+		t.Fatal("a fork-pool run counted no PTE writes")
+	}
+	var got uint64
+	for stack, n := range s.Profiler().Stacks() {
+		if strings.HasSuffix(stack, ";monitor/pte-write") {
+			got += n
+		}
+	}
+	if want := writes * costs.EreborPTEWriteBody; got != want {
+		t.Fatalf("monitor/pte-write holds %d cycles; %d counted writes cost %d", got, writes, want)
 	}
 }
 
