@@ -57,8 +57,8 @@ func (k Key) Label() string {
 
 // Profiler accumulates cycles per (tenant, phase, frame stack). The mutex
 // keeps exports race-clean against the single-threaded simulation
-// goroutine; the hot path takes it briefly, and Observe allocates only for
-// a new stack (the context keeps the rendered frame stack current).
+// goroutine; the hot path takes it briefly. Observe keys its sample by the
+// context's rendered frame stack as is; ObserveFrame appends its leaf.
 type Profiler struct {
 	mu     sync.Mutex
 	attr   *metrics.Attr
