@@ -11,6 +11,7 @@
 package llm
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 
@@ -136,8 +137,9 @@ type state struct {
 
 	// Go-side activation scratch (the real llama.cpp keeps activations in
 	// registers/stack; costs are charged through Charge).
-	x, xb, q, att, ffn1 []float32
-	row                 []float32
+	x, xb, q, k, v, att, ffn1 []float32
+	row                       []float32
+	kvRow                     []byte // one K or V row, encoded for the cache
 }
 
 // Run implements workloads.Workload: prompt ingestion + greedy generation.
@@ -152,9 +154,12 @@ func (w *Workload) Run(ctx *workloads.Ctx) []byte {
 		x:     make([]float32, Dim),
 		xb:    make([]float32, Dim),
 		q:     make([]float32, Dim),
+		k:     make([]float32, Dim),
+		v:     make([]float32, Dim),
 		att:   make([]float32, m.MaxSeq),
 		ffn1:  make([]float32, Hidden),
 		row:   make([]float32, Dim*4),
+		kvRow: make([]byte, Dim*4),
 	}
 	s.kv.Touch() // confined memory is pre-mapped; build the window cache
 
@@ -210,10 +215,10 @@ func (s *state) forward(tok int, logits *[Vocab]float32) {
 
 		kvOff := (l*m.MaxSeq + pos) * 2 * Dim * 4
 		s.matvec(s.q, base+offWQ, s.xb, Dim, Dim)
-		s.matvec(s.row[:Dim], base+offWK, s.xb, Dim, Dim)
-		s.kv.CopyIn(kvOff, workloads.F32Bytes(s.row[:Dim]))
-		s.matvec(s.row[:Dim], base+offWV, s.xb, Dim, Dim)
-		s.kv.CopyIn(kvOff+Dim*4, workloads.F32Bytes(s.row[:Dim]))
+		s.matvec(s.k, base+offWK, s.xb, Dim, Dim)
+		s.storeKV(kvOff, s.k)
+		s.matvec(s.v, base+offWV, s.xb, Dim, Dim)
+		s.storeKV(kvOff+Dim*4, s.v)
 		flops += 3 * 2 * Dim * Dim
 
 		// Multi-head attention over the cache.
@@ -279,6 +284,14 @@ func (s *state) forward(tok int, logits *[Vocab]float32) {
 	// Charge the arithmetic: ~8 flops/cycle (vectorized CPU inference).
 	e.Charge(uint64(flops / 8))
 	s.seqLen++
+}
+
+// storeKV writes one K or V row into the confined cache at byte offset off.
+func (s *state) storeKV(off int, vals []float32) {
+	for i, f := range vals {
+		binary.LittleEndian.PutUint32(s.kvRow[i*4:], math.Float32bits(f))
+	}
+	s.kv.CopyIn(off, s.kvRow)
 }
 
 // matvec computes out = W x for a rows x cols weight at float-offset wOff.

@@ -2,7 +2,12 @@ package llm
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
+	"math"
 	"testing"
+
+	"github.com/asterisc-release/erebor-go/internal/harness"
 )
 
 func TestModelLayout(t *testing.T) {
@@ -99,5 +104,156 @@ func TestWorkloadShape(t *testing.T) {
 	w4 := New(4)
 	if w4.GenTokens <= w.GenTokens || len(w4.CommonData()) <= len(w.CommonData()) {
 		t.Fatal("scale has no effect")
+	}
+}
+
+// refForward is the transformer of state.forward over plain Go slices: the
+// weights decoded once, the K/V cache a []float32. It shares only the weight
+// layout and the pure numeric primitives with the workload, and keeps its
+// summation order, so the two must agree byte for byte.
+type refForward struct {
+	m      Model
+	w      []float32
+	kCache []float32 // [layer][pos][Dim]
+	vCache []float32
+	seqLen int
+}
+
+func newRefForward(wl *Workload) *refForward {
+	data := wl.CommonData()
+	w := make([]float32, len(data)/4)
+	for i := range w {
+		w[i] = math.Float32frombits(binary.LittleEndian.Uint32(data[4*i:]))
+	}
+	m := wl.Model
+	return &refForward{
+		m:      m,
+		w:      w,
+		kCache: make([]float32, m.Layers*m.MaxSeq*Dim),
+		vCache: make([]float32, m.Layers*m.MaxSeq*Dim),
+	}
+}
+
+// refMatvec computes out = W x for the len(out) x len(x) weight at float
+// offset off.
+func (r *refForward) refMatvec(out []float32, off int, x []float32) {
+	for row := range out {
+		wr := r.w[off+row*len(x) : off+(row+1)*len(x)]
+		var dot float32
+		for i := range x {
+			dot += wr[i] * x[i]
+		}
+		out[row] = dot
+	}
+}
+
+func (r *refForward) forward(tok int, logits []float32) {
+	m := r.m
+	pos := r.seqLen
+	x := make([]float32, Dim)
+	xb := make([]float32, Dim)
+	q := make([]float32, Dim)
+	att := make([]float32, pos+1)
+	ffn := make([]float32, Hidden)
+	for i := range x {
+		x[i] = r.w[m.tokEmb()+tok*Dim+i]
+		x[i] += r.w[m.posEmb()+pos*Dim+i]
+	}
+	for l := 0; l < m.Layers; l++ {
+		base := m.layerBase(l)
+		rmsnorm(xb, x, r.w[base+offAttnNorm:base+offAttnNorm+Dim])
+		cache := (l*m.MaxSeq + pos) * Dim
+		r.refMatvec(q, base+offWQ, xb)
+		r.refMatvec(r.kCache[cache:cache+Dim], base+offWK, xb)
+		r.refMatvec(r.vCache[cache:cache+Dim], base+offWV, xb)
+		for h := 0; h < Heads; h++ {
+			qh := q[h*HeadDim : (h+1)*HeadDim]
+			for t := 0; t <= pos; t++ {
+				k := r.kCache[(l*m.MaxSeq+t)*Dim+h*HeadDim:]
+				var dot float32
+				for i := range qh {
+					dot += qh[i] * k[i]
+				}
+				att[t] = dot / float32(math.Sqrt(HeadDim))
+			}
+			softmax(att)
+			for i := range qh {
+				qh[i] = 0
+			}
+			for t := 0; t <= pos; t++ {
+				v := r.vCache[(l*m.MaxSeq+t)*Dim+h*HeadDim:]
+				for i := range qh {
+					qh[i] += att[t] * v[i]
+				}
+			}
+		}
+		r.refMatvec(xb, base+offWO, q)
+		for i := range x {
+			x[i] += xb[i]
+		}
+		rmsnorm(xb, x, r.w[base+offFFNNorm:base+offFFNNorm+Dim])
+		r.refMatvec(ffn, base+offW1, xb)
+		for i := range ffn {
+			ffn[i] = silu(ffn[i])
+		}
+		r.refMatvec(xb, base+offW2, ffn)
+		for i := range x {
+			x[i] += xb[i]
+		}
+	}
+	rmsnorm(xb, x, r.w[m.finalNorm():m.finalNorm()+Dim])
+	r.refMatvec(logits, m.tokEmb(), xb)
+	r.seqLen++
+}
+
+// referenceOutput runs prompt ingestion and greedy generation exactly as
+// Workload.Run does and formats the same response.
+func referenceOutput(wl *Workload) string {
+	r := newRefForward(wl)
+	prompt := []byte(wl.Prompt)
+	if len(prompt) > wl.Model.MaxSeq/2 {
+		prompt = prompt[:wl.Model.MaxSeq/2]
+	}
+	logits := make([]float32, Vocab)
+	for _, tok := range prompt {
+		r.forward(int(tok), logits)
+	}
+	last := 0
+	if len(prompt) > 0 {
+		last = argmax(logits)
+	}
+	var out []byte
+	for i := 0; i < wl.GenTokens && r.seqLen < wl.Model.MaxSeq; i++ {
+		r.forward(last, logits)
+		last = argmax(logits)
+		out = append(out, byte(last))
+	}
+	return fmt.Sprintf("tokens=%d output=%q", len(out), out)
+}
+
+// TestForwardMatchesReference pins the workload's output bytes to a plain
+// in-memory transformer: every weight row, the K/V cache and the attention
+// over it must flow through simulated memory unchanged, natively and inside
+// an Erebor sandbox.
+func TestForwardMatchesReference(t *testing.T) {
+	for _, c := range []struct {
+		prompt string
+		cfg    harness.ScenarioConfig
+	}{
+		{"", harness.CfgNative},
+		{"the quick brown fox", harness.CfgNative},
+		{"", harness.CfgErebor},
+	} {
+		wl := New(1)
+		if c.prompt != "" {
+			wl.Prompt = c.prompt
+		}
+		res, err := harness.RunScenario(wl, c.cfg, harness.DefaultScenarioOptions())
+		if err != nil {
+			t.Fatalf("%s %q: %v", c.cfg, wl.Prompt, err)
+		}
+		if want := referenceOutput(wl); res.Output != want {
+			t.Errorf("%s %q:\n got %s\nwant %s", c.cfg, wl.Prompt, res.Output, want)
+		}
 	}
 }
