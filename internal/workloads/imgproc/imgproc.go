@@ -316,15 +316,9 @@ func classify(model *workloads.View, feat []float32) int {
 	for i := 0; i < FCIn && i < len(feat); i++ {
 		in[i] = feat[i*len(feat)/FCIn]
 	}
-	row := make([]float32, FCIn)
 	best, bi := float32(-1e30), 0
 	for o := 0; o < FCOut; o++ {
-		model.F32Row((offFC()+o*FCIn)*4, row)
-		var s float32
-		for i := 0; i < FCIn; i++ {
-			s += row[i] * in[i]
-		}
-		if s > best {
+		if s := model.DotF32((offFC()+o*FCIn)*4, in[:]); s > best {
 			best, bi = s, o
 		}
 	}

@@ -158,7 +158,7 @@ func (w *Workload) Run(ctx *workloads.Ctx) []byte {
 		v:     make([]float32, Dim),
 		att:   make([]float32, m.MaxSeq),
 		ffn1:  make([]float32, Hidden),
-		row:   make([]float32, Dim*4),
+		row:   make([]float32, Dim),
 		kvRow: make([]byte, Dim*4),
 	}
 	s.kv.Touch() // confined memory is pre-mapped; build the window cache
@@ -200,7 +200,7 @@ func (s *state) forward(tok int, logits *[Vocab]float32) {
 	}
 	// Embedding + position.
 	s.model.F32Row((m.tokEmb()+tok*Dim)*4, s.x)
-	s.model.F32Row((m.posEmb()+pos*Dim)*4, s.row[:Dim])
+	s.model.F32Row((m.posEmb()+pos*Dim)*4, s.row)
 	for i := 0; i < Dim; i++ {
 		s.x[i] += s.row[i]
 	}
@@ -210,14 +210,14 @@ func (s *state) forward(tok int, logits *[Vocab]float32) {
 		base := m.layerBase(l)
 
 		// Attention block: RMSNorm -> QKV -> attention -> WO -> residual.
-		s.model.F32Row((base+offAttnNorm)*4, s.row[:Dim])
-		rmsnorm(s.xb, s.x, s.row[:Dim])
+		s.model.F32Row((base+offAttnNorm)*4, s.row)
+		rmsnorm(s.xb, s.x, s.row)
 
 		kvOff := (l*m.MaxSeq + pos) * 2 * Dim * 4
-		s.matvec(s.q, base+offWQ, s.xb, Dim, Dim)
-		s.matvec(s.k, base+offWK, s.xb, Dim, Dim)
+		s.matvec(s.q, base+offWQ, s.xb)
+		s.matvec(s.k, base+offWK, s.xb)
 		s.storeKV(kvOff, s.k)
-		s.matvec(s.v, base+offWV, s.xb, Dim, Dim)
+		s.matvec(s.v, base+offWV, s.xb)
 		s.storeKV(kvOff+Dim*4, s.v)
 		flops += 3 * 2 * Dim * Dim
 
@@ -226,12 +226,7 @@ func (s *state) forward(tok int, logits *[Vocab]float32) {
 			qh := s.q[h*HeadDim : (h+1)*HeadDim]
 			for t := 0; t <= pos; t++ {
 				koff := (l*m.MaxSeq+t)*2*Dim*4 + h*HeadDim*4
-				s.kv.F32Row(koff, s.row[:HeadDim])
-				var dot float32
-				for i := 0; i < HeadDim; i++ {
-					dot += qh[i] * s.row[i]
-				}
-				s.att[t] = dot / float32(math.Sqrt(HeadDim))
+				s.att[t] = s.kv.DotF32(koff, qh) / float32(math.Sqrt(HeadDim))
 			}
 			softmax(s.att[:pos+1])
 			for i := range qh {
@@ -239,28 +234,24 @@ func (s *state) forward(tok int, logits *[Vocab]float32) {
 			}
 			for t := 0; t <= pos; t++ {
 				voff := (l*m.MaxSeq+t)*2*Dim*4 + Dim*4 + h*HeadDim*4
-				s.kv.F32Row(voff, s.row[:HeadDim])
-				a := s.att[t]
-				for i := 0; i < HeadDim; i++ {
-					qh[i] += a * s.row[i]
-				}
+				s.kv.AxpyF32(voff, s.att[t], qh)
 			}
 			flops += 4 * (pos + 1) * HeadDim
 		}
-		s.matvec(s.xb, base+offWO, s.q, Dim, Dim)
+		s.matvec(s.xb, base+offWO, s.q)
 		for i := 0; i < Dim; i++ {
 			s.x[i] += s.xb[i]
 		}
 		flops += 2 * Dim * Dim
 
 		// FFN block: RMSNorm -> W1 -> SiLU -> W2 -> residual.
-		s.model.F32Row((base+offFFNNorm)*4, s.row[:Dim])
-		rmsnorm(s.xb, s.x, s.row[:Dim])
-		s.matvecHidden(s.ffn1, base+offW1, s.xb)
+		s.model.F32Row((base+offFFNNorm)*4, s.row)
+		rmsnorm(s.xb, s.x, s.row)
+		s.matvec(s.ffn1, base+offW1, s.xb)
 		for i := range s.ffn1 {
 			s.ffn1[i] = silu(s.ffn1[i])
 		}
-		s.matvecFromHidden(s.xb, base+offW2, s.ffn1)
+		s.matvec(s.xb, base+offW2, s.ffn1)
 		for i := 0; i < Dim; i++ {
 			s.x[i] += s.xb[i]
 		}
@@ -269,16 +260,9 @@ func (s *state) forward(tok int, logits *[Vocab]float32) {
 	}
 
 	// Final norm + tied-embedding logits.
-	s.model.F32Row(m.finalNorm()*4, s.row[:Dim])
-	rmsnorm(s.xb, s.x, s.row[:Dim])
-	for v := 0; v < Vocab; v++ {
-		s.model.F32Row((m.tokEmb()+v*Dim)*4, s.row[:Dim])
-		var dot float32
-		for i := 0; i < Dim; i++ {
-			dot += s.row[i] * s.xb[i]
-		}
-		logits[v] = dot
-	}
+	s.model.F32Row(m.finalNorm()*4, s.row)
+	rmsnorm(s.xb, s.x, s.row)
+	s.matvec(logits[:], m.tokEmb(), s.xb)
 	flops += 2 * Vocab * Dim
 
 	// Charge the arithmetic: ~8 flops/cycle (vectorized CPU inference).
@@ -294,37 +278,11 @@ func (s *state) storeKV(off int, vals []float32) {
 	s.kv.CopyIn(off, s.kvRow)
 }
 
-// matvec computes out = W x for a rows x cols weight at float-offset wOff.
-func (s *state) matvec(out []float32, wOff int, x []float32, rows, cols int) {
-	for r := 0; r < rows; r++ {
-		s.model.F32Row((wOff+r*cols)*4, s.row[:cols])
-		var dot float32
-		for i := 0; i < cols; i++ {
-			dot += s.row[i] * x[i]
-		}
-		out[r] = dot
-	}
-}
-
-func (s *state) matvecHidden(out []float32, wOff int, x []float32) {
-	for r := 0; r < Hidden; r++ {
-		s.model.F32Row((wOff+r*Dim)*4, s.row[:Dim])
-		var dot float32
-		for i := 0; i < Dim; i++ {
-			dot += s.row[i] * x[i]
-		}
-		out[r] = dot
-	}
-}
-
-func (s *state) matvecFromHidden(out []float32, wOff int, h []float32) {
-	for r := 0; r < Dim; r++ {
-		s.model.F32Row((wOff+r*Hidden)*4, s.row[:Hidden])
-		var dot float32
-		for i := 0; i < Hidden; i++ {
-			dot += s.row[i] * h[i]
-		}
-		out[r] = dot
+// matvec computes out = W x for the len(out) x len(x) weight at float
+// offset wOff.
+func (s *state) matvec(out []float32, wOff int, x []float32) {
+	for r := range out {
+		out[r] = s.model.DotF32((wOff+r*len(x))*4, x)
 	}
 }
 

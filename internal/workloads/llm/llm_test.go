@@ -257,3 +257,13 @@ func TestForwardMatchesReference(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkLLMRun measures one scale-1 inference natively, world boot
+// included: the host cost of the transformer over simulated memory.
+func BenchmarkLLMRun(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		if _, err := harness.RunScenario(New(1), harness.CfgNative, harness.DefaultScenarioOptions()); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

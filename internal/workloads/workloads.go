@@ -95,7 +95,8 @@ type View struct {
 	Base paging.Addr
 	Size int
 
-	pages [][]byte
+	pages   [][]byte
+	scratch []byte // a page-straddling row, copied out by row
 }
 
 // NewView builds a view over [base, base+size).
@@ -153,39 +154,51 @@ func (v *View) F32(off int) float32 {
 	return f32frombits(v.U32(off))
 }
 
-// F32Row copies n float32s starting at offset off into dst (row-major
+// F32Row decodes the len(dst) float32s at offset off into dst (row-major
 // weight rows; spans pages).
 func (v *View) F32Row(off int, dst []float32) {
-	a := int(v.Base&0xFFF) + off
-	need := len(dst) * 4
-	di := 0
-	for need > 0 {
-		p, o := a/mem.PageSize, a%mem.PageSize
-		pg := v.page(p)
-		avail := mem.PageSize - o
-		if avail > need {
-			avail = need
-		}
-		// Whole float32s available in this page chunk.
-		for j := 0; j+4 <= avail; j += 4 {
-			dst[di] = f32frombits(binary.LittleEndian.Uint32(pg[o+j:]))
-			di++
-		}
-		rem := avail % 4
-		if rem != 0 {
-			// Straddling float: assemble byte-wise.
-			var b [4]byte
-			for j := 0; j < 4; j++ {
-				aa := a + (avail - rem) + j
-				b[j] = v.page(aa / mem.PageSize)[aa%mem.PageSize]
-			}
-			dst[di] = f32frombits(binary.LittleEndian.Uint32(b[:]))
-			di++
-			avail = (avail - rem) + 4
-		}
-		a += avail
-		need -= avail
+	b := v.row(off, len(dst))
+	for i := range dst {
+		dst[i] = f32frombits(binary.LittleEndian.Uint32(b[4*i:]))
 	}
+}
+
+// DotF32 returns the dot product of x with the len(x) float32s at offset
+// off, accumulated in index order, decoding each weight straight from the
+// page-resident bytes.
+func (v *View) DotF32(off int, x []float32) float32 {
+	b := v.row(off, len(x))
+	var dot float32
+	for i, xi := range x {
+		dot += f32frombits(binary.LittleEndian.Uint32(b[4*i:])) * xi
+	}
+	return dot
+}
+
+// AxpyF32 adds a times the len(dst) float32s at offset off to dst, element
+// by element in index order.
+func (v *View) AxpyF32(off int, a float32, dst []float32) {
+	b := v.row(off, len(dst))
+	for i := range dst {
+		dst[i] += a * f32frombits(binary.LittleEndian.Uint32(b[4*i:]))
+	}
+}
+
+// row returns the bytes of the n float32s at offset off. A row inside one
+// page is returned in place; one that straddles pages is copied through
+// CopyOut into the view's scratch buffer, valid until the next call.
+func (v *View) row(off, n int) []byte {
+	a := int(v.Base&0xFFF) + off
+	p, o := a/mem.PageSize, a%mem.PageSize
+	if o+4*n <= mem.PageSize {
+		return v.page(p)[o : o+4*n]
+	}
+	if cap(v.scratch) < 4*n {
+		v.scratch = make([]byte, 4*n)
+	}
+	b := v.scratch[:4*n]
+	v.CopyOut(off, b)
+	return b
 }
 
 // CopyOut copies n bytes at offset off into dst.
