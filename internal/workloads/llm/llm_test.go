@@ -134,9 +134,9 @@ func newRefForward(wl *Workload) *refForward {
 	}
 }
 
-// refMatvec computes out = W x for the len(out) x len(x) weight at float
+// matvec computes out = W x for the len(out) x len(x) weight at float
 // offset off.
-func (r *refForward) refMatvec(out []float32, off int, x []float32) {
+func (r *refForward) matvec(out []float32, off int, x []float32) {
 	for row := range out {
 		wr := r.w[off+row*len(x) : off+(row+1)*len(x)]
 		var dot float32
@@ -156,16 +156,15 @@ func (r *refForward) forward(tok int, logits []float32) {
 	att := make([]float32, pos+1)
 	ffn := make([]float32, Hidden)
 	for i := range x {
-		x[i] = r.w[m.tokEmb()+tok*Dim+i]
-		x[i] += r.w[m.posEmb()+pos*Dim+i]
+		x[i] = r.w[m.tokEmb()+tok*Dim+i] + r.w[m.posEmb()+pos*Dim+i]
 	}
 	for l := 0; l < m.Layers; l++ {
 		base := m.layerBase(l)
 		rmsnorm(xb, x, r.w[base+offAttnNorm:base+offAttnNorm+Dim])
 		cache := (l*m.MaxSeq + pos) * Dim
-		r.refMatvec(q, base+offWQ, xb)
-		r.refMatvec(r.kCache[cache:cache+Dim], base+offWK, xb)
-		r.refMatvec(r.vCache[cache:cache+Dim], base+offWV, xb)
+		r.matvec(q, base+offWQ, xb)
+		r.matvec(r.kCache[cache:cache+Dim], base+offWK, xb)
+		r.matvec(r.vCache[cache:cache+Dim], base+offWV, xb)
 		for h := 0; h < Heads; h++ {
 			qh := q[h*HeadDim : (h+1)*HeadDim]
 			for t := 0; t <= pos; t++ {
@@ -187,22 +186,22 @@ func (r *refForward) forward(tok int, logits []float32) {
 				}
 			}
 		}
-		r.refMatvec(xb, base+offWO, q)
+		r.matvec(xb, base+offWO, q)
 		for i := range x {
 			x[i] += xb[i]
 		}
 		rmsnorm(xb, x, r.w[base+offFFNNorm:base+offFFNNorm+Dim])
-		r.refMatvec(ffn, base+offW1, xb)
+		r.matvec(ffn, base+offW1, xb)
 		for i := range ffn {
 			ffn[i] = silu(ffn[i])
 		}
-		r.refMatvec(xb, base+offW2, ffn)
+		r.matvec(xb, base+offW2, ffn)
 		for i := range x {
 			x[i] += xb[i]
 		}
 	}
 	rmsnorm(xb, x, r.w[m.finalNorm():m.finalNorm()+Dim])
-	r.refMatvec(logits, m.tokEmb(), xb)
+	r.matvec(logits, m.tokEmb(), xb)
 	r.seqLen++
 }
 

@@ -10,10 +10,10 @@ import (
 	"github.com/asterisc-release/erebor-go/internal/paging"
 )
 
-// filledView returns a view over n pages of pre-filled bytes, so no page is
-// ever probed through a kernel, and the same bytes as one flat slice. Every
-// byte lies in [0x30,0x50) or [0xB0,0xD0), so a float32 decoded at any
-// alignment is finite, normal and of either sign.
+// filledView returns a view over n pages of pre-filled bytes, which never
+// probes a page through kernel.Env, and the same bytes as one flat slice.
+// Every byte lies in [0x30,0x50) or [0xB0,0xD0), so a float32 decoded at
+// any alignment is finite, normal and of either sign.
 func filledView(n int) (*View, []byte) {
 	r := NewRng(5)
 	flat := make([]byte, n*mem.PageSize)
