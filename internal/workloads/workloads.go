@@ -169,8 +169,11 @@ func (v *View) F32Row(off int, dst []float32) {
 func (v *View) DotF32(off int, x []float32) float32 {
 	b := v.row(off, len(x))
 	var dot float32
-	for i, xi := range x {
-		dot += f32frombits(binary.LittleEndian.Uint32(b[4*i:])) * xi
+	// len(b) == 4*len(x); testing it and re-slicing b, instead of indexing
+	// b[4*i:], lets the compiler drop the per-element bounds checks.
+	for i := 0; i < len(x) && len(b) >= 4; i++ {
+		dot += f32frombits(binary.LittleEndian.Uint32(b)) * x[i]
+		b = b[4:]
 	}
 	return dot
 }
@@ -179,8 +182,9 @@ func (v *View) DotF32(off int, x []float32) float32 {
 // by element in index order.
 func (v *View) AxpyF32(off int, a float32, dst []float32) {
 	b := v.row(off, len(dst))
-	for i := range dst {
-		dst[i] += a * f32frombits(binary.LittleEndian.Uint32(b[4*i:]))
+	for i := 0; i < len(dst) && len(b) >= 4; i++ { // as in DotF32
+		dst[i] += a * f32frombits(binary.LittleEndian.Uint32(b))
+		b = b[4:]
 	}
 }
 
