@@ -5,6 +5,7 @@
 package mem
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 )
@@ -89,6 +90,23 @@ type FrameMeta struct {
 	Refs uint32
 }
 
+// frameMeta is FrameMeta as stored. The region is an index into
+// Physical.regionList instead of a name, so the table holds no pointers
+// and the garbage collector never scans it: at 256 MB it has 65,536
+// entries.
+type frameMeta struct {
+	allocated, shared, pinned bool
+	region                    regionID
+	owner                     Owner
+	refs                      uint32
+}
+
+// regionID indexes Physical.regionList; 0 is the general pool.
+type regionID uint8
+
+// ErrTooManyRegions is returned by Reserve once every regionID is taken.
+var ErrTooManyRegions = errors.New("mem: too many reserved regions")
+
 // Region is a reserved set of frames with its own allocator. (The real
 // CMA region is physically contiguous; the simulation only needs the
 // reservation and accounting semantics.)
@@ -103,13 +121,22 @@ type Region struct {
 func (r *Region) Free() int { return len(r.pool) }
 
 // Physical is the machine's physical memory.
+//
+// A frame's 4 KiB is allocated the first time it is written (Bytes,
+// WritePhys, CopyFrame from a written frame); until then it reads as
+// zeros. A run touches a few MB of a memory sized in hundreds, and the
+// garbage collector paces itself to the live heap, so backing all of it
+// up front would let that much garbage build up between collections.
+// Once allocated, a frame's backing never moves or drops, so every slice
+// Bytes returned stays valid for the life of the Physical.
 type Physical struct {
 	nframes uint64
-	data    []byte
-	meta    []FrameMeta
+	frames  []*[PageSize]byte // nil: never written, reads as zeros
+	meta    []frameMeta
 
-	free    []Frame // general-pool free list (LIFO)
-	regions map[string]*Region
+	free       []Frame // general-pool free list (LIFO)
+	regions    map[string]*Region
+	regionList []*Region // by regionID; entry 0 (the general pool) is nil
 
 	allocated uint64 // currently-allocated frame count (all pools)
 
@@ -127,11 +154,12 @@ func NewPhysical(size uint64) *Physical {
 		panic("mem: physical size smaller than one frame")
 	}
 	p := &Physical{
-		nframes: n,
-		data:    make([]byte, n*PageSize),
-		meta:    make([]FrameMeta, n),
-		regions: make(map[string]*Region),
-		shared:  make(map[Frame]struct{}),
+		nframes:    n,
+		frames:     make([]*[PageSize]byte, n),
+		meta:       make([]frameMeta, n),
+		regions:    make(map[string]*Region),
+		regionList: []*Region{nil},
+		shared:     make(map[Frame]struct{}),
 	}
 	// Populate the free list so that low frames are handed out first, which
 	// keeps traces readable and deterministic.
@@ -157,14 +185,19 @@ func (p *Physical) Reserve(name string, count uint64) (*Region, error) {
 	if count == 0 || count > uint64(len(p.free)) {
 		return nil, fmt.Errorf("mem: cannot reserve %d frames (%d free)", count, len(p.free))
 	}
+	id := regionID(len(p.regionList))
+	if int(id) != len(p.regionList) {
+		return nil, fmt.Errorf("%w: cannot reserve %q", ErrTooManyRegions, name)
+	}
 	// The free list is ordered descending (Alloc pops low frames from the
 	// tail), so its head holds the highest-numbered frames.
 	taken := append([]Frame(nil), p.free[:count]...)
 	p.free = p.free[count:]
 	r := &Region{Name: name, Count: count, pool: append([]Frame(nil), taken...)}
 	p.regions[name] = r
+	p.regionList = append(p.regionList, r)
 	for _, f := range taken {
-		p.meta[f].Region = name
+		p.meta[f].region = id
 	}
 	return r, nil
 }
@@ -183,11 +216,11 @@ func (p *Physical) Alloc(owner Owner) (Frame, error) {
 	f := p.free[len(p.free)-1]
 	p.free = p.free[:len(p.free)-1]
 	m := &p.meta[f]
-	m.Allocated = true
-	m.Owner = owner
+	m.allocated = true
+	m.owner = owner
 	p.setShared(f, false)
-	m.Pinned = false
-	m.Refs = 1
+	m.pinned = false
+	m.refs = 1
 	p.allocated++
 	return f, nil
 }
@@ -204,15 +237,15 @@ func (p *Physical) AllocRegion(name string, owner Owner) (Frame, error) {
 	f := r.pool[len(r.pool)-1]
 	r.pool = r.pool[:len(r.pool)-1]
 	m := &p.meta[f]
-	m.Allocated = true
-	m.Owner = owner
+	m.allocated = true
+	m.owner = owner
 	p.setShared(f, false)
 	// Region frames can have the pin bit flipped between allocations (the
 	// monitor pins confined frames after AllocRegion and Free is not the only
 	// path that toggles it); hand the frame out unpinned like Alloc does, or
 	// a stale pin defeats the reclaim denial and the pinned-frame audit.
-	m.Pinned = false
-	m.Refs = 1
+	m.pinned = false
+	m.refs = 1
 	p.allocated++
 	return f, nil
 }
@@ -225,20 +258,21 @@ func (p *Physical) Free(f Frame) error {
 		return err
 	}
 	m := &p.meta[f]
-	if !m.Allocated {
+	if !m.allocated {
 		return fmt.Errorf("mem: double free of frame %d", f)
 	}
-	if m.Refs > 1 {
-		return fmt.Errorf("mem: free of shared frame %d (refcount %d)", f, m.Refs)
+	if m.refs > 1 {
+		return fmt.Errorf("mem: free of shared frame %d (refcount %d)", f, m.refs)
 	}
-	m.Allocated = false
-	m.Owner = OwnerNone
-	m.Pinned = false
+	m.allocated = false
+	m.owner = OwnerNone
+	m.pinned = false
 	p.setShared(f, false)
-	m.Refs = 0
+	m.refs = 0
 	p.allocated--
-	if m.Region != "" {
-		p.regions[m.Region].pool = append(p.regions[m.Region].pool, f)
+	if m.region != 0 {
+		r := p.regionList[m.region]
+		r.pool = append(r.pool, f)
 	} else {
 		p.free = append(p.free, f)
 	}
@@ -257,7 +291,12 @@ func (p *Physical) Meta(f Frame) (FrameMeta, error) {
 	if err := p.check(f); err != nil {
 		return FrameMeta{}, err
 	}
-	return p.meta[f], nil
+	m := &p.meta[f]
+	out := FrameMeta{Allocated: m.allocated, Shared: m.shared, Owner: m.owner, Pinned: m.pinned, Refs: m.refs}
+	if m.region != 0 {
+		out.Region = p.regionList[m.region].Name
+	}
+	return out, nil
 }
 
 // SetOwner reassigns a frame's owner (monitor bookkeeping).
@@ -265,7 +304,7 @@ func (p *Physical) SetOwner(f Frame, o Owner) error {
 	if err := p.check(f); err != nil {
 		return err
 	}
-	p.meta[f].Owner = o
+	p.meta[f].owner = o
 	return nil
 }
 
@@ -274,7 +313,7 @@ func (p *Physical) SetPinned(f Frame, pinned bool) error {
 	if err := p.check(f); err != nil {
 		return err
 	}
-	p.meta[f].Pinned = pinned
+	p.meta[f].pinned = pinned
 	return nil
 }
 
@@ -288,14 +327,14 @@ func (p *Physical) SetShared(f Frame, shared bool) error {
 	return nil
 }
 
-// setShared is the only writer of FrameMeta.Shared; it updates the shared
+// setShared is the only writer of the shared flag; it updates the shared
 // index when the flag actually flips.
 func (p *Physical) setShared(f Frame, shared bool) {
 	m := &p.meta[f]
-	if m.Shared == shared {
+	if m.shared == shared {
 		return
 	}
-	m.Shared = shared
+	m.shared = shared
 	if shared {
 		p.shared[f] = struct{}{}
 	} else {
@@ -314,30 +353,51 @@ func (p *Physical) SharedFrames() []Frame {
 	return out
 }
 
-// Bytes returns the backing slice of one frame. The slice aliases the
-// simulation's physical memory: writes through it are real.
+// Bytes returns the backing slice of one frame, backing it if it was
+// never written. The slice aliases the simulation's physical memory:
+// writes through it are real, and it stays valid however the frame is
+// later zeroed, copied into, freed or reallocated.
 func (p *Physical) Bytes(f Frame) ([]byte, error) {
 	if err := p.check(f); err != nil {
 		return nil, err
 	}
-	off := uint64(f) * PageSize
-	return p.data[off : off+PageSize : off+PageSize], nil
+	return p.backing(f)[:], nil
+}
+
+// backing returns frame f's 4 KiB, allocating it on first use.
+func (p *Physical) backing(f Frame) *[PageSize]byte {
+	b := p.frames[f]
+	if b == nil {
+		b = new([PageSize]byte)
+		p.frames[f] = b
+	}
+	return b
 }
 
 // inRange reports whether [a, a+n) lies inside physical memory without the
 // sum a+n, which wraps for addresses near 2^64 and would let a huge address
-// pass the check and panic on the slice below.
+// pass the check and index past the frame table.
 func (p *Physical) inRange(a Addr, n int) bool {
 	size := p.nframes * PageSize
 	return uint64(a) <= size && uint64(n) <= size-uint64(a)
 }
 
-// ReadPhys copies len(buf) bytes from physical address a.
+// ReadPhys copies len(buf) bytes from physical address a. Frames never
+// written read as zeros and stay unbacked.
 func (p *Physical) ReadPhys(a Addr, buf []byte) error {
 	if !p.inRange(a, len(buf)) {
 		return fmt.Errorf("mem: physical read out of range at %#x", a)
 	}
-	copy(buf, p.data[a:])
+	for len(buf) > 0 {
+		off := a % PageSize
+		n := min(len(buf), PageSize-int(off))
+		if b := p.frames[FrameOf(a)]; b != nil {
+			copy(buf[:n], b[off:])
+		} else {
+			clear(buf[:n])
+		}
+		buf, a = buf[n:], a+Addr(n)
+	}
 	return nil
 }
 
@@ -346,18 +406,21 @@ func (p *Physical) WritePhys(a Addr, buf []byte) error {
 	if !p.inRange(a, len(buf)) {
 		return fmt.Errorf("mem: physical write out of range at %#x", a)
 	}
-	copy(p.data[a:], buf)
+	for len(buf) > 0 {
+		n := copy(p.backing(FrameOf(a))[a%PageSize:], buf)
+		buf, a = buf[n:], a+Addr(n)
+	}
 	return nil
 }
 
-// Zero clears the contents of a frame.
+// Zero clears the contents of a frame. A frame never written is already
+// zero and stays unbacked.
 func (p *Physical) Zero(f Frame) error {
-	b, err := p.Bytes(f)
-	if err != nil {
+	if err := p.check(f); err != nil {
 		return err
 	}
-	for i := range b {
-		b[i] = 0
+	if b := p.frames[f]; b != nil {
+		clear(b[:])
 	}
 	return nil
 }
@@ -367,7 +430,7 @@ func (p *Physical) RefCount(f Frame) (uint32, error) {
 	if err := p.check(f); err != nil {
 		return 0, err
 	}
-	return p.meta[f].Refs, nil
+	return p.meta[f].refs, nil
 }
 
 // IncRef adds a copy-on-write reference to an allocated frame.
@@ -376,10 +439,10 @@ func (p *Physical) IncRef(f Frame) error {
 		return err
 	}
 	m := &p.meta[f]
-	if !m.Allocated {
+	if !m.allocated {
 		return fmt.Errorf("mem: incref of unallocated frame %d", f)
 	}
-	m.Refs++
+	m.refs++
 	return nil
 }
 
@@ -392,12 +455,12 @@ func (p *Physical) DecRef(f Frame) (uint32, error) {
 		return 0, err
 	}
 	m := &p.meta[f]
-	if !m.Allocated || m.Refs == 0 {
+	if !m.allocated || m.refs == 0 {
 		return 0, fmt.Errorf("mem: decref of unreferenced frame %d", f)
 	}
-	m.Refs--
-	if m.Refs > 0 {
-		return m.Refs, nil
+	m.refs--
+	if m.refs > 0 {
+		return m.refs, nil
 	}
 	// Last reference: Free handles pool return; it checks Refs>1, which no
 	// longer holds.
@@ -405,7 +468,8 @@ func (p *Physical) DecRef(f Frame) (uint32, error) {
 }
 
 // CopyFrame copies the full contents of frame src into frame dst (the
-// copy-on-write break primitive). Both frames must be allocated.
+// copy-on-write break primitive). Both frames must be allocated. A source
+// never written clears dst, and leaves a dst never written unbacked.
 func (p *Physical) CopyFrame(dst, src Frame) error {
 	if err := p.check(dst); err != nil {
 		return err
@@ -413,12 +477,14 @@ func (p *Physical) CopyFrame(dst, src Frame) error {
 	if err := p.check(src); err != nil {
 		return err
 	}
-	if !p.meta[dst].Allocated || !p.meta[src].Allocated {
+	if !p.meta[dst].allocated || !p.meta[src].allocated {
 		return fmt.Errorf("mem: copy between unallocated frames %d <- %d", dst, src)
 	}
-	d := p.data[uint64(dst)*PageSize : uint64(dst)*PageSize+PageSize]
-	s := p.data[uint64(src)*PageSize : uint64(src)*PageSize+PageSize]
-	copy(d, s)
+	if s := p.frames[src]; s != nil {
+		*p.backing(dst) = *s
+	} else if d := p.frames[dst]; d != nil {
+		clear(d[:])
+	}
 	return nil
 }
 

@@ -1,6 +1,9 @@
 package mem
 
 import (
+	"bytes"
+	"errors"
+	"runtime"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -376,5 +379,200 @@ func TestSharedIndexMatchesMetaScan(t *testing.T) {
 	}
 	if !sawShared {
 		t.Fatal("the sequence never shared a frame")
+	}
+}
+
+// A frame never written reads as zeros, and neither reading nor zeroing
+// it allocates its backing.
+func TestUnbackedFrameReadsZero(t *testing.T) {
+	p := NewPhysical(8 * PageSize)
+	f, _ := p.Alloc(OwnerKernel)
+	buf := bytes.Repeat([]byte{0xFF}, PageSize)
+	if err := p.ReadPhys(f.Base(), buf); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf, make([]byte, PageSize)) {
+		t.Fatal("unbacked frame did not read as zeros")
+	}
+	if err := p.Zero(f); err != nil {
+		t.Fatal(err)
+	}
+	if p.frames[f] != nil {
+		t.Fatal("ReadPhys or Zero backed an unwritten frame")
+	}
+	if err := p.Zero(Frame(8)); err == nil {
+		t.Fatal("zero of out-of-range frame accepted")
+	}
+}
+
+// A slice from Bytes keeps aliasing its frame through everything that
+// can happen to the frame afterwards.
+func TestBytesAliasSurvivesFrameReuse(t *testing.T) {
+	p := NewPhysical(8 * PageSize)
+	f, _ := p.Alloc(OwnerKernel)
+	b, _ := p.Bytes(f)
+	b[7] = 0x11
+	if err := p.Zero(f); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.WritePhys(f.Base()+7, []byte{0x22}); err != nil {
+		t.Fatal(err)
+	}
+	if b[7] != 0x22 {
+		t.Fatal("alias lost after Zero")
+	}
+	if err := p.Free(f); err != nil {
+		t.Fatal(err)
+	}
+	g, _ := p.Alloc(OwnerKernel)
+	if g != f {
+		t.Fatalf("LIFO pool returned frame %d, want %d", g, f)
+	}
+	if err := p.WritePhys(g.Base()+7, []byte{0x33}); err != nil {
+		t.Fatal(err)
+	}
+	if b[7] != 0x33 {
+		t.Fatal("alias lost after Free and Alloc")
+	}
+	src, _ := p.Alloc(OwnerKernel)
+	if err := p.WritePhys(src.Base()+7, []byte{0x44}); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.CopyFrame(g, src); err != nil {
+		t.Fatal(err)
+	}
+	if b[7] != 0x44 {
+		t.Fatal("alias lost after CopyFrame")
+	}
+}
+
+// Accesses that straddle a written frame and an unwritten one.
+func TestPhysAcrossUnbackedBoundary(t *testing.T) {
+	p := NewPhysical(8 * PageSize)
+	b, _ := p.Bytes(2)
+	for i := range b {
+		b[i] = 0xAA
+	}
+	// Read the last 4 bytes of frame 2 and the first 4 of unwritten frame 3.
+	buf := bytes.Repeat([]byte{0xFF}, 8)
+	if err := p.ReadPhys(3*PageSize-4, buf); err != nil {
+		t.Fatal(err)
+	}
+	if want := []byte{0xAA, 0xAA, 0xAA, 0xAA, 0, 0, 0, 0}; !bytes.Equal(buf, want) {
+		t.Fatalf("straddling read = %x, want %x", buf, want)
+	}
+	// The same the other way round: unwritten frame 1 into frame 2.
+	if err := p.ReadPhys(2*PageSize-4, buf); err != nil {
+		t.Fatal(err)
+	}
+	if want := []byte{0, 0, 0, 0, 0xAA, 0xAA, 0xAA, 0xAA}; !bytes.Equal(buf, want) {
+		t.Fatalf("straddling read = %x, want %x", buf, want)
+	}
+	if p.frames[1] != nil || p.frames[3] != nil {
+		t.Fatal("a straddling read backed an unwritten frame")
+	}
+	// A straddling write backs the unwritten side and reads back whole.
+	data := []byte("01234567")
+	if err := p.WritePhys(3*PageSize-4, data); err != nil {
+		t.Fatal(err)
+	}
+	got := make([]byte, len(data))
+	if err := p.ReadPhys(3*PageSize-4, got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, data) {
+		t.Fatalf("straddling write read back %q, want %q", got, data)
+	}
+}
+
+// CopyFrame from a frame never written clears the destination, and leaves
+// an unwritten destination unbacked.
+func TestCopyFrameFromUnbacked(t *testing.T) {
+	p := NewPhysical(8 * PageSize)
+	src, _ := p.Alloc(OwnerKernel)
+	dst, _ := p.Alloc(OwnerKernel)
+	other, _ := p.Alloc(OwnerKernel)
+	db, _ := p.Bytes(dst)
+	for i := range db {
+		db[i] = 0x5A
+	}
+	if err := p.CopyFrame(dst, src); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(db, make([]byte, PageSize)) {
+		t.Fatal("copy from an unwritten frame did not clear the destination")
+	}
+	if err := p.CopyFrame(other, src); err != nil {
+		t.Fatal(err)
+	}
+	if p.frames[src] != nil || p.frames[other] != nil {
+		t.Fatal("copy between unwritten frames backed one of them")
+	}
+}
+
+// Memory is backed only where it is written: a 1 GiB machine with one
+// page written costs its frame tables, not a gigabyte of heap.
+func TestSparseBackingHeap(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	p := NewPhysical(1 << 30)
+	if err := p.WritePhys(12345*PageSize, bytes.Repeat([]byte{1}, PageSize)); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(p)
+	if grew := int64(after.HeapAlloc) - int64(before.HeapAlloc); grew >= 64<<20 {
+		t.Fatalf("1 GiB memory with one page written grew the heap by %d MB", grew>>20)
+	}
+}
+
+// Regions beyond what the frame table can index fail typed.
+func TestReserveRegionLimit(t *testing.T) {
+	p := NewPhysical(512 * PageSize)
+	var last string
+	for i := 1; ; i++ {
+		name := string(rune('A'+i/26)) + string(rune('a'+i%26))
+		if _, err := p.Reserve(name, 1); err != nil {
+			if !errors.Is(err, ErrTooManyRegions) {
+				t.Fatalf("region %d: %v", i, err)
+			}
+			if i != 256 {
+				t.Fatalf("ran out of regions at %d, want 256", i)
+			}
+			break
+		}
+		last = name
+	}
+	f, err := p.AllocRegion(last, OwnerKernel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m, _ := p.Meta(f); m.Region != last {
+		t.Fatalf("frame of region %q tagged %q", last, m.Region)
+	}
+	if err := p.Free(f); err != nil {
+		t.Fatal(err)
+	}
+	if r, _ := p.RegionByName(last); r.Free() != 1 {
+		t.Fatal("freed frame did not return to its region")
+	}
+}
+
+// BenchmarkReadPhys8 reads one 8-byte word of a written frame: the read
+// a page walk makes per level.
+func BenchmarkReadPhys8(b *testing.B) {
+	p := NewPhysical(64 * PageSize)
+	f, _ := p.Alloc(OwnerKernel)
+	if err := p.WritePhys(f.Base()+8, []byte{1, 2, 3, 4, 5, 6, 7, 8}); err != nil {
+		b.Fatal(err)
+	}
+	var w [8]byte
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := p.ReadPhys(f.Base()+8, w[:]); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
