@@ -24,6 +24,7 @@
 package metrics
 
 import (
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -80,6 +81,11 @@ type family struct {
 type Registry struct {
 	mu       sync.Mutex
 	families map[string]*family
+
+	// sorted and key are seriesKey's scratch, reused under mu so that a
+	// write to an existing series allocates nothing.
+	sorted []Label
+	key    []byte
 }
 
 // New builds an empty registry.
@@ -90,36 +96,32 @@ func New() *Registry {
 // Enabled reports whether the registry is live (hook-site convenience).
 func (r *Registry) Enabled() bool { return r != nil }
 
-// canonical renders a label set as a stable map key. Labels are sorted by
-// key; '\xff' cannot appear in a well-formed label, so the join is
-// unambiguous.
-func canonical(labels []Label) string {
-	if len(labels) == 0 {
-		return ""
-	}
-	var b strings.Builder
-	for i, l := range labels {
+// seriesKey renders a label set as its series' map key: the labels
+// sorted by key, joined with '\xff', each key and value split by '\xfe'
+// (neither byte appears in a well-formed label, so the join is
+// unambiguous). The sorted labels are left in r.sorted. Both buffers are
+// the registry's, so the caller holds r.mu and is done with them before
+// the next call.
+func (r *Registry) seriesKey(labels []Label) []byte {
+	r.sorted = append(r.sorted[:0], labels...)
+	slices.SortStableFunc(r.sorted, func(a, b Label) int { return strings.Compare(a.Key, b.Key) })
+	key := r.key[:0]
+	for i, l := range r.sorted {
 		if i > 0 {
-			b.WriteByte('\xff')
+			key = append(key, '\xff')
 		}
-		b.WriteString(l.Key)
-		b.WriteByte('\xfe')
-		b.WriteString(l.Value)
+		key = append(key, l.Key...)
+		key = append(key, '\xfe')
+		key = append(key, l.Value...)
 	}
-	return b.String()
-}
-
-// sortLabels returns a sorted copy of the label set.
-func sortLabels(labels []Label) []Label {
-	out := make([]Label, len(labels))
-	copy(out, labels)
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
-	return out
+	r.key = key
+	return key
 }
 
 // getSeries finds or creates the series for (name, labels). The first
-// writer fixes the family kind; a later write of a different kind panics —
-// in a deterministic simulation that is a wiring bug, never load-dependent.
+// write fixes the family kind, even when Describe created the family
+// earlier; a later write of a different kind panics — in a deterministic
+// simulation that is a wiring bug, never load-dependent.
 func (r *Registry) getSeries(name string, kind Kind, labels []Label) *series {
 	fam := r.families[name]
 	if fam == nil {
@@ -127,18 +129,20 @@ func (r *Registry) getSeries(name string, kind Kind, labels []Label) *series {
 		r.families[name] = fam
 	}
 	if fam.kind != kind {
-		panic("metrics: family " + name + " is a " + fam.kind.String() +
-			", written as " + kind.String())
+		if len(fam.series) > 0 {
+			panic("metrics: family " + name + " is a " + fam.kind.String() +
+				", written as " + kind.String())
+		}
+		fam.kind = kind
 	}
-	sorted := sortLabels(labels)
-	key := canonical(sorted)
-	s := fam.series[key]
+	key := r.seriesKey(labels)
+	s := fam.series[string(key)]
 	if s == nil {
-		s = &series{labels: sorted}
+		s = &series{labels: slices.Clone(r.sorted)}
 		if kind == HistogramKind {
 			s.hist = &Histogram{}
 		}
-		fam.series[key] = s
+		fam.series[string(key)] = s
 	}
 	return s
 }
@@ -156,7 +160,7 @@ func (r *Registry) Describe(name, help string) {
 		return
 	}
 	// Remember the help for when the family appears. Kind is provisional;
-	// the first write fixes it.
+	// getSeries lets the first write fix it.
 	r.families[name] = &family{name: name, help: help, kind: Counter, series: make(map[string]*series)}
 }
 
@@ -240,7 +244,7 @@ func (r *Registry) Value(name string, labels ...Label) uint64 {
 	if fam == nil {
 		return 0
 	}
-	s := fam.series[canonical(sortLabels(labels))]
+	s := fam.series[string(r.seriesKey(labels))]
 	if s == nil {
 		return 0
 	}
@@ -258,7 +262,7 @@ func (r *Registry) Hist(name string, labels ...Label) Histogram {
 	if fam == nil {
 		return Histogram{}
 	}
-	s := fam.series[canonical(sortLabels(labels))]
+	s := fam.series[string(r.seriesKey(labels))]
 	if s == nil || s.hist == nil {
 		return Histogram{}
 	}

@@ -234,3 +234,72 @@ func TestResetClears(t *testing.T) {
 		t.Fatal("post-reset snapshot non-empty")
 	}
 }
+
+// Describe before any write leaves the family's kind open: the first
+// write fixes it, whatever its kind.
+func TestDescribeBeforeFirstWrite(t *testing.T) {
+	r := New()
+	r.Describe("g", "a gauge")
+	r.Describe("h", "a histogram")
+	r.Describe("c", "a counter")
+	r.Set("g", 4)
+	r.Observe("h", 5)
+	r.Inc("c")
+	var sb strings.Builder
+	if err := r.ExportOpenMetrics(&sb); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		"# TYPE g gauge\n# HELP g a gauge\ng 4\n",
+		"# TYPE h histogram\n# HELP h a histogram\n",
+		"# TYPE c counter\n# HELP c a counter\nc_total 1\n",
+	} {
+		if !strings.Contains(sb.String(), want) {
+			t.Errorf("export missing %q\n%s", want, sb.String())
+		}
+	}
+	// Once written, the kind is fixed.
+	defer func() {
+		if recover() == nil {
+			t.Fatal("writing a gauge family as a counter did not panic")
+		}
+	}()
+	r.Inc("g")
+}
+
+// Writes to an existing series allocate nothing, whatever order the
+// caller passes its labels in.
+func TestWriteExistingSeriesAllocatesNothing(t *testing.T) {
+	r := New()
+	r.Inc("c", KV("a", "1"), KV("b", "2"))
+	r.Set("g", 1, KV("a", "1"), KV("b", "2"))
+	r.Observe("h", 1, KV("a", "1"), KV("b", "2"))
+	allocs := testing.AllocsPerRun(100, func() {
+		r.Inc("c", KV("a", "1"), KV("b", "2"))
+		r.Add("c", 2, KV("b", "2"), KV("a", "1"))
+		r.Set("g", 3, KV("b", "2"), KV("a", "1"))
+		r.SetMax("g", 5, KV("a", "1"), KV("b", "2"))
+		r.Observe("h", 7, KV("b", "2"), KV("a", "1"))
+		r.ObserveEx("h", 9, 42, KV("a", "1"), KV("b", "2"))
+	})
+	if allocs != 0 {
+		t.Fatalf("write to an existing series: %v allocs, want 0", allocs)
+	}
+	if n := len(r.Series("c")) + len(r.Series("g")) + len(r.Series("h")); n != 3 {
+		t.Fatalf("label order split series: %d series, want 3", n)
+	}
+	if v := r.Value("c", KV("b", "2"), KV("a", "1")); v != 1+101*3 {
+		t.Fatalf("c = %d, want %d", v, 1+101*3)
+	}
+}
+
+// BenchmarkRegistryInc increments one existing labelled series.
+func BenchmarkRegistryInc(b *testing.B) {
+	r := New()
+	r.Inc("c", KV("tenant", "3"), KV("outcome", "ok"))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r.Inc("c", KV("tenant", "3"), KV("outcome", "ok"))
+	}
+}
