@@ -261,8 +261,15 @@ func (mon *Monitor) userMMU(c *cpu.Core, asid ASID, op MMUOp, reqs ...RingReq) e
 	})
 }
 
+var userOpNames = [...]string{OpMap: "map-user", OpUnmap: "unmap-user", OpProtect: "protect-user", OpReclaim: "reclaim-user"}
+
 // userOp names a synchronous EMC in denials ("map-user", ...).
-func userOp(op MMUOp) string { return op.String() + "-user" }
+func userOp(op MMUOp) string {
+	if int(op) < len(userOpNames) {
+		return userOpNames[op]
+	}
+	return "unknown-user"
+}
 
 // --- the MMU transaction -----------------------------------------------------
 //

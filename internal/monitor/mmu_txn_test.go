@@ -572,3 +572,16 @@ func TestPTEWriteAttributionParity(t *testing.T) {
 			sync, ring, 2*costs.EreborPTEWriteBody)
 	}
 }
+
+// Denials name the operation as "<op>-user" on the synchronous path and
+// "ring-<op>" on the ring, out-of-range ops included.
+func TestMMUOpDenialNames(t *testing.T) {
+	for op := OpMap; op <= OpReclaim+1; op++ {
+		if got, want := userOp(op), op.String()+"-user"; got != want {
+			t.Errorf("userOp(%d) = %q, want %q", op, got, want)
+		}
+		if got, want := ringOp(op), "ring-"+op.String(); got != want {
+			t.Errorf("ringOp(%d) = %q, want %q", op, got, want)
+		}
+	}
+}

@@ -161,5 +161,12 @@ func (mon *Monitor) EMCRingDrain(c *cpu.Core, ring *SubmitRing) error {
 	})
 }
 
+var ringOpNames = [...]string{OpMap: "ring-map", OpUnmap: "ring-unmap", OpProtect: "ring-protect", OpReclaim: "ring-reclaim"}
+
 // ringOp names a drained entry in denials ("ring-map", ...).
-func ringOp(op MMUOp) string { return "ring-" + op.String() }
+func ringOp(op MMUOp) string {
+	if int(op) < len(ringOpNames) {
+		return ringOpNames[op]
+	}
+	return "ring-unknown"
+}

@@ -716,15 +716,6 @@ func (s *Server) requestFor(t int) []byte {
 	return req
 }
 
-// expectedReply computes what the worker should answer for a request.
-func (s *Server) expectedReply(req []byte) []byte {
-	out := make([]byte, len(req))
-	for i := range req {
-		out[i] = req[i] ^ s.win[i%len(s.win)]
-	}
-	return out
-}
-
 // phaseOf maps a slot FSM state to its attribution phase.
 func phaseOf(st state) string {
 	switch st {
@@ -988,15 +979,16 @@ func (s *Server) tick(sl *slot) {
 }
 
 // finish validates and records a completed session, then turns the slot
-// over to its next tenant.
+// over to its next tenant. The worker's answer is the request XORed with
+// the model window.
 func (s *Server) finish(sl *slot, msg []byte) {
-	want := s.expectedReply(sl.request)
+	req, win := sl.request, s.win
 	var err error
-	if len(msg) != len(want) {
-		err = fmt.Errorf("serve: reply length %d, want %d", len(msg), len(want))
+	if len(msg) != len(req) {
+		err = fmt.Errorf("serve: reply length %d, want %d", len(msg), len(req))
 	} else {
 		for i := range msg {
-			if msg[i] != want[i] {
+			if msg[i] != req[i]^win[i%len(win)] {
 				err = fmt.Errorf("serve: reply byte %d mismatch", i)
 				break
 			}
