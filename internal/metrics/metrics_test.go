@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -290,6 +291,36 @@ func TestWriteExistingSeriesAllocatesNothing(t *testing.T) {
 	}
 	if v := r.Value("c", KV("b", "2"), KV("a", "1")); v != 1+101*3 {
 		t.Fatalf("c = %d, want %d", v, 1+101*3)
+	}
+}
+
+// Writers and readers on several goroutines share the registry's key
+// scratch under its lock.
+func TestConcurrentWritesAndReads(t *testing.T) {
+	r := New()
+	const writers, n = 4, 500
+	var wg sync.WaitGroup
+	for g := 0; g < writers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < n; i++ {
+				if g%2 == 0 {
+					r.Inc("c", KV("a", "1"), KV("b", "2"))
+				} else {
+					r.Inc("c", KV("b", "2"), KV("a", "1"))
+				}
+				r.Observe("h", uint64(i), KV("w", "x"))
+				_ = r.Value("c", KV("a", "1"), KV("b", "2"))
+			}
+		}(g)
+	}
+	wg.Wait()
+	if v := r.Value("c", KV("b", "2"), KV("a", "1")); v != writers*n {
+		t.Fatalf("c = %d, want %d", v, writers*n)
+	}
+	if h := r.Hist("h", KV("w", "x")); h.Count != writers*n {
+		t.Fatalf("h count = %d, want %d", h.Count, writers*n)
 	}
 }
 
