@@ -96,8 +96,12 @@ type View struct {
 	Size int
 
 	pages   [][]byte
-	scratch []byte // a page-straddling row, copied out by row
+	scratch [rowLanes][]byte // page-straddling rows, copied out one per lane
 }
+
+// rowLanes is how many weight rows DotRowsF32 and AxpyRowsF32 carry through
+// one pass over the vector.
+const rowLanes = 4
 
 // NewView builds a view over [base, base+size).
 func NewView(e *kernel.Env, base paging.Addr, size int) *View {
@@ -157,7 +161,7 @@ func (v *View) F32(off int) float32 {
 // F32Row decodes the len(dst) float32s at offset off into dst (row-major
 // weight rows; spans pages).
 func (v *View) F32Row(off int, dst []float32) {
-	b := v.row(off, len(dst))
+	b := v.row(0, off, len(dst))
 	for i := range dst {
 		dst[i] = f32frombits(binary.LittleEndian.Uint32(b[4*i:]))
 	}
@@ -167,7 +171,7 @@ func (v *View) F32Row(off int, dst []float32) {
 // off, accumulated in index order, decoding each weight straight from the
 // page-resident bytes.
 func (v *View) DotF32(off int, x []float32) float32 {
-	b := v.row(off, len(x))
+	b := v.row(0, off, len(x))
 	var dot float32
 	// len(b) == 4*len(x); testing it and re-slicing b, instead of indexing
 	// b[4*i:], lets the compiler drop the per-element bounds checks.
@@ -178,29 +182,86 @@ func (v *View) DotF32(off int, x []float32) float32 {
 	return dot
 }
 
+// DotRowsF32 sets out[r] to DotF32(off+r*stride, x) for every r. It reads
+// rowLanes rows per pass over x, each into its own accumulator, so every
+// row's sum is still one index-order chain while the chains of a pass
+// overlap in the pipeline. The remainder rows go through DotF32.
+func (v *View) DotRowsF32(off, stride int, x, out []float32) {
+	r := 0
+	for ; r+rowLanes <= len(out); r += rowLanes {
+		o := off + r*stride
+		b0 := v.row(0, o, len(x))
+		b1 := v.row(1, o+stride, len(x))
+		b2 := v.row(2, o+2*stride, len(x))
+		b3 := v.row(3, o+3*stride, len(x))
+		var d0, d1, d2, d3 float32
+		for i, xi := range x {
+			// The full slice expression fixes the word's capacity at 4,
+			// which spares the compiler a pointer mask per load.
+			j := 4 * i
+			d0 += f32frombits(binary.LittleEndian.Uint32(b0[j:j+4:j+4])) * xi
+			d1 += f32frombits(binary.LittleEndian.Uint32(b1[j:j+4:j+4])) * xi
+			d2 += f32frombits(binary.LittleEndian.Uint32(b2[j:j+4:j+4])) * xi
+			d3 += f32frombits(binary.LittleEndian.Uint32(b3[j:j+4:j+4])) * xi
+		}
+		out[r], out[r+1], out[r+2], out[r+3] = d0, d1, d2, d3
+	}
+	for ; r < len(out); r++ {
+		out[r] = v.DotF32(off+r*stride, x)
+	}
+}
+
 // AxpyF32 adds a times the len(dst) float32s at offset off to dst, element
 // by element in index order.
 func (v *View) AxpyF32(off int, a float32, dst []float32) {
-	b := v.row(off, len(dst))
+	b := v.row(0, off, len(dst))
 	for i := 0; i < len(dst) && len(b) >= 4; i++ { // as in DotF32
 		dst[i] += a * f32frombits(binary.LittleEndian.Uint32(b))
 		b = b[4:]
 	}
 }
 
+// AxpyRowsF32 calls AxpyF32(off+r*stride, a[r], dst) for r in order. It
+// reads rowLanes rows per pass over dst and adds their terms to each dst[i]
+// in row order, so every dst[i] sees the same chain of additions. The
+// remainder rows go through AxpyF32.
+func (v *View) AxpyRowsF32(off, stride int, a, dst []float32) {
+	r := 0
+	for ; r+rowLanes <= len(a); r += rowLanes {
+		o := off + r*stride
+		b0 := v.row(0, o, len(dst))
+		b1 := v.row(1, o+stride, len(dst))
+		b2 := v.row(2, o+2*stride, len(dst))
+		b3 := v.row(3, o+3*stride, len(dst))
+		a0, a1, a2, a3 := a[r], a[r+1], a[r+2], a[r+3]
+		for i, d := range dst {
+			j := 4 * i // as in DotRowsF32
+			d += a0 * f32frombits(binary.LittleEndian.Uint32(b0[j:j+4:j+4]))
+			d += a1 * f32frombits(binary.LittleEndian.Uint32(b1[j:j+4:j+4]))
+			d += a2 * f32frombits(binary.LittleEndian.Uint32(b2[j:j+4:j+4]))
+			d += a3 * f32frombits(binary.LittleEndian.Uint32(b3[j:j+4:j+4]))
+			dst[i] = d
+		}
+	}
+	for ; r < len(a); r++ {
+		v.AxpyF32(off+r*stride, a[r], dst)
+	}
+}
+
 // row returns the bytes of the n float32s at offset off. A row inside one
 // page is returned in place; one that straddles pages is copied through
-// CopyOut into the view's scratch buffer, valid until the next call.
-func (v *View) row(off, n int) []byte {
+// CopyOut into the scratch buffer of the given lane, valid until that
+// lane's next call.
+func (v *View) row(lane, off, n int) []byte {
 	a := int(v.Base&0xFFF) + off
 	p, o := a/mem.PageSize, a%mem.PageSize
 	if o+4*n <= mem.PageSize {
 		return v.page(p)[o : o+4*n]
 	}
-	if cap(v.scratch) < 4*n {
-		v.scratch = make([]byte, 4*n)
+	if cap(v.scratch[lane]) < 4*n {
+		v.scratch[lane] = make([]byte, 4*n)
 	}
-	b := v.scratch[:4*n]
+	b := v.scratch[lane][:4*n]
 	v.CopyOut(off, b)
 	return b
 }
