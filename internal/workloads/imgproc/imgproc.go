@@ -316,9 +316,11 @@ func classify(model *workloads.View, feat []float32) int {
 	for i := 0; i < FCIn && i < len(feat); i++ {
 		in[i] = feat[i*len(feat)/FCIn]
 	}
+	var scores [FCOut]float32
+	model.DotRowsF32(offFC()*4, FCIn*4, in[:], scores[:])
 	best, bi := float32(-1e30), 0
-	for o := 0; o < FCOut; o++ {
-		if s := model.DotF32((offFC()+o*FCIn)*4, in[:]); s > best {
+	for o, s := range scores {
+		if s > best {
 			best, bi = s, o
 		}
 	}

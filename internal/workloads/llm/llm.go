@@ -127,6 +127,10 @@ func (w *Workload) HeapPages() uint64 {
 // Threads implements workloads.Workload.
 func (w *Workload) Threads() int { return w.NThreads }
 
+// kvStride is the byte distance between positions in a layer's K/V cache:
+// one K row and one V row of Dim floats each.
+const kvStride = 2 * Dim * 4
+
 // state is the per-inference runtime.
 type state struct {
 	w      *Workload
@@ -213,7 +217,7 @@ func (s *state) forward(tok int, logits *[Vocab]float32) {
 		s.model.F32Row((base+offAttnNorm)*4, s.row)
 		rmsnorm(s.xb, s.x, s.row)
 
-		kvOff := (l*m.MaxSeq + pos) * 2 * Dim * 4
+		kvOff := (l*m.MaxSeq + pos) * kvStride
 		s.matvec(s.q, base+offWQ, s.xb)
 		s.matvec(s.k, base+offWK, s.xb)
 		s.storeKV(kvOff, s.k)
@@ -221,21 +225,21 @@ func (s *state) forward(tok int, logits *[Vocab]float32) {
 		s.storeKV(kvOff+Dim*4, s.v)
 		flops += 3 * 2 * Dim * Dim
 
-		// Multi-head attention over the cache.
+		// Multi-head attention over the cache: head h's K row at position
+		// t sits at koff + t*kvStride, its V row Dim floats further on.
 		for h := 0; h < Heads; h++ {
 			qh := s.q[h*HeadDim : (h+1)*HeadDim]
-			for t := 0; t <= pos; t++ {
-				koff := (l*m.MaxSeq+t)*2*Dim*4 + h*HeadDim*4
-				s.att[t] = s.kv.DotF32(koff, qh) / float32(math.Sqrt(HeadDim))
+			att := s.att[:pos+1]
+			koff := l*m.MaxSeq*kvStride + h*HeadDim*4
+			s.kv.DotRowsF32(koff, kvStride, qh, att)
+			for t := range att {
+				att[t] /= float32(math.Sqrt(HeadDim))
 			}
-			softmax(s.att[:pos+1])
+			softmax(att)
 			for i := range qh {
 				qh[i] = 0
 			}
-			for t := 0; t <= pos; t++ {
-				voff := (l*m.MaxSeq+t)*2*Dim*4 + Dim*4 + h*HeadDim*4
-				s.kv.AxpyF32(voff, s.att[t], qh)
-			}
+			s.kv.AxpyRowsF32(koff+Dim*4, kvStride, att, qh)
 			flops += 4 * (pos + 1) * HeadDim
 		}
 		s.matvec(s.xb, base+offWO, s.q)
@@ -281,9 +285,7 @@ func (s *state) storeKV(off int, vals []float32) {
 // matvec computes out = W x for the len(out) x len(x) weight at float
 // offset wOff.
 func (s *state) matvec(out []float32, wOff int, x []float32) {
-	for r := range out {
-		out[r] = s.model.DotF32((wOff+r*len(x))*4, x)
-	}
+	s.model.DotRowsF32(wOff*4, len(x)*4, x, out)
 }
 
 func rmsnorm(dst, x, weight []float32) {
