@@ -585,7 +585,6 @@ func (s *Server) launchContainer(sl *slot) (*sandbox.Container, error) {
 // sl, when non-nil, receives the first-compute timestamp each session.
 func (s *Server) workerSpec(name string, owner mem.Owner, sl *slot) sandbox.Spec {
 	maxMsg := s.cfg.InputBytes
-	winLen := len(s.win)
 	return sandbox.Spec{
 		Name:        name,
 		Owner:       owner,
@@ -605,7 +604,7 @@ func (s *Server) workerSpec(name string, owner mem.Owner, sl *slot) sandbox.Spec
 			modelVA := c.CommonVAs[CommonName]
 			in := make([]byte, maxMsg)
 			out := make([]byte, maxMsg)
-			win := make([]byte, winLen)
+			win := make([]byte, len(s.win))
 			// The buffers above are allocated exactly once per worker:
 			// the confined heap is monotonic.
 			for {
@@ -627,9 +626,7 @@ func (s *Server) workerSpec(name string, owner mem.Owner, sl *slot) sandbox.Spec
 				// through the common mapping (demand-faulted, sealed RO).
 				e.ReadMem(modelVA, win)
 				e.ReadMem(inVA, in[:n])
-				for i := 0; i < n; i++ {
-					out[i] = in[i] ^ win[i%winLen]
-				}
+				xorWindow(out[:n], in[:n], win)
 				e.Charge(uint64(n) * 2)
 				e.WriteMem(outVA, out[:n])
 				if serr := os.SendOutput(outVA, n); serr != nil {
@@ -978,23 +975,42 @@ func (s *Server) tick(sl *slot) {
 	}
 }
 
-// finish validates and records a completed session, then turns the slot
-// over to its next tenant. The worker's answer is the request XORed with
-// the model window.
-func (s *Server) finish(sl *slot, msg []byte) {
-	req, win := sl.request, s.win
-	var err error
+// xorWindow sets dst[i] to src[i] XOR win[i%len(win)], walking src one
+// window at a time so that no byte pays an integer division. win must not
+// be empty (New clamps it to at least one byte).
+func xorWindow(dst, src, win []byte) {
+	for base := 0; base < len(src); base += len(win) {
+		s := src[base:min(base+len(win), len(src))]
+		d, w := dst[base:base+len(s)], win[:len(s)]
+		for i := range s {
+			d[i] = s[i] ^ w[i]
+		}
+	}
+}
+
+// checkReply checks a worker's answer against the request XORed with the
+// model window, walked as in xorWindow, and reports the first byte that
+// differs.
+func checkReply(msg, req, win []byte) error {
 	if len(msg) != len(req) {
-		err = fmt.Errorf("serve: reply length %d, want %d", len(msg), len(req))
-	} else {
-		for i := range msg {
-			if msg[i] != req[i]^win[i%len(win)] {
-				err = fmt.Errorf("serve: reply byte %d mismatch", i)
-				break
+		return fmt.Errorf("serve: reply length %d, want %d", len(msg), len(req))
+	}
+	for base := 0; base < len(msg); base += len(win) {
+		m := msg[base:min(base+len(win), len(msg))]
+		r, w := req[base:base+len(m)], win[:len(m)]
+		for i := range m {
+			if m[i] != r[i]^w[i] {
+				return fmt.Errorf("serve: reply byte %d mismatch", base+i)
 			}
 		}
 	}
-	if err != nil {
+	return nil
+}
+
+// finish validates and records a completed session, then turns the slot
+// over to its next tenant.
+func (s *Server) finish(sl *slot, msg []byte) {
+	if err := checkReply(msg, sl.request, s.win); err != nil {
 		s.fail(sl, err)
 		return
 	}

@@ -505,3 +505,64 @@ func TestServeColdSessionsRunInBoundedMemory(t *testing.T) {
 		t.Fatalf("%d sandbox records registered after the run, want %d (one per slot)", end.records, tenants)
 	}
 }
+
+// TestReplyCheckCatchesFlippedByte: a reply that differs from the request
+// XORed with the repeating model window in one byte fails its session, and
+// the error names that byte, wherever it sits against the window: the first
+// byte, either side of the first window edge, and the last byte, which lies
+// in a final partial window. A session's reply is never shorter than one
+// window (the window is clamped to the request size), so a reply shorter
+// than one window is checked through checkReply alone.
+func TestReplyCheckCatchesFlippedByte(t *testing.T) {
+	const winLen, msgLen = 300, 1000 // windows start at 0, 300, 600 and 900
+	for _, k := range []int{0, winLen - 1, winLen, msgLen - 1} {
+		s, err := New(Config{Tenants: 1, Sessions: 1, Seed: 5, InputBytes: msgLen, ModelBytes: winLen})
+		if err != nil {
+			t.Fatal(err)
+		}
+		flipped := false
+		s.Hook = func(int) {
+			// The request is sealed on the wire by now, so the worker
+			// answers the original; flipping byte k of the copy finish
+			// checks against leaves the reply wrong in byte k alone.
+			if sl := s.slots[0]; sl.state == stWait && !flipped {
+				sl.request[k] ^= 0x40
+				flipped = true
+			}
+		}
+		rep, err := s.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !flipped {
+			t.Fatalf("byte %d: the session never waited for its reply", k)
+		}
+		want := fmt.Sprintf("serve: reply byte %d mismatch", k)
+		if rep.Completed != 0 || rep.Failed != 1 || rep.Results[0].Err != want {
+			t.Errorf("byte %d: completed=%d failed=%d err %q, want 0/1 %q",
+				k, rep.Completed, rep.Failed, rep.Results[0].Err, want)
+		}
+	}
+
+	win := make([]byte, winLen)
+	req := make([]byte, 100)
+	for i := range win {
+		win[i] = byte(7 * i)
+	}
+	for i := range req {
+		req[i] = byte(3*i + 1)
+	}
+	reply := make([]byte, len(req))
+	xorWindow(reply, req, win)
+	if err := checkReply(reply, req, win); err != nil {
+		t.Fatalf("short reply: %v", err)
+	}
+	for _, k := range []int{0, len(req) - 1} {
+		reply[k] ^= 0x40
+		want := fmt.Sprintf("serve: reply byte %d mismatch", k)
+		if err := checkReply(reply, req, win); err == nil || err.Error() != want {
+			t.Errorf("short reply, byte %d: err %v, want %q", k, err, want)
+		}
+		reply[k] ^= 0x40
+	}
+}
