@@ -16,8 +16,21 @@ func testOptions() ScenarioOptions {
 	return ScenarioOptions{ReclaimPerTick: 4, CPUIDEvery: 2, MemMB: 96}
 }
 
+// nativeOutputs pins the scale-1 native response of every Fig 9 workload
+// but llama.cpp, whose output llm's TestForwardMatchesReference pins to a
+// plain-slice transformer. runAll also requires every configuration to
+// match native, so together they catch a kernel change that moves all
+// three configurations alike.
+var nativeOutputs = map[string]string{
+	"yolo":     "images=14 detections=125 grid=90098988970800",
+	"drugbank": "queries=42000 hits=36703 misses=5297 checksum=db1e2da9af197e61",
+	"graphchi": "nodes=8000 edges=60000 iters=8 top=0 rank=0.001191 sum=0.9984",
+	"unicorn":  "events=40000 windows=10 anomalies=6 window@12000 chi=1979;window@16000 chi=1818;window@24000 chi=5065;window@28000 chi=1872;window@36000 chi=1858;window@40000 chi=1879;",
+}
+
 // runAll runs a workload under every Fig 9 configuration and sanity-checks
-// consistency of outputs and ordering of costs.
+// consistency of outputs and ordering of costs, and the native output
+// against nativeOutputs.
 func runAll(t *testing.T, wl workloads.Workload) map[ScenarioConfig]*ScenarioResult {
 	t.Helper()
 	out := make(map[ScenarioConfig]*ScenarioResult)
@@ -36,6 +49,9 @@ func runAll(t *testing.T, wl workloads.Workload) map[ScenarioConfig]*ScenarioRes
 		out[CfgNative].Output != out[CfgLibOSOnly].Output {
 		t.Fatalf("outputs differ across configs:\n native: %s\n libos:  %s\n erebor: %s",
 			out[CfgNative].Output, out[CfgLibOSOnly].Output, out[CfgErebor].Output)
+	}
+	if want, ok := nativeOutputs[wl.Name()]; ok && out[CfgNative].Output != want {
+		t.Errorf("%s: native output\n got %s\nwant %s", wl.Name(), out[CfgNative].Output, want)
 	}
 	// Erebor must cost more than native, and the overhead must be sane
 	// (under 2x — the paper reports 4.5%-13.2%).
