@@ -89,12 +89,9 @@ func (np *nativePriv) buildKernelTables() error {
 		return err
 	}
 	np.kernelTables = t
-	n := np.k.M.Phys.NumFrames()
-	for f := mem.Frame(0); uint64(f) < n; f++ {
-		leaf := (paging.Present | paging.Writable | paging.NX).WithFrame(f)
-		if err := t.Map(monitor.DirectMapAddr(f), leaf); err != nil {
-			return err
-		}
+	leaf := (paging.Present | paging.Writable | paging.NX).WithFrame(0)
+	if err := t.MapRange(monitor.DirectMapAddr(0), leaf, np.k.M.Phys.NumFrames()); err != nil {
+		return err
 	}
 	t.OnPTEWrite = np.chargePTE
 	return nil

@@ -417,12 +417,9 @@ func (mon *Monitor) buildKernelTables() error {
 		return err
 	}
 	mon.kernelTables = t
-	n := mon.M.Phys.NumFrames()
-	for f := mem.Frame(0); uint64(f) < n; f++ {
-		leaf := (paging.Present | paging.Writable | paging.NX).WithFrame(f)
-		if err := t.Map(DirectMapAddr(f), leaf); err != nil {
-			return fmt.Errorf("monitor: building direct map: %w", err)
-		}
+	leaf := (paging.Present | paging.Writable | paging.NX).WithFrame(0)
+	if err := t.MapRange(DirectMapAddr(0), leaf, mon.M.Phys.NumFrames()); err != nil {
+		return fmt.Errorf("monitor: building direct map: %w", err)
 	}
 	mon.dirmapReady = true
 	// Retroactively key the PTPs that the direct-map build itself created,

@@ -348,44 +348,73 @@ func (t *Tables) Walk(v Addr) (PTE, mem.Addr, *Fault) {
 // and flags), creating intermediate PTPs as needed. Intermediate entries
 // are created Present|Writable and inherit User from the leaf so user pages
 // are reachable.
-func (t *Tables) Map(v Addr, leaf PTE) error {
+func (t *Tables) Map(v Addr, leaf PTE) error { return t.MapRange(v, leaf, 1) }
+
+// MapRange maps the n pages from v to the n frames from leaf's frame, each
+// with leaf's flags. It does exactly what n Map calls in page order do —
+// the same PTPs allocated in the same order, the same table bytes, hook
+// calls and errors — with one descent per last-level table and one pass
+// over that table's entries. The path above a last-level table is read
+// once per table, so that table must not alias its own path and the hooks
+// must not rewrite the path.
+func (t *Tables) MapRange(v Addr, leaf PTE, n uint64) error {
+	for n > 0 {
+		table, first, err := t.leafTable(v, leaf.Is(User))
+		if err != nil {
+			return err
+		}
+		run := min(n, uint64(EntriesPerPT-first))
+		b, err := t.Phys.Bytes(table)
+		if err != nil {
+			// The table lies outside memory: fail the first store the
+			// way Map's would.
+			return WritePTE(t.Phys, entryAddr(table, first), leaf)
+		}
+		for i := first; i < first+int(run); i++ {
+			binary.LittleEndian.PutUint64(b[i*8:], uint64(leaf))
+			if t.OnPTEWrite != nil {
+				t.OnPTEWrite(entryAddr(table, i), leaf)
+			}
+			leaf = leaf.WithFrame(leaf.Frame() + 1)
+		}
+		v += Addr(run) << mem.PageShift
+		n -= run
+	}
+	return nil
+}
+
+// leafTable returns the last-level table that maps v and v's entry in it,
+// creating missing PTPs and, for a user leaf, setting User along the path.
+func (t *Tables) leafTable(v Addr, userPath bool) (mem.Frame, int, error) {
 	idx, _ := Split(v)
 	table := t.Root
-	userPath := leaf.Is(User)
 	for l := 0; l < Levels-1; l++ {
 		a := entryAddr(table, idx[l])
 		e, err := ReadPTE(t.Phys, a)
 		if err != nil {
-			return err
+			return 0, 0, err
 		}
 		if !e.Is(Present) {
 			ptp, err := t.newPTP()
 			if err != nil {
-				return err
+				return 0, 0, err
 			}
 			e = (Present | Writable).WithFrame(ptp)
 			if userPath {
 				e |= User
 			}
 			if err := WritePTE(t.Phys, a, e); err != nil {
-				return err
+				return 0, 0, err
 			}
 		} else if userPath && !e.Is(User) {
 			// Upgrade the path so user leaves under it are reachable.
 			if err := WritePTE(t.Phys, a, e|User); err != nil {
-				return err
+				return 0, 0, err
 			}
 		}
 		table = e.Frame()
 	}
-	a := entryAddr(table, idx[Levels-1])
-	if err := WritePTE(t.Phys, a, leaf); err != nil {
-		return err
-	}
-	if t.OnPTEWrite != nil {
-		t.OnPTEWrite(a, leaf)
-	}
-	return nil
+	return table, idx[Levels-1], nil
 }
 
 // Unmap clears the leaf mapping for v. Unmapping a non-present page is a
