@@ -24,6 +24,32 @@ type ImageOptions struct {
 // kernelImageBase is where the synthetic kernel links its sections.
 const kernelImageBase = uint64(monitor.KernelTextBase) + 0x10_0000
 
+// sensitiveSites are the privileged operations a stock kernel executes
+// inline and an instrumented one routes through the EMC stub, in the order
+// the text section cycles through them.
+var sensitiveSites = [][]byte{
+	isa.EmitMovToCR(0), isa.EmitMovToCR(3), isa.EmitMovToCR(4),
+	isa.EmitWRMSR(), isa.EmitSTAC(), isa.EmitLIDT(0x40), isa.EmitTDCALL(),
+}
+
+// textFiller is the deterministic benign filler between sites: a mov of a
+// sanitized immediate, nops and a ret. It is the longest instruction run
+// the text section emits.
+var textFiller = func() []byte {
+	imm := uint64(0x1122334455667788)
+	if isa.ContainsImm(imm) {
+		imm = 0x1111111111111111
+	}
+	f := isa.EmitMovImm64(imm)
+	f = append(f, isa.EmitNop(5)...)
+	return append(f, isa.EmitRet()...)
+}()
+
+// hiddenWRMSR is a mov $imm64 whose immediate bytes spell "wrmsr" (0F 30):
+// the byte-level scanner must flag it even though a disassembler would
+// treat it as data.
+var hiddenWRMSR = []byte{0x48, 0xB8, 0x0F, 0x30, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00}
+
 // BuildKernelImage generates a synthetic kernel image in the loader format
 // the monitor verifies: a text section full of benign instruction filler
 // with either instrumented EMC call sites or raw sensitive instructions,
@@ -34,62 +60,42 @@ func BuildKernelImage(opt ImageOptions) []byte {
 	}
 	b := image.NewBuilder("kernel_entry")
 
-	var text []byte
-	emit := func(bs ...byte) { text = append(text, bs...) }
+	// The last instruction may run past the text size by less than one
+	// filler, and the hidden immediate may follow it.
+	size := opt.TextKB * 1024
+	text := make([]byte, 0, size+len(textFiller)+len(hiddenWRMSR))
 
 	// Entry point.
 	entryOff := uint64(len(text))
-	emit(isa.EmitEndbr64()...)
-	emit(isa.EmitNop(8)...)
+	text = append(text, isa.EmitEndbr64()...)
+	text = append(text, isa.EmitNop(8)...)
 
 	// Privileged-operation sites: where a stock kernel executes sensitive
 	// instructions, the instrumented kernel calls the EMC stub instead.
-	sensitive := [][]byte{
-		isa.EmitMovToCR(0), isa.EmitMovToCR(3), isa.EmitMovToCR(4),
-		isa.EmitWRMSR(), isa.EmitSTAC(), isa.EmitLIDT(0x40), isa.EmitTDCALL(),
-	}
-	siteStride := opt.TextKB * 1024 / (len(sensitive) * 4)
+	siteStride := size / (len(sensitiveSites) * 4)
 	nextSite := 0
 	siteIdx := 0
-
-	fill := func() []byte {
-		// Deterministic benign filler: mov imm (sanitized), nops, ret.
-		var f []byte
-		imm := uint64(0x1122334455667788)
-		if isa.ContainsImm(imm) {
-			imm = 0x1111111111111111
-		}
-		f = append(f, isa.EmitMovImm64(imm)...)
-		f = append(f, isa.EmitNop(5)...)
-		f = append(f, isa.EmitRet()...)
-		return f
-	}
-
-	for len(text) < opt.TextKB*1024 {
+	for len(text) < size {
 		if len(text) >= nextSite {
-			site := sensitive[siteIdx%len(sensitive)]
+			site := sensitiveSites[siteIdx%len(sensitiveSites)]
 			siteIdx++
 			nextSite += siteStride
 			if opt.Instrumented {
 				// call emc_dispatch (rel32 patched by a relocation-free
 				// direct call; the stub lives at the image start).
-				emit(isa.EmitCallRel32(int32(int64(entryOff) - int64(len(text)) - 5))...)
+				text = append(text, isa.EmitCallRel32(int32(int64(entryOff)-int64(len(text))-5))...)
 			} else {
-				emit(site...)
+				text = append(text, site...)
 			}
 			continue
 		}
-		emit(fill()...)
+		text = append(text, textFiller...)
 	}
 	if opt.HideInImmediate {
-		// mov $imm64 whose immediate bytes spell "wrmsr" (0F 30): the
-		// byte-level scanner must flag this even though a disassembler
-		// would treat it as data.
-		emit(0x48, 0xB8, 0x0F, 0x30, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00)
+		text = append(text, hiddenWRMSR...)
 	}
 
-	textIdx := b.Section(".text", image.Text, kernelImageBase, text)
-	_ = textIdx
+	b.Section(".text", image.Text, kernelImageBase, text)
 
 	// Read-only data with a relocation pointing back at the entry symbol
 	// (exercises the loader's relocation pass).

@@ -191,12 +191,11 @@ func (p *Physical) Reserve(name string, count uint64) (*Region, error) {
 	}
 	// The free list is ordered descending (Alloc pops low frames from the
 	// tail), so its head holds the highest-numbered frames.
-	taken := append([]Frame(nil), p.free[:count]...)
+	r := &Region{Name: name, Count: count, pool: append([]Frame(nil), p.free[:count]...)}
 	p.free = p.free[count:]
-	r := &Region{Name: name, Count: count, pool: append([]Frame(nil), taken...)}
 	p.regions[name] = r
 	p.regionList = append(p.regionList, r)
-	for _, f := range taken {
+	for _, f := range r.pool {
 		p.meta[f].region = id
 	}
 	return r, nil
