@@ -72,6 +72,8 @@ func runChaosSession(t *testing.T, plan faultinject.Plan) chaosOutcome {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Deferred first, so it runs after the plaintext check below.
+	defer w.Close()
 	c := launchChaosEcho(t, w)
 	s := NewFaultySession(w, plan)
 	pol := DefaultRetryPolicy()
@@ -203,13 +205,14 @@ func TestHandshakeUnderFaults(t *testing.T) {
 				}
 				c := launchChaosEcho(t, w)
 				s := NewFaultySession(w, faultinject.Only(int64(9000*int(class)+seed), class, 0.3))
-				if err := s.ConnectResilient(c, DefaultRetryPolicy()); err != nil {
-					if !errors.Is(err, secchan.ErrTimeout) {
-						t.Fatalf("seed %d: untyped handshake error: %v", seed, err)
-					}
-					continue
+				err = s.ConnectResilient(c, DefaultRetryPolicy())
+				if err != nil && !errors.Is(err, secchan.ErrTimeout) {
+					t.Fatalf("seed %d: untyped handshake error: %v", seed, err)
 				}
-				ok++
+				if err == nil {
+					ok++
+				}
+				w.Close()
 			}
 			if ok == 0 {
 				t.Fatalf("handshake never completed under %v at 30%%", class)

@@ -177,7 +177,7 @@ func newSession(w *World, inj *faultinject.Injector, queueCap int) *Session {
 	// The registry makes per-lane relay throughput (forwarded/dropped/
 	// denied frame counts) observable without tracing.
 	pr := &secchan.Proxy{Outer: outer, Inner: proxyInner, Met: w.Met}
-	cl := NewClient(clientTr, w.QK.Public(), ExpectedMRTD(w.Mon.MonitorImage()))
+	cl := NewClient(clientTr, w.QK.Public(), w.expectedMRTD)
 	cl.Rec = w.Rec
 	cl.Met, cl.Attr = w.Met, w.Attr
 	cl.Rand = w.Entropy

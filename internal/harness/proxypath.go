@@ -45,7 +45,7 @@ type NetSession struct {
 // NewNetSession builds the full-stack session plumbing.
 func NewNetSession(w *World) *NetSession {
 	proxySide, monSide := secchan.NewMemPipe()
-	cl := NewClient(&hostNIC{w}, w.QK.Public(), ExpectedMRTD(w.Mon.MonitorImage()))
+	cl := NewClient(&hostNIC{w}, w.QK.Public(), w.expectedMRTD)
 	return &NetSession{Client: cl, w: w, monSide: monSide, proxySide: proxySide}
 }
 

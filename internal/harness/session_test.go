@@ -6,10 +6,12 @@ import (
 	"testing"
 
 	"github.com/asterisc-release/erebor-go/internal/abi"
+	"github.com/asterisc-release/erebor-go/internal/faultinject"
 	"github.com/asterisc-release/erebor-go/internal/kernel"
 	"github.com/asterisc-release/erebor-go/internal/libos"
 	"github.com/asterisc-release/erebor-go/internal/mem"
 	"github.com/asterisc-release/erebor-go/internal/sandbox"
+	"github.com/asterisc-release/erebor-go/internal/tdx"
 )
 
 // upperMain is a tiny service: read client input, uppercase it, reply.
@@ -159,5 +161,58 @@ func TestLibOSOnlyModeRoundTrip(t *testing.T) {
 	outs := w.K.DevEmuOutputs()
 	if len(outs) != 1 || string(outs[0]) != "HELLO LIBOS" {
 		t.Fatalf("outputs = %q", outs)
+	}
+}
+
+// TestSessionsExpectWorldMRTD checks that every client a world builds
+// expects the booted monitor's measurement, and that a client expecting
+// any other value fails the handshake on the quote's MRTD.
+func TestSessionsExpectWorldMRTD(t *testing.T) {
+	w, err := NewWorld(WorldConfig{Mode: kernel.ModeErebor, MemMB: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := ExpectedMRTD(w.Mon.MonitorImage())
+	inj := faultinject.New(faultinject.Plan{Seed: 1})
+	for _, c := range []struct {
+		name string
+		cl   *Client
+	}{
+		{"NewSession", NewSession(w).Client},
+		{"NewBoundedSession", NewBoundedSession(w, 4).Client},
+		{"NewFaultySession", NewFaultySession(w, faultinject.Plan{Seed: 1}).Client},
+		{"NewInjectedSession", NewInjectedSession(w, inj, 0).Client},
+		{"NewInjectedSession again", NewInjectedSession(w, inj, 0).Client},
+		{"NewNetSession", NewNetSession(w).Client},
+	} {
+		if c.cl.expected != want {
+			t.Errorf("%s: client expects MRTD %x, want %x", c.name, c.cl.expected, want)
+		}
+	}
+
+	firstBit, lastBit := want, want
+	firstBit[0] ^= 1
+	lastBit[tdx.MeasurementSize-1] ^= 0x80
+	for _, wrong := range [][tdx.MeasurementSize]byte{firstBit, lastBit, {}} {
+		w, err := NewWorld(WorldConfig{Mode: kernel.ModeErebor, MemMB: 64})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := launchUpper(t, w)
+		s := NewSession(w)
+		s.Client = NewClient(s.Client.tr, w.QK.Public(), wrong)
+		if err := s.Client.Start(); err != nil {
+			t.Fatal(err)
+		}
+		s.Pump(2)
+		if err := c.AcceptSession(s.MonTr); err != nil {
+			t.Fatalf("AcceptSession: %v", err)
+		}
+		s.Pump(2)
+		err = s.Client.Finish()
+		if err == nil || !strings.Contains(err.Error(), "attest: MRTD mismatch") {
+			t.Errorf("client expecting %x: handshake error %v, want an MRTD mismatch", wrong[:4], err)
+		}
+		w.Close()
 	}
 }

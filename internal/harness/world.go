@@ -52,6 +52,9 @@ type World struct {
 	Entropy io.Reader
 
 	bootCycles uint64
+	// expectedMRTD is ExpectedMRTD of the booted monitor's image (Erebor
+	// mode): every client of this world checks its quotes against it.
+	expectedMRTD [tdx.MeasurementSize]byte
 }
 
 // WorldConfig sizes a world.
@@ -130,6 +133,7 @@ func NewWorld(cfg WorldConfig) (*World, error) {
 			return nil, fmt.Errorf("harness: monitor boot: %w", err)
 		}
 		w.Mon = mon
+		w.expectedMRTD = ExpectedMRTD(mon.MonitorImage())
 		mon.Entropy = cfg.Entropy
 		mon.Rec = w.Rec
 		// Same wiring point as the recorder: before LoadKernel/kernel.New,
@@ -168,6 +172,11 @@ func NewWorld(cfg WorldConfig) (*World, error) {
 	w.bootCycles = m.Clock.Now()
 	return w, nil
 }
+
+// Close kills every task of the world that has not finished, so a world
+// dropped with a parked task is not kept reachable by that task's
+// goroutine. The world must not run afterwards. Closing twice is a no-op.
+func (w *World) Close() { w.K.Close() }
 
 // BootCycles returns the cycles consumed by boot (excluded from workload
 // measurements).

@@ -1,7 +1,9 @@
 package harness
 
 import (
+	"runtime"
 	"testing"
+	"time"
 
 	"github.com/asterisc-release/erebor-go/internal/abi"
 	"github.com/asterisc-release/erebor-go/internal/kernel"
@@ -207,4 +209,55 @@ func TestCPUIDThroughVE(t *testing.T) {
 			t.Fatalf("cpuid vendor = %#x", vendor[1])
 		}
 	})
+}
+
+// TestWorldCloseReleasesParkedTasks parks a task between slices, closes
+// its world and drops it: the task's goroutine must exit, and the world
+// and its physical memory must then be collected.
+func TestWorldCloseReleasesParkedTasks(t *testing.T) {
+	before := runtime.NumGoroutine()
+	worldFreed, memFreed := make(chan struct{}), make(chan struct{})
+	func() {
+		w, err := NewWorld(WorldConfig{Mode: kernel.ModeErebor, MemMB: 64})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The task holds its world, as a service's code does, and never
+		// finishes on its own.
+		tk, err := w.K.Spawn("parked", mem.OwnerTaskBase, func(e *kernel.Env) {
+			for w.K != nil {
+				e.YieldCPU()
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !w.K.StepOne() || tk.State != kernel.TaskRunnable {
+			t.Fatalf("task did not park: state %v (%s)", tk.State, tk.ExitReason)
+		}
+		runtime.SetFinalizer(w, func(*World) { close(worldFreed) })
+		runtime.SetFinalizer(w.Phys, func(*mem.Physical) { close(memFreed) })
+		w.Close()
+		w.Close()
+	}()
+	// A finalizer runs on its own goroutine after the collection that
+	// finds its object unreachable.
+	freed := func(c chan struct{}) bool {
+		select {
+		case <-c:
+			return true
+		case <-time.After(50 * time.Millisecond):
+			return false
+		}
+	}
+	for gcs := 1; ; gcs++ {
+		runtime.GC()
+		if freed(worldFreed) && freed(memFreed) && runtime.NumGoroutine() <= before {
+			return
+		}
+		if gcs == 5 {
+			t.Fatalf("after %d collections: world freed %v, memory freed %v, %d goroutines (%d before boot)",
+				gcs, freed(worldFreed), freed(memFreed), runtime.NumGoroutine(), before)
+		}
+	}
 }

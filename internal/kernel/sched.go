@@ -2,6 +2,7 @@ package kernel
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 
 	"github.com/asterisc-release/erebor-go/internal/abi"
@@ -141,6 +142,22 @@ func (k *Kernel) addTask(name string, ppid Pid, p *Proc, fn func(e *Env)) *Task 
 
 // Tasks returns a snapshot of all tasks (harness/tests).
 func (k *Kernel) Tasks() map[Pid]*Task { return k.tasks }
+
+// Close kills every task whose coroutine has not finished, in Pid order,
+// so no goroutine stays parked on a kernel that is being dropped. The
+// kernel must not be scheduled afterwards. Closing twice is a no-op.
+func (k *Kernel) Close() {
+	pids := make([]Pid, 0, len(k.tasks))
+	for pid, t := range k.tasks {
+		if !t.co.Finished() {
+			pids = append(pids, pid)
+		}
+	}
+	slices.Sort(pids)
+	for _, pid := range pids {
+		k.tasks[pid].co.Kill()
+	}
+}
 
 // --- events yielded by user tasks --------------------------------------------
 
