@@ -56,7 +56,10 @@ func TestFutexBlockAndWake(t *testing.T) {
 			e.WriteMem(word, []byte{1, 0, 0, 0})
 			e.SpawnThread("waiter", func(te *kernel.Env) {
 				sequence += "W"
-				te.Syscall(abi.SysFutex, uint64(word), kernel.FutexWait, 1)
+				// The wake's return value crosses the slice switch.
+				if ret := te.Syscall(abi.SysFutex, uint64(word), kernel.FutexWait, 1); ret != 0 {
+					t.Errorf("woken futex wait returned %#x, want 0", ret)
+				}
 				sequence += "R" // resumed after wake
 			})
 			e.YieldCPU() // let the waiter block
@@ -89,6 +92,30 @@ func TestFutexBlockAndWake(t *testing.T) {
 		w.K.Schedule()
 		if tk2.ExitReason != "" {
 			t.Fatal(tk2.ExitReason)
+		}
+		// A signal wakes a blocked waiter, whose wait returns EAGAIN.
+		interrupted := false
+		tk3, _ := w.K.Spawn("signaller", mem.OwnerTaskBase, func(e *kernel.Env) {
+			word := e.Mmap(4096, true, false)
+			e.WriteMem(word, []byte{1, 0, 0, 0})
+			waiter := e.SpawnThread("sleeper", func(te *kernel.Env) {
+				ret := te.Syscall(abi.SysFutex, uint64(word), kernel.FutexWait, 1)
+				if !abi.IsError(ret) || abi.Err(ret) != abi.EAGAINNo {
+					t.Errorf("signalled futex wait returned %#x, want EAGAIN", ret)
+				}
+				interrupted = true
+			})
+			e.YieldCPU() // let the waiter block
+			if ret := e.Syscall(abi.SysKill, uint64(waiter), 10); ret != 0 {
+				t.Errorf("kill returned %#x", ret)
+			}
+		})
+		w.K.Schedule()
+		if tk3.ExitReason != "" {
+			t.Fatal(tk3.ExitReason)
+		}
+		if !interrupted {
+			t.Fatal("signalled waiter never resumed")
 		}
 	})
 }

@@ -32,8 +32,8 @@ func (as *AddrSpace) Tables() *paging.Tables { return as.tables }
 
 // Translate resolves a user VA to its mapped frame.
 func (as *AddrSpace) Translate(va paging.Addr) (mem.Frame, bool) {
-	pte, _, f := as.tables.Walk(va)
-	if f != nil || !pte.Is(paging.Present) {
+	pte, _, r := as.tables.Lookup(va)
+	if r != paging.FaultNone {
 		return 0, false
 	}
 	return pte.Frame(), true
@@ -135,19 +135,21 @@ func nativeLeaf(f mem.Frame, w, x bool) paging.PTE {
 // shootIfChanged invalidates a replaced translation on every core. Native
 // kernels are responsible for their own TLB coherence; first-time installs
 // and identical rewrites need no shootdown.
-func (np *nativePriv) shootIfChanged(c *cpu.Core, as *AddrSpace, va paging.Addr, prev, next paging.PTE, walkFault *paging.Fault) {
-	if walkFault == nil && prev.Is(paging.Present) && prev != next {
+func (np *nativePriv) shootIfChanged(c *cpu.Core, as *AddrSpace, va paging.Addr, prev, next paging.PTE) {
+	if prev.Is(paging.Present) && prev != next {
 		np.k.M.Shootdown(c, as.tables.Root, paging.PageBase(va))
 	}
 }
 
 func (np *nativePriv) Map(c *cpu.Core, as *AddrSpace, va paging.Addr, f mem.Frame, w, x bool) error {
 	leaf := nativeLeaf(f, w, x)
-	prev, _, walkFault := as.tables.Walk(paging.PageBase(va))
+	// A missed lookup returns no present entry, so prev tells alone
+	// whether a translation is being replaced.
+	prev, _, _ := as.tables.Lookup(paging.PageBase(va))
 	if err := as.tables.Map(va, leaf); err != nil {
 		return err
 	}
-	np.shootIfChanged(c, as, va, prev, leaf, walkFault)
+	np.shootIfChanged(c, as, va, prev, leaf)
 	return nil
 }
 
@@ -162,11 +164,11 @@ func (np *nativePriv) MapBatch(c *cpu.Core, as *AddrSpace, reqs []monitor.MapReq
 
 func (np *nativePriv) Unmap(c *cpu.Core, as *AddrSpace, va paging.Addr) error {
 	base := paging.PageBase(va)
-	prev, _, walkFault := as.tables.Walk(base)
+	prev, _, _ := as.tables.Lookup(base)
 	if err := as.tables.Unmap(va); err != nil {
 		return err
 	}
-	if walkFault == nil && prev.Is(paging.Present) {
+	if prev.Is(paging.Present) {
 		np.k.M.Shootdown(c, as.tables.Root, base)
 	}
 	return nil
@@ -210,8 +212,8 @@ func (np *nativePriv) UserCopy(c *cpu.Core, as *AddrSpace, dir monitor.CopyDir, 
 	}()
 	off := 0
 	for off < len(buf) {
-		pte, _, fl := as.tables.Walk(paging.Addr(va))
-		if fl != nil || !pte.Is(paging.Present|paging.User) {
+		pte, _, _ := as.tables.Lookup(paging.Addr(va))
+		if !pte.Is(paging.Present | paging.User) {
 			return fmt.Errorf("kernel: user page %#x not mapped", va)
 		}
 		if dir == monitor.CopyToUser && !pte.Is(paging.Writable) {

@@ -73,6 +73,8 @@ type Task struct {
 	co            *task.Task
 	pendingResume any
 	pendingSigs   []int
+	// yielded is the trap the task hands the scheduler with its yield.
+	yielded event
 
 	k *Kernel
 }
@@ -159,35 +161,50 @@ func (k *Kernel) Close() {
 	}
 }
 
-// --- events yielded by user tasks --------------------------------------------
+// --- trap events -----------------------------------------------------------------
 
-type evSyscall struct {
-	num  uint64
-	args [5]uint64 // RDI, RSI, RDX, R10, R8
+// evKind names the trap a user task raises.
+type evKind uint8
+
+const (
+	// evNone is what a task yields when a trap it serviced itself ended
+	// its slice: the scheduler has nothing left to service.
+	evNone evKind = iota
+	evSyscall
+	evFault
+	evCPUID
+	evUIPI
+	evVE
+	evPreempt
+	evExit
+	// evFatal is a task-side unrecoverable failure (Env.Fatal): the
+	// scheduler terminates the task with a typed reason and, when the task
+	// hosts a sandbox, routes the teardown through the monitor's
+	// kill/violation path so confined memory is scrubbed.
+	evFatal
+)
+
+// event is one trap a user task raises. It travels by value: straight
+// into Kernel.trap when the task services it on its own goroutine, and
+// through Task.yielded when the scheduler services it.
+type event struct {
+	kind   evKind
+	num    uint64            // syscall number, CPUID leaf or UIPI target
+	args   [5]uint64         // syscall arguments: RDI, RSI, RDX, R10, R8
+	va     paging.Addr       // faulting page
+	access paging.AccessKind // faulting access
+	code   int               // exit or fatal code
+	detail string            // #VE detail or fatal reason
 }
 
-type evFault struct {
-	va   paging.Addr
-	kind paging.AccessKind
-}
+// handlerPanic carries a panic raised while a task serviced its own trap
+// to the scheduler, which re-raises it: the kernel failed, not the task.
+type handlerPanic struct{ val any }
 
-type evPreempt struct{}
-
-type evExit struct{ code int }
-
-type evCPUID struct{ leaf uint64 }
-
-type evUIPI struct{ target uint64 }
-
-type evVE struct{ detail string }
-
-// evFatal is a task-side unrecoverable failure (Env.Fatal): the scheduler
-// terminates the task with a typed reason and, when the task hosts a
-// sandbox, routes the teardown through the monitor's kill/violation path so
-// confined memory is scrubbed.
-type evFatal struct {
-	code   int
-	reason string
+// pfTrap is a page-fault trap and its fault record in one allocation.
+type pfTrap struct {
+	cpu.Trap
+	fault paging.Fault
 }
 
 // --- scheduler ------------------------------------------------------------------
@@ -289,142 +306,137 @@ func (k *Kernel) dispatch(t *Task, c *cpu.Core) {
 
 	in := t.pendingResume
 	t.pendingResume = nil
-	for {
-		out, done, err := t.co.Resume(in)
-		in = nil
-		if done {
-			if t.State != TaskZombie {
-				reason := ""
-				if err != nil {
-					reason = err.Error()
-					t.exitLockedNoKill(1, reason)
-				} else {
-					t.exitLockedNoKill(0, "")
-				}
-			}
+	out, done, err := t.co.Resume(in)
+	if p, ok := out.(handlerPanic); ok {
+		panic(p.val)
+	}
+	if !done {
+		// A yield ends the slice. The task hands over a preemption, an Exit
+		// or a Fatal to service here, or nothing when a trap it serviced
+		// itself ended the slice.
+		ev := t.yielded
+		t.yielded = event{}
+		k.trap(t, c, ev)
+		if ev.kind != evExit {
+			t.reapIfZombie()
 			return
 		}
-		switch ev := out.(type) {
-		case evSyscall:
-			k.Stats.Syscalls++
-			c.Regs.GPR[cpu.RAX] = ev.num
-			c.Regs.GPR[cpu.RDI] = ev.args[0]
-			c.Regs.GPR[cpu.RSI] = ev.args[1]
-			c.Regs.GPR[cpu.RDX] = ev.args[2]
-			c.Regs.GPR[cpu.R10] = ev.args[3]
-			c.Regs.GPR[cpu.R8] = ev.args[4]
-			sysSpan := k.Rec.Begin()
-			c.Deliver(&cpu.Trap{Vector: cpu.VecSyscall})
+		// Let the coroutine run to completion; Env.trap drops the traps an
+		// exited task raises on the way.
+		for !done {
+			_, done, _ = t.co.Resume(nil)
+		}
+		return
+	}
+	if t.State != TaskZombie {
+		if err != nil {
+			t.exitLockedNoKill(1, err.Error())
+		} else {
+			t.exitLockedNoKill(0, "")
+		}
+	}
+}
+
+// trap is the kernel's one event handler. It services ev for t, the task
+// dispatched on c, and reports whether t's slice ends with it. A trapping
+// call's results are left in c's registers; a refused UIPI returns its
+// error. Syscall, fault, CPUID, #VE and UIPI traps reach it on the task's
+// own goroutine (Env.trap), so a trap that returns to the same task costs
+// no goroutine switch. Preemption, Exit and Fatal reach it on the
+// scheduler's, through the task's yield (dispatch). On the task's
+// goroutine, reapIfZombie only reports the zombie; the scheduler reaps it
+// once the task has yielded.
+func (k *Kernel) trap(t *Task, c *cpu.Core, ev event) (end bool, err error) {
+	switch ev.kind {
+	case evSyscall:
+		k.Stats.Syscalls++
+		c.Regs.GPR[cpu.RAX] = ev.num
+		c.Regs.GPR[cpu.RDI] = ev.args[0]
+		c.Regs.GPR[cpu.RSI] = ev.args[1]
+		c.Regs.GPR[cpu.RDX] = ev.args[2]
+		c.Regs.GPR[cpu.R10] = ev.args[3]
+		c.Regs.GPR[cpu.R8] = ev.args[4]
+		sysSpan := k.Rec.Begin()
+		c.Deliver(&cpu.Trap{Vector: cpu.VecSyscall})
+		if k.Rec.Enabled() {
 			k.Rec.EndSpan(sysSpan, trace.KindSyscall, trace.TrackKernel,
 				"syscall/"+strconv.FormatUint(ev.num, 10))
-			if t.reapIfZombie() {
-				return
-			}
-			if t.State == TaskBlocked {
-				// Parked (futex); the waker stores the return value.
-				return
-			}
-			in = c.Regs.GPR[cpu.RAX]
-			if k.wantResched {
-				k.wantResched = false
-				t.pendingResume = in
-				k.runq = append(k.runq, t)
-				return
-			}
+		}
+		if t.reapIfZombie() || t.State == TaskBlocked {
+			// A blocked (futex) task's waker stores its return value.
+			return true, nil
+		}
+		if k.wantResched {
+			k.wantResched = false
+			t.pendingResume = c.Regs.GPR[cpu.RAX]
+			k.runq = append(k.runq, t)
+			return true, nil
+		}
+		return false, nil
 
-		case evFault:
-			reason := paging.FaultNotPresent
-			if ev.kind == paging.Write {
-				// The walker distinguishes; the handler re-checks anyway.
-				reason = paging.FaultNotPresent
-			}
-			pfSpan := k.Rec.Begin()
-			c.Deliver(&cpu.Trap{
-				Vector: cpu.VecPF,
-				Fault:  &paging.Fault{Reason: reason, Addr: ev.va, Kind: ev.kind},
-			})
-			k.Rec.EndSpan(pfSpan, trace.KindPageFault, trace.TrackKernel, "")
-			if t.reapIfZombie() {
-				return
-			}
+	case evFault:
+		pf := &pfTrap{fault: paging.Fault{Reason: paging.FaultNotPresent, Addr: ev.va, Kind: ev.access}}
+		pf.Vector = cpu.VecPF
+		pf.Fault = &pf.fault
+		pfSpan := k.Rec.Begin()
+		c.Deliver(&pf.Trap)
+		k.Rec.EndSpan(pfSpan, trace.KindPageFault, trace.TrackKernel, "")
+		return t.reapIfZombie(), nil
 
-		case evPreempt:
-			k.Stats.TimerTicks++
-			k.Rec.Emit(trace.KindTimerTick, trace.TrackKernel, "")
-			c.Deliver(&cpu.Trap{Vector: cpu.VecTimer})
-			if t.reapIfZombie() {
-				return
-			}
+	case evPreempt:
+		k.Stats.TimerTicks++
+		k.Rec.Emit(trace.KindTimerTick, trace.TrackKernel, "")
+		c.Deliver(&cpu.Trap{Vector: cpu.VecTimer})
+		if !t.reapIfZombie() {
 			// Round-robin: requeue and pick the next task.
 			t.pendingResume = nil
 			k.runq = append(k.runq, t)
-			return
-
-		case evCPUID:
-			c.Regs.GPR[cpu.RAX] = ev.leaf
-			if k.M.TD {
-				// cpuid in a TD traps to the TDX module, which injects #VE.
-				k.Stats.VEExits++
-				k.TDX.InjectVE(c, "cpuid")
-			} else {
-				// Plain guest: cpuid executes natively.
-				c.Regs.GPR[cpu.RAX] = 0x16
-				c.Regs.GPR[cpu.RBX] = 0x756e6547
-				c.Regs.GPR[cpu.RDX] = 0x49656e69
-				c.Regs.GPR[cpu.RCX] = 0x6c65746e
-			}
-			in = [4]uint64{
-				c.Regs.GPR[cpu.RAX], c.Regs.GPR[cpu.RBX],
-				c.Regs.GPR[cpu.RCX], c.Regs.GPR[cpu.RDX],
-			}
-			if t.reapIfZombie() {
-				return
-			}
-
-		case evUIPI:
-			// senduipi from user mode: hardware checks IA32_UINTR_TT.
-			if trap := c.SendUIPI(ev.target); trap != nil {
-				c.Deliver(trap)
-				if t.reapIfZombie() {
-					return
-				}
-				in = fmt.Errorf("senduipi: %s", trap.Detail)
-			} else {
-				in = nil
-			}
-
-		case evVE:
-			// A virtualization exception raised by guest activity the host
-			// must service (MMIO, forced exits).
-			c.Deliver(&cpu.Trap{Vector: cpu.VecVE, Detail: ev.detail})
-			if t.reapIfZombie() {
-				return
-			}
-
-		case evFatal:
-			t.exitLocked(ev.code, ev.reason)
-			if t.P.Sandbox != 0 && k.Mode == ModeErebor && k.Mon != nil {
-				// Scrub-and-kill through the monitor so the failure is
-				// contained exactly like any other sandbox violation.
-				k.Mon.EMCKillSandbox(c, t.P.Sandbox, ev.reason)
-			}
-			return
-
-		case evExit:
-			t.exitLockedNoKill(ev.code, "")
-			// Let the coroutine run to completion (it returns right after
-			// yielding the exit event).
-			for {
-				_, done, _ := t.co.Resume(nil)
-				if done {
-					return
-				}
-			}
-
-		default:
-			panic(fmt.Sprintf("kernel: task %q yielded unknown event %T", t.Name, out))
 		}
+		return true, nil
+
+	case evCPUID:
+		c.Regs.GPR[cpu.RAX] = ev.num
+		if k.M.TD {
+			// cpuid in a TD traps to the TDX module, which injects #VE.
+			k.Stats.VEExits++
+			k.TDX.InjectVE(c, "cpuid")
+		} else {
+			// Plain guest: cpuid executes natively.
+			c.Regs.GPR[cpu.RAX] = 0x16
+			c.Regs.GPR[cpu.RBX] = 0x756e6547
+			c.Regs.GPR[cpu.RDX] = 0x49656e69
+			c.Regs.GPR[cpu.RCX] = 0x6c65746e
+		}
+		return t.reapIfZombie(), nil
+
+	case evUIPI:
+		// senduipi from user mode: hardware checks IA32_UINTR_TT.
+		if tr := c.SendUIPI(ev.num); tr != nil {
+			c.Deliver(tr)
+			return t.reapIfZombie(), fmt.Errorf("senduipi: %s", tr.Detail)
+		}
+		return false, nil
+
+	case evVE:
+		// A virtualization exception raised by guest activity the host
+		// must service (MMIO, forced exits).
+		c.Deliver(&cpu.Trap{Vector: cpu.VecVE, Detail: ev.detail})
+		return t.reapIfZombie(), nil
+
+	case evFatal:
+		t.exitLocked(ev.code, ev.detail)
+		if t.P.Sandbox != 0 && k.Mode == ModeErebor && k.Mon != nil {
+			// Scrub-and-kill through the monitor so the failure is
+			// contained exactly like any other sandbox violation.
+			k.Mon.EMCKillSandbox(c, t.P.Sandbox, ev.detail)
+		}
+		return true, nil
+
+	case evExit:
+		t.exitLockedNoKill(ev.code, "")
+		return true, nil
 	}
+	return true, nil // evNone: the slice has ended
 }
 
 // exitLockedNoKill marks a task zombie without killing the coroutine (used
@@ -604,45 +616,80 @@ func (e *Env) Charge(n uint64) {
 	e.K.M.Clock.ChargeFrame("user/compute", n)
 	e.checkSignals()
 	if e.K.M.Clock.Now() >= e.K.sliceEnd {
-		e.y.Yield(evPreempt{})
+		e.yield(event{kind: evPreempt})
 	}
+}
+
+// trap raises ev, and the kernel services it right here on the task's
+// goroutine. The task yields to the scheduler only when the trap ends its
+// slice; trap then returns what its next slice resumes with (a syscall's
+// return value) in place of RAX. Otherwise it returns RAX, RBX, RCX and
+// RDX as the kernel left them. A killed task's trap never reaches the
+// kernel, and an exited task's trap is dropped, as the scheduler's exit
+// loop always dropped it.
+func (e *Env) trap(ev event) (regs [4]uint64, err error) {
+	e.y.CheckKill()
+	if e.T.State == TaskZombie {
+		return regs, nil
+	}
+	c := e.K.core()
+	end, err := e.service(c, ev)
+	if end {
+		regs[0], _ = e.y.Yield(nil).(uint64)
+		return regs, err
+	}
+	r := &c.Regs.GPR
+	return [4]uint64{r[cpu.RAX], r[cpu.RBX], r[cpu.RCX], r[cpu.RDX]}, err
+}
+
+// service runs the kernel's handler for ev. A panic in it is the kernel's,
+// not the task's: it goes to the scheduler, which re-raises it.
+func (e *Env) service(c *cpu.Core, ev event) (end bool, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			e.y.Yield(handlerPanic{r})
+		}
+	}()
+	return e.K.trap(e.T, c, ev)
+}
+
+// yield hands ev to the scheduler, which services it as the task's slice
+// ends.
+func (e *Env) yield(ev event) {
+	e.T.yielded = ev
+	e.y.Yield(nil)
 }
 
 // Syscall issues a system call (up to five arguments) and returns RAX.
 func (e *Env) Syscall(num uint64, args ...uint64) uint64 {
-	var a [5]uint64
-	copy(a[:], args)
-	ret := e.y.Yield(evSyscall{num: num, args: a})
+	ev := event{kind: evSyscall, num: num}
+	copy(ev.args[:], args)
+	regs, _ := e.trap(ev)
 	e.checkSignals()
-	r, _ := ret.(uint64)
-	return r
+	return regs[0]
 }
 
 // Exit terminates the calling task.
 func (e *Env) Exit(code int) {
-	e.y.Yield(evExit{code: code})
+	e.yield(event{kind: evExit, code: code})
 }
 
 // CPUID executes cpuid (in a TD this traps via #VE, §6.2).
 func (e *Env) CPUID(leaf uint64) [4]uint64 {
-	out := e.y.Yield(evCPUID{leaf: leaf})
-	v, _ := out.([4]uint64)
-	return v
+	regs, _ := e.trap(event{kind: evCPUID, num: leaf})
+	return regs
 }
 
 // ForceVE triggers a non-cpuid virtualization exception from user context
 // (MMIO-style VM exit; used by tests probing the C8 kill policy).
 func (e *Env) ForceVE(detail string) {
-	e.y.Yield(evVE{detail: detail})
+	e.trap(event{kind: evVE, detail: detail})
 }
 
 // SendUIPI attempts a user-mode interrupt (AV3 probe).
 func (e *Env) SendUIPI(target uint64) error {
-	out := e.y.Yield(evUIPI{target: target})
-	if err, ok := out.(error); ok {
-		return err
-	}
-	return nil
+	_, err := e.trap(event{kind: evUIPI, num: target})
+	return err
 }
 
 func (e *Env) checkSignals() {
@@ -666,13 +713,11 @@ func (e *Env) Touch(va paging.Addr, n int, write bool) {
 	end := va + paging.Addr(n)
 	for p := paging.PageBase(va); p < end; p += mem.PageSize {
 		for {
-			pte, _, f := e.T.P.AS.tables.Walk(p)
-			if f == nil && pte.Is(paging.Present) {
-				if !write || pte.Is(paging.Writable) {
-					break
-				}
+			pte, _, r := e.T.P.AS.tables.Lookup(p)
+			if r == paging.FaultNone && (!write || pte.Is(paging.Writable)) {
+				break
 			}
-			e.y.Yield(evFault{va: p, kind: kind})
+			e.trap(event{kind: evFault, va: p, access: kind})
 		}
 	}
 }
@@ -685,7 +730,7 @@ func (e *Env) WriteMem(va paging.Addr, buf []byte) {
 	if t := c.Store(va, buf); t != nil {
 		// Post-touch store should only fail for permission violations;
 		// surface them as a fault event (the kernel/monitor decides).
-		e.y.Yield(evFault{va: paging.PageBase(t.Fault.Addr), kind: t.Fault.Kind})
+		e.trap(event{kind: evFault, va: paging.PageBase(t.Fault.Addr), access: t.Fault.Kind})
 	}
 }
 
@@ -694,7 +739,7 @@ func (e *Env) ReadMem(va paging.Addr, buf []byte) {
 	e.Touch(va, len(buf), false)
 	c := e.K.core()
 	if t := c.Load(va, buf); t != nil {
-		e.y.Yield(evFault{va: paging.PageBase(t.Fault.Addr), kind: t.Fault.Kind})
+		e.trap(event{kind: evFault, va: paging.PageBase(t.Fault.Addr), access: t.Fault.Kind})
 	}
 }
 
@@ -784,7 +829,7 @@ func (e *Env) YieldCPU() { e.Syscall(abi.SysYield) }
 // inside a spawned task surfaces as a typed session error, never a panic.
 // Fatal does not return.
 func (e *Env) Fatal(code int, reason string) {
-	e.y.Yield(evFatal{code: code, reason: reason})
+	e.yield(event{kind: evFatal, code: code, detail: reason})
 	// The scheduler kills the coroutine at that yield; resuming here is a
 	// scheduler bug.
 	panic("kernel: Fatal task resumed after termination")

@@ -83,17 +83,18 @@ func (k *Kernel) doSyscall(c *cpu.Core, num, a1, a2, a3, a4 uint64) uint64 {
 // faultInRange maps every page of [va, va+n) backed by a VMA (the kernel's
 // get_user_pages analogue used before user copies).
 func (k *Kernel) faultInRange(c *cpu.Core, t *Task, va paging.Addr, n int, write bool) error {
+	kind := paging.Read
+	if write {
+		kind = paging.Write
+	}
 	end := va + paging.Addr(n)
 	for p := paging.PageBase(va); p < end; p += mem.PageSize {
-		pte, _, fl := t.P.AS.tables.Walk(p)
-		if fl == nil && pte.Is(paging.Present) {
-			if !write || pte.Is(paging.Writable) {
-				continue
-			}
+		pte, _, r := t.P.AS.tables.Lookup(p)
+		if r == paging.FaultNone && (!write || pte.Is(paging.Writable)) {
+			continue
 		}
 		tr := &cpu.Trap{Vector: cpu.VecPF, Fault: &paging.Fault{
-			Reason: paging.FaultNotPresent, Addr: p,
-			Kind: map[bool]paging.AccessKind{true: paging.Write, false: paging.Read}[write],
+			Reason: paging.FaultNotPresent, Addr: p, Kind: kind,
 		}}
 		k.handlePageFault(c, tr, t)
 		if t.State == TaskZombie {
@@ -228,7 +229,7 @@ func (k *Kernel) sysMunmap(c *cpu.Core, t *Task, va paging.Addr, n uint64) uint6
 				// whole region instead of one round trip per page. Frames
 				// are freed only after the drain commits: until the flush
 				// lands, a stale TLB entry could still reach them.
-				var freed []mem.Frame
+				freed := make([]mem.Frame, 0, (v.End-v.Start)/mem.PageSize)
 				ok := true
 				for p := v.Start; p < v.End; p += mem.PageSize {
 					if f, present := t.P.AS.Translate(p); present {

@@ -1,0 +1,183 @@
+package kernel_test
+
+import (
+	"runtime"
+	"testing"
+
+	"github.com/asterisc-release/erebor-go/internal/abi"
+	"github.com/asterisc-release/erebor-go/internal/cpu"
+	"github.com/asterisc-release/erebor-go/internal/harness"
+	"github.com/asterisc-release/erebor-go/internal/kernel"
+	"github.com/asterisc-release/erebor-go/internal/mem"
+	"github.com/asterisc-release/erebor-go/internal/paging"
+)
+
+// The trap contract: a task's syscalls and faults are serviced for it
+// wherever the kernel runs them, and what the task observes — which calls
+// reach the kernel, what they return, how a failure ends — is the same.
+
+// TestTrapKillSkipsDeferredSyscall: a killed task unwinds its deferred
+// calls, and a deferred syscall among them never reaches the kernel —
+// whether its own fault killed it or the kernel was closed while the task
+// was parked between slices.
+func TestTrapKillSkipsDeferredSyscall(t *testing.T) {
+	bothModes(t, func(t *testing.T, w *harness.World) {
+		var before uint64
+		tk, err := w.K.Spawn("deferrer", mem.OwnerTaskBase, func(e *kernel.Env) {
+			defer e.Syscall(abi.SysGetpid)
+			e.Syscall(abi.SysGetpid)
+			before = e.K.Stats.Syscalls
+			e.Touch(paging.Addr(0x6666_0000), 1, false)
+			t.Error("task resumed after a wild access")
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		w.K.Schedule()
+		if tk.State != kernel.TaskZombie || tk.ExitCode != 139 {
+			t.Fatalf("task state=%v code=%d reason=%q, want a 139 exit", tk.State, tk.ExitCode, tk.ExitReason)
+		}
+		if got := w.K.Stats.Syscalls; got != before {
+			t.Fatalf("Stats.Syscalls = %d after the kill, %d before the fault: the deferred syscall ran", got, before)
+		}
+
+		parked, err := w.K.Spawn("parked", mem.OwnerTaskBase, func(e *kernel.Env) {
+			defer e.Syscall(abi.SysGetpid)
+			for {
+				e.YieldCPU()
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !w.K.StepOne() || parked.State != kernel.TaskRunnable {
+			t.Fatalf("task did not park: state %v (%s)", parked.State, parked.ExitReason)
+		}
+		before = w.K.Stats.Syscalls
+		w.Close()
+		if got := w.K.Stats.Syscalls; got != before {
+			t.Fatalf("Stats.Syscalls %d -> %d across Close: the deferred syscall ran", before, got)
+		}
+	})
+}
+
+// trapPanic is the value the test's syscall handler panics with.
+type trapPanic struct{ n int }
+
+// TestTrapHandlerPanicReachesScheduler: a panic in the kernel's handler is
+// the kernel's failure, not the task's, so it propagates out of Schedule
+// with its value instead of ending the task.
+func TestTrapHandlerPanicReachesScheduler(t *testing.T) {
+	bothModes(t, func(t *testing.T, w *harness.World) {
+		boom := func(*cpu.Core, *cpu.Trap) { panic(trapPanic{7}) }
+		if w.Mon != nil {
+			if err := w.Mon.EMCSetSyscallEntry(w.K.Core(), boom); err != nil {
+				t.Fatal(err)
+			}
+		} else {
+			// Native: the kernel owns the IDT, so the test loads its own
+			// table on every core.
+			idt := cpu.NewIDT()
+			idt.Set(cpu.VecSyscall, boom)
+			for _, c := range w.M.Cores {
+				if tr := c.LIDT(idt); tr != nil {
+					t.Fatal(tr)
+				}
+			}
+		}
+		tk, err := w.K.Spawn("panicker", mem.OwnerTaskBase, func(e *kernel.Env) {
+			e.Syscall(abi.SysGetpid)
+			t.Error("syscall returned from a panicking handler")
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer w.Close()
+		got := func() (r any) {
+			defer func() { r = recover() }()
+			w.K.Schedule()
+			return nil
+		}()
+		if got != (trapPanic{7}) {
+			t.Fatalf("Schedule recovered %v, want trapPanic{7}; task state=%v reason=%q", got, tk.State, tk.ExitReason)
+		}
+		if tk.State == kernel.TaskZombie {
+			t.Fatalf("the handler's panic ended the task: %q", tk.ExitReason)
+		}
+	})
+}
+
+// pfPages is the span of one lat_pagefault op.
+const pfPages = 64
+
+// faultRoundTripWorld boots a 64 MB Erebor world with the submission ring
+// on and spawns a task that runs warm lat_pagefault ops: it opens a
+// 64-page file, runs one op and ends its first slice, then runs ops more
+// ops and exits. Each op maps the file, faults every page in and unmaps it.
+func faultRoundTripWorld(tb testing.TB, ops int) (*harness.World, *kernel.Task) {
+	tb.Helper()
+	w, err := harness.NewWorld(harness.WorldConfig{Mode: kernel.ModeErebor, MemMB: 64})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	w.Mon.RingMMU = true
+	const path = "/bench/pffile"
+	w.K.VFS().Create(path, make([]byte, pfPages*mem.PageSize))
+	op := func(e *kernel.Env, fd uint64) {
+		va := e.MmapFile(fd, pfPages*mem.PageSize)
+		for pg := 0; pg < pfPages; pg++ {
+			e.Touch(va+paging.Addr(pg*mem.PageSize), 1, false)
+		}
+		e.Munmap(va, pfPages*mem.PageSize)
+	}
+	tk, err := w.K.Spawn("lat-pagefault", mem.OwnerTaskBase, func(e *kernel.Env) {
+		scratch := e.Mmap(mem.PageSize, true, false)
+		e.WriteMem(scratch, []byte(path))
+		fd := e.Syscall(abi.SysOpen, uint64(scratch), uint64(len(path)))
+		if abi.IsError(fd) {
+			e.Fatal(1, "open failed")
+		}
+		op(e, fd)
+		e.YieldCPU()
+		for i := 0; i < ops; i++ {
+			op(e, fd)
+		}
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if !w.K.StepOne() || tk.State != kernel.TaskRunnable {
+		tb.Fatalf("warm-up slice: task state %v (%s)", tk.State, tk.ExitReason)
+	}
+	return w, tk
+}
+
+// TestFaultRoundTripAllocs is the host allocation budget of the fault
+// path: one warm lat_pagefault op (mmap, 64 faults, munmap) makes at most
+// two heap allocations per faulted page.
+func TestFaultRoundTripAllocs(t *testing.T) {
+	w, tk := faultRoundTripWorld(t, 1)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	w.K.Schedule()
+	runtime.ReadMemStats(&after)
+	if tk.ExitReason != "" {
+		t.Fatal(tk.ExitReason)
+	}
+	if got, budget := after.Mallocs-before.Mallocs, uint64(2*pfPages); got > budget {
+		t.Fatalf("one lat_pagefault op made %d allocations, budget %d", got, budget)
+	}
+}
+
+// BenchmarkFaultRoundTrip times warm lat_pagefault ops: mmap a 64-page
+// file, fault every page in through the submission ring, munmap.
+func BenchmarkFaultRoundTrip(b *testing.B) {
+	w, tk := faultRoundTripWorld(b, b.N)
+	b.ReportAllocs()
+	b.ResetTimer()
+	w.K.Schedule()
+	b.StopTimer()
+	if tk.ExitReason != "" {
+		b.Fatal(tk.ExitReason)
+	}
+}

@@ -49,8 +49,8 @@ func (mon *Monitor) Audit() []audit.Violation {
 
 	// I1/I2: key assignments in the direct map.
 	for f := range mon.ptps {
-		e, _, fault := mon.kernelTables.Walk(DirectMapAddr(f))
-		if fault != nil {
+		e, _, reason := mon.kernelTables.Lookup(DirectMapAddr(f))
+		if reason != paging.FaultNone {
 			report(audit.PTPUnmapped, f, "unmapped in direct map")
 			continue
 		}
@@ -62,8 +62,8 @@ func (mon *Monitor) Audit() []audit.Violation {
 		if mon.ptps[f] {
 			continue
 		}
-		e, _, fault := mon.kernelTables.Walk(DirectMapAddr(f))
-		if fault != nil {
+		e, _, reason := mon.kernelTables.Lookup(DirectMapAddr(f))
+		if reason != paging.FaultNone {
 			report(audit.MonitorFrameUnmapped, f, "unmapped in direct map")
 			continue
 		}
@@ -75,8 +75,8 @@ func (mon *Monitor) Audit() []audit.Violation {
 	// I3: kernel text never writable through the direct map, and the
 	// kernel-half of the shared tables is W^X.
 	for f := range mon.kernelText {
-		e, _, fault := mon.kernelTables.Walk(DirectMapAddr(f))
-		if fault == nil && e.Is(paging.Writable) {
+		e, _, reason := mon.kernelTables.Lookup(DirectMapAddr(f))
+		if reason == paging.FaultNone && e.Is(paging.Writable) {
 			report(audit.KernelTextWritable, f, "writable via direct map")
 		}
 	}
@@ -90,8 +90,8 @@ func (mon *Monitor) Audit() []audit.Violation {
 	userMaps := make(map[mem.Frame][]mapping)
 	for asid, as := range mon.addrSpaces {
 		for va, f := range as.userFrames {
-			e, _, fault := as.tables.Walk(va)
-			if fault != nil {
+			e, _, reason := as.tables.Lookup(va)
+			if reason != paging.FaultNone {
 				continue
 			}
 			userMaps[f] = append(userMaps[f], mapping{asid, va, e})

@@ -65,7 +65,9 @@ func (mon *Monitor) gate(c *cpu.Core, kind string, body func() error) error {
 			mon.Met.Add(metrics.FamilyTenantEMCCycles, delta,
 				metrics.KV("tenant", mon.M.Attr.TenantLabel()), metrics.KV("kind", kind))
 		}
-		mon.Rec.EndSpan(gateSpan, trace.KindEMC, trace.TrackMonitor, "emc/"+kind)
+		if mon.Rec.Enabled() {
+			mon.Rec.EndSpan(gateSpan, trace.KindEMC, trace.TrackMonitor, "emc/"+kind)
+		}
 		// The cadence sweep runs at gate exit — the natural deterministic
 		// pulse: every simulation makes progress through EMCs, and the sweep
 		// itself never charges the clock.
@@ -249,8 +251,8 @@ func (mon *Monitor) copyUser(c *cpu.Core, as *asState, dir CopyDir, userVA uint6
 	va := userVA
 	off := 0
 	for off < len(buf) {
-		pte, _, f := as.tables.Walk(paging.Addr(va))
-		if f != nil || !pte.Is(paging.Present) || !pte.Is(paging.User) {
+		pte, _, _ := as.tables.Lookup(paging.Addr(va))
+		if !pte.Is(paging.Present | paging.User) {
 			return denied("user-copy", "user page %#x not mapped", va)
 		}
 		if dir == CopyToUser && !pte.Is(paging.Writable) {

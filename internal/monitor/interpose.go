@@ -264,9 +264,9 @@ func (mon *Monitor) EMCMapSandboxFault(c *cpu.Core, asid ASID, va paging.Addr, w
 			return denied("map-sandbox-fault", "no live sandbox on address space %d", asid)
 		}
 		va = paging.PageBase(va)
-		prev, _, walkFault := as.tables.Walk(va)
+		prev, _, _ := as.tables.Lookup(va)
 		replaced := func(leaf paging.PTE) {
-			if walkFault == nil && prev.Is(paging.Present) && prev != leaf {
+			if prev.Is(paging.Present) && prev != leaf {
 				mon.M.Shootdown(c, as.tables.Root, va)
 			}
 		}
@@ -282,7 +282,7 @@ func (mon *Monitor) EMCMapSandboxFault(c *cpu.Core, asid ASID, va paging.Addr, w
 				leaf = sb.confinedLeaf[va]
 				// The break replaced any installed read-only leaf itself;
 				// re-walk so the shootdown logic below sees the fresh state.
-				prev, _, walkFault = as.tables.Walk(va)
+				prev, _, _ = as.tables.Lookup(va)
 			}
 			if err := as.tables.Map(va, leaf); err != nil {
 				return err

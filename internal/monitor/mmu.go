@@ -246,11 +246,13 @@ func (mon *Monitor) userMMU(c *cpu.Core, asid ASID, op MMUOp, reqs ...RingReq) e
 		if !ok {
 			return denied(userOp(op), "unknown address space %d", asid)
 		}
-		work, err := mon.mmuValidate(as, reqs, userOp)
+		tx := mon.openTxn()
+		defer tx.close()
+		work, err := mon.mmuValidate(tx, as, reqs, userOp)
 		if err != nil {
 			return err
 		}
-		pairs, err := mon.mmuCommit(c, as, work)
+		pairs, err := mon.mmuCommit(c, tx, as, work)
 		if err != nil {
 			return err
 		}
@@ -280,14 +282,69 @@ func userOp(op MMUOp) string {
 // writes that happened: one per committed entry, one per undo, one per
 // pruned PTP. A denied or rolled-back transaction leaves no phantom write.
 
+// mmuTxn is the per-monitor scratch an MMU transaction runs in: the work
+// copy, the pending view, the undo log, the new-PTP list, the invalidation
+// set and the OnPTPAlloc hook that fills the list. One transaction is open
+// at a time and each starts from empty scratch; the slices keep their
+// capacity, so a warm transaction allocates nothing.
+type mmuTxn struct {
+	open    bool
+	work    []RingReq
+	view    map[paging.Addr]mem.Frame // mem.NoFrame: unmapped
+	undo    []mmuUndo
+	newPTPs []mem.Frame
+	pairs   []cpu.ShootdownPair
+	// onPTP is recordPTP, bound once; prevHook is the OnPTPAlloc it
+	// displaces while a commit runs.
+	onPTP    func(mem.Frame)
+	prevHook func(mem.Frame)
+}
+
+// openTxn opens the monitor's MMU transaction. A transaction opened while
+// another is open would share its scratch, so it fails loudly.
+func (mon *Monitor) openTxn() *mmuTxn {
+	tx := &mon.txn
+	if tx.open {
+		panic("monitor: MMU transaction opened inside another")
+	}
+	if tx.view == nil {
+		tx.view = make(map[paging.Addr]mem.Frame)
+		tx.onPTP = tx.recordPTP
+	}
+	tx.open = true
+	return tx
+}
+
+// close empties the scratch for the next transaction. The pending view is
+// cleared key by key: clearing the map would cost its capacity, which one
+// large unmap keeps high for good.
+func (tx *mmuTxn) close() {
+	for _, r := range tx.work {
+		delete(tx.view, paging.PageBase(r.VA))
+	}
+	tx.work, tx.undo = tx.work[:0], tx.undo[:0]
+	tx.newPTPs, tx.pairs = tx.newPTPs[:0], tx.pairs[:0]
+	tx.open = false
+}
+
+// recordPTP is the tables' OnPTPAlloc while a commit runs: it lists each
+// PTP the transaction allocates and passes it on to the displaced hook.
+func (tx *mmuTxn) recordPTP(f mem.Frame) {
+	tx.newPTPs = append(tx.newPTPs, f)
+	if tx.prevHook != nil {
+		tx.prevHook(f)
+	}
+}
+
 // mmuValidate checks reqs against a pending view of as — the address space
 // overlaid with the transaction's earlier entries, so a protect may target
 // a page an earlier map installs — and returns the working copy mmuCommit
 // applies, so flag normalization by the policy survives into the commit.
-// name labels denials. Nothing is written or charged.
-func (mon *Monitor) mmuValidate(as *asState, reqs []RingReq, name func(MMUOp) string) ([]RingReq, error) {
-	work := slices.Clone(reqs)
-	view := make(map[paging.Addr]mem.Frame) // mem.NoFrame: unmapped
+// name labels denials. Nothing is written or charged. The copy is tx's
+// scratch and lives until tx closes.
+func (mon *Monitor) mmuValidate(tx *mmuTxn, as *asState, reqs []RingReq, name func(MMUOp) string) ([]RingReq, error) {
+	tx.work = append(tx.work, reqs...)
+	work, view := tx.work, tx.view
 	lookup := func(va paging.Addr) (mem.Frame, bool) {
 		f, ok := view[va]
 		if !ok {
@@ -352,20 +409,15 @@ type mmuUndo struct {
 // changed, deduplicated, in commit order. First installs add none: no core
 // can have cached a translation that never existed. A failure restores the
 // installed prefix in reverse, returns the PTPs the transaction allocated
-// to the monitor pool and shoots down every VA it rewrote.
-func (mon *Monitor) mmuCommit(c *cpu.Core, as *asState, work []RingReq) ([]cpu.ShootdownPair, error) {
-	var newPTPs []mem.Frame
-	prevHook := as.tables.OnPTPAlloc
-	as.tables.OnPTPAlloc = func(f mem.Frame) {
-		newPTPs = append(newPTPs, f)
-		if prevHook != nil {
-			prevHook(f)
-		}
-	}
-	defer func() { as.tables.OnPTPAlloc = prevHook }()
+// to the monitor pool and shoots down every VA it rewrote. The set is tx's
+// scratch and lives until tx closes.
+func (mon *Monitor) mmuCommit(c *cpu.Core, tx *mmuTxn, as *asState, work []RingReq) ([]cpu.ShootdownPair, error) {
+	tx.prevHook = as.tables.OnPTPAlloc
+	as.tables.OnPTPAlloc = tx.onPTP
+	defer func() { as.tables.OnPTPAlloc, tx.prevHook = tx.prevHook, nil }()
 
-	installed := make([]mmuUndo, 0, len(work))
 	rollback := func(failedVA paging.Addr) {
+		installed := tx.undo
 		undone := make([]paging.Addr, 0, len(installed))
 		for i := len(installed) - 1; i >= 0; i-- {
 			u := installed[i]
@@ -395,7 +447,7 @@ func (mon *Monitor) mmuCommit(c *cpu.Core, as *asState, work []RingReq) ([]cpu.S
 		// is empty again: release it so a failed transaction consumes no PTP
 		// frames. Pre-existing tables are refused and left in place.
 		release := func(f mem.Frame) bool {
-			if !slices.Contains(newPTPs, f) {
+			if !slices.Contains(tx.newPTPs, f) {
 				return false
 			}
 			mon.freePTP(f)
@@ -414,16 +466,15 @@ func (mon *Monitor) mmuCommit(c *cpu.Core, as *asState, work []RingReq) ([]cpu.S
 		}
 	}
 
-	var pairs []cpu.ShootdownPair
 	flush := func(va paging.Addr) {
-		if p := (cpu.ShootdownPair{Root: as.tables.Root, VA: va}); !slices.Contains(pairs, p) {
-			pairs = append(pairs, p)
+		if p := (cpu.ShootdownPair{Root: as.tables.Root, VA: va}); !slices.Contains(tx.pairs, p) {
+			tx.pairs = append(tx.pairs, p)
 		}
 	}
 	for _, r := range work {
 		va := paging.PageBase(r.VA)
 		u := mmuUndo{va: va}
-		if pte, _, fault := as.tables.Walk(va); fault == nil && pte.Is(paging.Present) {
+		if pte, _, reason := as.tables.Lookup(va); reason == paging.FaultNone {
 			u.hadLeaf, u.prevLeaf = true, pte
 		}
 		u.prevF, u.hadFrame = as.userFrames[va]
@@ -458,9 +509,9 @@ func (mon *Monitor) mmuCommit(c *cpu.Core, as *asState, work []RingReq) ([]cpu.S
 			return nil, err
 		}
 		mon.pteWrite()
-		installed = append(installed, u)
+		tx.undo = append(tx.undo, u)
 	}
-	return pairs, nil
+	return tx.pairs, nil
 }
 
 // pteWrite accounts one physical PTE write: it counts the write and charges
@@ -477,8 +528,8 @@ func (mon *Monitor) TranslateUser(asid ASID, va paging.Addr) (mem.Frame, bool) {
 	if !ok {
 		return 0, false
 	}
-	pte, _, f := as.tables.Walk(va)
-	if f != nil || !pte.Is(paging.Present) {
+	pte, _, reason := as.tables.Lookup(va)
+	if reason != paging.FaultNone {
 		return 0, false
 	}
 	return pte.Frame(), true

@@ -356,6 +356,62 @@ func TestMapUserBatchRollbackReleasesPTPs(t *testing.T) {
 	})
 }
 
+// TestMMUTxnRollbackKeepsCommittedPTPs: a rollback releases only the
+// page-table pages its own transaction allocated. A table an earlier,
+// committed transaction built stays, even when it is empty again and the
+// failing transaction ran through it, so transaction scratch must never
+// carry one transaction's allocations into the next.
+func TestMMUTxnRollbackKeepsCommittedPTPs(t *testing.T) {
+	forEachEntry(t, func(t *testing.T, ep mmuEntry) {
+		if !ep.atomic {
+			t.Skip("the failing transaction needs two requests in one transaction")
+		}
+		mon, c, asid, owner := ringTestAS(t, 1)
+		as := mon.addrSpaces[asid]
+		// Build the page tables for the 0x10_xxxx region, so A's map below
+		// allocates exactly a PD and a PT under the existing PDPT.
+		if err := mon.EMCMapUser(c, asid, 0x10_0000, mustAlloc(t, mon, owner), MapFlags{Writable: true}); err != nil {
+			t.Fatal(err)
+		}
+		ptps := len(mon.ptps)
+		// A: commits a map that allocates a PD and a PT.
+		a := []RingReq{{Op: OpMap, VA: 0x4000_0000, Frame: mustAlloc(t, mon, owner), Flags: MapFlags{Writable: true}}}
+		if err := ep.apply(t, mon, c, asid, a); err != nil {
+			t.Fatal(err)
+		}
+		if got := len(mon.ptps); got != ptps+2 {
+			t.Fatalf("map of 0x4000_0000 allocated %d PTPs, want 2", got-ptps)
+		}
+		// C: unmaps it. Both tables stay, and the PT is now empty.
+		if err := mon.EMCUnmapUser(c, asid, 0x4000_0000); err != nil {
+			t.Fatal(err)
+		}
+		ptps = len(mon.ptps)
+		if _, leaf, fault := as.tables.Walk(0x4000_0000); fault == nil || leaf == 0 {
+			t.Fatalf("after unmap: walk of 0x4000_0000 = leaf %#x, fault %v; want an empty leaf table", leaf, fault)
+		}
+		// B: maps through A's empty PT, then runs out of PTPs one level
+		// below the PDPT on a new region and rolls back.
+		b := []RingReq{
+			{Op: OpMap, VA: 0x4000_1000, Frame: mustAlloc(t, mon, owner), Flags: MapFlags{Writable: true}},
+			{Op: OpMap, VA: 0x2_0000_0000, Frame: mustAlloc(t, mon, owner), Flags: MapFlags{Writable: true}},
+		}
+		drainMonitorPool(t, mon, 1)
+		if err := ep.apply(t, mon, c, asid, b); err == nil {
+			t.Fatal("transaction committed despite page-table exhaustion")
+		}
+		if got := len(mon.ptps); got != ptps {
+			t.Fatalf("PTP registry %d -> %d across B's rollback", ptps, got)
+		}
+		if _, leaf, _ := as.tables.Walk(0x4000_1000); leaf == 0 {
+			t.Fatal("B's rollback released the leaf table A committed")
+		}
+		if vs := mon.Audit(); len(vs) != 0 {
+			t.Fatalf("audit after rollback: %v", vs)
+		}
+	})
+}
+
 // TestMapUserBatchRollbackClosesStaleTLB: a failed transaction must leave
 // no stale translation on any core. The hazard window is mid-commit: after
 // the transaction has installed a prefix of its leaves, another core can

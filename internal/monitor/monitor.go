@@ -164,6 +164,9 @@ type Monitor struct {
 	// sstacks are the per-core supervisor shadow stacks.
 	sstacks []*cet.ShadowStack
 
+	// txn is the scratch of the MMU transaction (mmuValidate, mmuCommit).
+	txn mmuTxn
+
 	// preemptHook simulates an interrupt injected mid-EMC (tests/bench).
 	preemptHook func(c *cpu.Core)
 

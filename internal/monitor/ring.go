@@ -116,12 +116,14 @@ func (mon *Monitor) EMCRingDrain(c *cpu.Core, ring *SubmitRing) error {
 			mon.Met.Inc(metrics.FamilyEMCRingDrains, metrics.KV("outcome", "committed"))
 			return nil
 		}
-		work, err := mon.mmuValidate(as, ring.reqs, ringOp)
+		tx := mon.openTxn()
+		defer tx.close()
+		work, err := mon.mmuValidate(tx, as, ring.reqs, ringOp)
 		if err != nil {
 			mon.Met.Inc(metrics.FamilyEMCRingDrains, metrics.KV("outcome", "rejected"))
 			return err
 		}
-		pairs, err := mon.mmuCommit(c, as, work)
+		pairs, err := mon.mmuCommit(c, tx, as, work)
 		if err != nil {
 			return err
 		}

@@ -590,13 +590,13 @@ func (mon *Monitor) moveSandbox(sb *sbState, va paging.Addr, buf []byte, write b
 				return err
 			}
 		}
-		pte, _, f := as.tables.Walk(va)
-		if f != nil || !pte.Is(paging.Present|paging.User) {
+		pte, _, _ := as.tables.Lookup(va)
+		if !pte.Is(paging.Present | paging.User) {
 			if err := mon.ensurePage(sb, paging.PageBase(va)); err != nil {
 				return denied("sandbox-io", "va %#x not mapped", va)
 			}
-			pte, _, f = as.tables.Walk(va)
-			if f != nil || !pte.Is(paging.Present|paging.User) {
+			pte, _, _ = as.tables.Lookup(va)
+			if !pte.Is(paging.Present | paging.User) {
 				return denied("sandbox-io", "va %#x not mapped after install", va)
 			}
 		}

@@ -315,31 +315,44 @@ func entryAddr(table mem.Frame, idx int) mem.Addr {
 	return table.Base() + mem.Addr(idx*8)
 }
 
-// Walk descends the tables for v and returns the leaf PTE and its physical
-// address. A missing intermediate entry yields a not-present Fault; a table
-// pointer outside physical memory yields FaultTableCorrupt (distinct, so the
-// fault path surfaces corruption instead of re-mapping over it).
-func (t *Tables) Walk(v Addr) (PTE, mem.Addr, *Fault) {
+// Lookup descends the tables for v and returns the leaf PTE, its physical
+// address and why the walk stopped: FaultNone at a present leaf. A missing
+// intermediate entry yields FaultNotPresent with no leaf; a missing leaf
+// yields FaultNotPresent with the leaf's entry and address; a table pointer
+// outside physical memory yields FaultTableCorrupt (distinct, so the fault
+// path surfaces corruption instead of re-mapping over it). Lookup
+// allocates nothing, so a caller that only tests for a miss uses it.
+func (t *Tables) Lookup(v Addr) (PTE, mem.Addr, FaultReason) {
 	idx, _ := Split(v)
 	table := t.Root
 	for l := 0; l < Levels-1; l++ {
 		a := entryAddr(table, idx[l])
 		e, err := ReadPTE(t.Phys, a)
 		if err != nil {
-			return 0, 0, &Fault{FaultTableCorrupt, v, Read}
+			return 0, 0, FaultTableCorrupt
 		}
 		if !e.Is(Present) {
-			return 0, 0, &Fault{FaultNotPresent, v, Read}
+			return 0, 0, FaultNotPresent
 		}
 		table = e.Frame()
 	}
 	a := entryAddr(table, idx[Levels-1])
 	e, err := ReadPTE(t.Phys, a)
 	if err != nil {
-		return 0, 0, &Fault{FaultTableCorrupt, v, Read}
+		return 0, 0, FaultTableCorrupt
 	}
 	if !e.Is(Present) {
-		return e, a, &Fault{FaultNotPresent, v, Read}
+		return e, a, FaultNotPresent
+	}
+	return e, a, FaultNone
+}
+
+// Walk is Lookup reporting the stop as a read Fault at v, nil at a present
+// leaf, for callers that pass the fault on.
+func (t *Tables) Walk(v Addr) (PTE, mem.Addr, *Fault) {
+	e, a, r := t.Lookup(v)
+	if r != FaultNone {
+		return e, a, &Fault{r, v, Read}
 	}
 	return e, a, nil
 }
@@ -420,10 +433,10 @@ func (t *Tables) leafTable(v Addr, userPath bool) (mem.Frame, int, error) {
 // Unmap clears the leaf mapping for v. Unmapping a non-present page is a
 // no-op. Intermediate PTPs are not reclaimed (matching common kernels).
 func (t *Tables) Unmap(v Addr) error {
-	_, a, f := t.Walk(v)
-	if f != nil {
-		if f.Reason == FaultTableCorrupt {
-			return f
+	_, a, r := t.Lookup(v)
+	if r != FaultNone {
+		if r == FaultTableCorrupt {
+			return &Fault{r, v, Read}
 		}
 		return nil
 	}
@@ -548,14 +561,11 @@ func (t *Tables) Translate(v Addr) (mem.Addr, *Fault) {
 // by the monitor's single-mapping audits and by cleanup paths.
 func (t *Tables) VisitLeaves(start, end Addr, fn func(v Addr, e PTE, a mem.Addr) error) error {
 	for v := PageBase(start); v < end; v += mem.PageSize {
-		e, a, f := t.Walk(v)
-		if f != nil {
-			if f.Reason == FaultTableCorrupt {
-				return f
-			}
-			continue
+		e, a, r := t.Lookup(v)
+		if r == FaultTableCorrupt {
+			return &Fault{r, v, Read}
 		}
-		if e.Is(Present) {
+		if r == FaultNone {
 			if err := fn(v, e, a); err != nil {
 				return err
 			}

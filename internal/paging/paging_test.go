@@ -71,6 +71,14 @@ func TestMapWalkUnmap(t *testing.T) {
 	if _, _, fault := tb.Walk(va); fault == nil {
 		t.Fatal("walk succeeded after unmap")
 	}
+	// The leaf table stays, so Lookup reports the empty leaf's slot, and a
+	// miss costs no allocation.
+	if _, a, r := tb.Lookup(va); r != FaultNotPresent || a == 0 {
+		t.Fatalf("lookup after unmap: leaf %#x, reason %v", a, r)
+	}
+	if n := testing.AllocsPerRun(10, func() { tb.Lookup(va) }); n != 0 {
+		t.Fatalf("a missed Lookup made %v allocations", n)
+	}
 	// Unmapping again is a no-op.
 	if err := tb.Unmap(va); err != nil {
 		t.Fatal(err)

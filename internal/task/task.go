@@ -124,17 +124,25 @@ func (t *Task) Running() bool { return t.running }
 // Err returns the terminal error (nil, ErrKilled, or a panic wrapper).
 func (t *Task) Err() error { return t.err }
 
+// CheckKill unwinds the task if it has been killed, as its next Yield
+// would, without handing control to the scheduler. Work the task does on
+// its own goroutine calls it first, so a killed task's deferred cleanup
+// does no more than a Yield would let it.
+func (y *Yield) CheckKill() {
+	select {
+	case <-y.t.kill:
+		panic(killSignal{})
+	default:
+	}
+}
+
 // Yield suspends the task, delivering out to the scheduler, and returns
 // the value passed to the next Resume. If the task was killed while
 // suspended, Yield never returns (the coroutine unwinds).
 func (y *Yield) Yield(out any) any {
 	// Check kill first so a pending kill always wins over a normal yield
 	// (keeps kill behaviour deterministic).
-	select {
-	case <-y.t.kill:
-		panic(killSignal{})
-	default:
-	}
+	y.CheckKill()
 	select {
 	case y.t.yield <- yieldMsg{val: out}:
 	case <-y.t.kill:
