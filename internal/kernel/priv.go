@@ -121,17 +121,6 @@ func (np *nativePriv) CreateAS(c *cpu.Core, owner mem.Owner) (*AddrSpace, error)
 
 func (np *nativePriv) DestroyAS(c *cpu.Core, as *AddrSpace) error { return nil }
 
-func nativeLeaf(f mem.Frame, w, x bool) paging.PTE {
-	leaf := (paging.Present | paging.User).WithFrame(f)
-	if w {
-		leaf |= paging.Writable
-	}
-	if !x {
-		leaf |= paging.NX
-	}
-	return leaf
-}
-
 // shootIfChanged invalidates a replaced translation on every core. Native
 // kernels are responsible for their own TLB coherence; first-time installs
 // and identical rewrites need no shootdown.
@@ -142,7 +131,7 @@ func (np *nativePriv) shootIfChanged(c *cpu.Core, as *AddrSpace, va paging.Addr,
 }
 
 func (np *nativePriv) Map(c *cpu.Core, as *AddrSpace, va paging.Addr, f mem.Frame, w, x bool) error {
-	leaf := nativeLeaf(f, w, x)
+	leaf := paging.UserLeaf(f, w, x)
 	// A missed lookup returns no present entry, so prev tells alone
 	// whether a translation is being replaced.
 	prev, _, _ := as.tables.Lookup(paging.PageBase(va))
@@ -177,7 +166,7 @@ func (np *nativePriv) Unmap(c *cpu.Core, as *AddrSpace, va paging.Addr) error {
 func (np *nativePriv) Protect(c *cpu.Core, as *AddrSpace, va paging.Addr, w, x bool) error {
 	var changed bool
 	err := as.tables.Update(va, func(e paging.PTE) paging.PTE {
-		ne := nativeLeaf(e.Frame(), w, x)
+		ne := paging.UserLeaf(e.Frame(), w, x)
 		changed = ne != e
 		return ne
 	})

@@ -185,7 +185,7 @@ func TestAuditTypedViolationCodes(t *testing.T) {
 		}
 		as2 := mon.addrSpaces[asid2]
 		va := paging.Addr(0x3000_0000)
-		if err := as2.tables.Map(va, leafFor(frame, MapFlags{Writable: true})); err != nil {
+		if err := as2.tables.Map(va, paging.UserLeaf(frame, true, false)); err != nil {
 			t.Fatal(err)
 		}
 		as2.userFrames[va] = frame
@@ -244,7 +244,7 @@ func TestAuditTypedViolationCodes(t *testing.T) {
 		}
 		as2 := mon.addrSpaces[asid2]
 		va := paging.Addr(0x3100_0000)
-		if err := as2.tables.Map(va, leafFor(ptp, MapFlags{})); err != nil {
+		if err := as2.tables.Map(va, paging.UserLeaf(ptp, false, false)); err != nil {
 			t.Fatal(err)
 		}
 		as2.userFrames[va] = ptp

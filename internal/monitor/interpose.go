@@ -264,53 +264,32 @@ func (mon *Monitor) EMCMapSandboxFault(c *cpu.Core, asid ASID, va paging.Addr, w
 			return denied("map-sandbox-fault", "no live sandbox on address space %d", asid)
 		}
 		va = paging.PageBase(va)
-		prev, _, _ := as.tables.Lookup(va)
-		replaced := func(leaf paging.PTE) {
-			if prev.Is(paging.Present) && prev != leaf {
-				mon.M.Shootdown(c, as.tables.Root, va)
-			}
-		}
-		if leaf, ok := sb.confinedLeaf[va]; ok {
-			mon.pteWrite()
+		leaf, confined := sb.confinedLeaf[va]
+		if confined && write && leaf.Is(paging.CoW) {
 			// Write fault on a CoW-shared page: copy, re-own and re-key the
 			// page before any byte of the write lands (the I4 single-mapping
 			// invariant is re-established here, ahead of client data).
-			if write && leaf.Is(paging.CoW) {
-				if err := mon.cowBreakLocked(sb, va); err != nil {
-					return err
-				}
-				leaf = sb.confinedLeaf[va]
-				// The break replaced any installed read-only leaf itself;
-				// re-walk so the shootdown logic below sees the fresh state.
-				prev, _, _ = as.tables.Lookup(va)
-			}
-			if err := as.tables.Map(va, leaf); err != nil {
+			if err := mon.cowBreakLocked(sb, va); err != nil {
 				return err
 			}
-			replaced(leaf)
-			as.userFrames[va] = leaf.Frame()
-			return nil
+			leaf = sb.confinedLeaf[va]
 		}
-		cr, at, idx := mon.commonFaultFor(sb, va)
-		if cr == nil {
-			return denied("map-sandbox-fault", "va %#x not declared sandbox memory", va)
+		if !confined {
+			cr, at, idx := mon.commonFaultFor(sb, va)
+			if cr == nil {
+				return denied("map-sandbox-fault", "va %#x not declared sandbox memory", va)
+			}
+			writable := at.writable && !cr.sealed
+			if write && !writable {
+				return denied("map-sandbox-fault", "region %q is read-only", cr.name)
+			}
+			leaf = paging.UserLeaf(cr.frames[idx], writable, false)
 		}
-		writable := at.writable && !cr.sealed
-		if write && !writable {
-			return denied("map-sandbox-fault", "region %q is read-only", cr.name)
+		prev, err := mon.setLeaf(as, va, leaf)
+		if err == nil && flushes(prev, leaf) {
+			mon.M.Shootdown(c, as.tables.Root, va)
 		}
-		f := cr.frames[idx]
-		leaf := (paging.Present | paging.User | paging.NX).WithFrame(f)
-		if writable {
-			leaf |= paging.Writable
-		}
-		mon.pteWrite()
-		if err := as.tables.Map(va, leaf); err != nil {
-			return err
-		}
-		replaced(leaf)
-		as.userFrames[va] = f
-		return nil
+		return err
 	})
 }
 
@@ -386,35 +365,13 @@ func (mon *Monitor) declareConfinedLocked(sb *sbState, va paging.Addr, npages ui
 		}
 		mon.confinedOwner[f] = sb.id
 		pva := va + paging.Addr(p*mem.PageSize)
-		leaf := (paging.Present | paging.User | paging.Writable).WithFrame(f)
-		if !exec {
-			leaf |= paging.NX
-		}
 		sb.confined[pva] = f
-		sb.confinedLeaf[pva] = leaf
+		sb.confinedLeaf[pva] = paging.UserLeaf(f, true, exec)
 		sb.confinedFrames = append(sb.confinedFrames, f)
 		mon.M.Clock.Charge(costs.PageZero + 40)
 	}
 	sb.usedPages += npages
 	return nil
-}
-
-// ensurePage installs a confined or common mapping for va if the page is
-// declared but not yet present (monitor-internal: data installation paths).
-func (mon *Monitor) ensurePage(sb *sbState, va paging.Addr) error {
-	as := mon.addrSpaces[sb.asid]
-	if _, ok := as.userFrames[va]; ok {
-		return nil
-	}
-	if leaf, ok := sb.confinedLeaf[va]; ok {
-		if err := as.tables.Map(va, leaf); err != nil {
-			return err
-		}
-		as.userFrames[va] = leaf.Frame()
-		mon.pteWrite()
-		return nil
-	}
-	return denied("ensure-page", "va %#x not declared", va)
 }
 
 // commonNameByID resolves the numeric region ids the ioctl ABI uses.

@@ -75,15 +75,23 @@ func (mon *Monitor) EMCDestroyAS(c *cpu.Core, asid ASID) error {
 		if sb := mon.sandboxByAS(asid); sb != nil {
 			return denied("destroy-as", "address space %d hosts live sandbox %d", asid, sb.id)
 		}
-		for va := range as.userFrames {
-			if err := as.tables.Unmap(va); err != nil {
-				return err
+		// Clear every user leaf in VA order, so failures report in a fixed
+		// order. A failed clear stops neither the others nor the flush.
+		var clearErr error
+		for _, va := range sortedVAs(as.userFrames) {
+			if _, err := mon.setLeaf(as, va, 0); err != nil {
+				mon.recordViolation("destroy-as %d: clearing va %#x: %v", asid, va, err)
+				if clearErr == nil {
+					clearErr = err
+				}
 			}
-			mon.pteWrite()
 		}
 		// Every translation of this address space is now stale on every
 		// core; flush them before the root (or any frame) can be reissued.
 		mon.M.ShootdownRoot(c, as.tables.Root)
+		if clearErr != nil {
+			return clearErr
+		}
 		delete(mon.rootIndex, as.tables.Root)
 		delete(mon.addrSpaces, asid)
 		// A core whose CR3 still names the root (the last task it ran lived
@@ -189,17 +197,6 @@ func (mon *Monitor) userFramePolicy(op string, as *asState, f mem.Frame, flags *
 	return nil
 }
 
-func leafFor(f mem.Frame, flags MapFlags) paging.PTE {
-	leaf := (paging.Present | paging.User).WithFrame(f)
-	if flags.Writable {
-		leaf |= paging.Writable
-	}
-	if !flags.Exec {
-		leaf |= paging.NX
-	}
-	return leaf
-}
-
 // EMCMapUser installs one user mapping after policy validation.
 func (mon *Monitor) EMCMapUser(c *cpu.Core, asid ASID, va paging.Addr, f mem.Frame, flags MapFlags) error {
 	return mon.userMMU(c, asid, OpMap, RingReq{Op: OpMap, VA: va, Frame: f, Flags: flags})
@@ -277,10 +274,11 @@ func userOp(op MMUOp) string {
 //
 // Every user-mapping EMC is one transaction over []RingReq: mmuValidate
 // checks every entry before any PTE changes, and mmuCommit applies them
-// with undo records, rolling back on failure or returning the invalidation
-// set to flush. PTEWrites and the EreborPTEWriteBody charge cover only
-// writes that happened: one per committed entry, one per undo, one per
-// pruned PTP. A denied or rolled-back transaction leaves no phantom write.
+// through setLeaf with undo records, rolling back on failure or returning
+// the invalidation set to flush. PTEWrites and the EreborPTEWriteBody
+// charge cover only writes that happened: one per entry or undo that
+// stored a leaf, one per pruned PTP. A denied or rolled-back transaction
+// leaves no phantom write.
 
 // mmuTxn is the per-monitor scratch an MMU transaction runs in: the work
 // copy, the pending view, the undo log, the new-PTP list, the invalidation
@@ -395,22 +393,19 @@ func (mon *Monitor) mmuValidate(tx *mmuTxn, as *asState, reqs []RingReq, name fu
 	return work, nil
 }
 
-// mmuUndo restores one committed entry on rollback.
+// mmuUndo restores one committed entry on rollback: the leaf setLeaf
+// replaced at va (0: none).
 type mmuUndo struct {
-	va       paging.Addr
-	hadLeaf  bool
-	prevLeaf paging.PTE
-	hadFrame bool
-	prevF    mem.Frame
+	va   paging.Addr
+	prev paging.PTE
 }
 
 // mmuCommit applies entries validated by mmuValidate and returns the
-// invalidation set: one (root, VA) pair per leaf whose live translation
-// changed, deduplicated, in commit order. First installs add none: no core
-// can have cached a translation that never existed. A failure restores the
-// installed prefix in reverse, returns the PTPs the transaction allocated
-// to the monitor pool and shoots down every VA it rewrote. The set is tx's
-// scratch and lives until tx closes.
+// invalidation set: one (root, VA) pair per leaf the flush rule names,
+// deduplicated, in commit order. A failure restores the installed prefix
+// in reverse, returns the PTPs the transaction allocated to the monitor
+// pool and shoots down every VA it rewrote. The set is tx's scratch and
+// lives until tx closes.
 func (mon *Monitor) mmuCommit(c *cpu.Core, tx *mmuTxn, as *asState, work []RingReq) ([]cpu.ShootdownPair, error) {
 	tx.prevHook = as.tables.OnPTPAlloc
 	as.tables.OnPTPAlloc = tx.onPTP
@@ -422,24 +417,11 @@ func (mon *Monitor) mmuCommit(c *cpu.Core, tx *mmuTxn, as *asState, work []RingR
 		for i := len(installed) - 1; i >= 0; i-- {
 			u := installed[i]
 			undone = append(undone, u.va)
-			var err error
-			if u.hadLeaf {
-				err = as.tables.Map(u.va, u.prevLeaf)
-			} else {
-				err = as.tables.Unmap(u.va)
-			}
-			if err != nil {
+			if _, err := mon.setLeaf(as, u.va, u.prev); err != nil {
 				// A rollback that cannot restore a leaf leaves the address
-				// space inconsistent with the monitor's bookkeeping — that
-				// must never vanish silently.
+				// space short of the state the transaction started from —
+				// that must never vanish silently.
 				mon.recordViolation("MMU rollback: restore of va %#x failed: %v", u.va, err)
-			} else {
-				mon.pteWrite()
-			}
-			if u.hadFrame {
-				as.userFrames[u.va] = u.prevF
-			} else {
-				delete(as.userFrames, u.va)
 			}
 		}
 		// With every installed leaf undone (and the failing entry never
@@ -473,45 +455,80 @@ func (mon *Monitor) mmuCommit(c *cpu.Core, tx *mmuTxn, as *asState, work []RingR
 	}
 	for _, r := range work {
 		va := paging.PageBase(r.VA)
-		u := mmuUndo{va: va}
-		if pte, _, reason := as.tables.Lookup(va); reason == paging.FaultNone {
-			u.hadLeaf, u.prevLeaf = true, pte
+		var next paging.PTE // unmap and reclaim clear the leaf
+		if r.Op == OpMap || r.Op == OpProtect {
+			next = paging.UserLeaf(r.Frame, r.Flags.Writable, r.Flags.Exec)
 		}
-		u.prevF, u.hadFrame = as.userFrames[va]
-		var err error
-		switch r.Op {
-		case OpMap, OpProtect:
-			leaf := leafFor(r.Frame, r.Flags)
-			if r.Op == OpMap {
-				err = as.tables.Map(va, leaf)
-			} else {
-				err = as.tables.Update(va, func(paging.PTE) paging.PTE { return leaf })
-			}
-			if err == nil {
-				if u.hadLeaf && u.prevLeaf != leaf {
-					flush(va)
-				}
-				as.userFrames[va] = r.Frame
-			}
-		case OpUnmap, OpReclaim:
-			if err = as.tables.Unmap(va); err == nil {
-				// A reclaimed frame may be handed out again immediately, so
-				// reclaim flushes even if the walk faulted; a plain unmap
-				// flushes only a present leaf.
-				if u.hadLeaf || r.Op == OpReclaim {
-					flush(va)
-				}
-				delete(as.userFrames, va)
-			}
-		}
+		prev, err := mon.setLeaf(as, va, next)
 		if err != nil {
 			rollback(va)
 			return nil, err
 		}
-		mon.pteWrite()
-		tx.undo = append(tx.undo, u)
+		// A reclaimed frame may be handed out again immediately, so reclaim
+		// flushes even with no leaf present.
+		if flushes(prev, next) || r.Op == OpReclaim {
+			flush(va)
+		}
+		tx.undo = append(tx.undo, mmuUndo{va: va, prev: prev})
 	}
 	return tx.pairs, nil
+}
+
+// setLeaf stores next as the user leaf of va in as, or clears the leaf if
+// next is 0, and returns the present leaf it replaced (0: none). Every user
+// leaf the monitor writes goes through here; only InjectAuditViolation's
+// deliberate alias bypasses it. It walks the tables once and writes the
+// slot the walk found; only a store under a missing table walks again,
+// through Map, which builds the table pages. It keeps as.userFrames in
+// step, and counts and charges a write through pteWrite only when it
+// stored an entry: clearing an absent leaf stores nothing. The caller
+// flushes va when flushes(prev, next) holds.
+func (mon *Monitor) setLeaf(as *asState, va paging.Addr, next paging.PTE) (paging.PTE, error) {
+	prev, slot, reason := as.tables.Lookup(va)
+	if reason == paging.FaultTableCorrupt {
+		return 0, &paging.Fault{Reason: reason, Addr: va, Kind: paging.Read}
+	}
+	if reason != paging.FaultNone {
+		if next == 0 {
+			return 0, nil
+		}
+		prev = 0
+	}
+	var err error
+	if slot != 0 {
+		// The walk reached the leaf table. The monitor's tables carry no
+		// OnPTEWrite hook; pteWrite below is their accounting.
+		err = paging.WritePTE(as.tables.Phys, slot, next)
+	} else {
+		err = as.tables.Map(va, next)
+	}
+	if err != nil {
+		return 0, err
+	}
+	if next == 0 {
+		delete(as.userFrames, va)
+	} else {
+		as.userFrames[va] = next.Frame()
+	}
+	mon.pteWrite()
+	return prev, nil
+}
+
+// flushes is the flush rule for a leaf write that replaced prev with next:
+// a present leaf replaced by a different one, or cleared, may be cached on
+// any core. A first install flushes nothing, since no core can have cached
+// a translation that never existed.
+func flushes(prev, next paging.PTE) bool { return prev != 0 && prev != next }
+
+// sortedVAs returns the pages of m in VA order, so a walk over them frees
+// frames and reports failures in a fixed order.
+func sortedVAs[V any](m map[paging.Addr]V) []paging.Addr {
+	vas := make([]paging.Addr, 0, len(m))
+	for va := range m {
+		vas = append(vas, va)
+	}
+	slices.Sort(vas)
+	return vas
 }
 
 // pteWrite accounts one physical PTE write: it counts the write and charges

@@ -299,16 +299,15 @@ func (mon *Monitor) sealCommons(c *cpu.Core, sb *sbState) {
 			var stale []paging.Addr
 			for p := range cr.frames {
 				va := at.base + paging.Addr(p*mem.PageSize)
-				changed := false
 				// Only present leaves need the W bit cleared.
-				if err := as.tables.Update(va, func(e paging.PTE) paging.PTE {
-					changed = e.Is(paging.Writable)
-					return e &^ paging.Writable
-				}); err != nil {
+				leaf, _, reason := as.tables.Lookup(va)
+				if reason != paging.FaultNone {
 					continue // not yet faulted in; will map read-only
 				}
-				mon.pteWrite()
-				if changed {
+				next := leaf &^ paging.Writable
+				if prev, err := mon.setLeaf(as, va, next); err != nil {
+					mon.recordViolation("seal %q: va %#x: %v", name, va, err)
+				} else if flushes(prev, next) {
 					stale = append(stale, va)
 				}
 			}
@@ -446,21 +445,31 @@ func (mon *Monitor) endSandboxLocked(c *cpu.Core, sb *sbState, reason string) {
 	mon.scrubSandbox(sb)
 	mon.retireChannel(sb)
 	as := mon.addrSpaces[sb.asid]
-	for va, f := range sb.confined {
-		// Pages still CoW-shared with a template are not this sandbox's to
-		// free — or even to unmap here: most were never installed (the fork
-		// records leaves lazily), so releaseCowLocked below unmaps just the
-		// faulted-in ones and drops only the refcount (the template's
-		// baseline keeps the frame alive). That is what keeps fork teardown
-		// O(pages touched) rather than O(template pages).
-		if sb.cowPages[va] {
-			continue
+	// Pages still CoW-shared with a template are not this sandbox's to free
+	// — or even to unmap here: most were never installed (the fork records
+	// leaves lazily), so releaseCowLocked below unmaps just the faulted-in
+	// ones and drops only the refcount (the template's baseline keeps the
+	// frame alive). That is what keeps fork teardown O(pages touched)
+	// rather than O(template pages).
+	own := make([]paging.Addr, 0, len(sb.confined)-len(sb.cowPages))
+	for va := range sb.confined {
+		if !sb.cowPages[va] {
+			own = append(own, va)
 		}
+	}
+	// Free in VA order: the CMA pool is LIFO, so this order decides which
+	// frame the next confined allocation gets.
+	slices.Sort(own)
+	for _, va := range own {
 		if as != nil {
-			_ = as.tables.Unmap(va)
-			delete(as.userFrames, va)
-			mon.pteWrite()
+			if _, err := mon.setLeaf(as, va, 0); err != nil {
+				// Still mapped: the frame stays pinned and owned, and
+				// retires with the address space.
+				mon.recordViolation("sandbox-end %d: clearing va %#x: %v", sb.id, va, err)
+				continue
+			}
 		}
+		f := sb.confined[va]
 		delete(mon.confinedOwner, f)
 		_ = mon.M.Phys.SetPinned(f, false)
 		_ = mon.M.Phys.Free(f)
@@ -592,13 +601,16 @@ func (mon *Monitor) moveSandbox(sb *sbState, va paging.Addr, buf []byte, write b
 		}
 		pte, _, _ := as.tables.Lookup(va)
 		if !pte.Is(paging.Present | paging.User) {
-			if err := mon.ensurePage(sb, paging.PageBase(va)); err != nil {
+			// Install a declared confined page on first touch. No leaf was
+			// present, so no core can cache one: nothing to flush.
+			leaf, ok := sb.confinedLeaf[paging.PageBase(va)]
+			if !ok {
 				return denied("sandbox-io", "va %#x not mapped", va)
 			}
-			pte, _, _ = as.tables.Lookup(va)
-			if !pte.Is(paging.Present | paging.User) {
-				return denied("sandbox-io", "va %#x not mapped after install", va)
+			if _, err := mon.setLeaf(as, paging.PageBase(va), leaf); err != nil {
+				return denied("sandbox-io", "va %#x not mapped: %v", va, err)
 			}
+			pte = leaf
 		}
 		_, pageOff := paging.Split(va)
 		n := minInt(int(mem.PageSize-pageOff), len(buf)-off)

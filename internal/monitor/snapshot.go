@@ -105,6 +105,22 @@ func (mon *Monitor) EMCSnapshotSandbox(c *cpu.Core, id SandboxID, name string) (
 		if sb.template != 0 {
 			return denied("snapshot-sandbox", "sandbox %d is itself a fork of template %d", id, sb.template)
 		}
+		// Clear the source's leaves before anything changes hands, so a
+		// failed clear leaves a live sandbox whose fault path re-installs
+		// what was cleared. No core may keep translating into frames that
+		// are about to be shared read-only across tenants.
+		if as := mon.addrSpaces[sb.asid]; as != nil {
+			var err error
+			for _, va := range sortedVAs(sb.confined) {
+				if _, err = mon.setLeaf(as, va, 0); err != nil {
+					break
+				}
+			}
+			mon.M.ShootdownRoot(c, as.tables.Root)
+			if err != nil {
+				return err
+			}
+		}
 		mon.nextTemplateID++
 		tid = mon.nextTemplateID
 		tmpl := &sbTemplate{
@@ -136,26 +152,9 @@ func (mon *Monitor) EMCSnapshotSandbox(c *cpu.Core, id SandboxID, name string) (
 		// Ownership handover: the frames leave the single-mapping index (they
 		// will be multi-mapped read-only) and enter the template index. The
 		// template itself holds their refcount baseline of 1.
-		as := mon.addrSpaces[sb.asid]
 		for _, f := range tmpl.frames {
 			delete(mon.confinedOwner, f)
 			mon.templateFrames[f] = tid
-		}
-		for va := range sb.confined {
-			if as == nil {
-				break
-			}
-			if _, mapped := as.userFrames[va]; !mapped {
-				continue
-			}
-			_ = as.tables.Unmap(va)
-			delete(as.userFrames, va)
-			mon.pteWrite()
-		}
-		// No core may keep translating into frames that are about to be
-		// shared read-only across tenants.
-		if as != nil {
-			mon.M.ShootdownRoot(c, as.tables.Root)
 		}
 		// Retire the source identity without a scrub: the frames now belong
 		// to the template, and they hold no client data by precondition.
@@ -307,14 +306,15 @@ func (mon *Monitor) cowBreakLocked(sb *sbState, va paging.Addr) error {
 	}
 	if as := mon.addrSpaces[sb.asid]; as != nil {
 		if _, mapped := as.userFrames[va]; mapped {
-			if err := as.tables.Map(va, newLeaf); err != nil {
+			prev, err := mon.setLeaf(as, va, newLeaf)
+			if err != nil {
 				return err
 			}
-			as.userFrames[va] = nf
-			mon.pteWrite()
 			// Any core may still cache the read-only translation into the
 			// template frame; it must die before the write retires.
-			mon.M.Shootdown(mon.shootdownInitiator(), as.tables.Root, va)
+			if flushes(prev, newLeaf) {
+				mon.M.Shootdown(mon.shootdownInitiator(), as.tables.Root, va)
+			}
 		}
 	}
 	mon.Stats.CowBreaks++
@@ -339,19 +339,19 @@ func (mon *Monitor) releaseCowLocked(sb *sbState) {
 	as := mon.addrSpaces[sb.asid]
 	// Release in VA order, not cowPages map order: the shootdown list and
 	// any violation records must be deterministic.
-	vas := make([]paging.Addr, 0, len(sb.cowPages))
-	for va := range sb.cowPages {
-		vas = append(vas, va)
-	}
-	sort.Slice(vas, func(i, j int) bool { return vas[i] < vas[j] })
 	var stale []paging.Addr
-	for _, va := range vas {
+	for _, va := range sortedVAs(sb.cowPages) {
 		if as != nil {
 			if _, mapped := as.userFrames[va]; mapped {
-				_ = as.tables.Unmap(va)
-				delete(as.userFrames, va)
-				mon.pteWrite()
-				stale = append(stale, va)
+				prev, err := mon.setLeaf(as, va, 0)
+				if err != nil {
+					// Still mapped: the fork keeps its reference.
+					mon.recordViolation("release-cow sandbox %d: clearing va %#x: %v", sb.id, va, err)
+					continue
+				}
+				if flushes(prev, 0) {
+					stale = append(stale, va)
+				}
 			}
 		}
 		if _, err := mon.M.Phys.DecRef(sb.confined[va]); err != nil {

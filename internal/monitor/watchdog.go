@@ -249,10 +249,10 @@ func (mon *Monitor) ExportWatchdogJSONL(w io.Writer) error {
 //
 // The tampering is deterministic (lowest confined frame, first free slot in
 // the same leaf table) and models a hypothetical monitor bug, not kernel
-// behavior: it bypasses the EMC gates and charges no cycles. The alias VA
-// is chosen inside the 2 MiB range of an existing confined mapping so the
-// page walk reuses live table pages — no PTP allocation, no re-keying, no
-// shootdown.
+// behavior: it bypasses the EMC gates and setLeaf, and counts and charges
+// nothing. The alias VA is chosen inside the 2 MiB range of an existing
+// confined mapping so the page walk reuses live table pages — no PTP
+// allocation, no re-keying, no shootdown.
 func (mon *Monitor) InjectAuditViolation() (audit.Code, error) {
 	if mon.wd == nil {
 		return audit.CodeNone, fmt.Errorf("monitor: watchdog not enabled")
@@ -292,7 +292,7 @@ func (mon *Monitor) InjectAuditViolation() (audit.Code, error) {
 		if _, mapped := as.userFrames[va]; mapped {
 			continue
 		}
-		if err := as.tables.Map(va, leafFor(frame, MapFlags{Writable: true})); err != nil {
+		if err := as.tables.Map(va, paging.UserLeaf(frame, true, false)); err != nil {
 			return audit.CodeNone, err
 		}
 		as.userFrames[va] = frame

@@ -62,6 +62,19 @@ func (e PTE) WithKey(k uint8) PTE {
 // Is reports whether all bits in mask are set.
 func (e PTE) Is(mask PTE) bool { return e&mask == mask }
 
+// UserLeaf encodes a present user leaf for frame f: writable if w, and
+// executable if x (NX otherwise).
+func UserLeaf(f mem.Frame, w, x bool) PTE {
+	leaf := (Present | User).WithFrame(f)
+	if w {
+		leaf |= Writable
+	}
+	if !x {
+		leaf |= NX
+	}
+	return leaf
+}
+
 // Virtual-address geometry: 4 levels x 9 bits + 12-bit offset = 48 bits.
 const (
 	Levels       = 4
