@@ -67,8 +67,6 @@ type PlatformConfig struct {
 	ExitRateLimit uint64
 	// OutputQuantumCycles, if non-zero, quantizes output release times.
 	OutputQuantumCycles uint64
-	// Retry tunes the resilient channel path (zero fields take defaults).
-	Retry RetryConfig
 	// ChannelQueueCap bounds each hop of the client<->monitor relay
 	// (frames; 0 = default, negative = unbounded).
 	ChannelQueueCap int
@@ -108,49 +106,10 @@ type ChaosConfig struct {
 	LatencyCycles uint64
 }
 
-// RetryConfig bounds the channel's retry/timeout/backoff behavior. The
-// zero value selects defaults tuned for double-digit loss rates on the
-// untrusted relay. All waits are virtual-clock cycles, never wall time.
-type RetryConfig struct {
-	// MaxAttempts bounds full handshake attempts in Connect.
-	MaxAttempts int
-	// BackoffBaseCycles is charged to the virtual clock before the first
-	// retry and grows by BackoffFactor per attempt.
-	BackoffBaseCycles uint64
-	BackoffFactor     uint64
-	// RecvRounds bounds RecvWait pump/schedule rounds before a timeout.
-	RecvRounds int
-	// RetransmitEvery re-sends retained request records every that many
-	// empty receive rounds.
-	RetransmitEvery int
-}
-
-// policy merges the config over the harness defaults.
-func (rc RetryConfig) policy() harness.RetryPolicy {
-	pol := harness.DefaultRetryPolicy()
-	if rc.MaxAttempts > 0 {
-		pol.MaxAttempts = rc.MaxAttempts
-	}
-	if rc.BackoffBaseCycles > 0 {
-		pol.BackoffBase = rc.BackoffBaseCycles
-	}
-	if rc.BackoffFactor > 0 {
-		pol.BackoffFactor = rc.BackoffFactor
-	}
-	if rc.RecvRounds > 0 {
-		pol.RecvRounds = rc.RecvRounds
-	}
-	if rc.RetransmitEvery > 0 {
-		pol.RetransmitEvery = rc.RetransmitEvery
-	}
-	return pol
-}
-
 // Platform is a booted simulated CVM.
 type Platform struct {
 	w         *harness.World
 	nextOwner mem.Owner
-	pol       harness.RetryPolicy
 	queueCap  int
 	inj       *faultinject.Injector // non-nil when Chaos was configured
 }
@@ -182,10 +141,7 @@ func NewPlatform(cfg PlatformConfig) (*Platform, error) {
 	case queueCap < 0:
 		queueCap = 0 // unbounded
 	}
-	p := &Platform{
-		w: w, nextOwner: mem.OwnerTaskBase + 1,
-		pol: cfg.Retry.policy(), queueCap: queueCap,
-	}
+	p := &Platform{w: w, nextOwner: mem.OwnerTaskBase + 1, queueCap: queueCap}
 	if cfg.Chaos != nil {
 		p.inj = faultinject.New(faultinject.Plan{
 			Seed: cfg.Chaos.Seed,
@@ -336,28 +292,22 @@ func (c *Container) Err() error { return c.inner.BootErr() }
 // channel relayed by the untrusted in-CVM proxy.
 type Client struct {
 	session *harness.Session
-	pol     harness.RetryPolicy
 }
 
 // Connect performs the attested handshake: the client verifies the quote
 // (signature, boot measurement, handshake binding) before any data moves.
-// The handshake retries with exponential backoff under the platform's
-// RetryConfig, so transient relay faults do not surface to the caller.
+// The handshake retries with exponential backoff on the virtual clock, so
+// transient relay faults do not surface to the caller.
 // Only available with the monitor (attestation needs the tdcall owner).
 func (p *Platform) Connect(c *Container) (*Client, error) {
 	if p.w.Mon == nil {
 		return nil, errors.New("erebor: Connect requires the monitor (not a baseline platform)")
 	}
-	var s *harness.Session
-	if p.inj != nil {
-		s = harness.NewInjectedSession(p.w, p.inj, p.queueCap)
-	} else {
-		s = harness.NewBoundedSession(p.w, p.queueCap)
-	}
-	if err := s.ConnectResilient(c.inner, p.pol); err != nil {
+	s := harness.NewInjectedSession(p.w, p.inj, p.queueCap)
+	if err := s.ConnectResilient(c.inner); err != nil {
 		return nil, fmt.Errorf("erebor: attested handshake failed: %w", err)
 	}
-	return &Client{session: s, pol: p.pol}, nil
+	return &Client{session: s}, nil
 }
 
 // Send queues one confidential request (padded + encrypted end to end).
@@ -373,7 +323,7 @@ func (cl *Client) Send(data []byte) error {
 // (full relay queues) with virtual-clock backoff. Non-transient errors
 // surface immediately.
 func (cl *Client) SendWithRetry(data []byte) error {
-	return cl.session.SendWithRetry(data, cl.pol)
+	return cl.session.SendWithRetry(data)
 }
 
 // Recv returns the next response, or an error when none is pending.
@@ -384,10 +334,10 @@ func (cl *Client) Recv() ([]byte, error) {
 
 // RecvWait pumps the relay and the guest scheduler until a response
 // arrives, retransmitting unacknowledged requests on timeout. Returns an
-// error wrapping a typed timeout after the policy's round budget; it never
-// hangs.
+// error wrapping a typed timeout after a bounded number of rounds; it
+// never hangs.
 func (cl *Client) RecvWait() ([]byte, error) {
-	return cl.session.RecvWait(cl.pol)
+	return cl.session.RecvWait()
 }
 
 // WireFrames exposes what the untrusted proxy observed (always

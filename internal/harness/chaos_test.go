@@ -75,8 +75,7 @@ func runChaosSession(t *testing.T, plan faultinject.Plan) chaosOutcome {
 	// Deferred first, so it runs after the plaintext check below.
 	defer w.Close()
 	c := launchChaosEcho(t, w)
-	s := NewFaultySession(w, plan)
-	pol := DefaultRetryPolicy()
+	s := NewInjectedSession(w, faultinject.New(plan), secchan.DefaultQueueCap)
 
 	secret := []byte(fmt.Sprintf("chaos secret %d: patient record confidential", plan.Seed))
 	reply := bytes.ToUpper(secret)
@@ -91,21 +90,21 @@ func runChaosSession(t *testing.T, plan faultinject.Plan) chaosOutcome {
 		}
 	}()
 
-	if err := s.ConnectResilient(c, pol); err != nil {
+	if err := s.ConnectResilient(c); err != nil {
 		if !errors.Is(err, secchan.ErrTimeout) {
 			t.Fatalf("seed %d: handshake failed with untyped error: %v", plan.Seed, err)
 		}
 		out.err = err
 		return out
 	}
-	if err := s.SendWithRetry(secret, pol); err != nil {
+	if err := s.SendWithRetry(secret); err != nil {
 		if !errors.Is(err, secchan.ErrTimeout) && !errors.Is(err, secchan.ErrQueueFull) {
 			t.Fatalf("seed %d: send failed with untyped error: %v", plan.Seed, err)
 		}
 		out.err = err
 		return out
 	}
-	got, err := s.RecvWait(pol)
+	got, err := s.RecvWait()
 	if err != nil {
 		if !errors.Is(err, secchan.ErrTimeout) {
 			t.Fatalf("seed %d: recv failed with untyped error: %v", plan.Seed, err)
@@ -204,8 +203,9 @@ func TestHandshakeUnderFaults(t *testing.T) {
 					t.Fatal(err)
 				}
 				c := launchChaosEcho(t, w)
-				s := NewFaultySession(w, faultinject.Only(int64(9000*int(class)+seed), class, 0.3))
-				err = s.ConnectResilient(c, DefaultRetryPolicy())
+				plan := faultinject.Only(int64(9000*int(class)+seed), class, 0.3)
+				s := NewInjectedSession(w, faultinject.New(plan), secchan.DefaultQueueCap)
+				err = s.ConnectResilient(c)
 				if err != nil && !errors.Is(err, secchan.ErrTimeout) {
 					t.Fatalf("seed %d: untyped handshake error: %v", seed, err)
 				}
@@ -232,15 +232,14 @@ func TestReplayAttackRejected(t *testing.T) {
 	}
 	c := launchChaosEcho(t, w)
 	s := NewSession(w)
-	pol := DefaultRetryPolicy()
-	if err := s.ConnectResilient(c, pol); err != nil {
+	if err := s.ConnectResilient(c); err != nil {
 		t.Fatal(err)
 	}
 	secret := []byte("replay-me-once")
 	if err := s.Client.Send(secret); err != nil {
 		t.Fatal(err)
 	}
-	got, err := s.RecvWait(pol)
+	got, err := s.RecvWait()
 	if err != nil {
 		t.Fatal(err)
 	}

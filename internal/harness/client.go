@@ -91,7 +91,7 @@ func (cl *Client) Finish() error {
 		return err
 	}
 	// The client is the initiator: it retransmits on timeout (driven by the
-	// session's RecvWait), not on duplicate receipt, so the two ends never
+	// session's RecvStep), not on duplicate receipt, so the two ends never
 	// ping-pong retransmissions.
 	cl.conn = secchan.NewReliable(conn)
 	cl.conn.Rec, cl.conn.Track = cl.Rec, trace.TrackClient
@@ -154,16 +154,24 @@ type Session struct {
 	// scheduler for bounded waits).
 	W *World
 	// Inj, when non-nil, is the fault injector interposed on the untrusted
-	// client<->proxy hop (chaos testing; see NewFaultySession).
+	// client<->proxy hop (chaos testing; see NewInjectedSession).
 	Inj *faultinject.Injector
+
+	// retry is the retry engine's state between steps (resilient.go).
+	retry retryState
 }
 
 // NewSession builds the client <-> proxy <-> monitor plumbing for a world.
 func NewSession(w *World) *Session {
-	return newSession(w, nil, secchan.DefaultQueueCap)
+	return NewInjectedSession(w, nil, secchan.DefaultQueueCap)
 }
 
-func newSession(w *World, inj *faultinject.Injector, queueCap int) *Session {
+// NewInjectedSession builds a session whose untrusted client<->proxy hop
+// passes, both ways, through inj (nil: no faults). A caller-owned injector
+// lets several sessions on one world draw from a single deterministic
+// fault schedule, so a (plan, workload) pair replays bit-identically.
+// queueCap bounds each hop (0 = unbounded).
+func NewInjectedSession(w *World, inj *faultinject.Injector, queueCap int) *Session {
 	clientEnd, proxyOuter := secchan.NewMemPipeCap(queueCap)
 	proxyInner, monEnd := secchan.NewMemPipeCap(queueCap)
 	var clientTr secchan.Transport = clientEnd
@@ -185,14 +193,6 @@ func newSession(w *World, inj *faultinject.Injector, queueCap int) *Session {
 		inj.Rec = w.Rec
 	}
 	return &Session{Client: cl, Proxy: pr, MonTr: monEnd, W: w, Inj: inj}
-}
-
-// NewInjectedSession builds a session around a caller-owned fault injector,
-// so several sessions on one world can draw from a single deterministic
-// fault schedule (the Platform chaos path). queueCap bounds each hop
-// (0 = unbounded), mirroring NewBoundedSession.
-func NewInjectedSession(w *World, inj *faultinject.Injector, queueCap int) *Session {
-	return newSession(w, inj, queueCap)
 }
 
 // Pump relays pending frames both ways n times.

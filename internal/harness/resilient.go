@@ -4,47 +4,58 @@ import (
 	"errors"
 	"fmt"
 
-	"github.com/asterisc-release/erebor-go/internal/faultinject"
+	"github.com/asterisc-release/erebor-go/internal/cpu"
 	"github.com/asterisc-release/erebor-go/internal/secchan"
 )
 
-// This file is the resilient data-shepherding path: handshake retry with
-// bounded attempts and exponential backoff, bounded receive waits with
+// This file is the retry engine of the resilient data-shepherding path:
+// handshake attempts with exponential backoff, bounded receive waits with
 // timeout-driven retransmission, and deterministic interleaving of the
-// guest scheduler with the untrusted relay. All waiting is expressed in
-// virtual cycles on the machine clock — never wall time — so every run,
-// including fault-injected chaos runs, is reproducible from a seed.
+// guest scheduler with the untrusted relay. ConnectStep and RecvStep each
+// make one bounded step and keep the engine's state on the Session, so
+// ConnectResilient and RecvWait loop over them and the serving path makes
+// one step per tick. All waiting is expressed in virtual cycles on the
+// machine clock — never wall time — so every run, including
+// fault-injected chaos runs, is reproducible from a seed.
 
-// RetryPolicy bounds every retry loop in the resilient path.
-type RetryPolicy struct {
-	// MaxAttempts bounds full handshake attempts in ConnectResilient.
-	MaxAttempts int
-	// BackoffBase is the virtual-cycle penalty charged before the first
-	// retry; it grows by BackoffFactor per subsequent attempt.
-	BackoffBase   uint64
-	BackoffFactor uint64
-	// RecvRounds bounds pump+schedule rounds in RecvWait before ErrTimeout.
-	RecvRounds int
-	// RetransmitEvery re-sends the client's retained records every that
-	// many empty RecvWait rounds (0 disables timeout-driven retransmission).
-	RetransmitEvery int
+// The retry policy, tuned to ride out sustained double-digit fault rates
+// on the untrusted hop while still ending promptly when the far side is
+// gone.
+const (
+	// MaxAttempts bounds a session's handshake attempts, and the sends a
+	// full relay queue may refuse.
+	MaxAttempts = 8
+	// RecvRounds bounds the empty rounds of a receive wait.
+	RecvRounds = 64
+	// retransmitEvery re-sends the client's retained records on every
+	// retransmitEvery-th empty receive round.
+	retransmitEvery = 4
+	// backoffBase is a blocking call's first back-off in cycles. It
+	// doubles while below maxBackoff, which keeps long waits from
+	// overflowing the clock arithmetic: the peak is 1000·2^23 cycles.
+	backoffBase = 1_000
+	maxBackoff  = uint64(1) << 32
+)
+
+// retryState is what the engine keeps between steps of one blocking call:
+// the attempts made or empty rounds waited, the next back-off (0 when none
+// was taken yet) and the last failed handshake attempt's error.
+type retryState struct {
+	n       int
+	backoff uint64
+	lastErr error
 }
 
-// DefaultRetryPolicy tolerates sustained double-digit fault rates on the
-// untrusted hop while still terminating promptly when the far side is gone.
-func DefaultRetryPolicy() RetryPolicy {
-	return RetryPolicy{
-		MaxAttempts:     8,
-		BackoffBase:     1_000,
-		BackoffFactor:   2,
-		RecvRounds:      64,
-		RetransmitEvery: 4,
+// wait charges the next back-off to the clock and doubles the one after.
+func (r *retryState) wait(clock *cpu.Clock) {
+	if r.backoff == 0 {
+		r.backoff = backoffBase
+	}
+	clock.Charge(r.backoff)
+	if r.backoff < maxBackoff {
+		r.backoff *= 2
 	}
 }
-
-// maxBackoff caps exponential growth so long waits cannot overflow the
-// virtual clock arithmetic.
-const maxBackoff = uint64(1) << 32
 
 // Acceptor is the monitor-side half a resilient connect drives: accept a
 // session over a transport, and abort a half-established one so the next
@@ -54,54 +65,64 @@ type Acceptor interface {
 	AbortSession() error
 }
 
-// ConnectResilient runs the attested handshake end to end with bounded
-// retries. Each attempt is a fresh ClientHello (fresh X25519 keys), so a
-// stale or replayed server hello from a previous attempt can never bind:
-// the quote check in Client.Finish rejects it and the loop retries. On
-// exhaustion the error wraps secchan.ErrTimeout.
-func (s *Session) ConnectResilient(acc Acceptor, pol RetryPolicy) error {
-	if pol.MaxAttempts <= 0 {
-		pol.MaxAttempts = 1
+// ConnectStep makes one handshake attempt. Each attempt is a fresh
+// ClientHello (fresh X25519 keys), so a stale or replayed server hello
+// from an earlier attempt can never bind: the quote check in Client.Finish
+// rejects it. A retry first backs off, aborts the monitor-side half-state
+// and drains every hop. ConnectStep reports done once the handshake has
+// finished; a failed attempt is kept as the last error and reports
+// neither done nor an error, so the caller steps again. The step after
+// the MaxAttempts-th failure returns an error wrapping secchan.ErrTimeout.
+func (s *Session) ConnectStep(acc Acceptor) (done bool, err error) {
+	r := &s.retry
+	if r.n >= MaxAttempts {
+		return false, fmt.Errorf("handshake failed after %d attempts (last: %v): %w",
+			r.n, r.lastErr, secchan.ErrTimeout)
 	}
-	backoff := pol.BackoffBase
-	var lastErr error
-	for attempt := 0; attempt < pol.MaxAttempts; attempt++ {
-		if attempt > 0 {
-			s.W.M.Clock.Charge(backoff)
-			if backoff < maxBackoff {
-				backoff *= pol.BackoffFactor
-			}
-			// Tear down monitor-side half-state and flush frames from the
-			// failed attempt out of every hop before going again.
-			if err := acc.AbortSession(); err != nil {
-				lastErr = err
-				break
-			}
-			s.drainAll()
+	if r.n > 0 {
+		r.wait(&s.W.M.Clock)
+		if err := acc.AbortSession(); err != nil {
+			return false, fmt.Errorf("abort between attempts: %w", err)
 		}
-		if err := s.Client.Start(); err != nil {
-			lastErr = err
-			continue
-		}
-		s.PumpAll()
-		if err := acc.AcceptSession(s.MonTr); err != nil {
-			lastErr = err
-			continue
-		}
-		s.PumpAll()
-		if err := s.Client.Finish(); err != nil {
-			lastErr = err
-			continue
-		}
-		return nil
+		s.drainAll()
 	}
-	return fmt.Errorf("harness: handshake failed after %d attempts (last: %v): %w",
-		pol.MaxAttempts, lastErr, secchan.ErrTimeout)
+	r.n++
+	if r.lastErr = s.handshake(acc); r.lastErr != nil {
+		return false, nil
+	}
+	// The receive rounds that follow start from a fresh engine.
+	*r = retryState{}
+	return true, nil
 }
 
-// DrainAll discards every in-flight frame on the session's hops (the
-// serving path flushes failed handshake attempts through it).
-func (s *Session) DrainAll() { s.drainAll() }
+// handshake runs one attempt: client hello out, monitor accept, server
+// hello back and verified.
+func (s *Session) handshake(acc Acceptor) error {
+	if err := s.Client.Start(); err != nil {
+		return err
+	}
+	s.PumpAll()
+	if err := acc.AcceptSession(s.MonTr); err != nil {
+		return err
+	}
+	s.PumpAll()
+	return s.Client.Finish()
+}
+
+// ConnectResilient runs the attested handshake end to end, one ConnectStep
+// at a time. On exhaustion the error wraps secchan.ErrTimeout.
+func (s *Session) ConnectResilient(acc Acceptor) error {
+	s.retry = retryState{}
+	for {
+		done, err := s.ConnectStep(acc)
+		if err != nil {
+			return fmt.Errorf("harness: %w", err)
+		}
+		if done {
+			return nil
+		}
+	}
+}
 
 // drainAll discards every in-flight frame on the session's hops: relay
 // whatever the proxy holds, then empty both endpoints. Stale handshake
@@ -116,90 +137,92 @@ func (s *Session) drainAll() {
 	}
 }
 
-// RecvWait pumps the relay and the guest scheduler until a response record
-// arrives or the policy's round budget is spent. One guest scheduling
-// slice runs per round (StepOne), so client retransmissions interleave
-// with the sandbox's own receive attempts exactly as concurrent progress
-// would on real hardware. Returns an error wrapping secchan.ErrTimeout on
-// exhaustion; never hangs.
-func (s *Session) RecvWait(pol RetryPolicy) ([]byte, error) {
-	if pol.RecvRounds <= 0 {
-		pol.RecvRounds = 1
+// RecvStep makes one receive round: relay and receive, run step (one
+// guest scheduling slice, so client retransmissions interleave with the
+// sandbox's own receive attempts as concurrent progress would on real
+// hardware), then relay and receive again. step reports a dead guest with
+// a non-nil error, which the round returns only after that second receive:
+// a reply the guest sent in its last slice still wins. An empty round is
+// counted, re-sends the client's retained records on every
+// retransmitEvery-th round and backs off. RecvStep returns the reply,
+// secchan.ErrEmpty while rounds remain, or a failure; the RecvRounds-th
+// empty round returns an error wrapping secchan.ErrTimeout.
+func (s *Session) RecvStep(step func() error) ([]byte, error) {
+	if msg, err := s.recv(); !errors.Is(err, secchan.ErrEmpty) {
+		return msg, err
 	}
-	backoff := pol.BackoffBase
-	for round := 0; round < pol.RecvRounds; round++ {
-		s.PumpAll()
-		msg, err := s.Client.Recv()
+	dead := step()
+	if msg, err := s.recv(); !errors.Is(err, secchan.ErrEmpty) {
+		return msg, err
+	}
+	if dead != nil {
+		return nil, dead
+	}
+	r := &s.retry
+	r.n++
+	if r.n%retransmitEvery == 0 {
+		// Timeout-driven recovery: re-send retained request records.
+		// Sealing is deterministic per sequence number, so the monitor
+		// side dedups bit-identical retransmits and — seeing evidence of
+		// loss — re-sends its own retained responses.
+		s.Client.Retransmit()
+	}
+	r.wait(&s.W.M.Clock)
+	if r.n >= RecvRounds {
+		return nil, fmt.Errorf("no reply after %d rounds: %w", RecvRounds, secchan.ErrTimeout)
+	}
+	return nil, secchan.ErrEmpty
+}
+
+// recv relays pending frames and takes the next reply: secchan.ErrEmpty
+// when none has arrived.
+func (s *Session) recv() ([]byte, error) {
+	s.PumpAll()
+	msg, err := s.Client.Recv()
+	if err != nil && !errors.Is(err, secchan.ErrEmpty) {
+		return nil, fmt.Errorf("reply receive: %w", err)
+	}
+	return msg, err
+}
+
+// RecvWait receives one reply, one RecvStep at a time, giving the guest
+// scheduler one slice (StepOne) per round. It never hangs: the error after
+// RecvRounds empty rounds wraps secchan.ErrTimeout.
+func (s *Session) RecvWait() ([]byte, error) {
+	s.retry = retryState{}
+	for {
+		msg, err := s.RecvStep(s.stepGuest)
 		if err == nil {
 			return msg, nil
 		}
 		if !errors.Is(err, secchan.ErrEmpty) {
-			return nil, err
-		}
-		// Give the guest one slice to consume input / produce output, then
-		// relay whatever it emitted.
-		s.W.K.StepOne()
-		s.PumpAll()
-		if msg, err := s.Client.Recv(); err == nil {
-			return msg, nil
-		} else if !errors.Is(err, secchan.ErrEmpty) {
-			return nil, err
-		}
-		if pol.RetransmitEvery > 0 && (round+1)%pol.RetransmitEvery == 0 {
-			// Timeout-driven recovery: re-send retained request records.
-			// Sealing is deterministic per sequence number, so the monitor
-			// side dedups bit-identical retransmits and — seeing evidence of
-			// loss — re-sends its own retained responses.
-			s.Client.Retransmit()
-		}
-		s.W.M.Clock.Charge(backoff)
-		if backoff < maxBackoff {
-			backoff *= pol.BackoffFactor
+			return nil, fmt.Errorf("harness: %w", err)
 		}
 	}
-	return nil, fmt.Errorf("harness: no response after %d rounds: %w",
-		pol.RecvRounds, secchan.ErrTimeout)
+}
+
+// stepGuest is RecvWait's guest step: one slice of whichever task the
+// scheduler runs next. The guest as a whole never dies.
+func (s *Session) stepGuest() error {
+	s.W.K.StepOne()
+	return nil
 }
 
 // SendWithRetry transmits one request record, retrying transient
 // transport-full conditions with backoff (the proxy drains between
 // attempts). Other errors surface immediately.
-func (s *Session) SendWithRetry(data []byte, pol RetryPolicy) error {
-	if pol.MaxAttempts <= 0 {
-		pol.MaxAttempts = 1
-	}
-	backoff := pol.BackoffBase
-	var lastErr error
-	for attempt := 0; attempt < pol.MaxAttempts; attempt++ {
-		if attempt > 0 {
-			s.W.M.Clock.Charge(backoff)
-			if backoff < maxBackoff {
-				backoff *= pol.BackoffFactor
-			}
-			s.PumpAll()
-		}
+func (s *Session) SendWithRetry(data []byte) error {
+	var r retryState
+	for {
 		err := s.Client.Send(data)
-		if err == nil {
-			return nil
-		}
-		lastErr = err
-		if !errors.Is(err, secchan.ErrQueueFull) {
+		if err == nil || !errors.Is(err, secchan.ErrQueueFull) {
 			return err
 		}
+		r.n++
+		if r.n == MaxAttempts {
+			return fmt.Errorf("harness: send failed after %d attempts: %w", MaxAttempts, err)
+		}
+		r.wait(&s.W.M.Clock)
+		s.PumpAll()
 	}
-	return fmt.Errorf("harness: send failed after %d attempts: %w",
-		pol.MaxAttempts, lastErr)
-}
-
-// NewFaultySession builds a session whose untrusted client<->proxy hop is
-// wrapped in a deterministic fault injector: both directions draw from one
-// seeded schedule, so a (plan, workload) pair replays bit-identically.
-func NewFaultySession(w *World, plan faultinject.Plan) *Session {
-	return newSession(w, faultinject.New(plan), secchan.DefaultQueueCap)
-}
-
-// NewBoundedSession builds a fault-free session with an explicit per-hop
-// queue capacity (backpressure experiments; 0 means unbounded).
-func NewBoundedSession(w *World, queueCap int) *Session {
-	return newSession(w, nil, queueCap)
 }

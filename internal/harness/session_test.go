@@ -179,10 +179,7 @@ func TestSessionsExpectWorldMRTD(t *testing.T) {
 		cl   *Client
 	}{
 		{"NewSession", NewSession(w).Client},
-		{"NewBoundedSession", NewBoundedSession(w, 4).Client},
-		{"NewFaultySession", NewFaultySession(w, faultinject.Plan{Seed: 1}).Client},
 		{"NewInjectedSession", NewInjectedSession(w, inj, 0).Client},
-		{"NewInjectedSession again", NewInjectedSession(w, inj, 0).Client},
 		{"NewNetSession", NewNetSession(w).Client},
 	} {
 		if c.cl.expected != want {

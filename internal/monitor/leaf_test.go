@@ -240,3 +240,37 @@ func TestDestroyASFlushesAfterFailedClear(t *testing.T) {
 		}
 	}
 }
+
+// TestConfinedFrameMapsOnlyAtItsDeclaredVA: the kernel cannot map a
+// confined frame a second time, not even inside its own sandbox's address
+// space. Session end clears only the declared VA, so a second leaf would
+// outlive the session and keep a window into the frame's next owner.
+func TestConfinedFrameMapsOnlyAtItsDeclaredVA(t *testing.T) {
+	const base, alias = paging.Addr(0x1_0000), paging.Addr(0x50_0000)
+	mon := bootedMonitor(t)
+	c := mon.M.Cores[0]
+	sb := coldSandbox(t, mon, base, 1)
+	if err := mon.writeSandbox(sb, base, []byte("confined")); err != nil {
+		t.Fatal(err)
+	}
+	f := sb.confined[base]
+	err := mon.EMCMapUser(c, sb.asid, alias, f, MapFlags{Writable: true})
+	if err == nil || !strings.Contains(err.Error(), "single-mapping policy") {
+		t.Fatalf("second map of confined frame %d: %v, want a single-mapping denial", f, err)
+	}
+	if vs := mon.Audit(); len(vs) != 0 {
+		t.Fatalf("audit after the refused alias: %v", vs)
+	}
+	if err := mon.EMCSandboxEnd(c, sb.id); err != nil {
+		t.Fatal(err)
+	}
+	as := mon.addrSpaces[sb.asid]
+	for va, g := range as.userFrames {
+		if g == f {
+			t.Fatalf("leaf at %#x still maps freed frame %d after session end", va, f)
+		}
+	}
+	if pte, _, fault := as.tables.Lookup(alias); fault == paging.FaultNone {
+		t.Fatalf("tables map %#x to frame %d after session end", alias, pte.Frame())
+	}
+}

@@ -141,8 +141,8 @@ func (mon *Monitor) EMCSwitchAS(c *cpu.Core, asid ASID) error {
 	})
 }
 
-// userFramePolicy validates mapping frame f into address space as.
-func (mon *Monitor) userFramePolicy(op string, as *asState, f mem.Frame, flags *MapFlags) error {
+// userFramePolicy validates mapping frame f at page va of address space as.
+func (mon *Monitor) userFramePolicy(op string, as *asState, va paging.Addr, f mem.Frame, flags *MapFlags) error {
 	meta, err := mon.M.Phys.Meta(f)
 	if err != nil {
 		return err
@@ -163,6 +163,11 @@ func (mon *Monitor) userFramePolicy(op string, as *asState, f mem.Frame, flags *
 		sb := mon.sandboxByAS(as.id)
 		if sb == nil || sb.id != owner {
 			return denied(op, "frame %d is confined to sandbox %d (single-mapping policy)", f, owner)
+		}
+		// A second leaf of the frame would outlive the session: its end
+		// clears only the declared VA before the frame is freed.
+		if declared, ok := sb.confined[va]; !ok || declared != f {
+			return denied(op, "frame %d is confined and not declared at %#x (single-mapping policy)", f, va)
 		}
 		return nil
 	}
@@ -364,13 +369,13 @@ func (mon *Monitor) mmuValidate(tx *mmuTxn, as *asState, reqs []RingReq, name fu
 		next := mem.NoFrame
 		switch r.Op {
 		case OpMap:
-			if err := mon.userFramePolicy(op, as, r.Frame, &r.Flags); err != nil {
+			if err := mon.userFramePolicy(op, as, va, r.Frame, &r.Flags); err != nil {
 				return nil, err
 			}
 			next = r.Frame
 		case OpUnmap:
 		case OpProtect:
-			if err := mon.userFramePolicy(op, as, f, &r.Flags); err != nil {
+			if err := mon.userFramePolicy(op, as, va, f, &r.Flags); err != nil {
 				return nil, err
 			}
 			r.Frame, next = f, f

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"github.com/asterisc-release/erebor-go/internal/audit"
@@ -112,53 +113,56 @@ func TestEgressChaosFleet(t *testing.T) {
 		seeds, tenants, sessions = 5, 16, 24
 	}
 	for seed := 1; seed <= seeds; seed++ {
-		plan := faultinject.Uniform(int64(seed), 0.05).WithProxyFaults(0.03, 0.02)
-		s, err := New(Config{
-			Tenants: tenants, Sessions: sessions, Seed: int64(seed), ForkPool: true,
-			Chaos: &plan, Egress: DefaultEgressSpec(), Watchdog: true,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		rep, err := s.Run()
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		if rep.Completed+rep.Failed != sessions {
-			t.Fatalf("seed %d: %d completed + %d failed != %d sessions",
-				seed, rep.Completed, rep.Failed, sessions)
-		}
-		for _, r := range rep.Results {
-			if r.Err != "" && !typedErr(r.Err) {
-				t.Fatalf("seed %d: tenant %d failed untyped: %s", seed, r.Tenant, r.Err)
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+			t.Parallel()
+			plan := faultinject.Uniform(int64(seed), 0.05).WithProxyFaults(0.03, 0.02)
+			s, err := New(Config{
+				Tenants: tenants, Sessions: sessions, Seed: int64(seed), ForkPool: true,
+				Chaos: &plan, Egress: DefaultEgressSpec(), Watchdog: true,
+			})
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
+			rep, err := s.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.Completed+rep.Failed != sessions {
+				t.Fatalf("%d completed + %d failed != %d sessions",
+					rep.Completed, rep.Failed, sessions)
+			}
+			for _, r := range rep.Results {
+				if r.Err != "" && !typedErr(r.Err) {
+					t.Fatalf("tenant %d failed untyped: %s", r.Tenant, r.Err)
+				}
+			}
 
-		// Non-exfiltration: nothing reached the denied peer, and every
-		// allow record in the ledger re-verifies against the registered
-		// policy — even with redirects and policy corruption in play.
-		if n := s.ServiceDeliveries()[ExfilDest.String()]; n != 0 {
-			t.Fatalf("seed %d: %d frames egressed to the denied peer", seed, n)
-		}
-		if v := s.Ledger().AuditViolations(); v != nil {
-			t.Fatalf("seed %d: I8 violations under chaos: %v", seed, v)
-		}
-		if n := s.World().Mon.WatchdogNonInjected(); n != 0 {
-			t.Fatalf("seed %d: watchdog flagged %d violations on a clean chaos run", seed, n)
-		}
+			// Non-exfiltration: nothing reached the denied peer, and every
+			// allow record in the ledger re-verifies against the registered
+			// policy — even with redirects and policy corruption in play.
+			if n := s.ServiceDeliveries()[ExfilDest.String()]; n != 0 {
+				t.Fatalf("%d frames egressed to the denied peer", n)
+			}
+			if v := s.Ledger().AuditViolations(); v != nil {
+				t.Fatalf("I8 violations under chaos: %v", v)
+			}
+			if n := s.World().Mon.WatchdogNonInjected(); n != 0 {
+				t.Fatalf("watchdog flagged %d violations on a clean chaos run", n)
+			}
 
-		// Every denial is typed: ledger denials are fully accounted as
-		// frames drained by the sandboxes plus bounded-queue overflow.
-		if rep.EgressDenied != rep.EgressDenialsSeen+rep.EgressDenialDrops {
-			t.Fatalf("seed %d: %d denied != %d seen + %d dropped",
-				seed, rep.EgressDenied, rep.EgressDenialsSeen, rep.EgressDenialDrops)
-		}
+			// Every denial is typed: ledger denials are fully accounted as
+			// frames drained by the sandboxes plus bounded-queue overflow.
+			if rep.EgressDenied != rep.EgressDenialsSeen+rep.EgressDenialDrops {
+				t.Fatalf("%d denied != %d seen + %d dropped",
+					rep.EgressDenied, rep.EgressDenialsSeen, rep.EgressDenialDrops)
+			}
 
-		// The proxy classes actually fired.
-		c := s.inj.Snapshot()
-		if c.Redirects == 0 || c.PolicyCorrupts == 0 {
-			t.Fatalf("seed %d: proxy faults never fired: %v", seed, c)
-		}
+			// The proxy classes actually fired.
+			c := s.inj.Snapshot()
+			if c.Redirects == 0 || c.PolicyCorrupts == 0 {
+				t.Fatalf("proxy faults never fired: %v", c)
+			}
+		})
 	}
 }
 

@@ -87,8 +87,6 @@ type Config struct {
 	ForkPool bool
 	// QueueCap bounds each relay hop (0 = secchan default).
 	QueueCap int
-	// Retry bounds handshake/receive retry loops (zero = harness default).
-	Retry harness.RetryPolicy
 	// Chaos, when non-nil, interposes one seeded fault injector on the
 	// untrusted hop of every session (the whole fleet draws from a single
 	// deterministic schedule).
@@ -171,9 +169,6 @@ func (cfg Config) withDefaults() Config {
 	if cfg.HeapPages == 0 {
 		bufPages := (uint64(cfg.InputBytes)*2 + mem.PageSize - 1) / mem.PageSize
 		cfg.HeapPages = bufPages + 24
-	}
-	if cfg.Retry == (harness.RetryPolicy{}) {
-		cfg.Retry = harness.DefaultRetryPolicy()
 	}
 	if cfg.Watchdog && cfg.WatchdogEvery == 0 {
 		cfg.WatchdogEvery = DefaultWatchdogEvery
@@ -260,9 +255,9 @@ func (r *Report) JSON() []byte {
 type state int
 
 const (
-	stConnect state = iota // attested handshake (one attempt per tick)
+	stConnect state = iota // attested handshake (one engine step per tick)
 	stSend                 // transmit the tenant request
-	stWait                 // pump + step the worker until the reply arrives
+	stWait                 // one engine receive round per tick
 )
 
 // svcLane is one auxiliary egress lane modeling a sandbox-initiated
@@ -284,18 +279,17 @@ type slot struct {
 
 	c    *sandbox.Container
 	sess *harness.Session
+	// step is the receive rounds' guest step: one slice of the worker on
+	// the slot's home core (built once per slot; see stepWorker).
+	step func() error
 
-	state    state
-	tenant   int
-	served   int  // sessions completed or failed on this slot
-	forked   bool // worker instantiated by forking the snapshot template
-	attempts int
-	backoff  uint64
-	waitN    int
-	lastErr  error
-	request  []byte
-	start    uint64
-	done     bool
+	state   state
+	tenant  int
+	served  int  // sessions completed or failed on this slot
+	forked  bool // worker instantiated by forking the snapshot template
+	request []byte
+	start   uint64
+	done    bool
 
 	// turnStart opens the turnaround-to-first-compute window: the clock at
 	// the start of the turnover (or initial launch) that produced this
@@ -334,7 +328,6 @@ func (sl *slot) rootSpan() trace.SpanID {
 // Server drives a fleet of tenant sessions over one world.
 type Server struct {
 	cfg   Config
-	pol   harness.RetryPolicy
 	w     *harness.World
 	inj   *faultinject.Injector
 	model []byte
@@ -391,9 +384,6 @@ type Server struct {
 	Hook func(round int)
 }
 
-// maxBackoff caps exponential growth (mirrors the harness resilient path).
-const maxBackoff = uint64(1) << 32
-
 // New boots a world, publishes the shared model, and launches one worker
 // sandbox per slot.
 func New(cfg Config) (*Server, error) {
@@ -427,7 +417,7 @@ func New(cfg Config) (*Server, error) {
 	if winLen > len(model) {
 		winLen = len(model)
 	}
-	s := &Server{cfg: cfg, pol: cfg.Retry, w: w, model: model, win: model[:winLen],
+	s := &Server{cfg: cfg, w: w, model: model, win: model[:winLen],
 		coreLoad: make([]uint64, cfg.VCPUs)}
 	if cfg.Profile {
 		// Attached now so frame pushes stay balanced through template/slot
@@ -462,6 +452,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	for i := 0; i < cfg.Tenants; i++ {
 		sl := &slot{idx: i, owner: mem.OwnerTaskBase + mem.Owner(1+i), tenant: i}
+		sl.step = func() error { return s.stepWorker(sl) }
 		sl.turnStart = w.M.Clock.Now()
 		c, err := s.launchWorker(sl)
 		if err != nil {
@@ -657,10 +648,6 @@ func (s *Server) admit(sl *slot) {
 	sl.phase = make(map[string]uint64)
 	sl.sess = harness.NewInjectedSession(s.w, s.inj, s.queueCap())
 	sl.state = stConnect
-	sl.attempts = 0
-	sl.backoff = s.pol.BackoffBase
-	sl.waitN = 0
-	sl.lastErr = nil
 	sl.request = s.requestFor(sl.tenant)
 	sl.start = s.w.M.Clock.Now()
 	sl.computeAt = 0
@@ -768,7 +755,7 @@ func (s *Server) setPhase(sl *slot, tenant int, phase string) {
 // budget fails any still-pending session with a typed stall error.
 func (s *Server) Run() (*Report, error) {
 	perSlot := (s.cfg.Sessions+s.cfg.Tenants-1)/s.cfg.Tenants + 1
-	perSession := s.pol.MaxAttempts*(s.pol.RecvRounds+8) + 4*s.pol.RecvRounds + 256
+	perSession := harness.MaxAttempts*(harness.RecvRounds+8) + 4*harness.RecvRounds + 256
 	maxRounds := 256 + 8*perSlot*perSession
 
 	mux := &secchan.MuxProxy{}
@@ -869,45 +856,20 @@ func (s *Server) Run() (*Report, error) {
 	return s.report(), nil
 }
 
-// tick advances one slot's session FSM by one bounded step.
+// tick advances one slot's session FSM by one bounded step: a handshake
+// attempt or a receive round of the session's retry engine, or the send.
 func (s *Server) tick(sl *slot) {
 	switch sl.state {
 	case stConnect:
-		if sl.attempts >= s.pol.MaxAttempts {
-			s.fail(sl, fmt.Errorf("serve: handshake failed after %d attempts (last: %v): %w",
-				sl.attempts, sl.lastErr, secchan.ErrTimeout))
-			return
+		done, err := sl.sess.ConnectStep(sl.c)
+		if err != nil {
+			s.fail(sl, fmt.Errorf("serve: %w", err))
+		} else if done {
+			sl.state = stSend
 		}
-		if sl.attempts > 0 {
-			s.w.M.Clock.Charge(sl.backoff)
-			if sl.backoff < maxBackoff {
-				sl.backoff *= s.pol.BackoffFactor
-			}
-			if err := sl.c.AbortSession(); err != nil {
-				s.fail(sl, fmt.Errorf("serve: abort between attempts: %w", err))
-				return
-			}
-			sl.sess.DrainAll()
-		}
-		sl.attempts++
-		if err := sl.sess.Client.Start(); err != nil {
-			sl.lastErr = err
-			return
-		}
-		sl.sess.PumpAll()
-		if err := sl.c.AcceptSession(sl.sess.MonTr); err != nil {
-			sl.lastErr = err
-			return
-		}
-		sl.sess.PumpAll()
-		if err := sl.sess.Client.Finish(); err != nil {
-			sl.lastErr = err
-			return
-		}
-		sl.state = stSend
 
 	case stSend:
-		if err := sl.sess.SendWithRetry(sl.request, s.pol); err != nil {
+		if err := sl.sess.SendWithRetry(sl.request); err != nil {
 			s.fail(sl, fmt.Errorf("serve: request send: %w", err))
 			return
 		}
@@ -922,8 +884,6 @@ func (s *Server) tick(sl *slot) {
 			}
 		}
 		sl.state = stWait
-		sl.waitN = 0
-		sl.backoff = s.pol.BackoffBase
 		// Time-to-first-compute: the request is committed and the worker is
 		// about to take its first compute step. Observed exactly once per
 		// session, tagged with the root span ID so a p99 exemplar resolves
@@ -932,47 +892,28 @@ func (s *Server) tick(sl *slot) {
 			uint64(sl.span.ID))
 
 	case stWait:
-		sl.sess.PumpAll()
-		if msg, err := sl.sess.Client.Recv(); err == nil {
+		msg, err := sl.sess.RecvStep(sl.step)
+		if err == nil {
 			s.finish(sl, msg)
-			return
 		} else if !errors.Is(err, secchan.ErrEmpty) {
-			s.fail(sl, fmt.Errorf("serve: reply receive: %w", err))
-			return
-		}
-		// One fair scheduling slice for this slot's worker, on this slot's
-		// home core (deterministic slot→core spread), interleaved with every
-		// other tenant's worker.
-		s.w.K.StepPidOn(sl.c.Task.Pid, sl.idx%s.cfg.VCPUs)
-		sl.sess.PumpAll()
-		if msg, err := sl.sess.Client.Recv(); err == nil {
-			s.finish(sl, msg)
-			return
-		} else if !errors.Is(err, secchan.ErrEmpty) {
-			s.fail(sl, fmt.Errorf("serve: reply receive: %w", err))
-			return
-		}
-		if sl.c.Task.State == kernel.TaskZombie {
-			reason := sl.c.Task.ExitReason
-			if berr := sl.c.BootErr(); berr != nil {
-				reason = berr.Error()
-			}
-			s.fail(sl, fmt.Errorf("serve: worker died: %s: %w", reason, ErrWorkerDead))
-			return
-		}
-		sl.waitN++
-		if s.pol.RetransmitEvery > 0 && sl.waitN%s.pol.RetransmitEvery == 0 {
-			sl.sess.Client.Retransmit()
-		}
-		s.w.M.Clock.Charge(sl.backoff)
-		if sl.backoff < maxBackoff {
-			sl.backoff *= s.pol.BackoffFactor
-		}
-		if sl.waitN >= s.pol.RecvRounds {
-			s.fail(sl, fmt.Errorf("serve: no reply after %d rounds: %w",
-				s.pol.RecvRounds, secchan.ErrTimeout))
+			s.fail(sl, fmt.Errorf("serve: %w", err))
 		}
 	}
+}
+
+// stepWorker runs one fair scheduling slice of the slot's worker on the
+// slot's home core (deterministic slot→core spread), interleaved with
+// every other tenant's worker, and reports a worker that has died.
+func (s *Server) stepWorker(sl *slot) error {
+	s.w.K.StepPidOn(sl.c.Task.Pid, sl.idx%s.cfg.VCPUs)
+	if sl.c.Task.State != kernel.TaskZombie {
+		return nil
+	}
+	reason := sl.c.Task.ExitReason
+	if berr := sl.c.BootErr(); berr != nil {
+		reason = berr.Error()
+	}
+	return fmt.Errorf("worker died: %s: %w", reason, ErrWorkerDead)
 }
 
 // xorWindow sets dst[i] to src[i] XOR win[i%len(win)], walking src one

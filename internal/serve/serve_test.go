@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"fmt"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -168,33 +169,36 @@ func TestServeChaosFleetSMP(t *testing.T) {
 		seeds, tenants, sessions = 3, 16, 24
 	}
 	for seed := 1; seed <= seeds; seed++ {
-		plan := faultinject.Uniform(int64(seed), 0.05)
-		s, err := New(Config{
-			Tenants: tenants, Sessions: sessions, Seed: int64(seed), VCPUs: 2, Chaos: &plan,
-			ForkPool: true,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		rep, err := s.Run()
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		if rep.Completed+rep.Failed != sessions {
-			t.Fatalf("seed %d: %d completed + %d failed != %d sessions",
-				seed, rep.Completed, rep.Failed, sessions)
-		}
-		for _, r := range rep.Results {
-			if r.Err != "" && !typedErr(r.Err) {
-				t.Fatalf("seed %d: tenant %d failed untyped: %s", seed, r.Tenant, r.Err)
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+			t.Parallel()
+			plan := faultinject.Uniform(int64(seed), 0.05)
+			s, err := New(Config{
+				Tenants: tenants, Sessions: sessions, Seed: int64(seed), VCPUs: 2, Chaos: &plan,
+				ForkPool: true,
+			})
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		if got := s.inj.Snapshot().Total(); got == 0 {
-			t.Fatalf("seed %d: chaos run injected no faults", seed)
-		}
-		if v := s.World().Mon.Audit(); len(v) != 0 {
-			t.Fatalf("seed %d: monitor audit violations: %v", seed, v)
-		}
+			rep, err := s.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.Completed+rep.Failed != sessions {
+				t.Fatalf("%d completed + %d failed != %d sessions",
+					rep.Completed, rep.Failed, sessions)
+			}
+			for _, r := range rep.Results {
+				if r.Err != "" && !typedErr(r.Err) {
+					t.Fatalf("tenant %d failed untyped: %s", r.Tenant, r.Err)
+				}
+			}
+			if got := s.inj.Snapshot().Total(); got == 0 {
+				t.Fatal("chaos run injected no faults")
+			}
+			if v := s.World().Mon.Audit(); len(v) != 0 {
+				t.Fatalf("monitor audit violations: %v", v)
+			}
+		})
 	}
 }
 
@@ -347,17 +351,47 @@ func TestServeFailedSessionRelaunchesCold(t *testing.T) {
 	}
 }
 
-// typedErr recognizes the typed failure vocabulary of the serving path.
+// typedErr reports whether a session failure is typed: its text ends with
+// the text of a typed sentinel it wraps, or it carries a monitor denial.
 func typedErr(msg string) bool {
-	for _, want := range []string{
-		"timeout", "worker terminated", "worker died", "secchan:",
-		"serve:", "harness:",
+	for _, sentinel := range []error{
+		secchan.ErrTimeout, secchan.ErrQueueFull, secchan.ErrCorruptFrame,
+		secchan.ErrReplay, ErrWorkerDead,
 	} {
-		if strings.Contains(msg, want) {
+		if strings.HasSuffix(msg, sentinel.Error()) {
 			return true
 		}
 	}
-	return false
+	return monitorDenial.MatchString(msg)
+}
+
+// monitorDenial matches the text of a monitor.ErrDenied.
+var monitorDenial = regexp.MustCompile(`monitor: \S+ denied: `)
+
+// TestTypedErrRejectsUntypedFailures: the fleets' typed-failure check
+// accepts each failure text the serving path builds around a sentinel or a
+// denial, and rejects failures that name no typed cause.
+func TestTypedErrRejectsUntypedFailures(t *testing.T) {
+	denial := &monitor.ErrDenied{Op: "abort-session", Reason: "sandbox 3 already holds client data"}
+	for _, c := range []struct {
+		err   error
+		typed bool
+	}{
+		{fmt.Errorf("serve: handshake failed after 8 attempts (last: %v): %w", secchan.ErrCorruptFrame, secchan.ErrTimeout), true},
+		{fmt.Errorf("serve: no reply after 64 rounds: %w", secchan.ErrTimeout), true},
+		{fmt.Errorf("serve: reply receive: %w", secchan.ErrReplay), true},
+		{fmt.Errorf("serve: worker died: %s: %w", "killed", ErrWorkerDead), true},
+		{fmt.Errorf("serve: request send: harness: send failed after 8 attempts: %w", secchan.ErrQueueFull), true},
+		{fmt.Errorf("serve: abort between attempts: %w", denial), true},
+		{checkReply([]byte{1, 2, 3, 9}, []byte{1, 2, 3, 4}, []byte{0}), false},
+		{checkReply([]byte{1}, []byte{1, 2}, []byte{0}), false},
+		{fmt.Errorf("serve: request send: %s", "client: handshake not finished"), false},
+		{fmt.Errorf("harness: timeout while waiting"), false},
+	} {
+		if got := typedErr(c.err.Error()); got != c.typed {
+			t.Errorf("typedErr(%q) = %v, want %v", c.err, got, c.typed)
+		}
+	}
 }
 
 // TestServeChaosFleet is the chaos suite on the default config — the
@@ -374,46 +408,49 @@ func TestServeChaosFleet(t *testing.T) {
 		seeds, tenants, sessions = 5, 16, 24
 	}
 	for seed := 1; seed <= seeds; seed++ {
-		plan := faultinject.Uniform(int64(seed), 0.05)
-		s, err := New(Config{
-			Tenants: tenants, Sessions: sessions, Seed: int64(seed), Chaos: &plan,
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+			t.Parallel()
+			plan := faultinject.Uniform(int64(seed), 0.05)
+			s, err := New(Config{
+				Tenants: tenants, Sessions: sessions, Seed: int64(seed), Chaos: &plan,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep, err := s.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.Completed+rep.Failed != sessions {
+				t.Fatalf("%d completed + %d failed != %d sessions",
+					rep.Completed, rep.Failed, sessions)
+			}
+			if len(rep.Results) != sessions {
+				t.Fatalf("%d results, want %d", len(rep.Results), sessions)
+			}
+			if rep.Forks != 0 {
+				t.Fatalf("default config forked %d workers", rep.Forks)
+			}
+			seen := make(map[int]bool, sessions)
+			for _, r := range rep.Results {
+				if seen[r.Tenant] {
+					t.Fatalf("tenant %d reported twice", r.Tenant)
+				}
+				seen[r.Tenant] = true
+				if r.Err == "" && r.ReplyBytes == 0 {
+					t.Fatalf("tenant %d neither failed nor replied", r.Tenant)
+				}
+				if r.Err != "" && !typedErr(r.Err) {
+					t.Fatalf("tenant %d failed untyped: %s", r.Tenant, r.Err)
+				}
+			}
+			if got := s.inj.Counters.Total(); got == 0 {
+				t.Fatal("chaos run injected no faults")
+			}
+			if vs := s.World().Mon.Audit(); len(vs) != 0 {
+				t.Fatalf("audit violations: %v", vs)
+			}
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		rep, err := s.Run()
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		if rep.Completed+rep.Failed != sessions {
-			t.Fatalf("seed %d: %d completed + %d failed != %d sessions",
-				seed, rep.Completed, rep.Failed, sessions)
-		}
-		if len(rep.Results) != sessions {
-			t.Fatalf("seed %d: %d results, want %d", seed, len(rep.Results), sessions)
-		}
-		if rep.Forks != 0 {
-			t.Fatalf("seed %d: default config forked %d workers", seed, rep.Forks)
-		}
-		seen := make(map[int]bool, sessions)
-		for _, r := range rep.Results {
-			if seen[r.Tenant] {
-				t.Fatalf("seed %d: tenant %d reported twice", seed, r.Tenant)
-			}
-			seen[r.Tenant] = true
-			if r.Err == "" && r.ReplyBytes == 0 {
-				t.Fatalf("seed %d: tenant %d neither failed nor replied", seed, r.Tenant)
-			}
-			if r.Err != "" && !typedErr(r.Err) {
-				t.Fatalf("seed %d: tenant %d failed untyped: %s", seed, r.Tenant, r.Err)
-			}
-		}
-		if got := s.inj.Counters.Total(); got == 0 {
-			t.Fatalf("seed %d: chaos run injected no faults", seed)
-		}
-		if vs := s.World().Mon.Audit(); len(vs) != 0 {
-			t.Fatalf("seed %d: audit violations: %v", seed, vs)
-		}
 	}
 }
 

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -319,31 +320,34 @@ func TestWatchdogChaosFleet(t *testing.T) {
 		seeds = 5
 	}
 	for seed := 1; seed <= seeds; seed++ {
-		plan := faultinject.Uniform(int64(seed), 0.05)
-		s, err := New(Config{
-			Tenants: tenants, Sessions: sessions, Seed: int64(seed), Chaos: &plan,
-			ForkPool: true, Watchdog: true, WatchdogEvery: 500_000,
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+			t.Parallel()
+			plan := faultinject.Uniform(int64(seed), 0.05)
+			s, err := New(Config{
+				Tenants: tenants, Sessions: sessions, Seed: int64(seed), Chaos: &plan,
+				ForkPool: true, Watchdog: true, WatchdogEvery: 500_000,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep, err := s.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.Completed+rep.Failed != sessions {
+				t.Fatalf("%d+%d sessions accounted, want %d",
+					rep.Completed, rep.Failed, sessions)
+			}
+			mon := s.World().Mon
+			if mon.WatchdogSweeps() == 0 {
+				t.Fatal("watchdog never swept")
+			}
+			if n := mon.WatchdogNonInjected(); n != 0 {
+				var buf bytes.Buffer
+				_ = mon.ExportWatchdogJSONL(&buf)
+				t.Fatalf("%d non-injected invariant violations:\n%s", n, buf.String())
+			}
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		rep, err := s.Run()
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		if rep.Completed+rep.Failed != sessions {
-			t.Fatalf("seed %d: %d+%d sessions accounted, want %d",
-				seed, rep.Completed, rep.Failed, sessions)
-		}
-		mon := s.World().Mon
-		if mon.WatchdogSweeps() == 0 {
-			t.Fatalf("seed %d: watchdog never swept", seed)
-		}
-		if n := mon.WatchdogNonInjected(); n != 0 {
-			var buf bytes.Buffer
-			_ = mon.ExportWatchdogJSONL(&buf)
-			t.Fatalf("seed %d: %d non-injected invariant violations:\n%s", seed, n, buf.String())
-		}
 	}
 }
 

@@ -5,21 +5,11 @@ import (
 	"testing"
 )
 
-// The public resilient path: a platform tuned with an explicit RetryConfig
-// and bounded relay queues, driven end to end through SendWithRetry and
-// RecvWait instead of the fire-and-forget Send/Recv pair.
+// The public resilient path: a platform with bounded relay queues, driven
+// end to end through SendWithRetry and RecvWait instead of the
+// fire-and-forget Send/Recv pair.
 func TestPublicAPIResilientPath(t *testing.T) {
-	p, err := NewPlatform(PlatformConfig{
-		MemMB: 96,
-		Retry: RetryConfig{
-			MaxAttempts:       4,
-			BackoffBaseCycles: 500,
-			BackoffFactor:     2,
-			RecvRounds:        48,
-			RetransmitEvery:   4,
-		},
-		ChannelQueueCap: 64,
-	})
+	p, err := NewPlatform(PlatformConfig{MemMB: 96, ChannelQueueCap: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
