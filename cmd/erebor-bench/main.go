@@ -13,6 +13,7 @@
 //	erebor-bench -exp phases        # per-tenant session-phase cycle breakdown
 //	erebor-bench -exp egress        # deny-by-default egress enforcement under chaos
 //	erebor-bench -exp fork          # snapshot/fork turnaround: cold vs CoW fork
+//	erebor-bench -exp ablations     # design-choice ablations (EMC vs tdcall, batched MMU, #INT gate, padding)
 //
 // -scale grows the workloads (1 = quick, 4 = closer to paper proportions).
 package main
@@ -42,9 +43,9 @@ import (
 var traceBench bool
 
 func main() {
-	exp := flag.String("exp", "all", "experiment: table3|table4|fig8|fig9|table6|fig10|memshare|serve|phases|egress|pagefault|fork|all")
+	exp := flag.String("exp", "all", "experiment: table3|table4|fig8|fig9|table6|fig10|memshare|serve|phases|egress|pagefault|fork|ablations|all")
 	scale := flag.Int("scale", 1, "workload scale factor (1 = quick)")
-	vcpus := flag.Int("vcpus", 1, "simulated vCPUs for the serve fleet-size sweep (the vCPU sweep always runs P∈{1,2,4})")
+	vcpus := flag.Int("vcpus", 1, "simulated vCPUs for the serve fork/cold comparison (the vCPU sweep always runs P∈{1,2,4})")
 	flag.BoolVar(&traceBench, "trace", false,
 		"attach the flight recorder to scenario runs and print p50/p99 span summaries as JSON")
 	jsonPath := flag.String("json", "", "write the experiment's machine-readable result (BenchResult JSON) to this file (- for stdout; needs a single -exp)")
@@ -143,20 +144,27 @@ func ablations() error {
 	}
 	fmt.Printf("EMC vs hypercall monitor:  PTE update via EMC %d cycles, via tdcall %d cycles (%.2fx)\n",
 		a.PTEUpdateEMC, a.PTEUpdateTDCall, float64(a.PTEUpdateTDCall)/float64(a.PTEUpdateEMC))
+	record("ablations/pte_update/emc_cycles", float64(a.PTEUpdateEMC), "lower")
+	record("ablations/pte_update/tdcall_cycles", float64(a.PTEUpdateTDCall), "lower")
 	bm, err := harness.MeasureAblationBatchedMMU()
 	if err != nil {
 		return err
 	}
 	fmt.Printf("Batched MMU updates:       fork %d -> %d cycles (%.2fx speedup)\n",
 		bm.ForkUnbatched, bm.ForkBatched, bm.Speedup)
+	record("ablations/batched_mmu/unbatched_fork_cycles", float64(bm.ForkUnbatched), "lower")
+	record("ablations/batched_mmu/batched_fork_cycles", float64(bm.ForkBatched), "lower")
 	plain, pre, err := harness.MeasureAblationInterruptGate()
 	if err != nil {
 		return err
 	}
 	fmt.Printf("#INT gate under preemption: EMC %d -> %d cycles (+%d)\n", plain, pre, pre-plain)
+	record("ablations/int_gate/plain_cycles", float64(plain), "lower")
+	record("ablations/int_gate/preempted_cycles", float64(pre), "lower")
 	for _, p := range harness.MeasureAblationPadding(300) {
 		fmt.Printf("Output padding block %5d: wire %5d bytes for 300-byte result (%.2fx)\n",
 			p.Block, p.WireBytes, p.Expansion)
+		record(fmt.Sprintf("ablations/padding/block=%d/wire_bytes", p.Block), float64(p.WireBytes), "exact")
 	}
 	return nil
 }
@@ -195,6 +203,9 @@ func fig8() error {
 	for _, r := range rows {
 		fmt.Printf("%-10s %10d %10d %8.1f%% %8.1f %7.2fM\n",
 			r.Name, r.NativeCycles, r.EreborCycles, r.Overhead*100, r.EMCPerOp, r.EMCPerSecond/1e6)
+		record("fig8/"+r.Name+"/native_cycles_per_op", float64(r.NativeCycles), "lower")
+		record("fig8/"+r.Name+"/erebor_cycles_per_op", float64(r.EreborCycles), "lower")
+		record("fig8/"+r.Name+"/emcs_per_op", r.EMCPerOp, "exact")
 	}
 	return nil
 }
@@ -308,39 +319,34 @@ func memshare(scale int) error {
 	return nil
 }
 
-// serveBench sweeps the multi-tenant serving path over fleet sizes,
-// comparing copy-on-write forks from a snapshot template against cold
-// per-session sandbox creation, on vcpus simulated cores. Runs are
-// deterministic: the same (seed, vcpus) reproduces the same report bytes.
+// serveBench compares copy-on-write forks from a snapshot template against
+// cold per-session sandbox creation on an 8-tenant fleet, on vcpus
+// simulated cores, then runs the vCPU sweep. Runs are deterministic: the
+// same (seed, vcpus) reproduces the same report bytes.
 func serveBench(scale, vcpus int) error {
+	const n = 8
+	sessions := 2 * n * scale
 	fmt.Printf("%-8s %-5s %10s %14s %12s %9s      (multi-tenant serving, fork pool vs cold create, %d vCPU)\n",
 		"tenants", "mode", "sessions", "cycles/sess", "sessions/s", "forks", vcpus)
-	for _, n := range []int{1, 8, 64, 256} {
-		sessions := 2 * n * scale
-		memMB := uint64(256)
-		if n >= 64 {
-			memMB = uint64(256 + n*4)
+	for _, fork := range []bool{true, false} {
+		rep, err := serve.Run(serve.Config{
+			Tenants: n, Sessions: sessions, Seed: 1, MemMB: 256, ForkPool: fork, VCPUs: vcpus,
+		})
+		if err != nil {
+			return err
 		}
-		for _, fork := range []bool{true, false} {
-			rep, err := serve.Run(serve.Config{
-				Tenants: n, Sessions: sessions, Seed: 1, MemMB: memMB, ForkPool: fork, VCPUs: vcpus,
-			})
-			if err != nil {
-				return err
-			}
-			mode := "cold"
-			if fork {
-				mode = "fork"
-			}
-			if rep.Completed != sessions {
-				return fmt.Errorf("serve n=%d %s: %d/%d sessions completed (%d failed)",
-					n, mode, rep.Completed, sessions, rep.Failed)
-			}
-			fmt.Printf("%-8d %-5s %10d %14d %12.1f %9d\n",
-				n, mode, rep.Completed, rep.CyclesPerSession, rep.SessionsPerSec, rep.Forks)
-			record(fmt.Sprintf("serve/n=%d/%s/cycles_per_session", n, mode), float64(rep.CyclesPerSession), "lower")
-			record(fmt.Sprintf("serve/n=%d/%s/completed", n, mode), float64(rep.Completed), "exact")
+		mode := "cold"
+		if fork {
+			mode = "fork"
 		}
+		if rep.Completed != sessions {
+			return fmt.Errorf("serve n=%d %s: %d/%d sessions completed (%d failed)",
+				n, mode, rep.Completed, sessions, rep.Failed)
+		}
+		fmt.Printf("%-8d %-5s %10d %14d %12.1f %9d\n",
+			n, mode, rep.Completed, rep.CyclesPerSession, rep.SessionsPerSec, rep.Forks)
+		record(fmt.Sprintf("serve/n=%d/%s/cycles_per_session", n, mode), float64(rep.CyclesPerSession), "lower")
+		record(fmt.Sprintf("serve/n=%d/%s/completed", n, mode), float64(rep.Completed), "exact")
 	}
 	return serveVCPUSweep(scale)
 }
