@@ -43,29 +43,24 @@ func (as *AddrSpace) Translate(va paging.Addr) (mem.Frame, bool) {
 // natively (direct instructions) and under Erebor (EMC delegation).
 type privOps interface {
 	CreateAS(c *cpu.Core, owner mem.Owner) (*AddrSpace, error)
-	DestroyAS(c *cpu.Core, as *AddrSpace) error
-	Map(c *cpu.Core, as *AddrSpace, va paging.Addr, f mem.Frame, w, x bool) error
-	MapBatch(c *cpu.Core, as *AddrSpace, reqs []monitor.MapReq) error
-	Unmap(c *cpu.Core, as *AddrSpace, va paging.Addr) error
-	Protect(c *cpu.Core, as *AddrSpace, va paging.Addr, w, x bool) error
+	// Submit is the one way the kernel changes a user mapping. It applies
+	// reqs to as in order and returns n: reqs[:n] are applied and stay
+	// applied, and err is why reqs[n] was not. An empty list changes
+	// nothing. Only the Erebor backend picks how the requests reach the
+	// monitor: the submission ring, one batch EMC or one EMC per request.
+	Submit(c *cpu.Core, as *AddrSpace, reqs []monitor.RingReq) (n int, err error)
 	SwitchTo(c *cpu.Core, as *AddrSpace) error
 	UserCopy(c *cpu.Core, as *AddrSpace, dir monitor.CopyDir, va uint64, buf []byte) error
 	MapGPA(c *cpu.Core, f mem.Frame, toShared bool) error
 	VMCall(c *cpu.Core, sub uint64, args []uint64, frames []mem.Frame, payload []byte) ([]uint64, error)
 	WriteMSR(c *cpu.Core, idx uint32, val uint64) error
+}
 
-	// RingActive reports whether the async MMU submission-ring path is on
-	// (Erebor with Monitor.RingMMU; always false natively — native PTE
-	// writes are already cheap, there is no crossing to amortize).
-	RingActive() bool
-	// RingEnqueue queues one MMU request on as's submission ring, draining
-	// first if the ring is full. Only valid while RingActive().
-	RingEnqueue(c *cpu.Core, as *AddrSpace, req monitor.RingReq) error
-	// RingDrain asks the monitor to consume as's queued requests under one
-	// gate crossing. If the batched drain is refused, the requests are
-	// replayed through the synchronous EMCs (per-op errors surface to the
-	// caller exactly as on the non-ring path). No-op on an empty ring.
-	RingDrain(c *cpu.Core, as *AddrSpace) error
+// submit hands reqs, built on the kernel's scratch, to the backend in one
+// call and keeps their storage as the scratch for the next list.
+func (k *Kernel) submit(c *cpu.Core, as *AddrSpace, reqs []monitor.RingReq) (int, error) {
+	k.reqs = reqs
+	return k.priv.Submit(c, as, reqs)
 }
 
 // --- native implementation ----------------------------------------------------
@@ -119,64 +114,41 @@ func (np *nativePriv) CreateAS(c *cpu.Core, owner mem.Owner) (*AddrSpace, error)
 	return &AddrSpace{root: t.Root, owner: owner, tables: t}, nil
 }
 
-func (np *nativePriv) DestroyAS(c *cpu.Core, as *AddrSpace) error { return nil }
-
-// shootIfChanged invalidates a replaced translation on every core. Native
-// kernels are responsible for their own TLB coherence; first-time installs
-// and identical rewrites need no shootdown.
+// shootIfChanged invalidates a replaced or cleared translation on every
+// core. Native kernels are responsible for their own TLB coherence;
+// first-time installs and identical rewrites need no shootdown.
 func (np *nativePriv) shootIfChanged(c *cpu.Core, as *AddrSpace, va paging.Addr, prev, next paging.PTE) {
 	if prev.Is(paging.Present) && prev != next {
 		np.k.M.Shootdown(c, as.tables.Root, paging.PageBase(va))
 	}
 }
 
-func (np *nativePriv) Map(c *cpu.Core, as *AddrSpace, va paging.Addr, f mem.Frame, w, x bool) error {
-	leaf := paging.UserLeaf(f, w, x)
-	// A missed lookup returns no present entry, so prev tells alone
-	// whether a translation is being replaced.
-	prev, _, _ := as.tables.Lookup(paging.PageBase(va))
-	if err := as.tables.Map(va, leaf); err != nil {
-		return err
-	}
-	np.shootIfChanged(c, as, va, prev, leaf)
-	return nil
-}
-
-func (np *nativePriv) MapBatch(c *cpu.Core, as *AddrSpace, reqs []monitor.MapReq) error {
-	for _, r := range reqs {
-		if err := np.Map(c, as, r.VA, r.Frame, r.Flags.Writable, r.Flags.Exec); err != nil {
-			return err
+// Submit writes each request's leaf directly and shoots down what it
+// replaced. A native kernel has no reclaim rule of its own, so a reclaim
+// is an unmap.
+func (np *nativePriv) Submit(c *cpu.Core, as *AddrSpace, reqs []monitor.RingReq) (int, error) {
+	for i, r := range reqs {
+		// A missed lookup returns no present entry, so prev tells alone
+		// whether a translation is being replaced.
+		prev, _, _ := as.tables.Lookup(paging.PageBase(r.VA))
+		var next paging.PTE
+		var err error
+		switch r.Op {
+		case monitor.OpMap:
+			next = paging.UserLeaf(r.Frame, r.Flags.Writable, r.Flags.Exec)
+			err = as.tables.Map(r.VA, next)
+		case monitor.OpUnmap, monitor.OpReclaim:
+			err = as.tables.Unmap(r.VA)
+		case monitor.OpProtect:
+			next = paging.UserLeaf(prev.Frame(), r.Flags.Writable, r.Flags.Exec)
+			err = as.tables.Update(r.VA, func(paging.PTE) paging.PTE { return next })
 		}
+		if err != nil {
+			return i, err
+		}
+		np.shootIfChanged(c, as, r.VA, prev, next)
 	}
-	return nil
-}
-
-func (np *nativePriv) Unmap(c *cpu.Core, as *AddrSpace, va paging.Addr) error {
-	base := paging.PageBase(va)
-	prev, _, _ := as.tables.Lookup(base)
-	if err := as.tables.Unmap(va); err != nil {
-		return err
-	}
-	if prev.Is(paging.Present) {
-		np.k.M.Shootdown(c, as.tables.Root, base)
-	}
-	return nil
-}
-
-func (np *nativePriv) Protect(c *cpu.Core, as *AddrSpace, va paging.Addr, w, x bool) error {
-	var changed bool
-	err := as.tables.Update(va, func(e paging.PTE) paging.PTE {
-		ne := paging.UserLeaf(e.Frame(), w, x)
-		changed = ne != e
-		return ne
-	})
-	if err != nil {
-		return err
-	}
-	if changed {
-		np.k.M.Shootdown(c, as.tables.Root, paging.PageBase(va))
-	}
-	return nil
+	return len(reqs), nil
 }
 
 func (np *nativePriv) SwitchTo(c *cpu.Core, as *AddrSpace) error {
@@ -258,19 +230,13 @@ func (np *nativePriv) WriteMSR(c *cpu.Core, idx uint32, val uint64) error {
 	return nil
 }
 
-func (np *nativePriv) RingActive() bool { return false }
-
-func (np *nativePriv) RingEnqueue(c *cpu.Core, as *AddrSpace, req monitor.RingReq) error {
-	return fmt.Errorf("kernel: submission ring unavailable in native mode")
-}
-
-func (np *nativePriv) RingDrain(c *cpu.Core, as *AddrSpace) error { return nil }
-
 // --- Erebor implementation -----------------------------------------------------
 
 type ereborPriv struct {
 	k   *Kernel
 	mon *monitor.Monitor
+	// batch is Submit's scratch for EMCMapUserBatch's request list.
+	batch []monitor.MapReq
 }
 
 func (ep *ereborPriv) CreateAS(c *cpu.Core, owner mem.Owner) (*AddrSpace, error) {
@@ -285,32 +251,91 @@ func (ep *ereborPriv) CreateAS(c *cpu.Core, owner mem.Owner) (*AddrSpace, error)
 	}, nil
 }
 
-func (ep *ereborPriv) DestroyAS(c *cpu.Core, as *AddrSpace) error {
-	return ep.mon.EMCDestroyAS(c, as.ASID)
-}
-
-func (ep *ereborPriv) Map(c *cpu.Core, as *AddrSpace, va paging.Addr, f mem.Frame, w, x bool) error {
-	return ep.mon.EMCMapUser(c, as.ASID, va, f, monitor.MapFlags{Writable: w, Exec: x})
-}
-
-func (ep *ereborPriv) MapBatch(c *cpu.Core, as *AddrSpace, reqs []monitor.MapReq) error {
-	if ep.mon.BatchMMU {
-		return ep.mon.EMCMapUserBatch(c, as.ASID, reqs)
+// Submit picks the strategy from the monitor's switches: the submission
+// ring when RingMMU is on; one batch EMC when BatchMMU is on and every
+// request is a map; otherwise one EMC per request.
+func (ep *ereborPriv) Submit(c *cpu.Core, as *AddrSpace, reqs []monitor.RingReq) (int, error) {
+	if len(reqs) == 0 {
+		return 0, nil
 	}
-	for _, r := range reqs {
-		if err := ep.mon.EMCMapUser(c, as.ASID, r.VA, r.Frame, r.Flags); err != nil {
-			return err
+	if ep.mon.RingMMU {
+		return ep.submitRing(c, as, reqs)
+	}
+	if ep.mon.BatchMMU {
+		ep.batch = ep.batch[:0]
+		for _, r := range reqs {
+			if r.Op != monitor.OpMap {
+				break
+			}
+			ep.batch = append(ep.batch, monitor.MapReq{VA: r.VA, Frame: r.Frame, Flags: r.Flags})
+		}
+		if len(ep.batch) == len(reqs) {
+			// One MMU transaction: a refused batch applied nothing.
+			if err := ep.mon.EMCMapUserBatch(c, as.ASID, ep.batch); err != nil {
+				return 0, err
+			}
+			return len(reqs), nil
 		}
 	}
-	return nil
+	return ep.each(c, as, reqs)
 }
 
-func (ep *ereborPriv) Unmap(c *cpu.Core, as *AddrSpace, va paging.Addr) error {
-	return ep.mon.EMCUnmapUser(c, as.ASID, va)
+// each makes one EMC per request, in order, and stops at the first
+// refusal.
+func (ep *ereborPriv) each(c *cpu.Core, as *AddrSpace, reqs []monitor.RingReq) (int, error) {
+	for i, r := range reqs {
+		var err error
+		switch r.Op {
+		case monitor.OpMap:
+			err = ep.mon.EMCMapUser(c, as.ASID, r.VA, r.Frame, r.Flags)
+		case monitor.OpUnmap:
+			err = ep.mon.EMCUnmapUser(c, as.ASID, r.VA)
+		case monitor.OpProtect:
+			err = ep.mon.EMCProtectUser(c, as.ASID, r.VA, r.Flags)
+		case monitor.OpReclaim:
+			err = ep.mon.EMCReclaimUser(c, as.ASID, r.VA)
+		}
+		if err != nil {
+			return i, err
+		}
+	}
+	return len(reqs), nil
 }
 
-func (ep *ereborPriv) Protect(c *cpu.Core, as *AddrSpace, va paging.Addr, w, x bool) error {
-	return ep.mon.EMCProtectUser(c, as.ASID, va, monitor.MapFlags{Writable: w, Exec: x})
+// submitRing queues reqs on as's submission ring, draining whenever the
+// ring is full and once at the end, so a whole list commits under one
+// gate crossing per ring's worth of requests.
+func (ep *ereborPriv) submitRing(c *cpu.Core, as *AddrSpace, reqs []monitor.RingReq) (int, error) {
+	if as.ring == nil {
+		as.ring = monitor.NewSubmitRing(as.ASID, monitor.DefaultRingEntries)
+	}
+	base := 0 // reqs[base:i] are queued on the ring
+	for i, r := range reqs {
+		if as.ring.Len() >= as.ring.Cap() {
+			if n, err := ep.drain(c, as, reqs[base:i]); err != nil {
+				return base + n, err
+			}
+			base = i
+		}
+		// One enqueue: write the request into the shared ring, bump the head.
+		ep.k.M.Clock.ChargeFrame("kernel/ring/submit", costs.EreborRingSubmit)
+		as.ring.Push(r)
+	}
+	n, err := ep.drain(c, as, reqs[base:])
+	return base + n, err
+}
+
+// drain asks the monitor to consume as's ring, which holds queued, under
+// one gate crossing. A refused drain (validation reject or commit rollback)
+// left the address space as it was; queued is then replayed through the
+// per-request EMCs, so each request's refusal surfaces as it would have
+// without the ring.
+func (ep *ereborPriv) drain(c *cpu.Core, as *AddrSpace, queued []monitor.RingReq) (int, error) {
+	if err := ep.mon.EMCRingDrain(c, as.ring); err == nil {
+		return len(queued), nil
+	}
+	as.ring.Reset()
+	return ep.each(c, as, queued)
 }
 
 func (ep *ereborPriv) SwitchTo(c *cpu.Core, as *AddrSpace) error {
@@ -334,60 +359,6 @@ func (ep *ereborPriv) VMCall(c *cpu.Core, sub uint64, args []uint64, frames []me
 
 func (ep *ereborPriv) WriteMSR(c *cpu.Core, idx uint32, val uint64) error {
 	return ep.mon.EMCWriteMSR(c, idx, val)
-}
-
-func (ep *ereborPriv) RingActive() bool { return ep.mon.RingMMU }
-
-func (ep *ereborPriv) RingEnqueue(c *cpu.Core, as *AddrSpace, req monitor.RingReq) error {
-	if !ep.mon.RingMMU {
-		return fmt.Errorf("kernel: submission ring disabled")
-	}
-	if as.ring == nil {
-		as.ring = monitor.NewSubmitRing(as.ASID, monitor.DefaultRingEntries)
-	}
-	if as.ring.Len() >= as.ring.Cap() {
-		if err := ep.RingDrain(c, as); err != nil {
-			return err
-		}
-	}
-	// One enqueue: write the request into the shared ring, bump the head.
-	ep.k.M.Clock.ChargeFrame("kernel/ring/submit", costs.EreborRingSubmit)
-	if !as.ring.Push(req) {
-		return fmt.Errorf("kernel: submission ring full after drain")
-	}
-	return nil
-}
-
-func (ep *ereborPriv) RingDrain(c *cpu.Core, as *AddrSpace) error {
-	if as.ring == nil || as.ring.Len() == 0 {
-		return nil
-	}
-	if err := ep.mon.EMCRingDrain(c, as.ring); err == nil {
-		return nil
-	}
-	// The batched drain was refused (validation reject or commit rollback —
-	// either way the monitor left the address space consistent). Replay the
-	// entries through the synchronous EMCs so per-op errors surface exactly
-	// as they would have without the ring.
-	pending := as.ring.Pending()
-	as.ring.Reset()
-	for _, r := range pending {
-		var err error
-		switch r.Op {
-		case monitor.OpMap:
-			err = ep.mon.EMCMapUser(c, as.ASID, r.VA, r.Frame, r.Flags)
-		case monitor.OpUnmap:
-			err = ep.mon.EMCUnmapUser(c, as.ASID, r.VA)
-		case monitor.OpProtect:
-			err = ep.mon.EMCProtectUser(c, as.ASID, r.VA, r.Flags)
-		case monitor.OpReclaim:
-			err = ep.mon.EMCReclaimUser(c, as.ASID, r.VA)
-		}
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 func b64(b bool) uint64 {

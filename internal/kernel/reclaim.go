@@ -3,6 +3,7 @@ package kernel
 import (
 	"github.com/asterisc-release/erebor-go/internal/cpu"
 	"github.com/asterisc-release/erebor-go/internal/mem"
+	"github.com/asterisc-release/erebor-go/internal/monitor"
 	"github.com/asterisc-release/erebor-go/internal/paging"
 )
 
@@ -51,10 +52,11 @@ func (k *Kernel) reclaimTick(c *cpu.Core) {
 			if r.cursor >= r.end {
 				r.cursor = r.start
 			}
-			if _, ok := r.p.AS.Translate(va); !ok {
+			f, ok := r.p.AS.Translate(va)
+			if !ok {
 				continue
 			}
-			if k.evictPage(c, r.p, va) {
+			if k.evictPage(c, r.p, va, f) {
 				evicted++
 			}
 			break
@@ -62,20 +64,21 @@ func (k *Kernel) reclaimTick(c *cpu.Core) {
 	}
 }
 
-// evictPage unmaps one evictable page, freeing its frame when the kernel
-// owns it (common-region frames stay allocated — the monitor keeps the
-// data; only the mapping goes away, exactly like the shm backend).
-func (k *Kernel) evictPage(c *cpu.Core, p *Proc, va paging.Addr) bool {
-	if p.Sandbox != 0 && k.Mode == ModeErebor {
-		return k.Mon.EMCReclaimUser(c, p.AS.ASID, va) == nil
+// evictPage drops the mapping of one evictable page at va, backed by f. A
+// sandbox's page goes through a reclaim, which the monitor permits only
+// for unpinned common pages; its frame stays allocated (the monitor keeps
+// the data, only the mapping goes away, exactly like the shm backend). Any
+// other page is unmapped and f freed.
+func (k *Kernel) evictPage(c *cpu.Core, p *Proc, va paging.Addr, f mem.Frame) bool {
+	op := monitor.OpUnmap
+	if p.Sandbox != 0 {
+		op = monitor.OpReclaim
 	}
-	f, ok := p.AS.Translate(va)
-	if !ok {
+	if _, err := k.submit(c, p.AS, append(k.reqs[:0], monitor.RingReq{Op: op, VA: va})); err != nil {
 		return false
 	}
-	if err := k.priv.Unmap(c, p.AS, va); err != nil {
-		return false
+	if op == monitor.OpUnmap {
+		_ = k.M.Phys.Free(f)
 	}
-	_ = k.M.Phys.Free(f)
 	return true
 }

@@ -539,40 +539,21 @@ func (k *Kernel) handlePageFault(c *cpu.Core, tr *cpu.Trap, cur *Task) {
 			k.M.Clock.Charge(costs.Copy(n))
 		}
 	}
-	if k.priv.RingActive() {
-		// Ring path: the install and its PTE bookkeeping ride the submission
-		// ring and drain under ONE gate crossing instead of two. The drain
-		// happens before iret — the faulting access retries immediately, so
-		// the mapping must be live when the handler returns.
-		err := k.priv.RingEnqueue(c, cur.P.AS, monitor.RingReq{
-			Op: monitor.OpMap, VA: va, Frame: f,
-			Flags: monitor.MapFlags{Writable: vma.Writable, Exec: vma.Exec},
-		})
-		if err == nil {
-			err = k.priv.RingEnqueue(c, cur.P.AS, monitor.RingReq{
-				Op: monitor.OpProtect, VA: va,
-				Flags: monitor.MapFlags{Writable: vma.Writable, Exec: vma.Exec},
-			})
-		}
-		if err == nil {
-			err = k.priv.RingDrain(c, cur.P.AS)
-		}
-		if err != nil {
-			_ = k.M.Phys.Free(f)
-			cur.exitLocked(139, "mapping denied: "+err.Error())
-		}
-		return
-	}
-	if err := k.priv.Map(c, cur.P.AS, va, f, vma.Writable, vma.Exec); err != nil {
+	// The install and its PTE bookkeeping (accessed/dirty, LRU) are two PTE
+	// updates: trivial natively, and under Erebor a second EMC round unless
+	// the ring drains both at once, which is why the paper observes ~3.3
+	// EMCs per context switch in fault-heavy runs (§9.1). The mapping is
+	// live when the handler returns: the faulting access retries at once.
+	flags := monitor.MapFlags{Writable: vma.Writable, Exec: vma.Exec}
+	reqs := append(k.reqs[:0],
+		monitor.RingReq{Op: monitor.OpMap, VA: va, Frame: f, Flags: flags},
+		monitor.RingReq{Op: monitor.OpProtect, VA: va, Flags: flags})
+	switch n, err := k.submit(c, cur.P.AS, reqs); {
+	case err == nil:
+	case n == 0:
 		_ = k.M.Phys.Free(f)
 		cur.exitLocked(139, "mapping denied: "+err.Error())
-		return
-	}
-	// PTE bookkeeping after install (accessed/dirty, LRU): a second PTE
-	// update — trivial natively, a second EMC round under Erebor, which is
-	// why the paper observes ~3.3 EMCs per context switch in fault-heavy
-	// runs (§9.1).
-	if err := k.priv.Protect(c, cur.P.AS, va, vma.Writable, vma.Exec); err != nil {
+	default:
 		cur.exitLocked(139, "pte update denied: "+err.Error())
 	}
 }

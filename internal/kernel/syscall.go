@@ -223,37 +223,20 @@ func (k *Kernel) sysMunmap(c *cpu.Core, t *Task, va paging.Addr, n uint64) uint6
 	kept := t.P.VMAs[:0]
 	for _, v := range t.P.VMAs {
 		if v.Start >= va && v.End <= end {
-			if k.priv.RingActive() {
-				// Ring path: every present page's unmap rides one drain —
-				// one gate crossing and one coalesced shootdown for the
-				// whole region instead of one round trip per page. Frames
-				// are freed only after the drain commits: until the flush
-				// lands, a stale TLB entry could still reach them.
-				freed := make([]mem.Frame, 0, (v.End-v.Start)/mem.PageSize)
-				ok := true
-				for p := v.Start; p < v.End; p += mem.PageSize {
-					if f, present := t.P.AS.Translate(p); present {
-						if err := k.priv.RingEnqueue(c, t.P.AS, monitor.RingReq{Op: monitor.OpUnmap, VA: p}); err != nil {
-							ok = false
-							break
-						}
-						freed = append(freed, f)
-					}
-				}
-				if ok && k.priv.RingDrain(c, t.P.AS) == nil {
-					for _, f := range freed {
-						_ = k.M.Phys.Free(f)
-					}
-				}
-				continue
-			}
-			// Unmap and free present pages.
+			// One list per VMA: its present pages' unmaps. A frame is freed
+			// only once its unmap applied: until the flush lands, a stale
+			// TLB entry could still reach it.
+			reqs, frames := k.reqs[:0], k.frames[:0]
 			for p := v.Start; p < v.End; p += mem.PageSize {
 				if f, ok := t.P.AS.Translate(p); ok {
-					if err := k.priv.Unmap(c, t.P.AS, p); err == nil {
-						_ = k.M.Phys.Free(f)
-					}
+					reqs = append(reqs, monitor.RingReq{Op: monitor.OpUnmap, VA: p})
+					frames = append(frames, f)
 				}
+			}
+			k.frames = frames
+			n, _ := k.submit(c, t.P.AS, reqs)
+			for _, f := range frames[:n] {
+				_ = k.M.Phys.Free(f)
 			}
 			continue
 		}
@@ -268,28 +251,15 @@ func (k *Kernel) sysMprotect(c *cpu.Core, t *Task, va paging.Addr, n uint64, w, 
 	for _, v := range t.P.VMAs {
 		if va >= v.Start && end <= v.End {
 			v.Writable, v.Exec = w, x
-			if k.priv.RingActive() {
-				// Ring path: all permission flips for the range commit under
-				// one drain, with shootdowns coalesced across pages.
-				for p := paging.PageBase(va); p < end; p += mem.PageSize {
-					if _, ok := t.P.AS.Translate(p); ok {
-						req := monitor.RingReq{Op: monitor.OpProtect, VA: p, Flags: monitor.MapFlags{Writable: w, Exec: x}}
-						if err := k.priv.RingEnqueue(c, t.P.AS, req); err != nil {
-							return abi.Errno(abi.EPERMNo)
-						}
-					}
-				}
-				if err := k.priv.RingDrain(c, t.P.AS); err != nil {
-					return abi.Errno(abi.EPERMNo)
-				}
-				return 0
-			}
+			flags := monitor.MapFlags{Writable: w, Exec: x}
+			reqs := k.reqs[:0]
 			for p := paging.PageBase(va); p < end; p += mem.PageSize {
 				if _, ok := t.P.AS.Translate(p); ok {
-					if err := k.priv.Protect(c, t.P.AS, p, w, x); err != nil {
-						return abi.Errno(abi.EPERMNo)
-					}
+					reqs = append(reqs, monitor.RingReq{Op: monitor.OpProtect, VA: p, Flags: flags})
 				}
+			}
+			if _, err := k.submit(c, t.P.AS, reqs); err != nil {
+				return abi.Errno(abi.EPERMNo)
 			}
 			return 0
 		}
@@ -378,7 +348,7 @@ func (k *Kernel) sysFork(c *cpu.Core, t *Task) uint64 {
 	// Copy VMAs and eagerly duplicate every present page: address-space
 	// duplication is the MMU-heavy part of fork the paper's lmbench run
 	// stresses (§9.1).
-	var batch []monitor.MapReq
+	reqs := k.reqs[:0]
 	for _, v := range t.P.VMAs {
 		child.VMAs = append(child.VMAs, &VMA{Start: v.Start, End: v.End, Writable: v.Writable, Exec: v.Exec})
 		for p := v.Start; p < v.End; p += mem.PageSize {
@@ -394,13 +364,13 @@ func (k *Kernel) sysFork(c *cpu.Core, t *Task) uint64 {
 			db, _ := k.M.Phys.Bytes(dst)
 			copy(db, sb)
 			k.M.Clock.Charge(costs.Copy(mem.PageSize))
-			batch = append(batch, monitor.MapReq{
-				VA: p, Frame: dst,
+			reqs = append(reqs, monitor.RingReq{
+				Op: monitor.OpMap, VA: p, Frame: dst,
 				Flags: monitor.MapFlags{Writable: v.Writable, Exec: v.Exec},
 			})
 		}
 	}
-	if err := k.priv.MapBatch(c, as, batch); err != nil {
+	if _, err := k.submit(c, as, reqs); err != nil {
 		return abi.Errno(abi.ENOMEMNo)
 	}
 	ct := k.addTask(t.Name+"-child", t.Pid, child, fn)

@@ -84,7 +84,7 @@ func (r *SubmitRing) Push(req RingReq) bool {
 	return true
 }
 
-// Pending returns a copy of the queued entries (kernel fallback path).
+// Pending returns a copy of the queued entries.
 func (r *SubmitRing) Pending() []RingReq {
 	out := make([]RingReq, len(r.reqs))
 	copy(out, r.reqs)
