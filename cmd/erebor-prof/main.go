@@ -77,7 +77,7 @@ func main() {
 	modelKB := flag.Int("model", 64, "shared model size in KiB")
 	forkpool := flag.Bool("forkpool", false, "serve from copy-on-write forks of a snapshot template (default: cold-boot every sandbox)")
 	ring := flag.Bool("ring", false, "with -exp pagefault: route MMU requests through the async EMC submission ring")
-	chaos := flag.Float64("chaos", 0, "per-class fault rate on the untrusted hop (0 disables)")
+	chaos := flag.Float64("chaos", 0, "per-class fault rate on the untrusted hop (0 disables; at most 1/6, as the six classes' rates sum to at most 1)")
 	chaosSeed := flag.Int64("chaos-seed", 0, "fault-schedule seed (default: -seed)")
 	exp := flag.String("exp", "serve", "workload to profile: serve (multi-tenant fleet) or pagefault (lat_pagefault; honors -vcpus/-ring)")
 	top := flag.Int("top", 0, "print the K hottest stacks (0 disables)")

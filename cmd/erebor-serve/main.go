@@ -64,7 +64,7 @@ func main() {
 	inputBytes := flag.Int("input", 1024, "per-tenant request bytes")
 	modelKB := flag.Int("model", 64, "shared model size in KiB")
 	forkpool := flag.Bool("forkpool", false, "instantiate every sandbox as a copy-on-write fork of a snapshot template (default: cold-boot every sandbox)")
-	chaos := flag.Float64("chaos", 0, "per-class fault rate on the untrusted hop (0 disables)")
+	chaos := flag.Float64("chaos", 0, "per-class fault rate on the untrusted hop (0 disables; at most 1/6, as the six classes' rates sum to at most 1)")
 	chaosSeed := flag.Int64("chaos-seed", 0, "fault-schedule seed (default: -seed)")
 	tracePath := flag.String("trace", "", "write a Chrome trace of the run to this file")
 	quiet := flag.Bool("quiet", false, "print only the summary line, not the full JSON report")

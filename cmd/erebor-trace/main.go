@@ -190,7 +190,7 @@ func filterTenant(events []trace.Event, dropped uint64, tenant int) []trace.Even
 func main() {
 	seed := flag.Int64("seed", 1, "deterministic seed (chaos schedule + request payloads)")
 	format := flag.String("format", "chrome", "export format: chrome|prom")
-	chaos := flag.Float64("chaos", 0, "per-class fault injection rate on the untrusted relay (0 = clean)")
+	chaos := flag.Float64("chaos", 0, "per-class fault injection rate on the untrusted relay (0 = clean; at most 1/6, as the six classes' rates sum to at most 1)")
 	chaosLatency := flag.Float64("chaos-latency", 0, "per-frame latency injection rate (fleet mode; separate seeded stream)")
 	chaosLatencyCycles := flag.Uint64("chaos-latency-cycles", 0, "stall size in virtual cycles per injected latency (0 = default; match erebor-serve to replay its run)")
 	requests := flag.Int("requests", 3, "echo round trips to script")

@@ -94,8 +94,9 @@ type TraceConfig struct {
 
 // ChaosConfig is a seeded fault schedule for the untrusted relay hop:
 // per-frame injection probabilities in [0,1] whose sum must be <= 1 (at
-// most one fault fires per frame). The same Seed and rates against the
-// same workload replay the identical fault schedule.
+// most one fault fires per frame); NewPlatform refuses any other. The same
+// Seed and rates against the same workload replay the identical fault
+// schedule.
 type ChaosConfig struct {
 	Seed                                                                        int64
 	DropRate, DuplicateRate, ReorderRate, CorruptRate, TruncateRate, ReplayRate float64
@@ -104,6 +105,17 @@ type ChaosConfig struct {
 	// stream, so enabling it leaves the wire-fault schedule untouched.
 	LatencyRate   float64
 	LatencyCycles uint64
+}
+
+// plan is the fault schedule c describes.
+func (c *ChaosConfig) plan() faultinject.Plan {
+	return faultinject.Plan{
+		Seed: c.Seed,
+		Drop: c.DropRate, Duplicate: c.DuplicateRate,
+		Reorder: c.ReorderRate, Corrupt: c.CorruptRate,
+		Truncate: c.TruncateRate, Replay: c.ReplayRate,
+		Latency: c.LatencyRate, LatencyCycles: c.LatencyCycles,
+	}
 }
 
 // Platform is a booted simulated CVM.
@@ -118,6 +130,11 @@ type Platform struct {
 // kernel image is verified and loaded, and lockdown engages (unless
 // Baseline is set).
 func NewPlatform(cfg PlatformConfig) (*Platform, error) {
+	if cfg.Chaos != nil {
+		if err := cfg.Chaos.plan().Validate(); err != nil {
+			return nil, fmt.Errorf("erebor: chaos: %w", err)
+		}
+	}
 	mode := kernel.ModeErebor
 	if cfg.Baseline {
 		mode = kernel.ModeNative
@@ -143,13 +160,7 @@ func NewPlatform(cfg PlatformConfig) (*Platform, error) {
 	}
 	p := &Platform{w: w, nextOwner: mem.OwnerTaskBase + 1, queueCap: queueCap}
 	if cfg.Chaos != nil {
-		p.inj = faultinject.New(faultinject.Plan{
-			Seed: cfg.Chaos.Seed,
-			Drop: cfg.Chaos.DropRate, Duplicate: cfg.Chaos.DuplicateRate,
-			Reorder: cfg.Chaos.ReorderRate, Corrupt: cfg.Chaos.CorruptRate,
-			Truncate: cfg.Chaos.TruncateRate, Replay: cfg.Chaos.ReplayRate,
-			Latency: cfg.Chaos.LatencyRate, LatencyCycles: cfg.Chaos.LatencyCycles,
-		})
+		p.inj = faultinject.New(cfg.Chaos.plan())
 		p.inj.Rec = w.Rec
 		// Latency faults stall the virtual clock through the Charge hook,
 		// inside whatever span is open at injection time.

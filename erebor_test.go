@@ -175,3 +175,30 @@ func TestPublicAPIMultiTenant(t *testing.T) {
 		}
 	}
 }
+
+// TestNewPlatformRefusesUnhonorableChaos: a chaos config whose rates sum
+// above 1, or with a rate outside [0, 1], is refused before the platform
+// boots; one within bounds boots.
+func TestNewPlatformRefusesUnhonorableChaos(t *testing.T) {
+	uniform := func(rate float64) *ChaosConfig {
+		return &ChaosConfig{Seed: 3, DropRate: rate, DuplicateRate: rate, ReorderRate: rate,
+			CorruptRate: rate, TruncateRate: rate, ReplayRate: rate}
+	}
+	stalls := uniform(0)
+	stalls.LatencyRate = -0.5
+	for _, tc := range []struct {
+		chaos *ChaosConfig
+		want  string
+	}{
+		{uniform(0.25), "wire fault rates sum to 1.5, above 1"},
+		{stalls, "latency rate -0.5 outside [0, 1]"},
+	} {
+		_, err := NewPlatform(PlatformConfig{MemMB: 64, Chaos: tc.chaos})
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("NewPlatform(%+v) = %v, want an error naming %q", *tc.chaos, err, tc.want)
+		}
+	}
+	if _, err := NewPlatform(PlatformConfig{MemMB: 64, Chaos: uniform(0.16)}); err != nil {
+		t.Fatalf("NewPlatform refused chaos within bounds: %v", err)
+	}
+}

@@ -94,6 +94,35 @@ type Plan struct {
 	LatencyCycles uint64
 }
 
+// Validate refuses a plan the injector cannot honor: a rate outside
+// [0, 1], or wire or proxy-edge rates that sum above 1. One roll picks a
+// frame's class against the running sum of its stream's rates, so the
+// classes past a sum of 1 would never fire. Uniform(seed, r) passes for r
+// up to 1/6.
+func (p Plan) Validate() error {
+	rates := [...]struct {
+		name string
+		v    float64
+	}{
+		{"drop", p.Drop}, {"duplicate", p.Duplicate}, {"reorder", p.Reorder},
+		{"corrupt", p.Corrupt}, {"truncate", p.Truncate}, {"replay", p.Replay},
+		{"frame-redirect", p.Redirect}, {"policy-corrupt", p.PolicyCorrupt},
+		{"latency", p.Latency},
+	}
+	for _, r := range rates {
+		if !(r.v >= 0 && r.v <= 1) {
+			return fmt.Errorf("faultinject: %s rate %v outside [0, 1]", r.name, r.v)
+		}
+	}
+	if sum := p.Drop + p.Duplicate + p.Reorder + p.Corrupt + p.Truncate + p.Replay; sum > 1 {
+		return fmt.Errorf("faultinject: wire fault rates sum to %v, above 1 (at most 1/6 per class when all six are armed)", sum)
+	}
+	if sum := p.Redirect + p.PolicyCorrupt; sum > 1 {
+		return fmt.Errorf("faultinject: proxy-edge fault rates sum to %v, above 1", sum)
+	}
+	return nil
+}
+
 // Uniform returns a plan injecting every wire class at the given rate.
 // Proxy-edge classes stay off; arm them with WithProxyFaults.
 func Uniform(seed int64, rate float64) Plan {

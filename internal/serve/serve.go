@@ -387,6 +387,11 @@ type Server struct {
 // New boots a world, publishes the shared model, and launches one worker
 // sandbox per slot.
 func New(cfg Config) (*Server, error) {
+	if cfg.Chaos != nil {
+		if err := cfg.Chaos.Validate(); err != nil {
+			return nil, fmt.Errorf("serve: chaos plan: %w", err)
+		}
+	}
 	cfg = cfg.withDefaults()
 	wcfg := harness.WorldConfig{
 		Mode: kernel.ModeErebor, MemMB: cfg.MemMB, VCPUs: cfg.VCPUs,

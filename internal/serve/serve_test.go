@@ -603,3 +603,30 @@ func TestReplyCheckCatchesFlippedByte(t *testing.T) {
 		reply[k] ^= 0x40
 	}
 }
+
+// TestNewRefusesUnhonorablePlans: a plan whose wire or proxy-edge rates sum
+// above 1 is refused before any world boots, because the classes past the
+// sum would never fire. A plan within both bounds serves.
+func TestNewRefusesUnhonorablePlans(t *testing.T) {
+	for _, tc := range []struct {
+		plan faultinject.Plan
+		want string
+	}{
+		{faultinject.Uniform(3, 0.25), "wire fault rates sum to 1.5, above 1"},
+		{faultinject.Uniform(3, 0).WithProxyFaults(0.8, 0.4), "proxy-edge fault rates sum to 1.2"},
+	} {
+		plan := tc.plan
+		_, err := New(Config{Tenants: 1, Sessions: 1, Seed: 3, Chaos: &plan, Egress: DefaultEgressSpec()})
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("New(%+v) = %v, want an error naming %q", tc.plan, err, tc.want)
+		}
+	}
+	plan := faultinject.Uniform(3, 0.16).WithProxyFaults(0.6, 0.3)
+	s, err := New(Config{Tenants: 1, Sessions: 1, Seed: 3, Chaos: &plan, Egress: DefaultEgressSpec()})
+	if err != nil {
+		t.Fatalf("New refused a plan within bounds: %v", err)
+	}
+	if _, err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+}
