@@ -43,9 +43,6 @@ func (t *IBT) MarkEndbr(addr uint64) { t.targets[addr] = true }
 // ClearEndbr removes a landing pad (used when code is unloaded).
 func (t *IBT) ClearEndbr(addr uint64) { delete(t.targets, addr) }
 
-// HasEndbr reports whether addr is a valid landing pad.
-func (t *IBT) HasEndbr(addr uint64) bool { return t.targets[addr] }
-
 // IndirectBranch checks an indirect call/jmp to target. With tracking
 // enabled, a target without endbr64 raises #CP.
 func (t *IBT) IndirectBranch(target uint64) error {

@@ -84,16 +84,6 @@ func (l *Ledger) Register(tenant int, p *Policy) {
 	l.policies[tenant] = p
 }
 
-// PolicyFor returns the registered policy for a tenant (nil when none).
-func (l *Ledger) PolicyFor(tenant int) *Policy {
-	if l == nil {
-		return nil
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.policies[tenant]
-}
-
 // Record appends one decision. Nil-safe so unwired lanes cost nothing.
 func (l *Ledger) Record(tenant int, d Destination, dec Decision) {
 	if l == nil {

@@ -185,6 +185,3 @@ func (w *World) BootCycles() uint64 { return w.bootCycles }
 // Core returns the boot/control core (core 0). Dispatches may run on any
 // core; use Kernel.Core for the core of the current dispatch.
 func (w *World) Core() *cpu.Core { return w.M.Cores[0] }
-
-// Elapsed returns cycles since boot completed.
-func (w *World) Elapsed() uint64 { return w.M.Clock.Now() - w.bootCycles }

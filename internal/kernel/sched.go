@@ -142,9 +142,6 @@ func (k *Kernel) addTask(name string, ppid Pid, p *Proc, fn func(e *Env)) *Task 
 	return t
 }
 
-// Tasks returns a snapshot of all tasks (harness/tests).
-func (k *Kernel) Tasks() map[Pid]*Task { return k.tasks }
-
 // Close kills every task whose coroutine has not finished, in Pid order,
 // so no goroutine stays parked on a kernel that is being dropped. The
 // kernel must not be scheduled afterwards. Closing twice is a no-op.
@@ -208,9 +205,6 @@ type pfTrap struct {
 }
 
 // --- scheduler ------------------------------------------------------------------
-
-// Runnable reports whether any task can make progress.
-func (k *Kernel) Runnable() bool { return len(k.runq) > 0 }
 
 // Schedule runs tasks round-robin until no task is runnable. Successive
 // slices step across the machine's cores in a fixed round-robin core
@@ -732,20 +726,6 @@ func (e *Env) Page(va paging.Addr) []byte {
 	f, ok := e.T.P.AS.Translate(va)
 	if !ok {
 		panic(fmt.Sprintf("kernel: Page(%#x) not mapped after touch", va))
-	}
-	b, err := e.K.M.Phys.Bytes(f)
-	if err != nil {
-		panic(err)
-	}
-	return b
-}
-
-// PageW is Page with write intent (faults for write permission).
-func (e *Env) PageW(va paging.Addr) []byte {
-	e.Touch(va, 1, true)
-	f, ok := e.T.P.AS.Translate(va)
-	if !ok {
-		panic(fmt.Sprintf("kernel: PageW(%#x) not mapped after touch", va))
 	}
 	b, err := e.K.M.Phys.Bytes(f)
 	if err != nil {

@@ -320,16 +320,6 @@ func (os *OS) FileSize(path string) (int, bool) {
 	return f.size, true
 }
 
-// FileVA exposes the backing address of an in-memory file (zero-copy
-// compute over file contents).
-func (os *OS) FileVA(path string) (paging.Addr, int, bool) {
-	f, ok := os.files[path]
-	if !ok {
-		return 0, 0, false
-	}
-	return f.va, f.size, true
-}
-
 // --- threads and synchronization (§6.2 service 3) ------------------------------
 
 // SpawnThread creates a worker thread. Threads must be created during

@@ -298,15 +298,6 @@ func (p *Physical) Meta(f Frame) (FrameMeta, error) {
 	return out, nil
 }
 
-// SetOwner reassigns a frame's owner (monitor bookkeeping).
-func (p *Physical) SetOwner(f Frame, o Owner) error {
-	if err := p.check(f); err != nil {
-		return err
-	}
-	p.meta[f].owner = o
-	return nil
-}
-
 // SetPinned marks a frame pinned or unpinned.
 func (p *Physical) SetPinned(f Frame, pinned bool) error {
 	if err := p.check(f); err != nil {

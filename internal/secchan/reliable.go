@@ -1,7 +1,6 @@
 package secchan
 
 import (
-	"errors"
 	"fmt"
 
 	"github.com/asterisc-release/erebor-go/internal/metrics"
@@ -205,29 +204,6 @@ func (r *Reliable) Recv() ([]byte, error) {
 		r.Rec.Emit(trace.KindFrameDrop, r.Track, "corrupt")
 		r.count("drop")
 	}
-}
-
-// RecvStrict is Recv but surfaces the first classified failure instead of
-// absorbing it — the record-layer behaviour security tests assert on.
-func (r *Reliable) RecvStrict() ([]byte, error) {
-	if msg, ok := r.ooo[r.c.recvSeq]; ok {
-		delete(r.ooo, r.c.recvSeq)
-		r.c.recvSeq++
-		r.Stats.Delivered++
-		return msg, nil
-	}
-	msg, err := r.c.Recv()
-	if err == nil {
-		r.Stats.Delivered++
-		return msg, nil
-	}
-	switch {
-	case errors.Is(err, ErrReplay):
-		r.Stats.Duplicates++
-	case errors.Is(err, ErrCorruptFrame):
-		r.Stats.Corrupt++
-	}
-	return nil, err
 }
 
 // String summarizes the stats (debug logging in the chaos harness).

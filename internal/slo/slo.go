@@ -136,9 +136,6 @@ func NewEngine(objs []Objective, window uint64) *Engine {
 // Window is the evaluation cadence in virtual cycles.
 func (e *Engine) Window() uint64 { return e.window }
 
-// Objectives returns the engine's objective set.
-func (e *Engine) Objectives() []Objective { return e.objs }
-
 // Evaluate runs every objective against src at the aligned boundary `at`,
 // appending one Result per objective.
 func (e *Engine) Evaluate(src HistSource, at uint64) {

@@ -156,10 +156,9 @@ type Module struct {
 	rtmr [4][MeasurementSize]byte
 
 	// Stats for the evaluation harness.
-	VMCalls  uint64
-	MapGPAs  uint64
-	Reports  uint64
-	AsyncOut uint64
+	VMCalls uint64
+	MapGPAs uint64
+	Reports uint64
 
 	// pendingData carries the shared-memory byte payload for the next
 	// vmcall (the guest stages it via StageSharedBuffer; the simulation
@@ -327,13 +326,6 @@ func (m *Module) HostWriteGuestFrame(f mem.Frame, data []byte) error {
 func (m *Module) InjectVE(core *cpu.Core, detail string) {
 	core.Machine.Clock.Charge(costs.VEInjection)
 	core.Deliver(&cpu.Trap{Vector: cpu.VecVE, Detail: detail})
-}
-
-// AsyncExit models an asynchronous exit (external interrupt): the module
-// saves and scrubs guest state, hands control to the host, and resumes.
-func (m *Module) AsyncExit(core *cpu.Core) {
-	core.Machine.Clock.Charge(costs.AsyncExitResume)
-	m.AsyncOut++
 }
 
 // HypercallNormalGuest models a vmcall from a plain (non-TD) KVM guest,

@@ -153,11 +153,6 @@ func (v *View) U32(off int) uint32 {
 	return binary.LittleEndian.Uint32(b[:])
 }
 
-// F32 reads a float32 at offset off.
-func (v *View) F32(off int) float32 {
-	return f32frombits(v.U32(off))
-}
-
 // F32Row decodes the len(dst) float32s at offset off into dst (row-major
 // weight rows; spans pages).
 func (v *View) F32Row(off int, dst []float32) {
