@@ -65,10 +65,10 @@ type Kernel struct {
 	TDX  *tdx.Module
 
 	priv privOps
-	// reqs and frames are the scratch every mapping-change list is built
-	// in before its one priv.Submit call (frames: the frames munmap frees
-	// once their unmaps applied). One list is in flight at a time, so a
-	// warm call allocates nothing.
+	// reqs is the scratch every mapping-change list is built in before
+	// its one priv.Submit call, and frames the frames munmap frees once
+	// their unmaps applied. One list is in flight at a time, so a warm
+	// call allocates nothing.
 	reqs   []monitor.RingReq
 	frames []mem.Frame
 

@@ -56,13 +56,6 @@ type privOps interface {
 	WriteMSR(c *cpu.Core, idx uint32, val uint64) error
 }
 
-// submit hands reqs, built on the kernel's scratch, to the backend in one
-// call and keeps their storage as the scratch for the next list.
-func (k *Kernel) submit(c *cpu.Core, as *AddrSpace, reqs []monitor.RingReq) (int, error) {
-	k.reqs = reqs
-	return k.priv.Submit(c, as, reqs)
-}
-
 // --- native implementation ----------------------------------------------------
 
 type nativePriv struct {
@@ -235,8 +228,6 @@ func (np *nativePriv) WriteMSR(c *cpu.Core, idx uint32, val uint64) error {
 type ereborPriv struct {
 	k   *Kernel
 	mon *monitor.Monitor
-	// batch is Submit's scratch for EMCMapUserBatch's request list.
-	batch []monitor.MapReq
 }
 
 func (ep *ereborPriv) CreateAS(c *cpu.Core, owner mem.Owner) (*AddrSpace, error) {
@@ -262,16 +253,16 @@ func (ep *ereborPriv) Submit(c *cpu.Core, as *AddrSpace, reqs []monitor.RingReq)
 		return ep.submitRing(c, as, reqs)
 	}
 	if ep.mon.BatchMMU {
-		ep.batch = ep.batch[:0]
+		batch := make([]monitor.MapReq, 0, len(reqs))
 		for _, r := range reqs {
 			if r.Op != monitor.OpMap {
 				break
 			}
-			ep.batch = append(ep.batch, monitor.MapReq{VA: r.VA, Frame: r.Frame, Flags: r.Flags})
+			batch = append(batch, monitor.MapReq{VA: r.VA, Frame: r.Frame, Flags: r.Flags})
 		}
-		if len(ep.batch) == len(reqs) {
+		if len(batch) == len(reqs) {
 			// One MMU transaction: a refused batch applied nothing.
-			if err := ep.mon.EMCMapUserBatch(c, as.ASID, ep.batch); err != nil {
+			if err := ep.mon.EMCMapUserBatch(c, as.ASID, batch); err != nil {
 				return 0, err
 			}
 			return len(reqs), nil

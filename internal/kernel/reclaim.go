@@ -74,7 +74,8 @@ func (k *Kernel) evictPage(c *cpu.Core, p *Proc, va paging.Addr, f mem.Frame) bo
 	if p.Sandbox != 0 {
 		op = monitor.OpReclaim
 	}
-	if _, err := k.submit(c, p.AS, append(k.reqs[:0], monitor.RingReq{Op: op, VA: va})); err != nil {
+	k.reqs = append(k.reqs[:0], monitor.RingReq{Op: op, VA: va})
+	if _, err := k.priv.Submit(c, p.AS, k.reqs); err != nil {
 		return false
 	}
 	if op == monitor.OpUnmap {

@@ -539,10 +539,10 @@ func (k *Kernel) handlePageFault(c *cpu.Core, tr *cpu.Trap, cur *Task) {
 	// EMCs per context switch in fault-heavy runs (§9.1). The mapping is
 	// live when the handler returns: the faulting access retries at once.
 	flags := monitor.MapFlags{Writable: vma.Writable, Exec: vma.Exec}
-	reqs := append(k.reqs[:0],
+	k.reqs = append(k.reqs[:0],
 		monitor.RingReq{Op: monitor.OpMap, VA: va, Frame: f, Flags: flags},
 		monitor.RingReq{Op: monitor.OpProtect, VA: va, Flags: flags})
-	switch n, err := k.submit(c, cur.P.AS, reqs); {
+	switch n, err := k.priv.Submit(c, cur.P.AS, k.reqs); {
 	case err == nil:
 	case n == 0:
 		_ = k.M.Phys.Free(f)

@@ -223,19 +223,17 @@ func (k *Kernel) sysMunmap(c *cpu.Core, t *Task, va paging.Addr, n uint64) uint6
 	kept := t.P.VMAs[:0]
 	for _, v := range t.P.VMAs {
 		if v.Start >= va && v.End <= end {
-			// One list per VMA: its present pages' unmaps. A frame is freed
-			// only once its unmap applied: until the flush lands, a stale
-			// TLB entry could still reach it.
-			reqs, frames := k.reqs[:0], k.frames[:0]
+			// A frame is freed only once its unmap applied: until the
+			// flush lands, a stale TLB entry could still reach it.
+			k.reqs, k.frames = k.reqs[:0], k.frames[:0]
 			for p := v.Start; p < v.End; p += mem.PageSize {
 				if f, ok := t.P.AS.Translate(p); ok {
-					reqs = append(reqs, monitor.RingReq{Op: monitor.OpUnmap, VA: p})
-					frames = append(frames, f)
+					k.reqs = append(k.reqs, monitor.RingReq{Op: monitor.OpUnmap, VA: p})
+					k.frames = append(k.frames, f)
 				}
 			}
-			k.frames = frames
-			n, _ := k.submit(c, t.P.AS, reqs)
-			for _, f := range frames[:n] {
+			n, _ := k.priv.Submit(c, t.P.AS, k.reqs)
+			for _, f := range k.frames[:n] {
 				_ = k.M.Phys.Free(f)
 			}
 			continue
@@ -252,13 +250,13 @@ func (k *Kernel) sysMprotect(c *cpu.Core, t *Task, va paging.Addr, n uint64, w, 
 		if va >= v.Start && end <= v.End {
 			v.Writable, v.Exec = w, x
 			flags := monitor.MapFlags{Writable: w, Exec: x}
-			reqs := k.reqs[:0]
+			k.reqs = k.reqs[:0]
 			for p := paging.PageBase(va); p < end; p += mem.PageSize {
 				if _, ok := t.P.AS.Translate(p); ok {
-					reqs = append(reqs, monitor.RingReq{Op: monitor.OpProtect, VA: p, Flags: flags})
+					k.reqs = append(k.reqs, monitor.RingReq{Op: monitor.OpProtect, VA: p, Flags: flags})
 				}
 			}
-			if _, err := k.submit(c, t.P.AS, reqs); err != nil {
+			if _, err := k.priv.Submit(c, t.P.AS, k.reqs); err != nil {
 				return abi.Errno(abi.EPERMNo)
 			}
 			return 0
@@ -348,7 +346,7 @@ func (k *Kernel) sysFork(c *cpu.Core, t *Task) uint64 {
 	// Copy VMAs and eagerly duplicate every present page: address-space
 	// duplication is the MMU-heavy part of fork the paper's lmbench run
 	// stresses (§9.1).
-	reqs := k.reqs[:0]
+	k.reqs = k.reqs[:0]
 	for _, v := range t.P.VMAs {
 		child.VMAs = append(child.VMAs, &VMA{Start: v.Start, End: v.End, Writable: v.Writable, Exec: v.Exec})
 		for p := v.Start; p < v.End; p += mem.PageSize {
@@ -364,13 +362,13 @@ func (k *Kernel) sysFork(c *cpu.Core, t *Task) uint64 {
 			db, _ := k.M.Phys.Bytes(dst)
 			copy(db, sb)
 			k.M.Clock.Charge(costs.Copy(mem.PageSize))
-			reqs = append(reqs, monitor.RingReq{
+			k.reqs = append(k.reqs, monitor.RingReq{
 				Op: monitor.OpMap, VA: p, Frame: dst,
 				Flags: monitor.MapFlags{Writable: v.Writable, Exec: v.Exec},
 			})
 		}
 	}
-	if _, err := k.submit(c, as, reqs); err != nil {
+	if _, err := k.priv.Submit(c, as, k.reqs); err != nil {
 		return abi.Errno(abi.ENOMEMNo)
 	}
 	ct := k.addTask(t.Name+"-child", t.Pid, child, fn)
