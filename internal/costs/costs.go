@@ -183,9 +183,6 @@ const (
 	// MapGPAConvert is the TDX-module work to flip a page private<->shared
 	// in the sEPT, excluding the tdcall transition itself.
 	MapGPAConvert = 2900
-	// AsyncExitResume is an asynchronous exit to the host and resume
-	// (external interrupt), dominated by TDX context save/restore.
-	AsyncExitResume = 3800
 )
 
 // LibOS service costs (userspace emulation, §6.2).
