@@ -2,6 +2,7 @@ package kernel
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/asterisc-release/erebor-go/internal/costs"
 	"github.com/asterisc-release/erebor-go/internal/cpu"
@@ -252,21 +253,16 @@ func (ep *ereborPriv) Submit(c *cpu.Core, as *AddrSpace, reqs []monitor.RingReq)
 	if ep.mon.RingMMU {
 		return ep.submitRing(c, as, reqs)
 	}
-	if ep.mon.BatchMMU {
-		batch := make([]monitor.MapReq, 0, len(reqs))
-		for _, r := range reqs {
-			if r.Op != monitor.OpMap {
-				break
-			}
-			batch = append(batch, monitor.MapReq{VA: r.VA, Frame: r.Frame, Flags: r.Flags})
+	if ep.mon.BatchMMU && !slices.ContainsFunc(reqs, func(r monitor.RingReq) bool { return r.Op != monitor.OpMap }) {
+		batch := make([]monitor.MapReq, len(reqs))
+		for i, r := range reqs {
+			batch[i] = monitor.MapReq{VA: r.VA, Frame: r.Frame, Flags: r.Flags}
 		}
-		if len(batch) == len(reqs) {
-			// One MMU transaction: a refused batch applied nothing.
-			if err := ep.mon.EMCMapUserBatch(c, as.ASID, batch); err != nil {
-				return 0, err
-			}
-			return len(reqs), nil
+		// One MMU transaction: a refused batch applied nothing.
+		if err := ep.mon.EMCMapUserBatch(c, as.ASID, batch); err != nil {
+			return 0, err
 		}
+		return len(reqs), nil
 	}
 	return ep.each(c, as, reqs)
 }
