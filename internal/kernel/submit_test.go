@@ -95,10 +95,10 @@ func (p *mmuProbe) stop() mmuCost {
 }
 
 // TestSubmitEveryMode pins what one fault, a 4-page mprotect, a 4-page
-// munmap and the fork of a 4-page parent cost in each mode. Every figure
-// but the fork under the ring is the one the kernel measured when each
-// call site still picked its own strategy; the fork under the ring now
-// fills the child in one drain instead of one EMC per page.
+// munmap and the fork of a 4-page parent cost in each mode: EMCs by gate
+// kind, stored PTEs, ring drains and virtual cycles. Under the ring the
+// fork fills its child in one drain; every other figure is the cost each
+// call site had when it picked its own strategy.
 func TestSubmitEveryMode(t *testing.T) {
 	const span = 4 * mem.PageSize
 	want := map[string]map[string]mmuCost{
