@@ -129,7 +129,7 @@ func main() {
 				for _, f := range failures {
 					fmt.Fprintf(os.Stderr, "  %s\n", f)
 				}
-				fmt.Fprintf(os.Stderr, "attribute cycle regressions with: erebor-prof -exp <workload> -flame new.folded, then erebor-prof -diff base.folded new.folded\n")
+				fmt.Fprintf(os.Stderr, "attribute cycle regressions with: erebor-serve <fleet flags> -flame new.folded for fleets (erebor-prof [-ring] -flame new.folded for lat_pagefault), then erebor-prof -diff base.folded new.folded\n")
 				os.Exit(3)
 			}
 			fmt.Printf("baseline gate: %s within %.1f%% of %s\n", *exp, *tolerance*100, *baselinePath)
@@ -177,6 +177,7 @@ func table3() error {
 	fmt.Printf("%-10s %8s %8s      (Table 3: round-trip privilege transitions)\n", "Call", "#Cycle", "Times")
 	for _, r := range rows {
 		fmt.Printf("%-10s %8d %7.2fx\n", r.Name, r.Cycles, r.RelEMC)
+		record("table3/"+strings.ToLower(r.Name)+"/cycles", float64(r.Cycles), "exact")
 	}
 	return nil
 }
@@ -189,6 +190,9 @@ func table4() error {
 	fmt.Printf("%-6s %10s %14s      (Table 4: privileged operations, cycles)\n", "Op", "Native", "Erebor")
 	for _, r := range rows {
 		fmt.Printf("%-6s %10d %8d (%5.2fx)\n", r.Name, r.Native, r.Erebor, r.Ratio())
+		op := "table4/" + strings.ToLower(r.Name)
+		record(op+"/native_cycles", float64(r.Native), "exact")
+		record(op+"/erebor_cycles", float64(r.Erebor), "exact")
 	}
 	return nil
 }
@@ -275,6 +279,9 @@ func fig9(scale int) ([]*harness.ScenarioSet, error) {
 		fmt.Printf("%-10s %9.2f%% %9.2f%% %9.2f%% %9.2f%%\n",
 			r.Program, r.LibOSOnly*100, r.LibOSMMU*100, r.LibOSExit*100, r.Full*100)
 		overheads = append(overheads, r.Full)
+		record("fig9/"+r.Program+"/native_run_cycles", float64(s.Native.RunCycles), "lower")
+		record("fig9/"+r.Program+"/libos_run_cycles", float64(s.LibOS.RunCycles), "lower")
+		record("fig9/"+r.Program+"/erebor_run_cycles", float64(s.Erebor.RunCycles), "lower")
 	}
 	fmt.Printf("%-10s %42.2f%%  (paper: 8.1%%)\n", "geomean", harness.Geomean(overheads)*100)
 	return sets, nil
@@ -288,6 +295,14 @@ func table6(sets []*harness.ScenarioSet) error {
 		fmt.Printf("%-10s %7.0f %7.0f %7.0f %7.0f %9.0f %8.4f %8.1f %8.1f %7.1f%%\n",
 			r.Program, r.PFRate, r.TimerRate, r.VERate, r.TotalRate,
 			r.EMCRate, r.TimeSec, r.ConfinedMB, r.CommonMB, r.InitOverhead*100)
+		e, prog := s.Erebor, "table6/"+r.Program
+		record(prog+"/page_faults", float64(e.PageFaults), "exact")
+		record(prog+"/timer_ticks", float64(e.TimerTicks), "exact")
+		record(prog+"/ve_exits", float64(e.VEExits), "exact")
+		record(prog+"/emcs", float64(e.EMCs), "exact")
+		record(prog+"/confined_bytes", float64(e.ConfinedBytes), "exact")
+		record(prog+"/common_bytes", float64(e.CommonBytes), "exact")
+		record(prog+"/run_cycles", float64(e.RunCycles), "lower")
 	}
 	return nil
 }
@@ -302,6 +317,9 @@ func fig10() error {
 	for _, r := range rows {
 		fmt.Printf("%-8s %10d %12.1f %12.1f %9.3f\n",
 			r.Server, r.FileSize, r.NativeMBs, r.EreborMBs, r.Relative)
+		pt := fmt.Sprintf("fig10/%s/size=%d", r.Server, r.FileSize)
+		record(pt+"/native_mbs", r.NativeMBs, "higher")
+		record(pt+"/erebor_mbs", r.EreborMBs, "higher")
 	}
 	return nil
 }
@@ -315,6 +333,8 @@ func memshare(scale int) error {
 		fmt.Printf("llama x%-2d shared=%7.1fMB replicated=%7.1fMB savings/sandbox=%5.1f%%\n",
 			n, float64(res.SharedBytes)/(1<<20), float64(res.ReplicatedBytes)/(1<<20),
 			res.SavingsPerSandbox*100)
+		record(fmt.Sprintf("memshare/n=%d/shared_bytes", n), float64(res.SharedBytes), "exact")
+		record(fmt.Sprintf("memshare/n=%d/replicated_bytes", n), float64(res.ReplicatedBytes), "exact")
 	}
 	return nil
 }
