@@ -60,21 +60,8 @@ func (r *Registry) ExportOpenMetrics(w io.Writer) error {
 			}
 		}
 		for _, s := range fam.Series {
-			switch fam.Kind {
-			case Counter:
-				if _, err := fmt.Fprintf(w, "%s_total%s %d\n",
-					fam.Name, labelString(s.Labels), s.Value); err != nil {
-					return err
-				}
-			case Gauge:
-				if _, err := fmt.Fprintf(w, "%s%s %d\n",
-					fam.Name, labelString(s.Labels), s.Value); err != nil {
-					return err
-				}
-			case HistogramKind:
-				if err := writeHistogram(w, fam.Name, s); err != nil {
-					return err
-				}
+			if err := WriteSeries(w, fam.Name, fam.Kind, s); err != nil {
+				return err
 			}
 		}
 	}
@@ -82,10 +69,20 @@ func (r *Registry) ExportOpenMetrics(w io.Writer) error {
 	return err
 }
 
-// writeHistogram expands one histogram series into cumulative buckets. Only
-// the occupied log2 bucket range is emitted (plus the mandatory +Inf),
-// mirroring trace.ExportPrometheus.
-func writeHistogram(w io.Writer, name string, s SeriesValue) error {
+// WriteSeries writes one series' sample lines in the text exposition
+// format: a counter as `name_total`, a gauge as `name`, and a histogram
+// expanded into cumulative log2 buckets. Only the occupied bucket range is
+// emitted, plus the mandatory +Inf. The flight recorder's Prometheus export
+// writes its series through it too.
+func WriteSeries(w io.Writer, name string, kind Kind, s SeriesValue) error {
+	switch kind {
+	case Counter:
+		_, err := fmt.Fprintf(w, "%s_total%s %d\n", name, labelString(s.Labels), s.Value)
+		return err
+	case Gauge:
+		_, err := fmt.Fprintf(w, "%s%s %d\n", name, labelString(s.Labels), s.Value)
+		return err
+	}
 	h := s.Hist
 	if h == nil {
 		h = &Histogram{}

@@ -18,9 +18,9 @@ func TestRegistryAsCountStore(t *testing.T) {
 	now := func() uint64 { return clk }
 	rec := trace.New(0, now, r, nil)
 	for i := 0; i < 3; i++ {
-		start := clk
+		span := rec.NewSpanUnder(0)
 		clk += 100
-		rec.Span(trace.KindEMC, trace.TrackMonitor, "emc/mmu", start)
+		rec.EndSpanAt(span, trace.KindEMC, trace.TrackMonitor, "emc/mmu", 0)
 	}
 	rec.Emit(trace.KindFrameSend, trace.TrackClient, "")
 	rec.Emit(trace.KindFrameSend, trace.TrackClient, "")

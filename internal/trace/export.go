@@ -88,7 +88,8 @@ func (r *Recorder) ExportChromeTrace(w io.Writer) error {
 
 // ExportChromeEvents writes an explicit event list in the same Chrome
 // trace_event format as ExportChromeTrace. It exists so filtered views
-// (erebor-trace -tenant / -track) export byte-identically to full ones.
+// (erebor-serve -trace with -tenant / -track) export byte-identically to
+// full ones.
 func ExportChromeEvents(w io.Writer, events []Event, dropped uint64) error {
 	tracks := map[int32]bool{}
 	for _, ev := range events {
@@ -160,24 +161,6 @@ func ExportChromeEvents(w io.Writer, events []Event, dropped uint64) error {
 	return err
 }
 
-// promEscape escapes a Prometheus label value: backslash, double quote and
-// newline. Callers embed the result in plain "..." — formatting it with %q
-// would escape a second time (the bug TestPrometheusLabelEscaping guards).
-func promEscape(s string) string {
-	out := make([]byte, 0, len(s))
-	for i := 0; i < len(s); i++ {
-		switch c := s[i]; c {
-		case '\\', '"':
-			out = append(out, '\\', c)
-		case '\n':
-			out = append(out, '\\', 'n')
-		default:
-			out = append(out, c)
-		}
-	}
-	return string(out)
-}
-
 // ExportPrometheus writes the recorder's counters and latency histograms in
 // the Prometheus text exposition format (sorted label sets; cumulative
 // log2 buckets with `le` in cycles). Deterministic for a fixed recorder
@@ -208,16 +191,21 @@ func (r *Recorder) ExportPrometheus(w io.Writer) error {
 				break
 			}
 		}
-		if _, err := fmt.Fprintf(w, "erebor_trace_events_total{kind=\"%s\",label=\"%s\"} %d\n",
-			promEscape(kind), promEscape(label), counts[k]); err != nil {
+		if err := metrics.WriteSeries(w, "erebor_trace_events", metrics.Counter, metrics.SeriesValue{
+			Labels: []metrics.Label{metrics.KV("kind", kind), metrics.KV("label", label)},
+			Value:  counts[k],
+		}); err != nil {
 			return err
 		}
 	}
 
-	if _, err := fmt.Fprintf(w,
+	if _, err := io.WriteString(w,
 		"# HELP erebor_trace_dropped_events_total Events discarded by ring-buffer wraparound.\n"+
-			"# TYPE erebor_trace_dropped_events_total counter\n"+
-			"erebor_trace_dropped_events_total %d\n", r.Dropped()); err != nil {
+			"# TYPE erebor_trace_dropped_events_total counter\n"); err != nil {
+		return err
+	}
+	if err := metrics.WriteSeries(w, "erebor_trace_dropped_events", metrics.Counter,
+		metrics.SeriesValue{Value: r.Dropped()}); err != nil {
 		return err
 	}
 
@@ -233,31 +221,10 @@ func (r *Recorder) ExportPrometheus(w io.Writer) error {
 	sort.Strings(hkeys)
 	for _, k := range hkeys {
 		h := hists[k]
-		span := promEscape(k)
-		var cum uint64
-		lo, hi := -1, -1
-		for i := 0; i < metrics.NumBuckets; i++ {
-			if h.Buckets[i] != 0 {
-				if lo < 0 {
-					lo = i
-				}
-				hi = i
-			}
-		}
-		for i := lo; i >= 0 && i <= hi; i++ {
-			cum += h.Buckets[i]
-			if _, err := fmt.Fprintf(w, "erebor_span_cycles_bucket{span=\"%s\",le=\"%d\"} %d\n",
-				span, metrics.BucketUpper(i), cum); err != nil {
-				return err
-			}
-		}
-		if _, err := fmt.Fprintf(w, "erebor_span_cycles_bucket{span=\"%s\",le=\"+Inf\"} %d\n", span, h.Count); err != nil {
-			return err
-		}
-		if _, err := fmt.Fprintf(w, "erebor_span_cycles_sum{span=\"%s\"} %d\n", span, h.Sum); err != nil {
-			return err
-		}
-		if _, err := fmt.Fprintf(w, "erebor_span_cycles_count{span=\"%s\"} %d\n", span, h.Count); err != nil {
+		if err := metrics.WriteSeries(w, "erebor_span_cycles", metrics.HistogramKind, metrics.SeriesValue{
+			Labels: []metrics.Label{metrics.KV("span", k)},
+			Hist:   &h,
+		}); err != nil {
 			return err
 		}
 	}

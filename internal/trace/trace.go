@@ -264,41 +264,6 @@ func (r *Recorder) Emit(kind Kind, track int32, label string) {
 	r.mu.Unlock()
 }
 
-// Span records an event that began at start (virtual cycles) and ends now,
-// and feeds the duration into the histogram keyed by label (or the kind
-// name when label is empty). Durations are exact virtual-clock deltas, so
-// histogram sums reconcile against the cost-model counters.
-//
-// The span is recorded as a leaf child of the ambient scope: it gets its
-// own identity, but because it is only appended at completion, nothing can
-// nest under it. Call sites whose body records nested events use
-// Begin/EndSpan instead (see span.go).
-func (r *Recorder) Span(kind Kind, track int32, label string, start uint64) {
-	if r == nil {
-		return
-	}
-	end := r.now()
-	dur := uint64(0)
-	if end > start {
-		dur = end - start
-	}
-	key := label
-	if key == "" {
-		key = kind.String()
-	}
-	parent := SpanID(r.attr.Span())
-	id := SpanID(r.attr.NewSpan())
-	r.mu.Lock()
-	r.append(Event{TS: start, Dur: dur, Kind: kind, Track: track, Label: label, Span: id, Parent: parent})
-	h := r.hists[key]
-	if h == nil {
-		h = &metrics.Histogram{}
-		r.hists[key] = h
-	}
-	h.Observe(dur)
-	r.mu.Unlock()
-}
-
 // Len reports the number of events currently retained.
 func (r *Recorder) Len() int {
 	if r == nil {

@@ -25,7 +25,7 @@ func TestNilRecorderIsSafe(t *testing.T) {
 		t.Fatal("nil recorder Now != 0")
 	}
 	r.Emit(KindEMC, TrackMonitor, "emc/nop")
-	r.Span(KindSyscall, TrackKernel, "syscall/1", 0)
+	r.EndSpanAt(r.NewSpanUnder(0), KindSyscall, TrackKernel, "syscall/1", 0)
 	if r.Len() != 0 || r.Dropped() != 0 {
 		t.Fatal("nil recorder has state")
 	}
@@ -74,12 +74,12 @@ func TestRingWraparoundKeepsNewest(t *testing.T) {
 func TestSpanFeedsHistogram(t *testing.T) {
 	clk := &fakeClock{}
 	r := New(16, clk.now, nil, nil)
-	start := clk.now()
+	span := r.NewSpanUnder(0)
 	clk.tick(1224)
-	r.Span(KindEMC, TrackMonitor, "emc/nop", start)
-	start = clk.now()
+	r.EndSpanAt(span, KindEMC, TrackMonitor, "emc/nop", 0)
+	span = r.NewSpanUnder(0)
 	clk.tick(1224)
-	r.Span(KindEMC, TrackMonitor, "emc/nop", start)
+	r.EndSpanAt(span, KindEMC, TrackMonitor, "emc/nop", 0)
 
 	h, ok := r.Histograms()["emc/nop"]
 	if !ok {
@@ -171,16 +171,16 @@ func TestQuantile(t *testing.T) {
 
 func fill(r *Recorder, clk *fakeClock) {
 	for i := 0; i < 5; i++ {
-		start := clk.now()
+		span := r.NewSpanUnder(0)
 		clk.tick(1224)
-		r.Span(KindEMC, TrackMonitor, "emc/nop", start)
+		r.EndSpanAt(span, KindEMC, TrackMonitor, "emc/nop", 0)
 		clk.tick(10)
 		r.Emit(KindFrameSend, TrackClient, "")
 		clk.tick(10)
 		r.Emit(KindFaultInject, TrackClient, "drop")
-		start = clk.now()
+		span = r.NewSpanUnder(0)
 		clk.tick(700)
-		r.Span(KindSandboxExit, SandboxTrack(1), "sandbox/1/exit", start)
+		r.EndSpanAt(span, KindSandboxExit, SandboxTrack(1), "sandbox/1/exit", 0)
 	}
 	r.Emit(KindSandboxKill, TrackMonitor, "policy: rate limit")
 }
