@@ -34,7 +34,6 @@ func NewIBT() *IBT {
 
 // Enable turns tracking on (IA32_S_CET.ENDBR_EN in hardware).
 func (t *IBT) Enable()       { t.enabled = true }
-func (t *IBT) Disable()      { t.enabled = false }
 func (t *IBT) Enabled() bool { return t.enabled }
 
 // MarkEndbr registers addr as carrying an endbr64 landing pad.
@@ -73,7 +72,6 @@ func NewShadowStack() *ShadowStack {
 }
 
 func (s *ShadowStack) Enable()       { s.enabled = true }
-func (s *ShadowStack) Disable()      { s.enabled = false }
 func (s *ShadowStack) Enabled() bool { return s.enabled }
 
 // Depth returns the number of live return addresses.

@@ -85,8 +85,6 @@ type Config struct {
 	// drops far below cold. Either way a turnover destroys the retiring
 	// worker first; any denied fork falls back to a cold launch.
 	ForkPool bool
-	// QueueCap bounds each relay hop (0 = secchan default).
-	QueueCap int
 	// Chaos, when non-nil, interposes one seeded fault injector on the
 	// untrusted hop of every session (the whole fleet draws from a single
 	// deterministic schedule).
@@ -651,7 +649,7 @@ func (s *Server) admit(sl *slot) {
 		sl.span = s.w.Rec.NewSpanUnder(0)
 	}
 	sl.phase = make(map[string]uint64)
-	sl.sess = harness.NewInjectedSession(s.w, s.inj, s.queueCap())
+	sl.sess = harness.NewInjectedSession(s.w, s.inj, secchan.DefaultQueueCap)
 	sl.state = stConnect
 	sl.request = s.requestFor(sl.tenant)
 	sl.start = s.w.M.Clock.Now()
@@ -666,8 +664,8 @@ func (s *Server) admit(sl *slot) {
 	s.ledger.Register(sl.tenant, sl.policy)
 	s.armLane(sl, sl.sess.Proxy, egress.ClientDest(sl.tenant))
 	for _, dest := range []egress.Destination{RegistryDest, ExfilDest} {
-		sink, outer := secchan.NewMemPipeCap(s.queueCap())
-		inner, src := secchan.NewMemPipeCap(s.queueCap())
+		sink, outer := secchan.NewMemPipe()
+		inner, src := secchan.NewMemPipe()
 		pr := &secchan.Proxy{Outer: outer, Inner: inner, Met: s.w.Met}
 		s.armLane(sl, pr, dest)
 		sl.svc = append(sl.svc, &svcLane{dest: dest, pr: pr, src: src, sink: sink})
@@ -685,13 +683,6 @@ func (s *Server) armLane(sl *slot, pr *secchan.Proxy, dest egress.Destination) {
 	if s.inj != nil {
 		s.inj.BindProxy(pr)
 	}
-}
-
-func (s *Server) queueCap() int {
-	if s.cfg.QueueCap > 0 {
-		return s.cfg.QueueCap
-	}
-	return secchan.DefaultQueueCap
 }
 
 // requestFor derives tenant t's request payload from the seed.
