@@ -1,25 +1,24 @@
-// Command erebor-prof profiles a deterministic serving run cycle-exactly:
-// it runs the same fleet erebor-serve would, with the virtual-clock profiler
-// attached, and reports where every virtual cycle went as
-// (tenant, phase, mechanism-stack) attributions.
+// Command erebor-prof profiles the lmbench lat_pagefault workload
+// cycle-exactly, the same workload erebor-bench -exp pagefault measures,
+// and reports where every virtual cycle went as (tenant, phase,
+// mechanism-stack) attributions. A serving fleet is profiled by the command
+// that serves it: erebor-serve -top/-flame/-pprof.
 //
-//	erebor-prof -tenants 64 -top 20                   # top-20 hottest stacks
-//	erebor-prof -tenants 64 -flame out.folded         # folded stacks (flamegraph.pl input)
-//	erebor-prof -tenants 64 -pprof out.pb             # pprof-compatible protobuf
-//	erebor-prof -exp pagefault -ring -flame ring.folded  # profile the ring-MMU path
-//	erebor-prof -diff base.folded ring.folded            # per-stack cycle deltas
+//	erebor-prof -top 20                         # top-20 hottest stacks
+//	erebor-prof -vcpus 2 -flame sync.folded     # folded stacks (flamegraph.pl input)
+//	erebor-prof -ring -pprof ring.pb            # pprof-compatible protobuf, ring-MMU path
+//	erebor-prof -diff sync.folded ring.folded   # per-stack cycle deltas
 //
 // Profiling never charges the clock: a profiled run is cycle-identical to
-// the same run without -top/-flame/-pprof, and both exports are
-// byte-deterministic per (seed, vcpus, config). After every profiled run the
-// tool cross-checks conservation — the sum of stack cycles per (tenant,
-// phase) must equal the metrics registry's phase attribution exactly — and
-// exits 2 on any mismatch.
+// the same run without it, and both exports are byte-deterministic per
+// (vcpus, ring). Every profiled run is cross-checked for conservation — the
+// sum of stack cycles per (tenant, phase) must equal the metrics registry's
+// phase attribution exactly — and fails on any mismatch.
 //
 // -diff mode runs no simulation: it compares two folded profiles (as written
-// by -flame, or erebor-serve-compatible folded text) and prints per-stack
-// deltas sorted biggest-win-first, e.g. attributing the async-ring speedup
-// to the vanished gate-entry and shootdown-IPI stacks.
+// by -flame here or by erebor-serve) and prints per-stack deltas sorted
+// biggest-win-first, e.g. attributing the async-ring speedup to the vanished
+// gate-entry and shootdown-IPI stacks.
 package main
 
 import (
@@ -27,10 +26,8 @@ import (
 	"fmt"
 	"os"
 
-	"github.com/asterisc-release/erebor-go/internal/faultinject"
 	"github.com/asterisc-release/erebor-go/internal/harness"
 	"github.com/asterisc-release/erebor-go/internal/prof"
-	"github.com/asterisc-release/erebor-go/internal/serve"
 )
 
 func fail(format string, args ...any) {
@@ -68,18 +65,8 @@ func loadFolded(path string) map[string]uint64 {
 }
 
 func main() {
-	tenants := flag.Int("tenants", 8, "concurrent tenant slots")
-	sessions := flag.Int("sessions", 0, "total sessions to serve (default 2x tenants)")
-	seed := flag.Int64("seed", 1, "run seed")
-	vcpus := flag.Int("vcpus", 1, "simulated vCPUs serving the fleet")
-	memMB := flag.Uint64("mem", 0, "CVM memory in MiB (default sized to the fleet)")
-	inputBytes := flag.Int("input", 1024, "per-tenant request bytes")
-	modelKB := flag.Int("model", 64, "shared model size in KiB")
-	forkpool := flag.Bool("forkpool", false, "serve from copy-on-write forks of a snapshot template (default: cold-boot every sandbox)")
-	ring := flag.Bool("ring", false, "with -exp pagefault: route MMU requests through the async EMC submission ring")
-	chaos := flag.Float64("chaos", 0, "per-class fault rate on the untrusted hop (0 disables; at most 1/6, as the six classes' rates sum to at most 1)")
-	chaosSeed := flag.Int64("chaos-seed", 0, "fault-schedule seed (default: -seed)")
-	exp := flag.String("exp", "serve", "workload to profile: serve (multi-tenant fleet) or pagefault (lat_pagefault; honors -vcpus/-ring)")
+	vcpus := flag.Int("vcpus", 1, "simulated vCPUs running lat_pagefault")
+	ring := flag.Bool("ring", false, "route MMU requests through the async EMC submission ring")
 	top := flag.Int("top", 0, "print the K hottest stacks (0 disables)")
 	flame := flag.String("flame", "", "write folded stacks to this file (- for stdout; feed to flamegraph.pl / speedscope)")
 	pprofPath := flag.String("pprof", "", "write a pprof-compatible protobuf profile to this file (- for stdout)")
@@ -100,89 +87,27 @@ func main() {
 		*top = 20 // bare invocation: show something useful
 	}
 
-	if *exp == "pagefault" {
-		// The serve fleet's sandbox faults never ride the submission ring, so
-		// the ring's before/after lives in the lat_pagefault workload — the
-		// same one erebor-bench -exp pagefault measures.
-		p, cycles, err := harness.ProfilePagefault(*vcpus, *ring)
-		if err != nil {
-			fail("%v", err)
-		}
-		emit(p, *flame, *pprofPath, *top)
-		fmt.Printf("profiled pagefault (%d vcpus, ring=%v): %d cycles in %d stacks, conserved exactly against phase attribution\n",
-			*vcpus, *ring, cycles, len(p.Stacks()))
-		return
-	}
-	if *exp != "serve" {
-		fail("unknown -exp %q (want serve or pagefault)", *exp)
-	}
-
-	cfg := serve.Config{
-		Tenants:    *tenants,
-		Sessions:   *sessions,
-		Seed:       *seed,
-		VCPUs:      *vcpus,
-		MemMB:      *memMB,
-		InputBytes: *inputBytes,
-		ModelBytes: *modelKB << 10,
-		ForkPool:   *forkpool,
-		Profile:    true,
-	}
-	if cfg.Sessions == 0 {
-		cfg.Sessions = 2 * cfg.Tenants
-	}
-	if cfg.MemMB == 0 && *tenants >= 64 {
-		cfg.MemMB = uint64(256 + *tenants*4)
-	}
-	if *chaos > 0 {
-		cs := *chaosSeed
-		if cs == 0 {
-			cs = *seed
-		}
-		plan := faultinject.Uniform(cs, *chaos)
-		cfg.Chaos = &plan
-	}
-
-	s, err := serve.New(cfg)
+	// The serve fleet's sandbox faults never ride the submission ring, so the
+	// ring's before/after lives in the lat_pagefault workload.
+	p, cycles, err := harness.ProfilePagefault(*vcpus, *ring)
 	if err != nil {
 		fail("%v", err)
 	}
-	rep, err := s.Run()
-	if err != nil {
-		fail("%v", err)
-	}
-	p := s.Profiler()
-
-	// Conservation is the profile's integrity seal: every virtual cycle the
-	// run charged must appear in exactly one stack, bucket for bucket.
-	if bad := p.CheckConservation(s.World().Met); len(bad) > 0 {
-		fmt.Fprintf(os.Stderr, "erebor-prof: conservation FAILED:\n")
-		for _, line := range bad {
-			fmt.Fprintf(os.Stderr, "  %s\n", line)
-		}
-		os.Exit(2)
-	}
-
-	emit(p, *flame, *pprofPath, *top)
-	fmt.Printf("profiled %d sessions (%d tenants, %d vcpus): %d cycles in %d stacks, conserved exactly against phase attribution\n",
-		rep.Completed, rep.Tenants, rep.VCPUs, p.Total(), len(p.Stacks()))
-}
-
-// emit writes the requested views of one profile.
-func emit(p *prof.Profiler, flame, pprofPath string, top int) {
-	if flame != "" {
-		if err := writeFile(flame, func(f *os.File) error { return p.WriteFolded(f) }); err != nil {
+	if *flame != "" {
+		if err := writeFile(*flame, func(f *os.File) error { return p.WriteFolded(f) }); err != nil {
 			fail("flame export: %v", err)
 		}
 	}
-	if pprofPath != "" {
-		if err := writeFile(pprofPath, func(f *os.File) error { return p.WritePprof(f) }); err != nil {
+	if *pprofPath != "" {
+		if err := writeFile(*pprofPath, func(f *os.File) error { return p.WritePprof(f) }); err != nil {
 			fail("pprof export: %v", err)
 		}
 	}
-	if top > 0 {
-		if err := prof.WriteTop(os.Stdout, p.Stacks(), top); err != nil {
+	if *top > 0 {
+		if err := prof.WriteTop(os.Stdout, p.Stacks(), *top); err != nil {
 			fail("%v", err)
 		}
 	}
+	fmt.Printf("profiled pagefault (%d vcpus, ring=%v): %d cycles in %d stacks, conserved exactly against phase attribution\n",
+		*vcpus, *ring, cycles, len(p.Stacks()))
 }

@@ -2,7 +2,7 @@ package main
 
 import (
 	"bytes"
-	"os"
+	"path/filepath"
 	"testing"
 
 	"github.com/asterisc-release/erebor-go/internal/critpath"
@@ -14,31 +14,22 @@ import (
 // plumbing, the analyzer, or serve scheduling that moves the breakdown
 // must regenerate this fixture deliberately:
 //
-//	go run ./cmd/erebor-trace -seed 1 -tenants 8 -sessions 16 -vcpus 2 -critical-path -o cmd/erebor-trace/testdata/golden-critpath-seed1.txt
+//	go run ./cmd/erebor-serve -seed 1 -tenants 8 -sessions 16 -vcpus 2 -forkpool -quiet -critical-path cmd/erebor-serve/testdata/golden-critpath-seed1.txt
 func TestGoldenCriticalPath(t *testing.T) {
-	events, dropped, failed, err := runFleet(fleetConfig{
-		Seed: 1, Tenants: 8, Sessions: 16, VCPUs: 2,
-	})
-	if err != nil {
-		t.Fatal(err)
+	out := filepath.Join(t.TempDir(), "critpath.txt")
+	s, rep := runCmd(t, "-seed", "1", "-tenants", "8", "-sessions", "16", "-vcpus", "2", "-forkpool",
+		"-critical-path", out)
+	if rep.Failed != 0 {
+		t.Fatalf("%d clean-fleet sessions failed", rep.Failed)
 	}
-	if failed != 0 {
-		t.Fatalf("%d clean-fleet sessions failed", failed)
-	}
-	forest, cerr := critpath.Build(events, dropped)
-	if cerr != nil {
+	rec := s.World().Rec
+	if _, cerr := critpath.Build(rec.Snapshot(), rec.Dropped()); cerr != nil {
 		t.Fatalf("clean fleet built a partial forest: %v", cerr)
 	}
-	var buf bytes.Buffer
-	critpath.Analyze(forest).WriteText(&buf)
-
-	golden, err := os.ReadFile("testdata/golden-critpath-seed1.txt")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf.Bytes(), golden) {
+	got, golden := readFile(t, out), readFile(t, "testdata/golden-critpath-seed1.txt")
+	if !bytes.Equal(got, golden) {
 		t.Errorf("critical-path breakdown diverged from golden; regenerate with the command in the test comment if intentional.\ngot:\n%s\nwant:\n%s",
-			buf.String(), golden)
+			got, golden)
 	}
 }
 
@@ -47,14 +38,13 @@ func TestGoldenCriticalPath(t *testing.T) {
 // breakdowns (both tables), per the determinism contract.
 func TestFleetCriticalPathDeterminism(t *testing.T) {
 	render := func() string {
-		events, dropped, _, err := runFleet(fleetConfig{
-			Seed: 9, Tenants: 4, Sessions: 8, VCPUs: 2,
-			Chaos: 0.05, ChaosLatency: 0.2,
-		})
-		if err != nil {
-			t.Fatal(err)
+		s, _ := runCmd(t, "-seed", "9", "-tenants", "4", "-sessions", "8", "-vcpus", "2", "-forkpool",
+			"-chaos", "0.05", "-chaos-latency", "0.2", "-critical-path", filepath.Join(t.TempDir(), "critpath.txt"))
+		rec := s.World().Rec
+		forest, _ := critpath.Build(rec.Snapshot(), rec.Dropped())
+		if len(forest.Sessions) == 0 {
+			t.Fatal("the fleet recorded no session trees")
 		}
-		forest, _ := critpath.Build(events, dropped)
 		rep := critpath.Analyze(forest)
 		var buf bytes.Buffer
 		rep.WriteText(&buf)
@@ -69,12 +59,9 @@ func TestFleetCriticalPathDeterminism(t *testing.T) {
 // TestFleetFilters: -track narrows the export to one track's events and
 // -tenant keeps exactly the spans under that tenant's session roots.
 func TestFleetFilters(t *testing.T) {
-	events, dropped, _, err := runFleet(fleetConfig{
-		Seed: 1, Tenants: 4, Sessions: 8, VCPUs: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s, _ := runCmd(t, "-seed", "1", "-tenants", "4", "-sessions", "8", "-forkpool",
+		"-trace", filepath.Join(t.TempDir(), "fleet.json"))
+	events, dropped := s.World().Rec.Snapshot(), s.World().Rec.Dropped()
 
 	mon := filterTrack(events, "monitor")
 	if len(mon) == 0 {

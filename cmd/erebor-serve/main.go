@@ -5,11 +5,20 @@
 // by default, or a copy-on-write fork of a snapshot template with
 // -forkpool.
 //
+// It is the one command that builds a serving fleet, so every view of a
+// run comes from the same run: the report, OpenMetrics, the watchdog,
+// egress and SLO logs, the Chrome trace, the critical path and the cycle
+// profile.
+//
 //	erebor-serve -tenants 64 -sessions 256            # cold sandbox per session
 //	erebor-serve -tenants 64 -sessions 256 -forkpool  # CoW forks from a snapshot template
 //	erebor-serve -tenants 64 -chaos 0.05              # fault-injected fleet
 //	erebor-serve -tenants 64 -vcpus 4                 # SMP fleet, 4 cores
 //	erebor-serve -tenants 8 -trace trace.json         # Chrome trace export
+//	erebor-serve -tenants 8 -trace t.json -tenant 3   # one tenant's span trees
+//	erebor-serve -tenants 8 -critical-path -          # fleet critical-path breakdown
+//	erebor-serve -tenants 8 -quiet -top 20            # top-20 hottest cycle stacks
+//	erebor-serve -tenants 8 -flame f.folded -pprof f.pb  # folded stacks + pprof profile
 //	erebor-serve -tenants 8 -watchdog -phases         # invariant watchdog + phase table
 //	erebor-serve -tenants 8 -metrics m.txt -events e.jsonl
 //	erebor-serve -tenants 8 -watchdog -statusz :8080  # post-run introspection endpoint
@@ -19,30 +28,35 @@
 //	erebor-serve -tenants 64 -slo default -chaos-latency 0.3 -slo-report slo.jsonl
 //
 // Runs are deterministic: the same flags and seed reproduce the same report
-// bytes (and, fault-free, the same trace bytes — plus byte-identical
-// OpenMetrics and watchdog JSONL exports). The report is printed as JSON on
-// stdout; a non-zero exit means the server itself failed to boot, not that
-// individual sessions failed (those are typed in the report). With -watchdog
-// the exit status also covers the invariant verdict: any non-injected
-// violation exits 2.
+// bytes and the same bytes in every view. Tracing and profiling never charge
+// the clock, so asking for more views never moves a cycle. The report is
+// printed as JSON on stdout; a non-zero exit means the server itself failed
+// to boot, not that individual sessions failed (those are typed in the
+// report). Exit status 2 means a check failed: a profile that does not
+// conserve against the per-(tenant, phase) metrics, or, with -watchdog, any
+// non-injected invariant violation.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 
+	"github.com/asterisc-release/erebor-go/internal/critpath"
 	"github.com/asterisc-release/erebor-go/internal/egress"
 	"github.com/asterisc-release/erebor-go/internal/faultinject"
+	"github.com/asterisc-release/erebor-go/internal/prof"
 	"github.com/asterisc-release/erebor-go/internal/serve"
 	"github.com/asterisc-release/erebor-go/internal/slo"
+	"github.com/asterisc-release/erebor-go/internal/trace"
 )
 
 // writeFile streams fn's output into path (stdout when path is "-").
-func writeFile(path string, fn func(f *os.File) error) error {
+func writeFile(path string, stdout io.Writer, fn func(w io.Writer) error) error {
 	if path == "-" {
-		return fn(os.Stdout)
+		return fn(stdout)
 	}
 	f, err := os.Create(path)
 	if err != nil {
@@ -55,48 +69,109 @@ func writeFile(path string, fn func(f *os.File) error) error {
 	return f.Close()
 }
 
+// filterTrack keeps events on the named export track.
+func filterTrack(events []trace.Event, track string) []trace.Event {
+	var out []trace.Event
+	for _, ev := range events {
+		if trace.TrackName(ev.Track) == track {
+			out = append(out, ev)
+		}
+	}
+	return out
+}
+
+// filterTenant keeps events belonging to the tenant's session trees:
+// the forest is reconstructed, span IDs under the tenant's roots are
+// collected, and only events carrying those IDs survive.
+func filterTenant(events []trace.Event, dropped uint64, tenant int) []trace.Event {
+	forest, _ := critpath.Build(events, dropped) // partial forest still filters
+	allowed := make(map[trace.SpanID]bool)
+	var mark func(n *critpath.Node)
+	mark = func(n *critpath.Node) {
+		allowed[n.ID()] = true
+		for _, c := range n.Children {
+			mark(c)
+		}
+	}
+	for _, sess := range forest.Sessions {
+		if sess.Tenant == tenant {
+			mark(sess.Root)
+		}
+	}
+	var out []trace.Event
+	for _, ev := range events {
+		if ev.Span != 0 && allowed[ev.Span] {
+			out = append(out, ev)
+		}
+	}
+	return out
+}
+
 func main() {
-	tenants := flag.Int("tenants", 8, "concurrent tenant slots")
-	sessions := flag.Int("sessions", 0, "total sessions to serve (default 2x tenants)")
-	seed := flag.Int64("seed", 1, "run seed (requests, fault schedule)")
-	vcpus := flag.Int("vcpus", 1, "simulated vCPUs serving the fleet")
-	memMB := flag.Uint64("mem", 0, "CVM memory in MiB (default sized to the fleet)")
-	inputBytes := flag.Int("input", 1024, "per-tenant request bytes")
-	modelKB := flag.Int("model", 64, "shared model size in KiB")
-	forkpool := flag.Bool("forkpool", false, "instantiate every sandbox as a copy-on-write fork of a snapshot template (default: cold-boot every sandbox)")
-	chaos := flag.Float64("chaos", 0, "per-class fault rate on the untrusted hop (0 disables; at most 1/6, as the six classes' rates sum to at most 1)")
-	chaosSeed := flag.Int64("chaos-seed", 0, "fault-schedule seed (default: -seed)")
-	tracePath := flag.String("trace", "", "write a Chrome trace of the run to this file")
-	quiet := flag.Bool("quiet", false, "print only the summary line, not the full JSON report")
-	watchdog := flag.Bool("watchdog", false, "run continuous invariant sweeps (exit 2 on any non-injected violation)")
-	watchdogEvery := flag.Uint64("watchdog-every", 0, "watchdog cadence in virtual cycles (0 = default)")
-	metricsPath := flag.String("metrics", "", "write the OpenMetrics registry export to this file (- for stdout)")
-	eventsPath := flag.String("events", "", "write the watchdog event log (JSONL) to this file (- for stdout)")
-	phases := flag.Bool("phases", false, "print the per-tenant phase-cycle table after the report")
-	statusz := flag.String("statusz", "", "serve /metrics, /healthz and /statusz on this address after the run (blocks)")
-	egressPolicy := flag.String("egress-policy", "",
+	_, _, status := run(os.Args[1:], os.Stdout, os.Stderr)
+	os.Exit(status)
+}
+
+// run serves the fleet args describe and writes every view they ask for.
+// It returns the server, its report and the exit status; the server and
+// report are nil when the status is 1.
+func run(args []string, stdout, stderr io.Writer) (*serve.Server, *serve.Report, int) {
+	fail := func(format string, a ...any) (*serve.Server, *serve.Report, int) {
+		fmt.Fprintf(stderr, "erebor-serve: "+format+"\n", a...)
+		return nil, nil, 1
+	}
+	fs := flag.NewFlagSet("erebor-serve", flag.ExitOnError)
+	fs.SetOutput(stderr)
+	tenants := fs.Int("tenants", 8, "concurrent tenant slots")
+	sessions := fs.Int("sessions", 0, "total sessions to serve (default 2x tenants)")
+	seed := fs.Int64("seed", 1, "run seed (requests, fault schedule)")
+	vcpus := fs.Int("vcpus", 1, "simulated vCPUs serving the fleet")
+	memMB := fs.Uint64("mem", 0, "CVM memory in MiB (default sized to the fleet)")
+	inputBytes := fs.Int("input", 1024, "per-tenant request bytes")
+	modelKB := fs.Int("model", 64, "shared model size in KiB")
+	forkpool := fs.Bool("forkpool", false, "instantiate every sandbox as a copy-on-write fork of a snapshot template (default: cold-boot every sandbox)")
+	chaos := fs.Float64("chaos", 0, "per-class fault rate on the untrusted hop (0 disables; at most 1/6, as the six classes' rates sum to at most 1)")
+	chaosSeed := fs.Int64("chaos-seed", 0, "fault-schedule seed (default: -seed)")
+	tracePath := fs.String("trace", "", "write a Chrome trace of the run to this file (- for stdout)")
+	traceCap := fs.Int("trace-cap", 0, "flight-recorder ring capacity in events (0 = default)")
+	critPath := fs.String("critical-path", "", "write the critical-path breakdown to this file (- for stdout)")
+	tenantF := fs.Int("tenant", -1, "narrow -critical-path to one tenant's rows and -trace to its span trees")
+	trackF := fs.String("track", "", "narrow -trace to one track (e.g. monitor, kernel, server, cpu-0)")
+	top := fs.Int("top", 0, "print the K hottest cycle stacks (0 disables)")
+	flame := fs.String("flame", "", "write folded cycle stacks to this file (- for stdout; feed to flamegraph.pl / speedscope)")
+	pprofPath := fs.String("pprof", "", "write a pprof-compatible protobuf cycle profile to this file (- for stdout)")
+	quiet := fs.Bool("quiet", false, "print only the summary line, not the full JSON report")
+	watchdog := fs.Bool("watchdog", false, "run continuous invariant sweeps (exit 2 on any non-injected violation)")
+	watchdogEvery := fs.Uint64("watchdog-every", 0, "watchdog cadence in virtual cycles (0 = default)")
+	metricsPath := fs.String("metrics", "", "write the OpenMetrics registry export to this file (- for stdout)")
+	eventsPath := fs.String("events", "", "write the watchdog event log (JSONL) to this file (- for stdout)")
+	phases := fs.Bool("phases", false, "print the per-tenant phase-cycle table after the report")
+	statusz := fs.String("statusz", "", "serve /metrics, /healthz and /statusz on this address after the run (blocks)")
+	egressPolicy := fs.String("egress-policy", "",
 		"deny-by-default egress allowlist spec (e.g. 'allow client/self; allow service/model-registry'; 'default' for the stock policy; empty disables enforcement)")
-	egressLog := flag.String("egress-log", "", "write the egress decision log (JSONL) to this file (- for stdout)")
-	chaosProxy := flag.Float64("chaos-proxy", 0, "per-frame rate of the proxy-edge fault classes (frame-redirect + policy-corrupt; needs -egress-policy)")
-	chaosLatency := flag.Float64("chaos-latency", 0, "per-frame rate of injected latency stalls (separate seeded stream; never perturbs the wire schedule)")
-	chaosLatencyCycles := flag.Uint64("chaos-latency-cycles", 0, "stall size in virtual cycles per injected latency (0 = default)")
-	sloSpec := flag.String("slo", "",
+	egressLog := fs.String("egress-log", "", "write the egress decision log (JSONL) to this file (- for stdout)")
+	chaosProxy := fs.Float64("chaos-proxy", 0, "per-frame rate of the proxy-edge fault classes (frame-redirect + policy-corrupt; needs -egress-policy)")
+	chaosLatency := fs.Float64("chaos-latency", 0, "per-frame rate of injected latency stalls (separate seeded stream; never perturbs the wire schedule)")
+	chaosLatencyCycles := fs.Uint64("chaos-latency-cycles", 0, "stall size in virtual cycles per injected latency (0 = default)")
+	sloSpec := fs.String("slo", "",
 		"arm the SLO engine: 'default' for the stock objectives, or a spec like 'ttfc:p99<=6000000@0.01; compute:p99<=16000000'")
-	sloWindow := flag.Uint64("slo-window", 0, "SLO evaluation window in virtual cycles (0 = default)")
-	sloReport := flag.String("slo-report", "", "write the byte-deterministic SLO evaluation stream (JSONL) to this file (- for stdout; needs -slo)")
-	flag.Parse()
+	sloWindow := fs.Uint64("slo-window", 0, "SLO evaluation window in virtual cycles (0 = default)")
+	sloReport := fs.String("slo-report", "", "write the byte-deterministic SLO evaluation stream (JSONL) to this file (- for stdout; needs -slo)")
+	fs.Parse(args)
 
 	cfg := serve.Config{
-		Tenants:    *tenants,
-		Sessions:   *sessions,
-		Seed:       *seed,
-		VCPUs:      *vcpus,
-		MemMB:      *memMB,
-		InputBytes: *inputBytes,
-		ModelBytes: *modelKB << 10,
-		ForkPool:   *forkpool,
-		Trace:      *tracePath != "",
-		Watchdog:   *watchdog,
+		Tenants:       *tenants,
+		Sessions:      *sessions,
+		Seed:          *seed,
+		VCPUs:         *vcpus,
+		MemMB:         *memMB,
+		InputBytes:    *inputBytes,
+		ModelBytes:    *modelKB << 10,
+		ForkPool:      *forkpool,
+		Trace:         *tracePath != "" || *critPath != "",
+		TraceCapacity: *traceCap,
+		Profile:       *top > 0 || *flame != "" || *pprofPath != "",
+		Watchdog:      *watchdog,
 	}
 	if *watchdogEvery > 0 {
 		cfg.Watchdog, cfg.WatchdogEvery = true, *watchdogEvery
@@ -113,15 +188,13 @@ func main() {
 		} else {
 			sp, err := egress.ParseSpec(*egressPolicy)
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "erebor-serve: -egress-policy: %v\n", err)
-				os.Exit(1)
+				return fail("-egress-policy: %v", err)
 			}
 			cfg.Egress = sp
 		}
 	}
 	if *chaosProxy > 0 && cfg.Egress == nil {
-		fmt.Fprintf(os.Stderr, "erebor-serve: -chaos-proxy needs -egress-policy (proxy faults act on the policed egress edge)\n")
-		os.Exit(1)
+		return fail("-chaos-proxy needs -egress-policy (proxy faults act on the policed egress edge)")
 	}
 	if *chaos > 0 || *chaosProxy > 0 || *chaosLatency > 0 {
 		cs := *chaosSeed
@@ -142,99 +215,125 @@ func main() {
 		} else {
 			objs, err := slo.ParseObjectives(*sloSpec)
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "erebor-serve: -slo: %v\n", err)
-				os.Exit(1)
+				return fail("-slo: %v", err)
 			}
 			cfg.SLO = objs
 		}
 		cfg.SLOWindow = *sloWindow
 	}
 	if *sloReport != "" && *sloSpec == "" {
-		fmt.Fprintf(os.Stderr, "erebor-serve: -slo-report needs -slo\n")
-		os.Exit(1)
+		return fail("-slo-report needs -slo")
+	}
+	if *egressLog != "" && cfg.Egress == nil {
+		return fail("-egress-log needs -egress-policy")
+	}
+	if *tenantF >= 0 && !cfg.Trace {
+		return fail("-tenant needs -trace or -critical-path")
+	}
+	if *trackF != "" && *tracePath == "" {
+		return fail("-track needs -trace")
 	}
 
 	s, err := serve.New(cfg)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "erebor-serve: %v\n", err)
-		os.Exit(1)
+		return fail("%v", err)
 	}
 	rep, err := s.Run()
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "erebor-serve: %v\n", err)
-		os.Exit(1)
+		return fail("%v", err)
 	}
-
-	if *tracePath != "" {
-		f, err := os.Create(*tracePath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "erebor-serve: %v\n", err)
-			os.Exit(1)
-		}
-		if err := s.World().Rec.ExportChromeTrace(f); err != nil {
-			fmt.Fprintf(os.Stderr, "erebor-serve: trace export: %v\n", err)
-			os.Exit(1)
-		}
-		if err := f.Close(); err != nil {
-			fmt.Fprintf(os.Stderr, "erebor-serve: %v\n", err)
-			os.Exit(1)
+	p := s.Profiler()
+	if cfg.Profile {
+		// Conservation is the profile's integrity seal: every virtual cycle
+		// the run charged must appear in exactly one stack, bucket for bucket.
+		if bad := p.CheckConservation(s.World().Met); len(bad) > 0 {
+			fmt.Fprintf(stderr, "erebor-serve: profile conservation FAILED:\n")
+			for _, line := range bad {
+				fmt.Fprintf(stderr, "  %s\n", line)
+			}
+			return s, rep, 2
 		}
 	}
 
-	if *metricsPath != "" {
-		if err := writeFile(*metricsPath, func(f *os.File) error {
-			return s.World().Met.ExportOpenMetrics(f)
-		}); err != nil {
-			fmt.Fprintf(os.Stderr, "erebor-serve: metrics export: %v\n", err)
-			os.Exit(1)
-		}
+	rec := s.World().Rec
+	views := []struct {
+		path string
+		fn   func(w io.Writer) error
+	}{
+		{*tracePath, func(w io.Writer) error {
+			events := rec.Snapshot()
+			if *tenantF >= 0 {
+				events = filterTenant(events, rec.Dropped(), *tenantF)
+			}
+			if *trackF != "" {
+				events = filterTrack(events, *trackF)
+			}
+			return trace.ExportChromeEvents(w, events, rec.Dropped())
+		}},
+		{*critPath, func(w io.Writer) error {
+			forest, err := critpath.Build(rec.Snapshot(), rec.Dropped())
+			if err != nil {
+				// Typed incompleteness: the report itself carries the partial
+				// banner; the stderr note makes it visible in pipelines too.
+				fmt.Fprintf(stderr, "erebor-serve: %v\n", err)
+			}
+			if cp := critpath.Analyze(forest); *tenantF >= 0 {
+				cp.WriteTenants(w, *tenantF)
+			} else {
+				cp.WriteText(w)
+			}
+			return nil
+		}},
+		{*flame, p.WriteFolded},
+		{*pprofPath, p.WritePprof},
+		{*metricsPath, s.World().Met.ExportOpenMetrics},
+		{*eventsPath, s.World().Mon.ExportWatchdogJSONL},
 	}
-	if *eventsPath != "" {
-		if err := writeFile(*eventsPath, func(f *os.File) error {
-			return s.World().Mon.ExportWatchdogJSONL(f)
-		}); err != nil {
-			fmt.Fprintf(os.Stderr, "erebor-serve: event export: %v\n", err)
-			os.Exit(1)
+	for _, v := range views {
+		if v.path == "" {
+			continue
+		}
+		if err := writeFile(v.path, stdout, v.fn); err != nil {
+			return fail("%s: %v", v.path, err)
 		}
 	}
 	if *egressLog != "" {
-		if s.Ledger() == nil {
-			fmt.Fprintf(os.Stderr, "erebor-serve: -egress-log needs -egress-policy\n")
-			os.Exit(1)
-		}
-		if err := writeFile(*egressLog, func(f *os.File) error {
-			return s.ExportEgressJSONL(f)
-		}); err != nil {
-			fmt.Fprintf(os.Stderr, "erebor-serve: egress log export: %v\n", err)
-			os.Exit(1)
+		if err := writeFile(*egressLog, stdout, s.ExportEgressJSONL); err != nil {
+			return fail("egress log export: %v", err)
 		}
 	}
 
 	if *quiet {
-		fmt.Printf("tenants=%d vcpus=%d sessions=%d completed=%d failed=%d forked=%d cycles/session=%d sessions/s=%.1f\n",
+		fmt.Fprintf(stdout, "tenants=%d vcpus=%d sessions=%d completed=%d failed=%d forked=%d cycles/session=%d sessions/s=%.1f\n",
 			rep.Tenants, rep.VCPUs, rep.Sessions, rep.Completed, rep.Failed,
 			rep.ForkSessions, rep.CyclesPerSession, rep.SessionsPerSec)
 	} else {
-		os.Stdout.Write(rep.JSON())
-		fmt.Println()
+		stdout.Write(rep.JSON())
+		fmt.Fprintln(stdout)
 	}
 	if *sloReport != "" {
-		if err := writeFile(*sloReport, func(f *os.File) error {
-			return s.SLO().ExportJSONL(f)
-		}); err != nil {
-			fmt.Fprintf(os.Stderr, "erebor-serve: slo report export: %v\n", err)
-			os.Exit(1)
+		if err := writeFile(*sloReport, stdout, s.SLO().ExportJSONL); err != nil {
+			return fail("slo report export: %v", err)
 		}
 	}
 	if *phases {
-		serve.WritePhaseTable(os.Stdout, s.PhaseBreakdown())
+		serve.WritePhaseTable(stdout, s.PhaseBreakdown())
+	}
+	if *top > 0 {
+		if err := prof.WriteTop(stdout, p.Stacks(), *top); err != nil {
+			return fail("%v", err)
+		}
+	}
+	if cfg.Profile && !*quiet {
+		fmt.Fprintf(stdout, "profile: %d cycles in %d stacks, conserved exactly against phase attribution\n",
+			p.Total(), len(p.Stacks()))
 	}
 	if s.SLO() != nil && !*quiet {
-		slo.WriteTable(os.Stdout, s.SLO().Latest())
+		slo.WriteTable(stdout, s.SLO().Latest())
 	}
 	if s.Ledger() != nil && !*quiet {
 		allowed, denied := s.Ledger().Counts()
-		fmt.Printf("egress: policy %q — %d allowed, %d denied (%d typed denials drained, %d dropped at queue cap)\n",
+		fmt.Fprintf(stdout, "egress: policy %q — %d allowed, %d denied (%d typed denials drained, %d dropped at queue cap)\n",
 			cfg.Egress.String(), allowed, denied, rep.EgressDenialsSeen, rep.EgressDenialDrops)
 	}
 
@@ -242,23 +341,23 @@ func main() {
 	if cfg.Watchdog {
 		mon := s.World().Mon
 		if n := mon.WatchdogNonInjected(); n > 0 {
-			fmt.Fprintf(os.Stderr, "erebor-serve: watchdog: %d non-injected invariant violations in %d sweeps\n",
+			fmt.Fprintf(stderr, "erebor-serve: watchdog: %d non-injected invariant violations in %d sweeps\n",
 				n, mon.WatchdogSweeps())
 			if *statusz == "" {
-				os.Exit(2)
+				return s, rep, 2
 			}
 		} else if !*quiet {
-			fmt.Printf("watchdog: healthy (%d sweeps)\n", mon.WatchdogSweeps())
+			fmt.Fprintf(stdout, "watchdog: healthy (%d sweeps)\n", mon.WatchdogSweeps())
 		}
 	}
 
 	if *statusz != "" {
 		// The simulation has finished: the handler serves frozen snapshot
 		// bytes, so introspection can never perturb a (deterministic) run.
-		fmt.Fprintf(os.Stderr, "erebor-serve: serving /metrics /healthz /statusz on %s\n", *statusz)
+		fmt.Fprintf(stderr, "erebor-serve: serving /metrics /healthz /statusz on %s\n", *statusz)
 		if err := http.ListenAndServe(*statusz, status.Handler()); err != nil {
-			fmt.Fprintf(os.Stderr, "erebor-serve: statusz: %v\n", err)
-			os.Exit(1)
+			return fail("statusz: %v", err)
 		}
 	}
+	return s, rep, 0
 }

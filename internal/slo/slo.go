@@ -19,7 +19,7 @@
 // Exemplars close the loop to the trace: each histogram tail bucket
 // retains the span/session ID of the last observation that landed in it,
 // so a blown objective names the concrete session tree that explains it
-// (feed the ID to the critical-path analyzer or erebor-trace -tenant).
+// (feed the ID to the critical-path analyzer or erebor-serve -tenant).
 package slo
 
 import (
