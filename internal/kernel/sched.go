@@ -584,14 +584,22 @@ type Env struct {
 }
 
 // Charge burns n cycles of user compute, yielding to the scheduler at
-// quantum boundaries.
+// quantum boundaries. A call longer than TimerQuantum is charged one
+// quantum at a time, checking the slice end after each, so a task sees the
+// same timer ticks however it splits its compute.
 func (e *Env) Charge(n uint64) {
-	// A leaf frame: nothing stays pushed into the quantum check, so a
-	// preemption yield never suspends the task goroutine inside a frame.
-	e.K.M.Clock.ChargeFrame("user/compute", n)
-	e.checkSignals()
-	if e.K.M.Clock.Now() >= e.K.sliceEnd {
-		e.yield(event{kind: evPreempt})
+	for {
+		chunk := min(n, TimerQuantum)
+		// A leaf frame: nothing stays pushed into the quantum check, so a
+		// preemption yield never suspends the task goroutine inside a frame.
+		e.K.M.Clock.ChargeFrame("user/compute", chunk)
+		e.checkSignals()
+		if e.K.M.Clock.Now() >= e.K.sliceEnd {
+			e.yield(event{kind: evPreempt})
+		}
+		if n -= chunk; n == 0 {
+			return
+		}
 	}
 }
 

@@ -152,6 +152,36 @@ func faultRoundTripWorld(tb testing.TB, ops int) (*harness.World, *kernel.Task) 
 	return w, tk
 }
 
+// TestChargeTicksIndependentOfSplit: a task sees one timer tick per quantum
+// of compute however it splits that compute across Charge calls, so timer
+// ticks (Table 6's counts, reclaim's ticks) never depend on call sizes.
+func TestChargeTicksIndependentOfSplit(t *testing.T) {
+	const total = 8 * kernel.TimerQuantum
+	for _, calls := range []uint64{1, 4, 8, 16} {
+		w, err := harness.NewWorld(harness.WorldConfig{Mode: kernel.ModeNative, MemMB: 64})
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := w.K.Stats.TimerTicks
+		tk, err := w.K.Spawn("compute", mem.OwnerTaskBase, func(e *kernel.Env) {
+			for i := uint64(0); i < calls; i++ {
+				e.Charge(total / calls)
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		w.K.Schedule()
+		if tk.ExitReason != "" {
+			t.Fatal(tk.ExitReason)
+		}
+		if got := w.K.Stats.TimerTicks - before; got != 8 {
+			t.Errorf("8 quanta charged in %d calls of %d cycles saw %d timer ticks, want 8", calls, total/calls, got)
+		}
+		w.Close()
+	}
+}
+
 // TestFaultRoundTripAllocs is the host allocation budget of the fault
 // path: one warm lat_pagefault op (mmap, 64 faults, munmap) makes at most
 // two heap allocations per faulted page.

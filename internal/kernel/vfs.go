@@ -103,10 +103,3 @@ func (d *FDesc) Write(buf []byte) int {
 
 // Seek resets the offset.
 func (d *FDesc) Seek(off int) { d.off = off }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -508,18 +508,17 @@ func nonceFor(seq uint64) []byte {
 	return n
 }
 
+// gcmTagSize is the AES-GCM tag Seal appends to a record.
+const gcmTagSize = 16
+
 // Pad frames to a multiple of PadBlock: 4-byte length prefix + payload +
-// zero padding.
+// zero padding. The one buffer's capacity leaves room for the GCM tag, so
+// sealAt seals it in place.
 func pad(payload []byte, block int) []byte {
-	raw := make([]byte, 4+len(payload))
-	binary.BigEndian.PutUint32(raw, uint32(len(payload)))
-	copy(raw[4:], payload)
-	total := ((len(raw) + block - 1) / block) * block
-	if total == 0 {
-		total = block
-	}
-	padded := make([]byte, total)
-	copy(padded, raw)
+	total := ((4 + len(payload) + block - 1) / block) * block
+	padded := make([]byte, total, total+gcmTagSize)
+	binary.BigEndian.PutUint32(padded, uint32(len(payload)))
+	copy(padded[4:], payload)
 	return padded
 }
 
@@ -540,7 +539,7 @@ func unpad(raw []byte) ([]byte, error) {
 // retransmit is a bit-for-bit duplicate, never a nonce reuse with new data).
 func (c *Conn) sealAt(seq uint64, msg []byte) []byte {
 	padded := pad(msg, c.PadBlock)
-	return c.sealKey.Seal(nil, nonceFor(seq), padded, nil)
+	return c.sealKey.Seal(padded[:0], nonceFor(seq), padded, nil)
 }
 
 // openAt attempts to authenticate ct at an explicit sequence number and
