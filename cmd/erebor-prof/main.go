@@ -1,8 +1,9 @@
-// Command erebor-prof profiles the lmbench lat_pagefault workload
-// cycle-exactly, the same workload erebor-bench -exp pagefault measures,
-// and reports where every virtual cycle went as (tenant, phase,
-// mechanism-stack) attributions. A serving fleet is profiled by the command
-// that serves it: erebor-serve -top/-flame/-pprof.
+// Command erebor-prof runs the lmbench lat_pagefault experiment of
+// erebor-bench -exp pagefault, whose every row is profiled cycle-exactly,
+// and reports where every virtual cycle of its synchronous row (the ring
+// row with -ring) went as (tenant, phase, mechanism-stack) attributions. A
+// serving fleet is profiled by the command that serves it: erebor-serve
+// -top/-flame/-pprof.
 //
 //	erebor-prof -top 20                         # top-20 hottest stacks
 //	erebor-prof -vcpus 2 -flame sync.folded     # folded stacks (flamegraph.pl input)
@@ -89,10 +90,15 @@ func main() {
 
 	// The serve fleet's sandbox faults never ride the submission ring, so the
 	// ring's before/after lives in the lat_pagefault workload.
-	p, cycles, err := harness.ProfilePagefault(*vcpus, *ring)
+	rows, err := harness.MeasurePagefault(*vcpus)
 	if err != nil {
 		fail("%v", err)
 	}
+	row := rows[1]
+	if *ring {
+		row = rows[2]
+	}
+	p := row.Profile
 	if *flame != "" {
 		if err := writeFile(*flame, func(f *os.File) error { return p.WriteFolded(f) }); err != nil {
 			fail("flame export: %v", err)
@@ -109,5 +115,5 @@ func main() {
 		}
 	}
 	fmt.Printf("profiled pagefault (%d vcpus, ring=%v): %d cycles in %d stacks, conserved exactly against phase attribution\n",
-		*vcpus, *ring, cycles, len(p.Stacks()))
+		*vcpus, *ring, row.WindowCycles, len(p.Stacks()))
 }

@@ -2,7 +2,9 @@ package harness
 
 import (
 	"fmt"
+	"strings"
 
+	"github.com/asterisc-release/erebor-go/internal/abi"
 	"github.com/asterisc-release/erebor-go/internal/cpu"
 	"github.com/asterisc-release/erebor-go/internal/kernel"
 	"github.com/asterisc-release/erebor-go/internal/mem"
@@ -88,21 +90,28 @@ func MeasureTable3() ([]TransitionCost, error) {
 func measureSyscall(w *World) (uint64, error) {
 	const iters = 64
 	var cycles uint64
-	t, err := w.K.Spawn("nullsys", mem.OwnerTaskBase, func(e *kernel.Env) {
+	err := runTask(w, "SYSCALL", func(e *kernel.Env) {
 		start := w.M.Clock.Now()
 		for i := 0; i < iters; i++ {
-			e.Syscall(18) // SysYield would resched; use getppid (14)? keep getpid=13
+			e.Syscall(abi.SysGetpid)
 		}
 		cycles = (w.M.Clock.Now() - start) / iters
 	})
+	return cycles, err
+}
+
+// runTask runs fn as one task to its exit. It fails, naming the table row
+// the task measures for, when the task cannot spawn or exits uncleanly.
+func runTask(w *World, row string, fn func(e *kernel.Env)) error {
+	t, err := w.K.Spawn(strings.ToLower(row), mem.OwnerTaskBase, fn)
 	if err != nil {
-		return 0, err
+		return fmt.Errorf("%s row (%s): %w", row, w.Mode, err)
 	}
 	w.K.Schedule()
 	if t.ExitReason != "" {
-		return 0, fmt.Errorf("syscall bench failed: %s", t.ExitReason)
+		return fmt.Errorf("%s row (%s): %s", row, w.Mode, t.ExitReason)
 	}
-	return cycles, nil
+	return nil
 }
 
 func measure(w *World, fn func()) uint64 {
@@ -140,39 +149,31 @@ func MeasureTable4() ([]PrivOpCost, error) {
 
 	// MMU: leaf PTE update. Native: raw table write through the kernel's
 	// own tables; Erebor: EMCProtectUser on a mapped page.
-	natMMU := func() uint64 {
-		// Set up a native user page.
-		var cyc uint64
-		t, _ := nat.K.Spawn("mmu", mem.OwnerTaskBase, func(e *kernel.Env) {
-			va := e.Mmap(4096, true, false)
-			e.Touch(va, 1, true)
-			start := nat.M.Clock.Now()
-			for i := 0; i < iters; i++ {
-				e.T.P.AS.Tables().Update(va, func(p paging.PTE) paging.PTE { return p })
+	var natMMU, ereMMU uint64
+	if err := runTask(nat, "MMU", func(e *kernel.Env) {
+		va := e.Mmap(4096, true, false)
+		e.Touch(va, 1, true)
+		start := nat.M.Clock.Now()
+		for i := 0; i < iters; i++ {
+			e.T.P.AS.Tables().Update(va, func(p paging.PTE) paging.PTE { return p })
+		}
+		natMMU = (nat.M.Clock.Now() - start) / iters
+	}); err != nil {
+		return nil, err
+	}
+	if err := runTask(ere, "MMU", func(e *kernel.Env) {
+		va := e.Mmap(4096, true, false)
+		e.Touch(va, 1, true)
+		start := ere.M.Clock.Now()
+		for i := 0; i < iters; i++ {
+			if err := ere.Mon.EMCProtectUser(ec, e.T.P.AS.ASID, va, monitor.MapFlags{Writable: true}); err != nil {
+				panic(err)
 			}
-			cyc = (nat.M.Clock.Now() - start) / iters
-		})
-		nat.K.Schedule()
-		_ = t
-		return cyc
-	}()
-	ereMMU := func() uint64 {
-		var cyc uint64
-		t, _ := ere.K.Spawn("mmu", mem.OwnerTaskBase, func(e *kernel.Env) {
-			va := e.Mmap(4096, true, false)
-			e.Touch(va, 1, true)
-			start := ere.M.Clock.Now()
-			for i := 0; i < iters; i++ {
-				if err := ere.Mon.EMCProtectUser(ec, e.T.P.AS.ASID, va, monitor.MapFlags{Writable: true}); err != nil {
-					panic(err)
-				}
-			}
-			cyc = (ere.M.Clock.Now() - start) / iters
-		})
-		ere.K.Schedule()
-		_ = t
-		return cyc
-	}()
+		}
+		ereMMU = (ere.M.Clock.Now() - start) / iters
+	}); err != nil {
+		return nil, err
+	}
 	rows = append(rows, PrivOpCost{"MMU", natMMU, ereMMU})
 
 	// CR: rewrite CR0 with the same protected value.
@@ -204,27 +205,25 @@ func MeasureTable4() ([]PrivOpCost, error) {
 			}
 		}
 	}) / iters
-	ereSMAP := func() uint64 {
-		// Prepare a mapped user page, then measure the monitor-emulated
-		// copy window from kernel context (where copy_from_user runs).
-		var asid monitor.ASID
-		var va paging.Addr
-		t, _ := ere.K.Spawn("smap", mem.OwnerTaskBase, func(e *kernel.Env) {
-			va = e.Mmap(4096, true, false)
-			e.Touch(va, 1, true)
-			asid = e.T.P.AS.ASID
-		})
-		ere.K.Schedule()
-		_ = t
-		var b [1]byte
-		start := ere.M.Clock.Now()
+	// Prepare a mapped user page, then measure the monitor-emulated copy
+	// window from kernel context (where copy_from_user runs).
+	var asid monitor.ASID
+	var va paging.Addr
+	if err := runTask(ere, "SMAP", func(e *kernel.Env) {
+		va = e.Mmap(4096, true, false)
+		e.Touch(va, 1, true)
+		asid = e.T.P.AS.ASID
+	}); err != nil {
+		return nil, err
+	}
+	var b [1]byte
+	ereSMAP := measure(ere, func() {
 		for i := 0; i < iters; i++ {
 			if err := ere.Mon.EMCUserCopy(ec, asid, monitor.CopyFromUser, uint64(va), b[:]); err != nil {
 				panic(err)
 			}
 		}
-		return (ere.M.Clock.Now() - start) / iters
-	}()
+	}) / iters
 	rows = append(rows, PrivOpCost{"SMAP", natSMAP, ereSMAP})
 
 	// IDT: vector handler update.

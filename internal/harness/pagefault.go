@@ -5,8 +5,8 @@ import (
 
 	"github.com/asterisc-release/erebor-go/internal/costs"
 	"github.com/asterisc-release/erebor-go/internal/kernel"
-	"github.com/asterisc-release/erebor-go/internal/mem"
 	"github.com/asterisc-release/erebor-go/internal/metrics"
+	"github.com/asterisc-release/erebor-go/internal/prof"
 	"github.com/asterisc-release/erebor-go/internal/workloads/lmbench"
 )
 
@@ -25,15 +25,22 @@ type PagefaultRow struct {
 	MeanDepth    float64 // mean ring entries consumed per drain
 	IPIsSent     uint64  // shootdown IPIs delivered during the run
 	IPIsPerDrain float64 // coalesced IPIs per drain (must be <= P-1)
+	// Profile is the run's cycle profile over its attribution window
+	// (phase "pagefault", task start and exit included), and WindowCycles
+	// is that window's length; the profile's total equals it exactly.
+	// Diffing the erebor and erebor+ring profiles attributes the ring's
+	// win stack by stack.
+	Profile      *prof.Profiler
+	WindowCycles uint64
 }
 
 // MeasurePagefault runs the lat_pagefault workload three ways at the given
 // vCPU count and reports the before/after effect of the async submission
 // ring. Every figure derives from the deterministic virtual clock and
-// counters: same (seed, P), same bytes. The Erebor runs sweep the invariant
-// watchdog continuously; any non-injected violation is an error, as is a
-// ring run that fails to beat the synchronous path or a drain that exceeds
-// one IPI per remote core.
+// counters: same (seed, P), same bytes. Every row is profiled and must
+// conserve, and the Erebor runs sweep the invariant watchdog; any
+// non-injected violation is an error, as is a ring run that fails to beat
+// the synchronous path or a drain that exceeds one IPI per remote core.
 func MeasurePagefault(vcpus int) ([]PagefaultRow, error) {
 	if vcpus < 1 {
 		vcpus = 1
@@ -48,85 +55,43 @@ func MeasurePagefault(vcpus int) ([]PagefaultRow, error) {
 		return nil, fmt.Errorf("pagefault bench missing from the lmbench suite")
 	}
 
-	run := func(mode kernel.Mode, ring bool) (PagefaultRow, error) {
-		label := "native"
-		if mode == kernel.ModeErebor {
-			label = "erebor"
-			if ring {
-				label = "erebor+ring"
-			}
-		}
-		row := PagefaultRow{Mode: label}
-		w, err := NewWorld(WorldConfig{Mode: mode, MemMB: 64, VCPUs: vcpus})
+	var rows []PagefaultRow
+	for _, m := range []struct {
+		mode kernel.Mode
+		ring bool
+	}{{kernel.ModeNative, false}, {kernel.ModeErebor, false}, {kernel.ModeErebor, true}} {
+		r, err := runLMBench(bench, m.mode, vcpus, m.ring, true)
 		if err != nil {
-			return row, err
+			return nil, err
 		}
-		if w.Mon != nil {
-			w.Mon.RingMMU = ring
-			w.Mon.EnableWatchdog(0)
+		row := PagefaultRow{
+			Mode:         r.label,
+			CyclesPerOp:  r.runCycles / uint64(bench.Iters),
+			RunCycles:    r.runCycles,
+			EMCs:         r.emcs,
+			EMCPerOp:     float64(r.emcs) / float64(bench.Iters),
+			EMCPerSecond: costs.PerSecond(r.emcs, r.runCycles),
+			IPIsSent:     r.ipis,
+			Profile:      r.profile,
+			WindowCycles: r.window,
 		}
-		lmbench.Prepare(w.K)
-		var start, end, emcStart, ipiStart uint64
-		completed := 0
-		t, err := w.K.Spawn("pagefault-"+label, mem.OwnerTaskBase, func(e *kernel.Env) {
-			if w.Mon != nil {
-				emcStart = w.Mon.Stats.EMCs
+		met := r.w.Met
+		if row.Drains = met.Value(metrics.FamilyEMCRingDrains, metrics.KV("outcome", "committed")); row.Drains > 0 {
+			var ops uint64
+			for _, n := range met.CounterMap(metrics.FamilyEMCRingOps, "op") {
+				ops += n
 			}
-			ipiStart = w.M.IPIsSent
-			start = w.M.Clock.Now()
-			completed = bench.Run(e, bench.Iters)
-			end = w.M.Clock.Now()
-		})
-		if err != nil {
-			return row, err
+			row.MeanDepth = float64(ops) / float64(row.Drains)
+			sent := met.Value(metrics.FamilyRingCoalescedIPIs, metrics.KV("result", "sent"))
+			row.IPIsPerDrain = float64(sent) / float64(row.Drains)
 		}
-		w.K.Schedule()
-		if t.ExitReason != "" {
-			return row, fmt.Errorf("pagefault (%s): %s", label, t.ExitReason)
+		if row.IPIsPerDrain > float64(vcpus-1) {
+			return nil, fmt.Errorf("pagefault (%s): %.2f coalesced IPIs per drain exceeds P-1=%d",
+				r.label, row.IPIsPerDrain, vcpus-1)
 		}
-		if err := lmbench.Validate(bench, completed); err != nil {
-			return row, err
-		}
-		row.RunCycles = end - start
-		row.CyclesPerOp = row.RunCycles / uint64(bench.Iters)
-		row.IPIsSent = w.M.IPIsSent - ipiStart
-		if w.Mon != nil {
-			row.EMCs = w.Mon.Stats.EMCs - emcStart
-			row.EMCPerOp = float64(row.EMCs) / float64(bench.Iters)
-			row.EMCPerSecond = costs.PerSecond(row.EMCs, row.RunCycles)
-			row.Drains = w.Met.Value(metrics.FamilyEMCRingDrains, metrics.KV("outcome", "committed"))
-			if row.Drains > 0 {
-				var ops uint64
-				for _, n := range w.Met.CounterMap(metrics.FamilyEMCRingOps, "op") {
-					ops += n
-				}
-				row.MeanDepth = float64(ops) / float64(row.Drains)
-				sent := w.Met.Value(metrics.FamilyRingCoalescedIPIs, metrics.KV("result", "sent"))
-				row.IPIsPerDrain = float64(sent) / float64(row.Drains)
-			}
-			if n := w.Mon.WatchdogNonInjected(); n != 0 {
-				return row, fmt.Errorf("pagefault (%s): %d non-injected watchdog violations", label, n)
-			}
-			if row.IPIsPerDrain > float64(vcpus-1) {
-				return row, fmt.Errorf("pagefault (%s): %.2f coalesced IPIs per drain exceeds P-1=%d",
-					label, row.IPIsPerDrain, vcpus-1)
-			}
-		}
-		return row, nil
+		rows = append(rows, row)
 	}
-
-	native, err := run(kernel.ModeNative, false)
-	if err != nil {
-		return nil, err
-	}
-	sync, err := run(kernel.ModeErebor, false)
-	if err != nil {
-		return nil, err
-	}
-	ringRow, err := run(kernel.ModeErebor, true)
-	if err != nil {
-		return nil, err
-	}
+	sync, ringRow := rows[1], rows[2]
 	if ringRow.Drains == 0 {
 		return nil, fmt.Errorf("pagefault: ring run never drained the submission ring")
 	}
@@ -138,5 +103,5 @@ func MeasurePagefault(vcpus int) ([]PagefaultRow, error) {
 		return nil, fmt.Errorf("pagefault: ring %d gate crossings did not beat synchronous %d",
 			ringRow.EMCs, sync.EMCs)
 	}
-	return []PagefaultRow{native, sync, ringRow}, nil
+	return rows, nil
 }

@@ -5,18 +5,21 @@ import (
 	"testing"
 )
 
-// The profiled pagefault run conserves (checked inside ProfilePagefault)
-// and the ring profile shifts gate-crossing cycles into ring-drain stacks.
+// Every pagefault row is profiled and conserves (checked inside
+// runLMBench), its profile totals exactly its attribution window, and the
+// ring profile shifts gate-crossing cycles into ring-drain stacks.
 func TestProfilePagefaultRingAttribution(t *testing.T) {
-	sync, syncCycles, err := ProfilePagefault(2, false)
+	rows, err := MeasurePagefault(2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ring, ringCycles, err := ProfilePagefault(2, true)
-	if err != nil {
-		t.Fatal(err)
+	for _, r := range rows {
+		if got := r.Profile.Total(); got != r.WindowCycles {
+			t.Errorf("%s: profile totals %d cycles, window %d", r.Mode, got, r.WindowCycles)
+		}
 	}
-	if ringCycles >= syncCycles {
+	sync, ring := rows[1].Profile, rows[2].Profile
+	if syncCycles, ringCycles := rows[1].WindowCycles, rows[2].WindowCycles; ringCycles >= syncCycles {
 		t.Fatalf("ring run (%d cycles) did not beat sync (%d)", ringCycles, syncCycles)
 	}
 	sum := func(stacks map[string]uint64, substr string) uint64 {
