@@ -179,14 +179,38 @@ func (p *Platform) PublishCommon(name string, data []byte) error {
 
 // Runtime is the in-sandbox API handed to a container's Main.
 type Runtime struct {
-	c  *sandbox.Container
-	os *libos.OS
+	c       *sandbox.Container
+	os      *libos.OS
+	in, out confinedBuf
+}
+
+// confinedBuf is a confined buffer reused across calls. The LibOS heap
+// never frees, so a fresh buffer per call would exhaust it; a larger one
+// is carved only when a call needs more than the buffer holds.
+type confinedBuf struct {
+	va  paging.Addr
+	cap int
+}
+
+func (b *confinedBuf) get(os *libos.OS, n int) (paging.Addr, error) {
+	if b.va == 0 || b.cap < n {
+		va, err := os.Alloc(n)
+		if err != nil {
+			return 0, err
+		}
+		b.va, b.cap = va, n
+	}
+	return b.va, nil
 }
 
 // ReceiveInput waits (bounded) for the next client message and returns a
 // copy. Returns nil when no input arrives.
 func (r *Runtime) ReceiveInput(maxBytes int) ([]byte, error) {
-	buf, n, err := r.os.ReceiveInput(maxBytes, 16)
+	buf, err := r.in.get(r.os, maxBytes)
+	if err != nil {
+		return nil, err
+	}
+	_, n, err := r.os.ReceiveInputInto(buf, maxBytes, 16)
 	if err != nil || n == 0 {
 		return nil, err
 	}
@@ -197,7 +221,12 @@ func (r *Runtime) ReceiveInput(maxBytes int) ([]byte, error) {
 
 // SendOutput hands a result to the monitor for padded, encrypted delivery.
 func (r *Runtime) SendOutput(data []byte) error {
-	return r.os.SendOutputBytes(data)
+	va, err := r.out.get(r.os, len(data))
+	if err != nil {
+		return err
+	}
+	r.os.Env.WriteMem(va, data)
+	return r.os.SendOutput(va, len(data))
 }
 
 // EndSession terminates the client session; the monitor scrubs all

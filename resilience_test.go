@@ -2,6 +2,7 @@ package erebor
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 )
 
@@ -65,4 +66,50 @@ func TestPublicAPIResilientPath(t *testing.T) {
 	if len(p.RuntimeViolationLog()) != 0 {
 		t.Fatalf("violation log non-empty: %v", p.RuntimeViolationLog())
 	}
+}
+
+// A container that loops over requests reuses its confined input and
+// output buffers, so it answers more requests than its heap has pages.
+func TestRuntimeServesMoreRequestsThanHeapPages(t *testing.T) {
+	const heapPages, requests = 64, 100
+	p, err := NewPlatform(PlatformConfig{MemMB: 96})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := p.Launch(ContainerConfig{
+		Name: "looping-svc", HeapPages: heapPages,
+		Main: func(r *Runtime) {
+			for i := 0; i < requests; i++ {
+				in, err := r.ReceiveInput(4096)
+				if err != nil || in == nil {
+					break
+				}
+				if err := r.SendOutput(bytes.ToUpper(in)); err != nil {
+					break
+				}
+			}
+			r.EndSession()
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl, err := p.Connect(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < requests; i++ {
+		req := fmt.Appendf(nil, "request %d: confidential payload", i)
+		if err := cl.SendWithRetry(req); err != nil {
+			t.Fatalf("request %d send: %v", i, err)
+		}
+		reply, err := cl.RecvWait()
+		if err != nil {
+			t.Fatalf("request %d recv: %v", i, err)
+		}
+		if !bytes.Equal(reply, bytes.ToUpper(req)) {
+			t.Fatalf("request %d: reply %q", i, reply)
+		}
+	}
+	p.Run()
 }
