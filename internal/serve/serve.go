@@ -845,6 +845,13 @@ func (s *Server) Run() (*Report, error) {
 	// total.
 	s.setPhase(nil, metrics.NoTenant, "")
 	s.prof.Stop()
+	// The flight recorder recycles its ring slots in place, so its fill is
+	// published once, here, beside the queue-depth watermarks: every
+	// export of the registry after Run (-metrics, /metrics) carries it.
+	if s.w.Rec.Enabled() {
+		s.w.Met.SetMax(metrics.FamilyHighWater, uint64(s.w.Rec.HighWater()),
+			metrics.KV("resource", metrics.ResourceTraceRing))
+	}
 	if s.sloEng != nil {
 		s.sloEng.Final(s.w.Met, s.w.M.Clock.Now())
 	}

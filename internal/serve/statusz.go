@@ -94,15 +94,9 @@ type EgressDecisionRow struct {
 }
 
 // Status captures the server's introspection snapshot. Call after Run; rep
-// may be nil when the run failed before producing a report.
+// may be nil when the run failed before producing a report. It only reads:
+// Run publishes the trace-ring watermark when it parks the context.
 func (s *Server) Status(rep *Report) *Status {
-	// The flight recorder's ring fill is only knowable here (it recycles
-	// slots in place); publish its watermark before freezing the export so
-	// the gauge appears in /metrics alongside the queue-depth watermarks.
-	if s.w.Rec.Enabled() {
-		s.w.Met.SetMax(metrics.FamilyHighWater, uint64(s.w.Rec.HighWater()),
-			metrics.KV("resource", metrics.ResourceTraceRing))
-	}
 	var buf bytes.Buffer
 	_ = s.w.Met.ExportOpenMetrics(&buf)
 	st := &Status{
