@@ -2,7 +2,6 @@ package harness
 
 import (
 	"fmt"
-	"strings"
 
 	"github.com/asterisc-release/erebor-go/internal/abi"
 	"github.com/asterisc-release/erebor-go/internal/cpu"
@@ -103,7 +102,7 @@ func measureSyscall(w *World) (uint64, error) {
 // runTask runs fn as one task to its exit. It fails, naming the table row
 // the task measures for, when the task cannot spawn or exits uncleanly.
 func runTask(w *World, row string, fn func(e *kernel.Env)) error {
-	t, err := w.K.Spawn(strings.ToLower(row), mem.OwnerTaskBase, fn)
+	t, err := w.K.Spawn(row, mem.OwnerTaskBase, fn)
 	if err != nil {
 		return fmt.Errorf("%s row (%s): %w", row, w.Mode, err)
 	}
