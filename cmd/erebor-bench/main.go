@@ -53,6 +53,10 @@ func main() {
 	tolerance := flag.Float64("tolerance", 0.05, "relative regression tolerance for the -baseline gate")
 	flag.Parse()
 
+	if *vcpus < 1 {
+		fmt.Fprintf(os.Stderr, "erebor-bench: -vcpus must be at least 1, got %d\n", *vcpus)
+		os.Exit(1)
+	}
 	if *jsonPath != "" || *baselinePath != "" {
 		if *exp == "all" {
 			fmt.Fprintf(os.Stderr, "erebor-bench: -json/-baseline need a single -exp (baselines are per experiment)\n")

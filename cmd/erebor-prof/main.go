@@ -74,6 +74,9 @@ func main() {
 	diff := flag.Bool("diff", false, "compare two folded profiles given as positional args (no simulation)")
 	flag.Parse()
 
+	if *vcpus < 1 {
+		fail("-vcpus must be at least 1, got %d", *vcpus)
+	}
 	if *diff {
 		if flag.NArg() != 2 {
 			fail("-diff needs exactly two folded-profile paths (base, new)")

@@ -44,7 +44,6 @@ import (
 	"github.com/asterisc-release/erebor-go/internal/monitor"
 	"github.com/asterisc-release/erebor-go/internal/paging"
 	"github.com/asterisc-release/erebor-go/internal/sandbox"
-	"github.com/asterisc-release/erebor-go/internal/secchan"
 	"github.com/asterisc-release/erebor-go/internal/trace"
 )
 
@@ -58,18 +57,6 @@ type PlatformConfig struct {
 	VCPUs int
 	// Baseline boots a native CVM without the monitor (for comparisons).
 	Baseline bool
-	// PlainGuest boots a non-TD guest (§10 compatibility mode).
-	PlainGuest bool
-	// PadBlock overrides the channel padding granularity.
-	PadBlock int
-	// ExitRateLimit, if non-zero, enables the §11 exit-rate covert-channel
-	// mitigation (max sandbox exits per simulated second).
-	ExitRateLimit uint64
-	// OutputQuantumCycles, if non-zero, quantizes output release times.
-	OutputQuantumCycles uint64
-	// ChannelQueueCap bounds each hop of the client<->monitor relay
-	// (frames; 0 = default, negative = unbounded).
-	ChannelQueueCap int
 	// Trace opts the platform into the flight recorder. Disabled (the zero
 	// value), every hook in the monitor/kernel/channel stack is a single
 	// nil compare and the platform's behavior is bit-identical to an
@@ -122,7 +109,6 @@ func (c *ChaosConfig) plan() faultinject.Plan {
 type Platform struct {
 	w         *harness.World
 	nextOwner mem.Owner
-	queueCap  int
 	inj       *faultinject.Injector // non-nil when Chaos was configured
 }
 
@@ -141,24 +127,12 @@ func NewPlatform(cfg PlatformConfig) (*Platform, error) {
 	}
 	w, err := harness.NewWorld(harness.WorldConfig{
 		Mode: mode, MemMB: cfg.MemMB, VCPUs: cfg.VCPUs,
-		PadBlock: cfg.PadBlock, PlainGuest: cfg.PlainGuest,
 		Trace: cfg.Trace.Enabled, TraceCapacity: cfg.Trace.CapacityEvents,
 	})
 	if err != nil {
 		return nil, err
 	}
-	if w.Mon != nil {
-		w.Mon.ExitRateLimit = cfg.ExitRateLimit
-		w.Mon.OutputQuantum = cfg.OutputQuantumCycles
-	}
-	queueCap := cfg.ChannelQueueCap
-	switch {
-	case queueCap == 0:
-		queueCap = secchan.DefaultQueueCap
-	case queueCap < 0:
-		queueCap = 0 // unbounded
-	}
-	p := &Platform{w: w, nextOwner: mem.OwnerTaskBase + 1, queueCap: queueCap}
+	p := &Platform{w: w, nextOwner: mem.OwnerTaskBase + 1}
 	if cfg.Chaos != nil {
 		p.inj = faultinject.New(cfg.Chaos.plan())
 		p.inj.Rec = w.Rec
@@ -343,7 +317,7 @@ func (p *Platform) Connect(c *Container) (*Client, error) {
 	if p.w.Mon == nil {
 		return nil, errors.New("erebor: Connect requires the monitor (not a baseline platform)")
 	}
-	s := harness.NewInjectedSession(p.w, p.inj, p.queueCap)
+	s := harness.NewInjectedSession(p.w, p.inj)
 	if err := s.ConnectResilient(c.inner); err != nil {
 		return nil, fmt.Errorf("erebor: attested handshake failed: %w", err)
 	}

@@ -125,11 +125,5 @@ func (t *TLB) InvalidateVA(va paging.Addr) int {
 	return n
 }
 
-// Flush drops everything.
-func (t *TLB) Flush() {
-	t.entries = make(map[TLBKey]paging.PTE)
-	t.order = nil
-}
-
 // Len returns the number of cached translations.
 func (t *TLB) Len() int { return len(t.entries) }

@@ -75,7 +75,7 @@ func runChaosSession(t *testing.T, plan faultinject.Plan) chaosOutcome {
 	// Deferred first, so it runs after the plaintext check below.
 	defer w.Close()
 	c := launchChaosEcho(t, w)
-	s := NewInjectedSession(w, faultinject.New(plan), secchan.DefaultQueueCap)
+	s := NewInjectedSession(w, faultinject.New(plan))
 
 	secret := []byte(fmt.Sprintf("chaos secret %d: patient record confidential", plan.Seed))
 	reply := bytes.ToUpper(secret)
@@ -204,7 +204,7 @@ func TestHandshakeUnderFaults(t *testing.T) {
 				}
 				c := launchChaosEcho(t, w)
 				plan := faultinject.Only(int64(9000*int(class)+seed), class, 0.3)
-				s := NewInjectedSession(w, faultinject.New(plan), secchan.DefaultQueueCap)
+				s := NewInjectedSession(w, faultinject.New(plan))
 				err = s.ConnectResilient(c)
 				if err != nil && !errors.Is(err, secchan.ErrTimeout) {
 					t.Fatalf("seed %d: untyped handshake error: %v", seed, err)

@@ -163,17 +163,16 @@ type Session struct {
 
 // NewSession builds the client <-> proxy <-> monitor plumbing for a world.
 func NewSession(w *World) *Session {
-	return NewInjectedSession(w, nil, secchan.DefaultQueueCap)
+	return NewInjectedSession(w, nil)
 }
 
 // NewInjectedSession builds a session whose untrusted client<->proxy hop
 // passes, both ways, through inj (nil: no faults). A caller-owned injector
 // lets several sessions on one world draw from a single deterministic
 // fault schedule, so a (plan, workload) pair replays bit-identically.
-// queueCap bounds each hop (0 = unbounded).
-func NewInjectedSession(w *World, inj *faultinject.Injector, queueCap int) *Session {
-	clientEnd, proxyOuter := secchan.NewMemPipeCap(queueCap)
-	proxyInner, monEnd := secchan.NewMemPipeCap(queueCap)
+func NewInjectedSession(w *World, inj *faultinject.Injector) *Session {
+	clientEnd, proxyOuter := secchan.NewMemPipe()
+	proxyInner, monEnd := secchan.NewMemPipe()
 	var clientTr secchan.Transport = clientEnd
 	var outer secchan.Transport = proxyOuter
 	if inj != nil {

@@ -33,13 +33,10 @@ func MeasureTable3() ([]TransitionCost, error) {
 	}
 	c := w.Core()
 
-	emc := measure(w, func() {
-		for i := 0; i < iters; i++ {
-			if err := w.Mon.EMCNop(c); err != nil {
-				panic(err)
-			}
-		}
-	}) / iters
+	emc, err := perOp(w, "EMC", iters, func() error { return w.Mon.EMCNop(c) })
+	if err != nil {
+		return nil, err
+	}
 
 	// The syscall and tdcall rows are native-CVM measurements (Table 3
 	// compares raw transitions; Erebor's extra interposition shows up in
@@ -48,13 +45,13 @@ func MeasureTable3() ([]TransitionCost, error) {
 	if err != nil {
 		return nil, err
 	}
-	td := measure(nat, func() {
-		for i := 0; i < iters; i++ {
-			if _, tr := nat.Core().TDCall(tdx.LeafVMCall, []uint64{tdx.VMCallHLT}); tr != nil {
-				panic(tr)
-			}
-		}
-	}) / iters
+	td, err := perOp(nat, "TDCALL", iters, func() error {
+		_, tr := nat.Core().TDCall(tdx.LeafVMCall, []uint64{tdx.VMCallHLT})
+		return trapErr(tr)
+	})
+	if err != nil {
+		return nil, err
+	}
 
 	sys, err := measureSyscall(nat)
 	if err != nil {
@@ -89,20 +86,22 @@ func MeasureTable3() ([]TransitionCost, error) {
 func measureSyscall(w *World) (uint64, error) {
 	const iters = 64
 	var cycles uint64
-	err := runTask(w, "SYSCALL", func(e *kernel.Env) {
-		start := w.M.Clock.Now()
-		for i := 0; i < iters; i++ {
+	err := runTask(w, "SYSCALL", func(e *kernel.Env) (err error) {
+		cycles, err = perOp(w, "SYSCALL", iters, func() error {
 			e.Syscall(abi.SysGetpid)
-		}
-		cycles = (w.M.Clock.Now() - start) / iters
+			return nil
+		})
+		return err
 	})
 	return cycles, err
 }
 
 // runTask runs fn as one task to its exit. It fails, naming the table row
-// the task measures for, when the task cannot spawn or exits uncleanly.
-func runTask(w *World, row string, fn func(e *kernel.Env)) error {
-	t, err := w.K.Spawn(row, mem.OwnerTaskBase, fn)
+// the task measures for, when the task cannot spawn or exits uncleanly,
+// and returns fn's own error otherwise.
+func runTask(w *World, row string, fn func(e *kernel.Env) error) error {
+	var fnErr error
+	t, err := w.K.Spawn(row, mem.OwnerTaskBase, func(e *kernel.Env) { fnErr = fn(e) })
 	if err != nil {
 		return fmt.Errorf("%s row (%s): %w", row, w.Mode, err)
 	}
@@ -110,13 +109,29 @@ func runTask(w *World, row string, fn func(e *kernel.Env)) error {
 	if t.ExitReason != "" {
 		return fmt.Errorf("%s row (%s): %s", row, w.Mode, t.ExitReason)
 	}
-	return nil
+	return fnErr
 }
 
-func measure(w *World, fn func()) uint64 {
+// perOp runs op iters times on w and returns the mean virtual cycles of
+// one run. The first failing op ends the measurement with an error naming
+// the table row.
+func perOp(w *World, row string, iters uint64, op func() error) (uint64, error) {
 	start := w.M.Clock.Now()
-	fn()
-	return w.M.Clock.Now() - start
+	for i := uint64(0); i < iters; i++ {
+		if err := op(); err != nil {
+			return 0, fmt.Errorf("%s row (%s): %w", row, w.Mode, err)
+		}
+	}
+	return (w.M.Clock.Now() - start) / iters, nil
+}
+
+// trapErr returns tr as an error, and nil for no trap: a nil *cpu.Trap
+// stored in an error would not compare equal to nil.
+func trapErr(tr *cpu.Trap) error {
+	if tr == nil {
+		return nil
+	}
+	return tr
 }
 
 // PrivOpCost is one cell pair of Table 4.
@@ -149,141 +164,97 @@ func MeasureTable4() ([]PrivOpCost, error) {
 	// MMU: leaf PTE update. Native: raw table write through the kernel's
 	// own tables; Erebor: EMCProtectUser on a mapped page.
 	var natMMU, ereMMU uint64
-	if err := runTask(nat, "MMU", func(e *kernel.Env) {
+	if err := runTask(nat, "MMU", func(e *kernel.Env) (err error) {
 		va := e.Mmap(4096, true, false)
 		e.Touch(va, 1, true)
-		start := nat.M.Clock.Now()
-		for i := 0; i < iters; i++ {
-			e.T.P.AS.Tables().Update(va, func(p paging.PTE) paging.PTE { return p })
-		}
-		natMMU = (nat.M.Clock.Now() - start) / iters
+		natMMU, err = perOp(nat, "MMU", iters, func() error {
+			return e.T.P.AS.Tables().Update(va, func(p paging.PTE) paging.PTE { return p })
+		})
+		return err
 	}); err != nil {
 		return nil, err
 	}
-	if err := runTask(ere, "MMU", func(e *kernel.Env) {
+	if err := runTask(ere, "MMU", func(e *kernel.Env) (err error) {
 		va := e.Mmap(4096, true, false)
 		e.Touch(va, 1, true)
-		start := ere.M.Clock.Now()
-		for i := 0; i < iters; i++ {
-			if err := ere.Mon.EMCProtectUser(ec, e.T.P.AS.ASID, va, monitor.MapFlags{Writable: true}); err != nil {
-				panic(err)
-			}
-		}
-		ereMMU = (ere.M.Clock.Now() - start) / iters
+		ereMMU, err = perOp(ere, "MMU", iters, func() error {
+			return ere.Mon.EMCProtectUser(ec, e.T.P.AS.ASID, va, monitor.MapFlags{Writable: true})
+		})
+		return err
 	}); err != nil {
 		return nil, err
 	}
 	rows = append(rows, PrivOpCost{"MMU", natMMU, ereMMU})
 
-	// CR: rewrite CR0 with the same protected value.
-	natCR := measure(nat, func() {
-		for i := 0; i < iters; i++ {
-			if tr := nc.WriteCR(cpu.CR0, cpu.CR0WP); tr != nil {
-				panic(tr)
-			}
-		}
-	}) / iters
-	ereCR := measure(ere, func() {
-		for i := 0; i < iters; i++ {
-			if err := ere.Mon.EMCWriteCR(ec, cpu.CR0, cpu.CR0WP); err != nil {
-				panic(err)
-			}
-		}
-	}) / iters
-	rows = append(rows, PrivOpCost{"CR", natCR, ereCR})
-
-	// SMAP: stac/clac window (native) vs monitor-emulated zero-byte user
-	// copy (Erebor).
-	natSMAP := measure(nat, func() {
-		for i := 0; i < iters; i++ {
-			if tr := nc.STAC(); tr != nil {
-				panic(tr)
-			}
-			if tr := nc.CLAC(); tr != nil {
-				panic(tr)
-			}
-		}
-	}) / iters
-	// Prepare a mapped user page, then measure the monitor-emulated copy
-	// window from kernel context (where copy_from_user runs).
+	// Prepare a mapped user page for the SMAP row, then measure the
+	// monitor-emulated copy window from kernel context (where
+	// copy_from_user runs).
 	var asid monitor.ASID
 	var va paging.Addr
-	if err := runTask(ere, "SMAP", func(e *kernel.Env) {
+	if err := runTask(ere, "SMAP", func(e *kernel.Env) error {
 		va = e.Mmap(4096, true, false)
 		e.Touch(va, 1, true)
 		asid = e.T.P.AS.ASID
+		return nil
 	}); err != nil {
 		return nil, err
 	}
 	var b [1]byte
-	ereSMAP := measure(ere, func() {
-		for i := 0; i < iters; i++ {
-			if err := ere.Mon.EMCUserCopy(ec, asid, monitor.CopyFromUser, uint64(va), b[:]); err != nil {
-				panic(err)
-			}
-		}
-	}) / iters
-	rows = append(rows, PrivOpCost{"SMAP", natSMAP, ereSMAP})
-
-	// IDT: vector handler update.
+	var rd [tdx.ReportDataSize]byte
 	dummy := func(*cpu.Core, *cpu.Trap) {}
-	natIDT := measure(nat, func() {
-		for i := 0; i < iters; i++ {
-			idt := nc.IDT()
-			idt.Set(cpu.VecDevice, dummy)
-			if tr := nc.LIDT(idt); tr != nil {
-				panic(tr)
-			}
+	for _, r := range []struct {
+		name           string
+		native, erebor func() error
+	}{
+		// CR: rewrite CR0 with the same protected value.
+		{"CR",
+			func() error { return trapErr(nc.WriteCR(cpu.CR0, cpu.CR0WP)) },
+			func() error { return ere.Mon.EMCWriteCR(ec, cpu.CR0, cpu.CR0WP) }},
+		// SMAP: stac/clac window (native) vs monitor-emulated zero-byte
+		// user copy (Erebor).
+		{"SMAP",
+			func() error {
+				if tr := nc.STAC(); tr != nil {
+					return tr
+				}
+				return trapErr(nc.CLAC())
+			},
+			func() error { return ere.Mon.EMCUserCopy(ec, asid, monitor.CopyFromUser, uint64(va), b[:]) }},
+		// IDT: vector handler update.
+		{"IDT",
+			func() error {
+				idt := nc.IDT()
+				idt.Set(cpu.VecDevice, dummy)
+				return trapErr(nc.LIDT(idt))
+			},
+			func() error { return ere.Mon.EMCSetVector(ec, cpu.VecDevice, dummy) }},
+		// MSR: APIC-class MSR write (IA32_LSTAR itself is monitor-owned;
+		// the kernel's remaining MSR traffic goes through the allow-list).
+		{"MSR",
+			func() error { return trapErr(nc.WriteMSR(cpu.MSRAPICTPR, 0)) },
+			func() error { return ere.Mon.EMCWriteMSR(ec, cpu.MSRAPICTPR, 0) }},
+		// GHCI: tdcall.tdreport (attestation digest generation). IssueQuote
+		// includes the EMC-equivalent monitor entry; report it as the
+		// tdcall+gate cost (signing is host-side in the evaluation).
+		{"GHCI",
+			func() error {
+				_, tr := nc.TDCall(tdx.LeafTDReport, nil)
+				return trapErr(tr)
+			},
+			func() error {
+				_, err := ere.Mon.IssueQuote(ec, rd)
+				return err
+			}},
+	} {
+		natC, err := perOp(nat, r.name, iters, r.native)
+		if err != nil {
+			return nil, err
 		}
-	}) / iters
-	ereIDT := measure(ere, func() {
-		for i := 0; i < iters; i++ {
-			if err := ere.Mon.EMCSetVector(ec, cpu.VecDevice, dummy); err != nil {
-				panic(err)
-			}
+		ereC, err := perOp(ere, r.name, iters, r.erebor)
+		if err != nil {
+			return nil, err
 		}
-	}) / iters
-	rows = append(rows, PrivOpCost{"IDT", natIDT, ereIDT})
-
-	// MSR: APIC-class MSR write (IA32_LSTAR itself is monitor-owned; the
-	// kernel's remaining MSR traffic goes through the allow-list).
-	natMSR := measure(nat, func() {
-		for i := 0; i < iters; i++ {
-			if tr := nc.WriteMSR(cpu.MSRAPICTPR, 0); tr != nil {
-				panic(tr)
-			}
-		}
-	}) / iters
-	ereMSR := measure(ere, func() {
-		for i := 0; i < iters; i++ {
-			if err := ere.Mon.EMCWriteMSR(ec, cpu.MSRAPICTPR, 0); err != nil {
-				panic(err)
-			}
-		}
-	}) / iters
-	rows = append(rows, PrivOpCost{"MSR", natMSR, ereMSR})
-
-	// GHCI: tdcall.tdreport (attestation digest generation).
-	natGHCI := measure(nat, func() {
-		for i := 0; i < iters; i++ {
-			if _, tr := nc.TDCall(tdx.LeafTDReport, nil); tr != nil {
-				panic(tr)
-			}
-		}
-	}) / iters
-	ereGHCI := func() uint64 {
-		var rd [tdx.ReportDataSize]byte
-		start := ere.M.Clock.Now()
-		for i := 0; i < iters; i++ {
-			if _, err := ere.Mon.IssueQuote(ec, rd); err != nil {
-				panic(err)
-			}
-		}
-		return (ere.M.Clock.Now() - start) / iters
-	}()
-	// IssueQuote includes the EMC-equivalent monitor entry; report it as
-	// the tdcall+gate cost (signing is host-side in the evaluation).
-	rows = append(rows, PrivOpCost{"GHCI", natGHCI, ereGHCI})
-
+		rows = append(rows, PrivOpCost{r.name, natC, ereC})
+	}
 	return rows, nil
 }

@@ -1,10 +1,50 @@
 package harness
 
 import (
+	"errors"
+	"strings"
 	"testing"
 
 	"github.com/asterisc-release/erebor-go/internal/costs"
+	"github.com/asterisc-release/erebor-go/internal/cpu"
+	"github.com/asterisc-release/erebor-go/internal/kernel"
 )
+
+// perOp returns the mean cycles of one op, and the first failing op, a
+// refused instruction's trap included, ends the measurement with an error
+// naming the row instead of a panic.
+func TestPerOpNamesFailingRow(t *testing.T) {
+	w, err := NewWorld(WorldConfig{Mode: kernel.ModeNative, MemMB: 32})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := uint64(0)
+	cycles, err := perOp(w, "CHARGE", 4, func() error {
+		n++
+		w.M.Clock.Charge(100 * n)
+		return trapErr(nil)
+	})
+	if err != nil || cycles != 250 {
+		t.Fatalf("perOp = %d, %v; want 250 cycles (mean of 100..400), no error", cycles, err)
+	}
+
+	calls := 0
+	refused := &cpu.Trap{Vector: 13, Detail: "CR0.WP is monitor-owned"}
+	cycles, err = perOp(w, "CR", 8, func() error {
+		calls++
+		if calls == 3 {
+			return trapErr(refused)
+		}
+		return nil
+	})
+	if calls != 3 || cycles != 0 {
+		t.Errorf("perOp ran %d ops and returned %d cycles; want to stop at the third with 0", calls, cycles)
+	}
+	var tr *cpu.Trap
+	if err == nil || !strings.HasPrefix(err.Error(), "CR row (native): ") || !errors.As(err, &tr) || tr != refused {
+		t.Errorf("perOp error = %v; want the refused trap wrapped under \"CR row (native)\"", err)
+	}
+}
 
 func TestTable3Transitions(t *testing.T) {
 	rows, err := MeasureTable3()

@@ -179,7 +179,7 @@ func TestSessionsExpectWorldMRTD(t *testing.T) {
 		cl   *Client
 	}{
 		{"NewSession", NewSession(w).Client},
-		{"NewInjectedSession", NewInjectedSession(w, inj, 0).Client},
+		{"NewInjectedSession", NewInjectedSession(w, inj).Client},
 		{"NewNetSession", NewNetSession(w).Client},
 	} {
 		if c.cl.expected != want {

@@ -64,8 +64,6 @@ type WorldConfig struct {
 	// VCPUs is the number of simulated cores (0 = 1). The scheduler
 	// round-robins dispatches across them on the virtual clock.
 	VCPUs int
-	// PadBlock overrides the secure channel padding block (0 = default).
-	PadBlock int
 	// PlainGuest boots a normal (non-TD) guest: the paper's §10 paravisor
 	// compatibility experiment — Erebor's features are guest-local, so the
 	// same code must run without TDX (cpuid no longer raises #VE;
@@ -126,9 +124,7 @@ func NewWorld(cfg WorldConfig) (*World, error) {
 			return nil, err
 		}
 		w.QK = qk
-		mcfg := monitor.DefaultConfig(phys.NumFrames())
-		mcfg.PadBlock = cfg.PadBlock
-		mon, err := monitor.Boot(m, module, qk, mcfg)
+		mon, err := monitor.Boot(m, module, qk)
 		if err != nil {
 			return nil, fmt.Errorf("harness: monitor boot: %w", err)
 		}
@@ -155,7 +151,7 @@ func NewWorld(cfg WorldConfig) (*World, error) {
 	case kernel.ModeNative:
 		// Reserve the same regions so frame-pool shapes match (the native
 		// kernel uses shared-io for networking too).
-		if _, err := phys.Reserve(monitor.RegionSharedIO, 64); err != nil {
+		if _, err := phys.Reserve(monitor.RegionSharedIO, monitor.SharedIOFrames); err != nil {
 			return nil, err
 		}
 		k, err := kernel.New(kernel.Config{Machine: m, Mode: kernel.ModeNative, TDX: module})

@@ -210,17 +210,12 @@ type pfTrap struct {
 // slices step across the machine's cores in a fixed round-robin core
 // interleave, so SMP scheduling is deterministic on the virtual clock.
 func (k *Kernel) Schedule() {
-	for len(k.runq) > 0 {
-		t := k.runq[0]
-		k.runq = k.runq[1:]
-		if t.State != TaskRunnable {
-			continue
-		}
-		k.dispatch(t, k.nextCore())
+	for k.StepOne() {
 	}
 }
 
-// StepOne dispatches a single task for one slice (tests).
+// StepOne dispatches the next runnable task for one slice. It reports
+// false when no task is runnable.
 func (k *Kernel) StepOne() bool {
 	for len(k.runq) > 0 {
 		t := k.runq[0]

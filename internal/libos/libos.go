@@ -37,11 +37,6 @@ type Config struct {
 	HeapPages uint64
 	// MaxThreads bounds the thread pool created during initialization.
 	MaxThreads int
-	// PrefaultPages populates that many heap pages during initialization
-	// (the loader's working set). This is the paper's §9.2 one-time
-	// initialization overhead: "pre-allocating container memory triggers
-	// many page faults". 0 defaults to a third of the heap.
-	PrefaultPages uint64
 }
 
 // OS is one LibOS instance bound to a task's Env.
@@ -100,17 +95,10 @@ func Boot(e *kernel.Env, cfg Config) (*OS, error) {
 	if err := os.declare(os.heapBase, cfg.HeapPages); err != nil {
 		return nil, err
 	}
-	// Pre-fault the loader's working set (one-time init cost, §9.2).
-	pf := cfg.PrefaultPages
-	if pf == 0 {
-		pf = cfg.HeapPages / 8
-		if pf > 32 {
-			pf = 32
-		}
-	}
-	if pf > cfg.HeapPages {
-		pf = cfg.HeapPages
-	}
+	// Pre-fault the loader's working set, an eighth of the heap up to 32
+	// pages. This is the paper's §9.2 one-time initialization overhead:
+	// "pre-allocating container memory triggers many page faults".
+	pf := min(cfg.HeapPages/8, 32)
 	for p := uint64(0); p < pf; p++ {
 		e.Touch(os.heapBase+paging.Addr(p*mem.PageSize), 1, true)
 	}

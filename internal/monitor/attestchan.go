@@ -84,7 +84,7 @@ func (mon *Monitor) AcceptSession(c *cpu.Core, id SandboxID, tr secchan.Transpor
 	if err := tr.Send(shFrame); err != nil {
 		return err
 	}
-	conn, err := keys.Conn(tr, mon.padBlock)
+	conn, err := keys.Conn(tr, 0)
 	if err != nil {
 		return err
 	}
@@ -147,16 +147,9 @@ func (mon *Monitor) pumpChannel(sb *sbState) {
 func (mon *Monitor) ChannelStats() secchan.ReliableStats {
 	total := mon.retiredChan
 	for _, sb := range mon.sandboxes {
-		if sb.conn == nil {
-			continue
+		if sb.conn != nil {
+			total.Add(sb.conn.Stats)
 		}
-		s := sb.conn.Stats
-		total.Sent += s.Sent
-		total.Delivered += s.Delivered
-		total.Duplicates += s.Duplicates
-		total.Corrupt += s.Corrupt
-		total.Reordered += s.Reordered
-		total.Retransmits += s.Retransmits
 	}
 	return total
 }

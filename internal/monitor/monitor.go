@@ -53,30 +53,17 @@ const (
 	RegionSharedIO = "shared-io"    // the only frames allowed to become CVM-shared
 )
 
+// SharedIOFrames is the size of the shared-io region. Boot reserves it
+// first, then a quarter of physical memory each for CMA and the monitor
+// pool.
+const SharedIOFrames = 64
+
 // NormalPKRS is the kernel's (normal-mode) PKRS: monitor key fully denied,
 // PTP key write-denied, everything else open.
 var NormalPKRS = paging.PKRSSet(paging.PKRSSet(paging.PKRSAllowAll, KeyMonitor, true, true), KeyPTP, false, true)
 
 // MonitorPKRS grants all keys (EMC entry gate, Fig 5a line 10).
 const MonitorPKRS = paging.PKRSAllowAll
-
-// Config sizes the monitor's reserved regions.
-type Config struct {
-	MonitorPoolFrames uint64 // PTPs, monitor image, stacks
-	CMAFrames         uint64 // sandbox confined memory
-	SharedIOFrames    uint64 // device/DMA-visible pool
-	// PadBlock is the secure-channel padding granularity (0 = default).
-	PadBlock int
-}
-
-// DefaultConfig sizes regions for a phys of nframes total frames.
-func DefaultConfig(nframes uint64) Config {
-	return Config{
-		MonitorPoolFrames: nframes / 4,
-		CMAFrames:         nframes / 4,
-		SharedIOFrames:    64,
-	}
-}
 
 // Stats counts monitor activity for the evaluation harness. The per-kind
 // EMC breakdowns that used to live here as ad-hoc maps are now registry
@@ -202,9 +189,6 @@ type Monitor struct {
 	// and its exits stay blocked.)
 	KillNotify func(id SandboxID, reason string)
 
-	// padBlock is the secure-channel padding granularity (0 = default).
-	padBlock int
-
 	// Rec is the optional flight recorder (nil = tracing disabled; every
 	// hook site is a single nil compare). The recorder reads the virtual
 	// clock but never charges it, so traced and untraced runs observe
@@ -264,7 +248,7 @@ type Monitor struct {
 // the monitor are loaded and measured; the monitor takes ownership of all
 // memory-configuration interfaces, programs the protection keys and CET,
 // and engages lockdown. The kernel is not loaded yet.
-func Boot(m *cpu.Machine, module *tdx.Module, qk *attest.QuotingKey, cfg Config) (*Monitor, error) {
+func Boot(m *cpu.Machine, module *tdx.Module, qk *attest.QuotingKey) (*Monitor, error) {
 	mon := &Monitor{
 		M: m, TDX: module, QK: qk,
 		ptps:           make(map[mem.Frame]bool),
@@ -278,19 +262,18 @@ func Boot(m *cpu.Machine, module *tdx.Module, qk *attest.QuotingKey, cfg Config)
 		templates:      make(map[TemplateID]*sbTemplate),
 		templateFrames: make(map[mem.Frame]TemplateID),
 		cpuidCache:     make(map[uint64][4]uint64),
-		padBlock:       cfg.PadBlock,
 	}
 	mon.Met = metrics.New()
 	mon.tok = m.MintMonitorToken()
 
 	phys := m.Phys
-	if _, err := phys.Reserve(RegionSharedIO, cfg.SharedIOFrames); err != nil {
+	if _, err := phys.Reserve(RegionSharedIO, SharedIOFrames); err != nil {
 		return nil, fmt.Errorf("monitor: reserving shared-io: %w", err)
 	}
-	if _, err := phys.Reserve(RegionCMA, cfg.CMAFrames); err != nil {
+	if _, err := phys.Reserve(RegionCMA, phys.NumFrames()/4); err != nil {
 		return nil, fmt.Errorf("monitor: reserving CMA: %w", err)
 	}
-	if _, err := phys.Reserve(RegionMonitor, cfg.MonitorPoolFrames); err != nil {
+	if _, err := phys.Reserve(RegionMonitor, phys.NumFrames()/4); err != nil {
 		return nil, fmt.Errorf("monitor: reserving monitor pool: %w", err)
 	}
 

@@ -380,13 +380,7 @@ func (mon *Monitor) retireChannel(sb *sbState) {
 	if sb.conn == nil {
 		return
 	}
-	s := sb.conn.Stats
-	mon.retiredChan.Sent += s.Sent
-	mon.retiredChan.Delivered += s.Delivered
-	mon.retiredChan.Duplicates += s.Duplicates
-	mon.retiredChan.Corrupt += s.Corrupt
-	mon.retiredChan.Reordered += s.Reordered
-	mon.retiredChan.Retransmits += s.Retransmits
+	mon.retiredChan.Add(sb.conn.Stats)
 	sb.conn = nil
 }
 

@@ -22,7 +22,7 @@ func bootedMonitorN(t *testing.T, ncores int) *Monitor {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mon, err := Boot(m, mod, qk, DefaultConfig(phys.NumFrames()))
+	mon, err := Boot(m, mod, qk)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,11 +30,6 @@ import (
 type Reliable struct {
 	c *Conn
 
-	// Window is how far ahead of the expected sequence number an arriving
-	// record may be and still be buffered for in-order delivery.
-	Window uint64
-	// HistoryCap bounds the retransmission buffer (sent ciphertexts).
-	HistoryCap int
 	// RetransmitOnDup re-sends retained history when a duplicate of an
 	// already-consumed record arrives (responder side only; the initiator
 	// retransmits on timeout, which keeps the two sides from ping-ponging
@@ -80,28 +75,34 @@ type ReliableStats struct {
 	Retransmits uint64 // frames re-sent from history
 }
 
-// DefaultReorderWindow bounds how far ahead of sequence a record may arrive.
-const DefaultReorderWindow = 8
+// Add adds o's counters to s.
+func (s *ReliableStats) Add(o ReliableStats) {
+	s.Sent += o.Sent
+	s.Delivered += o.Delivered
+	s.Duplicates += o.Duplicates
+	s.Corrupt += o.Corrupt
+	s.Reordered += o.Reordered
+	s.Retransmits += o.Retransmits
+}
 
-// DefaultHistoryCap bounds the retained retransmission history.
-const DefaultHistoryCap = 64
+// reorderWindow is how far ahead of the expected sequence number an
+// arriving record may be and still be buffered for in-order delivery.
+const reorderWindow = 8
+
+// historyCap bounds the retransmission buffer (sent ciphertexts).
+const historyCap = 64
 
 // NewReliable wraps an established record connection.
 func NewReliable(c *Conn) *Reliable {
 	return &Reliable{
-		c:          c,
-		Window:     DefaultReorderWindow,
-		HistoryCap: DefaultHistoryCap,
-		history:    make(map[uint64][]byte),
-		ooo:        make(map[uint64][]byte),
+		c:       c,
+		history: make(map[uint64][]byte),
+		ooo:     make(map[uint64][]byte),
 	}
 }
 
 // Conn exposes the underlying record connection (tests).
 func (r *Reliable) Conn() *Conn { return r.c }
-
-// PadBlock returns the record padding granularity.
-func (r *Reliable) PadBlock() int { return r.c.PadBlock }
 
 // Send seals msg at the next sequence number, retains the ciphertext for
 // retransmission, and transmits it. A full downstream queue surfaces as
@@ -114,7 +115,7 @@ func (r *Reliable) Send(msg []byte) error {
 	r.Stats.Sent++
 	r.Rec.Emit(trace.KindFrameSend, r.Track, "")
 	r.count("send")
-	for len(r.history) > r.HistoryCap {
+	for len(r.history) > historyCap {
 		delete(r.history, r.histLo)
 		r.histLo++
 	}
@@ -180,7 +181,7 @@ func (r *Reliable) Recv() ([]byte, error) {
 		}
 		// Ahead of sequence? Try the reorder window.
 		buffered := false
-		for k := uint64(1); k <= r.Window; k++ {
+		for k := uint64(1); k <= reorderWindow; k++ {
 			seq := r.c.recvSeq + k
 			if _, have := r.ooo[seq]; have {
 				continue

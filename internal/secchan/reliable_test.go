@@ -187,13 +187,12 @@ func TestMemPipeBackpressure(t *testing.T) {
 
 func TestReliableHistoryBounded(t *testing.T) {
 	cl, _, _, _ := testPair(t, 0)
-	cl.HistoryCap = 4
-	for i := 0; i < 20; i++ {
+	for i := 0; i < historyCap+16; i++ {
 		if err := cl.Send([]byte{byte(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if len(cl.history) > 4 {
-		t.Fatalf("history grew to %d", len(cl.history))
+	if len(cl.history) != historyCap {
+		t.Fatalf("history holds %d records, want %d", len(cl.history), historyCap)
 	}
 }

@@ -307,11 +307,8 @@ type slot struct {
 	// slot runs parents under it, so the whole session is one tree.
 	// pendingRoot pre-allocates the *next* session's root during a
 	// relaunch, so launch-phase work parents into the incoming session.
-	// phase accumulates the session's per-phase cycles for the latency
-	// histograms (added by setPhase at each context switch).
 	span        trace.SpanRef
 	pendingRoot trace.SpanRef
-	phase       map[string]uint64
 }
 
 // rootSpan is the span new phase segments should parent under: the next
@@ -359,12 +356,10 @@ type Server struct {
 	coreLoad []uint64
 	wall     uint64
 
-	// attrSlot is the slot whose session the open phase belongs to (nil
-	// for fleet phases); attrSeg is the open phase-segment span the next
-	// setPhase will close. Both move with the world context's Switch, so
-	// the span tree and the cycle attribution can never disagree.
-	attrSlot *slot
-	attrSeg  trace.SpanRef
+	// attrSeg is the open phase-segment span the next setPhase will close.
+	// It moves with the world context's Switch, so the span tree and the
+	// cycle attribution can never disagree.
+	attrSeg trace.SpanRef
 
 	// Deterministic SLO engine (cfg.SLO only): sloNext is the next aligned
 	// virtual-clock boundary to evaluate at.
@@ -638,18 +633,14 @@ func (s *Server) workerSpec(name string, owner mem.Owner, sl *slot) sandbox.Spec
 // every lane the session may egress through.
 func (s *Server) admit(sl *slot) {
 	// Session root span: adopt the root pre-allocated by a relaunch (so
-	// launch work already parents here), else mint a fresh one. The
-	// per-phase accumulator starts empty — launch cycles happen before
-	// admission and recycle cycles after observation, so the phase-latency
-	// histograms cover in-session phases only.
+	// launch work already parents here), else mint a fresh one.
 	if sl.pendingRoot.ID != 0 {
 		sl.span = sl.pendingRoot
 		sl.pendingRoot = trace.SpanRef{}
 	} else {
 		sl.span = s.w.Rec.NewSpanUnder(0)
 	}
-	sl.phase = make(map[string]uint64)
-	sl.sess = harness.NewInjectedSession(s.w, s.inj, secchan.DefaultQueueCap)
+	sl.sess = harness.NewInjectedSession(s.w, s.inj)
 	sl.state = stConnect
 	sl.request = s.requestFor(sl.tenant)
 	sl.start = s.w.M.Clock.Now()
@@ -713,8 +704,7 @@ func phaseOf(st state) string {
 // previous (tenant, phase) series and binds the new pair, which the
 // monitor, kernel, secchan and profiler read. Reading the clock charges
 // nothing, so attribution is cycle-neutral. phase "" parks (nothing
-// accumulates until the next setPhase). The slot keeps its own per-phase
-// tally for the session's phase latencies.
+// accumulates until the next setPhase).
 //
 // Each contiguous (tenant, phase) stretch is also one KindPhase segment
 // span parented under the slot's session root (0/fleet-rooted when sl is
@@ -739,11 +729,7 @@ func (s *Server) setPhase(sl *slot, tenant int, phase string) {
 		}
 		s.attrSeg = s.w.Rec.NewSpanUnder(root)
 	}
-	elapsed := s.w.Attr.Switch(tenant, phase, uint64(s.attrSeg.ID))
-	if elapsed > 0 && s.attrSlot != nil && s.attrSlot.phase != nil {
-		s.attrSlot.phase[prev] += elapsed
-	}
-	s.attrSlot = sl
+	s.w.Attr.Switch(tenant, phase, uint64(s.attrSeg.ID))
 }
 
 // Run serves every session to completion (or typed failure) and returns
@@ -1004,13 +990,12 @@ var sessionPhases = []string{
 // observeSessionPhases feeds a completed session's per-phase cycle totals
 // into the phase-latency histograms, each observation tagged with the
 // session's root span ID — the exemplar an SLO tail report resolves back
-// to a span tree.
+// to a span tree. A tenant index names one session, so the tenant's
+// attributed cycles are that session's.
 func (s *Server) observeSessionPhases(sl *slot) {
-	if sl.phase == nil {
-		return
-	}
+	tenant := metrics.KV("tenant", metrics.TenantLabelOf(sl.tenant))
 	for _, ph := range sessionPhases {
-		if v := sl.phase[ph]; v > 0 {
+		if v := s.w.Met.Value(metrics.FamilyTenantPhaseCycles, metrics.KV("phase", ph), tenant); v > 0 {
 			s.w.Met.ObserveEx(metrics.FamilyPhaseLatency, v, uint64(sl.span.ID),
 				metrics.KV("phase", ph))
 		}
@@ -1182,15 +1167,13 @@ func (s *Server) report() *Report {
 	if s.firstComputeN > 0 {
 		rep.FirstComputeCycles = s.firstComputeSum / uint64(s.firstComputeN)
 	}
-	if s.w.Mon != nil {
-		rep.SandboxKills = s.w.Mon.Stats.SandboxKills
-		rep.ChannelRetrans = s.w.Mon.ChannelStats().Retransmits
-		rep.Forks = s.w.Mon.Stats.SandboxForks
-		rep.CowBreaks = s.w.Mon.Stats.CowBreaks
-		if s.tmpl != 0 {
-			if ti, ok := s.w.Mon.TemplateInfo(s.tmpl); ok {
-				rep.TemplatePages = ti.Pages
-			}
+	rep.SandboxKills = s.w.Mon.Stats.SandboxKills
+	rep.ChannelRetrans = s.w.Mon.ChannelStats().Retransmits
+	rep.Forks = s.w.Mon.Stats.SandboxForks
+	rep.CowBreaks = s.w.Mon.Stats.CowBreaks
+	if s.tmpl != 0 {
+		if ti, ok := s.w.Mon.TemplateInfo(s.tmpl); ok {
+			rep.TemplatePages = ti.Pages
 		}
 	}
 	if s.ledger != nil {

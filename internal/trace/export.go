@@ -6,16 +6,13 @@ import (
 	"sort"
 	"strconv"
 
+	"github.com/asterisc-release/erebor-go/internal/costs"
 	"github.com/asterisc-release/erebor-go/internal/metrics"
 )
 
-// HzPerSecond mirrors costs.HzPerSecond (2.1 GHz) without importing the
-// cost model.
-const HzPerSecond = 2_100_000_000
-
 // CyclesToMicros converts virtual cycles to microseconds at 2.1 GHz.
 func CyclesToMicros(c uint64) float64 {
-	return float64(c) / (HzPerSecond / 1e6)
+	return float64(c) / (costs.HzPerSecond / 1e6)
 }
 
 // TrackName labels an export track ("monitor", "cpu-3", "sandbox-7", ...).

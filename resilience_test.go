@@ -6,11 +6,11 @@ import (
 	"testing"
 )
 
-// The public resilient path: a platform with bounded relay queues, driven
+// The public resilient path: a platform's bounded relay queues, driven
 // end to end through SendWithRetry and RecvWait instead of the
 // fire-and-forget Send/Recv pair.
 func TestPublicAPIResilientPath(t *testing.T) {
-	p, err := NewPlatform(PlatformConfig{MemMB: 96, ChannelQueueCap: 64})
+	p, err := NewPlatform(PlatformConfig{MemMB: 96})
 	if err != nil {
 		t.Fatal(err)
 	}
