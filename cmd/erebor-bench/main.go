@@ -57,6 +57,10 @@ func main() {
 		fmt.Fprintf(os.Stderr, "erebor-bench: -vcpus must be at least 1, got %d\n", *vcpus)
 		os.Exit(1)
 	}
+	if *scale < 1 {
+		fmt.Fprintf(os.Stderr, "erebor-bench: -scale must be at least 1, got %d\n", *scale)
+		os.Exit(1)
+	}
 	if *jsonPath != "" || *baselinePath != "" {
 		if *exp == "all" {
 			fmt.Fprintf(os.Stderr, "erebor-bench: -json/-baseline need a single -exp (baselines are per experiment)\n")

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"testing"
+
+	"github.com/asterisc-release/erebor-go/internal/egress"
 )
 
 // testPair builds a connected reliable pair over bounded in-memory pipes.
@@ -159,6 +161,141 @@ func TestConnRecvTypedReplayError(t *testing.T) {
 	}
 	if _, err := sv.Conn().Recv(); !errors.Is(err, ErrCorruptFrame) {
 		t.Fatalf("tamper classified as %v", err)
+	}
+}
+
+// TestShortFrameIsCorrupt: a frame shorter than a GCM tag has no tag to
+// look up. It counts as corrupt, on the reliable layer and on a bare Conn,
+// and never panics.
+func TestShortFrameIsCorrupt(t *testing.T) {
+	cl, sv, _, svTr := testPair(t, 0)
+	if err := cl.Send([]byte("first")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sv.Recv(); err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int{0, 1, gcmTagSize - 1} {
+		if err := prepend(svTr, make([]byte, n)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sv.Recv(); !errors.Is(err, ErrEmpty) {
+			t.Fatalf("%d-byte frame: recv %v, want ErrEmpty after dropping it", n, err)
+		}
+		if err := prepend(svTr, make([]byte, n)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sv.Conn().Recv(); !errors.Is(err, ErrCorruptFrame) {
+			t.Fatalf("%d-byte frame classified as %v", n, err)
+		}
+	}
+	if sv.Stats.Corrupt != 3 || sv.Stats.Duplicates != 0 {
+		t.Fatalf("corrupt=%d dup=%d, want 3/0", sv.Stats.Corrupt, sv.Stats.Duplicates)
+	}
+}
+
+// TestReorderedRecordRedeliveredIsDuplicate: a record accepted ahead of
+// sequence through the reorder window is remembered at the sequence number
+// it opened at, so a second copy of it is a duplicate, not corruption.
+func TestReorderedRecordRedeliveredIsDuplicate(t *testing.T) {
+	cl, sv, _, svTr := testPair(t, 0)
+	for _, m := range []string{"a", "b"} {
+		if err := cl.Send([]byte(m)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	q := svTr.in.frames
+	q[0], q[1] = q[1], q[0]
+	second := append([]byte(nil), q[0]...)
+	var got []byte
+	for i := 0; i < 2; i++ {
+		m, err := sv.Recv()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, m...)
+	}
+	if string(got) != "ab" || sv.Stats.Reordered != 1 {
+		t.Fatalf("delivered %q with %d reordered, want \"ab\" with 1", got, sv.Stats.Reordered)
+	}
+	if err := prepend(svTr, second); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sv.Recv(); !errors.Is(err, ErrEmpty) {
+		t.Fatalf("redelivered record: recv %v, want ErrEmpty after dropping it", err)
+	}
+	if sv.Stats.Duplicates != 1 || sv.Stats.Corrupt != 0 || sv.Stats.Delivered != 2 {
+		t.Fatalf("dup=%d corrupt=%d delivered=%d, want 1/0/2",
+			sv.Stats.Duplicates, sv.Stats.Corrupt, sv.Stats.Delivered)
+	}
+}
+
+// TestTagKeptBodyChangedIsCorrupt: a frame that keeps an accepted record's
+// tag but changes its last body byte finds the tag, fails to open at the
+// recorded sequence number, and counts as corrupt, not as a replay.
+func TestTagKeptBodyChangedIsCorrupt(t *testing.T) {
+	cl, sv, _, svTr := testPair(t, 0)
+	if err := cl.Send([]byte("record")); err != nil {
+		t.Fatal(err)
+	}
+	forged := append([]byte(nil), svTr.in.frames[0]...)
+	forged[len(forged)-gcmTagSize-1] ^= 1
+	if _, err := sv.Recv(); err != nil {
+		t.Fatal(err)
+	}
+	if err := prepend(svTr, forged); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sv.Recv(); !errors.Is(err, ErrEmpty) {
+		t.Fatalf("forged frame: recv %v, want ErrEmpty after dropping it", err)
+	}
+	if sv.Stats.Corrupt != 1 || sv.Stats.Duplicates != 0 {
+		t.Fatalf("corrupt=%d dup=%d, want 1/0", sv.Stats.Corrupt, sv.Stats.Duplicates)
+	}
+	if err := prepend(svTr, forged); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sv.Conn().Recv(); !errors.Is(err, ErrCorruptFrame) {
+		t.Fatalf("forged frame classified as %v", err)
+	}
+}
+
+// TestQueuePopReleasesSlot: popping a pipe frame or a denial clears the
+// slot it came from, so the backing array does not keep delivered frames
+// reachable until the queue is dropped.
+func TestQueuePopReleasesSlot(t *testing.T) {
+	a, b := NewMemPipe()
+	for _, f := range []string{"one", "two"} {
+		if err := a.Send([]byte(f)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	frames := b.in.frames
+	if f, err := b.Recv(); err != nil || string(f) != "one" {
+		t.Fatalf("recv %q, %v", f, err)
+	}
+	if frames[0] != nil {
+		t.Fatalf("popped pipe slot still holds %q", frames[0])
+	}
+	if string(frames[1]) != "two" {
+		t.Fatalf("queued slot holds %q, want \"two\"", frames[1])
+	}
+
+	q := NewDenialQueue(0)
+	for i := uint64(1); i <= 2; i++ {
+		if err := q.Push(egress.FrameEgressDenied{Tenant: 4, Dest: "peer/exfil", Rule: egress.RuleDefaultDeny, Seq: i}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	denials := q.frames
+	if d, ok := q.Pop(); !ok || d.Seq != 1 {
+		t.Fatalf("pop %+v, ok=%v", d, ok)
+	}
+	if denials[0] != (egress.FrameEgressDenied{}) {
+		t.Fatalf("popped denial slot still holds %+v", denials[0])
+	}
+	if denials[1].Seq != 2 {
+		t.Fatalf("queued denial slot holds %+v, want seq 2", denials[1])
 	}
 }
 

@@ -122,11 +122,14 @@ func (q *pipeQueue) push(f []byte) error {
 	return nil
 }
 
+// pop clears the slot it takes before reslicing, so a delivered frame is
+// not kept reachable through the backing array until the pipe is dropped.
 func (q *pipeQueue) pop() ([]byte, error) {
 	if len(q.frames) == 0 {
 		return nil, ErrEmpty
 	}
 	f := q.frames[0]
+	q.frames[0] = nil
 	q.frames = q.frames[1:]
 	return f, nil
 }
@@ -220,6 +223,7 @@ func (q *DenialQueue) Pop() (egress.FrameEgressDenied, bool) {
 		return egress.FrameEgressDenied{}, false
 	}
 	d := q.frames[0]
+	q.frames[0] = egress.FrameEgressDenied{} // as in pipeQueue.pop
 	q.frames = q.frames[1:]
 	return d, true
 }
@@ -469,10 +473,11 @@ type Conn struct {
 	recvSeq  uint64
 	PadBlock int
 
-	// accepted caches digests of ciphertexts already authenticated and
-	// delivered, letting Recv distinguish a replayed record (ErrReplay)
-	// from hostile tampering (ErrCorruptFrame).
-	accepted map[[32]byte]uint64
+	// accepted maps the GCM tag of each record already authenticated and
+	// delivered to the sequence number it opened at, letting Recv
+	// distinguish a replayed record (ErrReplay) from hostile tampering
+	// (ErrCorruptFrame).
+	accepted map[[gcmTagSize]byte]uint64
 }
 
 func newAEAD(key []byte) (cipher.AEAD, error) {
@@ -498,7 +503,7 @@ func NewConn(tr Transport, sendKey, recvKey []byte, padBlock int) (*Conn, error)
 	}
 	return &Conn{
 		tr: tr, sealKey: sk, openKey: rk, PadBlock: padBlock,
-		accepted: make(map[[32]byte]uint64),
+		accepted: make(map[[gcmTagSize]byte]uint64),
 	}, nil
 }
 
@@ -552,16 +557,33 @@ func (c *Conn) openAt(seq uint64, ct []byte) ([]byte, error) {
 	return unpad(pt)
 }
 
-// markAccepted records a delivered ciphertext so later duplicates classify
-// as replays.
-func (c *Conn) markAccepted(ct []byte, seq uint64) {
-	c.accepted[sha256.Sum256(ct)] = seq
+// tagOf returns the GCM tag sealed at the end of ct; ct must hold at least
+// one tag.
+func tagOf(ct []byte) [gcmTagSize]byte {
+	return [gcmTagSize]byte(ct[len(ct)-gcmTagSize:])
 }
 
-// wasAccepted reports whether ct was already authenticated and delivered.
+// markAccepted records a ciphertext that opened at seq so later duplicates
+// classify as replays. Keying on the tag costs no pass over the record.
+func (c *Conn) markAccepted(ct []byte, seq uint64) {
+	c.accepted[tagOf(ct)] = seq
+}
+
+// wasAccepted reports whether ct was already authenticated and delivered:
+// its tag names an accepted record and it opens at that record's sequence
+// number. Only the sender seals at a sequence number, and it seals each one
+// once, so a frame that opens there is that record bit for bit; a frame that
+// keeps a tag but changes a byte fails to open and stays corrupt.
 func (c *Conn) wasAccepted(ct []byte) bool {
-	_, ok := c.accepted[sha256.Sum256(ct)]
-	return ok
+	if len(ct) < gcmTagSize {
+		return false
+	}
+	seq, ok := c.accepted[tagOf(ct)]
+	if !ok {
+		return false
+	}
+	_, err := c.openKey.Open(nil, nonceFor(seq), ct, nil)
+	return err == nil
 }
 
 // Send pads, seals and transmits one message.

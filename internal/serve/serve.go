@@ -20,12 +20,15 @@
 package serve
 
 import (
+	"bytes"
+	"crypto/subtle"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"sort"
 	"strconv"
+	"sync"
 
 	"github.com/asterisc-release/erebor-go/internal/costs"
 	"github.com/asterisc-release/erebor-go/internal/egress"
@@ -449,7 +452,8 @@ func New(cfg Config) (*Server, error) {
 		}
 	}
 	for i := 0; i < cfg.Tenants; i++ {
-		sl := &slot{idx: i, owner: mem.OwnerTaskBase + mem.Owner(1+i), tenant: i}
+		sl := &slot{idx: i, owner: mem.OwnerTaskBase + mem.Owner(1+i), tenant: i,
+			request: make([]byte, cfg.InputBytes)}
 		sl.step = func() error { return s.stepWorker(sl) }
 		sl.turnStart = w.M.Clock.Now()
 		c, err := s.launchWorker(sl)
@@ -591,11 +595,8 @@ func (s *Server) workerSpec(name string, owner mem.Owner, sl *slot) sandbox.Spec
 				e.Fatal(137, "serve worker: output buffer: "+err.Error())
 			}
 			modelVA := c.CommonVAs[CommonName]
-			in := make([]byte, maxMsg)
-			out := make([]byte, maxMsg)
-			win := make([]byte, len(s.win))
-			// The buffers above are allocated exactly once per worker:
-			// the confined heap is monotonic.
+			// The confined buffers above are allocated exactly once per
+			// worker: the confined heap is monotonic.
 			for {
 				_, n, rerr := os.ReceiveInputInto(inVA, maxMsg, 0)
 				if rerr != nil {
@@ -613,11 +614,17 @@ func (s *Server) workerSpec(name string, owner mem.Owner, sl *slot) sandbox.Spec
 				}
 				// Bind this tenant to the shared model: read the window
 				// through the common mapping (demand-faulted, sealed RO).
+				// The host copies of the request and the window are
+				// scratch for this request only, and the answer is
+				// computed over the request's copy in place.
+				buf := getScratch(n + len(s.win))
+				in, win := (*buf)[:n], (*buf)[n:]
 				e.ReadMem(modelVA, win)
-				e.ReadMem(inVA, in[:n])
-				xorWindow(out[:n], in[:n], win)
+				e.ReadMem(inVA, in)
+				xorWindow(in, in, win)
 				e.Charge(uint64(n) * 2)
-				e.WriteMem(outVA, out[:n])
+				e.WriteMem(outVA, in)
+				scratch.Put(buf)
 				if serr := os.SendOutput(outVA, n); serr != nil {
 					e.Fatal(137, "serve worker: send: "+serr.Error())
 				}
@@ -642,7 +649,7 @@ func (s *Server) admit(sl *slot) {
 	}
 	sl.sess = harness.NewInjectedSession(s.w, s.inj)
 	sl.state = stConnect
-	sl.request = s.requestFor(sl.tenant)
+	s.fillRequest(sl.request, sl.tenant)
 	sl.start = s.w.M.Clock.Now()
 	sl.computeAt = 0
 	sl.svcSent = false
@@ -676,15 +683,14 @@ func (s *Server) armLane(sl *slot, pr *secchan.Proxy, dest egress.Destination) {
 	}
 }
 
-// requestFor derives tenant t's request payload from the seed.
-func (s *Server) requestFor(t int) []byte {
-	req := make([]byte, s.cfg.InputBytes)
+// fillRequest writes tenant t's request payload, derived from the seed,
+// over req: each slot keeps one request buffer for all its tenants.
+func (s *Server) fillRequest(req []byte, t int) {
 	x := uint64(s.cfg.Seed)*0xBF58476D1CE4E5B9 + uint64(t)*0x94D049BB133111EB + 0x2545F4914F6CDD1D
 	for i := range req {
 		x = x*6364136223846793005 + 1442695040888963407
 		req[i] = byte(x >> 33)
 	}
-	return req
 }
 
 // phaseOf maps a slot FSM state to its attribution phase.
@@ -905,32 +911,57 @@ func (s *Server) stepWorker(sl *slot) error {
 	return fmt.Errorf("worker died: %s: %w", reason, ErrWorkerDead)
 }
 
-// xorWindow sets dst[i] to src[i] XOR win[i%len(win)], walking src one
-// window at a time so that no byte pays an integer division. win must not
+// scratch lends the host-side byte buffers one request needs (the serving
+// worker's copies of the request and the model window). A buffer is taken
+// when the request arrives and put back once its bytes are written, so the
+// fleet's live scratch follows the requests in flight, not the slot count.
+var scratch = sync.Pool{New: func() any { return new([]byte) }}
+
+// getScratch takes a buffer of n bytes from scratch, growing it if needed.
+// Its contents are stale: the caller overwrites every byte it reads.
+func getScratch(n int) *[]byte {
+	b := scratch.Get().(*[]byte)
+	if cap(*b) < n {
+		*b = make([]byte, n)
+	}
+	*b = (*b)[:n]
+	return b
+}
+
+// xorWindow sets dst[i] to src[i] XOR win[i%len(win)], one window at a
+// time, a word at a time. dst and src may be the same slice. win must not
 // be empty (New clamps it to at least one byte).
 func xorWindow(dst, src, win []byte) {
 	for base := 0; base < len(src); base += len(win) {
-		s := src[base:min(base+len(win), len(src))]
-		d, w := dst[base:base+len(s)], win[:len(s)]
-		for i := range s {
-			d[i] = s[i] ^ w[i]
-		}
+		subtle.XORBytes(dst[base:], src[base:min(base+len(win), len(src))], win)
 	}
 }
 
+// checkChunk is how many bytes of a reply checkReply compares at once.
+const checkChunk = 4096
+
 // checkReply checks a worker's answer against the request XORed with the
 // model window, walked as in xorWindow, and reports the first byte that
-// differs.
+// differs. The expected bytes are built a chunk at a time on the stack, and
+// only a chunk that differs is scanned byte by byte.
 func checkReply(msg, req, win []byte) error {
 	if len(msg) != len(req) {
 		return fmt.Errorf("serve: reply length %d, want %d", len(msg), len(req))
 	}
+	var want [checkChunk]byte
 	for base := 0; base < len(msg); base += len(win) {
 		m := msg[base:min(base+len(win), len(msg))]
 		r, w := req[base:base+len(m)], win[:len(m)]
-		for i := range m {
-			if m[i] != r[i]^w[i] {
-				return fmt.Errorf("serve: reply byte %d mismatch", base+i)
+		for off := 0; off < len(m); off += checkChunk {
+			end := min(off+checkChunk, len(m))
+			n := subtle.XORBytes(want[:], r[off:end], w[off:end])
+			if bytes.Equal(m[off:end], want[:n]) {
+				continue
+			}
+			for i := range n {
+				if m[off+i] != want[i] {
+					return fmt.Errorf("serve: reply byte %d mismatch", base+off+i)
+				}
 			}
 		}
 	}

@@ -549,7 +549,8 @@ func TestServeColdSessionsRunInBoundedMemory(t *testing.T) {
 // byte, either side of the first window edge, and the last byte, which lies
 // in a final partial window. A session's reply is never shorter than one
 // window (the window is clamped to the request size), so a reply shorter
-// than one window is checked through checkReply alone.
+// than one window is checked through checkReply alone, as are windows
+// wider than the chunk checkReply compares at once.
 func TestReplyCheckCatchesFlippedByte(t *testing.T) {
 	const winLen, msgLen = 300, 1000 // windows start at 0, 300, 600 and 900
 	for _, k := range []int{0, winLen - 1, winLen, msgLen - 1} {
@@ -581,26 +582,39 @@ func TestReplyCheckCatchesFlippedByte(t *testing.T) {
 		}
 	}
 
-	win := make([]byte, winLen)
-	req := make([]byte, 100)
-	for i := range win {
-		win[i] = byte(7 * i)
-	}
-	for i := range req {
-		req[i] = byte(3*i + 1)
-	}
-	reply := make([]byte, len(req))
-	xorWindow(reply, req, win)
-	if err := checkReply(reply, req, win); err != nil {
-		t.Fatalf("short reply: %v", err)
-	}
-	for _, k := range []int{0, len(req) - 1} {
-		reply[k] ^= 0x40
-		want := fmt.Sprintf("serve: reply byte %d mismatch", k)
-		if err := checkReply(reply, req, win); err == nil || err.Error() != want {
-			t.Errorf("short reply, byte %d: err %v, want %q", k, err, want)
+	// checkReply alone: a reply shorter than one window, and windows wider
+	// than one comparison chunk, where the byte named counts the windows
+	// and chunks before it (edges of the first chunk, of the window's short
+	// last chunk and of the second window, and the last byte).
+	const wide = 2*checkChunk + 100
+	for _, c := range []struct {
+		win, req int
+		flips    []int
+	}{
+		{winLen, 100, []int{0, 99}},
+		{wide, 5 * checkChunk, []int{checkChunk - 1, checkChunk, wide - 1, wide, wide + checkChunk, 5*checkChunk - 1}},
+	} {
+		win := make([]byte, c.win)
+		req := make([]byte, c.req)
+		for i := range win {
+			win[i] = byte(7 * i)
 		}
-		reply[k] ^= 0x40
+		for i := range req {
+			req[i] = byte(3*i + 1)
+		}
+		reply := make([]byte, len(req))
+		xorWindow(reply, req, win)
+		if err := checkReply(reply, req, win); err != nil {
+			t.Fatalf("%d-byte reply, %d-byte window: %v", c.req, c.win, err)
+		}
+		for _, k := range c.flips {
+			reply[k] ^= 0x40
+			want := fmt.Sprintf("serve: reply byte %d mismatch", k)
+			if err := checkReply(reply, req, win); err == nil || err.Error() != want {
+				t.Errorf("%d-byte reply, %d-byte window, byte %d: err %v, want %q", c.req, c.win, k, err, want)
+			}
+			reply[k] ^= 0x40
+		}
 	}
 }
 
