@@ -64,6 +64,11 @@ func scanImage(name string, data []byte) int {
 	if err != nil {
 		fatal(fmt.Errorf("%s: %w", name, err))
 	}
+	// Scan the text as it will be mapped, as the monitor does: a
+	// relocation can write a sensitive instruction into it.
+	if err := im.Relocate(); err != nil {
+		fatal(fmt.Errorf("%s: %w", name, err))
+	}
 	total := 0
 	for _, s := range im.Sections {
 		if s.Type != image.Text {

@@ -31,9 +31,9 @@ type Client struct {
 	// handshake finishes (frame events on the client track).
 	Rec *trace.Recorder
 
-	// Met/Attr mirror Rec for the telemetry registry: frame tallies labeled
-	// with the ambient tenant (both optional, wired by the harness).
-	Met  *metrics.Registry
+	// Attr mirrors Rec for the telemetry registry: frame tallies go into
+	// its registry labeled with the ambient tenant (optional, wired by the
+	// harness).
 	Attr *metrics.Attr
 
 	// Rand, when non-nil, replaces the OS CSPRNG for the client's ephemeral
@@ -95,7 +95,7 @@ func (cl *Client) Finish() error {
 	// ping-pong retransmissions.
 	cl.conn = secchan.NewReliable(conn)
 	cl.conn.Rec, cl.conn.Track = cl.Rec, trace.TrackClient
-	cl.conn.Met, cl.conn.Attr = cl.Met, cl.Attr
+	cl.conn.Attr = cl.Attr
 	return nil
 }
 
@@ -186,7 +186,7 @@ func NewInjectedSession(w *World, inj *faultinject.Injector) *Session {
 	pr := &secchan.Proxy{Outer: outer, Inner: proxyInner, Met: w.Met}
 	cl := NewClient(clientTr, w.QK.Public(), w.expectedMRTD)
 	cl.Rec = w.Rec
-	cl.Met, cl.Attr = w.Met, w.Attr
+	cl.Attr = w.Attr
 	cl.Rand = w.Entropy
 	if inj != nil && inj.Rec == nil {
 		inj.Rec = w.Rec

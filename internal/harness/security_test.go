@@ -7,6 +7,7 @@ import (
 
 	"github.com/asterisc-release/erebor-go/internal/attest"
 	"github.com/asterisc-release/erebor-go/internal/cpu"
+	"github.com/asterisc-release/erebor-go/internal/image"
 	"github.com/asterisc-release/erebor-go/internal/isa"
 	"github.com/asterisc-release/erebor-go/internal/kernel"
 	"github.com/asterisc-release/erebor-go/internal/libos"
@@ -51,6 +52,32 @@ func TestC1ScannerCatchesPatternHiddenInImmediate(t *testing.T) {
 	img := kernel.BuildKernelImage(kernel.ImageOptions{Instrumented: true, HideInImmediate: true})
 	if _, err := w.Mon.LoadKernel(img); err == nil {
 		t.Fatal("byte-level scan missed a sensitive pattern inside an immediate")
+	}
+}
+
+// A relocation writes eight bytes chosen by the image into the text after
+// decoding, so the scan must see the text as it will be mapped: sixteen
+// NOPs whose one relocation, against a symbol valued 0xD8220F, plants
+// 0f 22 d8 (mov-to-CR3) at offset 4.
+func TestC1ScannerSeesRelocatedText(t *testing.T) {
+	w := ereborWorld(t)
+	b := image.NewBuilder("")
+	text := b.Section(".text", image.Text, uint64(monitor.KernelTextBase), bytes.Repeat([]byte{0x90}, 16))
+	b.Symbol("planted", 0xD8220F)
+	b.Reloc(text, 4, "planted", 0)
+	img, err := b.Image()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m := isa.Scan(img.Sections[text].Data); len(m) != 0 {
+		t.Fatalf("the unrelocated text already scans dirty: %v", m)
+	}
+	_, err = w.Mon.LoadKernel(img.Encode())
+	if err == nil {
+		t.Fatal("LoadKernel accepted text whose relocation plants mov-to-CR3")
+	}
+	if !strings.Contains(err.Error(), "sensitive instruction") {
+		t.Fatalf("LoadKernel refused the image for another reason: %v", err)
 	}
 }
 

@@ -9,7 +9,6 @@ import (
 	"github.com/asterisc-release/erebor-go/internal/costs"
 	"github.com/asterisc-release/erebor-go/internal/cpu"
 	"github.com/asterisc-release/erebor-go/internal/mem"
-	"github.com/asterisc-release/erebor-go/internal/metrics"
 	"github.com/asterisc-release/erebor-go/internal/monitor"
 	"github.com/asterisc-release/erebor-go/internal/paging"
 	"github.com/asterisc-release/erebor-go/internal/task"
@@ -276,11 +275,8 @@ func (k *Kernel) dispatch(t *Task, c *cpu.Core) {
 		// Per-tenant dispatch attribution: the whole slice — context switch,
 		// syscalls, faults, user compute — lands on the tenant the serving
 		// loop currently names. Reading the clock twice charges nothing.
-		tenant := k.Attr.TenantLabel()
-		defer func() {
-			k.Met.Add(metrics.FamilyTenantDispatchCycles,
-				k.M.Clock.Now()-dispStart, metrics.KV("tenant", tenant))
-		}()
+		tenant := k.Attr.Series()
+		defer func() { tenant.AddDispatch(k.M.Clock.Now() - dispStart) }()
 	}
 	k.Stats.ContextSwitches++
 	k.M.Clock.Charge(costs.ContextSwitch)

@@ -9,7 +9,9 @@ import (
 	"github.com/asterisc-release/erebor-go/internal/harness"
 	"github.com/asterisc-release/erebor-go/internal/kernel"
 	"github.com/asterisc-release/erebor-go/internal/mem"
+	"github.com/asterisc-release/erebor-go/internal/metrics"
 	"github.com/asterisc-release/erebor-go/internal/paging"
+	"github.com/asterisc-release/erebor-go/internal/prof"
 )
 
 // The trap contract: a task's syscalls and faults are serviced for it
@@ -114,13 +116,23 @@ const pfPages = 64
 // on and spawns a task that runs warm lat_pagefault ops: it opens a
 // 64-page file, runs one op and ends its first slice, then runs ops more
 // ops and exits. Each op maps the file, faults every page in and unmaps it.
-func faultRoundTripWorld(tb testing.TB, ops int) (*harness.World, *kernel.Task) {
+// With profiled set, a cycle profiler records every slice, the warm-up
+// included, inside one attribution window the caller closes; it is
+// returned (nil otherwise).
+func faultRoundTripWorld(tb testing.TB, ops int, profiled bool) (*harness.World, *kernel.Task, *prof.Profiler) {
 	tb.Helper()
 	w, err := harness.NewWorld(harness.WorldConfig{Mode: kernel.ModeErebor, MemMB: 64})
 	if err != nil {
 		tb.Fatal(err)
 	}
 	w.Mon.RingMMU = true
+	var p *prof.Profiler
+	if profiled {
+		p = prof.New(w.Attr)
+		w.M.AttachProfiler(p)
+		p.Start()
+		w.Attr.Switch(metrics.NoTenant, "lat_pagefault", 0)
+	}
 	const path = "/bench/pffile"
 	w.K.VFS().Create(path, make([]byte, pfPages*mem.PageSize))
 	op := func(e *kernel.Env, fd uint64) {
@@ -149,7 +161,7 @@ func faultRoundTripWorld(tb testing.TB, ops int) (*harness.World, *kernel.Task) 
 	if !w.K.StepOne() || tk.State != kernel.TaskRunnable {
 		tb.Fatalf("warm-up slice: task state %v (%s)", tk.State, tk.ExitReason)
 	}
-	return w, tk
+	return w, tk, p
 }
 
 // TestChargeTicksIndependentOfSplit: a task sees one timer tick per quantum
@@ -186,7 +198,36 @@ func TestChargeTicksIndependentOfSplit(t *testing.T) {
 // path: one warm lat_pagefault op (mmap, 64 faults, munmap) makes at most
 // two heap allocations per faulted page.
 func TestFaultRoundTripAllocs(t *testing.T) {
-	w, tk := faultRoundTripWorld(t, 1)
+	w, tk, _ := faultRoundTripWorld(t, 1, false)
+	if got, budget := opAllocs(t, w, tk), uint64(2*pfPages); got > budget {
+		t.Fatalf("one lat_pagefault op made %d allocations, budget %d", got, budget)
+	}
+}
+
+// TestProfiledFaultRoundTripAllocs holds a warm lat_pagefault op under the
+// cycle profiler to the untraced budget: once the warm-up has made the
+// op's frame nodes, frames and leaf charges move along the calling-context
+// tree and add to counters, building no stack string. The profile still
+// conserves against the window's attribution.
+func TestProfiledFaultRoundTripAllocs(t *testing.T) {
+	w, tk, p := faultRoundTripWorld(t, 1, true)
+	if got, budget := opAllocs(t, w, tk), uint64(2*pfPages); got > budget {
+		t.Fatalf("one profiled lat_pagefault op made %d allocations, budget %d", got, budget)
+	}
+	w.Attr.Switch(metrics.NoTenant, "", 0)
+	p.Stop()
+	if bad := p.CheckConservation(w.Met); len(bad) > 0 {
+		t.Fatalf("profile does not conserve: %v", bad)
+	}
+	if p.Total() == 0 {
+		t.Fatal("the profiler recorded nothing")
+	}
+}
+
+// opAllocs runs the world's remaining op and returns the heap allocations
+// it made.
+func opAllocs(t *testing.T, w *harness.World, tk *kernel.Task) uint64 {
+	t.Helper()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	w.K.Schedule()
@@ -194,15 +235,19 @@ func TestFaultRoundTripAllocs(t *testing.T) {
 	if tk.ExitReason != "" {
 		t.Fatal(tk.ExitReason)
 	}
-	if got, budget := after.Mallocs-before.Mallocs, uint64(2*pfPages); got > budget {
-		t.Fatalf("one lat_pagefault op made %d allocations, budget %d", got, budget)
-	}
+	return after.Mallocs - before.Mallocs
 }
 
 // BenchmarkFaultRoundTrip times warm lat_pagefault ops: mmap a 64-page
 // file, fault every page in through the submission ring, munmap.
-func BenchmarkFaultRoundTrip(b *testing.B) {
-	w, tk := faultRoundTripWorld(b, b.N)
+func BenchmarkFaultRoundTrip(b *testing.B) { benchFaultRoundTrip(b, false) }
+
+// BenchmarkFaultRoundTripProfiled times the same ops with the cycle
+// profiler attached.
+func BenchmarkFaultRoundTripProfiled(b *testing.B) { benchFaultRoundTrip(b, true) }
+
+func benchFaultRoundTrip(b *testing.B, profiled bool) {
+	w, tk, _ := faultRoundTripWorld(b, b.N, profiled)
 	b.ReportAllocs()
 	b.ResetTimer()
 	w.K.Schedule()

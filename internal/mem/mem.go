@@ -5,6 +5,7 @@
 package mem
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"slices"
@@ -400,6 +401,38 @@ func (p *Physical) WritePhys(a Addr, buf []byte) error {
 		n := copy(p.backing(FrameOf(a))[a%PageSize:], buf)
 		buf, a = buf[n:], a+Addr(n)
 	}
+	return nil
+}
+
+// ReadWord loads the aligned little-endian 8-byte word at physical address
+// a: one page-table entry, as a page walk reads one per level. A frame
+// never written reads 0 and stays unbacked. An unaligned or out-of-range
+// address is an error.
+func (p *Physical) ReadWord(a Addr) (uint64, error) {
+	if a%8 != 0 {
+		return 0, fmt.Errorf("mem: unaligned physical word read at %#x", a)
+	}
+	if !p.inRange(a, 8) {
+		return 0, fmt.Errorf("mem: physical read out of range at %#x", a)
+	}
+	b := p.frames[FrameOf(a)]
+	if b == nil {
+		return 0, nil
+	}
+	return binary.LittleEndian.Uint64(b[a%PageSize:]), nil
+}
+
+// WriteWord stores v as the aligned little-endian 8-byte word at physical
+// address a, backing its frame as WritePhys does. An unaligned or
+// out-of-range address is an error.
+func (p *Physical) WriteWord(a Addr, v uint64) error {
+	if a%8 != 0 {
+		return fmt.Errorf("mem: unaligned physical word write at %#x", a)
+	}
+	if !p.inRange(a, 8) {
+		return fmt.Errorf("mem: physical write out of range at %#x", a)
+	}
+	binary.LittleEndian.PutUint64(p.backing(FrameOf(a))[a%PageSize:], v)
 	return nil
 }
 

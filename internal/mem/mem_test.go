@@ -559,20 +559,88 @@ func TestReserveRegionLimit(t *testing.T) {
 	}
 }
 
-// BenchmarkReadPhys8 reads one 8-byte word of a written frame: the read
-// a page walk makes per level.
+// BenchmarkReadPhys8 reads one 8-byte word of a written frame through
+// ReadWord: the read a page walk makes per level.
 func BenchmarkReadPhys8(b *testing.B) {
 	p := NewPhysical(64 * PageSize)
 	f, _ := p.Alloc(OwnerKernel)
-	if err := p.WritePhys(f.Base()+8, []byte{1, 2, 3, 4, 5, 6, 7, 8}); err != nil {
+	if err := p.WriteWord(f.Base()+8, 0x0807060504030201); err != nil {
 		b.Fatal(err)
 	}
-	var w [8]byte
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := p.ReadPhys(f.Base()+8, w[:]); err != nil {
+		if _, err := p.ReadWord(f.Base() + 8); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// ReadWord and WriteWord move one aligned little-endian word: an unbacked
+// frame reads 0 and stays unbacked, the last word of memory is in range,
+// and an unaligned or out-of-range address is refused without backing
+// anything.
+func TestWordAccess(t *testing.T) {
+	const size = 8 * PageSize
+	last := Addr(size - 8)
+	cases := []struct {
+		name    string
+		addr    Addr
+		write   bool
+		v       uint64
+		want    uint64
+		wantErr string
+	}{
+		{name: "unbacked frame reads zero", addr: 2*PageSize + 16},
+		{name: "word round trip", addr: 3*PageSize + 24, write: true, v: 0x1122334455667788, want: 0x1122334455667788},
+		{name: "last word of memory", addr: last, write: true, v: 0xA5A5, want: 0xA5A5},
+		{name: "unaligned read", addr: PageSize + 4, wantErr: "mem: unaligned physical word read at 0x1004"},
+		{name: "unaligned write", addr: PageSize + 1, write: true, v: 1, wantErr: "mem: unaligned physical word write at 0x1001"},
+		{name: "read past the end", addr: size, wantErr: "mem: physical read out of range at 0x8000"},
+		{name: "write past the end", addr: size, write: true, v: 1, wantErr: "mem: physical write out of range at 0x8000"},
+		{name: "wrapping read", addr: ^Addr(0) - 7, wantErr: "mem: physical read out of range at 0xfffffffffffffff8"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			p := NewPhysical(size)
+			var err error
+			if c.write {
+				err = p.WriteWord(c.addr, c.v)
+			} else {
+				_, err = p.ReadWord(c.addr)
+			}
+			if c.wantErr != "" {
+				if err == nil || err.Error() != c.wantErr {
+					t.Fatalf("err = %v, want %q", err, c.wantErr)
+				}
+				for f := range p.frames {
+					if p.frames[f] != nil {
+						t.Fatalf("a refused access backed frame %d", f)
+					}
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := p.ReadWord(c.addr)
+			if err != nil || got != c.want {
+				t.Fatalf("ReadWord = %#x, %v; want %#x", got, err, c.want)
+			}
+			backed := p.frames[FrameOf(c.addr)] != nil
+			if backed != c.write {
+				t.Fatalf("frame backed = %v after a write = %v", backed, c.write)
+			}
+			// The word is the same eight bytes ReadPhys sees.
+			var b [8]byte
+			if err := p.ReadPhys(c.addr, b[:]); err != nil {
+				t.Fatal(err)
+			}
+			for i := range b {
+				if b[i] != byte(c.want>>(8*i)) {
+					t.Fatalf("ReadPhys byte %d = %#x, want %#x", i, b[i], byte(c.want>>(8*i)))
+				}
+			}
+		})
 	}
 }

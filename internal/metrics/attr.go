@@ -1,6 +1,11 @@
 package metrics
 
-import "strconv"
+import (
+	"slices"
+	"strconv"
+	"strings"
+	"sync"
+)
 
 // Well-known registry families. Exporters append `_total` to counters, so
 // e.g. FamilyEMC surfaces as `erebor_emc_total` in OpenMetrics output.
@@ -37,7 +42,7 @@ const (
 	// {tenant} ("-1" for unattributed).
 	FamilyShootdownCycles = "erebor_shootdown_cycles"
 	// FamilyChannelFrames counts secure-channel frame events, labeled
-	// {dir, tenant}: dir is send/recv/retransmit/drop, tenant is the session
+	// {dir, tenant}: dir is one of the ChanDir values, tenant is the session
 	// attribution at frame time ("-1" outside serving).
 	FamilyChannelFrames = "erebor_channel_frames"
 	// FamilyEgressDecisions counts egress policy decisions at the proxy
@@ -109,6 +114,59 @@ const (
 	PhaseFleet     = "fleet"
 )
 
+// EMCKind is an EMC gate kind: the {kind} label of FamilyEMC,
+// FamilyEMCCycles and FamilyTenantEMCCycles. The kinds are fixed, so the
+// per-kind series, profiler frames and trace labels are tables indexed by
+// kind instead of strings built per crossing.
+type EMCKind uint8
+
+// EMC gate kinds.
+const (
+	EMCNop EMCKind = iota
+	EMCCR
+	EMCMSR
+	EMCIDT
+	EMCSMAP
+	EMCModule
+	EMCGHCI
+	EMCSandbox
+	EMCMMU
+	EMCRing
+	EMCIO
+	NumEMCKinds
+)
+
+var emcKindNames = [NumEMCKinds]string{
+	EMCNop: "nop", EMCCR: "cr", EMCMSR: "msr", EMCIDT: "idt", EMCSMAP: "smap",
+	EMCModule: "module", EMCGHCI: "ghci", EMCSandbox: "sandbox", EMCMMU: "mmu",
+	EMCRing: "ring", EMCIO: "io",
+}
+
+// String is the kind's label value.
+func (k EMCKind) String() string { return emcKindNames[k] }
+
+// ChanDir is a secure-channel frame event: the {dir} label of
+// FamilyChannelFrames.
+type ChanDir uint8
+
+// Channel frame events.
+const (
+	ChanSend ChanDir = iota
+	ChanRecv
+	ChanRetransmit
+	ChanDrop
+	ChanReorder
+	NumChanDirs
+)
+
+var chanDirNames = [NumChanDirs]string{
+	ChanSend: "send", ChanRecv: "recv", ChanRetransmit: "retransmit",
+	ChanDrop: "drop", ChanReorder: "reorder",
+}
+
+// String is the event's label value.
+func (d ChanDir) String() string { return chanDirNames[d] }
+
 // NoTenant is the Attr.Tenant value meaning "no tenant context".
 const NoTenant = -1
 
@@ -123,7 +181,7 @@ const NoTenant = -1
 //
 // Nothing here charges the clock. Switch times a window by reading it, the
 // cpu package adds shootdown charges to the tally, and an attached profiler
-// observes every charge against the live (Tenant, Phase, frames) — so the
+// observes every charge against the live (Tenant, Phase, frame) — so the
 // registry's phase attribution and the profile are two readers of one
 // context (DESIGN.md §17).
 type Attr struct {
@@ -137,50 +195,141 @@ type Attr struct {
 	met *Registry
 	now func() uint64
 
-	// The attribution window the last Switch opened: its pair, its start on
-	// the clock, and the initiator-side shootdown cycles charged since. The
-	// window keeps its own pair so a plain Tenant/Phase write can neither
-	// redirect nor trigger a flush.
-	winTenant int
+	// The attribution window the last Switch opened: its tenant's series,
+	// its phase, its start on the clock, and the initiator-side shootdown
+	// cycles charged since. The window keeps its own pair so a plain
+	// Tenant/Phase write can neither redirect nor trigger a flush.
+	win       *TenantSeries
 	winPhase  string
 	winStart  uint64
 	shootdown uint64
+
+	// tenants caches series sets by tenant index modulo its size, so a
+	// fleet that names a new tenant per session keeps a bounded number;
+	// bound is the set of the tenant bound last.
+	tenants [tenantCache]*TenantSeries
+	bound   *TenantSeries
 
 	// Span scope (DESIGN.md §14): the last span ID handed out and the stack
 	// of open scopes, innermost last.
 	spanNext uint64
 	scope    []uint64
 
-	// frames is the live profiler frame stack rendered as ";frame;frame..."
-	// (leading separator included so a folded prefix concatenates cleanly);
-	// lens holds the rendered length before each push, for O(1) pops.
-	frames string
-	lens   []int
+	// The profiler frames form a calling-context tree: root is the empty
+	// stack and frame the live one. treeMu orders node creation against an
+	// export walking the tree; moving along existing nodes takes no lock.
+	root, frame *FrameNode
+	nodes       int
+	treeMu      sync.Mutex
+}
+
+// tenantCache is how many tenants' series sets a context keeps: more than
+// any fleet serves at once, so sets are rebuilt only for new tenants.
+const tenantCache = 256
+
+// TenantSeries holds the series one tenant's work writes, resolved on their
+// first write and kept, so the gate, the scheduler and the channel write
+// them without building a key. Each series still appears only once it is
+// written. A nil *TenantSeries records nothing.
+type TenantSeries struct {
+	tenant int
+	label  string
+	met    *Registry
+
+	dispatch, shootdown *series
+	emcCycles           [NumEMCKinds]*series
+	frames              [NumChanDirs]*series
+	phases              []phaseSeries
+}
+
+type phaseSeries struct {
+	phase string
+	s     *series
+}
+
+// add is the tenant's write path: the registry's, through the series
+// cache.
+func (t *TenantSeries) add(cache **series, name string, n uint64, labels ...Label) {
+	if t.met != nil && n != 0 {
+		t.met.add(cache, name, n, labels)
+	}
+}
+
+// AddDispatch adds n cycles to FamilyTenantDispatchCycles{tenant}.
+func (t *TenantSeries) AddDispatch(n uint64) {
+	if t != nil {
+		t.add(&t.dispatch, FamilyTenantDispatchCycles, n, KV("tenant", t.label))
+	}
+}
+
+// AddEMCCycles adds n cycles to FamilyTenantEMCCycles{kind, tenant}.
+func (t *TenantSeries) AddEMCCycles(kind EMCKind, n uint64) {
+	if t != nil {
+		t.add(&t.emcCycles[kind], FamilyTenantEMCCycles, n, KV("kind", kind.String()), KV("tenant", t.label))
+	}
+}
+
+// CountFrame counts one FamilyChannelFrames{dir, tenant} event.
+func (t *TenantSeries) CountFrame(dir ChanDir) {
+	if t != nil {
+		t.add(&t.frames[dir], FamilyChannelFrames, 1, KV("dir", dir.String()), KV("tenant", t.label))
+	}
+}
+
+// flush adds a closed window's cycles to FamilyTenantPhaseCycles{phase,
+// tenant} and its shootdown cycles to FamilyShootdownCycles{tenant}.
+func (t *TenantSeries) flush(phase string, cycles, shootdown uint64) {
+	i := 0
+	for i < len(t.phases) && t.phases[i].phase != phase {
+		i++
+	}
+	if i == len(t.phases) {
+		t.phases = append(t.phases, phaseSeries{phase: phase})
+	}
+	t.add(&t.phases[i].s, FamilyTenantPhaseCycles, cycles, KV("phase", phase), KV("tenant", t.label))
+	t.add(&t.shootdown, FamilyShootdownCycles, shootdown, KV("tenant", t.label))
 }
 
 // NewAttr returns a context with no tenant bound whose attribution windows
 // flush into met (nil records nothing), timed by the clock reader now.
 func NewAttr(met *Registry, now func() uint64) *Attr {
-	return &Attr{Tenant: NoTenant, winTenant: NoTenant, met: met, now: now}
+	return &Attr{Tenant: NoTenant, met: met, now: now}
+}
+
+// Series returns the series set of the tenant the context names now (nil
+// on a nil context). Switch binds it; a plain Tenant write binds it on the
+// next read.
+func (a *Attr) Series() *TenantSeries {
+	if a == nil {
+		return nil
+	}
+	if t := a.bound; t != nil && t.tenant == a.Tenant {
+		return t
+	}
+	slot := &a.tenants[uint(a.Tenant)%tenantCache]
+	if t := *slot; t == nil || t.tenant != a.Tenant {
+		*slot = &TenantSeries{tenant: a.Tenant, label: TenantLabelOf(a.Tenant), met: a.met}
+	}
+	a.bound = *slot
+	return a.bound
 }
 
 // Switch is the one context switch. It flushes the window the previous
 // Switch opened — its elapsed cycles into FamilyTenantPhaseCycles and its
 // shootdown cycles into FamilyShootdownCycles, under that window's pair —
-// then binds (tenant, phase), opens the next window at the current clock,
-// and makes scope the only open span (0 for none). It returns the cycles
-// flushed. Phase "" parks: the window it opens flushes nothing.
+// then binds (tenant, phase) and the tenant's series set, opens the next
+// window at the current clock, and makes scope the only open span (0 for
+// none). It returns the cycles flushed. Phase "" parks: the window it
+// opens flushes nothing.
 func (a *Attr) Switch(tenant int, phase string, scope uint64) uint64 {
 	now := a.now()
 	var elapsed uint64
 	if a.winPhase != "" {
 		elapsed = now - a.winStart
-		label := TenantLabelOf(a.winTenant)
-		a.met.Add(FamilyTenantPhaseCycles, elapsed, KV("phase", a.winPhase), KV("tenant", label))
-		a.met.Add(FamilyShootdownCycles, a.shootdown, KV("tenant", label))
+		a.win.flush(a.winPhase, elapsed, a.shootdown)
 	}
 	a.Tenant, a.Phase = tenant, phase
-	a.winTenant, a.winPhase, a.winStart, a.shootdown = tenant, phase, now, 0
+	a.win, a.winPhase, a.winStart, a.shootdown = a.Series(), phase, now, 0
 	a.scope = a.scope[:0]
 	if scope != 0 {
 		a.scope = append(a.scope, scope)
@@ -224,26 +373,90 @@ func (a *Attr) PopSpan() {
 // SpanDepth reports the open-scope count.
 func (a *Attr) SpanDepth() int { return len(a.scope) }
 
-// PushFrame opens a profiler mechanism frame.
-func (a *Attr) PushFrame(frame string) {
-	a.lens = append(a.lens, len(a.frames))
-	a.frames += ";" + frame
+// FrameNode is one node of the context's calling-context tree: the path
+// from the root names a profiler frame stack. Nodes are numbered densely
+// in creation order, so a profiler keeps its counters in slices indexed
+// by ID.
+type FrameNode struct {
+	name   string
+	id     int
+	depth  int
+	parent *FrameNode
+	kids   []*FrameNode
 }
+
+// ID is the node's number (the root's is 0).
+func (f *FrameNode) ID() int { return f.id }
+
+// child returns f's child named name, making it on first use. Frame names
+// are constants or come from per-kind tables, so the compare is usually a
+// pointer match.
+func (a *Attr) child(f *FrameNode, name string) *FrameNode {
+	for _, c := range f.kids {
+		if c.name == name {
+			return c
+		}
+	}
+	c := &FrameNode{name: name, id: a.nodes, depth: f.depth + 1, parent: f}
+	a.treeMu.Lock()
+	a.nodes++
+	f.kids = append(f.kids, c)
+	a.treeMu.Unlock()
+	return c
+}
+
+// Frame is the live frame stack's node (the root when no frame is open).
+// The first call plants the tree's root.
+func (a *Attr) Frame() *FrameNode {
+	if a.frame == nil {
+		a.treeMu.Lock()
+		a.root, a.nodes = &FrameNode{}, 1
+		a.treeMu.Unlock()
+		a.frame = a.root
+	}
+	return a.frame
+}
+
+// PushFrame opens a profiler mechanism frame: the live stack moves to its
+// child named frame.
+func (a *Attr) PushFrame(frame string) { a.frame = a.child(a.Frame(), frame) }
 
 // PopFrame closes the innermost frame. Popping an empty stack is a no-op,
 // so the pop of a frame opened before a profiler attached is harmless.
 func (a *Attr) PopFrame() {
-	if n := len(a.lens); n > 0 {
-		a.frames = a.frames[:a.lens[n-1]]
-		a.lens = a.lens[:n-1]
+	if p := a.Frame().parent; p != nil {
+		a.frame = p
 	}
 }
 
-// Frames is the live frame stack rendered ";frame;frame..." ("" if empty).
-func (a *Attr) Frames() string { return a.frames }
+// LeafFrame is the node of the live stack with frame pushed on top: where
+// a leaf charge lands.
+func (a *Attr) LeafFrame(frame string) *FrameNode { return a.child(a.Frame(), frame) }
 
 // FrameDepth reports the live frame count.
-func (a *Attr) FrameDepth() int { return len(a.lens) }
+func (a *Attr) FrameDepth() int { return a.Frame().depth }
+
+// WalkFrames calls fn for every node of the tree, depth first with
+// siblings in name order, with the node's stack rendered ";frame;frame..."
+// ("" for the root; the leading separator lets a folded prefix
+// concatenate cleanly).
+func (a *Attr) WalkFrames(fn func(stack string, f *FrameNode)) {
+	a.treeMu.Lock()
+	defer a.treeMu.Unlock()
+	if a.root == nil {
+		return
+	}
+	var walk func(f *FrameNode, stack string)
+	walk = func(f *FrameNode, stack string) {
+		fn(stack, f)
+		kids := slices.Clone(f.kids)
+		slices.SortFunc(kids, func(x, y *FrameNode) int { return strings.Compare(x.name, y.name) })
+		for _, c := range kids {
+			walk(c, stack+";"+c.name)
+		}
+	}
+	walk(a.root, "")
+}
 
 // TenantLabel renders the tenant index as a metrics label value.
 func (a *Attr) TenantLabel() string {

@@ -1,6 +1,9 @@
 package metrics
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 // TestAttrSwitch: a Switch flushes exactly the closed window's cycles and
 // shootdown cycles under that window's pair, a parked window flushes
@@ -75,21 +78,103 @@ func TestAttrSwitch(t *testing.T) {
 	}
 }
 
-// TestAttrFrames: frames render as a folded suffix, pop in LIFO order, and
-// a pop on an empty stack (a frame opened before a profiler attached) is a
-// no-op.
+// TestAttrSeriesFollowTenant: the context hands out the series set of the
+// tenant it names, bound by Switch or by a plain Tenant write; a series
+// that is never written leaves nothing in the registry, and a set evicted
+// from the context's cache resolves to the same series when rebuilt.
+func TestAttrSeriesFollowTenant(t *testing.T) {
+	met := New()
+	a := NewAttr(met, func() uint64 { return 0 })
+	a.Switch(3, PhaseCompute, 0)
+	three := a.Series()
+	if a.Series() != three {
+		t.Fatal("one bound tenant handed out two series sets")
+	}
+	if snap := met.Snapshot(); len(snap) != 0 {
+		t.Fatalf("binding a tenant wrote %v", snap)
+	}
+	a.Tenant = 5
+	a.Series().AddDispatch(40)
+	a.Series().AddEMCCycles(EMCRing, 7)
+	a.Series().CountFrame(ChanRecv)
+	if got := met.Value(FamilyTenantDispatchCycles, KV("tenant", "5")); got != 40 {
+		t.Fatalf("tenant 5 dispatch = %d, want 40", got)
+	}
+	if got := met.Value(FamilyTenantEMCCycles, KV("kind", "ring"), KV("tenant", "5")); got != 7 {
+		t.Fatalf("tenant 5 ring EMC cycles = %d, want 7", got)
+	}
+	if got := met.Value(FamilyChannelFrames, KV("dir", "recv"), KV("tenant", "5")); got != 1 {
+		t.Fatalf("tenant 5 recv frames = %d, want 1", got)
+	}
+	if n := len(met.Snapshot()); n != 3 {
+		t.Fatalf("%d families written, want the 3 written", n)
+	}
+	a.Tenant = 3
+	if a.Series() != three {
+		t.Fatal("rebinding tenant 3 made a second series set")
+	}
+	// A tenant that shares tenant 3's cache slot takes it over; tenant 3
+	// comes back with a new set whose series resolve to the same ones.
+	a.Tenant = 3 + tenantCache
+	a.Series().AddDispatch(1)
+	a.Tenant = 3
+	a.Series().AddDispatch(2)
+	a.Series().AddDispatch(3)
+	if got := met.Value(FamilyTenantDispatchCycles, KV("tenant", "3")); got != 5 {
+		t.Fatalf("tenant 3 dispatch = %d, want 5", got)
+	}
+	var nilSet *TenantSeries
+	nilSet.AddDispatch(1)
+	nilSet.CountFrame(ChanSend)
+}
+
+// TestAttrFrames: frames form a calling-context tree. A push moves to a
+// child made on first use, so the same stack always lands on the same
+// node; pops unwind in LIFO order, a pop on an empty stack (a frame opened
+// before a profiler attached) is a no-op, and the walk renders every
+// node's stack as a folded suffix, siblings in name order.
 func TestAttrFrames(t *testing.T) {
 	a := NewAttr(nil, nil)
+	root := a.Frame()
 	a.PopFrame()
+	if a.Frame() != root || a.FrameDepth() != 0 {
+		t.Fatalf("pop on an empty stack moved to depth %d", a.FrameDepth())
+	}
 	a.PushFrame("kernel/dispatch")
 	a.PushFrame("cpu/deliver/syscall")
-	if got := a.Frames(); got != ";kernel/dispatch;cpu/deliver/syscall" || a.FrameDepth() != 2 {
-		t.Fatalf("frames %q depth %d", got, a.FrameDepth())
+	leaf := a.Frame()
+	if a.FrameDepth() != 2 {
+		t.Fatalf("depth %d after two pushes", a.FrameDepth())
+	}
+	if a.LeafFrame("cpu/tlb-hit").ID() != a.LeafFrame("cpu/tlb-hit").ID() {
+		t.Fatal("one leaf frame made two nodes")
 	}
 	a.PopFrame()
 	a.PopFrame()
 	a.PopFrame()
-	if a.Frames() != "" || a.FrameDepth() != 0 {
-		t.Fatalf("frames %q depth %d after unwinding", a.Frames(), a.FrameDepth())
+	if a.Frame() != root || a.FrameDepth() != 0 {
+		t.Fatalf("depth %d after unwinding", a.FrameDepth())
+	}
+	a.PushFrame("kernel/dispatch")
+	a.PushFrame("cpu/deliver/syscall")
+	if a.Frame() != leaf {
+		t.Fatal("the same stack landed on a second node")
+	}
+	a.PopFrame()
+	a.PushFrame("cpu/deliver/exception")
+	a.PopFrame()
+	a.PopFrame()
+
+	var stacks []string
+	a.WalkFrames(func(stack string, f *FrameNode) { stacks = append(stacks, stack) })
+	want := []string{
+		"",
+		";kernel/dispatch",
+		";kernel/dispatch;cpu/deliver/exception",
+		";kernel/dispatch;cpu/deliver/syscall",
+		";kernel/dispatch;cpu/deliver/syscall;cpu/tlb-hit",
+	}
+	if !slices.Equal(stacks, want) {
+		t.Fatalf("walk = %q, want %q", stacks, want)
 	}
 }

@@ -17,6 +17,11 @@
 //   - Single sink. The registry replaces the ad-hoc counter maps that grew
 //     inside monitor.Stats (EMCByKind, CyclesByKind) and trace.Recorder
 //     (Counts): those surfaces now read back from a registry family.
+//   - Cheap on hot paths. A Handle resolves its series on its first write;
+//     after that a write builds no label key, does no map lookup and
+//     allocates nothing. The gate and the ring drain write through
+//     handles, and a tenant's series set (Attr.Series) keeps its resolved
+//     series the same way.
 //
 // Histogram families use the fixed log2 bucket Histogram the flight
 // recorder also keeps per span, so span latencies and registry latencies
@@ -64,6 +69,7 @@ func (k Kind) String() string {
 // series is one labeled instrument inside a family.
 type series struct {
 	labels []Label
+	kind   Kind       // its family's kind, fixed by the family's first write
 	value  uint64     // counter total or gauge level
 	hist   *Histogram // histogram families only
 }
@@ -138,7 +144,7 @@ func (r *Registry) getSeries(name string, kind Kind, labels []Label) *series {
 	key := r.seriesKey(labels)
 	s := fam.series[string(key)]
 	if s == nil {
-		s = &series{labels: slices.Clone(r.sorted)}
+		s = &series{labels: slices.Clone(r.sorted), kind: kind}
 		if kind == HistogramKind {
 			s.hist = &Histogram{}
 		}
@@ -164,73 +170,130 @@ func (r *Registry) Describe(name, help string) {
 	r.families[name] = &family{name: name, help: help, kind: Counter, series: make(map[string]*series)}
 }
 
-// Add increments a counter series by delta.
-func (r *Registry) Add(name string, delta uint64, labels ...Label) {
-	if r == nil || delta == 0 {
-		return
+// Handle names one series: a family and a label set. It resolves the
+// series on its first write, so a handle that is never written leaves no
+// series behind (Add(0) writes nothing), and that write fixes the family's
+// kind as any first write does. After that a write builds no key, does no
+// map lookup and allocates nothing. A nil *Handle records nothing.
+type Handle struct {
+	r      *Registry
+	name   string
+	labels []Label
+	s      *series // resolved by the first write, under r.mu
+}
+
+// Handle returns a handle on the series (name, labels), which no write has
+// to exist for. A nil registry hands out nil handles.
+func (r *Registry) Handle(name string, labels ...Label) *Handle {
+	if r == nil {
+		return nil
 	}
+	return &Handle{r: r, name: name, labels: slices.Clone(labels)}
+}
+
+// The write path, one method per kind. A handle passes the series it
+// resolved in *cache; the name-and-labels methods below pass an empty one,
+// so they resolve the series by lookup on every call.
+
+// resolve returns the kind series (name, labels): *cache when it holds one
+// of that kind, else the one getSeries finds or makes (which panics on a
+// kind mismatch), kept in *cache. The caller holds r.mu.
+func (r *Registry) resolve(cache **series, name string, kind Kind, labels []Label) *series {
+	if s := *cache; s != nil && s.kind == kind {
+		return s
+	}
+	*cache = r.getSeries(name, kind, labels)
+	return *cache
+}
+
+func (r *Registry) add(cache **series, name string, delta uint64, labels []Label) {
 	r.mu.Lock()
-	r.getSeries(name, Counter, labels).value += delta
+	r.resolve(cache, name, Counter, labels).value += delta
 	r.mu.Unlock()
 }
 
-// Inc increments a counter series by one.
-func (r *Registry) Inc(name string, labels ...Label) {
-	if r == nil {
-		return
-	}
+func (r *Registry) set(cache **series, name string, v uint64, onlyUp bool, labels []Label) {
 	r.mu.Lock()
-	r.getSeries(name, Counter, labels).value++
-	r.mu.Unlock()
-}
-
-// Set sets a gauge series to v.
-func (r *Registry) Set(name string, v uint64, labels ...Label) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.getSeries(name, Gauge, labels).value = v
-	r.mu.Unlock()
-}
-
-// SetMax raises a gauge series to v if v exceeds its current level — the
-// high-watermark idiom for bounded resources (ring depth, queue occupancy,
-// trace-ring fill). Lower observations leave the gauge untouched, so the
-// exported level is the maximum ever seen.
-func (r *Registry) SetMax(name string, v uint64, labels ...Label) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	s := r.getSeries(name, Gauge, labels)
-	if v > s.value {
+	if s := r.resolve(cache, name, Gauge, labels); !onlyUp || v > s.value {
 		s.value = v
 	}
 	r.mu.Unlock()
 }
 
-// Observe adds one observation to a histogram series.
-func (r *Registry) Observe(name string, v uint64, labels ...Label) {
-	if r == nil {
-		return
-	}
+func (r *Registry) observe(cache **series, name string, v, exemplar uint64, labels []Label) {
 	r.mu.Lock()
-	r.getSeries(name, HistogramKind, labels).hist.Observe(v)
+	r.resolve(cache, name, HistogramKind, labels).hist.ObserveEx(v, exemplar)
 	r.mu.Unlock()
 }
 
-// ObserveEx adds one observation with an exemplar (a span/session ID
-// retained in the observation's bucket; see Histogram.ObserveEx).
-// The SLO engine reads exemplars back to link a blown objective to the
-// span tree that explains it.
-func (r *Registry) ObserveEx(name string, v, exemplar uint64, labels ...Label) {
-	if r == nil {
-		return
+// Add increments a counter series by delta.
+func (h *Handle) Add(delta uint64) {
+	if h != nil && delta != 0 {
+		h.r.add(&h.s, h.name, delta, h.labels)
 	}
-	r.mu.Lock()
-	r.getSeries(name, HistogramKind, labels).hist.ObserveEx(v, exemplar)
-	r.mu.Unlock()
+}
+
+// Inc increments a counter series by one.
+func (h *Handle) Inc() { h.Add(1) }
+
+// SetMax raises a gauge series to v if v exceeds its current level — the
+// high-watermark idiom for bounded resources (ring depth, queue occupancy,
+// trace-ring fill). Lower observations leave the gauge untouched, so the
+// exported level is the maximum ever seen.
+func (h *Handle) SetMax(v uint64) {
+	if h != nil {
+		h.r.set(&h.s, h.name, v, true, h.labels)
+	}
+}
+
+// Observe adds one observation to a histogram series.
+func (h *Handle) Observe(v uint64) {
+	if h != nil {
+		h.r.observe(&h.s, h.name, v, 0, h.labels)
+	}
+}
+
+// Add increments the counter series (name, labels) by delta.
+func (r *Registry) Add(name string, delta uint64, labels ...Label) {
+	if r != nil && delta != 0 {
+		var s *series
+		r.add(&s, name, delta, labels)
+	}
+}
+
+// Inc increments the counter series (name, labels) by one.
+func (r *Registry) Inc(name string, labels ...Label) { r.Add(name, 1, labels...) }
+
+// Set sets the gauge series (name, labels) to v.
+func (r *Registry) Set(name string, v uint64, labels ...Label) {
+	if r != nil {
+		var s *series
+		r.set(&s, name, v, false, labels)
+	}
+}
+
+// SetMax raises the gauge series (name, labels) to v (see Handle.SetMax).
+func (r *Registry) SetMax(name string, v uint64, labels ...Label) {
+	if r != nil {
+		var s *series
+		r.set(&s, name, v, true, labels)
+	}
+}
+
+// Observe adds one observation to the histogram series (name, labels).
+func (r *Registry) Observe(name string, v uint64, labels ...Label) {
+	r.ObserveEx(name, v, 0, labels...)
+}
+
+// ObserveEx adds one observation with an exemplar (a span/session ID
+// retained in the observation's bucket; 0 keeps the bucket's previous one,
+// see Histogram.ObserveEx). The SLO engine reads exemplars back to link a
+// blown objective to the span tree that explains it.
+func (r *Registry) ObserveEx(name string, v, exemplar uint64, labels ...Label) {
+	if r != nil {
+		var s *series
+		r.observe(&s, name, v, exemplar, labels)
+	}
 }
 
 // Value reads a counter or gauge series (0 when absent or disabled).
@@ -373,13 +436,3 @@ const TraceEventsFamily = "erebor_trace_events"
 // wraparound drops (surfacing trace.Recorder.Dropped at runtime, so event
 // loss can't silently corrupt a critical-path analysis).
 const TraceDroppedFamily = "erebor_trace_dropped_events"
-
-// Reset discards every family and series (tests; world reuse).
-func (r *Registry) Reset() {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.families = make(map[string]*family)
-}

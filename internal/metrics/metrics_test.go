@@ -13,7 +13,6 @@ func TestNilRegistryIsSafe(t *testing.T) {
 	r.Set("g", 7)
 	r.Observe("h", 100)
 	r.Describe("c", "help")
-	r.Reset()
 	if r.Enabled() {
 		t.Fatal("nil registry reports enabled")
 	}
@@ -221,18 +220,6 @@ func TestDescribedButUnwrittenFamilyOmitted(t *testing.T) {
 	}
 	if len(r.Snapshot()) != 0 {
 		t.Fatal("described-only family in snapshot")
-	}
-}
-
-func TestResetClears(t *testing.T) {
-	r := New()
-	r.Inc("c")
-	r.Reset()
-	if v := r.Value("c"); v != 0 {
-		t.Fatalf("post-reset Value = %d", v)
-	}
-	if len(r.Snapshot()) != 0 {
-		t.Fatal("post-reset snapshot non-empty")
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"github.com/asterisc-release/erebor-go/internal/attest"
 	"github.com/asterisc-release/erebor-go/internal/costs"
 	"github.com/asterisc-release/erebor-go/internal/cpu"
+	"github.com/asterisc-release/erebor-go/internal/metrics"
 	"github.com/asterisc-release/erebor-go/internal/secchan"
 	"github.com/asterisc-release/erebor-go/internal/tdx"
 	"github.com/asterisc-release/erebor-go/internal/trace"
@@ -24,7 +25,7 @@ type quoteIssuer struct {
 func (qi quoteIssuer) IssueQuote(reportData [tdx.ReportDataSize]byte) (*attest.Quote, error) {
 	mon, c := qi.mon, qi.core
 	var quote *attest.Quote
-	err := mon.gate(c, "ghci", func() error {
+	err := mon.gate(c, metrics.EMCGHCI, func() error {
 		mon.M.Clock.Charge(costs.EreborGHCIBody - costs.NativeTDReport)
 		if _, trap := c.TDCall(tdx.LeafTDReport, nil); trap != nil {
 			return trap
@@ -94,7 +95,7 @@ func (mon *Monitor) AcceptSession(c *cpu.Core, id SandboxID, tr secchan.Transpor
 	// response) were lost — re-send retained history.
 	rc.RetransmitOnDup = true
 	rc.Rec, rc.Track = mon.Rec, trace.TrackMonitor
-	rc.Met, rc.Attr = mon.Met, mon.M.Attr
+	rc.Attr = mon.M.Attr
 	sb.conn = rc
 	return nil
 }

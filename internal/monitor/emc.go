@@ -28,7 +28,7 @@ func denied(op, format string, args ...any) error {
 // gate runs body inside the EMC entry/exit gates (Fig 5): IBT-checked
 // entry, PKRS grant, secure-stack switch, dispatch, then full reversal.
 // The gate cost constants reproduce Table 3's empty-EMC cycle count.
-func (mon *Monitor) gate(c *cpu.Core, kind string, body func() error) error {
+func (mon *Monitor) gate(c *cpu.Core, kind metrics.EMCKind, body func() error) error {
 	mon.assertBooted()
 	// Forward edge: the kernel reaches the gate via an indirect call; CET
 	// IBT verifies the target carries endbr64 (only the entry gate does).
@@ -36,7 +36,8 @@ func (mon *Monitor) gate(c *cpu.Core, kind string, body func() error) error {
 		return err
 	}
 	mon.Stats.EMCs++
-	mon.Met.Inc(metrics.FamilyEMC, metrics.KV("kind", kind))
+	ser := mon.series()
+	ser.emc[kind].Inc()
 
 	prevGateCore := mon.gateCore
 	mon.gateCore = c
@@ -48,7 +49,7 @@ func (mon *Monitor) gate(c *cpu.Core, kind string, body func() error) error {
 	// monitor/emc/<kind>, with the fixed crossing costs split out below into
 	// monitor/gate/* sub-frames so a profile diff can attribute gate-count
 	// wins (e.g. the submission ring's) to the crossings themselves.
-	mon.M.PushFrame("monitor/emc/" + kind)
+	mon.M.PushFrame(emcFrames[kind])
 	defer mon.M.PopFrame()
 	// The gate is an open span, not a retro-stamped one: anything the body
 	// records (violations, kills, nested interposes) parents into it, so a
@@ -60,13 +61,12 @@ func (mon *Monitor) gate(c *cpu.Core, kind string, body func() error) error {
 	// exactly against the Stats counters.
 	defer func() {
 		delta := clock.Now() - gateStart
-		mon.Met.Add(metrics.FamilyEMCCycles, delta, metrics.KV("kind", kind))
-		if mon.M.Attr.Active() {
-			mon.Met.Add(metrics.FamilyTenantEMCCycles, delta,
-				metrics.KV("tenant", mon.M.Attr.TenantLabel()), metrics.KV("kind", kind))
+		ser.emcCycles[kind].Add(delta)
+		if a := mon.M.Attr; a.Active() {
+			a.Series().AddEMCCycles(kind, delta)
 		}
 		if mon.Rec.Enabled() {
-			mon.Rec.EndSpan(gateSpan, trace.KindEMC, trace.TrackMonitor, "emc/"+kind)
+			mon.Rec.EndSpan(gateSpan, trace.KindEMC, trace.TrackMonitor, emcSpans[kind])
 		}
 		// The cadence sweep runs at gate exit — the natural deterministic
 		// pulse: every simulation makes progress through EMCs, and the sweep
@@ -124,7 +124,7 @@ func (mon *Monitor) preemptDuringEMC(c *cpu.Core, handler func(c *cpu.Core)) {
 
 // EMCNop is the empty monitor call used by the Table 3 microbenchmark.
 func (mon *Monitor) EMCNop(c *cpu.Core) error {
-	return mon.gate(c, "nop", func() error { return nil })
+	return mon.gate(c, metrics.EMCNop, func() error { return nil })
 }
 
 // crPinnedCR0 and crPinnedCR4 are the protection bits the kernel may never
@@ -136,7 +136,7 @@ const crPinnedCR4 = cpu.CR4SMEP | cpu.CR4SMAP | cpu.CR4PKS | cpu.CR4CET
 // protection bits are pinned on, and CR3 may only point at a registered
 // address-space root.
 func (mon *Monitor) EMCWriteCR(c *cpu.Core, reg cpu.CRReg, val uint64) error {
-	return mon.gate(c, "cr", func() error {
+	return mon.gate(c, metrics.EMCCR, func() error {
 		mon.M.Clock.Charge(costs.EreborCRWriteBody - costs.NativeCRWrite)
 		switch reg {
 		case cpu.CR0:
@@ -171,7 +171,7 @@ func msrAllowed(idx uint32) bool {
 
 // EMCWriteMSR delegates wrmsr with an allow-list.
 func (mon *Monitor) EMCWriteMSR(c *cpu.Core, idx uint32, val uint64) error {
-	return mon.gate(c, "msr", func() error {
+	return mon.gate(c, metrics.EMCMSR, func() error {
 		mon.M.Clock.Charge(costs.EreborMSRWriteBody - costs.NativeMSRWrite)
 		if !msrAllowed(idx) {
 			return denied("wrmsr", "MSR %#x is monitor-exclusive", idx)
@@ -187,7 +187,7 @@ func (mon *Monitor) EMCWriteMSR(c *cpu.Core, idx uint32, val uint64) error {
 // IDT entry stays monitor-owned (the #INT gate); only the forwarding target
 // changes — which is why this EMC is cheaper than a native lidt (Table 4).
 func (mon *Monitor) EMCSetVector(c *cpu.Core, vec uint8, h cpu.Handler) error {
-	return mon.gate(c, "idt", func() error {
+	return mon.gate(c, metrics.EMCIDT, func() error {
 		mon.M.Clock.Charge(costs.EreborIDTLoadBody)
 		if vec == cpu.VecSyscall {
 			return denied("set-vector", "syscall entry is registered via EMCSetSyscallEntry")
@@ -200,7 +200,7 @@ func (mon *Monitor) EMCSetVector(c *cpu.Core, vec uint8, h cpu.Handler) error {
 // EMCSetSyscallEntry registers the kernel's syscall handler; IA32_LSTAR
 // itself keeps pointing at the monitor (exit interposition, §6.2).
 func (mon *Monitor) EMCSetSyscallEntry(c *cpu.Core, h func(c *cpu.Core, t *cpu.Trap)) error {
-	return mon.gate(c, "idt", func() error {
+	return mon.gate(c, metrics.EMCIDT, func() error {
 		mon.M.Clock.Charge(costs.EreborIDTLoadBody)
 		mon.kernelSyscall = h
 		return nil
@@ -219,7 +219,7 @@ const (
 // the kernel cannot execute stac, so the monitor performs the access window
 // (stac ... clac) itself after validating the target (§6.1).
 func (mon *Monitor) EMCUserCopy(c *cpu.Core, asid ASID, dir CopyDir, userVA uint64, buf []byte) error {
-	return mon.gate(c, "smap", func() error {
+	return mon.gate(c, metrics.EMCSMAP, func() error {
 		mon.M.Clock.Charge(costs.EreborSMAPBody - costs.NativeSMAP)
 		mon.Stats.UserCopies++
 		as, ok := mon.addrSpaces[asid]
@@ -282,7 +282,7 @@ func (mon *Monitor) copyUser(c *cpu.Core, as *asState, dir CopyDir, userVA uint6
 // approves it for execute mapping. Returns the frames holding the code.
 func (mon *Monitor) EMCLoadModule(c *cpu.Core, code []byte) (uint64, error) {
 	var va uint64
-	err := mon.gate(c, "module", func() error {
+	err := mon.gate(c, metrics.EMCModule, func() error {
 		mon.M.Clock.Charge(costs.Copy(len(code)) + uint64(len(code))/4)
 		v, err := mon.loadKernelCode(code)
 		va = v

@@ -8,6 +8,7 @@ import (
 	"github.com/asterisc-release/erebor-go/internal/costs"
 	"github.com/asterisc-release/erebor-go/internal/cpu"
 	"github.com/asterisc-release/erebor-go/internal/mem"
+	"github.com/asterisc-release/erebor-go/internal/metrics"
 	"github.com/asterisc-release/erebor-go/internal/paging"
 	"github.com/asterisc-release/erebor-go/internal/tdx"
 	"github.com/asterisc-release/erebor-go/internal/trace"
@@ -254,7 +255,7 @@ func (mon *Monitor) sandboxFault(c *cpu.Core, t *cpu.Trap, sb *sbState) {
 // validating ownership, attachment and seal state. A denied call writes no
 // PTE and pays only the gate.
 func (mon *Monitor) EMCMapSandboxFault(c *cpu.Core, asid ASID, va paging.Addr, write bool) error {
-	return mon.gate(c, "mmu", func() error {
+	return mon.gate(c, metrics.EMCMMU, func() error {
 		as, ok := mon.addrSpaces[asid]
 		if !ok {
 			return denied("map-sandbox-fault", "unknown address space %d", asid)
@@ -300,7 +301,7 @@ func (mon *Monitor) handleSandboxIoctl(c *cpu.Core, sb *sbState) {
 	cmd := c.Regs.GPR[cpu.RSI]
 	arg := c.Regs.GPR[cpu.RDX]
 	var ret uint64
-	err := mon.gate(c, "io", func() error {
+	err := mon.gate(c, metrics.EMCIO, func() error {
 		switch cmd {
 		case abi.IoctlInput:
 			ret = mon.installInput(c, sb, paging.Addr(arg))

@@ -6,6 +6,7 @@ import (
 	"github.com/asterisc-release/erebor-go/internal/costs"
 	"github.com/asterisc-release/erebor-go/internal/cpu"
 	"github.com/asterisc-release/erebor-go/internal/mem"
+	"github.com/asterisc-release/erebor-go/internal/metrics"
 	"github.com/asterisc-release/erebor-go/internal/paging"
 	"github.com/asterisc-release/erebor-go/internal/tdx"
 )
@@ -28,7 +29,7 @@ type MapReq struct {
 // is registered so CR3 writes can be validated.
 func (mon *Monitor) EMCCreateAS(c *cpu.Core, owner mem.Owner) (ASID, error) {
 	var id ASID
-	err := mon.gate(c, "mmu", func() error {
+	err := mon.gate(c, metrics.EMCMMU, func() error {
 		t, err := paging.New(mon.M.Phys, mon.allocPTP)
 		if err != nil {
 			return err
@@ -67,7 +68,7 @@ func (mon *Monitor) EMCCreateAS(c *cpu.Core, owner mem.Owner) (ASID, error) {
 // Nothing of the address space outlives the call, so a server that destroys
 // every retiring worker runs any number of sessions in bounded memory.
 func (mon *Monitor) EMCDestroyAS(c *cpu.Core, asid ASID) error {
-	return mon.gate(c, "mmu", func() error {
+	return mon.gate(c, metrics.EMCMMU, func() error {
 		as, ok := mon.addrSpaces[asid]
 		if !ok {
 			return denied("destroy-as", "unknown address space %d", asid)
@@ -124,7 +125,7 @@ func (mon *Monitor) EMCDestroyAS(c *cpu.Core, asid ASID) error {
 
 // EMCSwitchAS writes CR3 to a registered root (context switch).
 func (mon *Monitor) EMCSwitchAS(c *cpu.Core, asid ASID) error {
-	return mon.gate(c, "cr", func() error {
+	return mon.gate(c, metrics.EMCCR, func() error {
 		mon.M.Clock.Charge(costs.EreborCRWriteBody - costs.NativeCRWrite)
 		as, ok := mon.addrSpaces[asid]
 		if !ok && asid != 0 {
@@ -243,7 +244,7 @@ func (mon *Monitor) EMCReclaimUser(c *cpu.Core, asid ASID, va paging.Addr) error
 // userMMU runs reqs as one MMU transaction under one "mmu" gate crossing
 // and flushes its invalidation set. op names the EMC in denials.
 func (mon *Monitor) userMMU(c *cpu.Core, asid ASID, op MMUOp, reqs ...RingReq) error {
-	return mon.gate(c, "mmu", func() error {
+	return mon.gate(c, metrics.EMCMMU, func() error {
 		as, ok := mon.addrSpaces[asid]
 		if !ok {
 			return denied(userOp(op), "unknown address space %d", asid)
@@ -576,7 +577,7 @@ func (mon *Monitor) ASRoot(asid ASID) (mem.Frame, bool) {
 // kernel, monitor, PTP, confined and common memory stay private (device
 // access prevention).
 func (mon *Monitor) EMCMapGPA(c *cpu.Core, f mem.Frame, toShared bool) error {
-	return mon.gate(c, "ghci", func() error {
+	return mon.gate(c, metrics.EMCGHCI, func() error {
 		mon.M.Clock.Charge(costs.EreborGHCIBody - costs.NativeTDReport)
 		meta, err := mon.M.Phys.Meta(f)
 		if err != nil {
@@ -598,7 +599,7 @@ func (mon *Monitor) EMCMapGPA(c *cpu.Core, f mem.Frame, toShared bool) error {
 // shared frames; the TDX module re-verifies.
 func (mon *Monitor) EMCVMCall(c *cpu.Core, sub uint64, args []uint64, payloadFrames []mem.Frame, payload []byte) ([]uint64, error) {
 	var ret []uint64
-	err := mon.gate(c, "ghci", func() error {
+	err := mon.gate(c, metrics.EMCGHCI, func() error {
 		mon.M.Clock.Charge(costs.EreborGHCIBody - costs.NativeTDReport)
 		if len(payload) > 0 {
 			if err := mon.TDX.StageSharedBuffer(payloadFrames, payload); err != nil {

@@ -200,6 +200,8 @@ type Monitor struct {
 	// difference to preserve). The harness replaces it with the world-wide
 	// shared registry right after Boot, before any EMC fires.
 	Met *metrics.Registry
+	// gateSer holds the gate's and ring's series handles on Met.
+	gateSer *gateSeries
 
 	// wd is the continuous invariant watchdog state (nil = disabled).
 	wd *watchdogState

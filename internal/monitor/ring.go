@@ -100,27 +100,28 @@ func (r *SubmitRing) Reset() { r.reqs = r.reqs[:0] }
 // flushes with one ShootdownBatch, empties the ring, and runs a watchdog
 // sweep proving no invariant window opened between validate and flush.
 func (mon *Monitor) EMCRingDrain(c *cpu.Core, ring *SubmitRing) error {
-	return mon.gate(c, "ring", func() error {
+	return mon.gate(c, metrics.EMCRing, func() error {
 		span := mon.Rec.Begin()
 		defer func() {
 			mon.Rec.EndSpan(span, trace.KindRingDrain, trace.TrackMonitor, "ring-drain")
 		}()
 		mon.M.Clock.ChargeFrame("monitor/ring/drain", costs.EreborRingDrainBase+
 			costs.EreborRingDrainEntry*uint64(ring.Len()))
+		ser := mon.series()
 		as, ok := mon.addrSpaces[ring.asid]
 		if !ok {
-			mon.Met.Inc(metrics.FamilyEMCRingDrains, metrics.KV("outcome", "rejected"))
+			ser.drainRejected.Inc()
 			return denied("ring-drain", "unknown address space %d", ring.asid)
 		}
 		if ring.Len() == 0 {
-			mon.Met.Inc(metrics.FamilyEMCRingDrains, metrics.KV("outcome", "committed"))
+			ser.drainOK.Inc()
 			return nil
 		}
 		tx := mon.openTxn()
 		defer tx.close()
 		work, err := mon.mmuValidate(tx, as, ring.reqs, ringOp)
 		if err != nil {
-			mon.Met.Inc(metrics.FamilyEMCRingDrains, metrics.KV("outcome", "rejected"))
+			ser.drainRejected.Inc()
 			return err
 		}
 		pairs, err := mon.mmuCommit(c, tx, as, work)
@@ -138,23 +139,19 @@ func (mon *Monitor) EMCRingDrain(c *cpu.Core, ring *SubmitRing) error {
 		depth := uint64(ring.Len())
 		ring.Reset()
 
-		mon.Met.Observe(metrics.FamilyEMCRingDepth, depth)
-		mon.Met.SetMax(metrics.FamilyHighWater, depth,
-			metrics.KV("resource", metrics.ResourceEMCRingDepth))
-		mon.Met.Inc(metrics.FamilyEMCRingDrains, metrics.KV("outcome", "committed"))
-		var opCount [4]uint64
+		ser.ringDepth.Observe(depth)
+		ser.ringHighWater.SetMax(depth)
+		ser.drainOK.Inc()
+		var opCount [len(mmuOpNames)]uint64
 		for _, r := range work {
 			opCount[r.Op]++
 		}
 		for op, n := range opCount {
-			if n > 0 {
-				mon.Met.Add(metrics.FamilyEMCRingOps, n, metrics.KV("op", MMUOp(op).String()))
-			}
+			ser.ringOps[op].Add(n)
 		}
-		mon.Met.Add(metrics.FamilyRingCoalescedIPIs, uint64(sent), metrics.KV("result", "sent"))
+		ser.ipisSent.Add(uint64(sent))
 		if len(pairs) > 0 {
-			skipped := uint64(len(mon.M.Cores)-1) - uint64(sent)
-			mon.Met.Add(metrics.FamilyRingCoalescedIPIs, skipped, metrics.KV("result", "skipped"))
+			ser.ipisSkipped.Add(uint64(len(mon.M.Cores)-1) - uint64(sent))
 		}
 		// Drain-commit sweep: the batch's validate-to-flush window is closed;
 		// every invariant must already hold again.

@@ -8,6 +8,7 @@ import (
 	"github.com/asterisc-release/erebor-go/internal/costs"
 	"github.com/asterisc-release/erebor-go/internal/cpu"
 	"github.com/asterisc-release/erebor-go/internal/mem"
+	"github.com/asterisc-release/erebor-go/internal/metrics"
 	"github.com/asterisc-release/erebor-go/internal/paging"
 	"github.com/asterisc-release/erebor-go/internal/secchan"
 	"github.com/asterisc-release/erebor-go/internal/trace"
@@ -138,7 +139,7 @@ func (mon *Monitor) SandboxInfo(id SandboxID) (SandboxInfo, bool) {
 // confined-memory budget (hard limit set by the service provider, §6.1).
 func (mon *Monitor) EMCCreateSandbox(c *cpu.Core, asid ASID, budgetPages uint64) (SandboxID, error) {
 	var id SandboxID
-	err := mon.gate(c, "sandbox", func() error {
+	err := mon.gate(c, metrics.EMCSandbox, func() error {
 		as, ok := mon.addrSpaces[asid]
 		if !ok {
 			return denied("create-sandbox", "unknown address space %d", asid)
@@ -163,7 +164,7 @@ func (mon *Monitor) EMCCreateSandbox(c *cpu.Core, asid ASID, budgetPages uint64)
 // va in the sandbox (single-mapping, pinned, CVM-private). Frames come
 // from the reserved CMA region.
 func (mon *Monitor) EMCDeclareConfined(c *cpu.Core, id SandboxID, va paging.Addr, npages uint64, exec bool) error {
-	return mon.gate(c, "sandbox", func() error {
+	return mon.gate(c, metrics.EMCSandbox, func() error {
 		sb, ok := mon.sandboxes[id]
 		if !ok || sb.destroyed {
 			return denied("declare-confined", "no live sandbox %d", id)
@@ -176,7 +177,7 @@ func (mon *Monitor) EMCDeclareConfined(c *cpu.Core, id SandboxID, va paging.Addr
 // attached anywhere; the creating service initializes it through an
 // unsealed writable attachment).
 func (mon *Monitor) EMCCommonCreate(c *cpu.Core, name string, npages uint64) error {
-	return mon.gate(c, "sandbox", func() error {
+	return mon.gate(c, metrics.EMCSandbox, func() error {
 		if _, ok := mon.commons[name]; ok {
 			return denied("common-create", "region %q exists", name)
 		}
@@ -204,7 +205,7 @@ func (mon *Monitor) EMCCommonCreate(c *cpu.Core, name string, npages uint64) err
 // write through an unsealed writable attachment; this EMC is the
 // equivalent bulk-load interface for the service provider's loader.
 func (mon *Monitor) EMCPopulateCommon(c *cpu.Core, name string, offset uint64, data []byte) error {
-	return mon.gate(c, "sandbox", func() error {
+	return mon.gate(c, metrics.EMCSandbox, func() error {
 		cr, ok := mon.commons[name]
 		if !ok {
 			return denied("populate-common", "no common region %q", name)
@@ -248,7 +249,7 @@ func (mon *Monitor) CommonPages(name string) (uint64, bool) {
 // attachments are only possible before the region seals (first client-data
 // install among its consumers).
 func (mon *Monitor) EMCCommonAttach(c *cpu.Core, id SandboxID, name string, base paging.Addr, writable bool) error {
-	return mon.gate(c, "sandbox", func() error {
+	return mon.gate(c, metrics.EMCSandbox, func() error {
 		return mon.commonAttachLocked(id, name, base, writable)
 	})
 }
@@ -365,7 +366,7 @@ func (mon *Monitor) scrubSandbox(sb *sbState) {
 // untrusted kernel can already deny service to any sandbox, so this EMC
 // grants no new authority — it only makes the teardown typed and scrubbed.
 func (mon *Monitor) EMCKillSandbox(c *cpu.Core, id SandboxID, reason string) {
-	_ = mon.gate(c, "sandbox", func() error {
+	_ = mon.gate(c, metrics.EMCSandbox, func() error {
 		sb, ok := mon.sandboxes[id]
 		if !ok || sb.destroyed {
 			return nil
@@ -423,7 +424,7 @@ func (mon *Monitor) retireSandboxesLocked(asid ASID) {
 // the monitor zeroes the sandbox's memory (§6.3 cleanup) and releases the
 // confined frames.
 func (mon *Monitor) EMCSandboxEnd(c *cpu.Core, id SandboxID) error {
-	return mon.gate(c, "sandbox", func() error {
+	return mon.gate(c, metrics.EMCSandbox, func() error {
 		sb, ok := mon.sandboxes[id]
 		if !ok {
 			return denied("sandbox-end", "unknown sandbox %d", id)

@@ -54,15 +54,21 @@ type LoadedKernel struct {
 }
 
 // LoadKernel performs stage two of the verified boot (§5.1): decode the
-// kernel image, byte-scan every executable section for sensitive
-// instruction sequences, apply relocations, copy sections into fresh
-// frames, and map them with W-xor-X permissions in the kernel tables. The
-// kernel measurement is extended into RTMR[0].
+// kernel image, apply relocations, byte-scan every executable section for
+// sensitive instruction sequences, copy sections into fresh frames, and
+// map them with W-xor-X permissions in the kernel tables. The kernel
+// measurement is extended into RTMR[0]. The scan runs after relocation, on
+// the bytes that will be mapped: a relocation writes eight bytes of the
+// image's choosing into the text, so scanning before it would pass text
+// the relocation turns into a sensitive instruction.
 func (mon *Monitor) LoadKernel(imgBytes []byte) (*LoadedKernel, error) {
 	mon.assertBooted()
 	img, err := image.Decode(imgBytes)
 	if err != nil {
 		return nil, fmt.Errorf("monitor: rejecting kernel image: %w", err)
+	}
+	if err := img.Relocate(); err != nil {
+		return nil, fmt.Errorf("monitor: kernel relocation failed: %w", err)
 	}
 
 	var rep ScanReport
@@ -80,10 +86,6 @@ func (mon *Monitor) LoadKernel(imgBytes []byte) (*LoadedKernel, error) {
 	if len(rep.Violations) > 0 {
 		return nil, fmt.Errorf("monitor: kernel image contains %d sensitive instruction sequence(s); first: %s",
 			len(rep.Violations), rep.Violations[0])
-	}
-
-	if err := img.Relocate(); err != nil {
-		return nil, fmt.Errorf("monitor: kernel relocation failed: %w", err)
 	}
 
 	lk := &LoadedKernel{Image: img, Report: rep}

@@ -88,7 +88,7 @@ func (mon *Monitor) TemplateInfo(id TemplateID) (TemplateInfo, bool) {
 // destroyed — the caller tears down the hosting task and address space.
 func (mon *Monitor) EMCSnapshotSandbox(c *cpu.Core, id SandboxID, name string) (TemplateID, error) {
 	var tid TemplateID
-	err := mon.gate(c, "sandbox", func() error {
+	err := mon.gate(c, metrics.EMCSandbox, func() error {
 		sb, ok := mon.sandboxes[id]
 		if !ok || sb.destroyed {
 			return denied("snapshot-sandbox", "no live sandbox %d", id)
@@ -183,7 +183,7 @@ func (mon *Monitor) EMCSnapshotSandbox(c *cpu.Core, id SandboxID, name string) (
 // identity and its own attachment of every common region the template held.
 func (mon *Monitor) EMCForkSandbox(c *cpu.Core, asid ASID, tid TemplateID) (SandboxID, error) {
 	var id SandboxID
-	err := mon.gate(c, "sandbox", func() error {
+	err := mon.gate(c, metrics.EMCSandbox, func() error {
 		as, ok := mon.addrSpaces[asid]
 		if !ok {
 			return denied("fork-sandbox", "unknown address space %d", asid)
@@ -250,7 +250,7 @@ func (mon *Monitor) EMCForkSandbox(c *cpu.Core, asid ASID, tid TemplateID) (Sand
 // zeroed, unpinned and freed (in declare order — frame-pool determinism), and
 // the registry entry is dropped. Refused while forks still share the frames.
 func (mon *Monitor) EMCDestroyTemplate(c *cpu.Core, tid TemplateID) error {
-	return mon.gate(c, "sandbox", func() error {
+	return mon.gate(c, metrics.EMCSandbox, func() error {
 		tmpl, ok := mon.templates[tid]
 		if !ok {
 			return denied("destroy-template", "unknown template %d", tid)

@@ -265,20 +265,15 @@ func Check(v Addr, e PTE, kind AccessKind, ctx Context) *Fault {
 
 // ReadPTE loads the 8-byte entry at physical address a.
 func ReadPTE(p *mem.Physical, a mem.Addr) (PTE, error) {
-	var b [8]byte
-	if err := p.ReadPhys(a, b[:]); err != nil {
-		return 0, err
-	}
-	return PTE(binary.LittleEndian.Uint64(b[:])), nil
+	w, err := p.ReadWord(a)
+	return PTE(w), err
 }
 
 // WritePTE stores the 8-byte entry at physical address a. This is the raw
 // store used by privileged software; deprivileged software must go through
 // the CPU store path (where PKS protects PTP frames) or an EMC.
 func WritePTE(p *mem.Physical, a mem.Addr, e PTE) error {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], uint64(e))
-	return p.WritePhys(a, b[:])
+	return p.WriteWord(a, uint64(e))
 }
 
 // Tables is one address space: a root PTP plus the physical memory the

@@ -19,6 +19,11 @@
 // adds its frame for that one observation. A charge with no frames lands on
 // the bare (tenant, phase) root.
 //
+// The frames form the context's calling-context tree (metrics.FrameNode),
+// so an observation adds to one counter indexed by the live node's ID in
+// its (tenant, phase) row: no stack string is built and no map is keyed by
+// one. Exports walk the tree and render the stacks.
+//
 // Design constraints (DESIGN.md §17):
 //
 //   - Zero clock charge: recording is pure Go-side bookkeeping; a profiled
@@ -55,17 +60,23 @@ func (k Key) Label() string {
 	return "tenant:" + strconv.Itoa(k.Tenant) + ";phase:" + k.Phase
 }
 
-// Profiler accumulates cycles per (tenant, phase, frame stack). The mutex
+// Profiler accumulates cycles per (tenant, phase, frame node). The mutex
 // keeps exports race-clean against the single-threaded simulation
-// goroutine; the hot path takes it briefly. Observe keys its sample by the
-// context's rendered frame stack as is; ObserveFrame appends its leaf.
+// goroutine; the hot path takes it briefly.
 type Profiler struct {
 	mu     sync.Mutex
 	attr   *metrics.Attr
 	active bool
 
-	samples map[Key]map[string]uint64
+	rows    map[Key]*row
+	last    *row // the row observed last
 	dropped uint64
+}
+
+// row is one (tenant, phase) bucket's cycles, indexed by frame node ID.
+type row struct {
+	key    Key
+	cycles []uint64
 }
 
 // New builds a profiler reading tenant, phase and frames from the given
@@ -76,7 +87,7 @@ func New(attr *metrics.Attr) *Profiler {
 	if attr == nil {
 		attr = metrics.NewAttr(nil, nil)
 	}
-	return &Profiler{attr: attr, samples: make(map[Key]map[string]uint64)}
+	return &Profiler{attr: attr, rows: make(map[Key]*row)}
 }
 
 // Context is the execution context the profiler reads: the machine pushes
@@ -125,28 +136,33 @@ func (p *Profiler) observe(leaf string, n uint64) {
 		return
 	}
 	p.mu.Lock()
+	defer p.mu.Unlock()
 	if !p.active {
-		p.mu.Unlock()
 		return
 	}
-	ph := p.attr.Phase
-	if ph == "" {
+	a := p.attr
+	if a.Phase == "" {
 		p.dropped += n
-		p.mu.Unlock()
 		return
 	}
-	k := Key{Tenant: p.attr.Tenant, Phase: ph}
-	m := p.samples[k]
-	if m == nil {
-		m = make(map[string]uint64)
-		p.samples[k] = m
+	r := p.last
+	if r == nil || r.key.Tenant != a.Tenant || r.key.Phase != a.Phase {
+		k := Key{Tenant: a.Tenant, Phase: a.Phase}
+		if r = p.rows[k]; r == nil {
+			r = &row{key: k}
+			p.rows[k] = r
+		}
+		p.last = r
 	}
-	stack := p.attr.Frames()
+	node := a.Frame()
 	if leaf != "" {
-		stack += ";" + leaf
+		node = a.LeafFrame(leaf)
 	}
-	m[stack] += n
-	p.mu.Unlock()
+	id := node.ID()
+	if id >= len(r.cycles) {
+		r.cycles = append(r.cycles, make([]uint64, id+1-len(r.cycles))...)
+	}
+	r.cycles[id] += n
 }
 
 // Dropped returns the cycles observed outside any phase (see Observe).
@@ -161,16 +177,9 @@ func (p *Profiler) Dropped() uint64 {
 
 // Total returns the cycles attributed across every stack.
 func (p *Profiler) Total() uint64 {
-	if p == nil {
-		return 0
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	var total uint64
-	for _, m := range p.samples {
-		for _, n := range m {
-			total += n
-		}
+	for _, n := range p.Totals() {
+		total += n
 	}
 	return total
 }
@@ -185,9 +194,9 @@ func (p *Profiler) Totals() map[Key]uint64 {
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	for k, m := range p.samples {
+	for k, r := range p.rows {
 		var total uint64
-		for _, n := range m {
+		for _, n := range r.cycles {
 			total += n
 		}
 		out[k] = total
@@ -203,19 +212,26 @@ type Sample struct {
 }
 
 // Samples returns every stack, sorted by folded-stack string — the
-// deterministic export order shared by the folded and pprof writers.
+// deterministic export order shared by the folded and pprof writers. It
+// walks the frame tree once and reads each node's counter in every row.
 func (p *Profiler) Samples() []Sample {
 	if p == nil {
 		return nil
 	}
 	p.mu.Lock()
-	out := make([]Sample, 0, len(p.samples))
-	for k, m := range p.samples {
-		prefix := k.Label()
-		for stack, n := range m {
-			out = append(out, Sample{Key: k, Stack: prefix + stack, Cycles: n})
-		}
+	rows := make([]*row, 0, len(p.rows))
+	for _, r := range p.rows {
+		rows = append(rows, r)
 	}
+	var out []Sample
+	p.attr.WalkFrames(func(stack string, f *metrics.FrameNode) {
+		id := f.ID()
+		for _, r := range rows {
+			if id < len(r.cycles) && r.cycles[id] > 0 {
+				out = append(out, Sample{Key: r.key, Stack: r.key.Label() + stack, Cycles: r.cycles[id]})
+			}
+		}
+	})
 	p.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].Stack < out[j].Stack })
 	return out

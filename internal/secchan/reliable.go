@@ -48,22 +48,15 @@ type Reliable struct {
 	Rec   *trace.Recorder
 	Track int32
 
-	// Met, when non-nil, tallies frame events into the shared telemetry
-	// registry; Attr supplies the tenant label the serving loop currently
-	// names (nil or unbound renders as tenant="-1"). Like Rec, recording
-	// never charges the virtual clock and never touches frame contents.
-	Met  *metrics.Registry
+	// Attr, when non-nil, tallies frame events into its registry under the
+	// tenant the serving loop currently names (tenant="-1" when none). Like
+	// Rec, recording never charges the virtual clock and never touches
+	// frame contents.
 	Attr *metrics.Attr
 }
 
-// count tallies one frame event into the registry under the ambient tenant.
-func (r *Reliable) count(dir string) {
-	if r.Met == nil {
-		return
-	}
-	r.Met.Inc(metrics.FamilyChannelFrames,
-		metrics.KV("dir", dir), metrics.KV("tenant", r.Attr.TenantLabel()))
-}
+// count tallies one frame event under the ambient tenant.
+func (r *Reliable) count(dir metrics.ChanDir) { r.Attr.Series().CountFrame(dir) }
 
 // ReliableStats counts what the resilience layer absorbed.
 type ReliableStats struct {
@@ -114,7 +107,7 @@ func (r *Reliable) Send(msg []byte) error {
 	r.history[seq] = ct
 	r.Stats.Sent++
 	r.Rec.Emit(trace.KindFrameSend, r.Track, "")
-	r.count("send")
+	r.count(metrics.ChanSend)
 	for len(r.history) > historyCap {
 		delete(r.history, r.histLo)
 		r.histLo++
@@ -134,7 +127,7 @@ func (r *Reliable) Retransmit() {
 		if err := r.c.tr.Send(ct); err == nil {
 			r.Stats.Retransmits++
 			r.Rec.Emit(trace.KindFrameRetransmit, r.Track, "")
-			r.count("retransmit")
+			r.count(metrics.ChanRetransmit)
 		}
 	}
 }
@@ -151,7 +144,7 @@ func (r *Reliable) Recv() ([]byte, error) {
 			r.c.recvSeq++
 			r.Stats.Delivered++
 			r.Rec.Emit(trace.KindFrameRecv, r.Track, "")
-			r.count("recv")
+			r.count(metrics.ChanRecv)
 			return msg, nil
 		}
 		ct, err := r.c.tr.Recv()
@@ -164,7 +157,7 @@ func (r *Reliable) Recv() ([]byte, error) {
 			r.c.recvSeq++
 			r.Stats.Delivered++
 			r.Rec.Emit(trace.KindFrameRecv, r.Track, "")
-			r.count("recv")
+			r.count(metrics.ChanRecv)
 			return msg, nil
 		}
 		// Duplicate of something already consumed (network duplication or a
@@ -173,7 +166,7 @@ func (r *Reliable) Recv() ([]byte, error) {
 		if r.c.wasAccepted(ct) {
 			r.Stats.Duplicates++
 			r.Rec.Emit(trace.KindFrameDrop, r.Track, "duplicate")
-			r.count("drop")
+			r.count(metrics.ChanDrop)
 			if r.RetransmitOnDup {
 				r.Retransmit()
 			}
@@ -191,7 +184,7 @@ func (r *Reliable) Recv() ([]byte, error) {
 				r.ooo[seq] = msg
 				r.Stats.Reordered++
 				r.Rec.Emit(trace.KindFrameDrop, r.Track, "reorder")
-				r.count("reorder")
+				r.count(metrics.ChanReorder)
 				buffered = true
 				break
 			}
@@ -203,7 +196,7 @@ func (r *Reliable) Recv() ([]byte, error) {
 		// corruption/truncation. Drop it and keep draining.
 		r.Stats.Corrupt++
 		r.Rec.Emit(trace.KindFrameDrop, r.Track, "corrupt")
-		r.count("drop")
+		r.count(metrics.ChanDrop)
 	}
 }
 
