@@ -143,10 +143,11 @@ func NewPlatform(cfg PlatformConfig) (*Platform, error) {
 	return p, nil
 }
 
-// PublishCommon registers a shared read-only dataset (an ML model, a
-// database) available to containers that list it in Commons. Under the
-// monitor it becomes a common region backed by one physical copy; on a
-// baseline platform it is published as a host file.
+// PublishCommon is how a service provider fills ContainerConfig.Commons,
+// as the package example shows. It registers a shared read-only dataset
+// (an ML model, a database) available to containers that list it in
+// Commons. Under the monitor it becomes a common region backed by one
+// physical copy; on a baseline platform it is published as a host file.
 func (p *Platform) PublishCommon(name string, data []byte) error {
 	return sandbox.CreateCommon(p.w.K, name, data)
 }
@@ -362,8 +363,8 @@ func (cl *Client) WireFrames() [][]byte { return cl.session.Proxy.Seen }
 // blocked (containers waiting for input park between sessions).
 func (p *Platform) Run() { p.w.K.Schedule() }
 
-// PushInput injects a client message without a channel (the DebugFS
-// evaluation path of §7). PopOutputs drains channel-less results.
+// PushInput is the DebugFS evaluation path of §7: it injects a client
+// message without a channel. PopOutputs drains channel-less results.
 func (p *Platform) PushInput(c *Container, data []byte) error {
 	if p.w.Mon == nil {
 		p.w.K.DevEmuPush(data)
@@ -372,7 +373,8 @@ func (p *Platform) PushInput(c *Container, data []byte) error {
 	return p.w.Mon.QueueClientInput(c.inner.ID, data)
 }
 
-// PopOutputs drains results emitted without a live channel.
+// PopOutputs is the DebugFS evaluation path of §7: it drains results
+// emitted without a live channel.
 func (p *Platform) PopOutputs() [][]byte {
 	if p.w.Mon == nil {
 		return p.w.K.DevEmuOutputs()

@@ -95,7 +95,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	err = world.Mon.EMCMapUser(world.Core(), evilAS, 0x5000_0000, victimFrame, monitor.MapFlags{})
+	err = world.Mon.EMCUserMMU(world.Core(), evilAS, monitor.RingReq{Op: monitor.OpMap, VA: 0x5000_0000, Frame: victimFrame})
 	if err == nil {
 		log.Fatal("SECURITY VIOLATION: cross-tenant mapping succeeded")
 	}

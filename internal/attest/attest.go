@@ -48,9 +48,6 @@ const scalarWidth = 32
 // seeded stream (X25519 shares, hello nonces) starts.
 const keySeedBytes = 72
 
-// NewQuotingKey generates a fresh P-256 quoting key from the OS CSPRNG.
-func NewQuotingKey() (*QuotingKey, error) { return NewQuotingKeyRand(nil) }
-
 // NewQuotingKeyRand generates a P-256 quoting key from r (nil = OS CSPRNG).
 // The scalar is derived from the bytes read — not via ecdsa.GenerateKey,
 // whose byte consumption from the reader is deliberately randomized by the

@@ -9,7 +9,7 @@ import (
 
 func quotedReport(t *testing.T) (*QuotingKey, *tdx.Module, *Quote) {
 	t.Helper()
-	qk, err := NewQuotingKey()
+	qk, err := NewQuotingKeyRand(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func TestVerifyRejectsTamperedSignature(t *testing.T) {
 
 func TestVerifyRejectsWrongKey(t *testing.T) {
 	_, mod, q := quotedReport(t)
-	other, err := NewQuotingKey()
+	other, err := NewQuotingKeyRand(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -63,11 +63,11 @@ func TestSignDeterministic(t *testing.T) {
 
 // The OS-entropy path (nil reader) must still mint distinct, working keys.
 func TestOSEntropyKeysDistinct(t *testing.T) {
-	a, err := NewQuotingKey()
+	a, err := NewQuotingKeyRand(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := NewQuotingKey()
+	b, err := NewQuotingKeyRand(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -168,15 +168,6 @@ func (v Violation) String() string {
 	return s
 }
 
-// Codes projects a violation list onto its codes (test convenience).
-func Codes(vs []Violation) []Code {
-	out := make([]Code, len(vs))
-	for i, v := range vs {
-		out[i] = v.Code
-	}
-	return out
-}
-
 // Contains reports whether any violation in vs has the given code.
 func Contains(vs []Violation, c Code) bool {
 	for _, v := range vs {

@@ -92,10 +92,6 @@ func TestCodesAndContains(t *testing.T) {
 		{Code: ConfinedUnpinned, Frame: 1},
 		{Code: SealedWritable, Frame: 2},
 	}
-	cs := Codes(vs)
-	if len(cs) != 2 || cs[0] != ConfinedUnpinned || cs[1] != SealedWritable {
-		t.Fatalf("Codes = %v", cs)
-	}
 	if !Contains(vs, SealedWritable) || Contains(vs, PTPMiskeyed) {
 		t.Fatal("Contains wrong")
 	}

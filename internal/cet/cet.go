@@ -39,9 +39,6 @@ func (t *IBT) Enabled() bool { return t.enabled }
 // MarkEndbr registers addr as carrying an endbr64 landing pad.
 func (t *IBT) MarkEndbr(addr uint64) { t.targets[addr] = true }
 
-// ClearEndbr removes a landing pad (used when code is unloaded).
-func (t *IBT) ClearEndbr(addr uint64) { delete(t.targets, addr) }
-
 // IndirectBranch checks an indirect call/jmp to target. With tracking
 // enabled, a target without endbr64 raises #CP.
 func (t *IBT) IndirectBranch(target uint64) error {
@@ -86,9 +83,6 @@ func (s *ShadowStack) Activate() error {
 	s.busy = true
 	return nil
 }
-
-// Deactivate releases the token.
-func (s *ShadowStack) Deactivate() { s.busy = false }
 
 // Call pushes a return address (mirrors the data stack push at call or
 // exception entry).

@@ -483,7 +483,9 @@ func (c *Core) MSR(idx uint32) uint64 { return c.msr[idx] }
 // AC returns the EFLAGS.AC state.
 func (c *Core) AC() bool { return c.ac }
 
-// InMonitor reports whether the core is executing monitor code.
+// InMonitor is for the C4 and monitor gate tests, which check that the
+// gate leaves and revokes monitor mode. It reports whether the core is
+// executing monitor code.
 func (c *Core) InMonitor() bool { return c.inMonitor }
 
 // IDT returns the live vector table.
@@ -716,12 +718,6 @@ func (c *Core) Store(v paging.Addr, buf []byte) *Trap {
 	return c.span(v, len(buf), paging.Write, func(pa mem.Addr, off, n int) error {
 		return c.Machine.Phys.WritePhys(pa, buf[off:off+n])
 	})
-}
-
-// Fetch checks an instruction fetch at v (execute permission).
-func (c *Core) Fetch(v paging.Addr) *Trap {
-	_, t := c.Access(v, paging.Execute)
-	return t
 }
 
 func (c *Core) span(v paging.Addr, n int, kind paging.AccessKind, fn func(pa mem.Addr, off, cnt int) error) *Trap {

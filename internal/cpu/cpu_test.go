@@ -137,7 +137,7 @@ func TestLoadStoreThroughPaging(t *testing.T) {
 		t.Fatalf("unmapped load: %v", tr)
 	}
 	// Execute of NX page faults.
-	if tr := c.Fetch(va); tr == nil || tr.Fault.Reason != paging.FaultNXViolation {
+	if _, tr := c.Access(va, paging.Execute); tr == nil || tr.Fault.Reason != paging.FaultNXViolation {
 		t.Fatalf("NX fetch: %v", tr)
 	}
 }

@@ -114,8 +114,9 @@ type Forest struct {
 	Partial bool
 }
 
-// SessionByRoot resolves a root span ID (e.g. an SLO p99 exemplar) to its
-// session tree, nil when unknown.
+// SessionByRoot is for the SLO exemplar tests here, in serve and in
+// erebor-serve. It resolves a root span ID (e.g. an SLO p99 exemplar) to
+// its session tree, nil when unknown.
 func (f *Forest) SessionByRoot(id trace.SpanID) *Session {
 	for _, s := range f.Sessions {
 		if s.Root.ID() == id {
@@ -218,14 +219,6 @@ type PhaseRow struct {
 type CoreBusy struct {
 	Core   int
 	Cycles uint64
-}
-
-// Dominant is the phase's top contributor ("" when empty).
-func (r *PhaseRow) Dominant() string {
-	if len(r.Contributors) == 0 {
-		return ""
-	}
-	return r.Contributors[0].Name
 }
 
 // Report is the deterministic critical-path breakdown.

@@ -157,8 +157,8 @@ func TestAnalyzeConservationAndOverlap(t *testing.T) {
 	if len(r.Cores) != 2 || r.Cores[0].Core != 0 || r.Cores[0].Cycles != 300 {
 		t.Errorf("cores = %+v, want cpu0=300 cpu1=200", r.Cores)
 	}
-	if r.Dominant() != "dispatch" {
-		t.Errorf("dominant = %q, want dispatch (500 cycles)", r.Dominant())
+	if r.Contributors[0].Name != "dispatch" {
+		t.Errorf("top contributor = %q, want dispatch (500 cycles)", r.Contributors[0].Name)
 	}
 	// emc/io and (serve-loop) tie at 100: name order breaks the tie.
 	if r.Contributors[1].Name != "(serve-loop)" || r.Contributors[2].Name != "emc/io" {

@@ -124,11 +124,13 @@ func (l *Ledger) Records() []Record {
 	return out
 }
 
-// InjectBypass forges an allowed-verdict record for a destination the
-// registered policy denies — the frame-crossed-the-proxy alias break the I8
-// watchdog must catch. It picks the lowest registered tenant whose policy
-// actually denies the probe destination, so the forgery is guaranteed to be
-// a real bypass under the ground truth. Returns the forged record.
+// InjectBypass is an adversary hook for the I8 tests here and, through
+// Monitor.InjectEgressBypass, in the watchdog. It forges an allowed-verdict
+// record for a destination the registered policy denies — the
+// frame-crossed-the-proxy alias break the I8 watchdog must catch. It picks
+// the lowest registered tenant whose policy actually denies the probe
+// destination, so the forgery is guaranteed to be a real bypass under the
+// ground truth. Returns the forged record.
 func (l *Ledger) InjectBypass() (Record, error) {
 	if l == nil {
 		return Record{}, fmt.Errorf("egress: no ledger")

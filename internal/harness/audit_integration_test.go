@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"github.com/asterisc-release/erebor-go/internal/abi"
-	"github.com/asterisc-release/erebor-go/internal/audit"
 	"github.com/asterisc-release/erebor-go/internal/kernel"
 	"github.com/asterisc-release/erebor-go/internal/libos"
 	"github.com/asterisc-release/erebor-go/internal/mem"
@@ -31,7 +30,7 @@ func TestAuditAfterSession(t *testing.T) {
 		t.Fatal("session did not complete")
 	}
 	if v := w.Mon.Audit(); len(v) != 0 {
-		t.Fatalf("invariant violations after session: codes %v: %v", audit.Codes(v), v)
+		t.Fatalf("invariant violations after session: %v", v)
 	}
 }
 
@@ -65,7 +64,7 @@ func TestAuditAfterKill(t *testing.T) {
 		t.Fatalf("kill path not taken: %+v", info)
 	}
 	if v := w.Mon.Audit(); len(v) != 0 {
-		t.Fatalf("invariant violations after kill: codes %v: %v", audit.Codes(v), v)
+		t.Fatalf("invariant violations after kill: %v", v)
 	}
 }
 
@@ -103,6 +102,6 @@ func TestAuditWithConcurrentTenants(t *testing.T) {
 	}
 	w.K.Schedule()
 	if v := w.Mon.Audit(); len(v) != 0 {
-		t.Fatalf("invariant violations with live tenants: codes %v: %v", audit.Codes(v), v)
+		t.Fatalf("invariant violations with live tenants: %v", v)
 	}
 }

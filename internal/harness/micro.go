@@ -162,7 +162,7 @@ func MeasureTable4() ([]PrivOpCost, error) {
 	var rows []PrivOpCost
 
 	// MMU: leaf PTE update. Native: raw table write through the kernel's
-	// own tables; Erebor: EMCProtectUser on a mapped page.
+	// own tables; Erebor: an EMCUserMMU protect of a mapped page.
 	var natMMU, ereMMU uint64
 	if err := runTask(nat, "MMU", func(e *kernel.Env) (err error) {
 		va := e.Mmap(4096, true, false)
@@ -178,7 +178,7 @@ func MeasureTable4() ([]PrivOpCost, error) {
 		va := e.Mmap(4096, true, false)
 		e.Touch(va, 1, true)
 		ereMMU, err = perOp(ere, "MMU", iters, func() error {
-			return ere.Mon.EMCProtectUser(ec, e.T.P.AS.ASID, va, monitor.MapFlags{Writable: true})
+			return ere.Mon.EMCUserMMU(ec, e.T.P.AS.ASID, monitor.RingReq{Op: monitor.OpProtect, VA: va, Flags: monitor.MapFlags{Writable: true}})
 		})
 		return err
 	}); err != nil {

@@ -2,9 +2,11 @@ package harness
 
 import (
 	"bytes"
+	"encoding/binary"
 	"strings"
 	"testing"
 
+	"github.com/asterisc-release/erebor-go/internal/abi"
 	"github.com/asterisc-release/erebor-go/internal/attest"
 	"github.com/asterisc-release/erebor-go/internal/cpu"
 	"github.com/asterisc-release/erebor-go/internal/image"
@@ -306,7 +308,7 @@ func TestC5HandshakeBindingPreventsReplay(t *testing.T) {
 	w := ereborWorld(t)
 	c := w.Core()
 	// A quote issued for one handshake must not satisfy another.
-	hello1, _, err := secchan.NewClientHello()
+	hello1, _, err := secchan.NewClientHelloRand(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,7 +316,7 @@ func TestC5HandshakeBindingPreventsReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hello2, priv2, err := secchan.NewClientHello()
+	hello2, priv2, err := secchan.NewClientHelloRand(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -367,7 +369,7 @@ func TestC6SingleMappingPolicy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = w.Mon.EMCMapUser(c, evilAS, 0x5000_0000, confFrame, monitor.MapFlags{Writable: true})
+	err = w.Mon.EMCUserMMU(c, evilAS, monitor.RingReq{Op: monitor.OpMap, VA: 0x5000_0000, Frame: confFrame, Flags: monitor.MapFlags{Writable: true}})
 	if err == nil {
 		t.Fatal("confined frame double-mapped into another address space")
 	}
@@ -464,6 +466,120 @@ func TestC7WriteToSealedCommonKillsSandbox(t *testing.T) {
 	}
 	if !strings.Contains(info.KillReason, "common") {
 		t.Fatalf("kill reason: %q", info.KillReason)
+	}
+}
+
+// TestSandboxIoctlRefusals: a LibOS declares confined memory and attaches
+// common regions only through the /dev/erebor ioctl, so every refusal the
+// monitor makes there reaches it as the errno the ABI names. A sandboxed
+// task with no LibOS issues the raw calls; each must return its expected
+// value, and no refused call may take a CMA frame.
+func TestSandboxIoctlRefusals(t *testing.T) {
+	// ioctlStep is one raw /dev/erebor call the task makes, and the value
+	// the call must return.
+	type ioctlStep struct {
+		call func(e *kernel.Env) uint64
+		want uint64
+	}
+	const budget = 4
+	const page = paging.Addr(mem.PageSize)
+	payload := libos.ConfinedBase
+	input := []byte("client data")
+	declare := func(va paging.Addr, npages uint64) func(*kernel.Env) uint64 {
+		return func(e *kernel.Env) uint64 {
+			return e.Syscall(abi.SysIoctl, abi.EreborDevFD, abi.IoctlDeclareConfined, uint64(va), npages)
+		}
+	}
+	// attach names the region as the toolkit does; an unknown name reads
+	// as region id 0, which no region holds.
+	attach := func(base paging.Addr, region string, writable bool) func(*kernel.Env) uint64 {
+		return func(e *kernel.Env) uint64 {
+			rid, _ := e.K.Mon.CommonRegionID(region)
+			w := uint64(0)
+			if writable {
+				w = 1
+			}
+			return e.Syscall(abi.SysIoctl, abi.EreborDevFD, abi.IoctlAttachCommon, uint64(base), rid, w)
+		}
+	}
+	// install takes the queued client input into the payload page, which
+	// seals every region the sandbox has attached.
+	install := func(e *kernel.Env) uint64 {
+		var hdr [16]byte
+		binary.LittleEndian.PutUint64(hdr[0:8], uint64(payload)+64)
+		binary.LittleEndian.PutUint64(hdr[8:16], 64)
+		e.WriteMem(payload, hdr[:])
+		return e.Syscall(abi.SysIoctl, abi.EreborDevFD, abi.IoctlInput, uint64(payload))
+	}
+	enomem, einval, eperm := abi.Errno(abi.ENOMEMNo), abi.Errno(abi.EINVALNo), abi.Errno(abi.EPERMNo)
+	cases := []struct {
+		name  string
+		steps []ioctlStep
+	}{
+		{"declare within budget", []ioctlStep{{declare(payload, budget), 0}}},
+		{"declare over budget", []ioctlStep{
+			{declare(payload, budget-1), 0},
+			{declare(payload+(budget-1)*page, 2), enomem},
+		}},
+		{"declare a wrapping page count", []ioctlStep{
+			{declare(payload, 1), 0},
+			{declare(payload+page, ^uint64(0)), enomem},
+		}},
+		{"declare a page twice", []ioctlStep{
+			{declare(payload, 2), 0},
+			{declare(payload+page, 1), enomem},
+		}},
+		{"declare in the kernel half", []ioctlStep{{declare(monitor.DirectMapBase, 1), enomem}}},
+		{"attach an unknown region id", []ioctlStep{{attach(libos.CommonBase, "missing", false), einval}}},
+		{"overlapping attach", []ioctlStep{
+			{attach(libos.CommonBase, "a", false), 0},
+			{attach(libos.CommonBase+page, "b", false), eperm},
+		}},
+		{"attach in the kernel half", []ioctlStep{{attach(monitor.DirectMapBase, "a", false), eperm}}},
+		{"writable attach after a data install sealed the region", []ioctlStep{
+			{declare(payload, 1), 0},
+			{attach(libos.CommonBase, "a", false), 0},
+			{install, uint64(len(input))},
+			{attach(libos.CommonBase+0x10_0000, "a", true), eperm},
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			w := ereborWorld(t)
+			for _, name := range []string{"a", "b"} {
+				if err := sandbox.CreateCommon(w.K, name, make([]byte, 2*mem.PageSize)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			cma, _ := w.Phys.RegionByName(monitor.RegionCMA)
+			var rets []uint64
+			var taken []int // CMA frames each call took
+			_, id, err := w.K.SpawnSandboxed("ioctl", mem.OwnerTaskBase+4, budget, func(e *kernel.Env) {
+				for _, st := range tc.steps {
+					free := cma.Free()
+					rets = append(rets, st.call(e))
+					taken = append(taken, free-cma.Free())
+				}
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := w.Mon.QueueClientInput(id, input); err != nil {
+				t.Fatal(err)
+			}
+			w.K.Schedule()
+			if len(rets) != len(tc.steps) {
+				t.Fatalf("the task made %d of its %d calls", len(rets), len(tc.steps))
+			}
+			for i, st := range tc.steps {
+				if rets[i] != st.want {
+					t.Errorf("call %d returned %d, want %d", i, int64(rets[i]), int64(st.want))
+				}
+				if abi.IsError(st.want) && taken[i] != 0 {
+					t.Errorf("refused call %d took %d CMA frames", i, taken[i])
+				}
+			}
+		})
 	}
 }
 

@@ -179,7 +179,9 @@ func Scan(code []byte) []Match {
 // Clean reports whether code contains no sensitive byte sequences.
 func Clean(code []byte) bool { return len(Scan(code)) == 0 }
 
-// FindEndbr returns the offsets of every endbr64 landing pad in code.
+// FindEndbr is for the C4 and monitor image tests, which check that the
+// monitor text has one landing pad. It returns the offsets of every
+// endbr64 landing pad in code.
 func FindEndbr(code []byte) []int {
 	var out []int
 	for i := 0; i+4 <= len(code); i++ {

@@ -369,9 +369,10 @@ func (k *Kernel) AllocSharedIO(n int) error {
 	return nil
 }
 
-// KernelDirectWrite lets kernel code write physical memory through the
-// direct map using the real CPU store path (the path PKS protects). Tests
-// use it to demonstrate PTP/monitor-memory protection.
+// KernelDirectWrite is an adversary hook for the C3 security tests, which
+// use it to show that PKS protects page-table and monitor memory. It writes
+// physical memory through the direct map as kernel code would, on the real
+// CPU store path.
 func (k *Kernel) KernelDirectWrite(f mem.Frame, off int, data []byte) *cpu.Trap {
 	c := k.core()
 	prevRing := c.Ring
@@ -381,7 +382,8 @@ func (k *Kernel) KernelDirectWrite(f mem.Frame, off int, data []byte) *cpu.Trap 
 	return c.Store(va, data)
 }
 
-// KernelDirectRead mirrors KernelDirectWrite for loads.
+// KernelDirectRead is an adversary hook for the C3 security tests: the
+// load counterpart of KernelDirectWrite.
 func (k *Kernel) KernelDirectRead(f mem.Frame, off int, data []byte) *cpu.Trap {
 	c := k.core()
 	prevRing := c.Ring

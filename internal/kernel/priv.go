@@ -254,12 +254,8 @@ func (ep *ereborPriv) Submit(c *cpu.Core, as *AddrSpace, reqs []monitor.RingReq)
 		return ep.submitRing(c, as, reqs)
 	}
 	if ep.mon.BatchMMU && !slices.ContainsFunc(reqs, func(r monitor.RingReq) bool { return r.Op != monitor.OpMap }) {
-		batch := make([]monitor.MapReq, len(reqs))
-		for i, r := range reqs {
-			batch[i] = monitor.MapReq{VA: r.VA, Frame: r.Frame, Flags: r.Flags}
-		}
 		// One MMU transaction: a refused batch applied nothing.
-		if err := ep.mon.EMCMapUserBatch(c, as.ASID, batch); err != nil {
+		if err := ep.mon.EMCUserMMU(c, as.ASID, reqs...); err != nil {
 			return 0, err
 		}
 		return len(reqs), nil
@@ -270,19 +266,8 @@ func (ep *ereborPriv) Submit(c *cpu.Core, as *AddrSpace, reqs []monitor.RingReq)
 // each makes one EMC per request, in order, and stops at the first
 // refusal.
 func (ep *ereborPriv) each(c *cpu.Core, as *AddrSpace, reqs []monitor.RingReq) (int, error) {
-	for i, r := range reqs {
-		var err error
-		switch r.Op {
-		case monitor.OpMap:
-			err = ep.mon.EMCMapUser(c, as.ASID, r.VA, r.Frame, r.Flags)
-		case monitor.OpUnmap:
-			err = ep.mon.EMCUnmapUser(c, as.ASID, r.VA)
-		case monitor.OpProtect:
-			err = ep.mon.EMCProtectUser(c, as.ASID, r.VA, r.Flags)
-		case monitor.OpReclaim:
-			err = ep.mon.EMCReclaimUser(c, as.ASID, r.VA)
-		}
-		if err != nil {
+	for i := range reqs {
+		if err := ep.mon.EMCUserMMU(c, as.ASID, reqs[i]); err != nil {
 			return i, err
 		}
 	}

@@ -654,8 +654,9 @@ func (e *Env) CPUID(leaf uint64) [4]uint64 {
 	return regs
 }
 
-// ForceVE triggers a non-cpuid virtualization exception from user context
-// (MMIO-style VM exit; used by tests probing the C8 kill policy).
+// ForceVE is an adversary hook for the C8 security tests, which probe the
+// kill policy with it. It triggers a non-cpuid virtualization exception
+// (an MMIO-style VM exit) from user context.
 func (e *Env) ForceVE(detail string) {
 	e.trap(event{kind: evVE, detail: detail})
 }

@@ -56,9 +56,6 @@ func (v *VFS) Stat(path string) (int64, error) {
 	return int64(len(f.Data)), nil
 }
 
-// Remove deletes a path.
-func (v *VFS) Remove(path string) { delete(v.files, path) }
-
 // FDesc is an open file description.
 type FDesc struct {
 	file *File
@@ -100,6 +97,3 @@ func (d *FDesc) Write(buf []byte) int {
 	d.off += len(buf)
 	return len(buf)
 }
-
-// Seek resets the offset.
-func (d *FDesc) Seek(off int) { d.off = off }

@@ -166,13 +166,15 @@ func (os *OS) Alloc(n int) (paging.Addr, error) {
 	return va, nil
 }
 
-// AllocPages carves whole pages from the confined heap.
+// AllocPages is container API: Runtime.LibOS hands it to every container
+// (§6.2). It carves whole pages from the confined heap.
 func (os *OS) AllocPages(n uint64) (paging.Addr, error) {
 	os.brk = paging.Addr((uint64(os.brk) + mem.PageSize - 1) &^ (mem.PageSize - 1))
 	return os.Alloc(int(n * mem.PageSize))
 }
 
-// HeapFree reports remaining heap bytes.
+// HeapFree is container API: Runtime.LibOS hands it to every container
+// (§6.2). It reports remaining heap bytes.
 func (os *OS) HeapFree() int { return int(os.heapEnd - os.brk) }
 
 // AttachCommon maps a monitor-registered common region at the next common
@@ -195,7 +197,8 @@ func (os *OS) AttachCommon(regionID uint64, npages uint64, writable bool) (pagin
 
 // --- in-memory stateless filesystem (§6.2 service 2) ---------------------------
 
-// Preload copies a host file into the in-memory FS before client data
+// Preload is container API: Runtime.LibOS hands it to every container
+// (§6.2). It copies a host file into the in-memory FS before client data
 // arrives (libraries, configuration).
 func (os *OS) Preload(path string) error {
 	e := os.Env
@@ -250,7 +253,8 @@ func (os *OS) MapHostFile(path string) (paging.Addr, int, error) {
 	return va, int(size), nil
 }
 
-// CreateFile makes an empty in-memory temp file with capacity capBytes.
+// CreateFile is container API: Runtime.LibOS hands it to every container
+// (§6.2). It makes an empty in-memory temp file with capacity capBytes.
 func (os *OS) CreateFile(path string, capBytes int) error {
 	os.EmulatedSyscalls++
 	os.Env.Charge(costs.LibOSSyscallEmu)
@@ -262,7 +266,8 @@ func (os *OS) CreateFile(path string, capBytes int) error {
 	return nil
 }
 
-// FileRead copies up to len(buf) bytes from an in-memory file at off.
+// FileRead is container API: Runtime.LibOS hands it to every container
+// (§6.2). It copies up to len(buf) bytes from an in-memory file at off.
 func (os *OS) FileRead(path string, off int, buf []byte) (int, error) {
 	os.EmulatedSyscalls++
 	os.Env.Charge(costs.LibOSSyscallEmu)
@@ -281,7 +286,8 @@ func (os *OS) FileRead(path string, off int, buf []byte) (int, error) {
 	return n, nil
 }
 
-// FileWrite stores buf into an in-memory file at off.
+// FileWrite is container API: Runtime.LibOS hands it to every container
+// (§6.2). It stores buf into an in-memory file at off.
 func (os *OS) FileWrite(path string, off int, buf []byte) (int, error) {
 	os.EmulatedSyscalls++
 	os.Env.Charge(costs.LibOSSyscallEmu)
@@ -299,7 +305,8 @@ func (os *OS) FileWrite(path string, off int, buf []byte) (int, error) {
 	return len(buf), nil
 }
 
-// FileSize returns an in-memory file's size.
+// FileSize is container API: Runtime.LibOS hands it to every container
+// (§6.2). It returns an in-memory file's size.
 func (os *OS) FileSize(path string) (int, bool) {
 	f, ok := os.files[path]
 	if !ok {

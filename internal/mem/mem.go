@@ -202,7 +202,9 @@ func (p *Physical) Reserve(name string, count uint64) (*Region, error) {
 	return r, nil
 }
 
-// RegionByName returns a previously reserved region.
+// RegionByName is for tests that count a reserved pool's free frames (the
+// security, serve and monitor destroy tests). It returns a previously
+// reserved region.
 func (p *Physical) RegionByName(name string) (*Region, bool) {
 	r, ok := p.regions[name]
 	return r, ok
@@ -511,5 +513,6 @@ func (p *Physical) CopyFrame(dst, src Frame) error {
 	return nil
 }
 
-// FreeFrames returns how many general-pool frames remain unallocated.
+// FreeFrames is for the serve tests, which check that a run returns every
+// general-pool frame. It returns how many remain unallocated.
 func (p *Physical) FreeFrames() int { return len(p.free) }

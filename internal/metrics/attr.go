@@ -370,7 +370,8 @@ func (a *Attr) PopSpan() {
 	}
 }
 
-// SpanDepth reports the open-scope count.
+// SpanDepth is for the trace and metrics span tests, which check that
+// scopes balance. It reports the open-scope count.
 func (a *Attr) SpanDepth() int { return len(a.scope) }
 
 // FrameNode is one node of the context's calling-context tree: the path
@@ -456,14 +457,6 @@ func (a *Attr) WalkFrames(fn func(stack string, f *FrameNode)) {
 		}
 	}
 	walk(a.root, "")
-}
-
-// TenantLabel renders the tenant index as a metrics label value.
-func (a *Attr) TenantLabel() string {
-	if a == nil {
-		return "-1"
-	}
-	return strconv.Itoa(a.Tenant)
 }
 
 // Active reports whether a tenant is currently bound.

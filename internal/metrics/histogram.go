@@ -123,14 +123,6 @@ func (h Histogram) CountAbove(threshold uint64) uint64 {
 	return out
 }
 
-// Mean is the average observed duration in cycles.
-func (h Histogram) Mean() float64 {
-	if h.Count == 0 {
-		return 0
-	}
-	return float64(h.Sum) / float64(h.Count)
-}
-
 // Quantile returns an upper bound (in cycles) for the q-quantile: the
 // inclusive upper edge of the bucket where that quantile falls, clamped to
 // the observed Max. Edge cases are fixed deterministically: an empty

@@ -63,7 +63,7 @@ func (f *auditFuzzer) step(op uint8, t *testing.T) {
 		}
 		va := f.vas[asid]
 		f.vas[asid] += mem.PageSize
-		if err := f.mon.EMCMapUser(c, asid, va, fr, MapFlags{Writable: true}); err != nil {
+		if err := f.mon.EMCUserMMU(c, asid, RingReq{Op: OpMap, VA: va, Frame: fr, Flags: MapFlags{Writable: true}}); err != nil {
 			_ = f.mon.M.Phys.Free(fr)
 			return
 		}
@@ -74,7 +74,7 @@ func (f *auditFuzzer) step(op uint8, t *testing.T) {
 		}
 		sb := f.sbs[int(op/8)%len(f.sbs)]
 		va := paging.Addr(0x2000_0000) + paging.Addr(int(op)*mem.PageSize*4)
-		_ = f.mon.EMCDeclareConfined(c, sb, va, 2, op%2 == 0)
+		_ = declareConfined(f.mon, c, sb, va, 2, op%2 == 0)
 	case 4: // create + attach + seal a common region
 		name := string(rune('a' + f.common%20))
 		f.common++
@@ -83,7 +83,7 @@ func (f *auditFuzzer) step(op uint8, t *testing.T) {
 		}
 		if len(f.sbs) > 0 {
 			sb := f.sbs[int(op/8)%len(f.sbs)]
-			_ = f.mon.EMCCommonAttach(c, sb, name, paging.Addr(0x4000_0000)+paging.Addr(f.common)*0x10_0000, op%2 == 0)
+			_ = attachCommon(f.mon, c, sb, name, paging.Addr(0x4000_0000)+paging.Addr(f.common)*0x10_0000, op%2 == 0)
 			if op%3 == 0 {
 				f.mon.sealCommons(f.mon.M.Cores[0], f.mon.sandboxes[sb])
 			}
@@ -94,7 +94,7 @@ func (f *auditFuzzer) step(op uint8, t *testing.T) {
 		}
 		asid := f.asids[int(op/8)%len(f.asids)]
 		if f.vas[asid] > 0x10_0000 {
-			_ = f.mon.EMCUnmapUser(c, asid, f.vas[asid]-mem.PageSize)
+			_ = f.mon.EMCUserMMU(c, asid, RingReq{Op: OpUnmap, VA: f.vas[asid] - mem.PageSize})
 		}
 	case 6: // fault in a sandbox page via the kernel path
 		if len(f.sbs) == 0 {
@@ -143,7 +143,7 @@ func confinedSandbox(t testing.TB) (*Monitor, SandboxID, mem.Frame) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := mon.EMCDeclareConfined(c, sb, 0x2000_0000, 1, false); err != nil {
+	if err := declareConfined(mon, c, sb, 0x2000_0000, 1, false); err != nil {
 		t.Fatal(err)
 	}
 	state := mon.sandboxes[sb]

@@ -42,13 +42,13 @@ func TestDestroyASReleasesEverything(t *testing.T) {
 			}
 			ids = append(ids, id)
 			va := paging.Addr(0x4000_0000 + i*0x20_0000)
-			if err := mon.EMCDeclareConfined(c0, id, va, 4, false); err != nil {
+			if err := declareConfined(mon, c0, id, va, 4, false); err != nil {
 				t.Fatal(err)
 			}
 			if err := mon.EMCMapSandboxFault(c0, asid, va, true); err != nil {
 				t.Fatal(err)
 			}
-			if err := mon.EMCCommonAttach(c0, id, "model", 0x7000_0000, false); err != nil {
+			if err := attachCommon(mon, c0, id, "model", 0x7000_0000, false); err != nil {
 				t.Fatal(err)
 			}
 			mon.sandboxes[id].conn = &secchan.Reliable{}

@@ -277,9 +277,11 @@ func (mon *Monitor) copyUser(c *cpu.Core, as *asState, dir CopyDir, userVA uint6
 	return nil
 }
 
-// EMCLoadModule validates dynamic kernel code (LKM/eBPF/text_poke payloads)
-// with the same byte-level scan as the boot-time kernel image (§5.2), then
-// approves it for execute mapping. Returns the frames holding the code.
+// EMCLoadModule is reached only by the C2 module-load test: the simulated
+// kernel loads no modules, but the paper's monitor validates them (§5.2).
+// It scans dynamic kernel code (LKM/eBPF/text_poke payloads) with the same
+// byte-level scan as the boot-time kernel image, then approves it for
+// execute mapping. Returns the frames holding the code.
 func (mon *Monitor) EMCLoadModule(c *cpu.Core, code []byte) (uint64, error) {
 	var va uint64
 	err := mon.gate(c, metrics.EMCModule, func() error {

@@ -341,17 +341,35 @@ func (mon *Monitor) handleSandboxIoctl(c *cpu.Core, sb *sbState) {
 	c.Regs.GPR[cpu.RAX] = ret
 }
 
-// declareConfinedLocked is the gate-internal body shared by the EMC and the
-// ioctl paths: it reserves, zeroes and pins CMA frames for the range and
-// records the PTE templates. PTEs are installed lazily on first touch —
-// which is why Erebor's confined memory shows up as page-fault traffic in
-// Table 6 even though the frames are committed up front.
+// declareConfinedLocked is the declare ioctl's body: it reserves, zeroes
+// and pins CMA frames for the range and records the PTE templates. PTEs
+// are installed lazily on first touch — which is why Erebor's confined
+// memory shows up as page-fault traffic in Table 6 even though the frames
+// are committed up front. A page outside the user half, or already
+// declared, is refused before any frame is taken. The kernel half's table
+// pages are shared by every address space, so a confined leaf there would
+// map the frame into all of them. A second frame for a declared page would
+// replace the first in sb.confined while the installed leaf still maps the
+// first, which then outlives the session, pinned.
 func (mon *Monitor) declareConfinedLocked(sb *sbState, va paging.Addr, npages uint64, exec bool) error {
 	if sb.dataInstalled {
 		return denied("declare-confined", "sandbox %d already holds client data", sb.id)
 	}
-	if sb.usedPages+npages > sb.budgetPages {
+	// npages comes from the untrusted LibOS: compare against the headroom,
+	// so no page count wraps past the budget.
+	if npages > sb.budgetPages-sb.usedPages {
 		return denied("declare-confined", "budget exceeded (%d+%d > %d pages)", sb.usedPages, npages, sb.budgetPages)
+	}
+	for p := uint64(0); p < npages; p++ {
+		// A range that wraps past the top of the address space reaches
+		// page 0 first, below UserBase.
+		pva := va + paging.Addr(p*mem.PageSize)
+		if pva < UserBase || pva >= UserTop {
+			return denied("declare-confined", "page %#x outside the user half", pva)
+		}
+		if _, ok := sb.confined[pva]; ok {
+			return denied("declare-confined", "page %#x already declared", pva)
+		}
 	}
 	for p := uint64(0); p < npages; p++ {
 		f, err := mon.M.Phys.AllocRegion(RegionCMA, sb.owner)

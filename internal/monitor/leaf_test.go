@@ -29,7 +29,7 @@ func coldSandbox(t *testing.T, mon *Monitor, va paging.Addr, npages uint64) *sbS
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := mon.EMCDeclareConfined(c, id, va, npages, false); err != nil {
+	if err := declareConfined(mon, c, id, va, npages, false); err != nil {
 		t.Fatal(err)
 	}
 	return mon.sandboxes[id]
@@ -111,14 +111,14 @@ func TestFirstInstallFlushesNothing(t *testing.T) {
 
 	mon, c, asid, owner := ringTestAS(t, 2)
 	a, b := mustAlloc(t, mon, owner), mustAlloc(t, mon, owner)
-	if err := mon.EMCMapUser(c, asid, 0x10_3000, a, MapFlags{}); err != nil {
+	if err := mon.EMCUserMMU(c, asid, RingReq{Op: OpMap, VA: 0x10_3000, Frame: a}); err != nil {
 		t.Fatal(err)
 	}
 	for _, va := range []paging.Addr{0x10_0000, 0x10_1000} {
 		if n := shootdownCycles(mon, func() error {
-			return mon.EMCMapUser(c, asid, va, a, MapFlags{Writable: true})
+			return mon.EMCUserMMU(c, asid, RingReq{Op: OpMap, VA: va, Frame: a, Flags: MapFlags{Writable: true}})
 		}); n != 0 {
-			t.Fatalf("first EMCMapUser install at %#x charged %d shootdown cycles", va, n)
+			t.Fatalf("first EMCUserMMU install at %#x charged %d shootdown cycles", va, n)
 		}
 	}
 	ring := NewSubmitRing(asid, 0)
@@ -127,7 +127,7 @@ func TestFirstInstallFlushesNothing(t *testing.T) {
 		t.Fatalf("first ring-drained install charged %d shootdown cycles", n)
 	}
 	if n := shootdownCycles(mon, func() error {
-		return mon.EMCMapUser(c, asid, 0x10_0000, b, MapFlags{Writable: true})
+		return mon.EMCUserMMU(c, asid, RingReq{Op: OpMap, VA: 0x10_0000, Frame: b, Flags: MapFlags{Writable: true}})
 	}); n == 0 {
 		t.Fatal("replacing a present leaf with a different one charged no shootdown")
 	}
@@ -138,7 +138,7 @@ func TestFirstInstallFlushesNothing(t *testing.T) {
 	if err := mon.EMCCommonCreate(c, "first-install", 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := mon.EMCCommonAttach(c, sb.id, "first-install", 0x2010_0000, false); err != nil {
+	if err := attachCommon(mon, c, sb.id, "first-install", 0x2010_0000, false); err != nil {
 		t.Fatal(err)
 	}
 	if err := mon.EMCMapSandboxFault(c, sb.asid, 0x2000_2000, true); err != nil {
@@ -198,7 +198,7 @@ func TestDestroyASFlushesAfterFailedClear(t *testing.T) {
 		}
 		vas := []paging.Addr{0x40_0000, 0x4000_0000, 0x8000_0000}
 		for _, va := range vas {
-			if err := mon.EMCMapUser(c0, asid, va, mustAlloc(t, mon, mem.OwnerTaskBase), MapFlags{Writable: true}); err != nil {
+			if err := mon.EMCUserMMU(c0, asid, RingReq{Op: OpMap, VA: va, Frame: mustAlloc(t, mon, mem.OwnerTaskBase), Flags: MapFlags{Writable: true}}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -254,7 +254,7 @@ func TestConfinedFrameMapsOnlyAtItsDeclaredVA(t *testing.T) {
 		t.Fatal(err)
 	}
 	f := sb.confined[base]
-	err := mon.EMCMapUser(c, sb.asid, alias, f, MapFlags{Writable: true})
+	err := mon.EMCUserMMU(c, sb.asid, RingReq{Op: OpMap, VA: alias, Frame: f, Flags: MapFlags{Writable: true}})
 	if err == nil || !strings.Contains(err.Error(), "single-mapping policy") {
 		t.Fatalf("second map of confined frame %d: %v, want a single-mapping denial", f, err)
 	}

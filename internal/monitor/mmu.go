@@ -17,13 +17,6 @@ type MapFlags struct {
 	Exec     bool
 }
 
-// MapReq is one entry of a batched mapping request.
-type MapReq struct {
-	VA    paging.Addr
-	Frame mem.Frame
-	Flags MapFlags
-}
-
 // EMCCreateAS creates a user address space whose kernel half aliases the
 // shared kernel tables (direct map, kernel text, monitor region). The root
 // is registered so CR3 writes can be validated.
@@ -175,8 +168,8 @@ func (mon *Monitor) userFramePolicy(op string, as *asState, va paging.Addr, f me
 	if tid, shared := mon.templateFrames[f]; shared {
 		// CoW template frames are shared read-only across forks; a writable
 		// mapping anywhere would let one tenant edit every sibling's image.
-		// This denial covers every mapping path — synchronous EMCs, batches
-		// and the async submission ring all validate here.
+		// This denial covers every mapping path — EMCUserMMU, one request
+		// or a batch, and the async submission ring all validate here.
 		if flags.Writable {
 			return denied(op, "frame %d is a copy-on-write template frame (template %d); writable mapping refused", f, tid)
 		}
@@ -203,50 +196,23 @@ func (mon *Monitor) userFramePolicy(op string, as *asState, va paging.Addr, f me
 	return nil
 }
 
-// EMCMapUser installs one user mapping after policy validation.
-func (mon *Monitor) EMCMapUser(c *cpu.Core, asid ASID, va paging.Addr, f mem.Frame, flags MapFlags) error {
-	return mon.userMMU(c, asid, OpMap, RingReq{Op: OpMap, VA: va, Frame: f, Flags: flags})
-}
-
-// EMCMapUserBatch installs many mappings under a single gate crossing (the
-// batched-MMU-update optimization the paper suggests for fork-heavy loads,
-// §9.1). It is one MMU transaction: the whole batch validates before any
-// PTE is touched, and a commit-phase failure (e.g. page-table-page
-// exhaustion) leaves the address space exactly as it was.
-func (mon *Monitor) EMCMapUserBatch(c *cpu.Core, asid ASID, reqs []MapReq) error {
-	work := make([]RingReq, len(reqs))
-	for i, r := range reqs {
-		work[i] = RingReq{Op: OpMap, VA: r.VA, Frame: r.Frame, Flags: r.Flags}
-	}
-	return mon.userMMU(c, asid, OpMap, work...)
-}
-
-// EMCUnmapUser removes a user mapping.
-func (mon *Monitor) EMCUnmapUser(c *cpu.Core, asid ASID, va paging.Addr) error {
-	return mon.userMMU(c, asid, OpUnmap, RingReq{Op: OpUnmap, VA: va})
-}
-
-// EMCProtectUser rewrites the flags of an existing user mapping (mprotect).
-// Permission-identical rewrites (the common accessed/dirty refresh after a
-// fault install) leave cached translations valid and flush nothing.
-func (mon *Monitor) EMCProtectUser(c *cpu.Core, asid ASID, va paging.Addr, flags MapFlags) error {
-	return mon.userMMU(c, asid, OpProtect, RingReq{Op: OpProtect, VA: va, Flags: flags})
-}
-
-// EMCReclaimUser lets the kernel's memory-pressure reclaimer unmap one
-// page of a sandbox address space — permitted only for unpinned common
-// region pages (§6.1: common pages are not pinned). Confined pages are
-// pinned and refuse reclamation.
-func (mon *Monitor) EMCReclaimUser(c *cpu.Core, asid ASID, va paging.Addr) error {
-	return mon.userMMU(c, asid, OpReclaim, RingReq{Op: OpReclaim, VA: va})
-}
-
-// userMMU runs reqs as one MMU transaction under one "mmu" gate crossing
-// and flushes its invalidation set. op names the EMC in denials.
-func (mon *Monitor) userMMU(c *cpu.Core, asid ASID, op MMUOp, reqs ...RingReq) error {
+// EMCUserMMU is the synchronous way into the user-MMU transaction: it runs
+// reqs as one transaction under one "mmu" gate crossing. The whole list
+// validates before any PTE is touched, and a commit-phase failure (e.g.
+// page-table-page exhaustion) leaves the address space exactly as it was.
+// A committed transaction flushes its invalidation set once, so a batch of
+// maps (the batched-MMU-update optimization the paper suggests for
+// fork-heavy loads, §9.1) pays one crossing and one shootdown. Denials name
+// the operation as "<op>-user"; an unknown address space is named after the
+// first request's op (map for an empty list).
+func (mon *Monitor) EMCUserMMU(c *cpu.Core, asid ASID, reqs ...RingReq) error {
 	return mon.gate(c, metrics.EMCMMU, func() error {
 		as, ok := mon.addrSpaces[asid]
 		if !ok {
+			op := OpMap
+			if len(reqs) > 0 {
+				op = reqs[0].Op
+			}
 			return denied(userOp(op), "unknown address space %d", asid)
 		}
 		tx := mon.openTxn()
@@ -268,7 +234,7 @@ func (mon *Monitor) userMMU(c *cpu.Core, asid ASID, op MMUOp, reqs ...RingReq) e
 
 var userOpNames = [...]string{OpMap: "map-user", OpUnmap: "unmap-user", OpProtect: "protect-user", OpReclaim: "reclaim-user"}
 
-// userOp names a synchronous EMC in denials ("map-user", ...).
+// userOp names a synchronous request in denials ("map-user", ...).
 func userOp(op MMUOp) string {
 	if int(op) < len(userOpNames) {
 		return userOpNames[op]
@@ -278,13 +244,13 @@ func userOp(op MMUOp) string {
 
 // --- the MMU transaction -----------------------------------------------------
 //
-// Every user-mapping EMC is one transaction over []RingReq: mmuValidate
-// checks every entry before any PTE changes, and mmuCommit applies them
-// through setLeaf with undo records, rolling back on failure or returning
-// the invalidation set to flush. PTEWrites and the EreborPTEWriteBody
-// charge cover only writes that happened: one per entry or undo that
-// stored a leaf, one per pruned PTP. A denied or rolled-back transaction
-// leaves no phantom write.
+// Both user-MMU EMCs, EMCUserMMU and EMCRingDrain, run one transaction over
+// []RingReq: mmuValidate checks every entry before any PTE changes, and
+// mmuCommit applies them through setLeaf with undo records, rolling back on
+// failure or returning the invalidation set to flush. PTEWrites and the
+// EreborPTEWriteBody charge cover only writes that happened: one per entry
+// or undo that stored a leaf, one per pruned PTP. A denied or rolled-back
+// transaction leaves no phantom write.
 
 // mmuTxn is the per-monitor scratch an MMU transaction runs in: the work
 // copy, the pending view, the undo log, the new-PTP list, the invalidation
@@ -543,19 +509,6 @@ func sortedVAs[V any](m map[paging.Addr]V) []paging.Addr {
 func (mon *Monitor) pteWrite() {
 	mon.Stats.PTEWrites++
 	mon.M.Clock.ChargeFrame("monitor/pte-write", costs.EreborPTEWriteBody)
-}
-
-// TranslateUser walks an address space (monitor-internal and harness use).
-func (mon *Monitor) TranslateUser(asid ASID, va paging.Addr) (mem.Frame, bool) {
-	as, ok := mon.addrSpaces[asid]
-	if !ok {
-		return 0, false
-	}
-	pte, _, reason := as.tables.Lookup(va)
-	if reason != paging.FaultNone {
-		return 0, false
-	}
-	return pte.Frame(), true
 }
 
 // ASRoot returns the root frame of an address space (0 = kernel tables).

@@ -14,9 +14,10 @@ import (
 )
 
 // The atomicity and rollback suite of the MMU transaction, run through
-// every entry point into it: synchronous one-entry EMCs, EMCMapUserBatch
-// and EMCRingDrain. A transaction either applies every request or none of
-// them, and PTEWrites only ever counts writes that physically happened.
+// every entry point into it: EMCUserMMU one request at a time, EMCUserMMU
+// with the whole list, and EMCRingDrain. A transaction either applies every
+// request or none of them, and PTEWrites only ever counts writes that
+// physically happened.
 
 // mmuEntry is one way into the MMU transaction.
 type mmuEntry struct {
@@ -50,43 +51,24 @@ func (ep mmuEntry) failing(reqs []RingReq) []RingReq {
 	return reqs[len(reqs)-1:]
 }
 
-// applySync issues each request through its synchronous EMC, stopping at
-// the first error.
+// applySync issues each request as its own EMCUserMMU, stopping at the
+// first error.
 func applySync(t *testing.T, mon *Monitor, c *cpu.Core, asid ASID, reqs []RingReq) error {
 	for _, r := range reqs {
-		var err error
-		switch r.Op {
-		case OpMap:
-			err = mon.EMCMapUser(c, asid, r.VA, r.Frame, r.Flags)
-		case OpUnmap:
-			err = mon.EMCUnmapUser(c, asid, r.VA)
-		case OpProtect:
-			err = mon.EMCProtectUser(c, asid, r.VA, r.Flags)
-		case OpReclaim:
-			err = mon.EMCReclaimUser(c, asid, r.VA)
-		}
-		if err != nil {
+		if err := mon.EMCUserMMU(c, asid, r); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// applyBatch submits the requests as one EMCMapUserBatch, which must not
-// mutate the caller's slice. Scenarios with other operations skip it.
+// applyBatch submits the requests as one EMCUserMMU, which must not mutate
+// the caller's slice.
 func applyBatch(t *testing.T, mon *Monitor, c *cpu.Core, asid ASID, reqs []RingReq) error {
-	batch := make([]MapReq, len(reqs))
-	for i, r := range reqs {
-		if r.Op != OpMap {
-			t.Skip("EMCMapUserBatch carries only maps")
-		}
-		batch[i] = MapReq{VA: r.VA, Frame: r.Frame, Flags: r.Flags}
-	}
-	err := mon.EMCMapUserBatch(c, asid, batch)
-	for i, r := range reqs {
-		if batch[i] != (MapReq{VA: r.VA, Frame: r.Frame, Flags: r.Flags}) {
-			t.Error("EMCMapUserBatch mutated the caller's request slice")
-		}
+	want := slices.Clone(reqs)
+	err := mon.EMCUserMMU(c, asid, reqs...)
+	if !slices.Equal(reqs, want) {
+		t.Error("EMCUserMMU mutated the caller's request slice")
 	}
 	return err
 }
@@ -106,8 +88,8 @@ func applyRing(t *testing.T, mon *Monitor, c *cpu.Core, asid ASID, reqs []RingRe
 	if err == nil {
 		want = nil
 	}
-	if got := ring.Pending(); !slices.Equal(got, want) {
-		t.Errorf("ring after drain (err=%v) holds %+v, want %+v", err, got, want)
+	if !slices.Equal(ring.reqs, want) {
+		t.Errorf("ring after drain (err=%v) holds %+v, want %+v", err, ring.reqs, want)
 	}
 	return err
 }
@@ -222,7 +204,7 @@ func TestMapUserBatchRollbackOnCommitFailure(t *testing.T) {
 		orig := mustAlloc(t, mon, owner)
 		// Pre-map the leaf the transaction overwrites; this also builds the
 		// page tables for the 0x10_xxxx region.
-		if err := mon.EMCMapUser(c, asid, 0x10_0000, orig, MapFlags{Writable: true}); err != nil {
+		if err := mon.EMCUserMMU(c, asid, RingReq{Op: OpMap, VA: 0x10_0000, Frame: orig, Flags: MapFlags{Writable: true}}); err != nil {
 			t.Fatal(err)
 		}
 		reqs := ep.failing([]RingReq{
@@ -310,7 +292,7 @@ func TestMapUserBatchRollbackReleasesPTPs(t *testing.T) {
 		mon, c, asid, owner := ringTestAS(t, 1)
 		as := mon.addrSpaces[asid]
 		// Build the page tables for the 0x10_xxxx region.
-		if err := mon.EMCMapUser(c, asid, 0x10_0000, mustAlloc(t, mon, owner), MapFlags{Writable: true}); err != nil {
+		if err := mon.EMCUserMMU(c, asid, RingReq{Op: OpMap, VA: 0x10_0000, Frame: mustAlloc(t, mon, owner), Flags: MapFlags{Writable: true}}); err != nil {
 			t.Fatal(err)
 		}
 		reqs := ep.failing([]RingReq{
@@ -370,7 +352,7 @@ func TestMMUTxnRollbackKeepsCommittedPTPs(t *testing.T) {
 		as := mon.addrSpaces[asid]
 		// Build the page tables for the 0x10_xxxx region, so A's map below
 		// allocates exactly a PD and a PT under the existing PDPT.
-		if err := mon.EMCMapUser(c, asid, 0x10_0000, mustAlloc(t, mon, owner), MapFlags{Writable: true}); err != nil {
+		if err := mon.EMCUserMMU(c, asid, RingReq{Op: OpMap, VA: 0x10_0000, Frame: mustAlloc(t, mon, owner), Flags: MapFlags{Writable: true}}); err != nil {
 			t.Fatal(err)
 		}
 		ptps := len(mon.ptps)
@@ -383,7 +365,7 @@ func TestMMUTxnRollbackKeepsCommittedPTPs(t *testing.T) {
 			t.Fatalf("map of 0x4000_0000 allocated %d PTPs, want 2", got-ptps)
 		}
 		// C: unmaps it. Both tables stay, and the PT is now empty.
-		if err := mon.EMCUnmapUser(c, asid, 0x4000_0000); err != nil {
+		if err := mon.EMCUserMMU(c, asid, RingReq{Op: OpUnmap, VA: 0x4000_0000}); err != nil {
 			t.Fatal(err)
 		}
 		ptps = len(mon.ptps)
@@ -432,7 +414,7 @@ func TestMapUserBatchRollbackClosesStaleTLB(t *testing.T) {
 		orig := mustAlloc(t, mon, owner)
 		// Pre-map the leaf the transaction overwrites; this also builds the
 		// page tables for the 0x10_xxxx region.
-		if err := mon.EMCMapUser(c0, asid, 0x10_0000, orig, MapFlags{Writable: true}); err != nil {
+		if err := mon.EMCUserMMU(c0, asid, RingReq{Op: OpMap, VA: 0x10_0000, Frame: orig, Flags: MapFlags{Writable: true}}); err != nil {
 			t.Fatal(err)
 		}
 		// Core 1 runs in this address space.
@@ -536,7 +518,7 @@ func TestMapUserBatchPreservesPolicyFlags(t *testing.T) {
 		if err := mon.EMCCommonCreate(c, "batch-flags-model", 1); err != nil {
 			t.Fatal(err)
 		}
-		if err := mon.EMCCommonAttach(c, id, "batch-flags-model", 0x4000_0000, false); err != nil {
+		if err := attachCommon(mon, c, id, "batch-flags-model", 0x4000_0000, false); err != nil {
 			t.Fatal(err)
 		}
 		mon.sealCommons(c, mon.sandboxes[id])
@@ -561,8 +543,8 @@ func TestMapUserBatchPreservesPolicyFlags(t *testing.T) {
 }
 
 // TestMapUserDenialChargesNothing: a user-mapping EMC denied in validation
-// charges the bare gate round trip and counts no PTE write — a synchronous
-// EMCMapUser of a foreign frame, and an EMCMapSandboxFault on an address
+// charges the bare gate round trip and counts no PTE write — an EMCUserMMU
+// map of a foreign frame, and an EMCMapSandboxFault on an address
 // space that hosts no sandbox. (The PTP-exhaustion counterpart is
 // TestMapUserBatchRollbackReleasesPTPs/sync.)
 func TestMapUserDenialChargesNothing(t *testing.T) {
@@ -570,8 +552,8 @@ func TestMapUserDenialChargesNothing(t *testing.T) {
 		name string
 		call func(mon *Monitor, c *cpu.Core, asid ASID, foreign mem.Frame) error
 	}{
-		{"EMCMapUser", func(mon *Monitor, c *cpu.Core, asid ASID, foreign mem.Frame) error {
-			return mon.EMCMapUser(c, asid, 0x10_0000, foreign, MapFlags{})
+		{"EMCUserMMU", func(mon *Monitor, c *cpu.Core, asid ASID, foreign mem.Frame) error {
+			return mon.EMCUserMMU(c, asid, RingReq{Op: OpMap, VA: 0x10_0000, Frame: foreign})
 		}},
 		{"EMCMapSandboxFault", func(mon *Monitor, c *cpu.Core, asid ASID, _ mem.Frame) error {
 			return mon.EMCMapSandboxFault(c, asid, 0x10_0000, true)

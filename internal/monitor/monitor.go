@@ -325,8 +325,9 @@ func Boot(m *cpu.Machine, module *tdx.Module, qk *attest.QuotingKey) (*Monitor, 
 // MRTD from it; tests scan it).
 func (mon *Monitor) MonitorImage() []byte { return mon.monitorImage }
 
-// KernelTables exposes the kernel address space (read-only use: the kernel
-// walks its own tables freely; writing PTEs requires EMCs).
+// KernelTables is for the C3 security tests, which walk the kernel
+// address space with it. Use is read-only: the kernel walks its own tables
+// freely; writing PTEs requires EMCs.
 func (mon *Monitor) KernelTables() *paging.Tables { return mon.kernelTables }
 
 // allocMonitorFrame takes a monitor-pool frame and keys it to the monitor

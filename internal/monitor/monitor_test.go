@@ -1,8 +1,10 @@
 package monitor
 
 import (
+	"fmt"
 	"testing"
 
+	"github.com/asterisc-release/erebor-go/internal/abi"
 	"github.com/asterisc-release/erebor-go/internal/attest"
 	"github.com/asterisc-release/erebor-go/internal/cpu"
 	"github.com/asterisc-release/erebor-go/internal/isa"
@@ -18,7 +20,7 @@ func bootedMonitor(t testing.TB) *Monitor {
 	host := tdx.NewHost()
 	mod := tdx.NewModule(phys, host)
 	m.TDX = mod
-	qk, err := attest.NewQuotingKey()
+	qk, err := attest.NewQuotingKeyRand(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,6 +29,36 @@ func bootedMonitor(t testing.TB) *Monitor {
 		t.Fatal(err)
 	}
 	return mon
+}
+
+// sandboxIoctl issues one /dev/erebor command from sandbox id the way its
+// LibOS does: the command in RSI, its arguments in RDX, R10 and R8. Only a
+// live sandbox's exits reach handleSandboxIoctl, which serves the command
+// under the io gate kind. A refusal is an error naming the errno.
+func sandboxIoctl(mon *Monitor, c *cpu.Core, id SandboxID, cmd, rdx, r10, r8 uint64) error {
+	sb, ok := mon.sandboxes[id]
+	if !ok || sb.destroyed {
+		return fmt.Errorf("no live sandbox %d", id)
+	}
+	c.Regs.GPR[cpu.RSI], c.Regs.GPR[cpu.RDX] = cmd, rdx
+	c.Regs.GPR[cpu.R10], c.Regs.GPR[cpu.R8] = r10, r8
+	mon.handleSandboxIoctl(c, sb)
+	if ret := c.Regs.GPR[cpu.RAX]; abi.IsError(ret) {
+		return fmt.Errorf("ioctl %#x: errno %d", cmd, abi.Err(ret))
+	}
+	return nil
+}
+
+// declareConfined declares npages of confined memory at va in sandbox id.
+func declareConfined(mon *Monitor, c *cpu.Core, id SandboxID, va paging.Addr, npages uint64, exec bool) error {
+	return sandboxIoctl(mon, c, id, abi.IoctlDeclareConfined, uint64(va), npages, boolTo64(exec))
+}
+
+// attachCommon attaches common region name at base in sandbox id. An
+// unknown name reads as region id 0, which the ioctl refuses.
+func attachCommon(mon *Monitor, c *cpu.Core, id SandboxID, name string, base paging.Addr, writable bool) error {
+	rid, _ := mon.CommonRegionID(name)
+	return sandboxIoctl(mon, c, id, abi.IoctlAttachCommon, uint64(base), rid, boolTo64(writable))
 }
 
 func TestMonitorTextProperties(t *testing.T) {
@@ -156,22 +188,22 @@ func TestAddressSpaceLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	va := paging.Addr(0x40_0000)
-	if err := mon.EMCMapUser(c, asid, va, f, MapFlags{Writable: true}); err != nil {
+	if err := mon.EMCUserMMU(c, asid, RingReq{Op: OpMap, VA: va, Frame: f, Flags: MapFlags{Writable: true}}); err != nil {
 		t.Fatal(err)
 	}
-	if got, ok := mon.TranslateUser(asid, va); !ok || got != f {
-		t.Fatalf("translate: %v %v", got, ok)
+	if pte, _, fault := mon.addrSpaces[asid].tables.Lookup(va); fault != paging.FaultNone || pte.Frame() != f {
+		t.Fatalf("translate: frame %d, fault %v", pte.Frame(), fault)
 	}
 	// Owner mismatch is denied.
 	f2, _ := mon.M.Phys.Alloc(mem.OwnerTaskBase + 5)
-	if err := mon.EMCMapUser(c, asid, va+4096, f2, MapFlags{}); err == nil {
+	if err := mon.EMCUserMMU(c, asid, RingReq{Op: OpMap, VA: va + 4096, Frame: f2}); err == nil {
 		t.Fatal("cross-owner frame mapped")
 	}
 	// Kernel-range VAs are denied.
-	if err := mon.EMCMapUser(c, asid, DirectMapBase, f, MapFlags{}); err == nil {
+	if err := mon.EMCUserMMU(c, asid, RingReq{Op: OpMap, VA: DirectMapBase, Frame: f}); err == nil {
 		t.Fatal("kernel-range user mapping accepted")
 	}
-	if err := mon.EMCUnmapUser(c, asid, va); err != nil {
+	if err := mon.EMCUserMMU(c, asid, RingReq{Op: OpUnmap, VA: va}); err != nil {
 		t.Fatal(err)
 	}
 	if err := mon.EMCDestroyAS(c, asid); err != nil {
@@ -193,10 +225,10 @@ func TestSandboxBudgetEnforced(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := mon.EMCDeclareConfined(c, sb, 0x1_0000, 3, false); err != nil {
+	if err := declareConfined(mon, c, sb, 0x1_0000, 3, false); err != nil {
 		t.Fatal(err)
 	}
-	if err := mon.EMCDeclareConfined(c, sb, 0x9_0000, 3, false); err == nil {
+	if err := declareConfined(mon, c, sb, 0x9_0000, 3, false); err == nil {
 		t.Fatal("budget exceeded silently")
 	}
 	// A second sandbox on the same AS is refused.
@@ -216,19 +248,19 @@ func TestCommonRegionSealing(t *testing.T) {
 	}
 	asid, _ := mon.EMCCreateAS(c, mem.OwnerTaskBase)
 	sb, _ := mon.EMCCreateSandbox(c, asid, 8)
-	if err := mon.EMCCommonAttach(c, sb, "db", CommonBase, false); err != nil {
+	if err := attachCommon(mon, c, sb, "db", CommonBase, false); err != nil {
 		t.Fatal(err)
 	}
 	// Data install seals the region.
 	if err := mon.QueueClientInput(sb, []byte("client data")); err != nil {
 		t.Fatal(err)
 	}
-	if err := mon.EMCDeclareConfined(c, sb, 0x1_0000, 2, false); err != nil {
+	if err := declareConfined(mon, c, sb, 0x1_0000, 2, false); err != nil {
 		t.Fatal(err)
 	}
-	// Trigger install via the ioctl path requires a task context; instead
-	// seal directly through a second writable attach attempt pre/post.
-	if err := mon.EMCCommonAttach(c, sb, "db", CommonBase+0x100000, true); err != nil {
+	// A writable attach still works before the data install seals the
+	// region.
+	if err := attachCommon(mon, c, sb, "db", CommonBase+0x100000, true); err != nil {
 		t.Fatal("writable attach should still work pre-install")
 	}
 	// Populate after sealing is refused (simulate seal via sealCommons).
@@ -236,7 +268,7 @@ func TestCommonRegionSealing(t *testing.T) {
 	if err := mon.EMCPopulateCommon(c, "db", 0, []byte("tamper")); err == nil {
 		t.Fatal("populated a sealed region")
 	}
-	if err := mon.EMCCommonAttach(c, sb, "db", CommonBase+0x200000, true); err == nil {
+	if err := attachCommon(mon, c, sb, "db", CommonBase+0x200000, true); err == nil {
 		t.Fatal("writable attach to sealed region")
 	}
 }

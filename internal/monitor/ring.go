@@ -14,10 +14,14 @@ import (
 // requests into a per-AS ring and the monitor drains them as one MMU
 // transaction under a single EMCRingDrain gate.
 
-// MMUOp selects the operation of one submission-ring entry.
+// MMUOp selects the operation of one MMU-transaction request.
 type MMUOp uint8
 
-// Ring operations (the four leaf-mutating EMCs the kernel batches).
+// The four leaf mutations a user-MMU transaction applies. OpProtect
+// rewrites the flags of a mapped page (mprotect); a permission-identical
+// rewrite flushes nothing. OpReclaim is the kernel's memory-pressure
+// reclaimer unmapping one page, permitted only for unpinned common-region
+// pages (§6.1): confined pages are pinned and refuse it.
 const (
 	OpMap MMUOp = iota
 	OpUnmap
@@ -82,13 +86,6 @@ func (r *SubmitRing) Push(req RingReq) bool {
 	}
 	r.reqs = append(r.reqs, req)
 	return true
-}
-
-// Pending returns a copy of the queued entries.
-func (r *SubmitRing) Pending() []RingReq {
-	out := make([]RingReq, len(r.reqs))
-	copy(out, r.reqs)
-	return out
 }
 
 // Reset discards every queued entry.

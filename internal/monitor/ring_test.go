@@ -52,10 +52,10 @@ func TestRingDrainAppliesAndCoalescesIPIs(t *testing.T) {
 	repl := mustAlloc(t, mon, owner)
 	fresh := mustAlloc(t, mon, owner)
 	va1, va2, va3 := paging.Addr(0x10_0000), paging.Addr(0x10_1000), paging.Addr(0x10_2000)
-	if err := mon.EMCMapUser(c0, asid, va1, a, MapFlags{Writable: true}); err != nil {
+	if err := mon.EMCUserMMU(c0, asid, RingReq{Op: OpMap, VA: va1, Frame: a, Flags: MapFlags{Writable: true}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := mon.EMCMapUser(c0, asid, va2, b, MapFlags{Writable: true}); err != nil {
+	if err := mon.EMCUserMMU(c0, asid, RingReq{Op: OpMap, VA: va2, Frame: b, Flags: MapFlags{Writable: true}}); err != nil {
 		t.Fatal(err)
 	}
 	// Both remote cores cache both live translations.
@@ -159,7 +159,7 @@ func TestRingDrainDeterminism(t *testing.T) {
 		mon, c0, asid, owner := ringTestAS(t, 2)
 		a := mustAlloc(t, mon, owner)
 		b := mustAlloc(t, mon, owner)
-		if err := mon.EMCMapUser(c0, asid, 0x10_0000, a, MapFlags{Writable: true}); err != nil {
+		if err := mon.EMCUserMMU(c0, asid, RingReq{Op: OpMap, VA: 0x10_0000, Frame: a, Flags: MapFlags{Writable: true}}); err != nil {
 			t.Fatal(err)
 		}
 		primeCore(t, mon, mon.M.Cores[1], asid, 0x10_0000)

@@ -160,19 +160,6 @@ func (mon *Monitor) EMCCreateSandbox(c *cpu.Core, asid ASID, budgetPages uint64)
 	return id, err
 }
 
-// EMCDeclareConfined allocates, maps and pins npages of confined memory at
-// va in the sandbox (single-mapping, pinned, CVM-private). Frames come
-// from the reserved CMA region.
-func (mon *Monitor) EMCDeclareConfined(c *cpu.Core, id SandboxID, va paging.Addr, npages uint64, exec bool) error {
-	return mon.gate(c, metrics.EMCSandbox, func() error {
-		sb, ok := mon.sandboxes[id]
-		if !ok || sb.destroyed {
-			return denied("declare-confined", "no live sandbox %d", id)
-		}
-		return mon.declareConfinedLocked(sb, va, npages, exec)
-	})
-}
-
 // EMCCommonCreate allocates a named common region of npages (not yet
 // attached anywhere; the creating service initializes it through an
 // unsealed writable attachment).
@@ -245,15 +232,13 @@ func (mon *Monitor) CommonPages(name string) (uint64, bool) {
 	return uint64(len(cr.frames)), true
 }
 
-// EMCCommonAttach maps a common region into a sandbox at base. Writable
-// attachments are only possible before the region seals (first client-data
-// install among its consumers).
-func (mon *Monitor) EMCCommonAttach(c *cpu.Core, id SandboxID, name string, base paging.Addr, writable bool) error {
-	return mon.gate(c, metrics.EMCSandbox, func() error {
-		return mon.commonAttachLocked(id, name, base, writable)
-	})
-}
-
+// commonAttachLocked maps a common region into a sandbox at base, for the
+// LibOS's attach ioctl. Writable attachments are only possible before the
+// region seals (first client-data install among its consumers). The
+// attachment must lie in the user half, whose table pages are the address
+// space's own, and may not overlap one the sandbox already holds: a fault
+// in the overlap would resolve to whichever region map iteration found
+// first.
 func (mon *Monitor) commonAttachLocked(id SandboxID, name string, base paging.Addr, writable bool) error {
 	sb, ok := mon.sandboxes[id]
 	if !ok || sb.destroyed {
@@ -269,14 +254,29 @@ func (mon *Monitor) commonAttachLocked(id SandboxID, name string, base paging.Ad
 	if sb.dataInstalled && writable {
 		return denied("common-attach", "sandbox %d holds client data; writable attach refused", id)
 	}
+	end := base + cr.size()
+	if base < UserBase || end > UserTop || end < base {
+		return denied("common-attach", "range [%#x, %#x) outside the user half", base, end)
+	}
+	for held := range sb.commons {
+		other := mon.commons[held]
+		for _, at := range other.attached {
+			if at.sb == id && base < at.base+other.size() && at.base < end {
+				return denied("common-attach", "range [%#x, %#x) overlaps an attachment sandbox %d holds", base, end, id)
+			}
+		}
+	}
 	sb.commons[name] = true
-	as := mon.addrSpaces[sb.asid]
 	// Attach lazily: record the attachment; pages fault in on first touch
 	// (this is what produces the common-memory page-fault traffic the paper
 	// reports for llama.cpp, Table 6).
 	cr.attached = append(cr.attached, attachment{sb: id, asid: sb.asid, base: base, writable: writable})
-	_ = as
 	return nil
+}
+
+// size is the byte length of the region's mapping.
+func (cr *commonRegion) size() paging.Addr {
+	return paging.Addr(uint64(len(cr.frames)) * mem.PageSize)
 }
 
 // sealCommons revokes write permission for every attachment of every
@@ -327,8 +327,7 @@ func (mon *Monitor) commonFaultFor(sb *sbState, va paging.Addr) (*commonRegion, 
 			if at.sb != sb.id {
 				continue
 			}
-			size := paging.Addr(uint64(len(cr.frames)) * mem.PageSize)
-			if va >= at.base && va < at.base+size {
+			if va >= at.base && va < at.base+cr.size() {
 				return cr, at, uint64((va - at.base) / mem.PageSize)
 			}
 		}

@@ -18,7 +18,7 @@ func bootedMonitorN(t *testing.T, ncores int) *Monitor {
 	host := tdx.NewHost()
 	mod := tdx.NewModule(phys, host)
 	m.TDX = mod
-	qk, err := attest.NewQuotingKey()
+	qk, err := attest.NewQuotingKeyRand(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestUnmapShootdownClosesStaleTLB(t *testing.T) {
 		t.Fatal(err)
 	}
 	va := paging.Addr(0x40_0000)
-	if err := mon.EMCMapUser(c0, asid, va, f, MapFlags{Writable: true}); err != nil {
+	if err := mon.EMCUserMMU(c0, asid, RingReq{Op: OpMap, VA: va, Frame: f, Flags: MapFlags{Writable: true}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := mon.EMCSwitchAS(c1, asid); err != nil {
@@ -117,7 +117,7 @@ func TestUnmapShootdownClosesStaleTLB(t *testing.T) {
 
 	// Core 0 unmaps the page. The EMC must shoot core 1's entry down — the
 	// frame may be reissued to another owner immediately after.
-	if err := mon.EMCUnmapUser(c0, asid, va); err != nil {
+	if err := mon.EMCUserMMU(c0, asid, RingReq{Op: OpUnmap, VA: va}); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := c1.TLB().Lookup(root, va); ok {
@@ -141,7 +141,7 @@ func TestDestroyASFlushesEveryCore(t *testing.T) {
 		t.Fatal(err)
 	}
 	va := paging.Addr(0x40_0000)
-	if err := mon.EMCMapUser(c0, asid, va, f, MapFlags{Writable: true}); err != nil {
+	if err := mon.EMCUserMMU(c0, asid, RingReq{Op: OpMap, VA: va, Frame: f, Flags: MapFlags{Writable: true}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := mon.EMCSwitchAS(c1, asid); err != nil {
@@ -159,7 +159,7 @@ func TestDestroyASFlushesEveryCore(t *testing.T) {
 	if err := mon.EMCSwitchAS(c1, 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := mon.EMCUnmapUser(c0, asid, va); err != nil {
+	if err := mon.EMCUserMMU(c0, asid, RingReq{Op: OpUnmap, VA: va}); err != nil {
 		t.Fatal(err)
 	}
 	if err := mon.EMCDestroyAS(c0, asid); err != nil {

@@ -26,7 +26,7 @@ func makeTemplate(t *testing.T, mon *Monitor, npages uint64) TemplateID {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := mon.EMCDeclareConfined(c, sb, snapBase, npages, false); err != nil {
+	if err := declareConfined(mon, c, sb, snapBase, npages, false); err != nil {
 		t.Fatal(err)
 	}
 	for p := uint64(0); p < npages; p++ {
@@ -130,7 +130,7 @@ func TestSnapshotDenials(t *testing.T) {
 
 	asid, _ := mon.EMCCreateAS(c, mem.OwnerTaskBase)
 	sb, _ := mon.EMCCreateSandbox(c, asid, 8)
-	if err := mon.EMCDeclareConfined(c, sb, snapBase, 2, false); err != nil {
+	if err := declareConfined(mon, c, sb, snapBase, 2, false); err != nil {
 		t.Fatal(err)
 	}
 	if err := mon.QueueClientInput(sb, []byte("client bytes")); err != nil {
@@ -323,7 +323,7 @@ func TestWatchdogCatchesRefcountDrift(t *testing.T) {
 	tid := makeTemplate(t, mon, 2)
 	forkOne(t, mon, tid, mem.OwnerTaskBase+1)
 
-	mon.WatchdogSweep("baseline")
+	mon.wdSweep("baseline")
 	if n := mon.WatchdogNonInjected(); n != 0 {
 		t.Fatalf("clean state flagged %d violations: %v", n, mon.WatchdogEvents())
 	}
@@ -335,7 +335,7 @@ func TestWatchdogCatchesRefcountDrift(t *testing.T) {
 	if code != audit.CowRefcountMismatch {
 		t.Fatalf("injected code = %v", code)
 	}
-	mon.WatchdogSweep("inject")
+	mon.wdSweep("inject")
 	events := mon.WatchdogEvents()
 	if len(events) == 0 {
 		t.Fatal("watchdog missed the injected refcount drift")
@@ -363,7 +363,7 @@ func TestWatchdogCatchesRefcountDrift(t *testing.T) {
 	if err := mon.M.Phys.IncRef(tmpl.frames[len(tmpl.frames)-1]); err != nil {
 		t.Fatal(err)
 	}
-	mon.WatchdogSweep("real-drift")
+	mon.wdSweep("real-drift")
 	if n := mon.WatchdogNonInjected(); n == 0 {
 		t.Fatal("unannounced refcount drift not counted as a real violation")
 	}

@@ -26,7 +26,6 @@ const (
 	TriggerSeal      = "seal"
 	TriggerDestroyAS = "destroy-as"
 	TriggerEnd       = "end"
-	TriggerManual    = "manual"
 	// TriggerDrain fires at every submission-ring drain commit, proving no
 	// invariant window opens between validate and flush.
 	TriggerDrain = "ring-drain"
@@ -118,18 +117,6 @@ func (mon *Monitor) wdMaybeSweep() {
 	mon.wdSweep(TriggerCadence)
 }
 
-// WatchdogSweep forces a sweep now (serving loop checkpoints, the statusz
-// healthz probe, tests). No-op while the watchdog is disabled.
-func (mon *Monitor) WatchdogSweep(trigger string) {
-	if mon.wd == nil {
-		return
-	}
-	if trigger == "" {
-		trigger = TriggerManual
-	}
-	mon.wdSweep(trigger)
-}
-
 // wdPhaseSweep is the phase-boundary hook (seal, destroy-as, end, drain,
 // snapshot, fork).
 func (mon *Monitor) wdPhaseSweep(trigger string) {
@@ -191,8 +178,9 @@ func (mon *Monitor) WatchdogEvents() []WatchdogEvent {
 	return out
 }
 
-// WatchdogSweepLog snapshots the sweep log in execution order (one record
-// per sweep, violations observed or not).
+// WatchdogSweepLog is for the serve watchdog tests, which time detection
+// against it. It snapshots the sweep log in execution order (one record per
+// sweep, violations observed or not).
 func (mon *Monitor) WatchdogSweepLog() []SweepRecord {
 	if mon.wd == nil {
 		return nil
@@ -238,14 +226,15 @@ func (mon *Monitor) ExportWatchdogJSONL(w io.Writer) error {
 	return nil
 }
 
-// InjectAuditViolation deliberately breaks the single-mapping invariant:
-// it aliases the lowest-numbered confined frame at a second virtual address
-// in its owner's address space — a second mapping of confined memory,
-// exactly what I4 exists to prevent. The violation code is registered as
-// injected, so watchdog events carry severity "injected" and
-// WatchdogNonInjected stays zero — chaos campaigns use this to prove the
-// watchdog detects real breaks without tripping the CI gate. Returns the
-// expected code.
+// InjectAuditViolation is an adversary hook for the watchdog tests, which
+// use it to prove the watchdog catches a real I4 break. It deliberately
+// breaks the single-mapping invariant: it aliases the lowest-numbered
+// confined frame at a second virtual address in its owner's address space —
+// a second mapping of confined memory, exactly what I4 exists to prevent.
+// The violation code is registered as injected, so watchdog events carry
+// severity "injected" and WatchdogNonInjected stays zero — chaos campaigns
+// use this to prove the watchdog detects real breaks without tripping the CI
+// gate. Returns the expected code.
 //
 // The tampering is deterministic (lowest confined frame, first free slot in
 // the same leaf table) and models a hypothetical monitor bug, not kernel
@@ -302,13 +291,14 @@ func (mon *Monitor) InjectAuditViolation() (audit.Code, error) {
 	return audit.CodeNone, fmt.Errorf("monitor: no free alias slot near %#x", primary)
 }
 
-// InjectRefcountViolation is the I9 counterpart of InjectAuditViolation: it
-// grants the lowest-numbered shared template frame one extra reference that
-// no template baseline or live fork accounts for — exactly the bookkeeping
-// drift CowRefcountMismatch exists to catch. The code is registered as
-// injected so the event carries severity "injected" and WatchdogNonInjected
-// stays zero. Returns the expected code. Like InjectAuditViolation, the
-// tampering is deterministic, bypasses the EMC gates and charges no cycles.
+// InjectRefcountViolation is an adversary hook for the I9 watchdog test; it
+// is the I9 counterpart of InjectAuditViolation. It grants the
+// lowest-numbered shared template frame one extra reference that no template
+// baseline or live fork accounts for — exactly the bookkeeping drift
+// CowRefcountMismatch exists to catch. The code is registered as injected so
+// the event carries severity "injected" and WatchdogNonInjected stays zero.
+// Returns the expected code. Like InjectAuditViolation, the tampering is
+// deterministic, bypasses the EMC gates and charges no cycles.
 func (mon *Monitor) InjectRefcountViolation() (audit.Code, error) {
 	if mon.wd == nil {
 		return audit.CodeNone, fmt.Errorf("monitor: watchdog not enabled")
@@ -330,13 +320,13 @@ func (mon *Monitor) InjectRefcountViolation() (audit.Code, error) {
 	return audit.CowRefcountMismatch, nil
 }
 
-// InjectEgressBypass is the I8 counterpart of InjectAuditViolation: it
-// forges an allowed-verdict record in the egress ledger for a destination
-// the tenant's registered policy denies — as if a frame crossed the proxy
-// outside the compiled allowlist. The next sweep must report an
-// audit.EgressBypass; the code is registered as injected so the event
-// carries severity "injected" and WatchdogNonInjected stays zero. Returns
-// the expected code.
+// InjectEgressBypass is an adversary hook for the I8 watchdog test; it is
+// the I8 counterpart of InjectAuditViolation. It forges an allowed-verdict
+// record in the egress ledger for a destination the tenant's registered
+// policy denies — as if a frame crossed the proxy outside the compiled
+// allowlist. The next sweep must report an audit.EgressBypass; the code is
+// registered as injected so the event carries severity "injected" and
+// WatchdogNonInjected stays zero. Returns the expected code.
 func (mon *Monitor) InjectEgressBypass() (audit.Code, error) {
 	if mon.wd == nil {
 		return audit.CodeNone, fmt.Errorf("monitor: watchdog not enabled")

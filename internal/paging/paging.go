@@ -564,20 +564,3 @@ func (t *Tables) Translate(v Addr) (mem.Addr, *Fault) {
 	_, off := Split(v)
 	return e.Frame().Base() + mem.Addr(off), nil
 }
-
-// VisitLeaves walks every present leaf in [start, end) and calls fn. Used
-// by the monitor's single-mapping audits and by cleanup paths.
-func (t *Tables) VisitLeaves(start, end Addr, fn func(v Addr, e PTE, a mem.Addr) error) error {
-	for v := PageBase(start); v < end; v += mem.PageSize {
-		e, a, r := t.Lookup(v)
-		if r == FaultTableCorrupt {
-			return &Fault{r, v, Read}
-		}
-		if r == FaultNone {
-			if err := fn(v, e, a); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}

@@ -104,24 +104,6 @@ func TestUpdateRewritesLeaf(t *testing.T) {
 	}
 }
 
-func TestVisitLeaves(t *testing.T) {
-	tb, p := newTables(t)
-	for i := 0; i < 5; i++ {
-		f, _ := p.Alloc(mem.OwnerKernel)
-		if err := tb.Map(Addr(0x10000+i*mem.PageSize), Present.WithFrame(f)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	count := 0
-	err := tb.VisitLeaves(0x10000, 0x10000+8*mem.PageSize, func(v Addr, e PTE, a mem.Addr) error {
-		count++
-		return nil
-	})
-	if err != nil || count != 5 {
-		t.Fatalf("visited %d (%v)", count, err)
-	}
-}
-
 // TestReleaseFreesUserHalfOnly checks that Release visits every table page
 // reachable below the first slots root entries exactly once, children
 // before parents and the root last, and never follows an entry at or above
@@ -331,13 +313,9 @@ func TestWalkSurfacesTableCorruption(t *testing.T) {
 	if fault == nil || fault.Reason != FaultTableCorrupt {
 		t.Fatalf("intermediate corruption: got %v, want table-corrupt", fault)
 	}
-	// Unmap and VisitLeaves must surface the corruption, not skip it.
+	// Unmap must surface the corruption, not skip it.
 	if err := tb.Unmap(va); err == nil {
 		t.Fatal("Unmap swallowed table corruption")
-	}
-	err = tb.VisitLeaves(va, va+mem.PageSize, func(Addr, PTE, mem.Addr) error { return nil })
-	if err == nil {
-		t.Fatal("VisitLeaves swallowed table corruption")
 	}
 
 	// Restore the top level, corrupt the last-level table pointer instead:

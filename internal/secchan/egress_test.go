@@ -240,8 +240,8 @@ func TestMuxProxyResetReleasesLanes(t *testing.T) {
 
 	backing := mux.lanes[:cap(mux.lanes)]
 	mux.Reset()
-	if mux.Lanes() != 0 {
-		t.Fatalf("Lanes() = %d after Reset", mux.Lanes())
+	if len(mux.lanes) != 0 {
+		t.Fatalf("%d lanes after Reset", len(mux.lanes))
 	}
 	for i, p := range backing {
 		if p != nil {
@@ -250,7 +250,7 @@ func TestMuxProxyResetReleasesLanes(t *testing.T) {
 	}
 	// The mux is reusable after Reset.
 	mux.Add(pr)
-	if mux.Lanes() != 1 {
-		t.Fatalf("Lanes() = %d after re-Add", mux.Lanes())
+	if len(mux.lanes) != 1 {
+		t.Fatalf("%d lanes after re-Add", len(mux.lanes))
 	}
 }

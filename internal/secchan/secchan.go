@@ -145,8 +145,10 @@ type MemPipe struct {
 // NewMemPipe returns the two connected ends (DefaultQueueCap per direction).
 func NewMemPipe() (a, b *MemPipe) { return NewMemPipeCap(DefaultQueueCap) }
 
-// NewMemPipeCap returns a connected pair whose per-direction queues hold at
-// most cap frames (0 = unbounded).
+// NewMemPipeCap is for the reliable-channel and fault-injection tests,
+// which need a bounded or unbounded queue; NewMemPipe is it at
+// DefaultQueueCap. It returns a connected pair whose per-direction queues
+// hold at most cap frames (0 = unbounded).
 func NewMemPipeCap(cap int) (a, b *MemPipe) {
 	q1 := &pipeQueue{cap: cap}
 	q2 := &pipeQueue{cap: cap}
@@ -421,9 +423,6 @@ type MuxProxy struct {
 // Add appends a lane (one session's proxy) to the mux.
 func (m *MuxProxy) Add(p *Proxy) { m.lanes = append(m.lanes, p) }
 
-// Lanes reports how many relays are multiplexed.
-func (m *MuxProxy) Lanes() int { return len(m.lanes) }
-
 // Reset drops every lane so the mux can be rebuilt for the next round
 // (sessions come and go as tenants turn over). The slots are nilled before
 // truncating: a bare `lanes[:0]` keeps the old *Proxy pointers — and their
@@ -645,16 +644,11 @@ type ServerHello struct {
 	Quote     *attest.Quote
 }
 
-// NewClientHello generates the client's opening message and its ephemeral
-// private key from the OS CSPRNG.
-func NewClientHello() (*ClientHello, *ecdh.PrivateKey, error) {
-	return NewClientHelloRand(nil)
-}
-
-// NewClientHelloRand is NewClientHello drawing key material from r
-// (nil = OS CSPRNG). A seeded deterministic reader makes the hello bytes —
-// and therefore the effect of content-dependent wire faults on them — a
-// pure function of the seed.
+// NewClientHelloRand generates the client's opening message and its
+// ephemeral private key, drawing key material from r (nil = OS CSPRNG). A
+// seeded deterministic reader makes the hello bytes — and therefore the
+// effect of content-dependent wire faults on them — a pure function of the
+// seed.
 func NewClientHelloRand(r io.Reader) (*ClientHello, *ecdh.PrivateKey, error) {
 	priv, err := x25519From(r)
 	if err != nil {
@@ -691,15 +685,9 @@ type ReportIssuer interface {
 	IssueQuote(reportData [tdx.ReportDataSize]byte) (*attest.Quote, error)
 }
 
-// ServerHandshake runs the monitor side: given the client hello and an
-// issuer, produce the server hello and the two direction keys. Key material
-// comes from the OS CSPRNG.
-func ServerHandshake(hello *ClientHello, issuer ReportIssuer) (*ServerHello, Keys, error) {
-	return ServerHandshakeRand(nil, hello, issuer)
-}
-
-// ServerHandshakeRand is ServerHandshake drawing the ephemeral server key
-// from r (nil = OS CSPRNG).
+// ServerHandshakeRand runs the monitor side: given the client hello and an
+// issuer, produce the server hello and the two direction keys. The
+// ephemeral server key is drawn from r (nil = OS CSPRNG).
 func ServerHandshakeRand(r io.Reader, hello *ClientHello, issuer ReportIssuer) (*ServerHello, Keys, error) {
 	priv, err := x25519From(r)
 	if err != nil {

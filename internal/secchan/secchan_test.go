@@ -26,7 +26,7 @@ func (ti testIssuer) IssueQuote(rd [tdx.ReportDataSize]byte) (*attest.Quote, err
 
 func newIssuer(t *testing.T) (testIssuer, [tdx.MeasurementSize]byte) {
 	t.Helper()
-	qk, err := attest.NewQuotingKey()
+	qk, err := attest.NewQuotingKeyRand(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,11 +39,11 @@ func TestHandshakeAndRecords(t *testing.T) {
 	issuer, mrtd := newIssuer(t)
 	clientTr, serverTr := NewMemPipe()
 
-	hello, priv, err := NewClientHello()
+	hello, priv, err := NewClientHelloRand(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sh, serverKeys, err := ServerHandshake(hello, issuer)
+	sh, serverKeys, err := ServerHandshakeRand(nil, hello, issuer)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,8 +89,8 @@ func TestRecordsArePaddedAndOpaque(t *testing.T) {
 	var wire [][]byte
 	clientTr.Tap = func(f []byte) { wire = append(wire, f) }
 
-	hello, priv, _ := NewClientHello()
-	sh, sKeys, err := ServerHandshake(hello, issuer)
+	hello, priv, _ := NewClientHelloRand(nil)
+	sh, sKeys, err := ServerHandshakeRand(nil, hello, issuer)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,8 +132,8 @@ func TestRecordsArePaddedAndOpaque(t *testing.T) {
 func TestTamperedRecordRejected(t *testing.T) {
 	issuer, mrtd := newIssuer(t)
 	clientTr, serverTr := NewMemPipe()
-	hello, priv, _ := NewClientHello()
-	sh, sKeys, _ := ServerHandshake(hello, issuer)
+	hello, priv, _ := NewClientHelloRand(nil)
+	sh, sKeys, _ := ServerHandshakeRand(nil, hello, issuer)
 	cKeys, err := ClientFinish(hello, priv, sh, issuer.qk.Public(), &mrtd)
 	if err != nil {
 		t.Fatal(err)
@@ -197,7 +197,7 @@ func TestProxySeesOnlyCiphertext(t *testing.T) {
 	proxyInner, monEnd := NewMemPipe()
 	pr := &Proxy{Outer: proxyOuter, Inner: proxyInner}
 
-	hello, priv, _ := NewClientHello()
+	hello, priv, _ := NewClientHelloRand(nil)
 	helloFrame, err := EncodeHello(hello)
 	if err != nil {
 		t.Fatal(err)
@@ -214,7 +214,7 @@ func TestProxySeesOnlyCiphertext(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sh, sKeys, err := ServerHandshake(gotHello, issuer)
+	sh, sKeys, err := ServerHandshakeRand(nil, gotHello, issuer)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,34 +10,40 @@ import (
 
 	"github.com/asterisc-release/erebor-go/internal/audit"
 	"github.com/asterisc-release/erebor-go/internal/faultinject"
+	"github.com/asterisc-release/erebor-go/internal/libos"
 	"github.com/asterisc-release/erebor-go/internal/mem"
 	"github.com/asterisc-release/erebor-go/internal/metrics"
 	"github.com/asterisc-release/erebor-go/internal/monitor"
 	"github.com/asterisc-release/erebor-go/internal/paging"
+	"github.com/asterisc-release/erebor-go/internal/sandbox"
 )
 
-// plantConfinedSandbox gives the monitor a bystander sandbox that holds one
-// installed, private confined frame for the rest of the run — the target
+// plantConfinedSandbox gives the monitor a bystander sandbox that holds
+// installed, private confined frames for the rest of the run — the target
 // InjectAuditViolation aliases. No serving worker holds one at a round
 // boundary: a cold worker boots, serves and is destroyed within one tick,
 // and a fork owns no private confined frame before its first CoW break.
+// The bystander's LibOS declares its memory through the ioctl, as every
+// sandbox does, and its Main touches all nine confined pages (the payload
+// page and an 8-page heap), so whichever holds the lowest frame is mapped.
+// It is stepped alone: Schedule would spin on the serve world's tasks.
 func plantConfinedSandbox(t *testing.T, s *Server) {
 	t.Helper()
-	mon, c := s.World().Mon, s.World().Core()
-	asid, err := mon.EMCCreateAS(c, mem.OwnerTaskBase+200)
+	k := s.World().K
+	ct, err := sandbox.Launch(k, sandbox.Spec{
+		Name: "bystander", Owner: mem.OwnerTaskBase + 200,
+		LibOS: libos.Config{HeapPages: 8},
+		Main: func(_ *sandbox.Container, os *libos.OS) {
+			os.Env.Touch(libos.ConfinedBase, 9*mem.PageSize, true)
+		},
+	})
 	if err != nil {
-		t.Fatalf("bystander AS: %v", err)
+		t.Fatalf("bystander launch: %v", err)
 	}
-	sb, err := mon.EMCCreateSandbox(c, asid, 4)
-	if err != nil {
-		t.Fatalf("bystander sandbox: %v", err)
+	for k.StepPid(ct.Task.Pid) {
 	}
-	va := paging.Addr(0x1_0000)
-	if err := mon.EMCDeclareConfined(c, sb, va, 1, false); err != nil {
-		t.Fatalf("bystander confined page: %v", err)
-	}
-	if err := mon.EMCMapSandboxFault(c, asid, va, false); err != nil {
-		t.Fatalf("bystander fault-in: %v", err)
+	if err := ct.BootErr(); err != nil {
+		t.Fatalf("bystander boot: %v", err)
 	}
 }
 
@@ -158,7 +164,7 @@ func TestPhaseConservation64Tenants(t *testing.T) {
 		// Build the page tables for 0x10_0000 while the pool still has
 		// frames, then exhaust the monitor pool so the batch's third request
 		// (a fresh 2 MiB region needing a new page-table page) must fail.
-		if merr := mon.EMCMapUser(c, asid, 0x10_0000, orig, monitor.MapFlags{Writable: true}); merr != nil {
+		if merr := mon.EMCUserMMU(c, asid, monitor.RingReq{Op: monitor.OpMap, VA: 0x10_0000, Frame: orig, Flags: monitor.MapFlags{Writable: true}}); merr != nil {
 			t.Fatalf("inject: pre-map: %v", merr)
 		}
 		var drained []mem.Frame
@@ -169,11 +175,11 @@ func TestPhaseConservation64Tenants(t *testing.T) {
 			}
 			drained = append(drained, f)
 		}
-		reqs := []monitor.MapReq{
-			{VA: 0x10_0000, Frame: repl, Flags: monitor.MapFlags{Writable: true}},
-			{VA: paging.Addr(0x4000_0000), Frame: far, Flags: monitor.MapFlags{Writable: true}},
+		reqs := []monitor.RingReq{
+			{Op: monitor.OpMap, VA: 0x10_0000, Frame: repl, Flags: monitor.MapFlags{Writable: true}},
+			{Op: monitor.OpMap, VA: paging.Addr(0x4000_0000), Frame: far, Flags: monitor.MapFlags{Writable: true}},
 		}
-		if berr := mon.EMCMapUserBatch(c, asid, reqs); berr == nil {
+		if berr := mon.EMCUserMMU(c, asid, reqs...); berr == nil {
 			t.Error("inject: batch committed despite page-table exhaustion")
 		}
 		// Restore the world: refill the pool, tear the scratch AS down, and
@@ -182,7 +188,7 @@ func TestPhaseConservation64Tenants(t *testing.T) {
 		for _, f := range drained {
 			_ = mon.M.Phys.Free(f)
 		}
-		if uerr := mon.EMCUnmapUser(c, asid, 0x10_0000); uerr != nil {
+		if uerr := mon.EMCUserMMU(c, asid, monitor.RingReq{Op: monitor.OpUnmap, VA: 0x10_0000}); uerr != nil {
 			t.Fatalf("inject: unmap: %v", uerr)
 		}
 		if derr := mon.EMCDestroyAS(c, asid); derr != nil {

@@ -284,9 +284,10 @@ func (m *Module) ConsumeInbound() []byte {
 	return d
 }
 
-// HostReadGuestFrame models the host (or a device via DMA) trying to read a
-// guest frame. TDX hardware forbids access to private memory; shared
-// memory is readable. Attack tests for AV1 use this.
+// HostReadGuestFrame is an adversary hook for the AV1 attack tests (C6 and
+// this package's sEPT tests). It models the host, or a device via DMA,
+// trying to read a guest frame. TDX hardware forbids access to private
+// memory; shared memory is readable.
 func (m *Module) HostReadGuestFrame(f mem.Frame) ([]byte, error) {
 	meta, err := m.Phys.Meta(f)
 	if err != nil {
@@ -304,7 +305,8 @@ func (m *Module) HostReadGuestFrame(f mem.Frame) ([]byte, error) {
 	return cp, nil
 }
 
-// HostWriteGuestFrame models host/DMA writes; same sEPT rule.
+// HostWriteGuestFrame is an adversary hook for this package's sEPT tests.
+// It models host or DMA writes under the same sEPT rule.
 func (m *Module) HostWriteGuestFrame(f mem.Frame, data []byte) error {
 	meta, err := m.Phys.Meta(f)
 	if err != nil {

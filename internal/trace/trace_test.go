@@ -91,9 +91,6 @@ func TestSpanFeedsHistogram(t *testing.T) {
 	if got := h.Buckets[bucketOf(1224)]; got != 2 {
 		t.Fatalf("bucket[%d] = %d, want 2", bucketOf(1224), got)
 	}
-	if got := h.Mean(); got != 1224 {
-		t.Fatalf("Mean = %v", got)
-	}
 	snap := r.Snapshot()
 	if len(snap) != 2 || snap[0].Dur != 1224 || snap[0].TS != 0 || snap[1].TS != 1224 {
 		t.Fatalf("span events = %+v", snap)
@@ -302,9 +299,6 @@ func TestQuantileEdgeCases(t *testing.T) {
 		if got := empty.Quantile(q); got != 0 {
 			t.Errorf("empty.Quantile(%v) = %d, want 0", q, got)
 		}
-	}
-	if empty.Mean() != 0 {
-		t.Errorf("empty.Mean() = %v, want 0", empty.Mean())
 	}
 
 	// q=1.0 must return exactly the max observation, not its log2 bucket
