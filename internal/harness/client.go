@@ -172,7 +172,6 @@ func NewSession(w *World) *Session {
 // fault schedule, so a (plan, workload) pair replays bit-identically.
 func NewInjectedSession(w *World, inj *faultinject.Injector) *Session {
 	clientEnd, proxyOuter := secchan.NewMemPipe()
-	proxyInner, monEnd := secchan.NewMemPipe()
 	var clientTr secchan.Transport = clientEnd
 	var outer secchan.Transport = proxyOuter
 	if inj != nil {
@@ -180,7 +179,20 @@ func NewInjectedSession(w *World, inj *faultinject.Injector) *Session {
 		// directions pass through the fault schedule.
 		clientTr = inj.Wrap(clientEnd)
 		outer = inj.Wrap(proxyOuter)
+		if inj.Rec == nil {
+			inj.Rec = w.Rec
+		}
 	}
+	s := newSession(w, clientTr, outer)
+	s.Inj = inj
+	return s
+}
+
+// newSession wires a client on clientTr to the world's monitor through a
+// proxy whose outer hop is outer and whose inner hop is an in-memory pipe
+// to the monitor.
+func newSession(w *World, clientTr, outer secchan.Transport) *Session {
+	proxyInner, monEnd := secchan.NewMemPipe()
 	// The registry makes per-lane relay throughput (forwarded/dropped/
 	// denied frame counts) observable without tracing.
 	pr := &secchan.Proxy{Outer: outer, Inner: proxyInner, Met: w.Met}
@@ -188,10 +200,7 @@ func NewInjectedSession(w *World, inj *faultinject.Injector) *Session {
 	cl.Rec = w.Rec
 	cl.Attr = w.Attr
 	cl.Rand = w.Entropy
-	if inj != nil && inj.Rec == nil {
-		inj.Rec = w.Rec
-	}
-	return &Session{Client: cl, Proxy: pr, MonTr: monEnd, W: w, Inj: inj}
+	return &Session{Client: cl, Proxy: pr, MonTr: monEnd, W: w}
 }
 
 // Pump relays pending frames both ways n times.

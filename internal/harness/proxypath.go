@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"github.com/asterisc-release/erebor-go/internal/kernel"
 	"github.com/asterisc-release/erebor-go/internal/secchan"
 )
 
@@ -32,46 +33,9 @@ func (h *hostNIC) Recv() ([]byte, error) {
 	return f, nil
 }
 
-// NetSession wires a client to the monitor through the complete network
-// stack: host NIC <-> kernel proxy (GHCI vmcalls) <-> monitor transport.
-type NetSession struct {
-	Client *Client
-	w      *World
-	// monIn/monOut are the monitor-side queues the proxy feeds.
-	monSide   *secchan.MemPipe
-	proxySide *secchan.MemPipe
-}
-
-// NewNetSession builds the full-stack session plumbing.
-func NewNetSession(w *World) *NetSession {
-	proxySide, monSide := secchan.NewMemPipe()
-	cl := NewClient(&hostNIC{w}, w.QK.Public(), w.expectedMRTD)
-	return &NetSession{Client: cl, w: w, monSide: monSide, proxySide: proxySide}
-}
-
-// MonTransport is handed to AcceptSession.
-func (s *NetSession) MonTransport() secchan.Transport { return s.monSide }
-
-// PumpProxy runs the untrusted proxy program once: move any NIC frame to
-// the monitor and any monitor frame to the NIC. Under Erebor every NIC
-// interaction is an EMC-delegated vmcall.
-func (s *NetSession) PumpProxy(rounds int) error {
-	for i := 0; i < rounds; i++ {
-		in, err := s.w.K.NetRecv()
-		if err != nil {
-			return err
-		}
-		if in != nil {
-			if err := s.proxySide.Send(in); err != nil {
-				return err
-			}
-		}
-		out, err := s.proxySide.Recv()
-		if err == nil {
-			if err := s.w.K.NetSend(out); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
+// NewNetSession builds a session over the full Fig 7 path: the client
+// talks to the host NIC, and the session's proxy relays between the NIC,
+// reached through the kernel's GHCI networking, and the monitor.
+func NewNetSession(w *World) *Session {
+	return newSession(w, &hostNIC{w}, &kernel.NetTransport{K: w.K})
 }

@@ -472,8 +472,9 @@ func TestC7WriteToSealedCommonKillsSandbox(t *testing.T) {
 // TestSandboxIoctlRefusals: a LibOS declares confined memory and attaches
 // common regions only through the /dev/erebor ioctl, so every refusal the
 // monitor makes there reaches it as the errno the ABI names. A sandboxed
-// task with no LibOS issues the raw calls; each must return its expected
-// value, and no refused call may take a CMA frame.
+// task with no LibOS, holding its row's page budget, issues the raw calls;
+// each must return its expected value, and no refused call may take a CMA
+// frame.
 func TestSandboxIoctlRefusals(t *testing.T) {
 	// ioctlStep is one raw /dev/erebor call the task makes, and the value
 	// the call must return.
@@ -482,6 +483,8 @@ func TestSandboxIoctlRefusals(t *testing.T) {
 		want uint64
 	}
 	const budget = 4
+	// pool is the CMA pool of a 64 MB world: a quarter of its frames.
+	const pool = 64 << 20 / mem.PageSize / 4
 	const page = paging.Addr(mem.PageSize)
 	payload := libos.ConfinedBase
 	input := []byte("client data")
@@ -513,30 +516,40 @@ func TestSandboxIoctlRefusals(t *testing.T) {
 	}
 	enomem, einval, eperm := abi.Errno(abi.ENOMEMNo), abi.Errno(abi.EINVALNo), abi.Errno(abi.EPERMNo)
 	cases := []struct {
-		name  string
-		steps []ioctlStep
+		name   string
+		budget uint64
+		steps  []ioctlStep
 	}{
-		{"declare within budget", []ioctlStep{{declare(payload, budget), 0}}},
-		{"declare over budget", []ioctlStep{
+		{"declare within budget", budget, []ioctlStep{{declare(payload, budget), 0}}},
+		{"declare over budget", budget, []ioctlStep{
 			{declare(payload, budget-1), 0},
 			{declare(payload+(budget-1)*page, 2), enomem},
 		}},
-		{"declare a wrapping page count", []ioctlStep{
+		{"declare a wrapping page count", budget, []ioctlStep{
 			{declare(payload, 1), 0},
 			{declare(payload+page, ^uint64(0)), enomem},
 		}},
-		{"declare a page twice", []ioctlStep{
+		{"declare a page twice", budget, []ioctlStep{
 			{declare(payload, 2), 0},
 			{declare(payload+page, 1), enomem},
 		}},
-		{"declare in the kernel half", []ioctlStep{{declare(monitor.DirectMapBase, 1), enomem}}},
-		{"attach an unknown region id", []ioctlStep{{attach(libos.CommonBase, "missing", false), einval}}},
-		{"overlapping attach", []ioctlStep{
+		{"declare in the kernel half", budget, []ioctlStep{{declare(monitor.DirectMapBase, 1), enomem}}},
+		{"declare more than the CMA pool holds", 1 << 20, []ioctlStep{{declare(payload, pool+4), enomem}}},
+		{"declare over an attachment", budget, []ioctlStep{
+			{attach(libos.CommonBase, "a", false), 0},
+			{declare(libos.CommonBase+page, 1), enomem},
+		}},
+		{"attach an unknown region id", budget, []ioctlStep{{attach(libos.CommonBase, "missing", false), einval}}},
+		{"overlapping attach", budget, []ioctlStep{
 			{attach(libos.CommonBase, "a", false), 0},
 			{attach(libos.CommonBase+page, "b", false), eperm},
 		}},
-		{"attach in the kernel half", []ioctlStep{{attach(monitor.DirectMapBase, "a", false), eperm}}},
-		{"writable attach after a data install sealed the region", []ioctlStep{
+		{"attach over declared pages", budget, []ioctlStep{
+			{declare(payload, 2), 0},
+			{attach(payload+page, "a", false), eperm},
+		}},
+		{"attach in the kernel half", budget, []ioctlStep{{attach(monitor.DirectMapBase, "a", false), eperm}}},
+		{"writable attach after a data install sealed the region", budget, []ioctlStep{
 			{declare(payload, 1), 0},
 			{attach(libos.CommonBase, "a", false), 0},
 			{install, uint64(len(input))},
@@ -554,7 +567,7 @@ func TestSandboxIoctlRefusals(t *testing.T) {
 			cma, _ := w.Phys.RegionByName(monitor.RegionCMA)
 			var rets []uint64
 			var taken []int // CMA frames each call took
-			_, id, err := w.K.SpawnSandboxed("ioctl", mem.OwnerTaskBase+4, budget, func(e *kernel.Env) {
+			_, id, err := w.K.SpawnSandboxed("ioctl", mem.OwnerTaskBase+4, tc.budget, func(e *kernel.Env) {
 				for _, st := range tc.steps {
 					free := cma.Free()
 					rets = append(rets, st.call(e))

@@ -47,40 +47,6 @@ func (mon *Monitor) Audit() []audit.Violation {
 
 	phys := mon.M.Phys
 
-	// I1/I2: key assignments in the direct map.
-	for f := range mon.ptps {
-		e, _, reason := mon.kernelTables.Lookup(DirectMapAddr(f))
-		if reason != paging.FaultNone {
-			report(audit.PTPUnmapped, f, "unmapped in direct map")
-			continue
-		}
-		if e.Key() != KeyPTP {
-			report(audit.PTPMiskeyed, f, "keyed %d, want %d", e.Key(), KeyPTP)
-		}
-	}
-	for f := range mon.monitorFrames {
-		if mon.ptps[f] {
-			continue
-		}
-		e, _, reason := mon.kernelTables.Lookup(DirectMapAddr(f))
-		if reason != paging.FaultNone {
-			report(audit.MonitorFrameUnmapped, f, "unmapped in direct map")
-			continue
-		}
-		if e.Key() != KeyMonitor {
-			report(audit.MonitorFrameMiskeyed, f, "keyed %d, want %d", e.Key(), KeyMonitor)
-		}
-	}
-
-	// I3: kernel text never writable through the direct map, and the
-	// kernel-half of the shared tables is W^X.
-	for f := range mon.kernelText {
-		e, _, reason := mon.kernelTables.Lookup(DirectMapAddr(f))
-		if reason == paging.FaultNone && e.Is(paging.Writable) {
-			report(audit.KernelTextWritable, f, "writable via direct map")
-		}
-	}
-
 	// Per-frame mapping census across all registered address spaces.
 	type mapping struct {
 		asid ASID
@@ -98,40 +64,113 @@ func (mon *Monitor) Audit() []audit.Violation {
 		}
 	}
 
-	// I4: confined single-mapping, pinning, privacy.
-	for f, owner := range mon.confinedOwner {
-		meta, err := phys.Meta(f)
-		if err != nil {
-			report(audit.ConfinedMetaMissing, f, "%v", err)
+	// I9's sharers: a live fork holds exactly one reference per page its
+	// records still mark CoW; the template itself holds a baseline of 1 per
+	// frame.
+	sharers := make(map[mem.Frame]map[ASID]bool)
+	for _, sb := range mon.sandboxes {
+		if sb.destroyed || sb.template == 0 {
 			continue
 		}
-		if !meta.Pinned {
-			report(audit.ConfinedUnpinned, f, "not pinned")
-		}
-		if meta.Shared {
-			report(audit.ConfinedShared, f, "is CVM-shared")
-		}
-		maps := userMaps[f]
-		if len(maps) > 1 {
-			report(audit.ConfinedMultiMapped, f, "mapped %d times", len(maps))
-		}
-		sb := mon.sandboxes[owner]
-		for _, m := range maps {
-			if sb == nil || m.asid != sb.asid {
-				report(audit.ConfinedForeignMapping, f, "mapped outside sandbox %d's address space (AS %d)", owner, m.asid)
+		for _, p := range sb.pages {
+			if !p.cow {
+				continue
 			}
+			if sharers[p.frame] == nil {
+				sharers[p.frame] = make(map[ASID]bool)
+			}
+			sharers[p.frame][sb.asid] = true
 		}
 	}
 
-	// I5: sealed common regions are read-only everywhere.
-	for name, cr := range mon.commons {
-		if !cr.sealed {
-			continue
-		}
-		for _, f := range cr.frames {
+	// Every invariant but I6 and I8 is a rule for frames of one role, so
+	// one pass over the frame index checks them.
+	for f, r := range mon.roles {
+		switch r.kind {
+		case rolePTP: // I1: keyed KeyPTP in the direct map. I7: not user-mapped.
+			e, _, reason := mon.kernelTables.Lookup(DirectMapAddr(f))
+			if reason != paging.FaultNone {
+				report(audit.PTPUnmapped, f, "unmapped in direct map")
+			} else if e.Key() != KeyPTP {
+				report(audit.PTPMiskeyed, f, "keyed %d, want %d", e.Key(), KeyPTP)
+			}
+			if len(userMaps[f]) > 0 {
+				report(audit.PTPUserMapped, f, "mapped into user space")
+			}
+
+		case roleMonitor: // I2: keyed KeyMonitor in the direct map. I7: not user-mapped.
+			e, _, reason := mon.kernelTables.Lookup(DirectMapAddr(f))
+			if reason != paging.FaultNone {
+				report(audit.MonitorFrameUnmapped, f, "unmapped in direct map")
+			} else if e.Key() != KeyMonitor {
+				report(audit.MonitorFrameMiskeyed, f, "keyed %d, want %d", e.Key(), KeyMonitor)
+			}
+			if len(userMaps[f]) > 0 {
+				report(audit.MonitorFrameUserMapped, f, "mapped into user space")
+			}
+
+		case roleKernelText: // I3: never writable through the direct map.
+			e, _, reason := mon.kernelTables.Lookup(DirectMapAddr(f))
+			if reason == paging.FaultNone && e.Is(paging.Writable) {
+				report(audit.KernelTextWritable, f, "writable via direct map")
+			}
+
+		case roleConfined: // I4: single-mapping, pinning, privacy.
+			meta, err := phys.Meta(f)
+			if err != nil {
+				report(audit.ConfinedMetaMissing, f, "%v", err)
+				continue
+			}
+			if !meta.Pinned {
+				report(audit.ConfinedUnpinned, f, "not pinned")
+			}
+			if meta.Shared {
+				report(audit.ConfinedShared, f, "is CVM-shared")
+			}
+			maps := userMaps[f]
+			if len(maps) > 1 {
+				report(audit.ConfinedMultiMapped, f, "mapped %d times", len(maps))
+			}
+			sb := mon.sandboxes[r.sb]
+			for _, m := range maps {
+				if sb == nil || m.asid != sb.asid {
+					report(audit.ConfinedForeignMapping, f, "mapped outside sandbox %d's address space (AS %d)", r.sb, m.asid)
+				}
+			}
+
+		case roleCommon: // I5: a sealed region is read-only everywhere.
+			if !r.cr.sealed {
+				continue
+			}
 			for _, m := range userMaps[f] {
 				if m.pte.Is(paging.Writable) {
-					report(audit.SealedWritable, f, "sealed region %q writable at %#x in AS %d", name, m.va, m.asid)
+					report(audit.SealedWritable, f, "sealed region %q writable at %#x in AS %d", r.cr.name, m.va, m.asid)
+				}
+			}
+
+		case roleTemplate: // I9: copy-on-write refcount conservation.
+			// A ref nobody accounts for, a writable PTE on a shared frame or
+			// a mapping in a non-sharer's address space breaks the fork
+			// isolation argument.
+			refs, err := phys.RefCount(f)
+			if err != nil {
+				report(audit.CowRefcountMismatch, f, "template %d frame meta missing: %v", r.tmpl, err)
+				continue
+			}
+			want := uint32(1 + len(sharers[f]))
+			if refs != want {
+				report(audit.CowRefcountMismatch, f,
+					"template %d: refcount %d, want %d (baseline + %d live sharer(s))",
+					r.tmpl, refs, want, len(sharers[f]))
+			}
+			for _, m := range userMaps[f] {
+				if m.pte.Is(paging.Writable) {
+					report(audit.CowWritableShared, f,
+						"template %d frame writable at %#x in AS %d", r.tmpl, m.va, m.asid)
+				}
+				if !sharers[f][m.asid] {
+					report(audit.CowForeignMapping, f,
+						"template %d frame mapped at %#x in AS %d, which holds no share", r.tmpl, m.va, m.asid)
 				}
 			}
 		}
@@ -143,58 +182,6 @@ func (mon *Monitor) Audit() []audit.Violation {
 		meta, _ := phys.Meta(f)
 		if meta.Region != RegionSharedIO {
 			report(audit.SharedOutsideIO, f, "(%s, region %q) is CVM-shared", meta.Owner, meta.Region)
-		}
-	}
-
-	// I7: no monitor/PTP frame reachable from user space.
-	for f := range userMaps {
-		if mon.ptps[f] {
-			report(audit.PTPUserMapped, f, "mapped into user space")
-		}
-		if mon.monitorFrames[f] {
-			report(audit.MonitorFrameUserMapped, f, "mapped into user space")
-		}
-	}
-
-	// I9: copy-on-write refcount conservation. A live fork holds exactly one
-	// reference per page it still shares with its template; the template
-	// itself holds a baseline of 1 per frame. Anything else — a ref nobody
-	// accounts for, a writable PTE on a shared frame, a mapping in a
-	// non-sharer's address space — breaks the fork isolation argument.
-	sharers := make(map[mem.Frame]map[ASID]bool)
-	for _, sb := range mon.sandboxes {
-		if sb.destroyed || sb.template == 0 {
-			continue
-		}
-		for va := range sb.cowPages {
-			f := sb.confined[va]
-			if sharers[f] == nil {
-				sharers[f] = make(map[ASID]bool)
-			}
-			sharers[f][sb.asid] = true
-		}
-	}
-	for f, tid := range mon.templateFrames {
-		refs, err := phys.RefCount(f)
-		if err != nil {
-			report(audit.CowRefcountMismatch, f, "template %d frame meta missing: %v", tid, err)
-			continue
-		}
-		want := uint32(1 + len(sharers[f]))
-		if refs != want {
-			report(audit.CowRefcountMismatch, f,
-				"template %d: refcount %d, want %d (baseline + %d live sharer(s))",
-				tid, refs, want, len(sharers[f]))
-		}
-		for _, m := range userMaps[f] {
-			if m.pte.Is(paging.Writable) {
-				report(audit.CowWritableShared, f,
-					"template %d frame writable at %#x in AS %d", tid, m.va, m.asid)
-			}
-			if !sharers[f][m.asid] {
-				report(audit.CowForeignMapping, f,
-					"template %d frame mapped at %#x in AS %d, which holds no share", tid, m.va, m.asid)
-			}
 		}
 	}
 

@@ -1,6 +1,8 @@
 package monitor
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -30,7 +32,7 @@ type auditFuzzer struct {
 
 func (f *auditFuzzer) step(op uint8, t *testing.T) {
 	c := f.mon.M.Cores[0]
-	switch op % 9 {
+	switch op % 10 {
 	case 0: // new address space
 		if len(f.asids) >= 4 {
 			return
@@ -74,7 +76,7 @@ func (f *auditFuzzer) step(op uint8, t *testing.T) {
 		}
 		sb := f.sbs[int(op/8)%len(f.sbs)]
 		va := paging.Addr(0x2000_0000) + paging.Addr(int(op)*mem.PageSize*4)
-		_ = declareConfined(f.mon, c, sb, va, 2, op%2 == 0)
+		_ = declareConfined(f.mon, c, sb, va, 2, op/10%2 == 0)
 	case 4: // create + attach + seal a common region
 		name := string(rune('a' + f.common%20))
 		f.common++
@@ -83,7 +85,7 @@ func (f *auditFuzzer) step(op uint8, t *testing.T) {
 		}
 		if len(f.sbs) > 0 {
 			sb := f.sbs[int(op/8)%len(f.sbs)]
-			_ = attachCommon(f.mon, c, sb, name, paging.Addr(0x4000_0000)+paging.Addr(f.common)*0x10_0000, op%2 == 0)
+			_ = attachCommon(f.mon, c, sb, name, paging.Addr(0x4000_0000)+paging.Addr(f.common)*0x10_0000, op/10%2 == 0)
 			if op%3 == 0 {
 				f.mon.sealCommons(f.mon.M.Cores[0], f.mon.sandboxes[sb])
 			}
@@ -96,14 +98,14 @@ func (f *auditFuzzer) step(op uint8, t *testing.T) {
 		if f.vas[asid] > 0x10_0000 {
 			_ = f.mon.EMCUserMMU(c, asid, RingReq{Op: OpUnmap, VA: f.vas[asid] - mem.PageSize})
 		}
-	case 6: // fault in a sandbox page via the kernel path
+	case 6: // fault in a sandbox page via the kernel path; a write breaks a CoW share
 		if len(f.sbs) == 0 {
 			return
 		}
 		sb := f.sbs[int(op/8)%len(f.sbs)]
 		state := f.mon.sandboxes[sb]
-		for va := range state.confinedLeaf {
-			_ = f.mon.EMCMapSandboxFault(c, state.asid, va, false)
+		for va := range state.pages {
+			_ = f.mon.EMCMapSandboxFault(c, state.asid, va, op/10%2 == 0)
 			break
 		}
 	case 7: // end a sandbox session
@@ -126,7 +128,58 @@ func (f *auditFuzzer) step(op uint8, t *testing.T) {
 		if err := f.mon.EMCMapGPA(c, fr, !meta.Shared); err != nil {
 			t.Fatalf("map-gpa on shared-io frame %d: %v", fr, err)
 		}
+	case 9: // snapshot a cold sandbox, or fork the newest template into a free AS
+		if op/10%2 == 0 {
+			for i, id := range f.sbs {
+				if f.mon.sandboxes[id].template == 0 {
+					if _, err := f.mon.EMCSnapshotSandbox(c, id, "fuzz"); err == nil {
+						f.sbs = slices.Delete(f.sbs, i, i+1)
+					}
+					return
+				}
+			}
+			return
+		}
+		for _, asid := range f.asids {
+			if f.mon.sandboxByAS(asid) == nil {
+				if id, err := f.mon.EMCForkSandbox(c, asid, f.mon.nextTemplateID); err == nil {
+					f.sbs = append(f.sbs, id)
+				}
+				return
+			}
+		}
 	}
+}
+
+// recordsDisagree reports the first place the frame index and the page
+// records disagree: every page of a live sandbox maps a frame confined to
+// it, or, while CoW, a frame of its template; and every confined frame is
+// held by a page of the sandbox it is confined to. It returns nil when
+// they agree.
+func recordsDisagree(mon *Monitor) error {
+	held := make(map[SandboxID]map[mem.Frame]bool)
+	for id, sb := range mon.sandboxes {
+		held[id] = make(map[mem.Frame]bool)
+		for va, p := range sb.pages {
+			held[id][p.frame] = true
+			if sb.destroyed {
+				continue
+			}
+			want := frameRole{kind: roleConfined, sb: id}
+			if p.cow {
+				want = frameRole{kind: roleTemplate, tmpl: sb.template}
+			}
+			if got := mon.roles[p.frame]; got != want {
+				return fmt.Errorf("sandbox %d page %#x: frame %d has role %+v, want %+v", id, va, p.frame, got, want)
+			}
+		}
+	}
+	for f, r := range mon.roles {
+		if r.kind == roleConfined && !held[r.sb][f] {
+			return fmt.Errorf("frame %d is confined to sandbox %d, whose pages do not hold it", f, r.sb)
+		}
+	}
+	return nil
 }
 
 // confinedSandbox boots a monitor with one sandbox holding a faulted-in
@@ -147,15 +200,15 @@ func confinedSandbox(t testing.TB) (*Monitor, SandboxID, mem.Frame) {
 		t.Fatal(err)
 	}
 	state := mon.sandboxes[sb]
-	for va := range state.confinedLeaf {
+	for va := range state.pages {
 		if err := mon.EMCMapSandboxFault(c, state.asid, va, true); err != nil {
 			t.Fatal(err)
 		}
 	}
 	var frame mem.Frame
 	found := false
-	for f, owner := range mon.confinedOwner {
-		if owner == sb {
+	for f, r := range mon.roles {
+		if r.kind == roleConfined && r.sb == sb {
 			frame, found = f, true
 			break
 		}
@@ -238,9 +291,11 @@ func TestAuditTypedViolationCodes(t *testing.T) {
 			t.Fatal(err)
 		}
 		var ptp mem.Frame
-		for f := range mon.ptps {
-			ptp = f
-			break
+		for f, r := range mon.roles {
+			if r.kind == rolePTP {
+				ptp = f
+				break
+			}
 		}
 		as2 := mon.addrSpaces[asid2]
 		va := paging.Addr(0x3100_0000)
@@ -292,6 +347,10 @@ func TestAuditPropertyUnderRandomOps(t *testing.T) {
 			t.Logf("violations after %d steps: %v", steps, v)
 			return false
 		}
+		if err := recordsDisagree(mon); err != nil {
+			t.Logf("after %d steps: %v", steps, err)
+			return false
+		}
 		return true
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 400}); err != nil {
@@ -302,6 +361,9 @@ func TestAuditPropertyUnderRandomOps(t *testing.T) {
 	}
 	if sharedAudits == 0 {
 		t.Fatal("no audit saw a CVM-shared frame: I6 never ran over a non-empty index")
+	}
+	if mon.Stats.SandboxForks == 0 {
+		t.Fatal("no fork ran: no check saw a CoW page")
 	}
 }
 

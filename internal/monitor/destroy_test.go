@@ -24,7 +24,7 @@ func TestDestroyASReleasesEverything(t *testing.T) {
 	}
 	monPool, _ := mon.M.Phys.RegionByName(RegionMonitor)
 	cmaPool, _ := mon.M.Phys.RegionByName(RegionCMA)
-	ptps, monFree, cmaFree := len(mon.ptps), monPool.Free(), cmaPool.Free()
+	ptps, monFree, cmaFree := roleCount(mon, rolePTP), monPool.Free(), cmaPool.Free()
 	var sent uint64
 
 	for i := 0; i < 24; i++ {
@@ -82,13 +82,13 @@ func TestDestroyASReleasesEverything(t *testing.T) {
 				t.Fatalf("cycle %d: sandbox %d still registered after destroy", i, id)
 			}
 		}
-		if len(mon.sandboxes) != 0 || len(mon.confinedOwner) != 0 {
+		if len(mon.sandboxes) != 0 || roleCount(mon, roleConfined) != 0 {
 			t.Fatalf("cycle %d: %d sandbox records, %d confined frames left",
-				i, len(mon.sandboxes), len(mon.confinedOwner))
+				i, len(mon.sandboxes), roleCount(mon, roleConfined))
 		}
-		if len(mon.ptps) != ptps || monPool.Free() != monFree || cmaPool.Free() != cmaFree {
+		if roleCount(mon, rolePTP) != ptps || monPool.Free() != monFree || cmaPool.Free() != cmaFree {
 			t.Fatalf("cycle %d: ptps %d (want %d), monitor pool free %d (want %d), CMA free %d (want %d)",
-				i, len(mon.ptps), ptps, monPool.Free(), monFree, cmaPool.Free(), cmaFree)
+				i, roleCount(mon, rolePTP), ptps, monPool.Free(), monFree, cmaPool.Free(), cmaFree)
 		}
 		if n := len(mon.commons["model"].attached); n != 0 {
 			t.Fatalf("cycle %d: %d common attachments outlive their sandboxes", i, n)

@@ -218,36 +218,37 @@ func (mon *Monitor) emulateCPUID(c *cpu.Core, sb *sbState) {
 	c.Regs.GPR[cpu.RDX] = vals[3]
 }
 
-// sandboxFault handles a #PF taken inside a sandbox. Faults on attached
-// common regions are legitimate demand paging: the monitor interposes
-// (saving and masking the sandbox's register state) and forwards the fault
-// *metadata* to the kernel's memory manager, which requests the mapping
-// back through an EMC (EMCMapCommonFault) — the architecture of Fig 7.
-// Anything else after data install kills the sandbox.
+// sandboxFault handles a #PF taken inside a sandbox. Faults on declared
+// pages and attached common regions are legitimate demand paging: the
+// monitor interposes (saving and masking the sandbox's register state) and
+// forwards the fault *metadata* to the kernel's memory manager, which
+// requests the mapping back through an EMC (EMCMapSandboxFault) — the
+// architecture of Fig 7. A write to a read-only attachment, and anything
+// else after data install, kills the sandbox.
 func (mon *Monitor) sandboxFault(c *cpu.Core, t *cpu.Trap, sb *sbState) {
 	va := paging.PageBase(t.Fault.Addr)
-	_, confined := sb.confined[va]
-	cr, at, _ := mon.commonFaultFor(sb, va)
-	if confined || cr != nil {
-		if cr != nil && t.Fault.Kind == paging.Write && (cr.sealed || !at.writable) {
+	if _, declared := sb.pages[va]; !declared {
+		cr, at, _ := mon.commonFaultFor(sb, va)
+		switch {
+		case cr == nil && sb.dataInstalled:
+			mon.killSandbox(sb, fmt.Sprintf("page fault at %#x outside declared sandbox memory", t.Fault.Addr))
+			return
+		case cr == nil:
+			mon.forwardToKernel(c, t)
+			return
+		case t.Fault.Kind == paging.Write && (cr.sealed || !at.writable):
 			mon.killSandbox(sb, fmt.Sprintf("write to sealed common region %q", cr.name))
 			return
 		}
-		sb.Faults++
-		mon.M.Clock.Charge(costs.SandboxExitInterpose)
-		sb.savedRegs = c.Regs
-		sb.regsSaved = true
-		c.Regs.Scrub()
-		mon.forwardToKernel(c, t)
-		c.Regs = sb.savedRegs
-		sb.regsSaved = false
-		return
 	}
-	if sb.dataInstalled {
-		mon.killSandbox(sb, fmt.Sprintf("page fault at %#x outside declared sandbox memory", t.Fault.Addr))
-		return
-	}
+	sb.Faults++
+	mon.M.Clock.Charge(costs.SandboxExitInterpose)
+	sb.savedRegs = c.Regs
+	sb.regsSaved = true
+	c.Regs.Scrub()
 	mon.forwardToKernel(c, t)
+	c.Regs = sb.savedRegs
+	sb.regsSaved = false
 }
 
 // EMCMapSandboxFault installs the mapping for a faulting declared sandbox
@@ -265,17 +266,20 @@ func (mon *Monitor) EMCMapSandboxFault(c *cpu.Core, asid ASID, va paging.Addr, w
 			return denied("map-sandbox-fault", "no live sandbox on address space %d", asid)
 		}
 		va = paging.PageBase(va)
-		leaf, confined := sb.confinedLeaf[va]
-		if confined && write && leaf.Is(paging.CoW) {
-			// Write fault on a CoW-shared page: copy, re-own and re-key the
-			// page before any byte of the write lands (the I4 single-mapping
-			// invariant is re-established here, ahead of client data).
-			if err := mon.cowBreakLocked(sb, va); err != nil {
-				return err
+		var leaf paging.PTE
+		if p, declared := sb.pages[va]; declared {
+			if write && p.cow {
+				// Write fault on a CoW-shared page: copy, re-own and re-key
+				// the page before any byte of the write lands (the I4
+				// single-mapping invariant is re-established here, ahead of
+				// client data).
+				var err error
+				if p, err = mon.cowBreakLocked(sb, va, p); err != nil {
+					return err
+				}
 			}
-			leaf = sb.confinedLeaf[va]
-		}
-		if !confined {
+			leaf = p.leaf()
+		} else {
 			cr, at, idx := mon.commonFaultFor(sb, va)
 			if cr == nil {
 				return denied("map-sandbox-fault", "va %#x not declared sandbox memory", va)
@@ -342,15 +346,16 @@ func (mon *Monitor) handleSandboxIoctl(c *cpu.Core, sb *sbState) {
 }
 
 // declareConfinedLocked is the declare ioctl's body: it reserves, zeroes
-// and pins CMA frames for the range and records the PTE templates. PTEs
-// are installed lazily on first touch — which is why Erebor's confined
-// memory shows up as page-fault traffic in Table 6 even though the frames
-// are committed up front. A page outside the user half, or already
-// declared, is refused before any frame is taken. The kernel half's table
-// pages are shared by every address space, so a confined leaf there would
-// map the frame into all of them. A second frame for a declared page would
-// replace the first in sb.confined while the installed leaf still maps the
-// first, which then outlives the session, pinned.
+// and pins CMA frames for the range and records a page for each. PTEs are
+// installed lazily on first touch — which is why Erebor's confined memory
+// shows up as page-fault traffic in Table 6 even though the frames are
+// committed up front. A page outside the user half, already declared or
+// inside an attachment, and a range the CMA pool cannot cover, are refused
+// before any frame is taken. The kernel half's table pages are shared by
+// every address space, so a confined leaf there would map the frame into
+// all of them. A second frame for a declared page would replace the first
+// in sb.pages while the installed leaf still maps the first, which then
+// outlives the session, pinned.
 func (mon *Monitor) declareConfinedLocked(sb *sbState, va paging.Addr, npages uint64, exec bool) error {
 	if sb.dataInstalled {
 		return denied("declare-confined", "sandbox %d already holds client data", sb.id)
@@ -360,6 +365,9 @@ func (mon *Monitor) declareConfinedLocked(sb *sbState, va paging.Addr, npages ui
 	if npages > sb.budgetPages-sb.usedPages {
 		return denied("declare-confined", "budget exceeded (%d+%d > %d pages)", sb.usedPages, npages, sb.budgetPages)
 	}
+	if cma, _ := mon.M.Phys.RegionByName(RegionCMA); uint64(cma.Free()) < npages {
+		return denied("declare-confined", "CMA pool holds %d free frames, %d requested", cma.Free(), npages)
+	}
 	for p := uint64(0); p < npages; p++ {
 		// A range that wraps past the top of the address space reaches
 		// page 0 first, below UserBase.
@@ -367,9 +375,13 @@ func (mon *Monitor) declareConfinedLocked(sb *sbState, va paging.Addr, npages ui
 		if pva < UserBase || pva >= UserTop {
 			return denied("declare-confined", "page %#x outside the user half", pva)
 		}
-		if _, ok := sb.confined[pva]; ok {
+		if _, ok := sb.pages[pva]; ok {
 			return denied("declare-confined", "page %#x already declared", pva)
 		}
+	}
+	end := va + paging.Addr(npages*mem.PageSize)
+	if npages > 0 && mon.overlapsAttachment(sb, va, end) {
+		return denied("declare-confined", "range [%#x, %#x) overlaps an attachment sandbox %d holds", va, end, sb.id)
 	}
 	for p := uint64(0); p < npages; p++ {
 		f, err := mon.M.Phys.AllocRegion(RegionCMA, sb.owner)
@@ -382,10 +394,8 @@ func (mon *Monitor) declareConfinedLocked(sb *sbState, va paging.Addr, npages ui
 		if err := mon.M.Phys.SetPinned(f, true); err != nil {
 			return err
 		}
-		mon.confinedOwner[f] = sb.id
-		pva := va + paging.Addr(p*mem.PageSize)
-		sb.confined[pva] = f
-		sb.confinedLeaf[pva] = paging.UserLeaf(f, true, exec)
+		mon.roles[f] = frameRole{kind: roleConfined, sb: sb.id}
+		sb.pages[va+paging.Addr(p*mem.PageSize)] = sbPage{frame: f, exec: exec}
 		sb.confinedFrames = append(sb.confinedFrames, f)
 		mon.M.Clock.Charge(costs.PageZero + 40)
 	}

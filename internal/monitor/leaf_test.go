@@ -169,7 +169,7 @@ func TestSessionEndFreesFramesInVAOrder(t *testing.T) {
 		if err := mon.writeSandbox(sb, base, make([]byte, npages*mem.PageSize)); err != nil {
 			t.Fatal(err)
 		}
-		last := sb.confined[base+(npages-1)*mem.PageSize]
+		last := sb.pages[base+(npages-1)*mem.PageSize].frame
 		if err := mon.EMCSandboxEnd(mon.M.Cores[0], sb.id); err != nil {
 			t.Fatal(err)
 		}
@@ -253,7 +253,7 @@ func TestConfinedFrameMapsOnlyAtItsDeclaredVA(t *testing.T) {
 	if err := mon.writeSandbox(sb, base, []byte("confined")); err != nil {
 		t.Fatal(err)
 	}
-	f := sb.confined[base]
+	f := sb.pages[base].frame
 	err := mon.EMCUserMMU(c, sb.asid, RingReq{Op: OpMap, VA: alias, Frame: f, Flags: MapFlags{Writable: true}})
 	if err == nil || !strings.Contains(err.Error(), "single-mapping policy") {
 		t.Fatalf("second map of confined frame %d: %v, want a single-mapping denial", f, err)

@@ -100,7 +100,7 @@ func (mon *Monitor) EMCDestroyAS(c *cpu.Core, asid ASID) error {
 		// The user half of the tables is this address space's own; root
 		// slots 256-511 alias the shared kernel tables and stay.
 		err := as.tables.Release(256, func(f mem.Frame) {
-			if !mon.ptps[f] {
+			if mon.roles[f].kind != rolePTP {
 				mon.recordViolation("destroy-as %d: table page %d is not a registered PTP", asid, f)
 				return
 			}
@@ -136,6 +136,7 @@ func (mon *Monitor) EMCSwitchAS(c *cpu.Core, asid ASID) error {
 }
 
 // userFramePolicy validates mapping frame f at page va of address space as.
+// The frame's one entry in the frame index decides which rule applies.
 func (mon *Monitor) userFramePolicy(op string, as *asState, va paging.Addr, f mem.Frame, flags *MapFlags) error {
 	meta, err := mon.M.Phys.Meta(f)
 	if err != nil {
@@ -144,54 +145,51 @@ func (mon *Monitor) userFramePolicy(op string, as *asState, va paging.Addr, f me
 	if !meta.Allocated {
 		return denied(op, "frame %d not allocated", f)
 	}
-	if mon.ptps[f] {
+	r := mon.roles[f]
+	if r.kind == rolePTP {
 		return denied(op, "frame %d is a page-table page", f)
 	}
-	if mon.monitorFrames[f] || meta.Region == RegionMonitor {
+	if r.kind == roleMonitor || meta.Region == RegionMonitor {
 		return denied(op, "frame %d belongs to the monitor", f)
 	}
-	if mon.kernelText[f] {
+	switch r.kind {
+	case roleKernelText:
 		return denied(op, "frame %d holds kernel text", f)
-	}
-	if owner, confined := mon.confinedOwner[f]; confined {
+	case roleConfined:
 		sb := mon.sandboxByAS(as.id)
-		if sb == nil || sb.id != owner {
-			return denied(op, "frame %d is confined to sandbox %d (single-mapping policy)", f, owner)
+		if sb == nil || sb.id != r.sb {
+			return denied(op, "frame %d is confined to sandbox %d (single-mapping policy)", f, r.sb)
 		}
 		// A second leaf of the frame would outlive the session: its end
 		// clears only the declared VA before the frame is freed.
-		if declared, ok := sb.confined[va]; !ok || declared != f {
+		if p, ok := sb.pages[va]; !ok || p.frame != f {
 			return denied(op, "frame %d is confined and not declared at %#x (single-mapping policy)", f, va)
 		}
-		return nil
-	}
-	if tid, shared := mon.templateFrames[f]; shared {
+	case roleTemplate:
 		// CoW template frames are shared read-only across forks; a writable
 		// mapping anywhere would let one tenant edit every sibling's image.
 		// This denial covers every mapping path — EMCUserMMU, one request
 		// or a batch, and the async submission ring all validate here.
 		if flags.Writable {
-			return denied(op, "frame %d is a copy-on-write template frame (template %d); writable mapping refused", f, tid)
+			return denied(op, "frame %d is a copy-on-write template frame (template %d); writable mapping refused", f, r.tmpl)
 		}
 		sb := mon.sandboxByAS(as.id)
-		if sb == nil || sb.template != tid {
-			return denied(op, "frame %d belongs to snapshot template %d not forked into this address space", f, tid)
+		if sb == nil || sb.template != r.tmpl {
+			return denied(op, "frame %d belongs to snapshot template %d not forked into this address space", f, r.tmpl)
 		}
-		return nil
-	}
-	if cr := mon.commonOf(f); cr != nil {
+	case roleCommon:
 		sb := mon.sandboxByAS(as.id)
-		if sb == nil || !sb.commons[cr.name] {
-			return denied(op, "frame %d belongs to common region %q not attached to this address space", f, cr.name)
+		if sb == nil || !sb.commons[r.cr.name] {
+			return denied(op, "frame %d belongs to common region %q not attached to this address space", f, r.cr.name)
 		}
-		if cr.sealed && flags.Writable {
-			return denied(op, "common region %q is sealed read-only", cr.name)
+		if r.cr.sealed && flags.Writable {
+			return denied(op, "common region %q is sealed read-only", r.cr.name)
 		}
-		return nil
-	}
-	// Ordinary anonymous frame: must belong to the address space's owner.
-	if meta.Owner != as.owner {
-		return denied(op, "frame %d owned by %s, address space owned by %s", f, meta.Owner, as.owner)
+	default:
+		// Ordinary anonymous frame: must belong to the address space's owner.
+		if meta.Owner != as.owner {
+			return denied(op, "frame %d owned by %s, address space owned by %s", f, meta.Owner, as.owner)
+		}
 	}
 	return nil
 }
@@ -354,7 +352,7 @@ func (mon *Monitor) mmuValidate(tx *mmuTxn, as *asState, reqs []RingReq, name fu
 			if meta.Pinned {
 				return nil, denied(op, "frame %d is pinned (confined memory)", f)
 			}
-			if mon.commonOf(f) == nil {
+			if mon.roles[f].kind != roleCommon {
 				return nil, denied(op, "frame %d is not common-region memory", f)
 			}
 		default:
@@ -574,14 +572,4 @@ func boolTo64(b bool) uint64 {
 		return 1
 	}
 	return 0
-}
-
-// commonOf returns the common region containing f, if any.
-func (mon *Monitor) commonOf(f mem.Frame) *commonRegion {
-	for _, cr := range mon.commons {
-		if _, ok := cr.frameSet[f]; ok {
-			return cr
-		}
-	}
-	return nil
 }

@@ -304,7 +304,7 @@ func TestMapUserBatchRollbackReleasesPTPs(t *testing.T) {
 		prefix := len(reqs) - 1
 		ptpFrames := 2*prefix + 1
 		drainMonitorPool(t, mon, ptpFrames)
-		pteBefore, ptpsBefore, framesBefore := mon.Stats.PTEWrites, len(mon.ptps), len(as.userFrames)
+		pteBefore, ptpsBefore, framesBefore := mon.Stats.PTEWrites, roleCount(mon, rolePTP), len(as.userFrames)
 
 		if err := ep.apply(t, mon, c, asid, reqs); err == nil {
 			t.Fatal("transaction committed despite page-table exhaustion")
@@ -319,7 +319,7 @@ func TestMapUserBatchRollbackReleasesPTPs(t *testing.T) {
 		}
 		// Every PTP the transaction allocated is deregistered and back in
 		// the pool: exactly that many region allocations succeed again.
-		if got := len(mon.ptps); got != ptpsBefore {
+		if got := roleCount(mon, rolePTP); got != ptpsBefore {
 			t.Fatalf("PTP registry grew across a failed transaction: %d -> %d", ptpsBefore, got)
 		}
 		for i := 0; i < ptpFrames; i++ {
@@ -355,20 +355,20 @@ func TestMMUTxnRollbackKeepsCommittedPTPs(t *testing.T) {
 		if err := mon.EMCUserMMU(c, asid, RingReq{Op: OpMap, VA: 0x10_0000, Frame: mustAlloc(t, mon, owner), Flags: MapFlags{Writable: true}}); err != nil {
 			t.Fatal(err)
 		}
-		ptps := len(mon.ptps)
+		ptps := roleCount(mon, rolePTP)
 		// A: commits a map that allocates a PD and a PT.
 		a := []RingReq{{Op: OpMap, VA: 0x4000_0000, Frame: mustAlloc(t, mon, owner), Flags: MapFlags{Writable: true}}}
 		if err := ep.apply(t, mon, c, asid, a); err != nil {
 			t.Fatal(err)
 		}
-		if got := len(mon.ptps); got != ptps+2 {
+		if got := roleCount(mon, rolePTP); got != ptps+2 {
 			t.Fatalf("map of 0x4000_0000 allocated %d PTPs, want 2", got-ptps)
 		}
 		// C: unmaps it. Both tables stay, and the PT is now empty.
 		if err := mon.EMCUserMMU(c, asid, RingReq{Op: OpUnmap, VA: 0x4000_0000}); err != nil {
 			t.Fatal(err)
 		}
-		ptps = len(mon.ptps)
+		ptps = roleCount(mon, rolePTP)
 		if _, leaf, fault := as.tables.Walk(0x4000_0000); fault == nil || leaf == 0 {
 			t.Fatalf("after unmap: walk of 0x4000_0000 = leaf %#x, fault %v; want an empty leaf table", leaf, fault)
 		}
@@ -382,7 +382,7 @@ func TestMMUTxnRollbackKeepsCommittedPTPs(t *testing.T) {
 		if err := ep.apply(t, mon, c, asid, b); err == nil {
 			t.Fatal("transaction committed despite page-table exhaustion")
 		}
-		if got := len(mon.ptps); got != ptps {
+		if got := roleCount(mon, rolePTP); got != ptps {
 			t.Fatalf("PTP registry %d -> %d across B's rollback", ptps, got)
 		}
 		if _, leaf, _ := as.tables.Walk(0x4000_1000); leaf == 0 {

@@ -104,6 +104,28 @@ type asState struct {
 	userFrames map[paging.Addr]mem.Frame
 }
 
+// roleKind is what a frame is to the monitor.
+type roleKind uint8
+
+const (
+	roleNone       roleKind = iota // ordinary memory (no index entry)
+	rolePTP                        // a page-table page
+	roleMonitor                    // monitor image or secure stack
+	roleKernelText                 // kernel or module text (W^X)
+	roleConfined                   // confined memory of one sandbox (§6.1)
+	roleTemplate                   // a snapshot template's CoW-shared frame
+	roleCommon                     // a page of a common region
+)
+
+// frameRole is one entry of the frame index: the frame's kind and, for a
+// confined, template or common frame, the record it belongs to.
+type frameRole struct {
+	kind roleKind
+	sb   SandboxID     // roleConfined: the one sandbox that may map it
+	tmpl TemplateID    // roleTemplate
+	cr   *commonRegion // roleCommon
+}
+
 // Monitor is the Erebor security monitor.
 type Monitor struct {
 	M   *cpu.Machine
@@ -116,9 +138,10 @@ type Monitor struct {
 	kernelTables *paging.Tables
 	dirmapReady  bool
 
-	ptps          map[mem.Frame]bool
-	monitorFrames map[mem.Frame]bool
-	kernelText    map[mem.Frame]bool // W^X bookkeeping
+	// roles is the frame index: the role of every frame the monitor keeps
+	// a record of. The mapping policy and the audit classify a frame by
+	// its one entry here; a frame without one is ordinary memory.
+	roles map[mem.Frame]frameRole
 
 	addrSpaces map[ASID]*asState
 	nextASID   ASID
@@ -131,15 +154,8 @@ type Monitor struct {
 
 	// templates is the snapshot registry: booted sandboxes frozen into
 	// immutable images that EMCForkSandbox instantiates copy-on-write.
-	// templateFrames indexes every shared template frame for the mapping
-	// policy and the I9 refcount audit.
 	templates      map[TemplateID]*sbTemplate
 	nextTemplateID TemplateID
-	templateFrames map[mem.Frame]TemplateID
-
-	// confinedOwner maps each confined frame to the single sandbox allowed
-	// to have it mapped (single-mapping policy, §6.1).
-	confinedOwner map[mem.Frame]SandboxID
 
 	// Kernel-registered callbacks (through EMC SetVector/SetSyscallEntry).
 	kernelVectors [256]cpu.Handler
@@ -253,17 +269,13 @@ type Monitor struct {
 func Boot(m *cpu.Machine, module *tdx.Module, qk *attest.QuotingKey) (*Monitor, error) {
 	mon := &Monitor{
 		M: m, TDX: module, QK: qk,
-		ptps:           make(map[mem.Frame]bool),
-		monitorFrames:  make(map[mem.Frame]bool),
-		kernelText:     make(map[mem.Frame]bool),
-		addrSpaces:     make(map[ASID]*asState),
-		rootIndex:      make(map[mem.Frame]ASID),
-		sandboxes:      make(map[SandboxID]*sbState),
-		commons:        make(map[string]*commonRegion),
-		confinedOwner:  make(map[mem.Frame]SandboxID),
-		templates:      make(map[TemplateID]*sbTemplate),
-		templateFrames: make(map[mem.Frame]TemplateID),
-		cpuidCache:     make(map[uint64][4]uint64),
+		roles:      make(map[mem.Frame]frameRole),
+		addrSpaces: make(map[ASID]*asState),
+		rootIndex:  make(map[mem.Frame]ASID),
+		sandboxes:  make(map[SandboxID]*sbState),
+		commons:    make(map[string]*commonRegion),
+		templates:  make(map[TemplateID]*sbTemplate),
+		cpuidCache: make(map[uint64][4]uint64),
 	}
 	mon.Met = metrics.New()
 	mon.tok = m.MintMonitorToken()
@@ -337,7 +349,7 @@ func (mon *Monitor) allocMonitorFrame() (mem.Frame, error) {
 	if err != nil {
 		return 0, err
 	}
-	mon.monitorFrames[f] = true
+	mon.roles[f] = frameRole{kind: roleMonitor}
 	if mon.dirmapReady {
 		mon.keyDirectMap(f, KeyMonitor)
 	}
@@ -351,7 +363,7 @@ func (mon *Monitor) allocPTP() (mem.Frame, error) {
 	if err != nil {
 		return 0, err
 	}
-	mon.ptps[f] = true
+	mon.roles[f] = frameRole{kind: rolePTP}
 	if mon.dirmapReady {
 		mon.keyDirectMap(f, KeyPTP)
 	}
@@ -364,7 +376,7 @@ func (mon *Monitor) allocPTP() (mem.Frame, error) {
 // allocators re-key a frame, with a shootdown, before handing it out. So
 // freeing rewrites no direct-map leaf and needs no shootdown of its own.
 func (mon *Monitor) freePTP(f mem.Frame) {
-	delete(mon.ptps, f)
+	delete(mon.roles, f)
 	_ = mon.M.Phys.Free(f)
 }
 
@@ -413,11 +425,11 @@ func (mon *Monitor) buildKernelTables() error {
 	mon.dirmapReady = true
 	// Retroactively key the PTPs that the direct-map build itself created,
 	// and any monitor frames allocated so far.
-	for f := range mon.ptps {
-		mon.keyDirectMap(f, KeyPTP)
-	}
-	for f := range mon.monitorFrames {
-		if !mon.ptps[f] {
+	for f, r := range mon.roles {
+		switch r.kind {
+		case rolePTP:
+			mon.keyDirectMap(f, KeyPTP)
+		case roleMonitor:
 			mon.keyDirectMap(f, KeyMonitor)
 		}
 	}

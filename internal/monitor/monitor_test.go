@@ -49,6 +49,17 @@ func sandboxIoctl(mon *Monitor, c *cpu.Core, id SandboxID, cmd, rdx, r10, r8 uin
 	return nil
 }
 
+// roleCount counts the frames the frame index gives the role kind.
+func roleCount(mon *Monitor, kind roleKind) int {
+	n := 0
+	for _, r := range mon.roles {
+		if r.kind == kind {
+			n++
+		}
+	}
+	return n
+}
+
 // declareConfined declares npages of confined memory at va in sandbox id.
 func declareConfined(mon *Monitor, c *cpu.Core, id SandboxID, va paging.Addr, npages uint64, exec bool) error {
 	return sandboxIoctl(mon, c, id, abi.IoctlDeclareConfined, uint64(va), npages, boolTo64(exec))

@@ -30,9 +30,28 @@ type commonRegion struct {
 	name     string
 	numID    uint64 // ioctl-ABI region id
 	frames   []mem.Frame
-	frameSet map[mem.Frame]bool
 	sealed   bool
 	attached []attachment
+}
+
+// sbPage is the record of one declared sandbox page: the frame it maps,
+// whether it may execute, and whether that frame is still a template's,
+// shared copy-on-write.
+type sbPage struct {
+	frame mem.Frame
+	exec  bool
+	cow   bool
+}
+
+// leaf is the user leaf a declared page installs with: writable on the
+// sandbox's own frame, read-only and marked paging.CoW while the frame is
+// shared, so the first write faults into cowBreakLocked.
+func (p sbPage) leaf() paging.PTE {
+	leaf := paging.UserLeaf(p.frame, !p.cow, p.exec)
+	if p.cow {
+		leaf |= paging.CoW
+	}
+	return leaf
 }
 
 type sbState struct {
@@ -43,12 +62,13 @@ type sbState struct {
 	budgetPages uint64
 	usedPages   uint64
 
-	// confined maps declared page VAs to their reserved (pinned) frames;
-	// confinedLeaf holds the PTE template installed on first touch. Frames
-	// are reserved and pinned at declare time; PTEs are populated lazily by
-	// the fault path (kernel accounting + EMCMapSandboxFault).
-	confined       map[paging.Addr]mem.Frame
-	confinedLeaf   map[paging.Addr]paging.PTE
+	// pages records every declared page. Frames are reserved and pinned at
+	// declare time; leaves are installed lazily by the fault path (kernel
+	// accounting + EMCMapSandboxFault). confinedFrames lists the frames the
+	// sandbox owns in allocation order, declare order then CoW breaks: it
+	// is the order they are scrubbed and, for a killed sandbox, freed in,
+	// and the CMA pool is LIFO.
+	pages          map[paging.Addr]sbPage
 	confinedFrames []mem.Frame
 	commons        map[string]bool
 
@@ -57,12 +77,9 @@ type sbState struct {
 	killReason    string
 
 	// Snapshot/fork state: template names the source template of a forked
-	// sandbox (0 = built cold); cowPages marks declared pages still sharing
-	// the template's frame copy-on-write (mapped read-only until the first
-	// write copies them via cowBreakLocked); cowReleased latches the
-	// template-reference drop so the kill and end paths never double-release.
+	// sandbox (0 = built cold); cowReleased latches the template-reference
+	// drop so the kill and end paths never double-release.
 	template    TemplateID
-	cowPages    map[paging.Addr]bool
 	cowReleased bool
 
 	// Register protection at external interrupts (§6.2).
@@ -86,6 +103,19 @@ type sbState struct {
 	// Exit-rate limiting window (§11 covert-channel mitigation).
 	rateWindowStart uint64
 	rateWindowExits uint64
+}
+
+// pageVAs returns, in VA order, the declared pages that still share a
+// template frame (shared) or that map the sandbox's own frame (!shared).
+func (sb *sbState) pageVAs(shared bool) []paging.Addr {
+	vas := make([]paging.Addr, 0, len(sb.pages))
+	for va, p := range sb.pages {
+		if p.cow == shared {
+			vas = append(vas, va)
+		}
+	}
+	slices.Sort(vas)
+	return vas
 }
 
 // sandboxByAS resolves the live sandbox hosted by an address space.
@@ -126,12 +156,18 @@ func (mon *Monitor) SandboxInfo(id SandboxID) (SandboxInfo, bool) {
 	if !ok {
 		return SandboxInfo{}, false
 	}
+	var cow uint64
+	for _, p := range sb.pages {
+		if p.cow {
+			cow++
+		}
+	}
 	return SandboxInfo{
 		ID: sb.id, ASID: sb.asid, ConfinedPages: sb.usedPages,
 		DataInstalled: sb.dataInstalled, Destroyed: sb.destroyed,
 		KillReason: sb.killReason, Exits: sb.Exits, Faults: sb.Faults,
 		InputMsgs: sb.InputMsgs, OutputMsgs: sb.OutputMsgs,
-		Template: sb.template, CowPages: uint64(len(sb.cowPages)),
+		Template: sb.template, CowPages: cow,
 	}, true
 }
 
@@ -151,9 +187,8 @@ func (mon *Monitor) EMCCreateSandbox(c *cpu.Core, asid ASID, budgetPages uint64)
 		id = mon.nextSBID
 		mon.sandboxes[id] = &sbState{
 			id: id, asid: asid, owner: as.owner, budgetPages: budgetPages,
-			confined:     make(map[paging.Addr]mem.Frame),
-			confinedLeaf: make(map[paging.Addr]paging.PTE),
-			commons:      make(map[string]bool),
+			pages:   make(map[paging.Addr]sbPage),
+			commons: make(map[string]bool),
 		}
 		return nil
 	})
@@ -169,7 +204,7 @@ func (mon *Monitor) EMCCommonCreate(c *cpu.Core, name string, npages uint64) err
 			return denied("common-create", "region %q exists", name)
 		}
 		mon.nextCommonID++
-		cr := &commonRegion{name: name, numID: mon.nextCommonID, frameSet: make(map[mem.Frame]bool)}
+		cr := &commonRegion{name: name, numID: mon.nextCommonID}
 		for p := uint64(0); p < npages; p++ {
 			f, err := mon.M.Phys.Alloc(mem.OwnerCommon)
 			if err != nil {
@@ -179,7 +214,7 @@ func (mon *Monitor) EMCCommonCreate(c *cpu.Core, name string, npages uint64) err
 				return err
 			}
 			cr.frames = append(cr.frames, f)
-			cr.frameSet[f] = true
+			mon.roles[f] = frameRole{kind: roleCommon, cr: cr}
 		}
 		mon.M.Clock.Charge(npages * costs.PageZero)
 		mon.commons[name] = cr
@@ -236,9 +271,10 @@ func (mon *Monitor) CommonPages(name string) (uint64, bool) {
 // LibOS's attach ioctl. Writable attachments are only possible before the
 // region seals (first client-data install among its consumers). The
 // attachment must lie in the user half, whose table pages are the address
-// space's own, and may not overlap one the sandbox already holds: a fault
-// in the overlap would resolve to whichever region map iteration found
-// first.
+// space's own, and may overlap neither one the sandbox already holds (a
+// fault in the overlap would resolve to whichever region map iteration
+// found first) nor a page it declared: every sandbox VA is confined,
+// attached or neither.
 func (mon *Monitor) commonAttachLocked(id SandboxID, name string, base paging.Addr, writable bool) error {
 	sb, ok := mon.sandboxes[id]
 	if !ok || sb.destroyed {
@@ -258,12 +294,12 @@ func (mon *Monitor) commonAttachLocked(id SandboxID, name string, base paging.Ad
 	if base < UserBase || end > UserTop || end < base {
 		return denied("common-attach", "range [%#x, %#x) outside the user half", base, end)
 	}
-	for held := range sb.commons {
-		other := mon.commons[held]
-		for _, at := range other.attached {
-			if at.sb == id && base < at.base+other.size() && at.base < end {
-				return denied("common-attach", "range [%#x, %#x) overlaps an attachment sandbox %d holds", base, end, id)
-			}
+	if mon.overlapsAttachment(sb, base, end) {
+		return denied("common-attach", "range [%#x, %#x) overlaps an attachment sandbox %d holds", base, end, id)
+	}
+	for va := range sb.pages {
+		if base <= va && va < end {
+			return denied("common-attach", "range [%#x, %#x) overlaps pages sandbox %d declared", base, end, id)
 		}
 	}
 	sb.commons[name] = true
@@ -272,6 +308,20 @@ func (mon *Monitor) commonAttachLocked(id SandboxID, name string, base paging.Ad
 	// reports for llama.cpp, Table 6).
 	cr.attached = append(cr.attached, attachment{sb: id, asid: sb.asid, base: base, writable: writable})
 	return nil
+}
+
+// overlapsAttachment reports whether [base, end) overlaps a common region
+// attachment the sandbox holds.
+func (mon *Monitor) overlapsAttachment(sb *sbState, base, end paging.Addr) bool {
+	for name := range sb.commons {
+		cr := mon.commons[name]
+		for _, at := range cr.attached {
+			if at.sb == sb.id && base < at.base+cr.size() && at.base < end {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // size is the byte length of the region's mapping.
@@ -403,10 +453,10 @@ func (mon *Monitor) retireSandboxesLocked(asid ASID) {
 	for _, id := range ids {
 		sb := mon.sandboxes[id]
 		for _, f := range sb.confinedFrames {
-			if mon.confinedOwner[f] != id {
+			if r := mon.roles[f]; r.kind != roleConfined || r.sb != id {
 				continue // freed at session end, maybe reissued since
 			}
-			delete(mon.confinedOwner, f)
+			delete(mon.roles, f)
 			_ = mon.M.Phys.SetPinned(f, false)
 			_ = mon.M.Phys.Free(f)
 		}
@@ -445,17 +495,10 @@ func (mon *Monitor) endSandboxLocked(c *cpu.Core, sb *sbState, reason string) {
 	// leaves lazily), so releaseCowLocked below unmaps just the faulted-in
 	// ones and drops only the refcount (the template's baseline keeps the
 	// frame alive). That is what keeps fork teardown O(pages touched)
-	// rather than O(template pages).
-	own := make([]paging.Addr, 0, len(sb.confined)-len(sb.cowPages))
-	for va := range sb.confined {
-		if !sb.cowPages[va] {
-			own = append(own, va)
-		}
-	}
-	// Free in VA order: the CMA pool is LIFO, so this order decides which
-	// frame the next confined allocation gets.
-	slices.Sort(own)
-	for _, va := range own {
+	// rather than O(template pages). Its own pages free in VA order: the
+	// CMA pool is LIFO, so this order decides which frame the next confined
+	// allocation gets.
+	for _, va := range sb.pageVAs(false) {
 		if as != nil {
 			if _, err := mon.setLeaf(as, va, 0); err != nil {
 				// Still mapped: the frame stays pinned and owned, and
@@ -464,8 +507,8 @@ func (mon *Monitor) endSandboxLocked(c *cpu.Core, sb *sbState, reason string) {
 				continue
 			}
 		}
-		f := sb.confined[va]
-		delete(mon.confinedOwner, f)
+		f := sb.pages[va].frame
+		delete(mon.roles, f)
 		_ = mon.M.Phys.SetPinned(f, false)
 		_ = mon.M.Phys.Free(f)
 	}
@@ -508,7 +551,7 @@ func (mon *Monitor) installInput(c *cpu.Core, sb *sbState, payloadVA paging.Addr
 	// data only into sandbox-exclusive pages).
 	for off := uint64(0); off < uint64(len(data)); off += mem.PageSize {
 		pva := paging.PageBase(bufVA + paging.Addr(off))
-		if _, ok := sb.confined[pva]; !ok {
+		if _, ok := sb.pages[pva]; !ok {
 			return errnoFault
 		}
 	}
@@ -598,11 +641,14 @@ func (mon *Monitor) moveSandbox(sb *sbState, va paging.Addr, buf []byte, write b
 	as := mon.addrSpaces[sb.asid]
 	off := 0
 	for off < len(buf) {
+		pva := paging.PageBase(va)
+		p, declared := sb.pages[pva]
 		// A monitor-side write to a CoW-shared page must break the share
 		// first — writing through the walked PTE would land in the template
 		// frame every other fork reads.
-		if write && sb.cowPages[paging.PageBase(va)] {
-			if err := mon.cowBreakLocked(sb, paging.PageBase(va)); err != nil {
+		if write && p.cow {
+			var err error
+			if p, err = mon.cowBreakLocked(sb, pva, p); err != nil {
 				return err
 			}
 		}
@@ -610,11 +656,11 @@ func (mon *Monitor) moveSandbox(sb *sbState, va paging.Addr, buf []byte, write b
 		if !pte.Is(paging.Present | paging.User) {
 			// Install a declared confined page on first touch. No leaf was
 			// present, so no core can cache one: nothing to flush.
-			leaf, ok := sb.confinedLeaf[paging.PageBase(va)]
-			if !ok {
+			if !declared {
 				return denied("sandbox-io", "va %#x not mapped", va)
 			}
-			if _, err := mon.setLeaf(as, paging.PageBase(va), leaf); err != nil {
+			leaf := p.leaf()
+			if _, err := mon.setLeaf(as, pva, leaf); err != nil {
 				return denied("sandbox-io", "va %#x not mapped: %v", va, err)
 			}
 			pte = leaf

@@ -135,7 +135,7 @@ func (mon *Monitor) mapKernelSection(lk *LoadedKernel, s *image.Section) error {
 		switch s.Type {
 		case image.Text:
 			leaf = paging.Present.WithFrame(f) // RX: not writable, executable
-			mon.kernelText[f] = true
+			mon.roles[f] = frameRole{kind: roleKernelText}
 			// W-xor-X also applies to the direct-map alias: kernel text must
 			// not be writable through the direct map either.
 			if err := mon.kernelTables.Update(DirectMapAddr(f), func(e paging.PTE) paging.PTE {
@@ -187,7 +187,7 @@ func (mon *Monitor) loadKernelCode(code []byte) (uint64, error) {
 		if start < end {
 			copy(b, code[start:end])
 		}
-		mon.kernelText[f] = true
+		mon.roles[f] = frameRole{kind: roleKernelText}
 		if err := mon.kernelTables.Update(DirectMapAddr(f), func(e paging.PTE) paging.PTE {
 			return e &^ paging.Writable
 		}); err != nil {

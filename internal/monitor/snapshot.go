@@ -2,6 +2,7 @@ package monitor
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 
 	"github.com/asterisc-release/erebor-go/internal/costs"
@@ -45,11 +46,9 @@ type sbTemplate struct {
 	owner       mem.Owner
 	budgetPages uint64
 	usedPages   uint64
-	// confined/leaf are the source sandbox's declared layout; leaf holds the
-	// original (writable) PTE templates so a CoW break can restore the exact
-	// permissions the page was declared with.
-	confined map[paging.Addr]mem.Frame
-	leaf     map[paging.Addr]paging.PTE
+	// pages is the source sandbox's declared layout with every page marked
+	// CoW: a fork clones it as its own page records.
+	pages map[paging.Addr]sbPage
 	// frames lists the template's frames in declare order — every per-frame
 	// sweep (fork refcounting, release) iterates this slice, never a map, so
 	// frame-pool order stays deterministic.
@@ -111,7 +110,7 @@ func (mon *Monitor) EMCSnapshotSandbox(c *cpu.Core, id SandboxID, name string) (
 		// are about to be shared read-only across tenants.
 		if as := mon.addrSpaces[sb.asid]; as != nil {
 			var err error
-			for _, va := range sortedVAs(sb.confined) {
+			for _, va := range sortedVAs(sb.pages) {
 				if _, err = mon.setLeaf(as, va, 0); err != nil {
 					break
 				}
@@ -126,14 +125,13 @@ func (mon *Monitor) EMCSnapshotSandbox(c *cpu.Core, id SandboxID, name string) (
 		tmpl := &sbTemplate{
 			id: tid, name: name, owner: sb.owner,
 			budgetPages: sb.budgetPages, usedPages: sb.usedPages,
-			confined: make(map[paging.Addr]mem.Frame, len(sb.confined)),
-			leaf:     make(map[paging.Addr]paging.PTE, len(sb.confinedLeaf)),
-			frames:   append([]mem.Frame(nil), sb.confinedFrames...),
-			regs:     sb.savedRegs,
+			pages:  make(map[paging.Addr]sbPage, len(sb.pages)),
+			frames: append([]mem.Frame(nil), sb.confinedFrames...),
+			regs:   sb.savedRegs,
 		}
-		for va, f := range sb.confined {
-			tmpl.confined[va] = f
-			tmpl.leaf[va] = sb.confinedLeaf[va]
+		for va, p := range sb.pages {
+			p.cow = true
+			tmpl.pages[va] = p
 		}
 		// Capture the attachment set in a fixed order (sb.commons is a map).
 		names := make([]string, 0, len(sb.commons))
@@ -149,12 +147,11 @@ func (mon *Monitor) EMCSnapshotSandbox(c *cpu.Core, id SandboxID, name string) (
 				}
 			}
 		}
-		// Ownership handover: the frames leave the single-mapping index (they
-		// will be multi-mapped read-only) and enter the template index. The
-		// template itself holds their refcount baseline of 1.
+		// Ownership handover: the frames stop being confined (they will be
+		// multi-mapped read-only) and become the template's. The template
+		// itself holds their refcount baseline of 1.
 		for _, f := range tmpl.frames {
-			delete(mon.confinedOwner, f)
-			mon.templateFrames[f] = tid
+			mon.roles[f] = frameRole{kind: roleTemplate, tmpl: tid}
 		}
 		// Retire the source identity without a scrub: the frames now belong
 		// to the template, and they hold no client data by precondition.
@@ -177,10 +174,11 @@ func (mon *Monitor) EMCSnapshotSandbox(c *cpu.Core, id SandboxID, name string) (
 
 // EMCForkSandbox instantiates a new sandbox from a template into an empty
 // address space. Every template page is adopted copy-on-write: the shared
-// frame's refcount is raised and a read-only CoW leaf is recorded for the
-// lazy fault path — no PTE is installed and no byte is copied here, so the
-// gate cost is O(pages) bookkeeping only. The new sandbox gets a fresh
-// identity and its own attachment of every common region the template held.
+// frame's refcount is raised and the fork's page records are a clone of the
+// template's, whose leaves map read-only with the CoW bit on the lazy fault
+// path — no PTE is installed and no byte is copied here, so the gate cost
+// is O(pages) bookkeeping only. The new sandbox gets a fresh identity and
+// its own attachment of every common region the template held.
 func (mon *Monitor) EMCForkSandbox(c *cpu.Core, asid ASID, tid TemplateID) (SandboxID, error) {
 	var id SandboxID
 	err := mon.gate(c, metrics.EMCSandbox, func() error {
@@ -200,20 +198,10 @@ func (mon *Monitor) EMCForkSandbox(c *cpu.Core, asid ASID, tid TemplateID) (Sand
 		ns := &sbState{
 			id: id, asid: asid, owner: as.owner,
 			budgetPages: tmpl.budgetPages, usedPages: tmpl.usedPages,
-			confined:     make(map[paging.Addr]mem.Frame, len(tmpl.confined)),
-			confinedLeaf: make(map[paging.Addr]paging.PTE, len(tmpl.confined)),
-			commons:      make(map[string]bool),
-			template:     tid,
-			cowPages:     make(map[paging.Addr]bool, len(tmpl.confined)),
-			savedRegs:    tmpl.regs,
-		}
-		for va, f := range tmpl.confined {
-			ns.confined[va] = f
-			// Shared pages map read-only with the CoW software bit; the
-			// original writable leaf is restored by cowBreakLocked on first
-			// write.
-			ns.confinedLeaf[va] = (tmpl.leaf[va] &^ paging.Writable) | paging.CoW
-			ns.cowPages[va] = true
+			pages:     maps.Clone(tmpl.pages),
+			commons:   make(map[string]bool),
+			template:  tid,
+			savedRegs: tmpl.regs,
 		}
 		for _, f := range tmpl.frames {
 			if err := mon.M.Phys.IncRef(f); err != nil {
@@ -259,7 +247,7 @@ func (mon *Monitor) EMCDestroyTemplate(c *cpu.Core, tid TemplateID) error {
 			return denied("destroy-template", "template %d has %d live fork(s)", tid, tmpl.forks)
 		}
 		for _, f := range tmpl.frames {
-			delete(mon.templateFrames, f)
+			delete(mon.roles, f)
 			if err := mon.M.Phys.Zero(f); err == nil {
 				mon.M.Clock.Charge(costs.PageZero)
 			}
@@ -273,42 +261,42 @@ func (mon *Monitor) EMCDestroyTemplate(c *cpu.Core, tid TemplateID) error {
 	})
 }
 
-// cowBreakLocked resolves a first write to a CoW-shared page: copy the
-// template frame into a fresh exclusive CMA frame owned by the writing
-// sandbox, restore the original writable leaf, drop the template reference
-// and — if the read-only mapping was already installed — replace it and
-// shoot the downgraded translation down everywhere. After this returns the
-// page is ordinary confined memory: pinned, single-mapped, owned (I4).
-func (mon *Monitor) cowBreakLocked(sb *sbState, va paging.Addr) error {
-	if !sb.cowPages[va] {
-		return denied("cow-break", "va %#x of sandbox %d is not CoW-shared", va, sb.id)
+// cowBreakLocked resolves a first write to the CoW-shared page p at va:
+// copy the template frame into a fresh exclusive CMA frame owned by the
+// writing sandbox, make the page writable, drop the template reference and
+// — if the read-only mapping was already installed — replace it and shoot
+// the downgraded translation down everywhere. It returns the page's new
+// record. After this returns the page is ordinary confined memory: pinned,
+// single-mapped, owned (I4).
+func (mon *Monitor) cowBreakLocked(sb *sbState, va paging.Addr, p sbPage) (sbPage, error) {
+	if !p.cow {
+		return p, denied("cow-break", "va %#x of sandbox %d is not CoW-shared", va, sb.id)
 	}
 	mon.M.PushFrame("monitor/cow/break")
 	defer mon.M.PopFrame()
-	old := sb.confined[va]
+	old := p.frame
 	nf, err := mon.M.Phys.AllocRegion(RegionCMA, sb.owner)
 	if err != nil {
-		return err
+		return p, err
 	}
 	if err := mon.M.Phys.CopyFrame(nf, old); err != nil {
 		_ = mon.M.Phys.Free(nf)
-		return err
+		return p, err
 	}
 	_ = mon.M.Phys.SetPinned(nf, true)
-	mon.confinedOwner[nf] = sb.id
-	newLeaf := ((sb.confinedLeaf[va] &^ paging.CoW) | paging.Writable).WithFrame(nf)
-	sb.confined[va] = nf
-	sb.confinedLeaf[va] = newLeaf
+	mon.roles[nf] = frameRole{kind: roleConfined, sb: sb.id}
+	p = sbPage{frame: nf, exec: p.exec}
+	sb.pages[va] = p
 	sb.confinedFrames = append(sb.confinedFrames, nf)
-	delete(sb.cowPages, va)
 	if _, err := mon.M.Phys.DecRef(old); err != nil {
-		return err
+		return p, err
 	}
 	if as := mon.addrSpaces[sb.asid]; as != nil {
 		if _, mapped := as.userFrames[va]; mapped {
+			newLeaf := p.leaf()
 			prev, err := mon.setLeaf(as, va, newLeaf)
 			if err != nil {
-				return err
+				return p, err
 			}
 			// Any core may still cache the read-only translation into the
 			// template frame; it must die before the write retires.
@@ -324,7 +312,7 @@ func (mon *Monitor) cowBreakLocked(sb *sbState, va paging.Addr) error {
 			fmt.Sprintf("cow-break va=%#x", uint64(va)))
 	}
 	mon.M.Clock.Charge(costs.CoWBreakBody + costs.PageCopy)
-	return nil
+	return p, nil
 }
 
 // releaseCowLocked drops a dying forked sandbox's remaining template
@@ -337,10 +325,10 @@ func (mon *Monitor) releaseCowLocked(sb *sbState) {
 	}
 	sb.cowReleased = true
 	as := mon.addrSpaces[sb.asid]
-	// Release in VA order, not cowPages map order: the shootdown list and
-	// any violation records must be deterministic.
+	// Release in VA order, not page-map order: the shootdown list and any
+	// violation records must be deterministic.
 	var stale []paging.Addr
-	for _, va := range sortedVAs(sb.cowPages) {
+	for _, va := range sb.pageVAs(true) {
 		if as != nil {
 			if _, mapped := as.userFrames[va]; mapped {
 				prev, err := mon.setLeaf(as, va, 0)
@@ -354,14 +342,16 @@ func (mon *Monitor) releaseCowLocked(sb *sbState) {
 				}
 			}
 		}
-		if _, err := mon.M.Phys.DecRef(sb.confined[va]); err != nil {
-			mon.recordViolation("release-cow sandbox %d: frame %d: %v", sb.id, sb.confined[va], err)
+		f := sb.pages[va].frame
+		if _, err := mon.M.Phys.DecRef(f); err != nil {
+			mon.recordViolation("release-cow sandbox %d: frame %d: %v", sb.id, f, err)
 		}
 	}
 	if as != nil && len(stale) > 0 {
 		mon.M.Shootdown(mon.shootdownInitiator(), as.tables.Root, stale...)
 	}
-	sb.cowPages = nil
+	// The shared pages are the template's again, not this sandbox's.
+	maps.DeleteFunc(sb.pages, func(_ paging.Addr, p sbPage) bool { return p.cow })
 	if tmpl := mon.templates[sb.template]; tmpl != nil {
 		tmpl.forks--
 	}

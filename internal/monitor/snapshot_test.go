@@ -92,6 +92,9 @@ func auditClean(t *testing.T, mon *Monitor, when string) {
 	if vs := mon.Audit(); len(vs) != 0 {
 		t.Fatalf("audit %s: %v", when, vs)
 	}
+	if err := recordsDisagree(mon); err != nil {
+		t.Fatalf("records %s: %v", when, err)
+	}
 }
 
 // TestSnapshotFreezesAndRetires: snapshot moves the confined frames into the
@@ -110,8 +113,8 @@ func TestSnapshotFreezesAndRetires(t *testing.T) {
 		}
 	}
 	for _, f := range mon.templates[tid].frames {
-		if _, confined := mon.confinedOwner[f]; confined {
-			t.Errorf("frame %d still in the single-mapping index after snapshot", f)
+		if mon.roles[f].kind == roleConfined {
+			t.Errorf("frame %d still confined in the frame index after snapshot", f)
 		}
 		meta, err := mon.M.Phys.Meta(f)
 		if err != nil || !meta.Pinned {

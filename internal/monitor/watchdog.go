@@ -246,18 +246,11 @@ func (mon *Monitor) InjectAuditViolation() (audit.Code, error) {
 	if mon.wd == nil {
 		return audit.CodeNone, fmt.Errorf("monitor: watchdog not enabled")
 	}
-	var frame mem.Frame
-	found := false
-	for f := range mon.confinedOwner {
-		if !found || f < frame {
-			frame, found = f, true
-		}
-	}
+	frame, r, found := mon.lowestFrame(roleConfined)
 	if !found {
 		return audit.CodeNone, fmt.Errorf("monitor: no confined frames to alias")
 	}
-	owner := mon.confinedOwner[frame]
-	sb := mon.sandboxes[owner]
+	sb := mon.sandboxes[r.sb]
 	if sb == nil {
 		return audit.CodeNone, fmt.Errorf("monitor: confined frame %d has no live sandbox", frame)
 	}
@@ -266,8 +259,8 @@ func (mon *Monitor) InjectAuditViolation() (audit.Code, error) {
 	// for the first unmapped page slot.
 	var primary paging.Addr
 	found = false
-	for va, f := range sb.confined {
-		if f == frame {
+	for va, p := range sb.pages {
+		if p.frame == frame {
 			primary, found = va, true
 			break
 		}
@@ -291,6 +284,20 @@ func (mon *Monitor) InjectAuditViolation() (audit.Code, error) {
 	return audit.CodeNone, fmt.Errorf("monitor: no free alias slot near %#x", primary)
 }
 
+// lowestFrame returns the lowest-numbered frame the frame index gives the
+// role kind, with its entry, so the adversary hooks tamper deterministically.
+func (mon *Monitor) lowestFrame(kind roleKind) (mem.Frame, frameRole, bool) {
+	var frame mem.Frame
+	var role frameRole
+	found := false
+	for f, r := range mon.roles {
+		if r.kind == kind && (!found || f < frame) {
+			frame, role, found = f, r, true
+		}
+	}
+	return frame, role, found
+}
+
 // InjectRefcountViolation is an adversary hook for the I9 watchdog test; it
 // is the I9 counterpart of InjectAuditViolation. It grants the
 // lowest-numbered shared template frame one extra reference that no template
@@ -303,13 +310,7 @@ func (mon *Monitor) InjectRefcountViolation() (audit.Code, error) {
 	if mon.wd == nil {
 		return audit.CodeNone, fmt.Errorf("monitor: watchdog not enabled")
 	}
-	var frame mem.Frame
-	found := false
-	for f := range mon.templateFrames {
-		if !found || f < frame {
-			frame, found = f, true
-		}
-	}
+	frame, _, found := mon.lowestFrame(roleTemplate)
 	if !found {
 		return audit.CodeNone, fmt.Errorf("monitor: no template frames to tamper with")
 	}
