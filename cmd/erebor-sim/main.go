@@ -6,15 +6,12 @@
 package main
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 
+	erebor "github.com/asterisc-release/erebor-go"
 	"github.com/asterisc-release/erebor-go/internal/costs"
-	"github.com/asterisc-release/erebor-go/internal/harness"
-	"github.com/asterisc-release/erebor-go/internal/kernel"
-	"github.com/asterisc-release/erebor-go/internal/libos"
-	"github.com/asterisc-release/erebor-go/internal/mem"
-	"github.com/asterisc-release/erebor-go/internal/sandbox"
 )
 
 func main() {
@@ -26,33 +23,28 @@ func main() {
 
 func run() error {
 	fmt.Println("[1] booting TDX guest: firmware + EREBOR-MONITOR measured, kernel verified & loaded")
-	w, err := harness.NewWorld(harness.WorldConfig{Mode: kernel.ModeErebor, MemMB: 96})
+	p, err := erebor.NewPlatform(erebor.PlatformConfig{MemMB: 96})
 	if err != nil {
 		return err
 	}
 	fmt.Printf("    boot consumed %.2f ms of simulated time; lockdown engaged\n",
-		costs.CyclesToSeconds(w.BootCycles())*1e3)
+		costs.CyclesToSeconds(p.Stats().VirtualCycles)*1e3)
 
 	fmt.Println("[2] launching EREBOR-SANDBOX 'helloworld' with a LibOS")
-	c, err := sandbox.Launch(w.K, sandbox.Spec{
-		Name: "helloworld", Owner: mem.OwnerTaskBase + 1,
-		LibOS: libos.Config{HeapPages: 64},
-		Main: func(c *sandbox.Container, os *libos.OS) {
-			buf, n, err := os.ReceiveInput(4096, 8)
-			if err != nil || n == 0 {
+	c, err := p.Launch(erebor.ContainerConfig{
+		Name: "helloworld", HeapPages: 64,
+		Main: func(r *erebor.Runtime) {
+			in, err := r.ReceiveInput(4096)
+			if err != nil || in == nil {
 				return
 			}
-			in := make([]byte, n)
-			os.Env.ReadMem(buf, in)
 			// The demo program answers with 0x41..41 ("AA..A"), like the
 			// artifact's helloworld.
 			out := append([]byte("hello from the sandbox! input was: "), in...)
 			out = append(out, ' ')
-			for i := 0; i < 10; i++ {
-				out = append(out, 0x41)
-			}
-			_ = os.SendOutputBytes(out)
-			os.EndSession()
+			out = append(out, bytes.Repeat([]byte{0x41}, 10)...)
+			_ = r.SendOutput(out)
+			r.EndSession()
 		},
 	})
 	if err != nil {
@@ -60,65 +52,37 @@ func run() error {
 	}
 
 	fmt.Println("[3] remote client: attested handshake through the untrusted proxy")
-	s := harness.NewSession(w)
-	if err := s.Client.Start(); err != nil {
-		return err
-	}
-	s.Pump(2)
-	if err := c.AcceptSession(s.MonTr); err != nil {
-		return err
-	}
-	s.Pump(2)
-	if err := s.Client.Finish(); err != nil {
+	cl, err := p.Connect(c)
+	if err != nil {
 		return err
 	}
 	fmt.Println("    quote verified: measurement matches the open-source monitor build")
 
 	fmt.Println("[4] sending confidential input over the channel")
-	if err := s.Client.Send([]byte("secret prompt")); err != nil {
+	if err := cl.Send([]byte("secret prompt")); err != nil {
 		return err
 	}
-	s.Pump(2)
-
-	w.K.Schedule()
-	if berr := c.BootErr(); berr != nil {
-		return berr
+	p.Run()
+	if err := c.Err(); err != nil {
+		return err
 	}
-	s.Pump(2)
-
-	reply, err := s.Client.Recv()
+	reply, err := cl.Recv()
 	if err != nil {
 		return err
 	}
 	fmt.Printf("[5] client received: %q\n", reply)
 
-	for i, f := range s.Proxy.Seen {
-		_ = i
-		if containsSub(f, []byte("secret prompt")) {
+	frames := cl.WireFrames()
+	for _, f := range frames {
+		if bytes.Contains(f, []byte("secret prompt")) {
 			return fmt.Errorf("SECURITY VIOLATION: proxy observed plaintext")
 		}
 	}
-	fmt.Printf("    proxy relayed %d frames, all ciphertext\n", len(s.Proxy.Seen))
+	fmt.Printf("    proxy relayed %d frames, all ciphertext\n", len(frames))
 
-	info, _ := c.Info()
-	fmt.Printf("[6] session ended: sandbox destroyed=%v, confined memory scrubbed\n", info.Destroyed)
+	st := p.Stats()
+	fmt.Printf("[6] session ended: sandbox destroyed=%v, confined memory scrubbed\n", c.Status().Destroyed)
 	fmt.Printf("    monitor stats: EMCs=%d sandbox-exits=%d quotes=%d\n",
-		w.Mon.Stats.EMCs, w.Mon.Stats.SandboxExits, w.Mon.Stats.QuotesIssued)
+		st.EMCs, st.SandboxExits, st.QuotesIssued)
 	return nil
-}
-
-func containsSub(hay, needle []byte) bool {
-	for i := 0; i+len(needle) <= len(hay); i++ {
-		match := true
-		for j := range needle {
-			if hay[i+j] != needle[j] {
-				match = false
-				break
-			}
-		}
-		if match {
-			return true
-		}
-	}
-	return false
 }

@@ -6,11 +6,13 @@
 //	erebor-trace -seed 7 -chaos 0.05 -format chrome      # seeded fault injection
 //
 // The session is fully deterministic on the virtual clock: the same seed,
-// chaos rate and request count produce byte-identical exports (frame
-// contents vary with the ephemeral handshake keys, but the recorder never
-// captures contents — only typed events and cycle timestamps). A serving
-// fleet's trace, span trees and critical path come from the run that serves
-// it: erebor-serve -trace/-critical-path.
+// chaos rate and request count produce byte-identical exports. Under chaos
+// the seed also fixes the quoting key and every handshake key share, so
+// corrupt and truncate faults flip the same bytes on every run; a clean
+// run draws its keys from the OS, which the exports never show (the
+// recorder captures typed events and cycle timestamps, not contents). A
+// serving fleet's trace, span trees and critical path come from the run
+// that serves it: erebor-serve -trace/-critical-path.
 package main
 
 import (

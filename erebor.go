@@ -65,8 +65,9 @@ type PlatformConfig struct {
 	Trace TraceConfig
 	// Chaos, when non-nil, interposes a seeded deterministic fault
 	// injector on the untrusted client<->proxy hop of every Connect
-	// session (all sessions draw from one schedule). The per-class tallies
-	// surface in Stats().FaultInjection.
+	// session (all sessions draw from one schedule), and seeds the
+	// platform's handshake keys and quotes from Chaos.Seed. The per-class
+	// tallies surface in Stats().FaultInjection.
 	Chaos *ChaosConfig
 }
 
@@ -81,9 +82,10 @@ type TraceConfig struct {
 
 // ChaosConfig is a seeded fault schedule for the untrusted relay hop:
 // per-frame injection probabilities in [0,1] whose sum must be <= 1 (at
-// most one fault fires per frame); NewPlatform refuses any other. The same
+// most one fault fires per frame); NewPlatform refuses any other. Seed
+// also seeds the quoting key and every handshake key share, so the same
 // Seed and rates against the same workload replay the identical fault
-// schedule.
+// schedule, keys, quotes and wire frames byte for byte.
 type ChaosConfig struct {
 	Seed                                                                        int64
 	DropRate, DuplicateRate, ReorderRate, CorruptRate, TruncateRate, ReplayRate float64
@@ -94,9 +96,12 @@ type ChaosConfig struct {
 	LatencyCycles uint64
 }
 
-// plan is the fault schedule c describes.
-func (c *ChaosConfig) plan() faultinject.Plan {
-	return faultinject.Plan{
+// plan is the fault schedule c describes (nil for a clean relay).
+func (c *ChaosConfig) plan() *faultinject.Plan {
+	if c == nil {
+		return nil
+	}
+	return &faultinject.Plan{
 		Seed: c.Seed,
 		Drop: c.DropRate, Duplicate: c.DuplicateRate,
 		Reorder: c.ReorderRate, Corrupt: c.CorruptRate,
@@ -109,18 +114,12 @@ func (c *ChaosConfig) plan() faultinject.Plan {
 type Platform struct {
 	w         *harness.World
 	nextOwner mem.Owner
-	inj       *faultinject.Injector // non-nil when Chaos was configured
 }
 
 // NewPlatform boots a platform: firmware and monitor are measured, the
 // kernel image is verified and loaded, and lockdown engages (unless
 // Baseline is set).
 func NewPlatform(cfg PlatformConfig) (*Platform, error) {
-	if cfg.Chaos != nil {
-		if err := cfg.Chaos.plan().Validate(); err != nil {
-			return nil, fmt.Errorf("erebor: chaos: %w", err)
-		}
-	}
 	mode := kernel.ModeErebor
 	if cfg.Baseline {
 		mode = kernel.ModeNative
@@ -128,19 +127,12 @@ func NewPlatform(cfg PlatformConfig) (*Platform, error) {
 	w, err := harness.NewWorld(harness.WorldConfig{
 		Mode: mode, MemMB: cfg.MemMB, VCPUs: cfg.VCPUs,
 		Trace: cfg.Trace.Enabled, TraceCapacity: cfg.Trace.CapacityEvents,
+		Chaos: cfg.Chaos.plan(),
 	})
 	if err != nil {
 		return nil, err
 	}
-	p := &Platform{w: w, nextOwner: mem.OwnerTaskBase + 1}
-	if cfg.Chaos != nil {
-		p.inj = faultinject.New(cfg.Chaos.plan())
-		p.inj.Rec = w.Rec
-		// Latency faults stall the virtual clock through the Charge hook,
-		// inside whatever span is open at injection time.
-		p.inj.Charge = w.M.Clock.Charge
-	}
-	return p, nil
+	return &Platform{w: w, nextOwner: mem.OwnerTaskBase + 1}, nil
 }
 
 // PublishCommon is how a service provider fills ContainerConfig.Commons,
@@ -249,6 +241,7 @@ type Container struct {
 }
 
 // Launch starts a container. Its Main begins executing at the next Run.
+// Containers are owned in launch order, the first by mem.OwnerTaskBase+1.
 func (p *Platform) Launch(cfg ContainerConfig) (*Container, error) {
 	if cfg.Main == nil {
 		return nil, errors.New("erebor: ContainerConfig.Main is required")
@@ -318,7 +311,7 @@ func (p *Platform) Connect(c *Container) (*Client, error) {
 	if p.w.Mon == nil {
 		return nil, errors.New("erebor: Connect requires the monitor (not a baseline platform)")
 	}
-	s := harness.NewInjectedSession(p.w, p.inj)
+	s := harness.NewSession(p.w)
 	if err := s.ConnectResilient(c.inner); err != nil {
 		return nil, fmt.Errorf("erebor: attested handshake failed: %w", err)
 	}
@@ -466,8 +459,8 @@ func (p *Platform) Stats() Stats {
 		s.ChannelCorrupt = cs.Corrupt
 		s.ChannelRetransmits = cs.Retransmits
 	}
-	if p.inj != nil {
-		c := p.inj.Counters
+	if p.w.Inj != nil {
+		c := p.w.Inj.Counters
 		s.FaultInjection = &FaultInjectionStats{
 			Drops: c.Drops, Duplicates: c.Duplicates, Reorders: c.Reorders,
 			Corrupts: c.Corrupts, Truncates: c.Truncates, Replays: c.Replays,

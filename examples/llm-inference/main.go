@@ -10,84 +10,68 @@ import (
 	"fmt"
 	"log"
 
-	"github.com/asterisc-release/erebor-go/internal/harness"
-	"github.com/asterisc-release/erebor-go/internal/kernel"
-	"github.com/asterisc-release/erebor-go/internal/libos"
-	"github.com/asterisc-release/erebor-go/internal/mem"
+	erebor "github.com/asterisc-release/erebor-go"
 	"github.com/asterisc-release/erebor-go/internal/paging"
-	"github.com/asterisc-release/erebor-go/internal/sandbox"
 	"github.com/asterisc-release/erebor-go/internal/workloads"
 	"github.com/asterisc-release/erebor-go/internal/workloads/llm"
 )
 
 func main() {
-	world, err := harness.NewWorld(harness.WorldConfig{Mode: kernel.ModeErebor, MemMB: 160})
+	p, err := erebor.NewPlatform(erebor.PlatformConfig{MemMB: 160})
 	if err != nil {
 		log.Fatal(err)
 	}
 	model := llm.New(1)
 	fmt.Printf("publishing %0.1f MB model as a common region\n",
 		float64(len(model.CommonData()))/(1<<20))
-	if err := sandbox.CreateCommon(world.K, "llama-model", model.CommonData()); err != nil {
+	if err := p.PublishCommon("llama-model", model.CommonData()); err != nil {
 		log.Fatal(err)
 	}
 
-	container, err := sandbox.Launch(world.K, sandbox.Spec{
-		Name:    "llm-service",
-		Owner:   mem.OwnerTaskBase + 1,
-		LibOS:   libos.Config{HeapPages: model.HeapPages() + 64},
-		Commons: []sandbox.CommonRef{{Name: "llama-model"}},
-		Main: func(c *sandbox.Container, os *libos.OS) {
-			buf, n, err := os.ReceiveInput(4096, 8)
-			if err != nil || n == 0 {
+	container, err := p.Launch(erebor.ContainerConfig{
+		Name:      "llm-service",
+		HeapPages: model.HeapPages() + 64,
+		Commons:   []string{"llama-model"},
+		Main: func(r *erebor.Runtime) {
+			prompt, err := r.ReceiveInput(4096)
+			if err != nil || prompt == nil {
 				return
 			}
-			prompt := make([]byte, n)
-			os.Env.ReadMem(buf, prompt)
+			modelVA, _ := r.CommonBase("llama-model")
 			ctx := &workloads.Ctx{
-				E: os.Env, CommonVA: c.CommonVAs["llama-model"], Input: prompt,
+				E: r.LibOS().Env, CommonVA: modelVA, Input: prompt,
 				Alloc: func(sz int) paging.Addr {
-					va, err := os.Alloc(sz)
+					va, err := r.Alloc(sz)
 					if err != nil {
 						panic(err)
 					}
 					return va
 				},
 			}
-			out := model.Run(ctx)
-			_ = os.SendOutputBytes(out)
-			os.EndSession()
+			_ = r.SendOutput(model.Run(ctx))
+			r.EndSession()
 		},
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
 
-	session := harness.NewSession(world)
-	must(session.Client.Start())
-	session.Pump(2)
-	must(container.AcceptSession(session.MonTr))
-	session.Pump(2)
-	must(session.Client.Finish())
-
+	client, err := p.Connect(container)
+	if err != nil {
+		log.Fatal(err)
+	}
 	prompt := "Translate to French: the hospital records are private."
 	fmt.Printf("client prompt (confidential): %q\n", prompt)
-	must(session.Client.Send([]byte(prompt)))
-	session.Pump(2)
-	world.K.Schedule()
-	session.Pump(2)
-
-	reply, err := session.Client.Recv()
+	if err := client.Send([]byte(prompt)); err != nil {
+		log.Fatal(err)
+	}
+	p.Run()
+	reply, err := client.Recv()
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("inference result: %s\n", reply)
+	st := p.Stats()
 	fmt.Printf("sandbox exits: %d  monitor calls: %d  (the prompt never left the channel in plaintext)\n",
-		world.Mon.Stats.SandboxExits, world.Mon.Stats.EMCs)
-}
-
-func must(err error) {
-	if err != nil {
-		log.Fatal(err)
-	}
+		st.SandboxExits, st.EMCs)
 }

@@ -11,89 +11,72 @@ import (
 	"fmt"
 	"log"
 
-	"github.com/asterisc-release/erebor-go/internal/harness"
-	"github.com/asterisc-release/erebor-go/internal/kernel"
-	"github.com/asterisc-release/erebor-go/internal/libos"
-	"github.com/asterisc-release/erebor-go/internal/mem"
+	erebor "github.com/asterisc-release/erebor-go"
 	"github.com/asterisc-release/erebor-go/internal/paging"
-	"github.com/asterisc-release/erebor-go/internal/sandbox"
 	"github.com/asterisc-release/erebor-go/internal/workloads"
 	"github.com/asterisc-release/erebor-go/internal/workloads/retrieval"
 )
 
 func main() {
-	world, err := harness.NewWorld(harness.WorldConfig{Mode: kernel.ModeErebor, MemMB: 160})
+	p, err := erebor.NewPlatform(erebor.PlatformConfig{MemMB: 160})
 	if err != nil {
 		log.Fatal(err)
 	}
 	wl := retrieval.New(1)
 	fmt.Printf("publishing a %.1f MB medical database (%d records) as a common region\n",
 		float64(len(wl.CommonData()))/(1<<20), wl.DB.Records)
-	if err := sandbox.CreateCommon(world.K, wl.Name(), wl.CommonData()); err != nil {
+	if err := p.PublishCommon(wl.Name(), wl.CommonData()); err != nil {
 		log.Fatal(err)
 	}
 
-	container, err := sandbox.Launch(world.K, sandbox.Spec{
-		Name:    "pir-service",
-		Owner:   mem.OwnerTaskBase + 1,
-		LibOS:   libos.Config{HeapPages: wl.HeapPages() + 64},
-		Commons: []sandbox.CommonRef{{Name: wl.Name()}},
-		Main: func(c *sandbox.Container, os *libos.OS) {
-			buf, n, err := os.ReceiveInput(len(wl.Input())+4096, 8)
-			if err != nil || n == 0 {
+	container, err := p.Launch(erebor.ContainerConfig{
+		Name:      "pir-service",
+		HeapPages: wl.HeapPages() + 64,
+		Commons:   []string{wl.Name()},
+		Main: func(r *erebor.Runtime) {
+			queries, err := r.ReceiveInput(len(wl.Input()) + 4096)
+			if err != nil || queries == nil {
 				return
 			}
-			queries := make([]byte, n)
-			os.Env.ReadMem(buf, queries)
+			dbVA, _ := r.CommonBase(wl.Name())
 			ctx := &workloads.Ctx{
-				E: os.Env, CommonVA: c.CommonVAs[wl.Name()], Input: queries,
+				E: r.LibOS().Env, CommonVA: dbVA, Input: queries,
 				Alloc: func(sz int) paging.Addr {
-					va, err := os.Alloc(sz)
+					va, err := r.Alloc(sz)
 					if err != nil {
 						panic(err)
 					}
 					return va
 				},
 			}
-			out := wl.Run(ctx)
-			_ = os.SendOutputBytes(out)
-			os.EndSession()
+			_ = r.SendOutput(wl.Run(ctx))
+			r.EndSession()
 		},
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
 
-	session := harness.NewSession(world)
-	must(session.Client.Start())
-	session.Pump(2)
-	must(container.AcceptSession(session.MonTr))
-	session.Pump(2)
-	must(session.Client.Finish())
-
+	client, err := p.Connect(container)
+	if err != nil {
+		log.Fatal(err)
+	}
 	// The client's query batch: which records it looks up is the secret.
 	queries := wl.Input()
 	fmt.Printf("client sends %d confidential lookups\n", binary.LittleEndian.Uint32(queries))
-	must(session.Client.Send(queries))
-	session.Pump(2)
-	world.K.Schedule()
-	session.Pump(2)
-
-	reply, err := session.Client.Recv()
+	if err := client.Send(queries); err != nil {
+		log.Fatal(err)
+	}
+	p.Run()
+	reply, err := client.Recv()
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("retrieval summary: %s\n", reply)
-	for _, f := range session.Proxy.Seen {
+	for _, f := range client.WireFrames() {
 		if bytes.Contains(f, queries[:64]) || bytes.Contains(f, reply) {
 			log.Fatal("SECURITY VIOLATION: proxy observed plaintext")
 		}
 	}
 	fmt.Println("the proxy and host saw only fixed-length ciphertext records")
-}
-
-func must(err error) {
-	if err != nil {
-		log.Fatal(err)
-	}
 }

@@ -9,17 +9,13 @@ import (
 	"log"
 	"strings"
 
-	"github.com/asterisc-release/erebor-go/internal/harness"
-	"github.com/asterisc-release/erebor-go/internal/kernel"
-	"github.com/asterisc-release/erebor-go/internal/libos"
-	"github.com/asterisc-release/erebor-go/internal/mem"
-	"github.com/asterisc-release/erebor-go/internal/sandbox"
+	erebor "github.com/asterisc-release/erebor-go"
 )
 
 func main() {
 	// 1. Boot the platform: TDX module, EREBOR-MONITOR (verified boot),
 	//    deprivileged kernel.
-	world, err := harness.NewWorld(harness.WorldConfig{Mode: kernel.ModeErebor, MemMB: 96})
+	p, err := erebor.NewPlatform(erebor.PlatformConfig{MemMB: 96})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -27,22 +23,17 @@ func main() {
 	// 2. The service provider launches a sandboxed program. Its Main runs
 	//    inside the sandbox on a LibOS; after client data arrives, the only
 	//    way in or out is the monitor's channel.
-	container, err := sandbox.Launch(world.K, sandbox.Spec{
-		Name:  "echo-upper",
-		Owner: mem.OwnerTaskBase + 1,
-		LibOS: libos.Config{HeapPages: 64},
-		Main: func(c *sandbox.Container, os *libos.OS) {
-			buf, n, err := os.ReceiveInput(4096, 8)
-			if err != nil || n == 0 {
+	container, err := p.Launch(erebor.ContainerConfig{
+		Name: "echo-upper", HeapPages: 64,
+		Main: func(r *erebor.Runtime) {
+			data, err := r.ReceiveInput(4096)
+			if err != nil || data == nil {
 				return
 			}
-			data := make([]byte, n)
-			os.Env.ReadMem(buf, data)
-			reply := strings.ToUpper(string(data))
-			if err := os.SendOutputBytes([]byte(reply)); err != nil {
+			if err := r.SendOutput([]byte(strings.ToUpper(string(data)))); err != nil {
 				return
 			}
-			os.EndSession()
+			r.EndSession()
 		},
 	})
 	if err != nil {
@@ -51,31 +42,21 @@ func main() {
 
 	// 3. A remote client attests the monitor and opens a secure channel
 	//    through the untrusted in-CVM proxy.
-	session := harness.NewSession(world)
-	must(session.Client.Start())
-	session.Pump(2)
-	must(container.AcceptSession(session.MonTr))
-	session.Pump(2)
-	must(session.Client.Finish())
+	client, err := p.Connect(container)
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	// 4. Confidential request in, padded+encrypted response out.
-	must(session.Client.Send([]byte("my private document")))
-	session.Pump(2)
-	world.K.Schedule()
-	session.Pump(2)
-
-	reply, err := session.Client.Recv()
+	if err := client.Send([]byte("my private document")); err != nil {
+		log.Fatal(err)
+	}
+	p.Run()
+	reply, err := client.Recv()
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("client sent:     %q\n", "my private document")
 	fmt.Printf("client received: %q\n", reply)
-	info, _ := container.Info()
-	fmt.Printf("sandbox cleaned up after session: %v\n", info.Destroyed)
-}
-
-func must(err error) {
-	if err != nil {
-		log.Fatal(err)
-	}
+	fmt.Printf("sandbox cleaned up after session: %v\n", container.Status().Destroyed)
 }

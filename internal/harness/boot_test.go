@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"testing"
 
-	"github.com/asterisc-release/erebor-go/internal/entropy"
 	"github.com/asterisc-release/erebor-go/internal/kernel"
 	"github.com/asterisc-release/erebor-go/internal/mem"
 )
@@ -40,7 +39,7 @@ func TestBootedWorldPinned(t *testing.T) {
 		{kernel.ModeErebor, "5727d8cf0542b7b46384817a2549954693f2bc128a15586d33d01e0f21c36f73", 74},
 		{kernel.ModeNative, "0b739ec92457ffdcecbb61eda039a56a0057a865f8c3f23b0cbe75befea94e9e", 35},
 	} {
-		w, err := NewWorld(WorldConfig{Mode: c.mode, MemMB: 64, Entropy: entropy.New(1)})
+		w, err := NewWorld(WorldConfig{Mode: c.mode, MemMB: 64})
 		if err != nil {
 			t.Fatal(err)
 		}

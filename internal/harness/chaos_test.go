@@ -68,14 +68,14 @@ type chaosOutcome struct {
 // plaintext on the wire). It never blocks: every wait is bounded.
 func runChaosSession(t *testing.T, plan faultinject.Plan) chaosOutcome {
 	t.Helper()
-	w, err := NewWorld(WorldConfig{Mode: kernel.ModeErebor, MemMB: 64})
+	w, err := NewWorld(WorldConfig{Mode: kernel.ModeErebor, MemMB: 64, Chaos: &plan})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Deferred first, so it runs after the plaintext check below.
 	defer w.Close()
 	c := launchChaosEcho(t, w)
-	s := NewInjectedSession(w, faultinject.New(plan))
+	s := NewSession(w)
 
 	secret := []byte(fmt.Sprintf("chaos secret %d: patient record confidential", plan.Seed))
 	reply := bytes.ToUpper(secret)
@@ -141,7 +141,7 @@ func TestChaosPerFaultClass(t *testing.T) {
 				if out.completed {
 					completed++
 				}
-				injected += out.session.Inj.Counters.Total()
+				injected += out.session.W.Inj.Counters.Total()
 			}
 			if injected == 0 {
 				t.Fatalf("fault class %v never injected across %d sessions", class, seeds)
@@ -172,20 +172,64 @@ func TestChaosUniformMix(t *testing.T) {
 	t.Logf("uniform mix: %d/%d completed", completed, seeds)
 }
 
-// Invariant 3: the same plan produces the same fault schedule and the same
-// outcome. Content-dependent classes (corrupt/truncate draw positions from
-// frame lengths, which vary with handshake randomness) are excluded; the
-// schedule-level determinism of those is covered in package faultinject.
+// Invariant 3: the same plan produces the same fault schedule, the same
+// relayed frames byte for byte and the same outcome, for every wire class.
+// The world seeds its handshake keys and quotes from the plan, so even the
+// content-dependent classes (corrupt and truncate act on the bytes of a
+// handshake frame) replay. Seed 4 fires all six classes in one session.
 func TestChaosDeterministicFromSeed(t *testing.T) {
-	plan := faultinject.Plan{Seed: 424242, Drop: 0.1, Duplicate: 0.1, Reorder: 0.1, Replay: 0.1}
+	plan := faultinject.Uniform(4, 0.1)
 	a := runChaosSession(t, plan)
 	b := runChaosSession(t, plan)
-	if a.session.Inj.Counters != b.session.Inj.Counters {
-		t.Fatalf("same seed, different schedules:\n  %v\n  %v",
-			a.session.Inj.Counters, b.session.Inj.Counters)
+	ca, cb := a.session.W.Inj.Counters, b.session.W.Inj.Counters
+	if ca != cb {
+		t.Fatalf("same seed, different schedules:\n  %v\n  %v", ca, cb)
+	}
+	if ca.Drops == 0 || ca.Duplicates == 0 || ca.Reorders == 0 ||
+		ca.Corrupts == 0 || ca.Truncates == 0 || ca.Replays == 0 {
+		t.Fatalf("a wire class never fired: %v", ca)
 	}
 	if a.completed != b.completed {
 		t.Fatalf("same seed, different outcomes: %v vs %v", a.completed, b.completed)
+	}
+	fa, fb := a.session.Proxy.Seen, b.session.Proxy.Seen
+	if len(fa) != len(fb) {
+		t.Fatalf("same seed, %d relayed frames vs %d", len(fa), len(fb))
+	}
+	for i := range fa {
+		if !bytes.Equal(fa[i], fb[i]) {
+			t.Fatalf("same seed, relayed frame %d differs", i)
+		}
+	}
+}
+
+// Latency faults stall every session of a world that has them: the same
+// seeded handshake takes exactly one stall per injected latency fault
+// longer than on a world whose plan arms no latency.
+func TestChaosLatencyStallsHandshake(t *testing.T) {
+	const stall = 50_000
+	handshake := func(plan faultinject.Plan) (cycles uint64, latencies uint64) {
+		w, err := NewWorld(WorldConfig{Mode: kernel.ModeErebor, MemMB: 64, Chaos: &plan})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer w.Close()
+		c := launchChaosEcho(t, w)
+		s := NewSession(w)
+		start := w.M.Clock.Now()
+		if err := s.ConnectResilient(c); err != nil {
+			t.Fatal(err)
+		}
+		return w.M.Clock.Now() - start, w.Inj.Counters.Latencies
+	}
+	clean, none := handshake(faultinject.Plan{Seed: 1})
+	slow, n := handshake(faultinject.Plan{Seed: 1, Latency: 1, LatencyCycles: stall})
+	if none != 0 || n == 0 {
+		t.Fatalf("latency faults: %d on the clean plan, %d on the stalling one", none, n)
+	}
+	if slow-clean != n*stall {
+		t.Fatalf("handshake took %d cycles, %d more than clean; want %d latency faults x %d = %d more",
+			slow, slow-clean, n, stall, n*stall)
 	}
 }
 
@@ -198,13 +242,13 @@ func TestHandshakeUnderFaults(t *testing.T) {
 		t.Run(class.String(), func(t *testing.T) {
 			ok := 0
 			for seed := 0; seed < seeds; seed++ {
-				w, err := NewWorld(WorldConfig{Mode: kernel.ModeErebor, MemMB: 64})
+				plan := faultinject.Only(int64(9000*int(class)+seed), class, 0.3)
+				w, err := NewWorld(WorldConfig{Mode: kernel.ModeErebor, MemMB: 64, Chaos: &plan})
 				if err != nil {
 					t.Fatal(err)
 				}
 				c := launchChaosEcho(t, w)
-				plan := faultinject.Only(int64(9000*int(class)+seed), class, 0.3)
-				s := NewInjectedSession(w, faultinject.New(plan))
+				s := NewSession(w)
 				err = s.ConnectResilient(c)
 				if err != nil && !errors.Is(err, secchan.ErrTimeout) {
 					t.Fatalf("seed %d: untyped handshake error: %v", seed, err)

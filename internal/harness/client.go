@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 
-	"github.com/asterisc-release/erebor-go/internal/faultinject"
 	"github.com/asterisc-release/erebor-go/internal/metrics"
 	"github.com/asterisc-release/erebor-go/internal/secchan"
 	"github.com/asterisc-release/erebor-go/internal/tdx"
@@ -151,41 +150,29 @@ type Session struct {
 	// MonTr is the monitor-side transport (passed to AcceptSession).
 	MonTr secchan.Transport
 	// W is the world the session belongs to (virtual clock for backoff,
-	// scheduler for bounded waits).
+	// scheduler for bounded waits, fault schedule W.Inj).
 	W *World
-	// Inj, when non-nil, is the fault injector interposed on the untrusted
-	// client<->proxy hop (chaos testing; see NewInjectedSession).
-	Inj *faultinject.Injector
 
 	// retry is the retry engine's state between steps (resilient.go).
 	retry retryState
 }
 
 // NewSession builds the client <-> proxy <-> monitor plumbing for a world.
+// On a world with a chaos plan the untrusted client<->proxy hop passes,
+// both ways, through the world's injector, so every session of the world
+// draws from one deterministic fault schedule and a (plan, workload) pair
+// replays bit-identically.
 func NewSession(w *World) *Session {
-	return NewInjectedSession(w, nil)
-}
-
-// NewInjectedSession builds a session whose untrusted client<->proxy hop
-// passes, both ways, through inj (nil: no faults). A caller-owned injector
-// lets several sessions on one world draw from a single deterministic
-// fault schedule, so a (plan, workload) pair replays bit-identically.
-func NewInjectedSession(w *World, inj *faultinject.Injector) *Session {
 	clientEnd, proxyOuter := secchan.NewMemPipe()
 	var clientTr secchan.Transport = clientEnd
 	var outer secchan.Transport = proxyOuter
-	if inj != nil {
+	if w.Inj != nil {
 		// The client<->proxy hop is the fully untrusted segment: both
 		// directions pass through the fault schedule.
-		clientTr = inj.Wrap(clientEnd)
-		outer = inj.Wrap(proxyOuter)
-		if inj.Rec == nil {
-			inj.Rec = w.Rec
-		}
+		clientTr = w.Inj.Wrap(clientEnd)
+		outer = w.Inj.Wrap(proxyOuter)
 	}
-	s := newSession(w, clientTr, outer)
-	s.Inj = inj
-	return s
+	return newSession(w, clientTr, outer)
 }
 
 // newSession wires a client on clientTr to the world's monitor through a

@@ -173,13 +173,16 @@ func TestSessionsExpectWorldMRTD(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := ExpectedMRTD(w.Mon.MonitorImage())
-	inj := faultinject.New(faultinject.Plan{Seed: 1})
+	chaos, err := NewWorld(WorldConfig{Mode: kernel.ModeErebor, MemMB: 64, Chaos: &faultinject.Plan{Seed: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, c := range []struct {
 		name string
 		cl   *Client
 	}{
 		{"NewSession", NewSession(w).Client},
-		{"NewInjectedSession", NewInjectedSession(w, inj).Client},
+		{"NewSession on a chaos world", NewSession(chaos).Client},
 		{"NewNetSession", NewNetSession(w).Client},
 	} {
 		if c.cl.expected != want {

@@ -9,6 +9,8 @@ import (
 
 	"github.com/asterisc-release/erebor-go/internal/attest"
 	"github.com/asterisc-release/erebor-go/internal/cpu"
+	"github.com/asterisc-release/erebor-go/internal/entropy"
+	"github.com/asterisc-release/erebor-go/internal/faultinject"
 	"github.com/asterisc-release/erebor-go/internal/kernel"
 	"github.com/asterisc-release/erebor-go/internal/mem"
 	"github.com/asterisc-release/erebor-go/internal/metrics"
@@ -47,11 +49,17 @@ type World struct {
 	Attr *metrics.Attr
 
 	// Entropy is the handshake entropy source every key in this world draws
-	// from (nil = OS CSPRNG). Seeded worlds replay handshake bytes — and so
-	// the effect of content-dependent wire faults — across processes.
+	// from: seeded from the chaos plan, or nil (OS CSPRNG) without one.
+	// Seeded worlds replay handshake bytes — and so the effect of
+	// content-dependent wire faults — across processes.
 	Entropy io.Reader
 
-	bootCycles uint64
+	// Inj is the world's fault schedule (nil without a chaos plan): every
+	// session's untrusted client<->proxy hop passes through it, so all the
+	// sessions of one world draw from one deterministic schedule. Latency
+	// faults stall this world's clock.
+	Inj *faultinject.Injector
+
 	// expectedMRTD is ExpectedMRTD of the booted monitor's image (Erebor
 	// mode): every client of this world checks its quotes against it.
 	expectedMRTD [tdx.MeasurementSize]byte
@@ -74,12 +82,13 @@ type WorldConfig struct {
 	Trace bool
 	// TraceCapacity bounds the recorder's event ring (0 = default).
 	TraceCapacity int
-	// Entropy, when non-nil, replaces the OS CSPRNG for all handshake key
-	// material (quoting key, client and server ephemeral shares). Chaos
-	// runs seed it from the fault plan so corrupt/truncate faults — whose
-	// observable effect depends on the random bytes they mutate — replay
-	// byte-for-byte across processes.
-	Entropy io.Reader
+	// Chaos, when non-nil, is the fault schedule of the untrusted
+	// client<->proxy hop of every session on this world (World.Inj). It
+	// also seeds all handshake key material (quoting key, client and server
+	// ephemeral shares) from Chaos.Seed in place of the OS CSPRNG, so
+	// corrupt/truncate faults — whose observable effect depends on the
+	// random bytes they mutate — replay byte-for-byte across processes.
+	Chaos *faultinject.Plan
 }
 
 // firmware is the measured boot firmware blob (OVMF stand-in).
@@ -89,8 +98,14 @@ var firmware = func() []byte {
 	return fw
 }()
 
-// NewWorld boots a complete platform in the requested mode.
+// NewWorld boots a complete platform in the requested mode. It refuses a
+// chaos plan the injector cannot honor before allocating anything.
 func NewWorld(cfg WorldConfig) (*World, error) {
+	if cfg.Chaos != nil {
+		if err := cfg.Chaos.Validate(); err != nil {
+			return nil, fmt.Errorf("harness: chaos plan: %w", err)
+		}
+	}
 	if cfg.MemMB == 0 {
 		cfg.MemMB = 128
 	}
@@ -108,7 +123,7 @@ func NewWorld(cfg WorldConfig) (*World, error) {
 	met := metrics.New()
 	m.Attr = metrics.NewAttr(met, m.Clock.Now)
 	w := &World{Phys: phys, M: m, TDX: module, Host: host, Mode: cfg.Mode,
-		Met: met, Attr: m.Attr, Entropy: cfg.Entropy}
+		Met: met, Attr: m.Attr}
 	if cfg.Trace {
 		// The recorder reads the machine clock but never charges it: a
 		// traced world and an untraced world run the same workload to the
@@ -116,10 +131,19 @@ func NewWorld(cfg WorldConfig) (*World, error) {
 		// span scope on the context.
 		w.Rec = trace.New(cfg.TraceCapacity, m.Clock.Now, met, m.Attr)
 	}
+	if cfg.Chaos != nil {
+		w.Entropy = entropy.New(cfg.Chaos.Seed)
+		w.Inj = faultinject.New(*cfg.Chaos)
+		w.Inj.Rec = w.Rec
+		// Latency faults stall the virtual clock through the Charge hook,
+		// inside whatever span is open at injection time, so an injected
+		// delay shows up on the victim session's critical path.
+		w.Inj.Charge = m.Clock.Charge
+	}
 
 	switch cfg.Mode {
 	case kernel.ModeErebor:
-		qk, err := attest.NewQuotingKeyRand(cfg.Entropy)
+		qk, err := attest.NewQuotingKeyRand(w.Entropy)
 		if err != nil {
 			return nil, err
 		}
@@ -130,7 +154,7 @@ func NewWorld(cfg WorldConfig) (*World, error) {
 		}
 		w.Mon = mon
 		w.expectedMRTD = ExpectedMRTD(mon.MonitorImage())
-		mon.Entropy = cfg.Entropy
+		mon.Entropy = w.Entropy
 		mon.Rec = w.Rec
 		// Same wiring point as the recorder: before LoadKernel/kernel.New,
 		// so boot-time EMCs land in the shared registry (the histogram/Stats
@@ -165,7 +189,6 @@ func NewWorld(cfg WorldConfig) (*World, error) {
 	default:
 		return nil, fmt.Errorf("harness: unknown mode %v", cfg.Mode)
 	}
-	w.bootCycles = m.Clock.Now()
 	return w, nil
 }
 
@@ -173,10 +196,6 @@ func NewWorld(cfg WorldConfig) (*World, error) {
 // dropped with a parked task is not kept reachable by that task's
 // goroutine. The world must not run afterwards. Closing twice is a no-op.
 func (w *World) Close() { w.K.Close() }
-
-// BootCycles returns the cycles consumed by boot (excluded from workload
-// measurements).
-func (w *World) BootCycles() uint64 { return w.bootCycles }
 
 // Core returns the boot/control core (core 0). Dispatches may run on any
 // core; use Kernel.Core for the core of the current dispatch.

@@ -158,7 +158,7 @@ func TestEgressChaosFleet(t *testing.T) {
 			}
 
 			// The proxy classes actually fired.
-			c := s.inj.Snapshot()
+			c := s.World().Inj.Snapshot()
 			if c.Redirects == 0 || c.PolicyCorrupts == 0 {
 				t.Fatalf("proxy faults never fired: %v", c)
 			}

@@ -189,7 +189,7 @@ func TestServeForkChaosFleet(t *testing.T) {
 					t.Errorf("tenant %d: untyped failure %q", r.Tenant, r.Err)
 				}
 			}
-			if got := s.inj.Counters.Total(); got == 0 {
+			if got := s.World().Inj.Counters.Total(); got == 0 {
 				t.Fatal("chaos run injected no faults")
 			}
 			w := s.World()

@@ -12,11 +12,11 @@
 // seed. Two runs with the same Config produce byte-identical Reports and
 // trace exports — chaos runs included. Chaos (a seeded fault plan on the
 // untrusted client<->proxy hop, shared by every session) keeps every
-// session bounded — complete or fail typed, never hang — and because
-// corrupt/truncate faults mutate handshake frames whose decode outcome
-// depends on the bytes under the flip, chaos runs additionally pin the
-// handshake entropy (client/server ephemeral keys, quoting key) to the
-// fault-plan seed, making fault effects a pure function of the Config too.
+// session bounded — complete or fail typed, never hang. The plan belongs to
+// the world, which also seeds the handshake entropy (client/server
+// ephemeral keys, quoting key) from the plan's seed: corrupt/truncate
+// faults mutate handshake frames whose decode outcome depends on the bytes
+// under the flip, so fault effects are a pure function of the Config too.
 package serve
 
 import (
@@ -32,7 +32,6 @@ import (
 
 	"github.com/asterisc-release/erebor-go/internal/costs"
 	"github.com/asterisc-release/erebor-go/internal/egress"
-	"github.com/asterisc-release/erebor-go/internal/entropy"
 	"github.com/asterisc-release/erebor-go/internal/faultinject"
 	"github.com/asterisc-release/erebor-go/internal/harness"
 	"github.com/asterisc-release/erebor-go/internal/kernel"
@@ -88,9 +87,10 @@ type Config struct {
 	// drops far below cold. Either way a turnover destroys the retiring
 	// worker first; any denied fork falls back to a cold launch.
 	ForkPool bool
-	// Chaos, when non-nil, interposes one seeded fault injector on the
-	// untrusted hop of every session (the whole fleet draws from a single
-	// deterministic schedule).
+	// Chaos, when non-nil, is the world's fault plan: one seeded injector on
+	// the untrusted hop of every session (the whole fleet draws from a
+	// single deterministic schedule), which also seeds the world's
+	// handshake entropy.
 	Chaos *faultinject.Plan
 	// Trace attaches the flight recorder (per-tenant session spans on the
 	// server track; sandbox activity on per-sandbox tracks).
@@ -327,7 +327,6 @@ func (sl *slot) rootSpan() trace.SpanID {
 type Server struct {
 	cfg   Config
 	w     *harness.World
-	inj   *faultinject.Injector
 	model []byte
 	win   []byte // model window replies are XORed with
 	slots []*slot
@@ -383,25 +382,11 @@ type Server struct {
 // New boots a world, publishes the shared model, and launches one worker
 // sandbox per slot.
 func New(cfg Config) (*Server, error) {
-	if cfg.Chaos != nil {
-		if err := cfg.Chaos.Validate(); err != nil {
-			return nil, fmt.Errorf("serve: chaos plan: %w", err)
-		}
-	}
 	cfg = cfg.withDefaults()
-	wcfg := harness.WorldConfig{
+	w, err := harness.NewWorld(harness.WorldConfig{
 		Mode: kernel.ModeErebor, MemMB: cfg.MemMB, VCPUs: cfg.VCPUs,
-		Trace: cfg.Trace, TraceCapacity: cfg.TraceCapacity,
-	}
-	if cfg.Chaos != nil {
-		// Corrupt/truncate faults mutate handshake frames, and whether the
-		// mutated bytes still decode depends on the key material under
-		// them. Pinning handshake entropy to the fault-plan seed makes the
-		// whole chaos run — fault effects included — byte-deterministic
-		// across processes (the profiler-determinism CI gate relies on it).
-		wcfg.Entropy = entropy.New(cfg.Chaos.Seed)
-	}
-	w, err := harness.NewWorld(wcfg)
+		Trace: cfg.Trace, TraceCapacity: cfg.TraceCapacity, Chaos: cfg.Chaos,
+	})
 	if err != nil {
 		return nil, fmt.Errorf("serve: world boot: %w", err)
 	}
@@ -434,14 +419,6 @@ func New(cfg Config) (*Server, error) {
 		s.svcDelivered = make(map[string]uint64)
 		// Wire the ledger into the monitor so every watchdog sweep audits I8.
 		w.Mon.Egress = s.ledger
-	}
-	if cfg.Chaos != nil {
-		s.inj = faultinject.New(*cfg.Chaos)
-		s.inj.Rec = w.Rec
-		// Latency faults stall the virtual clock through the injector's
-		// Charge hook; the stall lands inside whatever span is open, so an
-		// injected delay shows up on the victim session's critical path.
-		s.inj.Charge = w.M.Clock.Charge
 	}
 	if len(cfg.SLO) > 0 {
 		s.sloEng = slo.NewEngine(cfg.SLO, cfg.SLOWindow)
@@ -647,7 +624,7 @@ func (s *Server) admit(sl *slot) {
 	} else {
 		sl.span = s.w.Rec.NewSpanUnder(0)
 	}
-	sl.sess = harness.NewInjectedSession(s.w, s.inj)
+	sl.sess = harness.NewSession(s.w)
 	sl.state = stConnect
 	s.fillRequest(sl.request, sl.tenant)
 	sl.start = s.w.M.Clock.Now()
@@ -678,8 +655,8 @@ func (s *Server) armLane(sl *slot, pr *secchan.Proxy, dest egress.Destination) {
 	pr.Denials = secchan.NewDenialQueue(0)
 	pr.Ledger = s.ledger
 	pr.Rec = s.w.Rec
-	if s.inj != nil {
-		s.inj.BindProxy(pr)
+	if s.w.Inj != nil {
+		s.w.Inj.BindProxy(pr)
 	}
 }
 

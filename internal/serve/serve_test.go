@@ -192,7 +192,7 @@ func TestServeChaosFleetSMP(t *testing.T) {
 					t.Fatalf("tenant %d failed untyped: %s", r.Tenant, r.Err)
 				}
 			}
-			if got := s.inj.Snapshot().Total(); got == 0 {
+			if got := s.World().Inj.Snapshot().Total(); got == 0 {
 				t.Fatal("chaos run injected no faults")
 			}
 			if v := s.World().Mon.Audit(); len(v) != 0 {
@@ -444,7 +444,7 @@ func TestServeChaosFleet(t *testing.T) {
 					t.Fatalf("tenant %d failed untyped: %s", r.Tenant, r.Err)
 				}
 			}
-			if got := s.inj.Counters.Total(); got == 0 {
+			if got := s.World().Inj.Counters.Total(); got == 0 {
 				t.Fatal("chaos run injected no faults")
 			}
 			if vs := s.World().Mon.Audit(); len(vs) != 0 {

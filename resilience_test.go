@@ -113,3 +113,73 @@ func TestRuntimeServesMoreRequestsThanHeapPages(t *testing.T) {
 	}
 	p.Run()
 }
+
+// A public platform's chaos run replays: the plan's seed also seeds the
+// platform's quoting key and every handshake key share, so two platforms
+// with one ChaosConfig relay the same frames and trace the same run byte
+// for byte. Seed 10 finishes its handshake at this rate.
+func TestPublicChaosRunReplays(t *testing.T) {
+	const requests = 8
+	run := func() (frames [][]byte, chrome []byte) {
+		const rate = 0.16
+		p, err := NewPlatform(PlatformConfig{
+			MemMB: 96,
+			Trace: TraceConfig{Enabled: true},
+			Chaos: &ChaosConfig{Seed: 10, DropRate: rate, DuplicateRate: rate, ReorderRate: rate,
+				CorruptRate: rate, TruncateRate: rate, ReplayRate: rate},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := p.Launch(ContainerConfig{
+			Name: "chaos-echo", HeapPages: 64,
+			Main: func(r *Runtime) {
+				for i := 0; i < requests; i++ {
+					in, err := r.ReceiveInput(4096)
+					if err != nil || in == nil {
+						break
+					}
+					if err := r.SendOutput(bytes.ToUpper(in)); err != nil {
+						break
+					}
+				}
+				// Linger so retransmitted requests are still served from
+				// the monitor's history before teardown.
+				r.ReceiveInput(4096)
+				r.EndSession()
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cl, err := p.Connect(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < requests; i++ {
+			// A round trip may time out under chaos; the replay covers how.
+			if cl.SendWithRetry(fmt.Appendf(nil, "request %d: confidential payload", i)) == nil {
+				cl.RecvWait()
+			}
+		}
+		p.Run()
+		var buf bytes.Buffer
+		if err := p.ExportChromeTrace(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return cl.WireFrames(), buf.Bytes()
+	}
+	fa, ca := run()
+	fb, cb := run()
+	for i := 0; i < len(fa) && i < len(fb); i++ {
+		if !bytes.Equal(fa[i], fb[i]) {
+			t.Fatalf("same chaos config, relayed frame %d differs", i)
+		}
+	}
+	if len(fa) != len(fb) {
+		t.Fatalf("same chaos config, %d relayed frames vs %d", len(fa), len(fb))
+	}
+	if !bytes.Equal(ca, cb) {
+		t.Fatal("same chaos config, different Chrome exports")
+	}
+}
